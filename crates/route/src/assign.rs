@@ -65,36 +65,67 @@ pub struct Assignment {
     pub reassignments: usize,
 }
 
-/// Resolves one tree segment to its graph edge, or the typed error.
-fn edge_of(
-    graph: &ChannelGraph,
-    net: usize,
-    alternative: usize,
-    a: usize,
-    b: usize,
-) -> Result<usize, StaleRouteError> {
-    graph.edge_between(a, b).ok_or(StaleRouteError {
-        net,
-        alternative,
-        nodes: (a.min(b), a.max(b)),
-    })
+/// The graph edge indices of every alternative's tree, resolved once per
+/// call (flattened in net-major order).
+struct EdgeIds {
+    ids: Vec<usize>,
+    /// Alternative `j` (flattened) owns `ids[ends[j]..ends[j + 1]]`.
+    ends: Vec<usize>,
+    /// Flattened index of each net's first alternative.
+    first: Vec<usize>,
+}
+
+impl EdgeIds {
+    /// Resolves every tree segment; the error names the first stale
+    /// `(net, alternative)` in index order.
+    fn resolve(
+        graph: &ChannelGraph,
+        alternatives: &[Vec<RouteTree>],
+    ) -> Result<EdgeIds, StaleRouteError> {
+        let mut out = EdgeIds {
+            ids: Vec::new(),
+            ends: vec![0],
+            first: Vec::with_capacity(alternatives.len()),
+        };
+        for (net, alts) in alternatives.iter().enumerate() {
+            out.first.push(out.ends.len() - 1);
+            for (alternative, tree) in alts.iter().enumerate() {
+                for &(a, b) in &tree.edges {
+                    let e = graph.edge_between(a, b).ok_or(StaleRouteError {
+                        net,
+                        alternative,
+                        nodes: (a.min(b), a.max(b)),
+                    })?;
+                    out.ids.push(e);
+                }
+                out.ends.push(out.ids.len());
+            }
+        }
+        Ok(out)
+    }
+
+    fn of(&self, net: usize, k: usize) -> &[usize] {
+        let j = self.first[net] + k;
+        &self.ids[self.ends[j]..self.ends[j + 1]]
+    }
 }
 
 fn usage_of(
     graph: &ChannelGraph,
     alternatives: &[Vec<RouteTree>],
+    ids: &EdgeIds,
     choice: &[usize],
-) -> Result<Vec<u32>, StaleRouteError> {
+) -> Vec<u32> {
     let mut usage = vec![0u32; graph.edges.len()];
     for (net, &k) in choice.iter().enumerate() {
         if alternatives[net].is_empty() {
             continue;
         }
-        for &(a, b) in &alternatives[net][k].edges {
-            usage[edge_of(graph, net, k, a, b)?] += 1;
+        for &e in ids.of(net, k) {
+            usage[e] += 1;
         }
     }
-    Ok(usage)
+    usage
 }
 
 fn overflow_of(graph: &ChannelGraph, usage: &[u32]) -> i64 {
@@ -125,20 +156,30 @@ fn length_of(alternatives: &[Vec<RouteTree>], choice: &[usize]) -> i64 {
 ///
 /// Returns [`StaleRouteError`] when any alternative crosses a node pair
 /// absent from `graph` — the trees were enumerated against a different
-/// (regenerated) channel graph.
+/// (regenerated) channel graph. The first stale `(net, alternative)` in
+/// index order is reported.
 pub fn assign_routes(
     graph: &ChannelGraph,
     alternatives: &[Vec<RouteTree>],
     rng: &mut StdRng,
 ) -> Result<Assignment, StaleRouteError> {
+    let ids = EdgeIds::resolve(graph, alternatives)?;
     let n_nets = alternatives.len();
     let mut choice = vec![0usize; n_nets];
-    let mut usage = usage_of(graph, alternatives, &choice)?;
+    let mut usage = usage_of(graph, alternatives, &ids, &choice);
     let mut x = overflow_of(graph, &usage);
     let overflow_start = x;
     let mut l = length_of(alternatives, &choice);
     let m_max = alternatives.iter().map(|a| a.len()).max().unwrap_or(1);
     let stall_limit = (m_max * n_nets).max(64);
+    let over = |edge: usize, d: i64| (d - graph.edges[edge].capacity as i64).max(0);
+
+    // Per-attempt buffers. `leaving[e]` is -1 on the edges of the net's
+    // current tree while its alternatives are priced, 0 elsewhere.
+    let mut leaving = vec![0i64; graph.edges.len()];
+    let mut overfull: Vec<usize> = Vec::new();
+    let mut users: Vec<usize> = Vec::new();
+    let mut candidates: Vec<(usize, i64, i64)> = Vec::new();
 
     let mut attempts = 0usize;
     let mut reassignments = 0usize;
@@ -147,49 +188,71 @@ pub fn assign_routes(
         attempts += 1;
         stall += 1;
         // Random over-capacity edge.
-        let overfull: Vec<usize> = usage
-            .iter()
-            .zip(&graph.edges)
-            .enumerate()
-            .filter(|(_, (&d, e))| d > e.capacity)
-            .map(|(i, _)| i)
-            .collect();
+        overfull.clear();
+        overfull.extend(
+            usage
+                .iter()
+                .zip(&graph.edges)
+                .enumerate()
+                .filter(|(_, (&d, e))| d > e.capacity)
+                .map(|(i, _)| i),
+        );
         let Some(&edge) = pick(&overfull, rng) else {
             break;
         };
         // Random net with a segment on that edge.
         let (ea, eb) = (graph.edges[edge].a, graph.edges[edge].b);
         let key = (ea.min(eb), ea.max(eb));
-        let users: Vec<usize> = (0..n_nets)
-            .filter(|&net| {
-                !alternatives[net].is_empty()
-                    && alternatives[net][choice[net]]
-                        .edges
-                        .binary_search(&key)
-                        .is_ok()
-            })
-            .collect();
+        users.clear();
+        users.extend((0..n_nets).filter(|&net| {
+            !alternatives[net].is_empty()
+                && alternatives[net][choice[net]]
+                    .edges
+                    .binary_search(&key)
+                    .is_ok()
+        }));
         let Some(&net) = pick(&users, rng) else {
             continue;
         };
-        // Alternatives with ΔX <= 0.
+        // Alternatives with ΔX <= 0: ΔX is the change of ripping up the
+        // current tree plus that of adding alternative k on top.
         let cur = choice[net];
-        let mut candidates: Vec<(usize, i64, i64)> = Vec::new();
+        let cur_ids = ids.of(net, cur);
+        let mut dx_leave = 0i64;
+        for &e in cur_ids {
+            let d = usage[e] as i64;
+            dx_leave += over(e, d - 1) - over(e, d);
+            leaving[e] = -1;
+        }
+        candidates.clear();
         for k in 0..alternatives[net].len() {
             if k == cur {
                 continue;
             }
-            let (dx, dl) = delta(graph, alternatives, &usage, net, cur, k)?;
+            let mut dx = dx_leave;
+            for &e in ids.of(net, k) {
+                let d = usage[e] as i64 + leaving[e];
+                dx += over(e, d + 1) - over(e, d);
+            }
             if dx <= 0 {
+                let dl = alternatives[net][k].length - alternatives[net][cur].length;
                 candidates.push((k, dx, dl));
             }
+        }
+        for &e in cur_ids {
+            leaving[e] = 0;
         }
         let Some(&(k, dx, dl)) = pick(&candidates, rng) else {
             continue;
         };
         let accept = dx < 0 || dl <= 0;
         if accept && (dx != 0 || dl != 0) {
-            apply(graph, alternatives, &mut usage, net, cur, k)?;
+            for &e in cur_ids {
+                usage[e] -= 1;
+            }
+            for &e in ids.of(net, k) {
+                usage[e] += 1;
+            }
             choice[net] = k;
             x += dx;
             l += dl;
@@ -198,6 +261,7 @@ pub fn assign_routes(
         }
     }
 
+    debug_assert_eq!(usage, usage_of(graph, alternatives, &ids, &choice));
     debug_assert_eq!(x, overflow_of(graph, &usage));
     debug_assert_eq!(l, length_of(alternatives, &choice));
     Ok(Assignment {
@@ -217,54 +281,6 @@ fn pick<'a, T>(items: &'a [T], rng: &mut StdRng) -> Option<&'a T> {
     } else {
         Some(&items[rng.random_range(0..items.len())])
     }
-}
-
-/// `(ΔX, ΔL)` of switching `net` from alternative `cur` to `k`.
-fn delta(
-    graph: &ChannelGraph,
-    alternatives: &[Vec<RouteTree>],
-    usage: &[u32],
-    net: usize,
-    cur: usize,
-    k: usize,
-) -> Result<(i64, i64), StaleRouteError> {
-    let mut delta_x = 0i64;
-    let over = |edge: usize, d: i64| -> i64 { (d - graph.edges[edge].capacity as i64).max(0) };
-    // Removing the current tree then adding the new one; handle shared
-    // edges by net change per edge.
-    let mut per_edge: std::collections::HashMap<usize, i64> = std::collections::HashMap::new();
-    for &(a, b) in &alternatives[net][cur].edges {
-        *per_edge.entry(edge_of(graph, net, cur, a, b)?).or_insert(0) -= 1;
-    }
-    for &(a, b) in &alternatives[net][k].edges {
-        *per_edge.entry(edge_of(graph, net, k, a, b)?).or_insert(0) += 1;
-    }
-    for (&e, &change) in &per_edge {
-        if change == 0 {
-            continue;
-        }
-        let before = usage[e] as i64;
-        delta_x += over(e, before + change) - over(e, before);
-    }
-    let delta_l = alternatives[net][k].length - alternatives[net][cur].length;
-    Ok((delta_x, delta_l))
-}
-
-fn apply(
-    graph: &ChannelGraph,
-    alternatives: &[Vec<RouteTree>],
-    usage: &mut [u32],
-    net: usize,
-    cur: usize,
-    k: usize,
-) -> Result<(), StaleRouteError> {
-    for &(a, b) in &alternatives[net][cur].edges {
-        usage[edge_of(graph, net, cur, a, b)?] -= 1;
-    }
-    for &(a, b) in &alternatives[net][k].edges {
-        usage[edge_of(graph, net, k, a, b)?] += 1;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -339,7 +355,8 @@ mod tests {
             .sum();
         // Either overflow is fully resolved (usually) or at least reduced
         // versus the all-shortest start.
-        let start_usage = usage_of(&tight, &alts, &vec![0; alts.len()]).expect("fresh routes");
+        let ids = EdgeIds::resolve(&tight, &alts).expect("fresh routes");
+        let start_usage = usage_of(&tight, &alts, &ids, &vec![0; alts.len()]);
         let start_x = overflow_of(&tight, &start_usage);
         assert!(start_x > 0, "test premise: congestion exists");
         assert!(
@@ -350,10 +367,7 @@ mod tests {
         // Length can only grow relative to all-shortest.
         assert!(a.total_length >= shortest_l);
         // Bookkeeping consistent.
-        assert_eq!(
-            a.edge_usage,
-            usage_of(&tight, &alts, &a.choice).expect("fresh routes")
-        );
+        assert_eq!(a.edge_usage, usage_of(&tight, &alts, &ids, &a.choice));
     }
 
     #[test]
@@ -402,5 +416,25 @@ mod tests {
         assert_eq!(err.alternative, 0);
         assert_eq!(err.nodes, (a.min(b), a.max(b)));
         assert!(err.to_string().contains("stale route"));
+    }
+
+    #[test]
+    fn stale_alternative_is_reported_without_congestion() {
+        // A stale route behind fresh ones (longest, so the list stays
+        // sorted): the graph is not congested, so the interchange never
+        // prices it, yet the error must name it.
+        let g = grid_graph();
+        let mut alts = nets_for(&g, 2, 1);
+        let (a, b) = (0, g.len() - 1);
+        assert!(g.edge_between(a, b).is_none(), "test premise: not adjacent");
+        let k = alts[1].len();
+        alts[1].push(RouteTree {
+            nodes: vec![a, b],
+            edges: vec![(a, b)],
+            length: i64::MAX / 4,
+        });
+        let mut rng = StdRng::seed_from_u64(1);
+        let err = assign_routes(&g, &alts, &mut rng).expect_err("stale route must error");
+        assert_eq!((err.net, err.alternative, err.nodes), (1, k, (a, b)));
     }
 }

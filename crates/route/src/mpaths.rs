@@ -7,7 +7,7 @@
 //! (electrically-equivalent pins) via virtual terminals.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::ChannelGraph;
 
@@ -44,143 +44,310 @@ pub fn dijkstra(graph: &ChannelGraph, sources: &[usize]) -> Vec<i64> {
     dist
 }
 
-/// Internal adjacency with virtual terminals appended.
-struct AugGraph {
-    adj: Vec<Vec<(usize, i64)>>,
+/// Reusable state for the searches of one routing call.
+///
+/// The M-path searches run over the channel graph plus two virtual
+/// terminals, handled inline rather than materialized: node `n` is
+/// joined to every source and node `n + 1` is joined from every target,
+/// all at zero length. Every search pops the heap by `(dist, node)` and
+/// relaxes only on a strict `<`, so the distances, predecessors and
+/// paths it finds depend only on the graph, never on the order in which
+/// neighbors are visited or buffers were used before. Buffers hold
+/// `n + 2` entries and are reset by visiting only what a search touched.
+pub(crate) struct SearchSpace {
+    /// Tentative distance per node, `i64::MAX` when untouched.
+    dist: Vec<i64>,
+    /// Predecessor on the shortest path found so far.
+    prev: Vec<usize>,
+    /// Nodes whose `dist` is set, for the reset.
+    touched: Vec<usize>,
+    heap: BinaryHeap<Reverse<(i64, usize)>>,
+    /// The virtual source's neighbors.
+    sources: Vec<usize>,
+    /// Nodes joined to the virtual target (in the nearest-point search:
+    /// the candidates of the unconnected points).
+    target: Vec<bool>,
+    /// Nodes the current Yen spur search may not enter.
+    banned: Vec<bool>,
+    /// Nodes the current spur node may not step to directly (Yen's
+    /// banned edges all leave the spur node).
+    banned_next: Vec<bool>,
 }
 
-impl AugGraph {
-    /// Builds plain adjacency plus virtual source (index `n`) linked to
-    /// `sources` and virtual target (index `n + 1`) linked from `targets`,
-    /// all with zero length.
-    fn new(graph: &ChannelGraph, sources: &[usize], targets: &[usize]) -> AugGraph {
-        let n = graph.len();
-        let mut adj = vec![Vec::new(); n + 2];
-        for (i, row) in adj.iter_mut().enumerate().take(n) {
-            for &(m, e) in graph.neighbors(i) {
-                row.push((m, graph.edges[e].length));
+impl SearchSpace {
+    /// Buffers for searches over a graph of `n` nodes.
+    pub(crate) fn new(n: usize) -> SearchSpace {
+        SearchSpace {
+            dist: vec![i64::MAX; n + 2],
+            prev: vec![usize::MAX; n + 2],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+            sources: Vec::new(),
+            target: vec![false; n + 2],
+            banned: vec![false; n + 2],
+            banned_next: vec![false; n + 2],
+        }
+    }
+
+    fn relax(&mut self, from: usize, to: usize, d: i64) {
+        if d < self.dist[to] {
+            if self.dist[to] == i64::MAX {
+                self.touched.push(to);
+            }
+            self.dist[to] = d;
+            self.prev[to] = from;
+            self.heap.push(Reverse((d, to)));
+        }
+    }
+
+    fn reset(&mut self) {
+        for &v in &self.touched {
+            self.dist[v] = i64::MAX;
+        }
+        self.touched.clear();
+        self.heap.clear();
+    }
+
+    /// The position in `rest` of the connection point nearest to
+    /// `sources` (Prim's next pin group): the first point, in `rest`
+    /// order, whose closest candidate is at the minimum distance, or the
+    /// first point when none is reachable — what [`dijkstra`] followed
+    /// by taking the first minimum gives. The search stops once every
+    /// node at the winning distance is settled.
+    pub(crate) fn nearest_point(
+        &mut self,
+        graph: &ChannelGraph,
+        sources: &[usize],
+        points: &[Vec<usize>],
+        rest: &[usize],
+    ) -> usize {
+        for &pi in rest {
+            for &c in &points[pi] {
+                self.target[c] = true;
             }
         }
         for &s in sources {
-            adj[n].push((s, 0));
+            self.relax(usize::MAX, s, 0);
         }
-        for &t in targets {
-            adj[t].push((n + 1, 0));
+        let mut best = None;
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if d > self.dist[u] {
+                continue;
+            }
+            match best {
+                Some(b) if d > b => break,
+                None if self.target[u] => best = Some(d),
+                _ => {}
+            }
+            for &(v, e) in graph.neighbors(u) {
+                self.relax(u, v, d + graph.edges[e].length);
+            }
         }
-        AugGraph { adj }
+        // Unsettled candidates are farther than the winner, and so are
+        // their tentative distances: the first minimum is unchanged.
+        let (pos, _) = rest
+            .iter()
+            .enumerate()
+            .map(|(k, &pi)| {
+                let d = points[pi]
+                    .iter()
+                    .map(|&c| self.dist[c])
+                    .min()
+                    .unwrap_or(i64::MAX);
+                (k, d)
+            })
+            .min_by_key(|&(_, d)| d)
+            .expect("rest nonempty");
+        for &pi in rest {
+            for &c in &points[pi] {
+                self.target[c] = false;
+            }
+        }
+        self.reset();
+        pos
     }
 
-    fn shortest(
-        &self,
-        s: usize,
-        t: usize,
-        banned_nodes: &[bool],
-        banned_edges: &HashSet<(usize, usize)>,
-    ) -> Option<(Vec<usize>, i64)> {
-        let n = self.adj.len();
-        let mut dist = vec![i64::MAX; n];
-        let mut prev = vec![usize::MAX; n];
-        let mut heap = BinaryHeap::new();
-        if banned_nodes[s] {
-            return None;
-        }
-        dist[s] = 0;
-        heap.push(Reverse((0i64, s)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if d > dist[u] {
+    /// Shortest path from `spur` to the virtual target avoiding the
+    /// banned nodes and spur steps, as the node sequence and its length.
+    fn shortest(&mut self, graph: &ChannelGraph, spur: usize) -> Option<(Vec<usize>, i64)> {
+        let n = graph.len();
+        let t = n + 1;
+        self.relax(usize::MAX, spur, 0);
+        while let Some(Reverse((d, u))) = self.heap.pop() {
+            if d > self.dist[u] {
                 continue;
             }
             if u == t {
                 break;
             }
-            for &(v, len) in &self.adj[u] {
-                if banned_nodes[v] || banned_edges.contains(&(u, v)) {
-                    continue;
+            let blocked =
+                |ws: &SearchSpace, v: usize| ws.banned[v] || (u == spur && ws.banned_next[v]);
+            if u == n {
+                for i in 0..self.sources.len() {
+                    let s = self.sources[i];
+                    if !blocked(self, s) {
+                        self.relax(u, s, d);
+                    }
                 }
-                let nd = d + len;
-                if nd < dist[v] {
-                    dist[v] = nd;
-                    prev[v] = u;
-                    heap.push(Reverse((nd, v)));
+                continue;
+            }
+            for &(v, e) in graph.neighbors(u) {
+                if !blocked(self, v) {
+                    self.relax(u, v, d + graph.edges[e].length);
                 }
             }
+            if self.target[u] && !blocked(self, t) {
+                self.relax(u, t, d);
+            }
         }
-        if dist[t] == i64::MAX {
-            return None;
+        let found = (self.dist[t] != i64::MAX).then(|| {
+            let mut nodes = vec![t];
+            let mut cur = t;
+            while cur != spur {
+                cur = self.prev[cur];
+                nodes.push(cur);
+            }
+            nodes.reverse();
+            (nodes, self.dist[t])
+        });
+        self.reset();
+        found
+    }
+
+    /// Yen's deviation algorithm from the virtual source to the virtual
+    /// target: up to `k` (at least one) paths, each with both virtual
+    /// terminals. Candidates are taken in `(length, nodes)` order.
+    fn yen(&mut self, graph: &ChannelGraph, k: usize) -> Vec<(Vec<usize>, i64)> {
+        let n = graph.len();
+        let mut found: Vec<(Vec<usize>, i64)> = Vec::new();
+        let mut candidates: BinaryHeap<Reverse<(i64, Vec<usize>)>> = BinaryHeap::new();
+        let Some(first) = self.shortest(graph, n) else {
+            return found;
+        };
+        found.push(first);
+
+        while found.len() < k {
+            let last_path = &found.last().expect("nonempty").0;
+            let mut root_len = 0;
+            // Deviate at every spur node of the previous path.
+            for spur_idx in 0..last_path.len() - 1 {
+                let spur = last_path[spur_idx];
+                let root = &last_path[..=spur_idx];
+                if spur_idx > 0 {
+                    root_len += step_length(graph, last_path[spur_idx - 1], spur);
+                }
+                // Ban steps out of the spur taken by found paths sharing
+                // this root, and the root nodes except the spur.
+                for (p, _) in &found {
+                    if p.len() > spur_idx && p[..=spur_idx] == *root {
+                        self.banned_next[p[spur_idx + 1]] = true;
+                    }
+                }
+                for &r in &root[..spur_idx] {
+                    self.banned[r] = true;
+                }
+                let tail = self.shortest(graph, spur);
+                for (p, _) in &found {
+                    if let Some(&next) = p.get(spur_idx + 1) {
+                        self.banned_next[next] = false;
+                    }
+                }
+                for &r in &root[..spur_idx] {
+                    self.banned[r] = false;
+                }
+                if let Some((tail, tail_len)) = tail {
+                    let mut nodes = root[..spur_idx].to_vec();
+                    nodes.extend(tail);
+                    candidates.push(Reverse((root_len + tail_len, nodes)));
+                }
+            }
+            // Pop the best unseen candidate.
+            let mut next = None;
+            while let Some(Reverse((len, nodes))) = candidates.pop() {
+                if !found.iter().any(|(p, _)| *p == nodes) {
+                    next = Some((nodes, len));
+                    break;
+                }
+            }
+            match next {
+                Some(p) => found.push(p),
+                None => break,
+            }
         }
-        let mut nodes = vec![t];
-        let mut cur = t;
-        while cur != s {
-            cur = prev[cur];
-            nodes.push(cur);
+        found
+    }
+
+    /// [`k_shortest_from_set`] on this workspace.
+    pub(crate) fn k_shortest(
+        &mut self,
+        graph: &ChannelGraph,
+        sources: &[usize],
+        targets: &[usize],
+        k: usize,
+    ) -> Vec<Path> {
+        if graph.is_empty() || sources.is_empty() || targets.is_empty() || k == 0 {
+            return Vec::new();
         }
-        nodes.reverse();
-        Some((nodes, dist[t]))
+        // Degenerate: a target is already a source.
+        if let Some(&t) = targets.iter().find(|t| sources.contains(t)) {
+            let mut out = vec![Path {
+                nodes: vec![t],
+                length: 0,
+            }];
+            out.extend(
+                self.k_shortest_nontrivial(graph, sources, targets, k - 1)
+                    .into_iter()
+                    .filter(|p| p.nodes.len() > 1),
+            );
+            return out;
+        }
+        self.k_shortest_nontrivial(graph, sources, targets, k)
+    }
+
+    fn k_shortest_nontrivial(
+        &mut self,
+        graph: &ChannelGraph,
+        sources: &[usize],
+        targets: &[usize],
+        k: usize,
+    ) -> Vec<Path> {
+        self.sources.clear();
+        self.sources.extend_from_slice(sources);
+        for &t in targets {
+            self.target[t] = true;
+        }
+        let found = self.yen(graph, k);
+        for &t in targets {
+            self.target[t] = false;
+        }
+        found
+            .into_iter()
+            .map(|(mut nodes, length)| {
+                // Strip the virtual terminals.
+                nodes.pop();
+                nodes.remove(0);
+                Path { nodes, length }
+            })
+            .collect()
     }
 }
 
-/// Yen's deviation algorithm over the augmented graph.
-fn yen(aug: &AugGraph, s: usize, t: usize, k: usize) -> Vec<(Vec<usize>, i64)> {
-    let n = aug.adj.len();
-    let mut found: Vec<(Vec<usize>, i64)> = Vec::new();
-    let mut candidates: BinaryHeap<Reverse<(i64, Vec<usize>)>> = BinaryHeap::new();
-    let no_nodes = vec![false; n];
-    let no_edges = HashSet::new();
-
-    let Some(first) = aug.shortest(s, t, &no_nodes, &no_edges) else {
-        return found;
-    };
-    found.push((first.0, first.1));
-
-    while found.len() < k {
-        let (last_path, _) = found.last().expect("nonempty").clone();
-        // Deviate at every spur node of the previous path.
-        for spur_idx in 0..last_path.len() - 1 {
-            let spur = last_path[spur_idx];
-            let root = &last_path[..=spur_idx];
-            let root_len: i64 = root
-                .windows(2)
-                .map(|w| {
-                    aug.adj[w[0]]
-                        .iter()
-                        .find(|&&(v, _)| v == w[1])
-                        .map(|&(_, l)| l)
-                        .expect("root follows existing edges")
-                })
-                .sum();
-            // Ban edges used by found paths sharing this root.
-            let mut banned_edges = HashSet::new();
-            for (p, _) in &found {
-                if p.len() > spur_idx && p[..=spur_idx] == *root {
-                    banned_edges.insert((p[spur_idx], p[spur_idx + 1]));
-                }
-            }
-            // Ban root nodes except the spur.
-            let mut banned_nodes = vec![false; n];
-            for &r in &root[..spur_idx] {
-                banned_nodes[r] = true;
-            }
-            if let Some((tail, tail_len)) = aug.shortest(spur, t, &banned_nodes, &banned_edges) {
-                let mut nodes = root[..spur_idx].to_vec();
-                nodes.extend(tail);
-                let total = root_len + tail_len;
-                candidates.push(Reverse((total, nodes)));
-            }
-        }
-        // Pop the best unseen candidate.
-        let mut next = None;
-        while let Some(Reverse((len, nodes))) = candidates.pop() {
-            if !found.iter().any(|(p, _)| *p == nodes) {
-                next = Some((nodes, len));
-                break;
-            }
-        }
-        match next {
-            Some(p) => found.push(p),
-            None => break,
-        }
+/// Length of one step of a path over the graph with virtual terminals.
+fn step_length(graph: &ChannelGraph, a: usize, b: usize) -> i64 {
+    if a >= graph.len() || b >= graph.len() {
+        return 0;
     }
-    found
+    edge_length(graph, a, b)
+}
+
+/// Length of the graph edge joining `a` and `b`.
+pub(crate) fn edge_length(graph: &ChannelGraph, a: usize, b: usize) -> i64 {
+    graph
+        .neighbors(a)
+        .iter()
+        .find(|&&(m, _)| m == b)
+        .map(|&(_, e)| graph.edges[e].length)
+        .expect("paths follow graph edges")
 }
 
 /// The `k` shortest simple paths between two channel-graph nodes, sorted
@@ -198,41 +365,7 @@ pub fn k_shortest_from_set(
     targets: &[usize],
     k: usize,
 ) -> Vec<Path> {
-    if graph.is_empty() || sources.is_empty() || targets.is_empty() || k == 0 {
-        return Vec::new();
-    }
-    // Degenerate: a target is already a source.
-    if let Some(&t) = targets.iter().find(|t| sources.contains(t)) {
-        let mut out = vec![Path {
-            nodes: vec![t],
-            length: 0,
-        }];
-        out.extend(
-            k_shortest_from_set_nontrivial(graph, sources, targets, k - 1)
-                .into_iter()
-                .filter(|p| p.nodes.len() > 1),
-        );
-        return out;
-    }
-    k_shortest_from_set_nontrivial(graph, sources, targets, k)
-}
-
-fn k_shortest_from_set_nontrivial(
-    graph: &ChannelGraph,
-    sources: &[usize],
-    targets: &[usize],
-    k: usize,
-) -> Vec<Path> {
-    let n = graph.len();
-    let aug = AugGraph::new(graph, sources, targets);
-    yen(&aug, n, n + 1, k)
-        .into_iter()
-        .map(|(nodes, length)| Path {
-            // Strip the virtual terminals.
-            nodes: nodes[1..nodes.len() - 1].to_vec(),
-            length,
-        })
-        .collect()
+    SearchSpace::new(graph.len()).k_shortest(graph, sources, targets, k)
 }
 
 #[cfg(test)]
@@ -388,5 +521,105 @@ mod tests {
         let paths = k_shortest_paths(&g, 0, 2, 50);
         assert_eq!(paths.len(), 1);
         assert_eq!(paths[0].nodes, vec![0, 1, 2]);
+    }
+
+    /// A region over `rect` (its bounding edges do not matter to the
+    /// graph beyond the separation).
+    fn region(rect: Rect) -> crate::CriticalRegion {
+        use crate::{ChannelKind, EdgeRef};
+        use twmc_geom::{Side, Span};
+        let edge = |side, coord| EdgeRef {
+            cell: None,
+            side,
+            coord,
+            span: Span::new(rect.lo().y, rect.hi().y),
+        };
+        crate::CriticalRegion {
+            rect,
+            kind: ChannelKind::Vertical,
+            lo_edge: edge(Side::Right, rect.lo().x),
+            hi_edge: edge(Side::Left, rect.hi().x),
+        }
+    }
+
+    /// The reference for [`SearchSpace::nearest_point`]: a full
+    /// [`dijkstra`], then the first point at the minimum distance.
+    fn nearest_by_dijkstra(
+        g: &ChannelGraph,
+        sources: &[usize],
+        points: &[Vec<usize>],
+        rest: &[usize],
+    ) -> usize {
+        let dist = dijkstra(g, sources);
+        rest.iter()
+            .enumerate()
+            .map(|(k, &pi)| {
+                let d = points[pi].iter().map(|&c| dist[c]).min();
+                (k, d.unwrap_or(i64::MAX))
+            })
+            .min_by_key(|&(_, d)| d)
+            .map(|(k, _)| k)
+            .expect("rest nonempty")
+    }
+
+    #[test]
+    fn nearest_point_breaks_ties_in_rest_order() {
+        // Five unit-spaced strips in a row, plus one far away that
+        // touches nothing: nodes 1 and 3 are equally near node 2.
+        let mut regions: Vec<_> = (0..5)
+            .map(|i| region(Rect::from_wh(2 * i, 0, 2, 10)))
+            .collect();
+        regions.push(region(Rect::from_wh(100, 0, 2, 10)));
+        let g = ChannelGraph::build(regions, 2.0);
+        let points = vec![vec![5], vec![3], vec![4, 1], vec![0]];
+        let mut space = SearchSpace::new(g.len());
+        for rest in [vec![0, 1, 2, 3], vec![0, 2, 1, 3], vec![0, 3], vec![0]] {
+            let expected = nearest_by_dijkstra(&g, &[2], &points, &rest);
+            assert_eq!(space.nearest_point(&g, &[2], &points, &rest), expected);
+        }
+        // The tie goes to the earlier point; an unreachable-only rest
+        // picks its first point.
+        assert_eq!(space.nearest_point(&g, &[2], &points, &[0, 2, 1]), 1);
+        assert_eq!(space.nearest_point(&g, &[2], &points, &[0, 1, 2]), 1);
+        assert_eq!(space.nearest_point(&g, &[2], &points, &[0]), 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn nearest_point_matches_dijkstra(
+            rects in proptest::collection::vec((0i64..5, 0i64..5, 1i64..3, 1i64..3), 1..16),
+            cands in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<usize>(), 0..4),
+                1..7,
+            ),
+            sources in proptest::collection::vec(proptest::prelude::any::<usize>(), 1..4),
+            skip in proptest::prelude::any::<usize>(),
+        ) {
+            // Rectangles on a coarse lattice: equal edge lengths abound,
+            // and a width of 2 leaves a gap, so components are often
+            // disconnected and some points unreachable.
+            let g = ChannelGraph::build(
+                rects
+                    .iter()
+                    .map(|&(x, y, w, h)| region(Rect::from_wh(4 * x, 4 * y, 2 * w, 2 * h)))
+                    .collect(),
+                2.0,
+            );
+            let n = g.len();
+            let points: Vec<Vec<usize>> =
+                cands.iter().map(|c| c.iter().map(|&v| v % n).collect()).collect();
+            let sources: Vec<usize> = sources.iter().map(|&v| v % n).collect();
+            let rest: Vec<usize> = (0..points.len())
+                .filter(|&k| k != skip % (points.len() + 1))
+                .collect();
+            proptest::prop_assume!(!rest.is_empty());
+            let expected = nearest_by_dijkstra(&g, &sources, &points, &rest);
+            let mut space = SearchSpace::new(n);
+            proptest::prop_assert_eq!(space.nearest_point(&g, &sources, &points, &rest), expected);
+            // A workspace is left clean for the next search.
+            proptest::prop_assert_eq!(space.nearest_point(&g, &sources, &points, &rest), expected);
+        }
     }
 }

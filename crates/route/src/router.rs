@@ -8,9 +8,10 @@ use rand::SeedableRng;
 use twmc_geom::Point;
 use twmc_obs::{CancelToken, Event, NullRecorder, Recorder, RouteIter, StopReason};
 
+use crate::mpaths::SearchSpace;
+use crate::steiner::enumerate_in;
 use crate::{
-    assign_routes, build_channel_graph, enumerate_route_trees, Assignment, ChannelGraph,
-    PlacedGeometry, RouteTree,
+    assign_routes, build_channel_graph, Assignment, ChannelGraph, PlacedGeometry, RouteTree,
 };
 
 /// Global router parameters.
@@ -180,6 +181,8 @@ fn route_inner(
     let mut lane = tracer.as_ref().map(|tr| tr.lane("route"));
     let graph = build_channel_graph(geometry, params.track_spacing);
     let mut rng = StdRng::seed_from_u64(seed);
+    // Search buffers shared by every net's phase-1 enumeration.
+    let mut space = SearchSpace::new(graph.len());
 
     let mut alternatives: Vec<Vec<RouteTree>> = Vec::with_capacity(nets.len());
     let mut net_points: Vec<Vec<Vec<(usize, i64, Point)>>> = Vec::with_capacity(nets.len());
@@ -224,8 +227,13 @@ fn route_inner(
             .iter()
             .map(|p| p.iter().map(|&(n, _, _)| n).collect())
             .collect();
-        let mut trees =
-            enumerate_route_trees(&graph, &node_lists, params.m_alternatives, params.per_level);
+        let mut trees = enumerate_in(
+            &mut space,
+            &graph,
+            &node_lists,
+            params.m_alternatives,
+            params.per_level,
+        );
         // Charge each tree the offsets of the candidates it actually
         // connects (the cheapest in-tree candidate per point), then
         // re-rank: this is how electrically-equivalent pins shorten nets.

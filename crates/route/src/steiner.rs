@@ -9,9 +9,10 @@
 //! trees (documented in DESIGN.md); for small per-level counts this
 //! explores the same alternatives the paper's recursion stores.
 
-use std::collections::BTreeSet;
+use std::collections::HashSet;
 
-use crate::{dijkstra, k_shortest_from_set, ChannelGraph};
+use crate::mpaths::{edge_length, SearchSpace};
+use crate::ChannelGraph;
 
 /// One complete route (a Steiner tree over channel-graph nodes) for a net.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,39 +30,24 @@ impl RouteTree {
     fn signature(&self) -> &[(usize, usize)] {
         &self.edges
     }
-}
 
-#[derive(Debug, Clone)]
-struct PartialTree {
-    nodes: BTreeSet<usize>,
-    edges: BTreeSet<(usize, usize)>,
-    length: i64,
-}
-
-impl PartialTree {
-    fn absorb_path(&self, graph: &ChannelGraph, path: &[usize]) -> PartialTree {
+    /// The tree extended by `path`: its new edges and nodes merged in
+    /// sorted order, each new edge's length added once.
+    fn absorb_path(&self, graph: &ChannelGraph, path: &[usize]) -> RouteTree {
         let mut out = self.clone();
         for w in path.windows(2) {
             let key = (w[0].min(w[1]), w[0].max(w[1]));
-            if out.edges.insert(key) {
-                let e = graph
-                    .edge_between(w[0], w[1])
-                    .expect("paths follow graph edges");
-                out.length += graph.edges[e].length;
+            if let Err(at) = out.edges.binary_search(&key) {
+                out.edges.insert(at, key);
+                out.length += edge_length(graph, w[0], w[1]);
             }
         }
         for &n in path {
-            out.nodes.insert(n);
+            if let Err(at) = out.nodes.binary_search(&n) {
+                out.nodes.insert(at, n);
+            }
         }
         out
-    }
-
-    fn into_route(self) -> RouteTree {
-        RouteTree {
-            nodes: self.nodes.into_iter().collect(),
-            edges: self.edges.into_iter().collect(),
-            length: self.length,
-        }
     }
 }
 
@@ -81,58 +67,59 @@ pub fn enumerate_route_trees(
     m: usize,
     per_level: usize,
 ) -> Vec<RouteTree> {
+    enumerate_in(
+        &mut SearchSpace::new(graph.len()),
+        graph,
+        points,
+        m,
+        per_level,
+    )
+}
+
+/// [`enumerate_route_trees`] with the caller's search buffers.
+///
+/// Ties resolve as follows, which keeps the output a function of the
+/// graph alone: Prim's step takes the first point in `rest` order among
+/// equally near ones, and the beam is stably sorted by length and keeps
+/// the first occurrence of each `(edges, nodes)` tree.
+pub(crate) fn enumerate_in(
+    space: &mut SearchSpace,
+    graph: &ChannelGraph,
+    points: &[Vec<usize>],
+    m: usize,
+    per_level: usize,
+) -> Vec<RouteTree> {
     if graph.is_empty() || points.is_empty() || m == 0 {
         return Vec::new();
     }
     let beam_width = m.max(per_level * per_level).min(64);
 
-    // Start states: each candidate of the first connection point.
-    let mut beam: Vec<(PartialTree, Vec<usize>)> = points[0]
+    // Start states: each candidate of the first connection point, with
+    // the points still to connect.
+    let mut beam: Vec<(RouteTree, Vec<usize>)> = points[0]
         .iter()
         .map(|&n| {
-            let mut nodes = BTreeSet::new();
-            nodes.insert(n);
-            (
-                PartialTree {
-                    nodes,
-                    edges: BTreeSet::new(),
-                    length: 0,
-                },
-                (1..points.len()).collect::<Vec<usize>>(),
-            )
+            let tree = RouteTree {
+                nodes: vec![n],
+                edges: Vec::new(),
+                length: 0,
+            };
+            (tree, (1..points.len()).collect())
         })
         .collect();
 
     while beam.iter().any(|(_, rest)| !rest.is_empty()) {
-        let mut next_beam: Vec<(PartialTree, Vec<usize>)> = Vec::new();
-        for (tree, rest) in &beam {
+        let mut next_beam: Vec<(RouteTree, Vec<usize>)> = Vec::new();
+        for (tree, mut rest) in beam {
             if rest.is_empty() {
-                next_beam.push((tree.clone(), rest.clone()));
+                next_beam.push((tree, rest));
                 continue;
             }
             // Prim: nearest unconnected point next.
-            let sources: Vec<usize> = tree.nodes.iter().copied().collect();
-            let dist = dijkstra(graph, &sources);
-            let (pos, _) = rest
-                .iter()
-                .enumerate()
-                .map(|(k, &pi)| {
-                    let d = points[pi]
-                        .iter()
-                        .map(|&c| dist[c])
-                        .min()
-                        .unwrap_or(i64::MAX);
-                    (k, d)
-                })
-                .min_by_key(|&(_, d)| d)
-                .expect("rest nonempty");
-            let point = rest[pos];
-            let mut new_rest = rest.clone();
-            new_rest.remove(pos);
-
-            let paths = k_shortest_from_set(graph, &sources, &points[point], per_level);
-            for p in paths {
-                next_beam.push((tree.absorb_path(graph, &p.nodes), new_rest.clone()));
+            let pos = space.nearest_point(graph, &tree.nodes, points, &rest);
+            let point = rest.remove(pos);
+            for p in space.k_shortest(graph, &tree.nodes, &points[point], per_level) {
+                next_beam.push((tree.absorb_path(graph, &p.nodes), rest.clone()));
             }
         }
         if next_beam.is_empty() {
@@ -141,22 +128,19 @@ pub fn enumerate_route_trees(
         }
         // Keep the best `beam_width` states, deduplicated by edge set.
         next_beam.sort_by_key(|(t, _)| t.length);
-        type TreeKey = (BTreeSet<(usize, usize)>, BTreeSet<usize>);
-        let mut seen: Vec<TreeKey> = Vec::new();
-        next_beam.retain(|(t, _)| {
-            let key = (t.edges.clone(), t.nodes.clone());
-            if seen.contains(&key) {
-                false
-            } else {
-                seen.push(key);
-                true
-            }
-        });
-        next_beam.truncate(beam_width);
+        let keep: Vec<bool> = {
+            let mut seen = HashSet::with_capacity(beam_width);
+            next_beam
+                .iter()
+                .map(|(t, _)| seen.len() < beam_width && seen.insert((&t.edges[..], &t.nodes[..])))
+                .collect()
+        };
+        let mut keep = keep.into_iter();
+        next_beam.retain(|_| keep.next().expect("one flag per state"));
         beam = next_beam;
     }
 
-    let mut routes: Vec<RouteTree> = beam.into_iter().map(|(t, _)| t.into_route()).collect();
+    let mut routes: Vec<RouteTree> = beam.into_iter().map(|(t, _)| t).collect();
     routes.sort_by(|a, b| a.length.cmp(&b.length).then(a.edges.cmp(&b.edges)));
     routes.dedup_by(|a, b| a.signature() == b.signature());
     routes.truncate(m);
@@ -166,7 +150,7 @@ pub fn enumerate_route_trees(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{build_channel_graph, PlacedGeometry};
+    use crate::{build_channel_graph, dijkstra, PlacedGeometry};
     use twmc_geom::{Point, Rect, TileSet};
 
     fn grid_graph() -> ChannelGraph {
@@ -215,7 +199,7 @@ mod tests {
                 assert!(p.iter().any(|c| t.nodes.binary_search(c).is_ok()));
             }
             // The tree's edge set is connected over its nodes.
-            let mut reach = BTreeSet::new();
+            let mut reach = std::collections::BTreeSet::new();
             reach.insert(t.nodes[0]);
             let mut changed = true;
             while changed {

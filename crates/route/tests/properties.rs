@@ -221,6 +221,23 @@ proptest! {
             .map(|(net, &k)| alternatives[net][k].length)
             .sum();
         prop_assert_eq!(l, a.total_length);
+        // Usage D_j and overflow X (eq. 24) equal a recompute from the
+        // chosen routes, in release builds too.
+        let mut usage = vec![0u32; tight.edges.len()];
+        for (net, &k) in a.choice.iter().enumerate() {
+            if let Some(tree) = alternatives[net].get(k) {
+                for &(x, y) in &tree.edges {
+                    usage[tight.edge_between(x, y).expect("edge")] += 1;
+                }
+            }
+        }
+        prop_assert_eq!(&a.edge_usage, &usage);
+        let x: i64 = usage
+            .iter()
+            .zip(&tight.edges)
+            .map(|(&d, e)| (d as i64 - e.capacity as i64).max(0))
+            .sum();
+        prop_assert_eq!(a.overflow, x);
     }
 
     #[test]

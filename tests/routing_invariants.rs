@@ -5,7 +5,8 @@ use proptest::prelude::*;
 
 use timberwolfmc::geom::{Point, Rect, TileSet};
 use timberwolfmc::route::{
-    build_channel_graph, critical_regions, global_route, NetPins, PlacedGeometry, RouterParams,
+    build_channel_graph, critical_regions, enumerate_route_trees, global_route, NetPins,
+    PlacedGeometry, RouterParams,
 };
 
 /// A random legal placement: cells shelf-packed with random sizes and a
@@ -155,4 +156,146 @@ fn routed_length_reacts_to_congestion() {
     assert!(
         routing.required_width(node, 2.0) > routing.graph.nodes[node].region.separation() as f64
     );
+}
+
+/// 64-bit FNV-1a over a stream of integers (little-endian bytes), so the
+/// golden digest below does not depend on `std`'s unspecified hasher.
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    fn new() -> Fnv1a {
+        Fnv1a(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn int(&mut self, v: i64) {
+        for byte in v.to_le_bytes() {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// splitmix64: a fixed, dependency-free stream for the golden inputs.
+struct Stream(u64);
+
+impl Stream {
+    /// A draw from `lo..hi`.
+    fn range(&mut self, lo: i64, hi: i64) -> i64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        lo + ((z ^ (z >> 31)) % (hi - lo) as u64) as i64
+    }
+
+    /// A pin inside one side of a random cell.
+    fn pin(&mut self, cells: &[(TileSet, Point)]) -> Point {
+        let (tile, at) = &cells[self.range(0, cells.len() as i64) as usize];
+        let (w, h) = (tile.width(), tile.height());
+        match self.range(0, 4) {
+            0 => Point::new(at.x + self.range(1, w), at.y),
+            1 => Point::new(at.x + self.range(1, w), at.y + h),
+            2 => Point::new(at.x, at.y + self.range(1, h)),
+            _ => Point::new(at.x + w, at.y + self.range(1, h)),
+        }
+    }
+}
+
+/// A shelf-packed placement of `n` cells and `n_nets` nets of 2–5
+/// connection points on the cells' edges, some with two or three
+/// electrically-equivalent candidates.
+fn golden_case(
+    draw: &mut Stream,
+    n: usize,
+    gap: i64,
+    n_nets: usize,
+) -> (PlacedGeometry, Vec<NetPins>) {
+    let (mut x, mut y, mut shelf) = (0i64, 0i64, 0i64);
+    let mut cells = Vec::new();
+    for _ in 0..n {
+        let (w, h) = (draw.range(8, 26), draw.range(8, 26));
+        if x > 0 && x + w + gap > 80 {
+            y += shelf;
+            x = 0;
+            shelf = 0;
+        }
+        cells.push((TileSet::rect(w, h), Point::new(x, y)));
+        x += w + gap;
+        shelf = shelf.max(h + gap);
+    }
+    let nets = (0..n_nets)
+        .map(|_| {
+            let points = (0..draw.range(2, 6))
+                .map(|_| {
+                    let equivalents = draw.range(1, 4).min(draw.range(1, 4));
+                    (0..equivalents).map(|_| draw.pin(&cells)).collect()
+                })
+                .collect();
+            NetPins { points }
+        })
+        .collect();
+    let bbox = cells
+        .iter()
+        .map(|(t, p)| t.bbox().translate(*p))
+        .reduce(|a, b| a.hull(b))
+        .expect("cells");
+    let geometry = PlacedGeometry {
+        core: bbox.expand(gap.max(4)),
+        cells,
+    };
+    (geometry, nets)
+}
+
+#[test]
+fn golden_router_digest() {
+    // Pins every alternative phase 1 enumerates and every number phase 2
+    // settles on for a few fixed placements at the default parameters,
+    // so any change to the router that is meant to keep its output
+    // identical is held to it. Narrow gaps make channels congested
+    // enough for the interchange to run.
+    let params = RouterParams::default();
+    let mut draw = Stream(1988);
+    let mut h = Fnv1a::new();
+    let mut attempts = 0;
+    for (n, gap, n_nets, seed) in [(5, 2, 8, 5u64), (6, 3, 7, 11), (7, 4, 6, 23)] {
+        let (geometry, nets) = golden_case(&mut draw, n, gap, n_nets);
+        let graph = build_channel_graph(&geometry, params.track_spacing);
+        for net in &nets {
+            let points: Vec<Vec<usize>> = net
+                .points
+                .iter()
+                .map(|cands| {
+                    let mut nodes: Vec<usize> =
+                        cands.iter().filter_map(|&p| graph.attach_pin(p)).collect();
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    nodes
+                })
+                .collect();
+            let trees =
+                enumerate_route_trees(&graph, &points, params.m_alternatives, params.per_level);
+            h.int(trees.len() as i64);
+            for tree in &trees {
+                h.int(tree.edges.len() as i64);
+                for &(a, b) in &tree.edges {
+                    h.int(a as i64);
+                    h.int(b as i64);
+                }
+                h.int(tree.length);
+            }
+        }
+        let routing = global_route(&geometry, &nets, &params, seed);
+        assert_eq!(routing.unrouted, 0);
+        for &k in &routing.assignment.choice {
+            h.int(k as i64);
+        }
+        h.int(routing.total_length());
+        h.int(routing.overflow());
+        for &d in &routing.node_density {
+            h.int(d as i64);
+        }
+        attempts += routing.assignment.attempts;
+    }
+    assert!(attempts > 0, "no case exercised the interchange");
+    assert_eq!(h.0, 10_095_313_619_275_830_698, "router output changed");
 }
