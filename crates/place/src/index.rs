@@ -7,21 +7,35 @@
 //! an overlap query touches only bin-neighbors. This module is that
 //! index: each cell is registered in every bin its *expanded* bounding
 //! box (placed bbox grown by the per-side interconnect expansions)
-//! intersects, and a query returns the cells sharing a bin with it.
+//! intersects, and keeps that rect next to its bin range.
 //!
 //! Exactness: expanded tiles are subsets of the expanded bounding box, so
-//! any pair with nonzero `O(i,j)` has intersecting expanded bboxes. Bin
-//! coordinates are a monotone (clamped) function of geometry coordinates,
-//! so intersecting bboxes always share at least one bin — the candidate
-//! set is a superset of the overlapping set, and the i64 overlap sum over
-//! it equals the full-scan sum term for term. Cells straying outside the
-//! binned region (the core, which displacement targets are clamped to)
-//! land in the border bins, preserving the superset property.
+//! any pair with nonzero `O(i,j)` has expanded bboxes overlapping with
+//! positive area. Bin coordinates are a monotone (clamped) function of
+//! geometry coordinates, so such bboxes always share at least one bin;
+//! the query reports every one of them once, and the i64 overlap sum over
+//! them equals the full-scan sum term for term. Cells straying outside
+//! the binned region (the core, which displacement targets are clamped
+//! to) land in the border bins, preserving that property.
 
 use twmc_geom::{Point, Rect};
 
 /// Sentinel range meaning "not currently inserted" (`lo > hi`).
 const EMPTY: (u32, u32, u32, u32) = (1, 0, 1, 0);
+
+/// One cell's registration: the rect it was binned under and the
+/// inclusive bin range `(bx0, bx1, by0, by1)` that rect covers.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    range: (u32, u32, u32, u32),
+    rect: Rect,
+}
+
+/// Whether two rects overlap with positive area (touching ones do not).
+#[inline]
+fn overlaps(a: Rect, b: Rect) -> bool {
+    a.lo().x < b.hi().x && b.lo().x < a.hi().x && a.lo().y < b.hi().y && b.lo().y < a.hi().y
+}
 
 /// The bin grid: cell ids bucketed by expanded-bbox coverage.
 #[derive(Debug, Clone)]
@@ -32,8 +46,8 @@ pub(crate) struct BinGrid {
     nx: u32,
     ny: u32,
     bins: Vec<Vec<u32>>,
-    /// Per-cell inclusive bin range `(bx0, bx1, by0, by1)` it occupies.
-    ranges: Vec<(u32, u32, u32, u32)>,
+    /// Per-cell registration, indexed by cell id.
+    entries: Vec<Entry>,
     /// Wholesale [`BinGrid::rebuild`] calls (telemetry counter).
     full_rebuilds: u64,
     /// [`BinGrid::update`] calls that actually re-binned a cell.
@@ -59,13 +73,11 @@ impl BinGrid {
             nx,
             ny,
             bins: vec![Vec::new(); (nx * ny) as usize],
-            ranges: vec![EMPTY; rects.len()],
+            entries: Vec::new(),
             full_rebuilds: 0,
             updates: 0,
         };
-        for (i, &r) in rects.iter().enumerate() {
-            grid.insert(i, r);
-        }
+        grid.register_all(rects);
         grid
     }
 
@@ -85,19 +97,19 @@ impl BinGrid {
         (by * self.nx + bx) as usize
     }
 
-    fn insert(&mut self, cell: usize, r: Rect) {
-        let (bx0, bx1, by0, by1) = self.range_for(r);
+    fn insert(&mut self, cell: usize, range: (u32, u32, u32, u32)) {
+        let (bx0, bx1, by0, by1) = range;
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
                 let b = self.bin(bx, by);
                 self.bins[b].push(cell as u32);
             }
         }
-        self.ranges[cell] = (bx0, bx1, by0, by1);
+        self.entries[cell].range = range;
     }
 
     fn remove(&mut self, cell: usize) {
-        let (bx0, bx1, by0, by1) = self.ranges[cell];
+        let (bx0, bx1, by0, by1) = self.entries[cell].range;
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
                 let b = self.bin(bx, by);
@@ -109,17 +121,26 @@ impl BinGrid {
                 self.bins[b].swap_remove(pos);
             }
         }
-        self.ranges[cell] = EMPTY;
+        self.entries[cell].range = EMPTY;
     }
 
-    /// Re-registers `cell` under its new expanded bbox.
+    /// Re-registers `cell` under its new expanded bbox. The rect is always
+    /// recorded; the bins change only when its bin range does.
     pub fn update(&mut self, cell: usize, r: Rect) {
-        if self.range_for(r) == self.ranges[cell] {
+        self.entries[cell].rect = r;
+        let range = self.range_for(r);
+        if range == self.entries[cell].range {
             return;
         }
         self.updates += 1;
         self.remove(cell);
-        self.insert(cell, r);
+        self.insert(cell, range);
+    }
+
+    /// The rect `cell` is currently indexed under.
+    #[cfg(test)]
+    pub fn rect(&self, cell: usize) -> Rect {
+        self.entries[cell].rect
     }
 
     /// Wholesale rebuilds performed so far.
@@ -146,20 +167,43 @@ impl BinGrid {
         for b in &mut self.bins {
             b.clear();
         }
-        self.ranges.clear();
-        self.ranges.resize(rects.len(), EMPTY);
+        self.register_all(rects);
+    }
+
+    fn register_all(&mut self, rects: &[Rect]) {
+        self.entries.clear();
+        self.entries
+            .extend(rects.iter().map(|&rect| Entry { range: EMPTY, rect }));
         for (i, &r) in rects.iter().enumerate() {
-            self.insert(i, r);
+            self.insert(i, self.range_for(r));
         }
     }
 
-    /// Appends every cell sharing a bin with `cell` (may contain
-    /// duplicates and `cell` itself; the caller dedups).
-    pub fn candidates(&self, cell: usize, out: &mut Vec<u32>) {
-        let (bx0, bx1, by0, by1) = self.ranges[cell];
+    /// Calls `f(j)` exactly once for every other cell `j` whose indexed
+    /// rect overlaps `cell`'s with positive area.
+    ///
+    /// Two overlapping cells share every bin of the intersection of their
+    /// ranges; the pair is taken only in the first of them, at the `max`
+    /// of the two lower bin coordinates, so no candidate list needs
+    /// deduplicating. Pairs whose cached rects merely touch or are apart
+    /// are rejected before the caller looks at their tiles.
+    #[inline]
+    pub fn for_each_overlapping(&self, cell: usize, mut f: impl FnMut(usize)) {
+        let me = self.entries[cell];
+        let (bx0, bx1, by0, by1) = me.range;
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
-                out.extend_from_slice(&self.bins[self.bin(bx, by)]);
+                for &jc in &self.bins[self.bin(bx, by)] {
+                    let j = jc as usize;
+                    let other = &self.entries[j];
+                    if j != cell
+                        && bx == bx0.max(other.range.0)
+                        && by == by0.max(other.range.2)
+                        && overlaps(me.rect, other.rect)
+                    {
+                        f(j);
+                    }
+                }
             }
         }
     }
@@ -168,6 +212,7 @@ impl BinGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grid() -> BinGrid {
         let rects = vec![
@@ -178,21 +223,19 @@ mod tests {
         BinGrid::build(Rect::from_wh(0, 0, 100, 100), 10, &rects)
     }
 
-    fn neighbors(g: &BinGrid, cell: usize) -> Vec<u32> {
+    /// Every visit of the query, in order (duplicates kept).
+    fn neighbors(g: &BinGrid, cell: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        g.candidates(cell, &mut out);
-        out.sort_unstable();
-        out.dedup();
-        out.retain(|&c| c as usize != cell);
+        g.for_each_overlapping(cell, |j| out.push(j));
         out
     }
 
     #[test]
     fn overlapping_rects_are_neighbors() {
         let g = grid();
-        assert!(neighbors(&g, 0).contains(&1));
-        assert!(neighbors(&g, 1).contains(&0));
-        assert!(!neighbors(&g, 0).contains(&2));
+        assert_eq!(neighbors(&g, 0), vec![1]);
+        assert_eq!(neighbors(&g, 1), vec![0]);
+        assert!(neighbors(&g, 2).is_empty());
     }
 
     #[test]
@@ -202,6 +245,18 @@ mod tests {
         assert!(neighbors(&g, 0).contains(&2));
         g.update(2, Rect::from_wh(80, 80, 10, 10));
         assert!(!neighbors(&g, 0).contains(&2));
+        assert_eq!(g.rect(2), Rect::from_wh(80, 80, 10, 10));
+    }
+
+    #[test]
+    fn touching_rects_are_not_neighbors() {
+        let mut g = grid();
+        // Shares an edge with cell 0 and a corner with cell 1: both pairs
+        // share bins, neither overlaps with positive area.
+        g.update(2, Rect::from_wh(10, -5, 10, 5));
+        g.update(1, Rect::from_wh(20, 0, 5, 5));
+        assert!(neighbors(&g, 2).is_empty());
+        assert!(neighbors(&g, 0).is_empty());
     }
 
     #[test]
@@ -212,8 +267,8 @@ mod tests {
         // Two rects far beyond the same corner still see each other.
         g.update(0, Rect::from_wh(500, 500, 10, 10));
         g.update(1, Rect::from_wh(505, 505, 10, 10));
-        assert!(neighbors(&g, 0).contains(&1));
-        assert!(!neighbors(&g, 0).contains(&2));
+        assert_eq!(neighbors(&g, 0), vec![1]);
+        assert!(neighbors(&g, 2).is_empty());
     }
 
     #[test]
@@ -222,9 +277,10 @@ mod tests {
         assert_eq!((g.full_rebuilds(), g.updates()), (0, 0));
         g.update(2, Rect::from_wh(8, 8, 10, 10));
         assert_eq!(g.updates(), 1);
-        // Same bin range again: no re-bin, counter unchanged.
-        g.update(2, Rect::from_wh(8, 8, 10, 10));
+        // Same bin range again: no re-bin, counter unchanged, rect kept.
+        g.update(2, Rect::from_wh(9, 9, 10, 10));
         assert_eq!(g.updates(), 1);
+        assert_eq!(g.rect(2), Rect::from_wh(9, 9, 10, 10));
         g.rebuild(&[Rect::from_wh(0, 0, 10, 10)]);
         assert_eq!(g.full_rebuilds(), 1);
     }
@@ -240,5 +296,46 @@ mod tests {
         g.rebuild(&rects);
         assert_eq!(neighbors(&g, 0), vec![1]);
         assert!(neighbors(&g, 2).is_empty());
+    }
+
+    /// A rect on a coarse lattice, so ties (shared edges and corners) are
+    /// common, reaching well past the 100×100 binned area on every side.
+    fn arb_rect() -> impl Strategy<Value = Rect> {
+        (-8i64..28, -8i64..28, 1i64..10, 1i64..10)
+            .prop_map(|(x, y, w, h)| Rect::from_wh(x * 5, y * 5, w * 5, h * 5))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The query visits exactly the cells whose rects overlap the
+        /// query cell's with positive area, each exactly once — after a
+        /// build and after random re-registrations alike.
+        #[test]
+        fn query_visits_each_overlapping_cell_once(
+            rects in prop::collection::vec(arb_rect(), 1..40),
+            moves in prop::collection::vec((0usize..40, arb_rect()), 0..40),
+            bin in 3i64..40,
+        ) {
+            let mut rects = rects;
+            let mut g = BinGrid::build(Rect::from_wh(0, 0, 100, 100), bin, &rects);
+            for (k, r) in moves {
+                let k = k % rects.len();
+                rects[k] = r;
+                g.update(k, r);
+            }
+            for (i, &ri) in rects.iter().enumerate() {
+                assert_eq!(g.rect(i), ri);
+                let mut seen = neighbors(&g, i);
+                let visits = seen.len();
+                seen.sort_unstable();
+                seen.dedup();
+                assert_eq!(seen.len(), visits, "cell {i} visited a neighbor twice");
+                let expected: Vec<usize> = (0..rects.len())
+                    .filter(|&j| j != i && ri.overlap_area(rects[j]) > 0)
+                    .collect();
+                assert_eq!(seen, expected, "cell {i}");
+            }
+        }
     }
 }

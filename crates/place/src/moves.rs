@@ -145,47 +145,9 @@ pub enum MoveSet {
     Refinement,
 }
 
-/// One saved cell configuration for undo.
-struct CellSnapshot {
-    idx: usize,
-    pos: Point,
-    orientation: Orientation,
-    aspect: f64,
-    instance: usize,
-}
-
-impl CellSnapshot {
-    fn take(st: &PlacementState<'_>, idx: usize) -> Self {
-        let c = st.cell(idx);
-        CellSnapshot {
-            idx,
-            pos: c.pos,
-            orientation: c.orientation,
-            aspect: c.aspect,
-            instance: c.instance,
-        }
-    }
-
-    fn restore(&self, st: &mut PlacementState<'_>) {
-        let (cur_instance, cur_aspect) = {
-            let c = st.cell(self.idx);
-            (c.instance, c.aspect)
-        };
-        if cur_instance != self.instance {
-            st.set_cell_instance(self.idx, self.instance);
-        }
-        if cur_aspect != self.aspect && st.netlist().cells()[self.idx].is_custom() {
-            st.set_cell_aspect(self.idx, self.aspect);
-        }
-        if st.cell(self.idx).orientation != self.orientation {
-            st.set_cell_orientation(self.idx, self.orientation);
-        }
-        st.set_cell_pos(self.idx, self.pos);
-    }
-}
-
-/// Runs one cell-geometry attempt: mutate via `apply`, Metropolis-test,
-/// undo on rejection. Returns whether the move was accepted.
+/// Runs one cell-geometry attempt: save the involved cells, mutate via
+/// `apply`, Metropolis-test, and on rejection put the saved record back.
+/// Returns whether the move was accepted.
 fn attempt_cells(
     st: &mut PlacementState<'_>,
     involved: &[usize],
@@ -193,24 +155,40 @@ fn attempt_cells(
     rng: &mut StdRng,
     apply: impl FnOnce(&mut PlacementState<'_>),
 ) -> bool {
-    let snapshots: Vec<CellSnapshot> = involved
-        .iter()
-        .map(|&i| CellSnapshot::take(st, i))
-        .collect();
-    let nets = st.nets_touching(involved);
-    let before = st.move_cost(involved, &nets);
+    st.save_attempt(involved);
+    let before = st.move_cost(involved, st.attempt_nets());
     apply(st);
-    let after = st.move_cost(involved, &nets);
+    let after = st.move_cost(involved, st.attempt_nets());
     let delta = st.weighted_delta(before, after);
     if metropolis(delta, t, rng) {
-        st.commit_cost(before, after, &nets);
+        st.commit_attempt(before, after);
         true
     } else {
-        for s in snapshots.iter().rev() {
-            s.restore(st);
-        }
+        st.rollback_attempt();
         false
     }
+}
+
+/// The aspect-inverted displacement: re-orient, then move — one refresh.
+fn displace_inverted(st: &mut PlacementState<'_>, i: usize, target: Point) {
+    let inverted = st.cell(i).orientation.aspect_inverted();
+    st.reorient(i, inverted);
+    st.set_cell_center(i, target);
+}
+
+/// The pairwise interchange of two cell centers, optionally with both
+/// aspect ratios inverted first.
+fn interchange(st: &mut PlacementState<'_>, i: usize, j: usize, inverted: bool) {
+    let ci = st.cell(i).center();
+    let cj = st.cell(j).center();
+    if inverted {
+        let oi = st.cell(i).orientation.aspect_inverted();
+        let oj = st.cell(j).orientation.aspect_inverted();
+        st.reorient(i, oi);
+        st.reorient(j, oj);
+    }
+    st.set_cell_center(i, cj);
+    st.set_cell_center(j, ci);
 }
 
 /// A pin-reassignment attempt (geometry unchanged, so only `C₁` of the
@@ -380,11 +358,7 @@ pub fn generate(
 
         if !accepted && move_set == MoveSet::Full {
             // Retry with the aspect ratio inverted (paper Fig. 2).
-            let inverted = st.cell(i).orientation.aspect_inverted();
-            accepted = attempt_cells(st, &[i], t, rng, |s| {
-                s.set_cell_orientation(i, inverted);
-                s.set_cell_center(i, target);
-            });
+            accepted = attempt_cells(st, &[i], t, rng, |s| displace_inverted(s, i, target));
             MoveStats::add(&mut stats.inverted_displacements, accepted);
 
             if !accepted {
@@ -431,24 +405,12 @@ pub fn generate(
         if j == i {
             j = (j + 1) % n;
         }
-        let ci = st.cell(i).center();
-        let cj = st.cell(j).center();
-        let mut accepted = attempt_cells(st, &[i, j], t, rng, |s| {
-            s.set_cell_center(i, cj);
-            s.set_cell_center(j, ci);
-        });
+        let mut accepted = attempt_cells(st, &[i, j], t, rng, |s| interchange(s, i, j, false));
         MoveStats::add(&mut stats.interchanges, accepted);
 
         if !accepted && move_set == MoveSet::Full {
             // Retry with both aspect ratios inverted.
-            let oi = st.cell(i).orientation.aspect_inverted();
-            let oj = st.cell(j).orientation.aspect_inverted();
-            accepted = attempt_cells(st, &[i, j], t, rng, |s| {
-                s.set_cell_orientation(i, oi);
-                s.set_cell_orientation(j, oj);
-                s.set_cell_center(i, cj);
-                s.set_cell_center(j, ci);
-            });
+            accepted = attempt_cells(st, &[i, j], t, rng, |s| interchange(s, i, j, true));
             MoveStats::add(&mut stats.inverted_interchanges, accepted);
         }
     }
@@ -530,6 +492,173 @@ mod tests {
         assert_eq!(st.cost(), before_cost);
         let after_pos: Vec<Point> = st.cells().iter().map(|c| c.pos).collect();
         assert_eq!(before_pos, after_pos);
+    }
+
+    /// Six cells with every shape a move can produce: an L-shaped
+    /// macro, a macro with two instances of different dims, a plain
+    /// macro, and custom cells with a continuous and a discrete aspect
+    /// range carrying a sequenced and an unsequenced pin group.
+    fn every_shape() -> Netlist {
+        use twmc_geom::{Rect, TileSet};
+        use twmc_netlist::{AspectRange, NetlistBuilder, SideSet};
+        let mut b = NetlistBuilder::new();
+        let l = b.add_macro(
+            "l",
+            TileSet::new(vec![
+                Rect::from_wh(0, 0, 40, 16),
+                Rect::from_wh(0, 16, 18, 14),
+            ])
+            .expect("disjoint tiles"),
+        );
+        let l0 = b.add_fixed_pin(l, "a", Point::new(0, 8)).expect("pin");
+        let l1 = b.add_fixed_pin(l, "b", Point::new(10, 30)).expect("pin");
+        let dp = b.add_macro("dp", TileSet::rect(50, 20));
+        let dp0 = b.add_fixed_pin(dp, "in", Point::new(0, 10)).expect("pin");
+        let dp1 = b.add_fixed_pin(dp, "out", Point::new(50, 10)).expect("pin");
+        b.add_instance(
+            dp,
+            "tall",
+            TileSet::rect(20, 50),
+            vec![Point::new(0, 25), Point::new(20, 25)],
+        )
+        .expect("instance pins");
+        let m = b.add_macro("m", TileSet::rect(24, 24));
+        let m0 = b.add_fixed_pin(m, "x", Point::new(24, 3)).expect("pin");
+        let m1 = b.add_fixed_pin(m, "y", Point::new(3, 24)).expect("pin");
+        let rf = b.add_custom(
+            "rf",
+            1200,
+            AspectRange::Continuous { min: 0.5, max: 2.0 },
+            6,
+        );
+        let q: Vec<_> = (0..3)
+            .map(|k| {
+                b.add_site_pin(rf, &format!("q{k}"), SideSet::ALL)
+                    .expect("pin")
+            })
+            .collect();
+        b.add_group(
+            rf,
+            "q",
+            SideSet::of(&[Side::Left, Side::Right]),
+            true,
+            q.clone(),
+        )
+        .expect("group");
+        let ram = b.add_custom("ram", 2000, AspectRange::Discrete(vec![0.5, 1.0, 2.0]), 6);
+        let d: Vec<_> = (0..3)
+            .map(|k| {
+                b.add_site_pin(ram, &format!("d{k}"), SideSet::ALL)
+                    .expect("pin")
+            })
+            .collect();
+        b.add_group(
+            ram,
+            "d",
+            SideSet::of(&[Side::Left, Side::Top]),
+            false,
+            d.clone(),
+        )
+        .expect("group");
+        let ram_x = b
+            .add_site_pin(ram, "x", SideSet::single(Side::Bottom))
+            .expect("pin");
+        b.add_simple_net("n0", &[l0, dp0, q[0]]).expect("net");
+        b.add_simple_net("n1", &[dp1, d[0], m0]).expect("net");
+        b.add_simple_net("n2", &[q[1], d[1]]).expect("net");
+        b.add_simple_net("n3", &[l1, q[2], ram_x]).expect("net");
+        b.add_simple_net("n4", &[d[2], m1]).expect("net");
+        b.build().expect("valid netlist")
+    }
+
+    /// Everything a rejected attempt must leave as it found it.
+    #[derive(Debug, PartialEq)]
+    struct Capture {
+        cells: Vec<crate::CellPlace>,
+        pins: Vec<(Point, Option<SiteRef>)>,
+        spans: Vec<Option<(twmc_geom::Span, twmc_geom::Span)>>,
+        totals: (u64, i64, u64),
+        rects: Vec<twmc_geom::Rect>,
+    }
+
+    fn capture(st: &PlacementState<'_>) -> Capture {
+        let nl = st.netlist();
+        Capture {
+            cells: st.cells().to_vec(),
+            pins: (0..nl.pins().len())
+                .map(|p| (st.pin_position(p), st.pin_site(p)))
+                .collect(),
+            spans: (0..nl.nets().len()).map(|n| st.net_spans(n)).collect(),
+            totals: (st.c1().to_bits(), st.raw_overlap(), st.c3().to_bits()),
+            rects: (0..st.cells().len()).map(|i| st.indexed_rect(i)).collect(),
+        }
+    }
+
+    /// Saving, applying any move class's mutation and rolling back leaves
+    /// every cell field, pin, net span, total and index rect as captured
+    /// before — checked with `assert!`, so release builds run it too.
+    #[test]
+    fn rollback_restores_every_move_class() {
+        let nl = every_shape();
+        let mut st = state(&nl);
+        let mut rng = StdRng::seed_from_u64(31);
+        let params = PlaceParams::default();
+        let mut stats = MoveStats::default();
+        let core = st.estimator().core();
+        let n = nl.cells().len();
+        let mut changed = [0usize; 7];
+        for trial in 0..200 {
+            // Wander to a new configuration between trials.
+            for _ in 0..3 {
+                generate(
+                    &mut st,
+                    &params,
+                    MoveSet::Full,
+                    core.width() as f64,
+                    core.height() as f64,
+                    1.0e3,
+                    &mut rng,
+                    &mut stats,
+                );
+            }
+            let i = rng.random_range(0..n);
+            let j = (i + rng.random_range(1..n)) % n;
+            let target = Point::new(
+                rng.random_range(core.lo().x..=core.hi().x),
+                rng.random_range(core.lo().y..=core.hi().y),
+            );
+            let class = trial % 7;
+            let involved: &[usize] = if class >= 5 { &[i, j] } else { &[i] };
+            let cell = &nl.cells()[i];
+            let before = capture(&st);
+            st.save_attempt(involved);
+            match class {
+                0 => st.set_cell_center(i, target),
+                1 => displace_inverted(&mut st, i, target),
+                2 => {
+                    let o = Orientation::ALL[rng.random_range(0..8usize)];
+                    st.set_cell_orientation(i, o);
+                }
+                3 if cell.is_custom() => {
+                    st.set_cell_aspect(i, [0.5, 1.0, 2.0][rng.random_range(0..3usize)])
+                }
+                4 if cell.instance_count() > 1 => st.set_cell_instance(i, 1 - st.cell(i).instance),
+                3 | 4 => {}
+                5 => interchange(&mut st, i, j, false),
+                _ => interchange(&mut st, i, j, true),
+            }
+            if capture(&st) != before {
+                changed[class] += 1;
+            }
+            st.rollback_attempt();
+            assert_eq!(capture(&st), before, "class {class} on cells {involved:?}");
+            assert_eq!(st.group_overlap(involved), st.group_overlap_scan(involved));
+        }
+        assert!(
+            changed.iter().all(|&c| c > 0),
+            "every class must have mutated something: {changed:?}"
+        );
+        assert!(stats.accepts() > 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::index::BinGrid;
 use crate::{SiteLayout, SiteRef};
 
 /// Placement data of one cell.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellPlace {
     /// Lower-left corner of the *oriented* bounding box (absolute).
     pub pos: Point,
@@ -69,6 +69,36 @@ pub struct MoveCost {
     pub overlap: i64,
     /// Sum of the involved cells' `C₃` contributions.
     pub c3: f64,
+}
+
+/// The geometry of one cell saved before a move attempt.
+#[derive(Debug, Clone, Copy)]
+struct SavedCell {
+    idx: usize,
+    pos: Point,
+    orientation: Orientation,
+    instance: usize,
+    aspect: f64,
+    dims: (i64, i64),
+    expansions: (i64, i64, i64, i64),
+}
+
+/// What a rejected move attempt puts back, recorded by
+/// [`PlacementState::save_attempt`] and reused from attempt to attempt.
+///
+/// Everything else a cell move touches is a function of these: the
+/// shape follows from instance/dims and orientation, the site layout
+/// from dims, and the index rect from the placed bbox and expansions.
+/// The totals are only changed by a commit.
+#[derive(Debug, Clone, Default)]
+struct AttemptRecord {
+    cells: Vec<SavedCell>,
+    /// `(pin, position)` for every pin of the involved cells.
+    pins: Vec<(usize, Point)>,
+    /// Nets touching the involved cells, sorted and deduplicated.
+    nets: Vec<NetId>,
+    /// Cached span of each of `nets`.
+    spans: Vec<Option<(Span, Span)>>,
 }
 
 /// A detached copy of the mutable part of a [`PlacementState`]: cell
@@ -189,8 +219,11 @@ pub struct PlacementState<'a> {
     /// point (only primaries enter the `C₁` spans).
     pin_primary: Vec<bool>,
     /// Bin-grid spatial index over expanded cell bboxes — the
-    /// `group_overlap` candidate pruner.
+    /// `group_overlap` neighbor query.
     index: BinGrid,
+    /// The pending move attempt's undo record (scratch, not part of
+    /// [`PlacementSnapshot`]).
+    attempt: AttemptRecord,
     total_c1: f64,
     total_overlap: i64,
     total_c3: f64,
@@ -297,6 +330,7 @@ impl<'a> PlacementState<'a> {
             net_span: vec![None; nl.nets().len()],
             pin_primary,
             index,
+            attempt: AttemptRecord::default(),
             total_c1: 0.0,
             total_overlap: 0,
             total_c3: 0.0,
@@ -582,12 +616,17 @@ impl<'a> PlacementState<'a> {
     /// Re-orients a cell in place (center preserved up to rounding).
     pub fn set_cell_orientation(&mut self, i: usize, o: Orientation) {
         let center = self.cells[i].center();
-        let base = self.base_tiles(i);
-        let cell = &mut self.cells[i];
-        cell.orientation = o;
-        cell.shape = base.oriented(o);
-        drop(base);
+        self.reorient(i, o);
         self.set_cell_center(i, center);
+    }
+
+    /// Sets a cell's orientation and oriented shape only: the position,
+    /// expansions, pins and index entry are left for the position setter
+    /// that must follow (the aspect-inverted retries move the cell right
+    /// after re-orienting it, which refreshes everything once).
+    pub(crate) fn reorient(&mut self, i: usize, o: Orientation) {
+        self.cells[i].orientation = o;
+        self.cells[i].shape = self.oriented_shape(i);
     }
 
     /// Selects another instance of a macro cell (center preserved).
@@ -596,16 +635,15 @@ impl<'a> PlacementState<'a> {
     ///
     /// Panics if the cell is custom or the instance index is out of range.
     pub fn set_cell_instance(&mut self, i: usize, instance: usize) {
-        let center = self.cells[i].center();
-        let tiles = match &self.nl.cells()[i].geometry {
-            CellGeometry::Fixed { instances } => instances[instance].tiles.clone(),
+        let nl = self.nl;
+        let tiles = match &nl.cells()[i].geometry {
+            CellGeometry::Fixed { instances } => &instances[instance].tiles,
             CellGeometry::Flexible { .. } => panic!("custom cells have no instances"),
         };
-        let o = self.cells[i].orientation;
-        let cell = &mut self.cells[i];
-        cell.instance = instance;
-        cell.dims = (tiles.width(), tiles.height());
-        cell.shape = tiles.oriented(o);
+        let center = self.cells[i].center();
+        self.cells[i].instance = instance;
+        self.cells[i].dims = (tiles.width(), tiles.height());
+        self.cells[i].shape = self.oriented_shape(i);
         self.set_cell_center(i, center);
     }
 
@@ -624,12 +662,11 @@ impl<'a> PlacementState<'a> {
         let center = self.cells[i].center();
         let (w, h) = flexible_dims(area, ratio);
         let ts = self.estimator.track_spacing();
-        let o = self.cells[i].orientation;
         let cell = &mut self.cells[i];
         cell.aspect = ratio;
         cell.dims = (w, h);
-        cell.shape = TileSet::rect(w, h).oriented(o);
         cell.sites = cell.sites.as_ref().map(|s| s.resized(w, h, ts));
+        self.cells[i].shape = self.oriented_shape(i);
         self.set_cell_center(i, center);
     }
 
@@ -640,13 +677,16 @@ impl<'a> PlacementState<'a> {
         self.refresh_pin(cell, pin);
     }
 
-    /// The unoriented tile geometry of a cell's current instance/aspect.
-    fn base_tiles(&self, i: usize) -> TileSet {
+    /// The tile geometry of a cell's current instance (macro) or dims
+    /// (custom) under its current orientation.
+    fn oriented_shape(&self, i: usize) -> TileSet {
+        let c = &self.cells[i];
         match &self.nl.cells()[i].geometry {
-            CellGeometry::Fixed { instances } => instances[self.cells[i].instance].tiles.clone(),
+            CellGeometry::Fixed { instances } => {
+                instances[c.instance].tiles.oriented(c.orientation)
+            }
             CellGeometry::Flexible { .. } => {
-                let (w, h) = self.cells[i].dims;
-                TileSet::rect(w, h)
+                TileSet::rect(c.dims.0, c.dims.1).oriented(c.orientation)
             }
         }
     }
@@ -715,9 +755,9 @@ impl<'a> PlacementState<'a> {
 
     /// Recomputes the absolute positions of all pins of cell `i`.
     pub fn refresh_pins(&mut self, i: usize) {
-        let pins: Vec<usize> = self.nl.cells()[i].pins.iter().map(|p| p.index()).collect();
-        for pin in pins {
-            self.refresh_pin(i, pin);
+        let nl = self.nl;
+        for pin in &nl.cells()[i].pins {
+            self.refresh_pin(i, pin.index());
         }
     }
 
@@ -859,30 +899,18 @@ impl<'a> PlacementState<'a> {
     /// involved counted once, plus boundary overlaps.
     ///
     /// Queries the bin-grid spatial index, so only cells whose expanded
-    /// bboxes share a bin with an involved cell are examined — cells in
-    /// disjoint bins cannot overlap, and skipping their zero terms leaves
-    /// the `i64` sum identical to [`PlacementState::group_overlap_scan`].
+    /// bboxes overlap an involved cell's are examined — the others
+    /// contribute zero, and skipping them leaves the `i64` sum identical
+    /// to [`PlacementState::group_overlap_scan`].
     pub fn group_overlap(&self, involved: &[usize]) -> i64 {
         let mut total = 0;
-        let mut cand: Vec<u32> = Vec::new();
         for (k, &i) in involved.iter().enumerate() {
-            cand.clear();
-            self.index.candidates(i, &mut cand);
-            cand.sort_unstable();
-            cand.dedup();
-            for &jc in &cand {
-                let j = jc as usize;
-                if j == i {
-                    continue;
-                }
+            self.index.for_each_overlapping(i, |j| {
                 // Among involved, count each unordered pair once.
-                if let Some(kj) = involved.iter().position(|&x| x == j) {
-                    if kj < k {
-                        continue;
-                    }
+                if !involved[..k].contains(&j) {
+                    total += self.pair_overlap(i, j);
                 }
-                total += self.pair_overlap(i, j);
-            }
+            });
             total += self.boundary_overlap(i);
         }
         debug_assert_eq!(
@@ -1008,8 +1036,96 @@ impl<'a> PlacementState<'a> {
         }
     }
 
+    // --- move attempts -----------------------------------------------------
+
+    /// Records what a move attempt over `involved` may change, for
+    /// [`PlacementState::rollback_attempt`], and collects the nets it
+    /// touches ([`PlacementState::attempt_nets`]).
+    pub(crate) fn save_attempt(&mut self, involved: &[usize]) {
+        let rec = &mut self.attempt;
+        rec.cells.clear();
+        rec.pins.clear();
+        rec.nets.clear();
+        rec.spans.clear();
+        for &i in involved {
+            let c = &self.cells[i];
+            rec.cells.push(SavedCell {
+                idx: i,
+                pos: c.pos,
+                orientation: c.orientation,
+                instance: c.instance,
+                aspect: c.aspect,
+                dims: c.dims,
+                expansions: c.expansions,
+            });
+            for pin in &self.nl.cells()[i].pins {
+                rec.pins.push((pin.index(), self.pin_pos[pin.index()]));
+            }
+            rec.nets.extend_from_slice(&self.nets_of_cell[i]);
+        }
+        // One cell's list is already sorted and deduplicated.
+        if involved.len() > 1 {
+            rec.nets.sort_unstable();
+            rec.nets.dedup();
+        }
+        rec.spans
+            .extend(rec.nets.iter().map(|n| self.net_span[n.index()]));
+    }
+
+    /// The nets touching the cells of the saved attempt, in ascending
+    /// order (the same list [`PlacementState::nets_touching`] returns).
+    pub(crate) fn attempt_nets(&self) -> &[NetId] {
+        &self.attempt.nets
+    }
+
+    /// [`PlacementState::commit_cost`] over the saved attempt's nets.
+    pub(crate) fn commit_attempt(&mut self, before: MoveCost, after: MoveCost) {
+        let nets = std::mem::take(&mut self.attempt.nets);
+        self.commit_cost(before, after, &nets);
+        self.attempt.nets = nets;
+    }
+
+    /// Puts back everything the saved attempt recorded, re-indexing each
+    /// cell once. The shape is rebuilt only when orientation, instance or
+    /// dims changed, the site layout only when dims changed.
+    pub(crate) fn rollback_attempt(&mut self) {
+        let ts = self.estimator.track_spacing();
+        for k in 0..self.attempt.cells.len() {
+            let s = self.attempt.cells[k];
+            let c = &mut self.cells[s.idx];
+            let reshape =
+                c.orientation != s.orientation || c.instance != s.instance || c.dims != s.dims;
+            if c.dims != s.dims {
+                c.sites = c.sites.as_ref().map(|l| l.resized(s.dims.0, s.dims.1, ts));
+            }
+            c.pos = s.pos;
+            c.orientation = s.orientation;
+            c.instance = s.instance;
+            c.aspect = s.aspect;
+            c.dims = s.dims;
+            c.expansions = s.expansions;
+            if reshape {
+                self.cells[s.idx].shape = self.oriented_shape(s.idx);
+            }
+            self.index.update(s.idx, self.expanded_bbox(s.idx));
+        }
+        for &(pin, p) in &self.attempt.pins {
+            self.pin_pos[pin] = p;
+        }
+        for (n, &span) in self.attempt.nets.iter().zip(&self.attempt.spans) {
+            self.net_span[n.index()] = span;
+        }
+    }
+
+    /// The rect the spatial index holds for a cell (its expanded bbox as
+    /// of the cell's last refresh).
+    #[cfg(test)]
+    pub(crate) fn indexed_rect(&self, i: usize) -> Rect {
+        self.index.rect(i)
+    }
+
     /// Recomputes every cached quantity from scratch (initialization and
-    /// verification).
+    /// verification). The overlap total comes through the spatial index.
     pub fn rebuild_all(&mut self) {
         for i in 0..self.cells.len() {
             self.refresh_expansions(i);
@@ -1018,7 +1134,7 @@ impl<'a> PlacementState<'a> {
         for n in 0..self.net_span.len() {
             self.net_span[n] = self.net_spans_scratch(n);
         }
-        let (c1, ov, c3) = self.recompute_totals();
+        let (c1, ov, c3) = self.indexed_totals();
         self.total_c1 = c1;
         self.total_overlap = ov;
         self.total_c3 = c3;
@@ -1028,11 +1144,8 @@ impl<'a> PlacementState<'a> {
     }
 
     /// From-scratch totals `(C₁, raw overlap, C₃)` — the ground truth the
-    /// incremental bookkeeping must match.
+    /// incremental bookkeeping must match. The overlap scans every pair.
     pub fn recompute_totals(&self) -> (f64, i64, f64) {
-        let c1 = (0..self.nl.nets().len())
-            .map(|n| self.net_cost_live(n))
-            .sum();
         let mut ov = 0;
         for i in 0..self.cells.len() {
             for j in (i + 1)..self.cells.len() {
@@ -1040,6 +1153,32 @@ impl<'a> PlacementState<'a> {
             }
             ov += self.boundary_overlap(i);
         }
+        self.totals_with_overlap(ov)
+    }
+
+    /// [`PlacementState::recompute_totals`] with the overlap summed over
+    /// the pairs the spatial index reports instead of over all pairs —
+    /// the same `i64` terms, so the same total.
+    fn indexed_totals(&self) -> (f64, i64, f64) {
+        let mut ov = 0;
+        for i in 0..self.cells.len() {
+            self.index.for_each_overlapping(i, |j| {
+                if j > i {
+                    ov += self.pair_overlap(i, j);
+                }
+            });
+            ov += self.boundary_overlap(i);
+        }
+        debug_assert_eq!(ov, self.recompute_totals().1, "spatial index missed a pair");
+        self.totals_with_overlap(ov)
+    }
+
+    /// `(C₁, ov, C₃)` with `C₁` and `C₃` summed from the live state in net
+    /// and cell order.
+    fn totals_with_overlap(&self, ov: i64) -> (f64, i64, f64) {
+        let c1 = (0..self.nl.nets().len())
+            .map(|n| self.net_cost_live(n))
+            .sum();
         let c3 = (0..self.cells.len())
             .filter_map(|i| self.cells[i].sites.as_ref())
             .map(|s| s.penalty())
@@ -1055,7 +1194,7 @@ impl<'a> PlacementState<'a> {
         let mut sum_ov = 0.0;
         for _ in 0..samples.max(1) {
             self.randomize_positions(rng);
-            let (c1, ov, _) = self.recompute_totals();
+            let (c1, ov, _) = self.indexed_totals();
             sum_c1 += c1;
             sum_ov += ov as f64;
         }

@@ -1,13 +1,17 @@
 //! Property-based tests of the placement state: the incremental cost
 //! bookkeeping must match a from-scratch recomputation under arbitrary
 //! move sequences, and legalization must terminate in a legal state.
+//! They use `assert!`, so they also check release builds, where the
+//! engine's own `debug_assert!` cross-checks are compiled out.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use twmc_estimator::{cell_density_factors, determine_core, EstimatorParams};
-use twmc_geom::{Orientation, Point};
+use twmc_geom::{Orientation, Point, Span};
 use twmc_netlist::{synthesize, Netlist, PinPlacement, SynthParams};
 use twmc_place::{
     generate, legalize, separated, MoveSet, MoveStats, PlaceParams, PlacementState, SiteRef,
@@ -23,6 +27,33 @@ fn circuit(seed: u64, custom: bool) -> Netlist {
         avg_cell_dim: 18,
         ..Default::default()
     })
+}
+
+/// A 1,200-cell circuit shaped like the benchmark's stage-1 ladder
+/// (3 nets and 12 pins per cell, a quarter custom), built once.
+fn large_circuit() -> &'static Netlist {
+    static NL: OnceLock<Netlist> = OnceLock::new();
+    NL.get_or_init(|| {
+        synthesize(&SynthParams {
+            cells: 1200,
+            nets: 3600,
+            pins: 14400,
+            custom_fraction: 0.25,
+            seed: 1988,
+            ..Default::default()
+        })
+    })
+}
+
+/// A net's span over its primary pins, from the pin positions alone.
+fn span_of(st: &PlacementState<'_>, nl: &Netlist, net: usize) -> Option<(Span, Span)> {
+    nl.nets()[net]
+        .primary_pins()
+        .map(|p| {
+            let q = st.pin_position(p.index());
+            (Span::new(q.x, q.x), Span::new(q.y, q.y))
+        })
+        .reduce(|(ax, ay), (bx, by)| (ax.hull(bx), ay.hull(by)))
 }
 
 fn state(nl: &Netlist, seed: u64) -> PlacementState<'_> {
@@ -243,5 +274,49 @@ proptest! {
         st.set_cell_pos(0, pos_before);
         let pins_after: Vec<Point> = (0..nl.pins().len()).map(|p| st.pin_position(p)).collect();
         prop_assert_eq!(pins_before, pins_after);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Random `generate` sequences on a circuit of over a thousand cells:
+    /// the incremental C1, overlap and C3 equal a from-scratch recompute
+    /// exactly (unit net weights and an integral kappa keep every term an
+    /// integer), every cached net span equals the hull of its pins, and
+    /// the indexed overlap query equals the all-cells scan for every cell.
+    #[test]
+    fn incremental_engine_matches_scratch_at_scale(
+        seed in 0u64..1000,
+        steps in 200usize..1200,
+        log_t in 1i32..7,
+        window in 0.02f64..1.0,
+    ) {
+        let nl = large_circuit();
+        let mut st = state(nl, seed);
+        let core = st.estimator().core();
+        let params = PlaceParams::default();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x1c);
+        let mut stats = MoveStats::default();
+        for _ in 0..steps {
+            generate(
+                &mut st,
+                &params,
+                MoveSet::Full,
+                window * core.width() as f64,
+                window * core.height() as f64,
+                10f64.powi(log_t),
+                &mut rng,
+                &mut stats,
+            );
+        }
+        prop_assert!(stats.accepts() > 0 && stats.accepts() < stats.attempts());
+        prop_assert_eq!((st.c1(), st.raw_overlap(), st.c3()), st.recompute_totals());
+        for n in 0..nl.nets().len() {
+            prop_assert_eq!(st.net_spans(n), span_of(&st, nl, n), "net {}", n);
+        }
+        for i in 0..nl.cells().len() {
+            prop_assert_eq!(st.group_overlap(&[i]), st.group_overlap_scan(&[i]), "cell {}", i);
+        }
     }
 }

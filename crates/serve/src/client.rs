@@ -417,6 +417,30 @@ mod tests {
         assert!((2..=6).any(|a| other.delay(a) != policy.delay(a)));
     }
 
+    /// Reads one whole request off `s` with the daemon's own parser and
+    /// returns it with its raw bytes. Answering before the body is read
+    /// would close the socket with bytes unread, and Linux then resets
+    /// the connection, so the client's read of the answer could fail.
+    fn drain_request(s: &TcpStream) -> (crate::http::Request, String) {
+        struct Recording<'a> {
+            inner: &'a TcpStream,
+            seen: Vec<u8>,
+        }
+        impl Read for Recording<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = self.inner.read(buf)?;
+                self.seen.extend_from_slice(&buf[..n]);
+                Ok(n)
+            }
+        }
+        let mut rec = Recording {
+            inner: s,
+            seen: Vec::new(),
+        };
+        let req = crate::http::read_request(&mut rec).expect("a well-formed request");
+        (req, String::from_utf8_lossy(&rec.seen).into_owned())
+    }
+
     /// A single-thread fake server answering each connection with the
     /// next canned status (closing immediately for status 0 = connect
     /// troubles are exercised separately via an unbound port).
@@ -427,8 +451,7 @@ mod tests {
             let mut served = 0;
             for status in statuses {
                 let (mut s, _) = listener.accept().unwrap();
-                let mut buf = [0u8; 4096];
-                let _ = s.read(&mut buf); // drain the request head
+                drain_request(&s);
                 let body = format!("{{\"status\":{status}}}");
                 let resp = format!(
                     "HTTP/1.1 {status} X\r\nContent-Type: application/json\r\n\
@@ -498,9 +521,8 @@ mod tests {
         let addr = listener.local_addr().unwrap().to_string();
         let handle = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
-            let mut buf = [0u8; 4096];
-            let n = s.read(&mut buf).unwrap();
-            let head = String::from_utf8_lossy(&buf[..n]).into_owned();
+            let (req, head) = drain_request(&s);
+            assert_eq!(req.body, b"{}");
             let _ = s.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 0\r\n\r\n");
             head
         });
