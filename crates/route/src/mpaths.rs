@@ -4,7 +4,10 @@
 //! paths between two vertices; we implement the equivalent deviation
 //! scheme (Yen's algorithm) over the channel graph, generalized to
 //! multiple sources (the already-connected tree) and multiple targets
-//! (electrically-equivalent pins) via virtual terminals.
+//! (electrically-equivalent pins) via virtual terminals. Spur searches
+//! run only when an exact lower bound says they could win, as A*
+//! searches guided by per-point distance tables; the paths, and their
+//! order, are those of the eager algorithm over plain Dijkstra.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -23,8 +26,21 @@ pub struct Path {
 /// Multi-source Dijkstra over the channel graph; returns per-node
 /// distance (`i64::MAX` when unreachable).
 pub fn dijkstra(graph: &ChannelGraph, sources: &[usize]) -> Vec<i64> {
-    let mut dist = vec![i64::MAX; graph.len()];
-    let mut heap = BinaryHeap::new();
+    let mut dist = Vec::new();
+    dijkstra_into(graph, sources, &mut dist, &mut BinaryHeap::new());
+    dist
+}
+
+/// [`dijkstra`] into the caller's buffers.
+fn dijkstra_into(
+    graph: &ChannelGraph,
+    sources: &[usize],
+    dist: &mut Vec<i64>,
+    heap: &mut BinaryHeap<Reverse<(i64, usize)>>,
+) {
+    dist.clear();
+    dist.resize(graph.len(), i64::MAX);
+    heap.clear();
     for &s in sources {
         dist[s] = 0;
         heap.push(Reverse((0i64, s)));
@@ -41,20 +57,30 @@ pub fn dijkstra(graph: &ChannelGraph, sources: &[usize]) -> Vec<i64> {
             }
         }
     }
-    dist
 }
+
+/// A Yen spur search not yet run: `(bound, f, spur_idx, root_len)`. It
+/// deviates from the `f`-th path found at its `spur_idx`-th node, after a
+/// root of length `root_len`, and no candidate it yields is shorter than
+/// `bound`.
+type Deferred = (i64, usize, usize, i64);
 
 /// Reusable state for the searches of one routing call.
 ///
 /// The M-path searches run over the channel graph plus two virtual
 /// terminals, handled inline rather than materialized: node `n` is
 /// joined to every source and node `n + 1` is joined from every target,
-/// all at zero length. Every search pops the heap by `(dist, node)` and
-/// relaxes only on a strict `<`, so the distances, predecessors and
-/// paths it finds depend only on the graph, never on the order in which
-/// neighbors are visited or buffers were used before. Buffers hold
-/// `n + 2` entries and are reset by visiting only what a search touched.
+/// all at zero length. Every search returns the path a Dijkstra popping
+/// its heap by `(dist, node)` and relaxing only on a strict `<` would,
+/// so the distances, predecessors and paths it finds depend only on the
+/// graph, never on the order in which neighbors are visited or buffers
+/// were used before. Buffers hold `n + 2` entries and are reset by
+/// visiting only what a search touched.
 pub(crate) struct SearchSpace {
+    /// Per connection point of the current net, each node's distance to
+    /// the point's nearest candidate (`i64::MAX` when unreachable): the
+    /// Prim step's lookup and the spur searches' heuristic.
+    tables: Vec<Vec<i64>>,
     /// Tentative distance per node, `i64::MAX` when untouched.
     dist: Vec<i64>,
     /// Predecessor on the shortest path found so far.
@@ -64,8 +90,7 @@ pub(crate) struct SearchSpace {
     heap: BinaryHeap<Reverse<(i64, usize)>>,
     /// The virtual source's neighbors.
     sources: Vec<usize>,
-    /// Nodes joined to the virtual target (in the nearest-point search:
-    /// the candidates of the unconnected points).
+    /// Nodes joined to the virtual target.
     target: Vec<bool>,
     /// Nodes the current Yen spur search may not enter.
     banned: Vec<bool>,
@@ -78,6 +103,7 @@ impl SearchSpace {
     /// Buffers for searches over a graph of `n` nodes.
     pub(crate) fn new(n: usize) -> SearchSpace {
         SearchSpace {
+            tables: Vec::new(),
             dist: vec![i64::MAX; n + 2],
             prev: vec![usize::MAX; n + 2],
             touched: Vec::new(),
@@ -89,14 +115,52 @@ impl SearchSpace {
         }
     }
 
-    fn relax(&mut self, from: usize, to: usize, d: i64) {
-        if d < self.dist[to] {
-            if self.dist[to] == i64::MAX {
+    /// Fills table `slot` with every node's distance to the nearest of
+    /// `candidates`.
+    pub(crate) fn fill_table(&mut self, graph: &ChannelGraph, slot: usize, candidates: &[usize]) {
+        if self.tables.len() <= slot {
+            self.tables.resize_with(slot + 1, Vec::new);
+        }
+        dijkstra_into(graph, candidates, &mut self.tables[slot], &mut self.heap);
+    }
+
+    /// The position in `rest` of the connection point nearest to `tree`
+    /// (Prim's next pin group): the first point, in `rest` order, whose
+    /// table's least entry over `tree` is smallest, or the first point
+    /// when none is reachable. Tables hold exact distances on an
+    /// undirected graph, so this is the point a [`dijkstra`] from `tree`
+    /// followed by taking the first minimum picks.
+    pub(crate) fn prim_step(&self, tree: &[usize], rest: &[usize]) -> usize {
+        rest.iter()
+            .enumerate()
+            .map(|(k, &p)| {
+                let table = &self.tables[p];
+                (k, tree.iter().map(|&v| table[v]).min().unwrap_or(i64::MAX))
+            })
+            .min_by_key(|&(_, d)| d)
+            .map(|(k, _)| k)
+            .expect("rest nonempty")
+    }
+
+    /// Lowers `to`'s distance to `d` through `from` and queues it at
+    /// `f = d + h(to)`. At an equal distance `to` keeps, of the two
+    /// settled predecessors, the one least in `(dist, node)`: the one a
+    /// Dijkstra popping by `(dist, node)` would have relaxed it from
+    /// first.
+    fn relax(&mut self, from: usize, to: usize, d: i64, f: i64) {
+        let cur = self.dist[to];
+        if d < cur {
+            if cur == i64::MAX {
                 self.touched.push(to);
             }
             self.dist[to] = d;
             self.prev[to] = from;
-            self.heap.push(Reverse((d, to)));
+            self.heap.push(Reverse((f, to)));
+        } else if d == cur {
+            let p = self.prev[to];
+            if (self.dist[from], from) < (self.dist[p], p) {
+                self.prev[to] = from;
+            }
         }
     }
 
@@ -108,96 +172,59 @@ impl SearchSpace {
         self.heap.clear();
     }
 
-    /// The position in `rest` of the connection point nearest to
-    /// `sources` (Prim's next pin group): the first point, in `rest`
-    /// order, whose closest candidate is at the minimum distance, or the
-    /// first point when none is reachable — what [`dijkstra`] followed
-    /// by taking the first minimum gives. The search stops once every
-    /// node at the winning distance is settled.
-    pub(crate) fn nearest_point(
-        &mut self,
-        graph: &ChannelGraph,
-        sources: &[usize],
-        points: &[Vec<usize>],
-        rest: &[usize],
-    ) -> usize {
-        for &pi in rest {
-            for &c in &points[pi] {
-                self.target[c] = true;
-            }
-        }
-        for &s in sources {
-            self.relax(usize::MAX, s, 0);
-        }
-        let mut best = None;
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.dist[u] {
-                continue;
-            }
-            match best {
-                Some(b) if d > b => break,
-                None if self.target[u] => best = Some(d),
-                _ => {}
-            }
-            for &(v, e) in graph.neighbors(u) {
-                self.relax(u, v, d + graph.edges[e].length);
-            }
-        }
-        // Unsettled candidates are farther than the winner, and so are
-        // their tentative distances: the first minimum is unchanged.
-        let (pos, _) = rest
-            .iter()
-            .enumerate()
-            .map(|(k, &pi)| {
-                let d = points[pi]
-                    .iter()
-                    .map(|&c| self.dist[c])
-                    .min()
-                    .unwrap_or(i64::MAX);
-                (k, d)
-            })
-            .min_by_key(|&(_, d)| d)
-            .expect("rest nonempty");
-        for &pi in rest {
-            for &c in &points[pi] {
-                self.target[c] = false;
-            }
-        }
-        self.reset();
-        pos
-    }
-
     /// Shortest path from `spur` to the virtual target avoiding the
     /// banned nodes and spur steps, as the node sequence and its length.
-    fn shortest(&mut self, graph: &ChannelGraph, spur: usize) -> Option<(Vec<usize>, i64)> {
+    ///
+    /// An A* search whose heuristic `h` is the distance to the targets
+    /// without bans, extended by the least entry over the sources at the
+    /// virtual source and 0 at the virtual target. It is consistent:
+    /// every edge is at least 1 long and bans only lengthen paths, so a
+    /// popped node's distance is final. Nodes with no finite `h` reach no
+    /// target and are never queued. Each node keeps its least tight
+    /// predecessor (see [`SearchSpace::relax`]), and the search pops
+    /// until the least `f` exceeds the target's distance, which settles
+    /// every tight predecessor of every node on a shortest path: the
+    /// path returned is the one Dijkstra's pop order gives.
+    fn astar(&mut self, graph: &ChannelGraph, h: &[i64], spur: usize) -> Option<(Vec<usize>, i64)> {
         let n = graph.len();
         let t = n + 1;
-        self.relax(usize::MAX, spur, 0);
-        while let Some(Reverse((d, u))) = self.heap.pop() {
-            if d > self.dist[u] {
-                continue;
-            }
-            if u == t {
+        let h_source = self.sources.iter().map(|&s| h[s]).min().unwrap_or(i64::MAX);
+        let h_of = |v: usize| match v.cmp(&n) {
+            std::cmp::Ordering::Less => h[v],
+            std::cmp::Ordering::Equal => h_source,
+            std::cmp::Ordering::Greater => 0,
+        };
+        if h_of(spur) == i64::MAX {
+            return None;
+        }
+        self.relax(usize::MAX, spur, 0, h_of(spur));
+        while let Some(Reverse((f, u))) = self.heap.pop() {
+            if f > self.dist[t] {
                 break;
+            }
+            let d = self.dist[u];
+            if f > d + h_of(u) || u == t {
+                continue;
             }
             let blocked =
                 |ws: &SearchSpace, v: usize| ws.banned[v] || (u == spur && ws.banned_next[v]);
             if u == n {
                 for i in 0..self.sources.len() {
                     let s = self.sources[i];
-                    if !blocked(self, s) {
-                        self.relax(u, s, d);
+                    if !blocked(self, s) && h[s] != i64::MAX {
+                        self.relax(u, s, d, d + h[s]);
                     }
                 }
                 continue;
             }
             for &(v, e) in graph.neighbors(u) {
-                if !blocked(self, v) {
-                    self.relax(u, v, d + graph.edges[e].length);
+                if !blocked(self, v) && h[v] != i64::MAX {
+                    let nd = d + graph.edges[e].length;
+                    self.relax(u, v, nd, nd + h[v]);
                 }
             }
             if self.target[u] && !blocked(self, t) {
-                self.relax(u, t, d);
+                self.relax(u, t, d, d);
             }
         }
         let found = (self.dist[t] != i64::MAX).then(|| {
@@ -216,92 +243,180 @@ impl SearchSpace {
 
     /// Yen's deviation algorithm from the virtual source to the virtual
     /// target: up to `k` (at least one) paths, each with both virtual
-    /// terminals. Candidates are taken in `(length, nodes)` order.
-    fn yen(&mut self, graph: &ChannelGraph, k: usize) -> Vec<(Vec<usize>, i64)> {
-        let n = graph.len();
+    /// terminals, taken in `(length, nodes)` order.
+    ///
+    /// Spur searches are deferred (see [`SearchSpace::defer_spurs`]) and
+    /// run, in bound order, only while the least bound is at most the
+    /// best unseen candidate's length, or no candidate is left. A search
+    /// not run would yield a candidate no shorter than its bound, so
+    /// strictly longer than the path accepted: every path is the one,
+    /// and comes in the order, that running every spur search at once
+    /// gives.
+    fn yen(&mut self, graph: &ChannelGraph, h: &[i64], k: usize) -> Vec<(Vec<usize>, i64)> {
         let mut found: Vec<(Vec<usize>, i64)> = Vec::new();
         let mut candidates: BinaryHeap<Reverse<(i64, Vec<usize>)>> = BinaryHeap::new();
-        let Some(first) = self.shortest(graph, n) else {
+        let mut deferred: BinaryHeap<Reverse<Deferred>> = BinaryHeap::new();
+        let Some(first) = self.astar(graph, h, graph.len()) else {
             return found;
         };
         found.push(first);
 
         while found.len() < k {
-            let last_path = &found.last().expect("nonempty").0;
-            let mut root_len = 0;
-            // Deviate at every spur node of the previous path.
-            for spur_idx in 0..last_path.len() - 1 {
-                let spur = last_path[spur_idx];
-                let root = &last_path[..=spur_idx];
-                if spur_idx > 0 {
-                    root_len += step_length(graph, last_path[spur_idx - 1], spur);
+            self.defer_spurs(graph, h, &found, &mut deferred);
+            loop {
+                while candidates
+                    .peek()
+                    .is_some_and(|Reverse((_, c))| found.iter().any(|(p, _)| p == c))
+                {
+                    candidates.pop();
                 }
-                // Ban steps out of the spur taken by found paths sharing
-                // this root, and the root nodes except the spur.
-                for (p, _) in &found {
-                    if p.len() > spur_idx && p[..=spur_idx] == *root {
-                        self.banned_next[p[spur_idx + 1]] = true;
+                let best = candidates.peek().map(|&Reverse((len, _))| len);
+                match deferred.peek() {
+                    Some(&Reverse((bound, ..))) if best.is_none_or(|b| bound <= b) => {
+                        let Reverse(spur) = deferred.pop().expect("peeked");
+                        if let Some(c) = self.spur_search(graph, h, &found, spur) {
+                            candidates.push(Reverse(c));
+                        }
                     }
-                }
-                for &r in &root[..spur_idx] {
-                    self.banned[r] = true;
-                }
-                let tail = self.shortest(graph, spur);
-                for (p, _) in &found {
-                    if let Some(&next) = p.get(spur_idx + 1) {
-                        self.banned_next[next] = false;
-                    }
-                }
-                for &r in &root[..spur_idx] {
-                    self.banned[r] = false;
-                }
-                if let Some((tail, tail_len)) = tail {
-                    let mut nodes = root[..spur_idx].to_vec();
-                    nodes.extend(tail);
-                    candidates.push(Reverse((root_len + tail_len, nodes)));
+                    _ => break,
                 }
             }
-            // Pop the best unseen candidate.
-            let mut next = None;
-            while let Some(Reverse((len, nodes))) = candidates.pop() {
-                if !found.iter().any(|(p, _)| *p == nodes) {
-                    next = Some((nodes, len));
-                    break;
-                }
-            }
-            match next {
-                Some(p) => found.push(p),
+            // Take the best unseen candidate.
+            match candidates.pop() {
+                Some(Reverse((len, nodes))) => found.push((nodes, len)),
                 None => break,
             }
         }
         found
     }
 
-    /// [`k_shortest_from_set`] on this workspace.
+    /// Records one deferred spur search per spur node of the last path
+    /// found. Its bound is the root's length plus the least, over the
+    /// spur's allowed steps, of step length + `h`: 0 for a step to the
+    /// virtual target. A spur with no allowed step gets none, as its
+    /// search would find nothing.
+    fn defer_spurs(
+        &mut self,
+        graph: &ChannelGraph,
+        h: &[i64],
+        found: &[(Vec<usize>, i64)],
+        deferred: &mut BinaryHeap<Reverse<Deferred>>,
+    ) {
+        let n = graph.len();
+        let f = found.len();
+        let last = &found[f - 1].0;
+        // Found paths sharing the root so far.
+        let mut sharing: Vec<usize> = (0..f).collect();
+        let mut root_len = 0;
+        for spur_idx in 0..last.len() - 1 {
+            let spur = last[spur_idx];
+            if spur_idx > 0 {
+                root_len += step_length(graph, last[spur_idx - 1], spur);
+                self.banned[last[spur_idx - 1]] = true;
+            }
+            sharing.retain(|&i| found[i].0.get(spur_idx) == Some(&spur));
+            for &i in &sharing {
+                self.banned_next[found[i].0[spur_idx + 1]] = true;
+            }
+            let allowed = |ws: &SearchSpace, v: usize| {
+                !ws.banned[v] && !ws.banned_next[v] && h.get(v).is_none_or(|&d| d != i64::MAX)
+            };
+            let least = if spur == n {
+                self.sources
+                    .iter()
+                    .filter(|&&s| allowed(self, s))
+                    .map(|&s| h[s])
+                    .min()
+            } else if self.target[spur] && allowed(self, n + 1) {
+                Some(0)
+            } else {
+                graph
+                    .neighbors(spur)
+                    .iter()
+                    .filter(|&&(v, _)| allowed(self, v))
+                    .map(|&(v, e)| graph.edges[e].length + h[v])
+                    .min()
+            };
+            for &i in &sharing {
+                self.banned_next[found[i].0[spur_idx + 1]] = false;
+            }
+            if let Some(least) = least {
+                deferred.push(Reverse((root_len + least, f, spur_idx, root_len)));
+            }
+        }
+        for &r in &last[..last.len() - 1] {
+            self.banned[r] = false;
+        }
+    }
+
+    /// Runs a deferred spur search under the bans Yen sets for it when
+    /// its path is found: the steps out of the spur that the first `f`
+    /// paths sharing its root take, and the root's nodes before the spur.
+    /// Returns the candidate it yields, as `(length, nodes)`.
+    fn spur_search(
+        &mut self,
+        graph: &ChannelGraph,
+        h: &[i64],
+        found: &[(Vec<usize>, i64)],
+        (_, f, spur_idx, root_len): Deferred,
+    ) -> Option<(i64, Vec<usize>)> {
+        let root = &found[f - 1].0[..=spur_idx];
+        for (p, _) in &found[..f] {
+            if p.len() > spur_idx && p[..=spur_idx] == *root {
+                self.banned_next[p[spur_idx + 1]] = true;
+            }
+        }
+        for &r in &root[..spur_idx] {
+            self.banned[r] = true;
+        }
+        let tail = self.astar(graph, h, root[spur_idx]);
+        for (p, _) in &found[..f] {
+            if let Some(&next) = p.get(spur_idx + 1) {
+                self.banned_next[next] = false;
+            }
+        }
+        for &r in &root[..spur_idx] {
+            self.banned[r] = false;
+        }
+        tail.map(|(tail, tail_len)| {
+            let mut nodes = root[..spur_idx].to_vec();
+            nodes.extend(tail);
+            (root_len + tail_len, nodes)
+        })
+    }
+
+    /// [`k_shortest_from_set`] on this workspace; table `table` holds
+    /// the distances to `targets`.
     pub(crate) fn k_shortest(
         &mut self,
         graph: &ChannelGraph,
         sources: &[usize],
         targets: &[usize],
+        table: usize,
         k: usize,
     ) -> Vec<Path> {
         if graph.is_empty() || sources.is_empty() || targets.is_empty() || k == 0 {
             return Vec::new();
         }
+        // The searches borrow the table while they mutate the rest.
+        let h = std::mem::take(&mut self.tables[table]);
         // Degenerate: a target is already a source.
-        if let Some(&t) = targets.iter().find(|t| sources.contains(t)) {
+        let out = if let Some(&t) = targets.iter().find(|t| sources.contains(t)) {
             let mut out = vec![Path {
                 nodes: vec![t],
                 length: 0,
             }];
             out.extend(
-                self.k_shortest_nontrivial(graph, sources, targets, k - 1)
+                self.k_shortest_nontrivial(graph, sources, targets, &h, k - 1)
                     .into_iter()
                     .filter(|p| p.nodes.len() > 1),
             );
-            return out;
-        }
-        self.k_shortest_nontrivial(graph, sources, targets, k)
+            out
+        } else {
+            self.k_shortest_nontrivial(graph, sources, targets, &h, k)
+        };
+        self.tables[table] = h;
+        out
     }
 
     fn k_shortest_nontrivial(
@@ -309,6 +424,7 @@ impl SearchSpace {
         graph: &ChannelGraph,
         sources: &[usize],
         targets: &[usize],
+        h: &[i64],
         k: usize,
     ) -> Vec<Path> {
         self.sources.clear();
@@ -316,7 +432,7 @@ impl SearchSpace {
         for &t in targets {
             self.target[t] = true;
         }
-        let found = self.yen(graph, k);
+        let found = self.yen(graph, h, k);
         for &t in targets {
             self.target[t] = false;
         }
@@ -365,7 +481,9 @@ pub fn k_shortest_from_set(
     targets: &[usize],
     k: usize,
 ) -> Vec<Path> {
-    SearchSpace::new(graph.len()).k_shortest(graph, sources, targets, k)
+    let mut space = SearchSpace::new(graph.len());
+    space.fill_table(graph, 0, targets);
+    space.k_shortest(graph, sources, targets, 0, k)
 }
 
 #[cfg(test)]
@@ -542,8 +660,8 @@ mod tests {
         }
     }
 
-    /// The reference for [`SearchSpace::nearest_point`]: a full
-    /// [`dijkstra`], then the first point at the minimum distance.
+    /// The reference for [`SearchSpace::prim_step`]: a full [`dijkstra`]
+    /// from the tree, then the first point at the minimum distance.
     fn nearest_by_dijkstra(
         g: &ChannelGraph,
         sources: &[usize],
@@ -562,6 +680,16 @@ mod tests {
             .expect("rest nonempty")
     }
 
+    /// [`SearchSpace::prim_step`] from `tree` after filling every
+    /// point's table.
+    fn prim_step(g: &ChannelGraph, tree: &[usize], points: &[Vec<usize>], rest: &[usize]) -> usize {
+        let mut space = SearchSpace::new(g.len());
+        for (p, cands) in points.iter().enumerate() {
+            space.fill_table(g, p, cands);
+        }
+        space.prim_step(tree, rest)
+    }
+
     #[test]
     fn nearest_point_breaks_ties_in_rest_order() {
         // Five unit-spaced strips in a row, plus one far away that
@@ -572,16 +700,179 @@ mod tests {
         regions.push(region(Rect::from_wh(100, 0, 2, 10)));
         let g = ChannelGraph::build(regions, 2.0);
         let points = vec![vec![5], vec![3], vec![4, 1], vec![0]];
-        let mut space = SearchSpace::new(g.len());
         for rest in [vec![0, 1, 2, 3], vec![0, 2, 1, 3], vec![0, 3], vec![0]] {
             let expected = nearest_by_dijkstra(&g, &[2], &points, &rest);
-            assert_eq!(space.nearest_point(&g, &[2], &points, &rest), expected);
+            assert_eq!(prim_step(&g, &[2], &points, &rest), expected);
         }
         // The tie goes to the earlier point; an unreachable-only rest
         // picks its first point.
-        assert_eq!(space.nearest_point(&g, &[2], &points, &[0, 2, 1]), 1);
-        assert_eq!(space.nearest_point(&g, &[2], &points, &[0, 1, 2]), 1);
-        assert_eq!(space.nearest_point(&g, &[2], &points, &[0]), 0);
+        assert_eq!(prim_step(&g, &[2], &points, &[0, 2, 1]), 1);
+        assert_eq!(prim_step(&g, &[2], &points, &[0, 1, 2]), 1);
+        assert_eq!(prim_step(&g, &[2], &points, &[0]), 0);
+    }
+
+    /// The eager search this module's lazy one must match path for path:
+    /// every Yen spur search run at once with a plain Dijkstra popping by
+    /// `(dist, node)`, over the same virtual terminals.
+    struct Eager {
+        dist: Vec<i64>,
+        prev: Vec<usize>,
+        sources: Vec<usize>,
+        target: Vec<bool>,
+        banned: Vec<bool>,
+        banned_next: Vec<bool>,
+    }
+
+    impl Eager {
+        fn shortest(&mut self, graph: &ChannelGraph, spur: usize) -> Option<(Vec<usize>, i64)> {
+            let n = graph.len();
+            let t = n + 1;
+            self.dist.fill(i64::MAX);
+            let mut heap = BinaryHeap::new();
+            self.dist[spur] = 0;
+            heap.push(Reverse((0, spur)));
+            while let Some(Reverse((d, u))) = heap.pop() {
+                if d > self.dist[u] {
+                    continue;
+                }
+                if u == t {
+                    break;
+                }
+                let blocked =
+                    |ws: &Eager, v: usize| ws.banned[v] || (u == spur && ws.banned_next[v]);
+                let mut steps: Vec<(usize, i64)> = Vec::new();
+                if u == n {
+                    steps.extend(self.sources.iter().map(|&s| (s, 0)));
+                } else {
+                    steps.extend(
+                        graph
+                            .neighbors(u)
+                            .iter()
+                            .map(|&(v, e)| (v, graph.edges[e].length)),
+                    );
+                    if self.target[u] {
+                        steps.push((t, 0));
+                    }
+                }
+                for (v, w) in steps {
+                    if !blocked(self, v) && d + w < self.dist[v] {
+                        self.dist[v] = d + w;
+                        self.prev[v] = u;
+                        heap.push(Reverse((d + w, v)));
+                    }
+                }
+            }
+            (self.dist[t] != i64::MAX).then(|| {
+                let mut nodes = vec![t];
+                let mut cur = t;
+                while cur != spur {
+                    cur = self.prev[cur];
+                    nodes.push(cur);
+                }
+                nodes.reverse();
+                (nodes, self.dist[t])
+            })
+        }
+
+        fn yen(&mut self, graph: &ChannelGraph, k: usize) -> Vec<(Vec<usize>, i64)> {
+            let n = graph.len();
+            let mut found: Vec<(Vec<usize>, i64)> = Vec::new();
+            let mut candidates: BinaryHeap<Reverse<(i64, Vec<usize>)>> = BinaryHeap::new();
+            let Some(first) = self.shortest(graph, n) else {
+                return found;
+            };
+            found.push(first);
+            while found.len() < k {
+                let last_path = found.last().expect("nonempty").0.clone();
+                let mut root_len = 0;
+                for spur_idx in 0..last_path.len() - 1 {
+                    let spur = last_path[spur_idx];
+                    let root = &last_path[..=spur_idx];
+                    if spur_idx > 0 {
+                        root_len += step_length(graph, last_path[spur_idx - 1], spur);
+                    }
+                    for (p, _) in &found {
+                        if p.len() > spur_idx && p[..=spur_idx] == *root {
+                            self.banned_next[p[spur_idx + 1]] = true;
+                        }
+                    }
+                    for &r in &root[..spur_idx] {
+                        self.banned[r] = true;
+                    }
+                    let tail = self.shortest(graph, spur);
+                    self.banned_next.fill(false);
+                    self.banned.fill(false);
+                    if let Some((tail, tail_len)) = tail {
+                        let mut nodes = root[..spur_idx].to_vec();
+                        nodes.extend(tail);
+                        candidates.push(Reverse((root_len + tail_len, nodes)));
+                    }
+                }
+                let mut next = None;
+                while let Some(Reverse((len, nodes))) = candidates.pop() {
+                    if !found.iter().any(|(p, _)| *p == nodes) {
+                        next = Some((nodes, len));
+                        break;
+                    }
+                }
+                match next {
+                    Some(p) => found.push(p),
+                    None => break,
+                }
+            }
+            found
+        }
+
+        /// [`k_shortest_from_set`] on the eager search.
+        fn k_shortest(
+            graph: &ChannelGraph,
+            sources: &[usize],
+            targets: &[usize],
+            k: usize,
+        ) -> Vec<Path> {
+            let n = graph.len();
+            let mut eager = Eager {
+                dist: vec![i64::MAX; n + 2],
+                prev: vec![usize::MAX; n + 2],
+                sources: sources.to_vec(),
+                target: vec![false; n + 2],
+                banned: vec![false; n + 2],
+                banned_next: vec![false; n + 2],
+            };
+            for &t in targets {
+                eager.target[t] = true;
+            }
+            let strip = |found: Vec<(Vec<usize>, i64)>| {
+                found.into_iter().map(|(nodes, length)| Path {
+                    nodes: nodes[1..nodes.len() - 1].to_vec(),
+                    length,
+                })
+            };
+            match targets.iter().find(|t| sources.contains(t)) {
+                Some(&t) => {
+                    let mut out = vec![Path {
+                        nodes: vec![t],
+                        length: 0,
+                    }];
+                    out.extend(strip(eager.yen(graph, k - 1)).filter(|p| p.nodes.len() > 1));
+                    out
+                }
+                None => strip(eager.yen(graph, k)).collect(),
+            }
+        }
+    }
+
+    /// A channel graph of regions on a coarse lattice: equal edge lengths
+    /// abound, and a width of 2 leaves a gap, so components are often
+    /// disconnected and some nodes unreachable.
+    fn lattice_graph(rects: &[(i64, i64, i64, i64)]) -> ChannelGraph {
+        ChannelGraph::build(
+            rects
+                .iter()
+                .map(|&(x, y, w, h)| region(Rect::from_wh(4 * x, 4 * y, 2 * w, 2 * h)))
+                .collect(),
+            2.0,
+        )
     }
 
     proptest::proptest! {
@@ -597,16 +888,7 @@ mod tests {
             sources in proptest::collection::vec(proptest::prelude::any::<usize>(), 1..4),
             skip in proptest::prelude::any::<usize>(),
         ) {
-            // Rectangles on a coarse lattice: equal edge lengths abound,
-            // and a width of 2 leaves a gap, so components are often
-            // disconnected and some points unreachable.
-            let g = ChannelGraph::build(
-                rects
-                    .iter()
-                    .map(|&(x, y, w, h)| region(Rect::from_wh(4 * x, 4 * y, 2 * w, 2 * h)))
-                    .collect(),
-                2.0,
-            );
+            let g = lattice_graph(&rects);
             let n = g.len();
             let points: Vec<Vec<usize>> =
                 cands.iter().map(|c| c.iter().map(|&v| v % n).collect()).collect();
@@ -616,10 +898,34 @@ mod tests {
                 .collect();
             proptest::prop_assume!(!rest.is_empty());
             let expected = nearest_by_dijkstra(&g, &sources, &points, &rest);
-            let mut space = SearchSpace::new(n);
-            proptest::prop_assert_eq!(space.nearest_point(&g, &sources, &points, &rest), expected);
+            proptest::prop_assert_eq!(prim_step(&g, &sources, &points, &rest), expected);
+        }
+
+        #[test]
+        fn paths_match_the_eager_search_tie_for_tie(
+            rects in proptest::collection::vec((0i64..5, 0i64..5, 1i64..3, 1i64..3), 1..16),
+            sources in proptest::collection::vec(proptest::prelude::any::<usize>(), 1..4),
+            targets in proptest::collection::vec(proptest::prelude::any::<usize>(), 1..4),
+            overlap in proptest::prelude::any::<bool>(),
+            k in 1usize..9,
+        ) {
+            let g = lattice_graph(&rects);
+            let n = g.len();
+            let sources: Vec<usize> = sources.iter().map(|&v| v % n).collect();
+            let mut targets: Vec<usize> = targets.iter().map(|&v| v % n).collect();
+            if overlap {
+                targets[0] = sources[0];
+            }
+            let expected = Eager::k_shortest(&g, &sources, &targets, k);
+            proptest::prop_assert_eq!(k_shortest_from_set(&g, &sources, &targets, k), expected.clone());
             // A workspace is left clean for the next search.
-            proptest::prop_assert_eq!(space.nearest_point(&g, &sources, &points, &rest), expected);
+            let mut space = SearchSpace::new(n);
+            space.fill_table(&g, 0, &targets);
+            space.fill_table(&g, 1, &sources);
+            let first = space.k_shortest(&g, &sources, &targets, 0, k);
+            space.k_shortest(&g, &targets, &sources, 1, k);
+            proptest::prop_assert_eq!(&first, &expected);
+            proptest::prop_assert_eq!(space.k_shortest(&g, &sources, &targets, 0, k), expected);
         }
     }
 }

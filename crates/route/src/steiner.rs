@@ -92,6 +92,10 @@ pub(crate) fn enumerate_in(
     if graph.is_empty() || points.is_empty() || m == 0 {
         return Vec::new();
     }
+    // One distance table per point to connect (all but the first).
+    for (p, cands) in points.iter().enumerate().skip(1) {
+        space.fill_table(graph, p, cands);
+    }
     let beam_width = m.max(per_level * per_level).min(64);
 
     // Start states: each candidate of the first connection point, with
@@ -116,9 +120,9 @@ pub(crate) fn enumerate_in(
                 continue;
             }
             // Prim: nearest unconnected point next.
-            let pos = space.nearest_point(graph, &tree.nodes, points, &rest);
+            let pos = space.prim_step(&tree.nodes, &rest);
             let point = rest.remove(pos);
-            for p in space.k_shortest(graph, &tree.nodes, &points[point], per_level) {
+            for p in space.k_shortest(graph, &tree.nodes, &points[point], point, per_level) {
                 next_beam.push((tree.absorb_path(graph, &p.nodes), rest.clone()));
             }
         }

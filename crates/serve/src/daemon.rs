@@ -145,10 +145,20 @@ struct JobRecord {
     /// When the job last entered the wait queue (set on submit and on
     /// every re-enqueue) — the start point of the queue-wait histogram.
     enqueued_at: Option<Instant>,
-    /// The job's span tracer: one timeline across every attempt, so
-    /// queued → running → preempted → resumed → done reads as one
-    /// trace. Persisted to the spool when the job goes terminal.
-    tracer: Arc<Tracer>,
+    /// The job's span trace.
+    trace: JobTrace,
+}
+
+/// Where a job's span trace lives.
+#[derive(Debug)]
+enum JobTrace {
+    /// Recording: one timeline across every attempt, so queued →
+    /// running → preempted → resumed → done reads as one trace.
+    Live(Arc<Tracer>),
+    /// Sealed into the spool; the span rings are dropped.
+    Sealed,
+    /// Sealed, but the spool write failed: the capture itself.
+    Unspooled(String),
 }
 
 /// Monotonic service counters (the `/stats` payload).
@@ -272,7 +282,7 @@ impl Daemon {
                     spec: recovered.spec,
                     status,
                     enqueued_at: waiting.then(Instant::now),
-                    tracer: Tracer::new(),
+                    trace: JobTrace::Live(Tracer::new()),
                 },
             );
         }
@@ -387,7 +397,7 @@ impl Daemon {
                 spec,
                 status: JobStatus::default(),
                 enqueued_at: Some(Instant::now()),
-                tracer: Tracer::new(),
+                trace: JobTrace::Live(Tracer::new()),
             },
         );
         self.maybe_preempt(&mut inner, priority);
@@ -506,16 +516,33 @@ impl Daemon {
     /// The job's span trace as a JSONL capture (`GET /jobs/<id>/trace`).
     /// Live jobs snapshot the tracer in flight (safe against the
     /// worker's concurrent writes); terminal jobs read the capture
-    /// sealed into the spool at disposal.
+    /// sealed into the spool at disposal, or kept in memory when that
+    /// write failed.
     pub fn trace(&self, id: &str) -> Option<String> {
         let inner = self.state.lock().unwrap();
         let job = inner.jobs.get(id)?;
-        if job.status.state.terminal() {
-            if let Some(text) = self.spool.read_trace(id) {
-                return Some(text);
+        match &job.trace {
+            JobTrace::Live(tracer) => {
+                // A job adopted in a terminal state was sealed by an
+                // earlier daemon.
+                if job.status.state.terminal() {
+                    if let Some(text) = self.spool.read_trace(id) {
+                        return Some(text);
+                    }
+                }
+                Some(capture_to_string(&tracer.collect()))
             }
+            JobTrace::Sealed => self.spool.read_trace(id),
+            JobTrace::Unspooled(text) => Some(text.clone()),
         }
-        Some(capture_to_string(&job.tracer.collect()))
+    }
+
+    /// Whether the job still holds its span rings in memory (it is
+    /// recording), or `None` for an unknown id.
+    pub fn trace_is_live(&self, id: &str) -> Option<bool> {
+        let inner = self.state.lock().unwrap();
+        let job = inner.jobs.get(id)?;
+        Some(matches!(job.trace, JobTrace::Live(_)))
     }
 
     /// The `/stats` payload.
@@ -639,7 +666,10 @@ impl Daemon {
             }
             let waited_as = job.status.state;
             job.status.state = JobState::Running;
-            let tracer = Arc::clone(&job.tracer);
+            let JobTrace::Live(tracer) = &job.trace else {
+                unreachable!("traces are sealed only at a terminal state or a drain")
+            };
+            let tracer = Arc::clone(tracer);
             if let Some(t0) = job.enqueued_at.take() {
                 self.hub
                     .queue_wait_ms
@@ -774,16 +804,23 @@ impl Daemon {
         }
     }
 
-    /// Stamps a terminal lifecycle mark on the job's trace and seals
-    /// the capture into the spool. Called with the state lock held.
-    fn seal_trace(&self, inner: &Inner, id: &str, terminal: &'static str) {
-        if let Some(job) = inner.jobs.get(id) {
-            job.tracer
-                .lane("job")
-                .mark(terminal, "serve", Instant::now());
-            let capture = capture_to_string(&job.tracer.collect());
-            let _ = self.spool.write_trace(id, &capture);
-        }
+    /// Stamps a terminal lifecycle mark on the job's trace, seals the
+    /// capture into the spool and drops the span rings (keeping the
+    /// capture itself when the write fails). Called with the state lock
+    /// held.
+    fn seal_trace(&self, inner: &mut Inner, id: &str, terminal: &'static str) {
+        let Some(job) = inner.jobs.get_mut(id) else {
+            return;
+        };
+        let JobTrace::Live(tracer) = &job.trace else {
+            return;
+        };
+        tracer.lane("job").mark(terminal, "serve", Instant::now());
+        let capture = capture_to_string(&tracer.collect());
+        job.trace = match self.spool.write_trace(id, &capture) {
+            Ok(()) => JobTrace::Sealed,
+            Err(_) => JobTrace::Unspooled(capture),
+        };
     }
 
     fn dispose_failed(&self, id: &str, error: String) {
@@ -797,7 +834,7 @@ impl Daemon {
             let status = job.status.clone();
             let _ = self.spool.write_status(id, &status);
         }
-        self.seal_trace(&inner, id, "failed");
+        self.seal_trace(&mut inner, id, "failed");
         self.sync_gauges(&inner);
         drop(inner);
         self.change.notify_all();
@@ -821,7 +858,7 @@ impl Daemon {
             let status = job.status.clone();
             let _ = self.spool.write_status(id, &status);
         }
-        self.seal_trace(&inner, id, "done");
+        self.seal_trace(&mut inner, id, "done");
         self.sync_gauges(&inner);
         drop(inner);
         self.change.notify_all();
@@ -843,7 +880,7 @@ impl Daemon {
                     let status = job.status.clone();
                     let _ = self.spool.write_status(id, &status);
                 }
-                self.seal_trace(&inner, id, "cancelled");
+                self.seal_trace(&mut inner, id, "cancelled");
                 self.spool.remove_checkpoint(id);
             }
             StopCause::Drain => {
@@ -857,7 +894,7 @@ impl Daemon {
                     let status = job.status.clone();
                     let _ = self.spool.write_status(id, &status);
                 }
-                self.seal_trace(&inner, id, "drained");
+                self.seal_trace(&mut inner, id, "drained");
             }
             StopCause::Preempt | StopCause::None => {
                 let requeue = inner.jobs.get_mut(id).map(|job| {

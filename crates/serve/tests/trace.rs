@@ -4,13 +4,15 @@
 
 mod common;
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use common::*;
+use twmc_fault::{FaultSchedule, FaultVfs};
 use twmc_obs::validate::parse_json;
 use twmc_serve::client;
 use twmc_serve::json::get_str;
-use twmc_serve::JobState;
+use twmc_serve::{Daemon, JobState, ServeOptions};
 
 /// Every line of a capture must be standalone JSON, and the first
 /// must be the `trace_meta` header.
@@ -117,4 +119,62 @@ fn preempted_job_keeps_one_timeline_across_attempts() {
         2,
         "one running span per attempt"
     );
+}
+
+/// Runs one tiny job to completion over HTTP, with the spool's writes
+/// under the fault schedule `faults` if given, and returns the daemon,
+/// the job id and the body `GET /jobs/<id>/trace` serves once it is
+/// done.
+fn finished_trace(tag: &str, faults: Option<&str>) -> (Arc<Daemon>, String, String) {
+    let mut opts = ServeOptions {
+        workers: 1,
+        spool: temp_spool(tag),
+        ..Default::default()
+    };
+    if let Some(schedule) = faults {
+        opts.vfs = Arc::new(FaultVfs::new(FaultSchedule::parse(schedule).unwrap()));
+    }
+    let daemon = Daemon::start(opts).expect("daemon starts");
+    let (addr, stop, handle) = start_server(daemon.clone());
+    let posted = client::post_raw(&addr, "/jobs?ac=5&seed=3", &tiny_netlist(3)).unwrap();
+    assert_eq!(posted.status, 201, "{}", posted.body);
+    let id = get_str(&posted.json().unwrap(), "id").unwrap().to_owned();
+    assert_eq!(daemon.trace_is_live(&id), Some(true));
+    assert_eq!(
+        daemon.wait_terminal(&id, Duration::from_secs(60)),
+        Some(JobState::Done)
+    );
+    let served = client::get(&addr, &format!("/jobs/{id}/trace")).unwrap();
+    assert_eq!(served.status, 200);
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    handle.join().unwrap().unwrap();
+    (daemon, id, served.body)
+}
+
+#[test]
+fn finished_job_drops_its_rings_and_serves_the_sealed_capture() {
+    let (daemon, id, served) = finished_trace("trace-sealed", None);
+    // Byte for byte the spool's capture, with the rings gone.
+    let spooled = std::fs::read_to_string(daemon.spool().trace_path(&id)).unwrap();
+    assert_eq!(served, spooled);
+    assert_eq!(daemon.trace_is_live(&id), Some(false));
+    assert_eq!(daemon.trace_is_live("zzz"), None);
+    assert_valid_capture(&served);
+    assert!(served.contains("\"name\":\"done\""));
+}
+
+#[test]
+fn failed_trace_write_keeps_the_capture_in_memory() {
+    let (daemon, id, served) = finished_trace("trace-eio", Some("eio=write:trace.jsonl@1"));
+    assert!(!daemon.spool().trace_path(&id).exists());
+    assert_eq!(daemon.trace_is_live(&id), Some(false));
+    assert_valid_capture(&served);
+    for needle in [
+        "\"name\":\"queued\"",
+        "\"name\":\"running\"",
+        "\"name\":\"done\"",
+        "\"name\":\"stage1\"",
+    ] {
+        assert!(served.contains(needle), "capture lacks {needle}");
+    }
 }

@@ -201,9 +201,44 @@ impl Stream {
     }
 }
 
-/// A shelf-packed placement of `n` cells and `n_nets` nets of 2–5
-/// connection points on the cells' edges, some with two or three
+/// `n_nets` nets of `points` connection points each (a draw from the
+/// range) on the cells' edges, some with two or three
 /// electrically-equivalent candidates.
+fn golden_nets(
+    draw: &mut Stream,
+    cells: &[(TileSet, Point)],
+    points: (i64, i64),
+    n_nets: usize,
+) -> Vec<NetPins> {
+    (0..n_nets)
+        .map(|_| {
+            let points = (0..draw.range(points.0, points.1))
+                .map(|_| {
+                    let equivalents = draw.range(1, 4).min(draw.range(1, 4));
+                    (0..equivalents).map(|_| draw.pin(cells)).collect()
+                })
+                .collect();
+            NetPins { points }
+        })
+        .collect()
+}
+
+/// The placement of `cells` in a core `gap` (at least 4) beyond their
+/// bounding box.
+fn golden_geometry(cells: Vec<(TileSet, Point)>, gap: i64) -> PlacedGeometry {
+    let bbox = cells
+        .iter()
+        .map(|(t, p)| t.bbox().translate(*p))
+        .reduce(|a, b| a.hull(b))
+        .expect("cells");
+    PlacedGeometry {
+        core: bbox.expand(gap.max(4)),
+        cells,
+    }
+}
+
+/// A shelf-packed placement of `n` cells and `n_nets` nets of 2–5
+/// connection points.
 fn golden_case(
     draw: &mut Stream,
     n: usize,
@@ -223,27 +258,63 @@ fn golden_case(
         x += w + gap;
         shelf = shelf.max(h + gap);
     }
-    let nets = (0..n_nets)
-        .map(|_| {
-            let points = (0..draw.range(2, 6))
-                .map(|_| {
-                    let equivalents = draw.range(1, 4).min(draw.range(1, 4));
-                    (0..equivalents).map(|_| draw.pin(&cells)).collect()
-                })
-                .collect();
-            NetPins { points }
-        })
-        .collect();
-    let bbox = cells
-        .iter()
-        .map(|(t, p)| t.bbox().translate(*p))
-        .reduce(|a, b| a.hull(b))
-        .expect("cells");
-    let geometry = PlacedGeometry {
-        core: bbox.expand(gap.max(4)),
-        cells,
-    };
-    (geometry, nets)
+    let nets = golden_nets(draw, &cells, (2, 6), n_nets);
+    (golden_geometry(cells, gap), nets)
+}
+
+/// Hashes what the router makes of `nets` on `geometry` at `params`:
+/// every alternative phase 1 enumerates per net (edges, nodes and
+/// length), then phase 2's choice per net, `L`, `X` and every node's
+/// density. Returns the interchange's attempt count.
+fn digest_routing(
+    h: &mut Fnv1a,
+    geometry: &PlacedGeometry,
+    nets: &[NetPins],
+    params: &RouterParams,
+    seed: u64,
+    with_nodes: bool,
+) -> usize {
+    let graph = build_channel_graph(geometry, params.track_spacing);
+    for net in nets {
+        let points: Vec<Vec<usize>> = net
+            .points
+            .iter()
+            .map(|cands| {
+                let mut nodes: Vec<usize> =
+                    cands.iter().filter_map(|&p| graph.attach_pin(p)).collect();
+                nodes.sort_unstable();
+                nodes.dedup();
+                nodes
+            })
+            .collect();
+        let trees = enumerate_route_trees(&graph, &points, params.m_alternatives, params.per_level);
+        h.int(trees.len() as i64);
+        for tree in &trees {
+            h.int(tree.edges.len() as i64);
+            for &(a, b) in &tree.edges {
+                h.int(a as i64);
+                h.int(b as i64);
+            }
+            if with_nodes {
+                h.int(tree.nodes.len() as i64);
+                for &n in &tree.nodes {
+                    h.int(n as i64);
+                }
+            }
+            h.int(tree.length);
+        }
+    }
+    let routing = global_route(geometry, nets, params, seed);
+    assert_eq!(routing.unrouted, 0);
+    for &k in &routing.assignment.choice {
+        h.int(k as i64);
+    }
+    h.int(routing.total_length());
+    h.int(routing.overflow());
+    for &d in &routing.node_density {
+        h.int(d as i64);
+    }
+    routing.assignment.attempts
 }
 
 #[test]
@@ -259,43 +330,33 @@ fn golden_router_digest() {
     let mut attempts = 0;
     for (n, gap, n_nets, seed) in [(5, 2, 8, 5u64), (6, 3, 7, 11), (7, 4, 6, 23)] {
         let (geometry, nets) = golden_case(&mut draw, n, gap, n_nets);
-        let graph = build_channel_graph(&geometry, params.track_spacing);
-        for net in &nets {
-            let points: Vec<Vec<usize>> = net
-                .points
-                .iter()
-                .map(|cands| {
-                    let mut nodes: Vec<usize> =
-                        cands.iter().filter_map(|&p| graph.attach_pin(p)).collect();
-                    nodes.sort_unstable();
-                    nodes.dedup();
-                    nodes
-                })
-                .collect();
-            let trees =
-                enumerate_route_trees(&graph, &points, params.m_alternatives, params.per_level);
-            h.int(trees.len() as i64);
-            for tree in &trees {
-                h.int(tree.edges.len() as i64);
-                for &(a, b) in &tree.edges {
-                    h.int(a as i64);
-                    h.int(b as i64);
-                }
-                h.int(tree.length);
-            }
-        }
-        let routing = global_route(&geometry, &nets, &params, seed);
-        assert_eq!(routing.unrouted, 0);
-        for &k in &routing.assignment.choice {
-            h.int(k as i64);
-        }
-        h.int(routing.total_length());
-        h.int(routing.overflow());
-        for &d in &routing.node_density {
-            h.int(d as i64);
-        }
-        attempts += routing.assignment.attempts;
+        attempts += digest_routing(&mut h, &geometry, &nets, &params, seed, false);
     }
     assert!(attempts > 0, "no case exercised the interchange");
     assert_eq!(h.0, 10_095_313_619_275_830_698, "router output changed");
+}
+
+#[test]
+fn golden_router_digest_lattice() {
+    // Equal square cells at equal gaps make the channel graph a lattice
+    // of equal-length steps, where equal-length paths abound: this pins
+    // how phase 1 breaks its ties, alternative by alternative.
+    let params = RouterParams::default();
+    let mut draw = Stream(1988);
+    let mut h = Fnv1a::new();
+    let mut attempts = 0;
+    for (side, gap, n_nets, seed) in [(4, 4, 10, 7u64), (5, 4, 10, 13)] {
+        let (size, pitch) = (10, 10 + gap);
+        let cells: Vec<(TileSet, Point)> = (0..side * side)
+            .map(|k| {
+                let at = Point::new((k % side) * pitch, (k / side) * pitch);
+                (TileSet::rect(size, size), at)
+            })
+            .collect();
+        let nets = golden_nets(&mut draw, &cells, (3, 7), n_nets);
+        let geometry = golden_geometry(cells, gap);
+        attempts += digest_routing(&mut h, &geometry, &nets, &params, seed, true);
+    }
+    assert!(attempts > 0, "no case exercised the interchange");
+    assert_eq!(h.0, 11_080_888_186_397_519_065, "router output changed");
 }
