@@ -1,12 +1,15 @@
 //! Benchmarks of the stage-1 per-move cost kernels: the incremental
 //! engine (bin-grid overlap index + cached net spans, `move_cost`)
 //! against the from-scratch reference (`move_cost_scan`) at N ∈
-//! {25, 100, 400} cells.
+//! {25, 100, 400} cells, and whole `generate` calls on an annealing
+//! state, which add what a frozen-state evaluation never shows: the
+//! mutation, the index upkeep on commit and the rollback.
 //!
 //! Besides the criterion timings, a measurement run (`cargo bench`)
 //! writes a `BENCH_place.json` summary at the workspace root — one row
-//! per circuit size with the indexed and scan nanoseconds per evaluation
-//! and the resulting speedup (the acceptance bar is ≥5× at 400 cells).
+//! per circuit size with the indexed and scan nanoseconds per evaluation,
+//! the resulting speedup (the acceptance bar is ≥5× at 400 cells), and
+//! the nanoseconds per `generate` attempt.
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
@@ -16,7 +19,7 @@ use std::hint::black_box;
 
 use twmc_estimator::{cell_density_factors, determine_core, EstimatorParams};
 use twmc_netlist::{synthesize, NetId, Netlist, SynthParams};
-use twmc_place::PlacementState;
+use twmc_place::{generate, MoveSet, MoveStats, PlaceParams, PlacementState, Stage1Context};
 
 fn circuit(cells: usize) -> Netlist {
     synthesize(&SynthParams {
@@ -57,6 +60,32 @@ struct KernelRow {
     indexed_ns_per_eval: f64,
     scan_ns_per_eval: f64,
     speedup: f64,
+    generate_ns_per_attempt: f64,
+}
+
+/// Nanoseconds per Metropolis attempt over `calls` whole `generate`
+/// calls on a calibrated random state at a fixed mid-schedule
+/// temperature (`100·S_T`) and its range-limiter window, timed after as
+/// many untimed calls have left the random start behind; returned with
+/// the acceptance ratio of the timed calls.
+fn time_generate(nl: &Netlist, calls: usize) -> (f64, f64) {
+    let params = PlaceParams::default();
+    let mut rng = StdRng::seed_from_u64(5);
+    let ctx = Stage1Context::new(nl, &params, &EstimatorParams::default());
+    let mut st = ctx.random_state(&params, &mut rng);
+    let t = 100.0 * ctx.s_t;
+    let (wx, wy) = (ctx.limiter.window_x(t), ctx.limiter.window_y(t));
+    let mut run = |stats: &mut MoveStats| {
+        for _ in 0..calls {
+            generate(&mut st, &params, MoveSet::Full, wx, wy, t, &mut rng, stats);
+        }
+    };
+    run(&mut MoveStats::default());
+    let mut stats = MoveStats::default();
+    let t0 = std::time::Instant::now();
+    run(&mut stats);
+    let ns = t0.elapsed().as_nanos() as f64 / stats.attempts() as f64;
+    (ns, stats.accepts() as f64 / stats.attempts() as f64)
 }
 
 fn time_evals<F: FnMut() -> f64>(mut f: F, iters: usize) -> f64 {
@@ -96,17 +125,24 @@ fn kernel_summary(test_mode: bool) {
             },
             evals,
         );
+        let (generate_ns, accept) = time_generate(&nl, if test_mode { 8 } else { 20_000 });
+        eprintln!("place/kernels {n} cells: generate acceptance {accept:.2}");
         rows.push(KernelRow {
             cells: n,
             indexed_ns_per_eval: indexed,
             scan_ns_per_eval: scan,
             speedup: scan / indexed,
+            generate_ns_per_attempt: generate_ns,
         });
     }
     for r in &rows {
         eprintln!(
-            "place/kernels {} cells: indexed {:.0}ns, scan {:.0}ns, {:.1}x",
-            r.cells, r.indexed_ns_per_eval, r.scan_ns_per_eval, r.speedup
+            "place/kernels {} cells: indexed {:.0}ns, scan {:.0}ns, {:.1}x, generate {:.0}ns/attempt",
+            r.cells,
+            r.indexed_ns_per_eval,
+            r.scan_ns_per_eval,
+            r.speedup,
+            r.generate_ns_per_attempt
         );
     }
     if !test_mode {

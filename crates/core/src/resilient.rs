@@ -244,7 +244,7 @@ pub fn run_timberwolf_resilient(
                     circuit,
                 ),
             ),
-            ("snap", persist::snapshot_value(&state.snapshot())),
+            ("snap", persist::snapshot_value(&state.snapshot(), nl)),
             ("stage1", persist::stage1_result_value(&stage1)),
             (
                 "parallel",

@@ -152,14 +152,15 @@ impl Orientation {
         Orientation::from_matrix(out)
     }
 
-    /// The inverse orientation: `o.then(o.inverse()) == R0`.
-    pub fn inverse(self) -> Orientation {
-        for o in Orientation::ALL {
-            if self.then(o) == Orientation::R0 {
-                return o;
-            }
+    /// The inverse orientation: `o.then(o.inverse()) == R0`. The quarter
+    /// turns undo each other; every other element is an involution.
+    #[inline]
+    pub const fn inverse(self) -> Orientation {
+        match self {
+            Orientation::R90 => Orientation::R270,
+            Orientation::R270 => Orientation::R90,
+            other => other,
         }
-        unreachable!("D4 is a group")
     }
 
     /// Where a cell side (identified by its outward normal) lands under

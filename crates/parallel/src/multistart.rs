@@ -203,7 +203,7 @@ pub(crate) fn run_controlled<'a>(
                     "replicas",
                     Value::Array(
                         reps.iter()
-                            .map(|r| resume::replica_value(&r.checkpoint()))
+                            .map(|r| resume::replica_value(&r.checkpoint(), nl))
                             .collect(),
                     ),
                 ),

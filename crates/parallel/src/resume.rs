@@ -11,6 +11,7 @@
 //! independent, so resuming on different hardware is legal.
 
 use serde::Value;
+use twmc_netlist::Netlist;
 use twmc_place::persist;
 use twmc_place::{CoolingRun, MoveStats, PlacementSnapshot};
 use twmc_resume::codec::{
@@ -123,13 +124,13 @@ pub(crate) struct ReplicaCk {
     pub updates: u64,
 }
 
-pub(crate) fn replica_value(r: &ReplicaCk) -> Value {
+pub(crate) fn replica_value(r: &ReplicaCk, nl: &Netlist) -> Value {
     codec::object(vec![
         ("seed", Value::UInt(r.seed)),
         ("failed", failed_value(&r.failed)),
         ("rng", u64x4(r.rng)),
         ("run", persist::cooling_run_value(&r.run)),
-        ("snap", persist::snapshot_value(&r.snap)),
+        ("snap", persist::snapshot_value(&r.snap, nl)),
         ("rebuilds", Value::UInt(r.rebuilds)),
         ("updates", Value::UInt(r.updates)),
     ])
@@ -160,14 +161,14 @@ pub(crate) struct RungCk {
     pub updates: u64,
 }
 
-pub(crate) fn rung_value(r: &RungCk) -> Value {
+pub(crate) fn rung_value(r: &RungCk, nl: &Netlist) -> Value {
     codec::object(vec![
         ("seed", Value::UInt(r.seed)),
         ("failed", failed_value(&r.failed)),
         ("rng", u64x4(r.rng)),
         ("stats", persist::move_stats_value(&r.stats)),
         ("traj", f64s_value(&r.trajectory)),
-        ("snap", persist::snapshot_value(&r.snap)),
+        ("snap", persist::snapshot_value(&r.snap, nl)),
         ("rebuilds", Value::UInt(r.rebuilds)),
         ("updates", Value::UInt(r.updates)),
     ])
@@ -191,14 +192,14 @@ pub(crate) fn rung_from(v: &Value) -> Result<RungCk, CheckpointError> {
 /// They travel in the quench payload so the elitist rollback after a
 /// resumed quench compares against the same baselines the
 /// uninterrupted run would have used.
-pub(crate) fn elites_value(elites: &[Option<(PlacementSnapshot, f64)>]) -> Value {
+pub(crate) fn elites_value(elites: &[Option<(PlacementSnapshot, f64)>], nl: &Netlist) -> Value {
     Value::Array(
         elites
             .iter()
             .map(|e| match e {
                 None => Value::Null,
                 Some((snap, teil)) => codec::object(vec![
-                    ("snap", persist::snapshot_value(snap)),
+                    ("snap", persist::snapshot_value(snap, nl)),
                     ("teil", codec::f64_bits(*teil)),
                 ]),
             })

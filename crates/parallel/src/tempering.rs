@@ -627,7 +627,7 @@ pub(crate) fn run_controlled<'a>(
                         Value::Array(
                             rungs
                                 .iter()
-                                .map(|r| resume::rung_value(&r.checkpoint()))
+                                .map(|r| resume::rung_value(&r.checkpoint(), nl))
                                 .collect(),
                         ),
                     ),
@@ -767,7 +767,7 @@ fn quench_all<'a>(
                     "rungs",
                     Value::Array(
                         reps.iter()
-                            .map(|r| resume::replica_value(&r.checkpoint()))
+                            .map(|r| resume::replica_value(&r.checkpoint(), ctx.netlist()))
                             .collect(),
                     ),
                 ),
@@ -777,7 +777,7 @@ fn quench_all<'a>(
                 ),
                 ("swaps", resume::swaps_value(&swaps)),
                 ("failed", resume::failures_value(failures)),
-                ("elites", resume::elites_value(&elites)),
+                ("elites", resume::elites_value(&elites, ctx.netlist())),
             ],
         )
     };

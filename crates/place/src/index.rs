@@ -1,13 +1,15 @@
 //! Uniform bin-grid spatial index over expanded cell bounding boxes.
 //!
-//! `PlacementState::group_overlap` is the stage-1 hot path: it runs twice
-//! per `generate` attempt, millions of times per run. A full scan over
+//! `PlacementState::group_overlap` is the stage-1 hot path: it runs up to
+//! twice per `generate` attempt, millions of times per run. A full scan over
 //! all `N` cells per query (the obvious implementation) makes every move
 //! O(N); the TimberWolf lineage instead keeps cells binned by position so
 //! an overlap query touches only bin-neighbors. This module is that
 //! index: each cell is registered in every bin its *expanded* bounding
 //! box (placed bbox grown by the per-side interconnect expansions)
-//! intersects, and keeps that rect next to its bin range.
+//! intersects, and keeps that rect next to its bin range. A query takes
+//! a rect, not a cell, so a move attempt can ask about its cells' live
+//! footprints while the index still holds their committed ones.
 //!
 //! Exactness: expanded tiles are subsets of the expanded bounding box, so
 //! any pair with nonzero `O(i,j)` has expanded bboxes overlapping with
@@ -56,8 +58,8 @@ pub(crate) struct BinGrid {
 
 impl BinGrid {
     /// Builds the grid over `area` with bins sized near `target_bin`
-    /// (typically the mean cell dimension, so a cell covers a handful of
-    /// bins), and registers every rect of `rects`.
+    /// (typically the mean registered rect's dimension, so a rect covers
+    /// a handful of bins), and registers every rect of `rects`.
     pub fn build(area: Rect, target_bin: i64, rects: &[Rect]) -> Self {
         let n = rects.len().max(1);
         // Cap the axis resolution so the bin count stays O(N) even when
@@ -138,7 +140,6 @@ impl BinGrid {
     }
 
     /// The rect `cell` is currently indexed under.
-    #[cfg(test)]
     pub fn rect(&self, cell: usize) -> Rect {
         self.entries[cell].rect
     }
@@ -179,27 +180,26 @@ impl BinGrid {
         }
     }
 
-    /// Calls `f(j)` exactly once for every other cell `j` whose indexed
-    /// rect overlaps `cell`'s with positive area.
+    /// Calls `f(j)` exactly once for every cell `j` whose indexed rect
+    /// overlaps `r` with positive area.
     ///
-    /// Two overlapping cells share every bin of the intersection of their
-    /// ranges; the pair is taken only in the first of them, at the `max`
-    /// of the two lower bin coordinates, so no candidate list needs
-    /// deduplicating. Pairs whose cached rects merely touch or are apart
-    /// are rejected before the caller looks at their tiles.
+    /// The query rect and an overlapping entry share every bin of the
+    /// intersection of their ranges; the entry is taken only in the first
+    /// of them, at the `max` of the two lower bin coordinates, so no
+    /// candidate list needs deduplicating. Entries whose rects merely
+    /// touch `r` or are apart are rejected before the caller looks at
+    /// their tiles.
     #[inline]
-    pub fn for_each_overlapping(&self, cell: usize, mut f: impl FnMut(usize)) {
-        let me = self.entries[cell];
-        let (bx0, bx1, by0, by1) = me.range;
+    pub fn query(&self, r: Rect, mut f: impl FnMut(usize)) {
+        let (bx0, bx1, by0, by1) = self.range_for(r);
         for by in by0..=by1 {
             for bx in bx0..=bx1 {
                 for &jc in &self.bins[self.bin(bx, by)] {
                     let j = jc as usize;
                     let other = &self.entries[j];
-                    if j != cell
-                        && bx == bx0.max(other.range.0)
+                    if bx == bx0.max(other.range.0)
                         && by == by0.max(other.range.2)
-                        && overlaps(me.rect, other.rect)
+                        && overlaps(r, other.rect)
                     {
                         f(j);
                     }
@@ -223,10 +223,15 @@ mod tests {
         BinGrid::build(Rect::from_wh(0, 0, 100, 100), 10, &rects)
     }
 
-    /// Every visit of the query, in order (duplicates kept).
+    /// Every other cell the query on `cell`'s indexed rect visits, in
+    /// order (duplicates kept).
     fn neighbors(g: &BinGrid, cell: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        g.for_each_overlapping(cell, |j| out.push(j));
+        g.query(g.rect(cell), |j| {
+            if j != cell {
+                out.push(j);
+            }
+        });
         out
     }
 
@@ -308,13 +313,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The query visits exactly the cells whose rects overlap the
-        /// query cell's with positive area, each exactly once — after a
-        /// build and after random re-registrations alike.
+        /// The query visits exactly the registered cells whose rects
+        /// overlap the query rect with positive area, each exactly once —
+        /// for query rects inside and past the binned area, after a build
+        /// and after random re-registrations alike.
         #[test]
         fn query_visits_each_overlapping_cell_once(
             rects in prop::collection::vec(arb_rect(), 1..40),
             moves in prop::collection::vec((0usize..40, arb_rect()), 0..40),
+            queries in prop::collection::vec(arb_rect(), 1..16),
             bin in 3i64..40,
         ) {
             let mut rects = rects;
@@ -326,15 +333,18 @@ mod tests {
             }
             for (i, &ri) in rects.iter().enumerate() {
                 assert_eq!(g.rect(i), ri);
-                let mut seen = neighbors(&g, i);
+            }
+            for q in queries.into_iter().chain(rects.iter().copied()) {
+                let mut seen = Vec::new();
+                g.query(q, |j| seen.push(j));
                 let visits = seen.len();
                 seen.sort_unstable();
                 seen.dedup();
-                assert_eq!(seen.len(), visits, "cell {i} visited a neighbor twice");
+                assert_eq!(seen.len(), visits, "query {q:?} visited a cell twice");
                 let expected: Vec<usize> = (0..rects.len())
-                    .filter(|&j| j != i && ri.overlap_area(rects[j]) > 0)
+                    .filter(|&j| q.overlap_area(rects[j]) > 0)
                     .collect();
-                assert_eq!(seen, expected, "cell {i}");
+                assert_eq!(seen, expected, "query {q:?}");
             }
         }
     }

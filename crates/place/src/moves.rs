@@ -18,9 +18,10 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use twmc_geom::{Orientation, Point, Side};
-use twmc_netlist::{NetId, PinPlacement};
+use twmc_netlist::PinId;
 
-use crate::{select_displacement, PlaceParams, PlacementState, SiteRef};
+use crate::state::{random_side, PinUnit};
+use crate::{select_displacement, MoveCost, PlaceParams, PlacementState, SiteRef};
 
 /// Attempt/accept counters per move class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -147,26 +148,33 @@ pub enum MoveSet {
 
 /// Runs one cell-geometry attempt: save the involved cells, mutate via
 /// `apply`, Metropolis-test, and on rejection put the saved record back.
-/// Returns whether the move was accepted.
+///
+/// `known` is the cost of the current state over `involved` when the
+/// caller has it: a rejected attempt restores exactly the state its
+/// `before` was measured on, so a retry over the same cells passes that
+/// back instead of re-evaluating it. Returns whether the move was
+/// accepted, and the `before` cost.
 fn attempt_cells(
     st: &mut PlacementState<'_>,
     involved: &[usize],
+    known: Option<MoveCost>,
     t: f64,
     rng: &mut StdRng,
     apply: impl FnOnce(&mut PlacementState<'_>),
-) -> bool {
+) -> (bool, MoveCost) {
     st.save_attempt(involved);
-    let before = st.move_cost(involved, st.attempt_nets());
+    let before = known.unwrap_or_else(|| st.move_cost(involved, st.attempt_nets()));
+    debug_assert!(known.is_none() || known == Some(st.move_cost(involved, st.attempt_nets())));
     apply(st);
     let after = st.move_cost(involved, st.attempt_nets());
     let delta = st.weighted_delta(before, after);
-    if metropolis(delta, t, rng) {
+    let accepted = metropolis(delta, t, rng);
+    if accepted {
         st.commit_attempt(before, after);
-        true
     } else {
         st.rollback_attempt();
-        false
     }
+    (accepted, before)
 }
 
 /// The aspect-inverted displacement: re-orient, then move — one refresh.
@@ -191,76 +199,40 @@ fn interchange(st: &mut PlacementState<'_>, i: usize, j: usize, inverted: bool) 
     st.set_cell_center(j, ci);
 }
 
-/// A pin-reassignment attempt (geometry unchanged, so only `C₁` of the
-/// touched nets and the cell's `C₃` are at stake).
+/// A pin-reassignment attempt: `pins[k]` moves to slot `start + k`
+/// (clamped to the edge) of `side`. The geometry is unchanged, so only
+/// `C₁` of the moved pins' nets and the cell's `C₃` are at stake.
 fn attempt_pins(
     st: &mut PlacementState<'_>,
     cell: usize,
-    moves: &[(usize, SiteRef)],
+    pins: &[PinId],
+    side: Side,
+    start: u32,
     t: f64,
     rng: &mut StdRng,
 ) -> bool {
-    let old: Vec<(usize, SiteRef)> = moves
-        .iter()
-        .map(|&(pin, _)| (pin, st.pin_site(pin).expect("moving a sited pin")))
-        .collect();
-    let mut nets: Vec<NetId> = moves
-        .iter()
-        .filter_map(|&(pin, _)| st.netlist().pins()[pin].net)
-        .collect();
-    nets.sort();
-    nets.dedup();
-    let pin_cost = |s: &PlacementState<'_>| crate::MoveCost {
-        c1: nets.iter().map(|n| s.net_cost_live(n.index())).sum(),
-        overlap: 0,
-        c3: s.cells_c3(&[cell]),
-    };
-    let before = pin_cost(st);
-    for &(pin, site) in moves {
-        st.set_pin_site(pin, site);
+    let last = st
+        .cell(cell)
+        .sites
+        .as_ref()
+        .expect("custom cell")
+        .sites_per_edge()
+        - 1;
+    st.save_pin_attempt(pins);
+    let before = st.pin_attempt_cost(cell);
+    for (k, pin) in pins.iter().enumerate() {
+        let slot = (start + k as u32).min(last);
+        st.set_pin_site(pin.index(), SiteRef { side, slot });
     }
-    let after = pin_cost(st);
+    let after = st.pin_attempt_cost(cell);
     let delta = st.weighted_delta(before, after);
     if metropolis(delta, t, rng) {
-        st.commit_cost(before, after, &nets);
+        st.commit_cost(before, after);
         true
     } else {
-        for &(pin, site) in old.iter().rev() {
-            st.set_pin_site(pin, site);
-        }
+        st.rollback_pin_attempt();
         false
     }
-}
-
-/// One uncommitted pin unit of a custom cell: a lone sited pin or a group.
-enum PinUnit {
-    Single(usize),
-    Group(usize),
-}
-
-fn pin_units(st: &PlacementState<'_>, cell: usize) -> Vec<PinUnit> {
-    let nl = st.netlist();
-    let mut units = Vec::new();
-    for &pid in &nl.cells()[cell].pins {
-        if let PinPlacement::Sites(_) = nl.pin(pid).placement {
-            units.push(PinUnit::Single(pid.index()));
-        }
-    }
-    for (gi, g) in nl.groups().iter().enumerate() {
-        if g.cell.index() == cell && !g.pins.is_empty() {
-            units.push(PinUnit::Group(gi));
-        }
-    }
-    units
-}
-
-fn random_allowed_side(sides: twmc_netlist::SideSet, rng: &mut StdRng) -> Side {
-    let opts: Vec<Side> = if sides.is_empty() {
-        Side::ALL.to_vec()
-    } else {
-        sides.iter().collect()
-    };
-    opts[rng.random_range(0..opts.len())]
 }
 
 /// Attempts one pin-unit reassignment on a custom cell.
@@ -270,54 +242,31 @@ fn try_pin_move(
     t: f64,
     rng: &mut StdRng,
 ) -> Option<bool> {
-    let units = pin_units(st, cell);
+    let units = st.pin_units(cell);
     if units.is_empty() {
         return None;
     }
-    let layout = st.cell(cell).sites.as_ref()?;
-    let n_slots = layout.sites_per_edge();
-    let unit = &units[rng.random_range(0..units.len())];
-    let nl = st.netlist();
-    let moves: Vec<(usize, SiteRef)> = match unit {
-        PinUnit::Single(pin) => {
-            let sides = match nl.pins()[*pin].placement {
-                PinPlacement::Sites(s) => s,
-                _ => unreachable!("single units are sited pins"),
-            };
-            let side = random_allowed_side(sides, rng);
+    let n_slots = st.cell(cell).sites.as_ref()?.sites_per_edge();
+    Some(match units[rng.random_range(0..units.len())] {
+        PinUnit::Single(pin, sides) => {
+            let side = random_side(sides, rng);
             let slot = rng.random_range(0..n_slots);
-            vec![(*pin, SiteRef { side, slot })]
+            attempt_pins(st, cell, &[pin], side, slot, t, rng)
         }
-        PinUnit::Group(gi) => {
-            let g = &nl.groups()[*gi];
-            if g.sequenced {
-                // Move the whole sequence to a new side/start, keeping
-                // order.
-                let side = random_allowed_side(g.sides, rng);
-                let start = rng.random_range(0..n_slots);
-                g.pins
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &p)| {
-                        (
-                            p.index(),
-                            SiteRef {
-                                side,
-                                slot: (start + k as u32).min(n_slots - 1),
-                            },
-                        )
-                    })
-                    .collect()
-            } else {
-                // Move one member within the group's sides.
-                let member = g.pins[rng.random_range(0..g.pins.len())];
-                let side = random_allowed_side(g.sides, rng);
-                let slot = rng.random_range(0..n_slots);
-                vec![(member.index(), SiteRef { side, slot })]
-            }
+        // Move the whole sequence to a new side/start, keeping order.
+        PinUnit::Group(g) if g.sequenced => {
+            let side = random_side(g.sides, rng);
+            let start = rng.random_range(0..n_slots);
+            attempt_pins(st, cell, &g.pins, side, start, t, rng)
         }
-    };
-    Some(attempt_pins(st, cell, &moves, t, rng))
+        // Move one member within the group's sides.
+        PinUnit::Group(g) => {
+            let member = rng.random_range(0..g.pins.len());
+            let side = random_side(g.sides, rng);
+            let slot = rng.random_range(0..n_slots);
+            attempt_pins(st, cell, &g.pins[member..=member], side, slot, t, rng)
+        }
+    })
 }
 
 /// Executes one `generate` call of the paper's §3.2.1 cascade and updates
@@ -353,12 +302,16 @@ pub fn generate(
             raw.y.clamp(core.lo().y, core.hi().y),
         );
 
-        let mut accepted = attempt_cells(st, &[i], t, rng, |s| s.set_cell_center(i, target));
+        let (mut accepted, before) =
+            attempt_cells(st, &[i], None, t, rng, |s| s.set_cell_center(i, target));
         MoveStats::add(&mut stats.displacements, accepted);
 
+        // The retries start from the state the rejected attempt restored.
         if !accepted && move_set == MoveSet::Full {
             // Retry with the aspect ratio inverted (paper Fig. 2).
-            accepted = attempt_cells(st, &[i], t, rng, |s| displace_inverted(s, i, target));
+            (accepted, _) = attempt_cells(st, &[i], Some(before), t, rng, |s| {
+                displace_inverted(s, i, target)
+            });
             MoveStats::add(&mut stats.inverted_displacements, accepted);
 
             if !accepted {
@@ -368,7 +321,9 @@ pub fn generate(
                 if o == cur {
                     o = o.aspect_inverted();
                 }
-                let acc = attempt_cells(st, &[i], t, rng, |s| s.set_cell_orientation(i, o));
+                let (acc, _) = attempt_cells(st, &[i], Some(before), t, rng, |s| {
+                    s.set_cell_orientation(i, o)
+                });
                 MoveStats::add(&mut stats.orientations, acc);
             }
         }
@@ -376,7 +331,7 @@ pub fn generate(
         let cell = &st.netlist().cells()[i];
         if cell.is_custom() {
             // Pin placement attempts: one per uncommitted unit, capped.
-            let units = pin_units(st, i).len().min(params.pin_moves_cap);
+            let units = st.pin_units(i).len().min(params.pin_moves_cap);
             for _ in 0..units {
                 if let Some(acc) = try_pin_move(st, i, t, rng) {
                     MoveStats::add(&mut stats.pin_moves, acc);
@@ -386,7 +341,8 @@ pub fn generate(
                 // Aspect-ratio change within the specified bounds.
                 if let twmc_netlist::CellGeometry::Flexible { aspect, .. } = &cell.geometry {
                     let ratio = aspect.sample(rng.random::<f64>());
-                    let acc = attempt_cells(st, &[i], t, rng, |s| s.set_cell_aspect(i, ratio));
+                    let (acc, _) =
+                        attempt_cells(st, &[i], None, t, rng, |s| s.set_cell_aspect(i, ratio));
                     MoveStats::add(&mut stats.aspect_moves, acc);
                 }
             }
@@ -394,7 +350,7 @@ pub fn generate(
             // Instance selection for multi-instance macro cells.
             let k = rng.random_range(0..cell.instance_count());
             if k != st.cell(i).instance {
-                let acc = attempt_cells(st, &[i], t, rng, |s| s.set_cell_instance(i, k));
+                let (acc, _) = attempt_cells(st, &[i], None, t, rng, |s| s.set_cell_instance(i, k));
                 MoveStats::add(&mut stats.instance_moves, acc);
             }
         }
@@ -405,13 +361,17 @@ pub fn generate(
         if j == i {
             j = (j + 1) % n;
         }
-        let mut accepted = attempt_cells(st, &[i, j], t, rng, |s| interchange(s, i, j, false));
+        let (accepted, before) =
+            attempt_cells(st, &[i, j], None, t, rng, |s| interchange(s, i, j, false));
         MoveStats::add(&mut stats.interchanges, accepted);
 
         if !accepted && move_set == MoveSet::Full {
-            // Retry with both aspect ratios inverted.
-            accepted = attempt_cells(st, &[i, j], t, rng, |s| interchange(s, i, j, true));
-            MoveStats::add(&mut stats.inverted_interchanges, accepted);
+            // Retry with both aspect ratios inverted, from the restored
+            // state.
+            let (acc, _) = attempt_cells(st, &[i, j], Some(before), t, rng, |s| {
+                interchange(s, i, j, true)
+            });
+            MoveStats::add(&mut stats.inverted_interchanges, acc);
         }
     }
 }
@@ -485,7 +445,7 @@ mod tests {
         let before_pos: Vec<Point> = st.cells().iter().map(|c| c.pos).collect();
         // Force a move onto cell 1's position: guaranteed overlap spike.
         let target = st.cell(1).center();
-        let acc = attempt_cells(&mut st, &[0], 1.0e-12, &mut rng, |s| {
+        let (acc, _) = attempt_cells(&mut st, &[0], None, 1.0e-12, &mut rng, |s| {
             s.set_cell_center(0, target)
         });
         assert!(!acc);
@@ -594,6 +554,35 @@ mod tests {
         }
     }
 
+    /// Applies the mutation of move class `class` (0..7, cascade order)
+    /// to cell `i`, and to `j` for the two interchanges; the aspect and
+    /// instance classes leave a cell they do not apply to alone.
+    fn mutate(
+        st: &mut PlacementState<'_>,
+        class: usize,
+        i: usize,
+        j: usize,
+        target: Point,
+        rng: &mut StdRng,
+    ) {
+        let cell = &st.netlist().cells()[i];
+        match class {
+            0 => st.set_cell_center(i, target),
+            1 => displace_inverted(st, i, target),
+            2 => {
+                let o = Orientation::ALL[rng.random_range(0..8usize)];
+                st.set_cell_orientation(i, o);
+            }
+            3 if cell.is_custom() => {
+                st.set_cell_aspect(i, [0.5, 1.0, 2.0][rng.random_range(0..3usize)])
+            }
+            4 if cell.instance_count() > 1 => st.set_cell_instance(i, 1 - st.cell(i).instance),
+            3 | 4 => {}
+            5 => interchange(st, i, j, false),
+            _ => interchange(st, i, j, true),
+        }
+    }
+
     /// Saving, applying any move class's mutation and rolling back leaves
     /// every cell field, pin, net span, total and index rect as captured
     /// before — checked with `assert!`, so release builds run it too.
@@ -629,27 +618,15 @@ mod tests {
             );
             let class = trial % 7;
             let involved: &[usize] = if class >= 5 { &[i, j] } else { &[i] };
-            let cell = &nl.cells()[i];
             let before = capture(&st);
             st.save_attempt(involved);
-            match class {
-                0 => st.set_cell_center(i, target),
-                1 => displace_inverted(&mut st, i, target),
-                2 => {
-                    let o = Orientation::ALL[rng.random_range(0..8usize)];
-                    st.set_cell_orientation(i, o);
-                }
-                3 if cell.is_custom() => {
-                    st.set_cell_aspect(i, [0.5, 1.0, 2.0][rng.random_range(0..3usize)])
-                }
-                4 if cell.instance_count() > 1 => st.set_cell_instance(i, 1 - st.cell(i).instance),
-                3 | 4 => {}
-                5 => interchange(&mut st, i, j, false),
-                _ => interchange(&mut st, i, j, true),
-            }
+            mutate(&mut st, class, i, j, target, &mut rng);
             if capture(&st) != before {
                 changed[class] += 1;
             }
+            // Mid-attempt, the index still holds the committed footprints
+            // of the involved cells; the query must see past them.
+            assert_eq!(st.group_overlap(involved), st.group_overlap_scan(involved));
             st.rollback_attempt();
             assert_eq!(capture(&st), before, "class {class} on cells {involved:?}");
             assert_eq!(st.group_overlap(involved), st.group_overlap_scan(involved));
@@ -659,6 +636,80 @@ mod tests {
             "every class must have mutated something: {changed:?}"
         );
         assert!(stats.accepts() > 0);
+    }
+
+    /// Committing any move class's mutation re-indexes the involved
+    /// cells: afterwards every indexed rect is its cell's live expanded
+    /// bbox and the totals equal a from-scratch recompute.
+    #[test]
+    fn commit_reindexes_every_move_class() {
+        let nl = every_shape();
+        let mut st = state(&nl);
+        let mut rng = StdRng::seed_from_u64(37);
+        let core = st.estimator().core();
+        let n = nl.cells().len();
+        for trial in 0..140 {
+            let i = rng.random_range(0..n);
+            let j = (i + rng.random_range(1..n)) % n;
+            let target = Point::new(
+                rng.random_range(core.lo().x..=core.hi().x),
+                rng.random_range(core.lo().y..=core.hi().y),
+            );
+            let class = trial % 7;
+            let involved: &[usize] = if class >= 5 { &[i, j] } else { &[i] };
+            st.save_attempt(involved);
+            let before = st.move_cost(involved, st.attempt_nets());
+            mutate(&mut st, class, i, j, target, &mut rng);
+            let after = st.move_cost(involved, st.attempt_nets());
+            assert_eq!(after.overlap, st.group_overlap_scan(involved));
+            st.commit_attempt(before, after);
+            for k in 0..n {
+                assert_eq!(
+                    st.indexed_rect(k),
+                    st.expanded_bbox(k),
+                    "class {class}, cell {k}"
+                );
+            }
+            let (_, ov, _) = st.recompute_totals();
+            assert_eq!(st.raw_overlap(), ov, "class {class} on cells {involved:?}");
+        }
+    }
+
+    /// The pin-unit table lists, per cell, the cell's sited pins in
+    /// cell-pin order and then its non-empty groups in netlist order —
+    /// the order `random_range(0..count)` indexes.
+    #[test]
+    fn pin_unit_table_follows_netlist_order() {
+        let nl = every_shape();
+        let st = state(&nl);
+        let mut units = 0;
+        for cell in nl.cells() {
+            let mut expected = Vec::new();
+            for &pid in &cell.pins {
+                if let twmc_netlist::PinPlacement::Sites(sides) = nl.pin(pid).placement {
+                    expected.push((Some((pid, sides)), None));
+                }
+            }
+            for (gi, g) in nl.groups().iter().enumerate() {
+                if g.cell == cell.id() && !g.pins.is_empty() {
+                    expected.push((None, Some(gi)));
+                }
+            }
+            let table: Vec<_> = st
+                .pin_units(cell.id().index())
+                .iter()
+                .map(|u| match *u {
+                    PinUnit::Single(pid, sides) => (Some((pid, sides)), None),
+                    PinUnit::Group(g) => {
+                        (None, nl.groups().iter().position(|x| std::ptr::eq(x, g)))
+                    }
+                })
+                .collect();
+            assert_eq!(table, expected, "cell {}", cell.name);
+            units += table.len();
+        }
+        // every_shape has one lone sited pin (ram's `x`) and two groups.
+        assert_eq!(units, 3);
     }
 
     #[test]
@@ -709,7 +760,7 @@ mod tests {
             .position(|c| c.is_custom())
             .expect("circuit has customs");
         // Custom cells with uncommitted pins yield Some.
-        if !pin_units(&st, custom_idx).is_empty() {
+        if !st.pin_units(custom_idx).is_empty() {
             assert!(try_pin_move(&mut st, custom_idx, 1.0e9, &mut rng).is_some());
         }
     }

@@ -11,12 +11,13 @@
 
 use serde::Value;
 use twmc_geom::{Orientation, Point, Rect, Side, Span, TileSet};
+use twmc_netlist::Netlist;
 use twmc_resume::codec::{
     self, array_field, bool_field, f64_field, i64_field, items, u64_field, usize_field,
 };
 use twmc_resume::CheckpointError;
 
-use crate::state::CellPlace;
+use crate::state::{net_cost, CellPlace};
 use crate::{
     CoolingRun, MoveStats, PlacementSnapshot, SiteLayout, SiteRef, Stage1Result, TempRecord,
 };
@@ -274,8 +275,13 @@ fn cell_place_from(v: &Value) -> Result<CellPlace, CheckpointError> {
     })
 }
 
-/// Encodes a [`PlacementSnapshot`] as a checkpoint payload fragment.
-pub fn snapshot_value(s: &PlacementSnapshot) -> Value {
+/// Encodes a [`PlacementSnapshot`] of a state over `nl` as a checkpoint
+/// payload fragment.
+///
+/// The `net_cost` array holds each net's `C₁` contribution, derived from
+/// its span. It keeps the format unchanged for older readers; decoding
+/// checks its length and drops it.
+pub fn snapshot_value(s: &PlacementSnapshot, nl: &Netlist) -> Value {
     codec::object(vec![
         (
             "cells",
@@ -299,7 +305,13 @@ pub fn snapshot_value(s: &PlacementSnapshot) -> Value {
         ),
         (
             "net_cost",
-            Value::Array(s.net_cost.iter().map(|&c| codec::f64_bits(c)).collect()),
+            Value::Array(
+                nl.nets()
+                    .iter()
+                    .zip(&s.net_span)
+                    .map(|(net, &spans)| codec::f64_bits(net_cost(net, spans)))
+                    .collect(),
+            ),
         ),
         (
             "net_span",
@@ -336,14 +348,17 @@ pub fn snapshot_from(v: &Value) -> Result<PlacementSnapshot, CheckpointError> {
             other => site_ref_from(other).map(Some),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let net_cost = array_field(v, "net_cost")?
-        .iter()
-        .map(|item| codec::bits_f64(item).ok_or_else(|| corrupt("net_cost holds a non-float")))
-        .collect::<Result<Vec<_>, _>>()?;
     let net_span = array_field(v, "net_span")?
         .iter()
         .map(span_pair_from)
         .collect::<Result<Vec<_>, _>>()?;
+    let costs = array_field(v, "net_cost")?;
+    if costs.len() != net_span.len() {
+        return Err(corrupt("net_cost and net_span differ in length"));
+    }
+    if costs.iter().any(|item| codec::bits_f64(item).is_none()) {
+        return Err(corrupt("net_cost holds a non-float"));
+    }
     let static_expansions = match field(v, "static_exp")? {
         Value::Null => None,
         other => Some(
@@ -357,7 +372,6 @@ pub fn snapshot_from(v: &Value) -> Result<PlacementSnapshot, CheckpointError> {
         cells,
         pin_pos,
         pin_site,
-        net_cost,
         net_span,
         total_c1: f64_field(v, "c1")?,
         total_overlap: i64_field(v, "overlap")?,
@@ -577,7 +591,7 @@ mod tests {
             );
         }
         let snap = state.snapshot();
-        let decoded = snapshot_from(&envelope_roundtrip(&snapshot_value(&snap))).unwrap();
+        let decoded = snapshot_from(&envelope_roundtrip(&snapshot_value(&snap, &nl))).unwrap();
 
         // Restoring the decoded snapshot must reproduce the state
         // bit-for-bit: costs, spans, and future evolution.
@@ -617,6 +631,38 @@ mod tests {
         }
         assert_eq!(ma, mb);
         assert_eq!(state.cost().to_bits(), restored.cost().to_bits());
+    }
+
+    /// The encoded snapshot of a fixed mid-stage-1 state, byte for byte:
+    /// checkpoints written before and after a change to the state's
+    /// internals must stay interchangeable.
+    #[test]
+    fn snapshot_encoding_is_pinned() {
+        let nl = circuit();
+        let p = params();
+        let ctx = Stage1Context::new(&nl, &p, &EstimatorParams::default());
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut state = ctx.random_state(&p, &mut rng);
+        let mut run = CoolingRun::new(ctx.t_infinity);
+        for _ in 0..5 {
+            run.step(
+                &mut state,
+                &p,
+                MoveSet::Full,
+                &CoolingSchedule::stage1(),
+                &ctx.limiter,
+                ctx.s_t,
+                None,
+                &mut rng,
+                &mut NullRecorder,
+                RunScope::STAGE1,
+            );
+        }
+        let text = twmc_resume::encode(&snapshot_value(&state.snapshot(), &nl));
+        assert_eq!(
+            twmc_resume::fnv1a64(text.as_bytes()),
+            10_387_732_766_878_550_278
+        );
     }
 
     #[test]

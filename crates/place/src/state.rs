@@ -20,7 +20,9 @@ use rand::Rng;
 
 use twmc_estimator::{Estimator, PinDensityFactors};
 use twmc_geom::{Orientation, Point, Rect, Side, Span, TileSet};
-use twmc_netlist::{flexible_dims, CellGeometry, NetId, Netlist, PinPlacement};
+use twmc_netlist::{
+    flexible_dims, CellGeometry, Net, NetId, Netlist, PinGroup, PinId, PinPlacement, SideSet,
+};
 
 use crate::index::BinGrid;
 use crate::{SiteLayout, SiteRef};
@@ -84,22 +86,44 @@ struct SavedCell {
 }
 
 /// What a rejected move attempt puts back, recorded by
-/// [`PlacementState::save_attempt`] and reused from attempt to attempt.
+/// [`PlacementState::save_attempt`] (cell moves) or
+/// [`PlacementState::save_pin_attempt`] (pin moves) and reused from
+/// attempt to attempt.
 ///
 /// Everything else a cell move touches is a function of these: the
 /// shape follows from instance/dims and orientation, the site layout
-/// from dims, and the index rect from the placed bbox and expansions.
-/// The totals are only changed by a commit.
+/// from dims, and the expanded bbox from the placed bbox and
+/// expansions. The totals and the spatial index are only changed by a
+/// commit.
 #[derive(Debug, Clone, Default)]
 struct AttemptRecord {
+    /// Whether a cell-move attempt is open: from `save_attempt` to its
+    /// commit or rollback, the spatial index keeps the involved cells'
+    /// committed footprints.
+    open: bool,
     cells: Vec<SavedCell>,
     /// `(pin, position)` for every pin of the involved cells.
     pins: Vec<(usize, Point)>,
-    /// Nets touching the involved cells, sorted and deduplicated.
+    /// Nets touching the involved cells (or the moved pins), sorted and
+    /// deduplicated.
     nets: Vec<NetId>,
-    /// Cached span of each of `nets`.
+    /// Cached span of each of `nets` (cell moves).
     spans: Vec<Option<(Span, Span)>>,
+    /// `(pin, site)` for every pin of a pin move.
+    sites: Vec<(usize, SiteRef)>,
 }
+
+/// One uncommitted pin unit of a cell, the thing a pin move relocates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum PinUnit<'a> {
+    /// A lone sited pin and the sides it may occupy.
+    Single(PinId, SideSet),
+    /// A pin group.
+    Group(&'a PinGroup),
+}
+
+/// [`PlacementState::pin_net`] of a pin that enters no net's span.
+const NO_NET: u32 = u32::MAX;
 
 /// A detached copy of the mutable part of a [`PlacementState`]: cell
 /// placements, pin positions/sites, and the incremental cost totals.
@@ -111,7 +135,6 @@ pub struct PlacementSnapshot {
     pub(crate) cells: Vec<CellPlace>,
     pub(crate) pin_pos: Vec<Point>,
     pub(crate) pin_site: Vec<Option<SiteRef>>,
-    pub(crate) net_cost: Vec<f64>,
     pub(crate) net_span: Vec<Option<(Span, Span)>>,
     pub(crate) total_c1: f64,
     pub(crate) total_overlap: i64,
@@ -208,17 +231,23 @@ pub struct PlacementState<'a> {
     /// Fractional position of fixed pins on custom cells (scaled on
     /// aspect change).
     fixed_frac: Vec<Option<(f64, f64)>>,
-    /// Index of each pin within its cell's pin list.
-    pin_slot: Vec<usize>,
     nets_of_cell: Vec<Vec<NetId>>,
-    net_cost: Vec<f64>,
+    /// The net whose `C₁` span each pin enters: its own net when the pin
+    /// is the primary member of a connection point, [`NO_NET`] otherwise.
+    pin_net: Vec<u32>,
+    /// Primary pins of net `n`, the `C₁` span's points:
+    /// `net_pins[net_pin_start[n]..net_pin_start[n + 1]]`.
+    net_pin_start: Vec<u32>,
+    net_pins: Vec<u32>,
+    /// Pin units of cell `i`, sited pins in cell-pin order and then the
+    /// cell's groups in netlist order:
+    /// `pin_units[pin_unit_start[i]..pin_unit_start[i + 1]]`.
+    pin_unit_start: Vec<u32>,
+    pin_units: Vec<PinUnit<'a>>,
     /// Cached per-net bounding spans over primary pins, updated
     /// incrementally as pins move (`None` for degenerate zero-pin nets).
     net_span: Vec<Option<(Span, Span)>>,
-    /// Whether each pin is the primary member of its net's connection
-    /// point (only primaries enter the `C₁` spans).
-    pin_primary: Vec<bool>,
-    /// Bin-grid spatial index over expanded cell bboxes — the
+    /// Bin-grid spatial index over committed expanded cell bboxes — the
     /// `group_overlap` neighbor query.
     index: BinGrid,
     /// The pending move attempt's undo record (scratch, not part of
@@ -253,18 +282,31 @@ impl<'a> PlacementState<'a> {
         rng: &mut StdRng,
     ) -> Self {
         let n_pins = nl.pins().len();
-        let mut pin_slot = vec![0usize; n_pins];
-        for cell in nl.cells() {
-            for (slot, &pid) in cell.pins.iter().enumerate() {
-                pin_slot[pid.index()] = slot;
-            }
-        }
         let nets_of_cell = nl.cells().iter().map(|c| nl.nets_of_cell(c.id())).collect();
-        let mut pin_primary = vec![false; n_pins];
+        let mut pin_net = vec![NO_NET; n_pins];
+        let mut net_pin_start = vec![0];
+        let mut net_pins = Vec::new();
         for net in nl.nets() {
             for pid in net.primary_pins() {
-                pin_primary[pid.index()] = true;
+                pin_net[pid.index()] = net.id().index() as u32;
+                net_pins.push(pid.index() as u32);
             }
+            net_pin_start.push(net_pins.len() as u32);
+        }
+        let mut groups_of_cell = vec![Vec::new(); nl.cells().len()];
+        for g in nl.groups().iter().filter(|g| !g.pins.is_empty()) {
+            groups_of_cell[g.cell.index()].push(g);
+        }
+        let mut pin_unit_start = vec![0];
+        let mut pin_units = Vec::new();
+        for (cell, groups) in nl.cells().iter().zip(groups_of_cell) {
+            for &pid in &cell.pins {
+                if let PinPlacement::Sites(sides) = nl.pin(pid).placement {
+                    pin_units.push(PinUnit::Single(pid, sides));
+                }
+            }
+            pin_units.extend(groups.into_iter().map(PinUnit::Group));
+            pin_unit_start.push(pin_units.len() as u32);
         }
 
         let mut fixed_frac = vec![None; n_pins];
@@ -307,14 +349,16 @@ impl<'a> PlacementState<'a> {
             });
         }
 
-        // Bin the core with bins near the mean cell dimension, so a cell
-        // typically covers a handful of bins and an overlap query visits
-        // only its immediate neighborhood.
-        let mean_dim = (cells.iter().map(|c| c.dims.0.max(c.dims.1)).sum::<i64>()
-            / cells.len().max(1) as i64)
-            .max(1);
+        // Bin the core with bins near the mean footprint the index holds:
+        // the mean cell dimension plus `C_w`, the mean allowance of two
+        // opposite sides (eq. 2 is normalized to `C_w/2` per side). A
+        // footprint then typically covers a handful of bins and an
+        // overlap query visits only its immediate neighborhood.
+        let mean_dim =
+            cells.iter().map(|c| c.dims.0.max(c.dims.1)).sum::<i64>() / cells.len().max(1) as i64;
+        let target_bin = (mean_dim + estimator.c_w().round() as i64).max(1);
         let rects: Vec<Rect> = cells.iter().map(|c| c.placed_bbox()).collect();
-        let index = BinGrid::build(estimator.core(), mean_dim, &rects);
+        let index = BinGrid::build(estimator.core(), target_bin, &rects);
 
         let mut state = PlacementState {
             nl,
@@ -324,11 +368,13 @@ impl<'a> PlacementState<'a> {
             pin_pos: vec![Point::ORIGIN; n_pins],
             pin_site: vec![None; n_pins],
             fixed_frac,
-            pin_slot,
             nets_of_cell,
-            net_cost: vec![0.0; nl.nets().len()],
+            pin_net,
+            net_pin_start,
+            net_pins,
+            pin_unit_start,
+            pin_units,
             net_span: vec![None; nl.nets().len()],
-            pin_primary,
             index,
             attempt: AttemptRecord::default(),
             total_c1: 0.0,
@@ -530,7 +576,6 @@ impl<'a> PlacementState<'a> {
             cells: self.cells.clone(),
             pin_pos: self.pin_pos.clone(),
             pin_site: self.pin_site.clone(),
-            net_cost: self.net_cost.clone(),
             net_span: self.net_span.clone(),
             total_c1: self.total_c1,
             total_overlap: self.total_overlap,
@@ -558,7 +603,6 @@ impl<'a> PlacementState<'a> {
         self.cells.clone_from(&snap.cells);
         self.pin_pos.clone_from(&snap.pin_pos);
         self.pin_site.clone_from(&snap.pin_site);
-        self.net_cost.clone_from(&snap.net_cost);
         self.net_span.clone_from(&snap.net_span);
         self.total_c1 = snap.total_c1;
         self.total_overlap = snap.total_overlap;
@@ -708,14 +752,18 @@ impl<'a> PlacementState<'a> {
             self.cells[i].expansions = exp;
         }
         // Geometry (position, shape, or expansions) may have changed:
-        // keep the spatial index in sync.
-        self.index.update(i, self.expanded_bbox(i));
+        // keep the spatial index in sync — except inside a move attempt,
+        // whose commit re-indexes its cells once and whose rollback
+        // restores the footprint the index still holds.
+        if !self.attempt.open {
+            self.index.update(i, self.expanded_bbox(i));
+        }
     }
 
     /// A cell's placed bounding box grown by its per-side expansions —
     /// the footprint the overlap term and the spatial index work on.
     #[inline]
-    fn expanded_bbox(&self, i: usize) -> Rect {
+    pub fn expanded_bbox(&self, i: usize) -> Rect {
         let c = &self.cells[i];
         let (l, r, b, t) = c.expansions;
         c.placed_bbox().expand_sides(l, r, b, t)
@@ -755,53 +803,57 @@ impl<'a> PlacementState<'a> {
 
     /// Recomputes the absolute positions of all pins of cell `i`.
     pub fn refresh_pins(&mut self, i: usize) {
-        let nl = self.nl;
-        for pin in &nl.cells()[i].pins {
-            self.refresh_pin(i, pin.index());
+        let cell = &self.nl.cells()[i];
+        match &cell.geometry {
+            // Macro pins sit at per-instance positions, listed by slot.
+            CellGeometry::Fixed { instances } => {
+                let positions = &instances[self.cells[i].instance].pin_positions;
+                for (pin, &local) in cell.pins.iter().zip(positions) {
+                    self.place_pin(i, pin.index(), local);
+                }
+            }
+            CellGeometry::Flexible { .. } => {
+                for pin in &cell.pins {
+                    self.refresh_pin(i, pin.index());
+                }
+            }
         }
     }
 
+    /// Recomputes the absolute position of one pin of custom cell
+    /// `cell_idx`: a fixed pin keeps its fractional position on the
+    /// current dims, a sited pin sits at its site.
     fn refresh_pin(&mut self, cell_idx: usize, pin: usize) {
         let cell = &self.cells[cell_idx];
-        let (w, h) = cell.dims;
-        let o = cell.orientation;
-        let at = cell.pos;
-        let local = match (&self.nl.pins()[pin].placement, self.pin_site[pin]) {
-            (PinPlacement::Fixed(_), _) => {
-                if let Some((fx, fy)) = self.fixed_frac[pin] {
-                    // Fixed pin on a resizable cell: fractional position.
-                    Point::new(
-                        (fx * w as f64).round() as i64,
-                        (fy * h as f64).round() as i64,
-                    )
-                } else {
-                    // Macro: per-instance position.
-                    let slot = self.pin_slot[pin];
-                    match &self.nl.cells()[cell_idx].geometry {
-                        CellGeometry::Fixed { instances } => {
-                            instances[cell.instance].pin_positions[slot]
-                        }
-                        CellGeometry::Flexible { .. } => unreachable!("frac recorded at init"),
-                    }
-                }
-            }
-            (_, Some(site)) => cell
+        let local = match (self.fixed_frac[pin], self.pin_site[pin]) {
+            (Some((fx, fy)), _) => Point::new(
+                (fx * cell.dims.0 as f64).round() as i64,
+                (fy * cell.dims.1 as f64).round() as i64,
+            ),
+            (None, Some(site)) => cell
                 .sites
                 .as_ref()
                 .expect("sited pin on custom cell")
                 .position(site),
-            (_, None) => Point::ORIGIN, // unconnected uncommitted pin on a macro never occurs
+            (None, None) => unreachable!("custom-cell pins are fixed or sited"),
         };
-        let new_pos = o.apply(local, w, h) + at;
+        self.place_pin(cell_idx, pin, local);
+    }
+
+    /// Puts a pin at cell-local position `local` of its cell's unoriented
+    /// geometry, keeping its net's cached span in step.
+    fn place_pin(&mut self, cell_idx: usize, pin: usize, local: Point) {
+        let cell = &self.cells[cell_idx];
+        let (w, h) = cell.dims;
+        let new_pos = cell.orientation.apply(local, w, h) + cell.pos;
         let old_pos = self.pin_pos[pin];
         if new_pos == old_pos {
             return;
         }
         self.pin_pos[pin] = new_pos;
-        if self.pin_primary[pin] {
-            if let Some(net) = self.nl.pins()[pin].net {
-                self.update_net_span(net.index(), old_pos, new_pos);
-            }
+        let net = self.pin_net[pin];
+        if net != NO_NET {
+            self.update_net_span(net as usize, old_pos, new_pos);
         }
     }
 
@@ -847,9 +899,11 @@ impl<'a> PlacementState<'a> {
     /// From-scratch spans of a net — the ground truth the cache must
     /// match; used for hull-shrink recomputation and drift checks.
     fn net_spans_scratch(&self, net: usize) -> Option<(Span, Span)> {
+        let pins =
+            &self.net_pins[self.net_pin_start[net] as usize..self.net_pin_start[net + 1] as usize];
         let mut spans: Option<(Span, Span)> = None;
-        for pid in self.nl.nets()[net].primary_pins() {
-            let p = self.pin_pos[pid.index()];
+        for &pin in pins {
+            let p = self.pin_pos[pin as usize];
             let (px, py) = (Span::new(p.x, p.x), Span::new(p.y, p.y));
             spans = Some(match spans {
                 Some((xs, ys)) => (xs.hull(px), ys.hull(py)),
@@ -862,11 +916,7 @@ impl<'a> PlacementState<'a> {
     /// One net's `C₁` contribution: `x(n)·h(n) + y(n)·v(n)` (zero for
     /// degenerate pin-less nets).
     pub fn net_cost_live(&self, net: usize) -> f64 {
-        let Some((xs, ys)) = self.net_spans(net) else {
-            return 0.0;
-        };
-        let n = &self.nl.nets()[net];
-        xs.len() as f64 * n.weight_h + ys.len() as f64 * n.weight_v
+        net_cost(&self.nl.nets()[net], self.net_spans(net))
     }
 
     /// Expanded overlap between two cells (the `O(i,j)` of eq. 8 on
@@ -898,19 +948,34 @@ impl<'a> PlacementState<'a> {
     /// against every outside cell, plus pairwise overlaps among the
     /// involved counted once, plus boundary overlaps.
     ///
-    /// Queries the bin-grid spatial index, so only cells whose expanded
-    /// bboxes overlap an involved cell's are examined — the others
-    /// contribute zero, and skipping them leaves the `i64` sum identical
-    /// to [`PlacementState::group_overlap_scan`].
+    /// Queries the bin-grid spatial index with each involved cell's live
+    /// expanded bbox, so only outside cells whose expanded bboxes overlap
+    /// it are examined — the others contribute zero, and skipping them
+    /// leaves the `i64` sum identical to
+    /// [`PlacementState::group_overlap_scan`]. The involved cells' own
+    /// index entries are skipped (inside a move attempt they still hold
+    /// the committed footprints); their pairs are taken directly.
     pub fn group_overlap(&self, involved: &[usize]) -> i64 {
+        debug_assert!(
+            !self.attempt.open
+                || self
+                    .attempt
+                    .cells
+                    .iter()
+                    .map(|s| s.idx)
+                    .eq(involved.iter().copied()),
+            "an open move attempt is asked about cells other than its own"
+        );
         let mut total = 0;
         for (k, &i) in involved.iter().enumerate() {
-            self.index.for_each_overlapping(i, |j| {
-                // Among involved, count each unordered pair once.
-                if !involved[..k].contains(&j) {
+            self.index.query(self.expanded_bbox(i), |j| {
+                if !involved.contains(&j) {
                     total += self.pair_overlap(i, j);
                 }
             });
+            for &j in &involved[k + 1..] {
+                total += self.pair_overlap(i, j);
+            }
             total += self.boundary_overlap(i);
         }
         debug_assert_eq!(
@@ -1004,15 +1069,16 @@ impl<'a> PlacementState<'a> {
     /// rescanned pin by pin and every cell examined for overlap. Kept as
     /// the before/after yardstick of the kernel benchmarks.
     pub fn move_cost_scan(&self, involved: &[usize], nets: &[NetId]) -> MoveCost {
-        let net_cost = |net: usize| -> f64 {
-            let Some((xs, ys)) = self.net_spans_scratch(net) else {
-                return 0.0;
-            };
-            let n = &self.nl.nets()[net];
-            xs.len() as f64 * n.weight_h + ys.len() as f64 * n.weight_v
-        };
         MoveCost {
-            c1: nets.iter().map(|n| net_cost(n.index())).sum(),
+            c1: nets
+                .iter()
+                .map(|n| {
+                    net_cost(
+                        &self.nl.nets()[n.index()],
+                        self.net_spans_scratch(n.index()),
+                    )
+                })
+                .sum(),
             overlap: self.group_overlap_scan(involved),
             c3: self.cells_c3(involved),
         }
@@ -1025,24 +1091,23 @@ impl<'a> PlacementState<'a> {
             + (after.c3 - before.c3)
     }
 
-    /// Commits a move's cost delta to the running totals and refreshes
-    /// the affected nets' cached costs.
-    pub fn commit_cost(&mut self, before: MoveCost, after: MoveCost, nets: &[NetId]) {
+    /// Commits a move's cost delta to the running totals.
+    pub fn commit_cost(&mut self, before: MoveCost, after: MoveCost) {
         self.total_c1 += after.c1 - before.c1;
         self.total_overlap += after.overlap - before.overlap;
         self.total_c3 += after.c3 - before.c3;
-        for n in nets {
-            self.net_cost[n.index()] = self.net_cost_live(n.index());
-        }
     }
 
     // --- move attempts -----------------------------------------------------
 
-    /// Records what a move attempt over `involved` may change, for
-    /// [`PlacementState::rollback_attempt`], and collects the nets it
-    /// touches ([`PlacementState::attempt_nets`]).
+    /// Opens a move attempt over `involved`: records what it may change,
+    /// for [`PlacementState::rollback_attempt`], and collects the nets it
+    /// touches ([`PlacementState::attempt_nets`]). Until the attempt is
+    /// committed or rolled back, the spatial index keeps the involved
+    /// cells' committed footprints.
     pub(crate) fn save_attempt(&mut self, involved: &[usize]) {
         let rec = &mut self.attempt;
+        rec.open = true;
         rec.cells.clear();
         rec.pins.clear();
         rec.nets.clear();
@@ -1078,17 +1143,23 @@ impl<'a> PlacementState<'a> {
         &self.attempt.nets
     }
 
-    /// [`PlacementState::commit_cost`] over the saved attempt's nets.
+    /// Closes the saved attempt by keeping it: commits its cost delta
+    /// and re-indexes each involved cell once, under its new footprint.
     pub(crate) fn commit_attempt(&mut self, before: MoveCost, after: MoveCost) {
-        let nets = std::mem::take(&mut self.attempt.nets);
-        self.commit_cost(before, after, &nets);
-        self.attempt.nets = nets;
+        self.commit_cost(before, after);
+        self.attempt.open = false;
+        for k in 0..self.attempt.cells.len() {
+            let i = self.attempt.cells[k].idx;
+            self.index.update(i, self.expanded_bbox(i));
+        }
     }
 
-    /// Puts back everything the saved attempt recorded, re-indexing each
-    /// cell once. The shape is rebuilt only when orientation, instance or
-    /// dims changed, the site layout only when dims changed.
+    /// Closes the saved attempt by putting back everything it recorded.
+    /// The shape is rebuilt only when orientation, instance or dims
+    /// changed, the site layout only when dims changed. No bin is
+    /// touched: the index still holds the restored footprints.
     pub(crate) fn rollback_attempt(&mut self) {
+        self.attempt.open = false;
         let ts = self.estimator.track_spacing();
         for k in 0..self.attempt.cells.len() {
             let s = self.attempt.cells[k];
@@ -1107,7 +1178,7 @@ impl<'a> PlacementState<'a> {
             if reshape {
                 self.cells[s.idx].shape = self.oriented_shape(s.idx);
             }
-            self.index.update(s.idx, self.expanded_bbox(s.idx));
+            debug_assert_eq!(self.index.rect(s.idx), self.expanded_bbox(s.idx));
         }
         for &(pin, p) in &self.attempt.pins {
             self.pin_pos[pin] = p;
@@ -1117,10 +1188,55 @@ impl<'a> PlacementState<'a> {
         }
     }
 
-    /// The rect the spatial index holds for a cell (its expanded bbox as
-    /// of the cell's last refresh).
-    #[cfg(test)]
-    pub(crate) fn indexed_rect(&self, i: usize) -> Rect {
+    /// The pin units of cell `i` a pin move chooses from, in table order.
+    pub(crate) fn pin_units(&self, i: usize) -> &[PinUnit<'a>] {
+        &self.pin_units[self.pin_unit_start[i] as usize..self.pin_unit_start[i + 1] as usize]
+    }
+
+    /// Opens a pin-move attempt over `pins`: records each one's site for
+    /// [`PlacementState::rollback_pin_attempt`] and collects their nets
+    /// ([`PlacementState::pin_attempt_cost`]).
+    pub(crate) fn save_pin_attempt(&mut self, pins: &[PinId]) {
+        let rec = &mut self.attempt;
+        rec.sites.clear();
+        rec.nets.clear();
+        for pin in pins {
+            let site = self.pin_site[pin.index()].expect("moving a sited pin");
+            rec.sites.push((pin.index(), site));
+            rec.nets.extend(self.nl.pin(*pin).net);
+        }
+        rec.nets.sort_unstable();
+        rec.nets.dedup();
+    }
+
+    /// The cost pieces a pin move on `cell` puts at stake: `C₁` of the
+    /// moved pins' nets and the cell's `C₃` (the geometry is unchanged).
+    pub(crate) fn pin_attempt_cost(&self, cell: usize) -> MoveCost {
+        MoveCost {
+            c1: self
+                .attempt
+                .nets
+                .iter()
+                .map(|n| self.net_cost_live(n.index()))
+                .sum(),
+            overlap: 0,
+            c3: self.cells_c3(&[cell]),
+        }
+    }
+
+    /// Puts every pin of the pin-move attempt back on its recorded site.
+    pub(crate) fn rollback_pin_attempt(&mut self) {
+        for k in (0..self.attempt.sites.len()).rev() {
+            let (pin, site) = self.attempt.sites[k];
+            self.set_pin_site(pin, site);
+        }
+    }
+
+    /// The rect the spatial index holds for a cell: its expanded bbox as
+    /// of the cell's last refresh outside a move attempt, or as of the
+    /// attempt's commit. Between attempts it equals
+    /// [`PlacementState::expanded_bbox`] — the oracle tests check that.
+    pub fn indexed_rect(&self, i: usize) -> Rect {
         self.index.rect(i)
     }
 
@@ -1138,9 +1254,6 @@ impl<'a> PlacementState<'a> {
         self.total_c1 = c1;
         self.total_overlap = ov;
         self.total_c3 = c3;
-        for n in 0..self.net_cost.len() {
-            self.net_cost[n] = self.net_cost_live(n);
-        }
     }
 
     /// From-scratch totals `(C₁, raw overlap, C₃)` — the ground truth the
@@ -1160,9 +1273,10 @@ impl<'a> PlacementState<'a> {
     /// the pairs the spatial index reports instead of over all pairs —
     /// the same `i64` terms, so the same total.
     fn indexed_totals(&self) -> (f64, i64, f64) {
+        debug_assert!(!self.attempt.open, "totals asked for inside a move attempt");
         let mut ov = 0;
         for i in 0..self.cells.len() {
-            self.index.for_each_overlapping(i, |j| {
+            self.index.query(self.expanded_bbox(i), |j| {
                 if j > i {
                     ov += self.pair_overlap(i, j);
                 }
@@ -1207,13 +1321,23 @@ impl<'a> PlacementState<'a> {
     }
 }
 
-fn random_side(sides: twmc_netlist::SideSet, rng: &mut StdRng) -> Side {
-    let options: Vec<Side> = if sides.is_empty() {
-        Side::ALL.to_vec()
+/// A net's `C₁` contribution over its spans: `x(n)·h(n) + y(n)·v(n)`
+/// (zero for a degenerate pin-less net).
+pub(crate) fn net_cost(net: &Net, spans: Option<(Span, Span)>) -> f64 {
+    spans.map_or(0.0, |(xs, ys)| {
+        xs.len() as f64 * net.weight_h + ys.len() as f64 * net.weight_v
+    })
+}
+
+/// A uniformly drawn side of `sides`, or of all four when it is empty.
+pub(crate) fn random_side(sides: SideSet, rng: &mut StdRng) -> Side {
+    let sides = if sides.is_empty() {
+        SideSet::ALL
     } else {
-        sides.iter().collect()
+        sides
     };
-    options[rng.random_range(0..options.len())]
+    let k = rng.random_range(0..sides.count() as usize);
+    sides.iter().nth(k).expect("k < count")
 }
 
 #[cfg(test)]
@@ -1281,7 +1405,7 @@ mod tests {
                 }
             }
             let after = st.move_cost(&involved, &nets);
-            st.commit_cost(before, after, &nets);
+            st.commit_cost(before, after);
         }
         let (c1, ov, c3) = st.recompute_totals();
         assert!(
@@ -1315,7 +1439,7 @@ mod tests {
             let before = st.move_cost(&involved, &nets);
             st.set_cell_center(i, Point::ORIGIN);
             let after = st.move_cost(&involved, &nets);
-            st.commit_cost(before, after, &nets);
+            st.commit_cost(before, after);
         }
         assert!(st.raw_overlap() > 0);
         // Spread far apart outside each other: pairwise overlap falls to
@@ -1326,7 +1450,7 @@ mod tests {
             let before = st.move_cost(&involved, &nets);
             st.set_cell_center(i, Point::new((i as i64) * 500 - 2000, 0));
             let after = st.move_cost(&involved, &nets);
-            st.commit_cost(before, after, &nets);
+            st.commit_cost(before, after);
         }
         let pairwise: i64 = (0..nl.cells().len())
             .flat_map(|i| ((i + 1)..nl.cells().len()).map(move |j| (i, j)))

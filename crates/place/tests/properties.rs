@@ -29,15 +29,18 @@ fn circuit(seed: u64, custom: bool) -> Netlist {
     })
 }
 
-/// A 1,200-cell circuit shaped like the benchmark's stage-1 ladder
-/// (3 nets and 12 pins per cell, a quarter custom), built once.
+/// A circuit shaped like the benchmark's stage-1 ladder (3 nets and 12
+/// pins per cell, a quarter custom), built once: 10,000 cells in release
+/// builds, 1,200 in debug builds, whose engine also cross-checks itself
+/// with `debug_assert!` scans on every move.
 fn large_circuit() -> &'static Netlist {
     static NL: OnceLock<Netlist> = OnceLock::new();
     NL.get_or_init(|| {
+        let cells = if cfg!(debug_assertions) { 1200 } else { 10_000 };
         synthesize(&SynthParams {
-            cells: 1200,
-            nets: 3600,
-            pins: 14400,
+            cells,
+            nets: 3 * cells,
+            pins: 12 * cells,
             custom_fraction: 0.25,
             seed: 1988,
             ..Default::default()
@@ -90,7 +93,7 @@ fn apply(st: &mut PlacementState<'_>, nl: &Netlist, m: &Mutation) {
             let before = st.move_cost(&involved, &nets);
             st.set_cell_center(i, Point::new(x, y));
             let after = st.move_cost(&involved, &nets);
-            st.commit_cost(before, after, &nets);
+            st.commit_cost(before, after);
         }
         Mutation::Orient(i, o) => {
             let i = i % nl.cells().len();
@@ -99,7 +102,7 @@ fn apply(st: &mut PlacementState<'_>, nl: &Netlist, m: &Mutation) {
             let before = st.move_cost(&involved, &nets);
             st.set_cell_orientation(i, Orientation::ALL[o % 8]);
             let after = st.move_cost(&involved, &nets);
-            st.commit_cost(before, after, &nets);
+            st.commit_cost(before, after);
         }
         Mutation::Aspect(i, a) => {
             let i = i % nl.cells().len();
@@ -112,7 +115,7 @@ fn apply(st: &mut PlacementState<'_>, nl: &Netlist, m: &Mutation) {
             let before = st.move_cost(&involved, &nets);
             st.set_cell_aspect(i, ratio);
             let after = st.move_cost(&involved, &nets);
-            st.commit_cost(before, after, &nets);
+            st.commit_cost(before, after);
         }
         Mutation::PinSite(p, s, k) => {
             let p = p % nl.pins().len();
@@ -146,7 +149,7 @@ fn apply(st: &mut PlacementState<'_>, nl: &Netlist, m: &Mutation) {
                 overlap: 0,
                 c3: st.cells_c3(&[cell]),
             };
-            st.commit_cost(before, after, &nets);
+            st.commit_cost(before, after);
         }
     }
 }
@@ -280,17 +283,20 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random `generate` sequences on a circuit of over a thousand cells:
-    /// the incremental C1, overlap and C3 equal a from-scratch recompute
-    /// exactly (unit net weights and an integral kappa keep every term an
-    /// integer), every cached net span equals the hull of its pins, and
-    /// the indexed overlap query equals the all-cells scan for every cell.
+    /// Random `generate` sequences on a large circuit, with snapshots
+    /// taken and restored along the way: the incremental C1, overlap and
+    /// C3 equal a from-scratch recompute exactly (unit net weights and an
+    /// integral kappa keep every term an integer), every cached net span
+    /// equals the hull of its pins, every indexed rect equals its cell's
+    /// expanded bbox, and the indexed overlap query equals the all-cells
+    /// scan for every cell.
     #[test]
     fn incremental_engine_matches_scratch_at_scale(
         seed in 0u64..1000,
         steps in 200usize..1200,
         log_t in 1i32..7,
         window in 0.02f64..1.0,
+        every in 40usize..400,
     ) {
         let nl = large_circuit();
         let mut st = state(nl, seed);
@@ -298,7 +304,8 @@ proptest! {
         let params = PlaceParams::default();
         let mut rng = StdRng::seed_from_u64(seed ^ 0x1c);
         let mut stats = MoveStats::default();
-        for _ in 0..steps {
+        let mut snap = None;
+        for step in 1..=steps {
             generate(
                 &mut st,
                 &params,
@@ -309,6 +316,13 @@ proptest! {
                 &mut rng,
                 &mut stats,
             );
+            // Alternately capture the state and rewind to the capture.
+            if step % every == 0 {
+                match snap.take() {
+                    None => snap = Some(st.snapshot()),
+                    Some(s) => st.restore(&s),
+                }
+            }
         }
         prop_assert!(stats.accepts() > 0 && stats.accepts() < stats.attempts());
         prop_assert_eq!((st.c1(), st.raw_overlap(), st.c3()), st.recompute_totals());
@@ -316,6 +330,7 @@ proptest! {
             prop_assert_eq!(st.net_spans(n), span_of(&st, nl, n), "net {}", n);
         }
         for i in 0..nl.cells().len() {
+            prop_assert_eq!(st.indexed_rect(i), st.expanded_bbox(i), "cell {}", i);
             prop_assert_eq!(st.group_overlap(&[i]), st.group_overlap_scan(&[i]), "cell {}", i);
         }
     }

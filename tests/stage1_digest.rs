@@ -2,14 +2,19 @@
 //! the cost engine or the overlap index that is meant to keep placements
 //! identical is held to it.
 
-use timberwolfmc::anneal::CoolingSchedule;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use timberwolfmc::anneal::{CoolingSchedule, RangeLimiter};
 use timberwolfmc::estimator::EstimatorParams;
 use timberwolfmc::geom::{Orientation, Point, Rect, Side, TileSet};
 use timberwolfmc::netlist::{
     synthesize, AspectRange, NetPin, Netlist, NetlistBuilder, SideSet, SynthParams,
 };
 use timberwolfmc::parallel::{parallel_stage1, ParallelParams, Strategy};
-use timberwolfmc::place::{place_stage1, MoveStats, PlaceParams, PlacementState, Stage1Result};
+use timberwolfmc::place::{
+    place_stage1, run_annealing, MoveSet, MoveStats, PlaceParams, PlacementState, Stage1Context,
+    Stage1Result,
+};
 
 /// 64-bit FNV-1a over a stream of integers (little-endian bytes), so the
 /// digest does not depend on `std`'s unspecified hasher.
@@ -243,4 +248,57 @@ fn golden_stage1_digest() {
     h.int(report.swaps.accepts as i64);
 
     assert_eq!(h.0, 13_373_364_292_557_116_919, "stage-1 placement changed");
+}
+
+/// The refinement engine as stage 2 drives it: static expansions frozen
+/// over a finished stage-1 placement, then the low-temperature anneal
+/// with the refinement move set (displacements and pin moves only) from
+/// the μ-fraction window, stopping on a stalled cost.
+#[test]
+fn golden_refinement_digest() {
+    let params = PlaceParams {
+        attempts_per_cell: 2,
+        normalization_samples: 8,
+        ..Default::default()
+    };
+    let est = EstimatorParams::default();
+    let mut h = Fnv1a::new();
+    for nl in [synthetic(), chip_plan()] {
+        for seed in [3, 29] {
+            let (mut st, _) = place_stage1(&nl, &params, &est, &CoolingSchedule::stage1(), seed);
+            let ctx = Stage1Context::new(&nl, &params, &est);
+            // Half the stage-1 allowance on every side, as if the routed
+            // channels came out narrower than estimated.
+            let expansions = st
+                .cells()
+                .iter()
+                .map(|c| {
+                    let (l, r, b, t) = c.expansions;
+                    (l / 2, r / 2, b / 2, t / 2)
+                })
+                .collect();
+            st.set_static_expansions(expansions);
+            let core = st.estimator().core();
+            let limiter = RangeLimiter::new(
+                2.0 * core.width() as f64,
+                2.0 * core.height() as f64,
+                ctx.t_infinity,
+                params.rho,
+            );
+            let result = run_annealing(
+                &mut st,
+                &params,
+                MoveSet::Refinement,
+                &CoolingSchedule::stage2(),
+                &limiter,
+                limiter.temperature_for_fraction(0.03),
+                ctx.s_t,
+                Some(3),
+                &mut StdRng::seed_from_u64(seed ^ 0x5eed),
+            );
+            assert!(result.moves.pin_moves.0 > 0);
+            h.run(&st, &result);
+        }
+    }
+    assert_eq!(h.0, 594_021_179_809_433_069, "refinement placement changed");
 }
