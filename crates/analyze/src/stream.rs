@@ -431,8 +431,8 @@ pub fn parse_stream(jsonl: &str) -> Result<RunStream, String> {
                     wall_us: uint(&entries, "wall_us"),
                 });
             }
-            // anneal_temp and replica_summary carry nothing the health
-            // checks read; future kinds are tolerated by construction.
+            // replica_summary carries nothing the health checks read;
+            // future kinds are tolerated by construction.
             _ => {}
         }
     }

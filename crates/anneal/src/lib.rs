@@ -1,15 +1,15 @@
-//! Generic simulated-annealing engine for the TimberWolfMC reproduction.
-//!
-//! Provides the problem-independent pieces of the paper's annealing
-//! machinery:
+//! The annealing control math of the TimberWolfMC reproduction: the
+//! problem-independent schedule, window and ladder formulas that the
+//! placement loop (`twmc-place`'s `CoolingRun`) and the replica
+//! orchestrator (`twmc-parallel`) drive.
 //!
 //! * [`CoolingSchedule`] — the experimentally derived `α(T_old)` tables
 //!   (Tables 1 and 2) with `S_T` temperature scaling (eqs. 18–21);
 //! * [`RangeLimiter`] — the log-T window control of eqs. 12–14 with the
 //!   paper's ρ = 4;
-//! * [`anneal`] / [`AnnealState`] — the Metropolis loop with the
-//!   inner-loop criterion `A = A_c · N_c` (eq. 17) and the paper's two
-//!   stopping criteria.
+//! * [`derive_seed`], [`swap_probability`], [`cool_ladder`] and
+//!   [`adapt_gap`] — replica seed streams and the adaptive tempering
+//!   ladder.
 //!
 //! # Examples
 //!
@@ -28,18 +28,13 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod engine;
 mod parallel;
 mod range_limiter;
 mod schedule;
 
-pub use engine::{
-    anneal, anneal_inner_loop, anneal_with, AnnealConfig, AnnealContext, AnnealState, AnnealStats,
-    StoppingCriterion, TemperatureStats,
-};
 pub use parallel::{
-    adapt_gap, cool_ladder, derive_seed, initial_gaps, ladder_landed, swap_probability,
-    temperature_rungs, GAP_ETA, GAP_INIT, GAP_MAX, GAP_MIN, SWAP_HOT_SCALED_T, SWAP_TARGET,
+    adapt_gap, cool_ladder, derive_seed, initial_gaps, ladder_landed, swap_probability, GAP_ETA,
+    GAP_INIT, GAP_MAX, GAP_MIN, SWAP_HOT_SCALED_T, SWAP_TARGET,
 };
 pub use range_limiter::{RangeLimiter, DEFAULT_RHO, MIN_WINDOW_SPAN};
 pub use schedule::{

@@ -7,10 +7,6 @@
 //!
 //! * [`derive_seed`] — deterministic per-replica seed streams from one
 //!   master seed (replica 0 reproduces the single-run stream exactly);
-//! * [`temperature_rungs`] — fixed temperature rungs sampled from a
-//!   cooling-schedule trajectory, for externally driven (parallel
-//!   tempering) execution where the orchestrator, not the engine, owns
-//!   the temperature;
 //! * [`swap_probability`] — the Metropolis replica-exchange rule between
 //!   adjacent rungs;
 //! * [`initial_gaps`] / [`adapt_gap`] / [`cool_ladder`] — the adaptive
@@ -39,46 +35,6 @@ pub fn derive_seed(master: u64, replica: usize) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// Samples `count` fixed temperature rungs from the trajectory of a
-/// cooling schedule, descending from `t_start` to the first temperature
-/// `≤ t_floor` (inclusive).
-///
-/// Rung 0 is the hottest (`t_start`), rung `count - 1` the coldest; the
-/// rungs are evenly spaced over the *trajectory index*, so the spacing in
-/// temperature follows the schedule's own α(T) profile — dense where the
-/// schedule cools slowly (the paper's middle regime), sparse where it
-/// cools fast. With `count == 1` only the coldest point is returned.
-///
-/// # Panics
-///
-/// Panics if `count` is zero or `t_floor >= t_start`.
-pub fn temperature_rungs(
-    schedule: &CoolingSchedule,
-    t_start: f64,
-    s_t: f64,
-    t_floor: f64,
-    count: usize,
-) -> Vec<f64> {
-    assert!(count > 0, "need at least one rung");
-    assert!(
-        t_floor < t_start && t_floor > 0.0,
-        "floor {t_floor} must be in (0, {t_start})"
-    );
-    let mut trajectory = vec![t_start];
-    let mut t = t_start;
-    while t > t_floor && trajectory.len() < 100_000 {
-        t = schedule.next(t, s_t);
-        trajectory.push(t);
-    }
-    let last = trajectory.len() - 1;
-    if count == 1 {
-        return vec![trajectory[last]];
-    }
-    (0..count)
-        .map(|r| trajectory[r * last / (count - 1)])
-        .collect()
 }
 
 /// Metropolis acceptance probability for exchanging the configurations of
@@ -239,26 +195,6 @@ mod tests {
         assert_eq!(derive_seed(42, 1), derive_seed(42, 1));
         assert_ne!(derive_seed(42, 1), 42);
         assert_ne!(derive_seed(42, 1), derive_seed(42, 2));
-    }
-
-    #[test]
-    fn rungs_span_the_trajectory() {
-        let s = CoolingSchedule::stage1();
-        let rungs = temperature_rungs(&s, 1.0e5, 1.0, 1.0, 5);
-        assert_eq!(rungs.len(), 5);
-        assert_eq!(rungs[0], 1.0e5);
-        assert!(rungs[4] <= 1.0);
-        for pair in rungs.windows(2) {
-            assert!(pair[0] > pair[1], "{rungs:?}");
-        }
-    }
-
-    #[test]
-    fn single_rung_is_coldest() {
-        let s = CoolingSchedule::geometric(0.5);
-        let rungs = temperature_rungs(&s, 100.0, 1.0, 1.0, 1);
-        assert_eq!(rungs.len(), 1);
-        assert!(rungs[0] <= 1.0);
     }
 
     #[test]

@@ -2,16 +2,14 @@
 //! three refinement executions of channel definition, global routing,
 //! and low-temperature placement refinement.
 
-use std::time::Instant;
-
 use twmc_geom::{Orientation, Point, Rect};
 use twmc_netlist::Netlist;
-use twmc_obs::{Event, NullRecorder, Recorder, RunEnd, RunStart, StageSpan};
-use twmc_parallel::{parallel_stage1_with, ParallelReport, Strategy};
-use twmc_place::{place_stage1_with, PlacementState, Stage1Result};
-use twmc_refine::{refine_placement_with, Stage2Result};
+use twmc_obs::{NullRecorder, Recorder};
+use twmc_parallel::ParallelReport;
+use twmc_place::{PlacementState, Stage1Result};
+use twmc_refine::Stage2Result;
 
-use crate::TimberWolfConfig;
+use crate::{run_timberwolf_resilient, RunOptions, RunOutcome, TimberWolfConfig};
 
 /// Final placement of one cell, in owned form.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,127 +91,30 @@ pub fn run_timberwolf(nl: &Netlist, config: &TimberWolfConfig) -> TimberWolfResu
 
 /// [`run_timberwolf`] with a telemetry sink.
 ///
-/// The event stream opens with a [`RunStart`], carries every layer's
-/// events (per-temperature [`twmc_obs::PlaceTemp`]s, stage
-/// [`StageSpan`]s, replica summaries and swaps for orchestrated runs),
-/// and closes with a [`RunEnd`] holding the headline results. Recording
-/// never touches any RNG stream, so results are bit-identical to
-/// [`run_timberwolf`] for any recorder.
+/// The event stream opens with a [`twmc_obs::RunStart`], carries every
+/// layer's events (per-temperature [`twmc_obs::PlaceTemp`]s, stage
+/// [`twmc_obs::StageSpan`]s, replica summaries and swaps for
+/// orchestrated runs), and closes with a [`twmc_obs::RunEnd`] holding
+/// the headline results. Recording never touches any RNG stream, so
+/// results are bit-identical to [`run_timberwolf`] for any recorder.
+///
+/// This is [`run_timberwolf_resilient`] under the default (no-op)
+/// [`RunOptions`].
+///
+/// # Panics
+///
+/// Panics if `config.parallel` fails [`twmc_parallel::ParallelParams::validate`]
+/// or every stage-1 replica panics, as
+/// [`twmc_parallel::parallel_stage1_with`] does.
 pub fn run_timberwolf_with(
     nl: &Netlist,
     config: &TimberWolfConfig,
     rec: &mut dyn Recorder,
 ) -> TimberWolfResult {
-    let run_t0 = Instant::now();
-    // Pipeline-level trace spans land on the `main` lane, checked out
-    // per span so the stages' own spans share the ring and nest by
-    // containment: run → stage1/stage2/finalize → temp_step → ...
-    let tracer = rec.tracer().cloned();
-    let tspan = |name: &'static str, t0: Instant| {
-        if let Some(tr) = &tracer {
-            tr.lane("main").span(name, "run", t0, t0.elapsed());
-        }
-    };
-    if rec.enabled() {
-        let stats = nl.stats();
-        rec.record(&Event::RunStart(RunStart {
-            seed: config.seed,
-            cells: stats.cells,
-            nets: stats.nets,
-            pins: stats.pins,
-            replicas: config.parallel.replicas.max(1),
-            strategy: if config.parallel.replicas > 1 {
-                match config.parallel.strategy {
-                    Strategy::MultiStart => "multistart",
-                    Strategy::Tempering => "tempering",
-                }
-            } else {
-                "single"
-            },
-        }));
-    }
-    // Stage 1 goes through the replica orchestrator when asked for; the
-    // single-replica path stays the plain (bit-identical) run.
-    let t0 = Instant::now();
-    let (mut state, stage1, parallel) = if config.parallel.replicas > 1 {
-        let (state, stage1, report) = parallel_stage1_with(
-            nl,
-            &config.place,
-            &config.estimator,
-            &config.schedule,
-            &config.parallel,
-            config.seed,
-            rec,
-        );
-        (state, stage1, Some(report))
-    } else {
-        let (state, stage1) = place_stage1_with(
-            nl,
-            &config.place,
-            &config.estimator,
-            &config.schedule,
-            config.seed,
-            rec,
-        );
-        (state, stage1, None)
-    };
-    span(rec, "stage1", t0);
-    tspan("stage1", t0);
-    let t0 = Instant::now();
-    let stage2 = refine_placement_with(
-        &mut state,
-        nl,
-        &config.place,
-        &config.refine,
-        stage1.s_t,
-        stage1.t_infinity,
-        config.seed.wrapping_add(0x5eed),
-        rec,
-    );
-    tspan("stage2", t0);
-    // Finalize with routed channel widths enforced — the same yardstick
-    // the baselines are measured with.
-    let t0 = Instant::now();
-    let fin = crate::finalize_chip_with(
-        nl,
-        &mut state,
-        &config.refine.router,
-        config.seed.wrapping_add(0xf17a1),
-        rec,
-    );
-    span(rec, "finalize", t0);
-    tspan("finalize", t0);
-    tspan("run", run_t0);
-    let placement = snapshot_placement(nl, &state);
-    if rec.enabled() {
-        rec.record(&Event::RunEnd(RunEnd {
-            teil: fin.teil,
-            chip_width: fin.chip.width(),
-            chip_height: fin.chip.height(),
-            routed_length: fin.routed_length,
-            wall_us: run_t0.elapsed().as_micros() as u64,
-        }));
-    }
-    rec.flush();
-    TimberWolfResult {
-        teil: fin.teil,
-        chip: fin.chip,
-        routed_length: fin.routed_length,
-        stage1,
-        parallel,
-        stage2,
-        placement,
-    }
-}
-
-/// Emits a pipeline-level [`StageSpan`] (iteration 0) if recording.
-fn span(rec: &mut dyn Recorder, stage: &'static str, t0: Instant) {
-    if rec.enabled() {
-        rec.record(&Event::StageSpan(StageSpan {
-            stage,
-            iteration: 0,
-            wall_us: t0.elapsed().as_micros() as u64,
-        }));
+    match run_timberwolf_resilient(nl, config, RunOptions::default(), rec) {
+        Ok(RunOutcome::Complete(result)) => result,
+        Ok(RunOutcome::Interrupted(_)) => unreachable!("default options cannot interrupt"),
+        Err(e) => panic!("{e}"),
     }
 }
 

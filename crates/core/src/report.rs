@@ -204,7 +204,6 @@ pub fn format_telemetry_summary(events: &[Event]) -> String {
                 run.last_cost = p.cost.total;
                 run.last_teil = p.teil;
             }
-            Event::AnnealTemp(_) => {}
             Event::RouteIter(r) => routes.push(r),
             Event::StageSpan(s) => match stages.iter_mut().find(|(name, _, _)| *name == s.stage) {
                 Some((_, us, n)) => {

@@ -33,9 +33,8 @@ use crate::pipeline::{snapshot_placement, PlacedCellRecord, TimberWolfResult};
 use crate::TimberWolfConfig;
 
 /// Resilience options for [`run_timberwolf_resilient`]. The default is
-/// a no-op: never cancels, never writes, starts fresh — under it the
-/// resilient entry point behaves exactly like
-/// [`crate::run_timberwolf_with`].
+/// a no-op: never cancels, never writes, starts fresh — the plain
+/// [`crate::run_timberwolf_with`] runs under it.
 #[derive(Default)]
 pub struct RunOptions {
     /// Cancellation token polled at every stage/step boundary; wire it
@@ -107,7 +106,7 @@ impl From<CheckpointError> for PipelineError {
     }
 }
 
-/// [`crate::run_timberwolf_with`] under [`RunOptions`]: periodic atomic
+/// The full TimberWolfMC flow under [`RunOptions`]: periodic atomic
 /// checkpoints, resume from any checkpoint phase, cooperative
 /// cancellation, and fault-isolated replicas.
 ///
@@ -125,9 +124,9 @@ pub fn run_timberwolf_resilient(
     rec: &mut dyn Recorder,
 ) -> Result<RunOutcome, PipelineError> {
     let run_t0 = Instant::now();
-    // Pipeline-level trace spans, mirroring run_timberwolf_with: the
-    // `main` lane is checked out per span so stage-level spans contain
-    // the annealer's and router's own spans by time containment.
+    // Pipeline-level trace spans land on the `main` lane, checked out
+    // per span so the stages' own spans share the ring and nest by
+    // containment: run → stage1/stage2/finalize → temp_step → ...
     let tracer = rec.tracer().cloned();
     let tspan = |name: &'static str, t0: Instant| {
         if let Some(tr) = &tracer {

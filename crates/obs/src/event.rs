@@ -83,30 +83,6 @@ pub struct RunStart {
     pub strategy: &'static str,
 }
 
-/// One temperature step of the *generic* annealing engine
-/// ([`twmc_anneal::anneal_with`]) — problems other than placement.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct AnnealTemp {
-    /// Temperature step index (0-based).
-    pub step: usize,
-    /// Temperature of the inner loop.
-    pub temperature: f64,
-    /// Temperature scale factor `S_T`.
-    pub s_t: f64,
-    /// Range-limiter window span `W_x(T)`.
-    pub window_x: f64,
-    /// Range-limiter window span `W_y(T)`.
-    pub window_y: f64,
-    /// Inner-loop length `A = A_c · N_c` (eq. 17).
-    pub inner: usize,
-    /// New-state attempts made this step.
-    pub attempts: usize,
-    /// Attempts accepted.
-    pub accepts: usize,
-    /// Cost after the inner loop.
-    pub cost: f64,
-}
-
 /// The placement cost decomposition (paper eqs. 6–11).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostBreakdown {
@@ -321,8 +297,6 @@ pub struct RunEnd {
 pub enum Event {
     /// Run header.
     RunStart(RunStart),
-    /// Generic-engine temperature step.
-    AnnealTemp(AnnealTemp),
     /// Placement temperature step.
     PlaceTemp(PlaceTemp),
     /// Pipeline stage wall-clock span.
@@ -342,9 +316,8 @@ pub enum Event {
 }
 
 /// Every `kind` tag an event stream may contain, in schema order.
-pub const EVENT_KINDS: [&str; 10] = [
+pub const EVENT_KINDS: [&str; 9] = [
     "run_start",
-    "anneal_temp",
     "place_temp",
     "stage_span",
     "route_iter",
@@ -360,7 +333,6 @@ impl Event {
     pub fn kind(&self) -> &'static str {
         match self {
             Event::RunStart(_) => "run_start",
-            Event::AnnealTemp(_) => "anneal_temp",
             Event::PlaceTemp(_) => "place_temp",
             Event::StageSpan(_) => "stage_span",
             Event::RouteIter(_) => "route_iter",
@@ -377,7 +349,6 @@ impl Serialize for Event {
     fn to_value(&self) -> Value {
         let payload = match self {
             Event::RunStart(p) => p.to_value(),
-            Event::AnnealTemp(p) => p.to_value(),
             Event::PlaceTemp(p) => p.to_value(),
             Event::StageSpan(p) => p.to_value(),
             Event::RouteIter(p) => p.to_value(),
@@ -426,17 +397,6 @@ mod tests {
                 pins: 4,
                 replicas: 1,
                 strategy: "single",
-            }),
-            Event::AnnealTemp(AnnealTemp {
-                step: 0,
-                temperature: 1.0,
-                s_t: 1.0,
-                window_x: 1.0,
-                window_y: 1.0,
-                inner: 10,
-                attempts: 10,
-                accepts: 5,
-                cost: 2.0,
             }),
             Event::PlaceTemp(PlaceTemp {
                 phase: "stage1",

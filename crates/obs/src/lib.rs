@@ -51,8 +51,8 @@ pub mod validate;
 
 pub use cancel::{CancelToken, StopReason};
 pub use event::{
-    AnnealTemp, ClassCount, CostBreakdown, Event, PlaceTemp, ReplicaFailed, ReplicaSummary,
-    RouteIter, RunEnd, RunInterrupted, RunScope, RunStart, StageSpan, Swap, EVENT_KINDS,
+    ClassCount, CostBreakdown, Event, PlaceTemp, ReplicaFailed, ReplicaSummary, RouteIter, RunEnd,
+    RunInterrupted, RunScope, RunStart, StageSpan, Swap, EVENT_KINDS,
 };
 pub use recorder::{
     DurableFile, Instrumented, JsonlRecorder, NullRecorder, Recorder, SummaryRecorder, Tee,

@@ -18,7 +18,6 @@ use crate::EVENT_KINDS;
 fn required_fields(kind: &str) -> &'static [&'static str] {
     match kind {
         "run_start" => &["seed", "cells", "nets", "pins", "replicas", "strategy"],
-        "anneal_temp" => &["step", "temperature", "s_t", "attempts", "accepts", "cost"],
         "place_temp" => &[
             "phase",
             "replica",
@@ -112,12 +111,12 @@ fn string_field(entries: &[(String, Value)], field: &str) -> Option<String> {
 /// as a JSON object carrying a known `kind` tag and that kind's
 /// required fields; additionally the stream must contain exactly one
 /// `run_start`/`run_end` pair when either appears (in that order), and
-/// temperatures within one annealing stream (an `anneal_temp` stream or
-/// the `place_temp`s sharing a phase/iteration/replica scope) must be
-/// non-increasing. A `run_interrupted` event resets the temperature
-/// tracking (the continuation of an interrupted stage re-runs its
-/// cooling), and a stream whose last event is `run_interrupted` may
-/// legally omit `run_end` — the continuation lives in a checkpoint.
+/// temperatures within one annealing stream (the `place_temp`s sharing
+/// a phase/iteration/replica scope) must be non-increasing. A
+/// `run_interrupted` event resets the temperature tracking (the
+/// continuation of an interrupted stage re-runs its cooling), and a
+/// stream whose last event is `run_interrupted` may legally omit
+/// `run_end` — the continuation lives in a checkpoint.
 /// Every error names the offending line. Returns per-kind counts.
 pub fn validate_jsonl(text: &str) -> Result<StreamStats, String> {
     let mut stats = StreamStats::default();
@@ -125,9 +124,8 @@ pub fn validate_jsonl(text: &str) -> Result<StreamStats, String> {
     let mut run_start_line = 0usize;
     let mut run_end_line = 0usize;
     let mut last_kind = String::new();
-    // Last temperature per annealing stream: keyed by
-    // (phase, iteration, replica) for place_temp, a fixed key for the
-    // generic anneal_temp stream.
+    // Last temperature per annealing stream, keyed by the place_temp
+    // scope (phase, iteration, replica).
     let mut last_temp: BTreeMap<(String, i64, i64), (f64, usize)> = BTreeMap::new();
     for (lineno, line) in text.lines().enumerate() {
         let lineno = lineno + 1;
@@ -172,16 +170,12 @@ pub fn validate_jsonl(text: &str) -> Result<StreamStats, String> {
                 }
                 run_end_line = lineno;
             }
-            "anneal_temp" | "place_temp" => {
-                let key = if kind == "anneal_temp" {
-                    ("anneal".to_owned(), 0, 0)
-                } else {
-                    (
-                        string_field(&entries, "phase").unwrap_or_default(),
-                        numeric_field(&entries, "iteration").unwrap_or(0.0) as i64,
-                        numeric_field(&entries, "replica").unwrap_or(-1.0) as i64,
-                    )
-                };
+            "place_temp" => {
+                let key = (
+                    string_field(&entries, "phase").unwrap_or_default(),
+                    numeric_field(&entries, "iteration").unwrap_or(0.0) as i64,
+                    numeric_field(&entries, "replica").unwrap_or(-1.0) as i64,
+                );
                 let t = numeric_field(&entries, "temperature")
                     .ok_or_else(|| format!("line {lineno}: non-numeric `temperature`"))?;
                 if let Some(&(prev, prev_line)) = last_temp.get(&key) {

@@ -435,8 +435,9 @@ pub fn parallel_stage1<'a>(
 /// Replica annealing streams are recorded per-worker and replayed into
 /// `rec` in replica order after the join (multi-start), or emitted
 /// per-round on the orchestrator thread (tempering), followed by one
-/// [`twmc_obs::ReplicaSummary`] per replica and any
-/// [`twmc_obs::Swap`] events. Recording never touches any RNG stream,
+/// [`twmc_obs::ReplicaSummary`] per replica (none for a single
+/// replica, whose stream equals [`twmc_place::place_stage1_with`]'s)
+/// and any [`twmc_obs::Swap`] events. Recording never touches any RNG stream,
 /// so results are bit-identical to [`parallel_stage1`] for any recorder
 /// and any thread count.
 pub fn parallel_stage1_with<'a>(

@@ -1,14 +1,16 @@
 //! Multi-start orchestration: independent replicas, best TEIL wins.
 //!
-//! Replicas are driven in *step-synchronized rounds*: each round, every
-//! live replica runs exactly one temperature step ([`CoolingRun::step`])
-//! in parallel, then the orchestrator drains telemetry, probes the
-//! cancellation token, and writes a checkpoint when one is due. All
-//! replicas share the Table-1 temperature trajectory (the stage-1 stop
-//! conditions depend only on the temperature), so they finish on the
-//! same step and a round boundary is a consistent cut of the whole
-//! ensemble — which is what makes the checkpoint/resume cycle and the
-//! interrupted-telemetry-prefix property exact.
+//! Replicas are driven in *step-synchronized rounds* by [`drive`]: each
+//! round, every live replica runs exactly one temperature step
+//! ([`CoolingRun::step`]) in parallel, then the orchestrator drains
+//! telemetry, probes the cancellation token, and writes a checkpoint
+//! when one is due. All replicas share the Table-1 temperature
+//! trajectory (the stage-1 stop conditions depend only on the
+//! temperature), so they finish on the same step and a round boundary
+//! is a consistent cut of the whole ensemble — which is what makes the
+//! checkpoint/resume cycle and the interrupted-telemetry-prefix property
+//! exact. The tempering quench drives its rungs through the same
+//! [`drive`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,7 +21,7 @@ use twmc_estimator::EstimatorParams;
 use twmc_netlist::Netlist;
 use twmc_obs::{
     Event, Instrumented, NullRecorder, Recorder, ReplicaFailed, ReplicaSummary, RunScope,
-    SummaryRecorder,
+    StopReason, SummaryRecorder,
 };
 use twmc_place::{CoolingRun, MoveSet, PlaceParams, PlacementState, Stage1Context, Stage1Result};
 
@@ -61,25 +63,45 @@ pub(crate) fn replica_summary(phase: &'static str, r: &ReplicaReport) -> Event {
     })
 }
 
-/// One live replica: its configuration, RNG stream, cooling-loop
-/// position, a private telemetry buffer drained by the orchestrator
-/// after each round, and the failure note that retires it.
-struct Replica<'a> {
-    index: usize,
-    seed: u64,
-    state: PlacementState<'a>,
-    rng: StdRng,
-    run: CoolingRun,
-    local: SummaryRecorder,
-    failed: Option<String>,
+/// One replica of a [`drive`]n ensemble (a multi-start replica or a
+/// quenching tempering rung): its configuration, RNG stream,
+/// cooling-loop position, a private telemetry buffer drained by the
+/// orchestrator after each round, and the failure note that retires it.
+pub(crate) struct Replica<'a> {
+    pub(crate) index: usize,
+    pub(crate) seed: u64,
+    pub(crate) state: PlacementState<'a>,
+    pub(crate) rng: StdRng,
+    pub(crate) run: CoolingRun,
+    pub(crate) local: SummaryRecorder,
+    pub(crate) failed: Option<String>,
 }
 
-impl Replica<'_> {
-    fn live(&self) -> bool {
+impl<'a> Replica<'a> {
+    /// A live replica about to run `run` from `state`.
+    pub(crate) fn new(
+        index: usize,
+        seed: u64,
+        state: PlacementState<'a>,
+        rng: StdRng,
+        run: CoolingRun,
+    ) -> Self {
+        Replica {
+            index,
+            seed,
+            state,
+            rng,
+            run,
+            local: SummaryRecorder::new(),
+            failed: None,
+        }
+    }
+
+    pub(crate) fn live(&self) -> bool {
         self.failed.is_none()
     }
 
-    fn checkpoint(&self) -> resume::ReplicaCk {
+    pub(crate) fn checkpoint(&self) -> resume::ReplicaCk {
         resume::ReplicaCk {
             seed: self.seed,
             failed: self.failed.clone(),
@@ -91,7 +113,7 @@ impl Replica<'_> {
         }
     }
 
-    fn restore(&mut self, ck: &resume::ReplicaCk) {
+    pub(crate) fn restore(&mut self, ck: &resume::ReplicaCk) {
         self.state.restore(&ck.snap);
         self.state.force_index_counters(ck.rebuilds, ck.updates);
         self.rng = StdRng::from_state(ck.rng);
@@ -105,16 +127,7 @@ impl Replica<'_> {
 /// the lowest replica index, so the selection is total and
 /// deterministic). `single` runs the one-replica degenerate form whose
 /// event stream and results are bit-identical to
-/// [`twmc_place::place_stage1_with`].
-///
-/// Telemetry: worker threads cannot share the caller's `&mut dyn
-/// Recorder` (the pool requires `Sync` closures), so each replica
-/// records its step's events into its own [`SummaryRecorder`] and the
-/// orchestrator drains them in replica order after every round —
-/// step-major order, deterministic for any thread count. A run
-/// interrupted at a round boundary has therefore emitted an exact
-/// prefix of the uninterrupted stream, and the resumed run emits
-/// exactly the remaining suffix.
+/// [`twmc_place::place_stage1_with`]: it emits no replica summary.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_controlled<'a>(
     nl: &'a Netlist,
@@ -130,7 +143,6 @@ pub(crate) fn run_controlled<'a>(
 ) -> Result<Stage1Outcome<'a>, OrchestratorError> {
     let replicas = if single { 1 } else { params.replicas };
     let threads = params.effective_threads(replicas);
-    let enabled = rec.enabled();
     let stats = nl.stats();
     let config = resume::config_value(
         master_seed,
@@ -139,7 +151,6 @@ pub(crate) fn run_controlled<'a>(
         (stats.cells, stats.nets, stats.pins),
     );
     let phase_tag = if single { "single" } else { "multistart" };
-    let summary_phase = "multistart";
     let ctx = Stage1Context::new(nl, place, est);
 
     // Fresh construction first (identical for fresh and resumed runs:
@@ -163,15 +174,13 @@ pub(crate) fn run_controlled<'a>(
                 error: e.message,
             }])
         })?;
-        reps.push(Replica {
-            index: i,
-            seed: seeds[i],
+        reps.push(Replica::new(
+            i,
+            seeds[i],
             state,
             rng,
-            run: CoolingRun::new(ctx.t_infinity),
-            local: SummaryRecorder::new(),
-            failed: None,
-        });
+            CoolingRun::new(ctx.t_infinity),
+        ));
     }
 
     if let Some(payload) = resume_payload {
@@ -212,23 +221,103 @@ pub(crate) fn run_controlled<'a>(
         )
     };
 
-    loop {
-        if !reps.iter().any(|r| r.live() && !r.run.done) {
-            break;
+    if let Some(reason) = drive(
+        &ctx,
+        place,
+        schedule,
+        &mut reps,
+        threads,
+        "multistart",
+        0,
+        scope_for,
+        &mut failures,
+        rec,
+        ctrl,
+        build_payload,
+    )? {
+        return Ok(interrupted(reason, reps));
+    }
+
+    let mut reports: Vec<ReplicaReport> = Vec::new();
+    for rep in reps.iter().filter(|r| r.live()) {
+        let result = rep
+            .run
+            .clone()
+            .into_result(&rep.state, ctx.t_infinity, ctx.s_t);
+        reports.push(replica_report(rep.index, rep.seed, &rep.state, &result));
+    }
+    let Some(best) = best_live(&reps) else {
+        return Err(OrchestratorError::AllReplicasFailed(failures));
+    };
+    if !single && rec.enabled() {
+        for r in &reports {
+            rec.record(&replica_summary("multistart", r));
         }
+    }
+    let rep = reps.swap_remove(best);
+    let result = rep.run.into_result(&rep.state, ctx.t_infinity, ctx.s_t);
+    let report = ParallelReport {
+        strategy: params.strategy,
+        replicas,
+        threads,
+        best_replica: rep.index,
+        replica_reports: reports,
+        swaps: SwapReport::default(),
+        failed: failures,
+    };
+    Ok(Stage1Outcome::Complete {
+        state: rep.state,
+        result,
+        report,
+    })
+}
+
+/// Drives `reps` in step-synchronized rounds until every live replica's
+/// cooling run is done (`Ok(None)`) or the run controller's token fires
+/// (`Ok(Some(reason))`, after flushing a final checkpoint).
+///
+/// Each round every live replica runs one [`CoolingRun::step`] on the
+/// pool, scoped by `scope_for(index)`; round `k` of replica `i` is
+/// `round_base + k`, the coordinate fault injection, failure records and
+/// the checkpoint cadence use. A replica whose worker panicked is
+/// retired with a [`ReplicaFailed`] event tagged `phase`. Worker threads
+/// cannot share the caller's `&mut dyn Recorder` (the pool requires
+/// `Sync` closures), so each replica records its step's events into its
+/// own [`SummaryRecorder`] and the orchestrator drains them in replica
+/// order after every round — step-major order, deterministic for any
+/// thread count. A run interrupted at a round boundary has therefore
+/// emitted an exact prefix of the uninterrupted stream, and the resumed
+/// run emits exactly the remaining suffix. The hub and the tracer ride
+/// into the workers, so each replica's moves fill the per-move
+/// histogram and its own `replica<k>` trace lane. Checkpoints hold
+/// `payload(reps, failures)`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive<'a>(
+    ctx: &Stage1Context<'a>,
+    place: &PlaceParams,
+    schedule: &CoolingSchedule,
+    reps: &mut [Replica<'a>],
+    threads: usize,
+    phase: &'static str,
+    round_base: usize,
+    scope_for: impl Fn(usize) -> RunScope + Sync,
+    failures: &mut Vec<ReplicaFailure>,
+    rec: &mut dyn Recorder,
+    ctrl: &mut RunCtrl,
+    payload: impl Fn(&[Replica<'a>], &[ReplicaFailure]) -> Value,
+) -> Result<Option<StopReason>, OrchestratorError> {
+    let enabled = rec.enabled();
+    while reps.iter().any(|r| r.live() && !r.run.done) {
         let before: usize = reps.iter().map(|r| r.run.moves.attempts()).sum();
         let round_hub = rec.hub().cloned();
         let round_tracer = rec.tracer().cloned();
-        let outcomes = pool::try_run_mut(&mut reps, threads, |_, rep| {
+        let outcomes = pool::try_run_mut(reps, threads, |_, rep| {
             if !rep.live() || rep.run.done {
                 return;
             }
-            fault::maybe_fail(rep.index, rep.run.steps());
+            fault::maybe_fail(rep.index, round_base + rep.run.steps());
             let mut null = NullRecorder;
             let sink: &mut dyn Recorder = if enabled { &mut rep.local } else { &mut null };
-            // Forward the orchestrator's hub and tracer into the worker
-            // thread so hot-path metrics and spans fill from multi-start
-            // rounds (each replica writes its own `replica<k>` lane).
             let mut sink =
                 Instrumented::maybe(sink, round_hub.clone()).with_tracer(round_tracer.clone());
             rep.run.step(
@@ -248,7 +337,7 @@ pub(crate) fn run_controlled<'a>(
             if let Err(e) = out {
                 if rep.live() {
                     rep.failed = Some(e.message.clone());
-                    let round = rep.run.steps() as u64;
+                    let round = (round_base + rep.run.steps()) as u64;
                     failures.push(ReplicaFailure {
                         replica: rep.index,
                         round,
@@ -259,7 +348,7 @@ pub(crate) fn run_controlled<'a>(
                     }
                     if enabled {
                         rec.record(&Event::ReplicaFailed(ReplicaFailed {
-                            phase: summary_phase,
+                            phase,
                             replica: rep.index,
                             round,
                             error: e.message.clone(),
@@ -269,7 +358,7 @@ pub(crate) fn run_controlled<'a>(
             }
         }
         if enabled {
-            for rep in &mut reps {
+            for rep in reps.iter_mut() {
                 for e in std::mem::take(&mut rep.local).into_events() {
                     rec.record(&e);
                 }
@@ -279,8 +368,8 @@ pub(crate) fn run_controlled<'a>(
         ctrl.cancel.add_moves((after - before) as u64);
 
         if let Some(reason) = ctrl.cancel.check() {
-            ctrl.write_checkpoint(&build_payload(&reps, &failures))?;
-            return Ok(interrupted(reason, reps, failures));
+            ctrl.write_checkpoint(&payload(reps, failures))?;
+            return Ok(Some(reason));
         }
         let step = reps
             .iter()
@@ -288,80 +377,37 @@ pub(crate) fn run_controlled<'a>(
             .map(|r| r.run.steps())
             .max()
             .unwrap_or(0);
-        if step > 0 && ctrl.checkpoint_due(step as u64 - 1) {
-            ctrl.write_checkpoint(&build_payload(&reps, &failures))?;
+        if step > 0 && ctrl.checkpoint_due((round_base + step) as u64 - 1) {
+            ctrl.write_checkpoint(&payload(reps, failures))?;
         }
     }
-
-    let mut reports: Vec<ReplicaReport> = Vec::new();
-    for rep in reps.iter().filter(|r| r.live()) {
-        let result = rep
-            .run
-            .clone()
-            .into_result(&rep.state, ctx.t_infinity, ctx.s_t);
-        reports.push(replica_report(rep.index, rep.seed, &rep.state, &result));
-    }
-    if reports.is_empty() {
-        return Err(OrchestratorError::AllReplicasFailed(failures));
-    }
-    if enabled {
-        for r in &reports {
-            rec.record(&replica_summary(summary_phase, r));
-        }
-    }
-    // First minimum wins ties (Iterator::min_by keeps the *last*).
-    let mut best = 0;
-    for (i, r) in reports.iter().enumerate().skip(1) {
-        if r.teil < reports[best].teil {
-            best = i;
-        }
-    }
-    let best_replica = reports[best].replica;
-    let pos = reps
-        .iter()
-        .position(|r| r.index == best_replica)
-        .expect("winner is live");
-    let rep = reps.swap_remove(pos);
-    let mut result = rep.run.into_result(&rep.state, ctx.t_infinity, ctx.s_t);
-    result.t_infinity = ctx.t_infinity;
-    let report = ParallelReport {
-        strategy: params.strategy,
-        replicas,
-        threads,
-        best_replica,
-        replica_reports: reports,
-        swaps: SwapReport::default(),
-        failed: failures,
-    };
-    Ok(Stage1Outcome::Complete {
-        state: rep.state,
-        result,
-        report,
-    })
+    Ok(None)
 }
 
 /// Closes an interrupted run over the best live replica so far (lowest
 /// TEIL — total costs are not comparable across multi-start replicas,
 /// whose `p₂` normalizations differ).
-fn interrupted<'a>(
-    reason: twmc_obs::StopReason,
-    mut reps: Vec<Replica<'a>>,
-    _failures: Vec<ReplicaFailure>,
-) -> Stage1Outcome<'a> {
-    let mut best = usize::MAX;
-    for (i, rep) in reps.iter().enumerate() {
-        if rep.live() && (best == usize::MAX || rep.state.teil() < reps[best].state.teil()) {
-            best = i;
-        }
-    }
+pub(crate) fn interrupted(reason: StopReason, mut reps: Vec<Replica<'_>>) -> Stage1Outcome<'_> {
     // With every replica failed *and* an interrupt at the same boundary,
     // fall back to replica 0's mid-mutation state — still a placement.
-    let pick = if best == usize::MAX { 0 } else { best };
-    let rep = reps.swap_remove(pick);
+    let rep = reps.swap_remove(best_live(&reps).unwrap_or(0));
     Stage1Outcome::Interrupted {
         reason,
         teil: rep.state.teil(),
         cost: rep.state.cost(),
         state: rep.state,
     }
+}
+
+/// Position of the live replica with the lowest TEIL, the first on ties
+/// (`Iterator::min_by` would keep the last), so the selection is total
+/// and deterministic; `None` once every replica has failed.
+pub(crate) fn best_live(reps: &[Replica<'_>]) -> Option<usize> {
+    let mut best: Option<usize> = None;
+    for (i, rep) in reps.iter().enumerate() {
+        if rep.live() && best.is_none_or(|b| rep.state.teil() < reps[b].state.teil()) {
+            best = Some(i);
+        }
+    }
+    best
 }

@@ -50,16 +50,15 @@ use twmc_anneal::{
 use twmc_estimator::EstimatorParams;
 use twmc_netlist::Netlist;
 use twmc_obs::{
-    ClassCount, CostBreakdown, Event, Instrumented, NullRecorder, PlaceTemp, Recorder,
-    ReplicaFailed, RunScope, SummaryRecorder, Swap, MOVE_EVAL_SAMPLE,
+    ClassCount, CostBreakdown, Event, PlaceTemp, Recorder, ReplicaFailed, RunScope, Swap,
 };
 use twmc_place::{
-    attribute_cost_terms, generate, CoolingRun, MoveSet, MoveStats, PlaceParams, PlacementState,
-    Stage1Context, COST_ATTRIB_SAMPLE,
+    inner_loop, CoolingRun, MoveSet, MoveStats, PlaceParams, PlacementState, Stage1Context,
 };
 
+use crate::multistart::{self, Replica};
 use crate::{
-    fault, multistart, pool, resume, OrchestratorError, PairSwap, ParallelParams, ParallelReport,
+    fault, pool, resume, OrchestratorError, PairSwap, ParallelParams, ParallelReport,
     ReplicaFailure, ReplicaReport, RunCtrl, Stage1Outcome, SwapReport,
 };
 
@@ -136,47 +135,6 @@ impl Rung<'_> {
         self.rng = StdRng::from_state(ck.rng);
         self.stats = ck.stats;
         self.trajectory = ck.trajectory.clone();
-        self.failed = ck.failed.clone();
-    }
-}
-
-/// One rung's worker during the quench phase: the same configuration and
-/// RNG stream continuing into a plain stage-1 cooling run from the
-/// rung's ladder-end temperature, with a private telemetry buffer
-/// drained by the orchestrator after each round (the same
-/// step-synchronized scheme multi-start uses).
-struct QuenchRep<'a> {
-    index: usize,
-    seed: u64,
-    state: PlacementState<'a>,
-    rng: StdRng,
-    run: CoolingRun,
-    local: SummaryRecorder,
-    failed: Option<String>,
-}
-
-impl QuenchRep<'_> {
-    fn live(&self) -> bool {
-        self.failed.is_none()
-    }
-
-    fn checkpoint(&self) -> resume::ReplicaCk {
-        resume::ReplicaCk {
-            seed: self.seed,
-            failed: self.failed.clone(),
-            rng: self.rng.state(),
-            run: self.run.clone(),
-            snap: self.state.snapshot(),
-            rebuilds: self.state.index_rebuilds(),
-            updates: self.state.index_updates(),
-        }
-    }
-
-    fn restore(&mut self, ck: &resume::ReplicaCk) {
-        self.state.restore(&ck.snap);
-        self.state.force_index_counters(ck.rebuilds, ck.updates);
-        self.rng = StdRng::from_state(ck.rng);
-        self.run = ck.run.clone();
         self.failed = ck.failed.clone();
     }
 }
@@ -283,17 +241,11 @@ pub(crate) fn run_controlled<'a>(
                     twmc_resume::CheckpointError::Corrupt("checkpoint rung count differs".into()),
                 ));
             }
-            let mut reps: Vec<QuenchRep<'a>> = states
+            let mut reps: Vec<Replica<'a>> = states
                 .into_iter()
                 .enumerate()
-                .map(|(i, (state, rng))| QuenchRep {
-                    index: i,
-                    seed: seeds[i],
-                    state,
-                    rng,
-                    run: CoolingRun::new(ctx.t_infinity),
-                    local: SummaryRecorder::new(),
-                    failed: None,
+                .map(|(i, (state, rng))| {
+                    Replica::new(i, seeds[i], state, rng, CoolingRun::new(ctx.t_infinity))
                 })
                 .collect();
             for (rep, rck) in reps.iter_mut().zip(&ck.rungs) {
@@ -401,80 +353,24 @@ pub(crate) fn run_controlled<'a>(
                 return;
             }
             fault::maybe_fail(rung.index, round);
+            // Each rung traces onto its own `rung<k>` lane; hub handles
+            // are atomic, so concurrent rungs fold in safely.
             let t = temps[rung.index];
-            let wx = ctx.limiter.window_x(t);
-            let wy = ctx.limiter.window_y(t);
-            if round_hub.is_some() || round_tracer.is_some() {
-                // Instrumented rung round: block-averaged move timing
-                // shared between the hub histogram and the tracer's
-                // `move_block` spans (each rung writes its own
-                // `rung<k>` lane; hub handles are atomic, so
-                // concurrent rungs fold in safely), plus sampled
-                // cost-term attribution exactly as in the stage-1
-                // loop. RNG use is identical to the plain loop below.
-                let round_t0 = std::time::Instant::now();
-                let mut lane = round_tracer
+            inner_loop(
+                &mut rung.state,
+                place,
+                MoveSet::Full,
+                ctx.limiter.window_x(t),
+                ctx.limiter.window_y(t),
+                t,
+                inner,
+                &mut rung.rng,
+                &mut rung.stats,
+                round_hub.as_deref(),
+                round_tracer
                     .as_ref()
-                    .map(|tr| tr.lane(&format!("rung{}", rung.index)));
-                let (a0, c0) = (rung.stats.attempts(), rung.stats.accepts());
-                let mut done = 0usize;
-                let mut block = 0usize;
-                while done < inner {
-                    let n = MOVE_EVAL_SAMPLE.min(inner - done);
-                    let attributed = lane.is_some() && block.is_multiple_of(COST_ATTRIB_SAMPLE);
-                    if attributed {
-                        rung.state.cost_clock().start();
-                    }
-                    let t0 = std::time::Instant::now();
-                    for _ in 0..n {
-                        generate(
-                            &mut rung.state,
-                            place,
-                            MoveSet::Full,
-                            wx,
-                            wy,
-                            t,
-                            &mut rung.rng,
-                            &mut rung.stats,
-                        );
-                    }
-                    let elapsed = t0.elapsed();
-                    if let Some(hub) = &round_hub {
-                        hub.move_eval_ns
-                            .observe(elapsed.as_nanos() as f64 / n as f64);
-                    }
-                    if let Some(lane) = &mut lane {
-                        lane.span("move_block", "place", t0, elapsed);
-                        if attributed {
-                            attribute_cost_terms(lane, t0, elapsed, rung.state.cost_clock().stop());
-                        }
-                    }
-                    done += n;
-                    block += 1;
-                }
-                if let Some(hub) = &round_hub {
-                    hub.moves_total.add((rung.stats.attempts() - a0) as u64);
-                    hub.moves_accepted_total
-                        .add((rung.stats.accepts() - c0) as u64);
-                    hub.temp_steps_total.inc();
-                }
-                if let Some(lane) = &mut lane {
-                    lane.span("temp_step", "place", round_t0, round_t0.elapsed());
-                }
-            } else {
-                for _ in 0..inner {
-                    generate(
-                        &mut rung.state,
-                        place,
-                        MoveSet::Full,
-                        wx,
-                        wy,
-                        t,
-                        &mut rung.rng,
-                        &mut rung.stats,
-                    );
-                }
-            }
+                    .map(|tr| tr.lane(&format!("rung{}", rung.index))),
+            );
             rung.trajectory.push(rung.state.teil());
         });
         for (rung, out) in rungs.iter_mut().zip(&outcomes) {
@@ -693,19 +589,15 @@ pub(crate) fn run_controlled<'a>(
     // distinct basin, multiplying the chances one anneals out ahead of
     // the single-quench baseline. The elitist harvest in `quench_all`
     // guarantees the reheat can never end worse than it started.
-    let reps: Vec<QuenchRep<'a>> = rungs
+    let reps: Vec<Replica<'a>> = rungs
         .into_iter()
         .map(|r| {
             let mut state = r.state;
             state.set_p2(own_p2[r.index]);
-            QuenchRep {
-                run: CoolingRun::new(temps[r.index].max(t_floor * QUENCH_REHEAT)),
-                index: r.index,
-                seed: r.seed,
-                state,
-                rng: r.rng,
-                local: SummaryRecorder::new(),
+            let run = CoolingRun::new(temps[r.index].max(t_floor * QUENCH_REHEAT));
+            Replica {
                 failed: r.failed,
+                ..Replica::new(r.index, r.seed, state, r.rng, run)
             }
         })
         .collect();
@@ -736,10 +628,10 @@ pub(crate) fn run_controlled<'a>(
 
 /// Drives every surviving rung's quench (a plain stage-1 cooling run
 /// from its reheated ladder-end temperature, under the rung's own
-/// overlap calibration) in step-synchronized rounds with cancellation
-/// and checkpointing. Rungs that end above their pre-quench `elites`
-/// baseline are rolled back to it; the lowest post-quench TEIL wins
-/// (ties go to the lowest rung index).
+/// overlap calibration) through the multi-start round loop
+/// ([`multistart::drive`]), from round `ladder_rounds` on. Rungs that
+/// end above their pre-quench `elites` baseline are rolled back to it;
+/// the lowest post-quench TEIL wins (ties go to the lowest rung index).
 #[allow(clippy::too_many_arguments)]
 fn quench_all<'a>(
     ctx: &Stage1Context<'a>,
@@ -749,7 +641,7 @@ fn quench_all<'a>(
     rec: &mut dyn Recorder,
     ctrl: &mut RunCtrl,
     config: &Value,
-    mut reps: Vec<QuenchRep<'a>>,
+    mut reps: Vec<Replica<'a>>,
     reports: Vec<ReplicaReport>,
     swaps: SwapReport,
     mut failures: Vec<ReplicaFailure>,
@@ -757,8 +649,7 @@ fn quench_all<'a>(
     threads: usize,
     ladder_rounds: usize,
 ) -> Result<Stage1Outcome<'a>, OrchestratorError> {
-    let enabled = rec.enabled();
-    let build_payload = |reps: &[QuenchRep<'a>], failures: &[ReplicaFailure]| {
+    let build_payload = |reps: &[Replica<'a>], failures: &[ReplicaFailure]| {
         resume::phase_payload(
             "quench",
             config.clone(),
@@ -781,108 +672,27 @@ fn quench_all<'a>(
             ],
         )
     };
-    loop {
-        if !reps.iter().any(|r| r.live() && !r.run.done) {
-            break;
-        }
-        let before: usize = reps.iter().map(|r| r.run.moves.attempts()).sum();
-        let round_hub = rec.hub().cloned();
-        let outcomes = pool::try_run_mut(&mut reps, threads, |_, rep| {
-            if !rep.live() || rep.run.done {
-                return;
-            }
-            fault::maybe_fail(rep.index, ladder_rounds + rep.run.steps());
-            let mut null = NullRecorder;
-            let sink: &mut dyn Recorder = if enabled { &mut rep.local } else { &mut null };
-            // Forward the orchestrator's hub into the worker thread so
-            // the per-move histogram fills from quench rounds too.
-            let mut sink = Instrumented::maybe(sink, round_hub.clone());
-            rep.run.step(
-                &mut rep.state,
-                place,
-                MoveSet::Full,
-                schedule,
-                &ctx.limiter,
-                ctx.s_t,
-                None,
-                &mut rep.rng,
-                &mut sink,
-                RunScope {
-                    phase: "quench",
-                    iteration: 0,
-                    replica: rep.index as i64,
-                },
-            );
-        });
-        for (rep, out) in reps.iter_mut().zip(&outcomes) {
-            if let Err(e) = out {
-                if rep.live() {
-                    rep.failed = Some(e.message.clone());
-                    let round = (ladder_rounds + rep.run.steps()) as u64;
-                    failures.push(ReplicaFailure {
-                        replica: rep.index,
-                        round,
-                        error: e.message.clone(),
-                    });
-                    if let Some(hub) = rec.hub() {
-                        hub.replica_failures_total.inc();
-                    }
-                    if enabled {
-                        rec.record(&Event::ReplicaFailed(ReplicaFailed {
-                            phase: "quench",
-                            replica: rep.index,
-                            round,
-                            error: e.message.clone(),
-                        }));
-                    }
-                }
-            }
-        }
-        if enabled {
-            for rep in &mut reps {
-                for e in std::mem::take(&mut rep.local).into_events() {
-                    rec.record(&e);
-                }
-            }
-        }
-        let after: usize = reps.iter().map(|r| r.run.moves.attempts()).sum();
-        ctrl.cancel.add_moves((after - before) as u64);
-
-        if let Some(reason) = ctrl.cancel.check() {
-            ctrl.write_checkpoint(&build_payload(&reps, &failures))?;
-            // Best live configuration so far by TEIL (costs are also
-            // comparable here — shared `p₂` — but TEIL matches the final
-            // winner rule).
-            let mut best = usize::MAX;
-            for (i, rep) in reps.iter().enumerate() {
-                if rep.live() && (best == usize::MAX || rep.state.teil() < reps[best].state.teil())
-                {
-                    best = i;
-                }
-            }
-            let pick = if best == usize::MAX { 0 } else { best };
-            let rep = reps.swap_remove(pick);
-            return Ok(Stage1Outcome::Interrupted {
-                reason,
-                teil: rep.state.teil(),
-                cost: rep.state.cost(),
-                state: rep.state,
-            });
-        }
-        let step = reps
-            .iter()
-            .filter(|r| r.live())
-            .map(|r| r.run.steps())
-            .max()
-            .unwrap_or(0);
-        if step > 0 && ctrl.checkpoint_due((ladder_rounds + step) as u64 - 1) {
-            ctrl.write_checkpoint(&build_payload(&reps, &failures))?;
-        }
+    if let Some(reason) = multistart::drive(
+        ctx,
+        place,
+        schedule,
+        &mut reps,
+        threads,
+        "quench",
+        ladder_rounds,
+        |i| RunScope {
+            phase: "quench",
+            iteration: 0,
+            replica: i as i64,
+        },
+        &mut failures,
+        rec,
+        ctrl,
+        build_payload,
+    )? {
+        return Ok(multistart::interrupted(reason, reps));
     }
 
-    if reps.iter().all(|r| !r.live()) {
-        return Err(OrchestratorError::AllReplicasFailed(failures));
-    }
     // A quench that ended above its own starting point is rolled back.
     for (rep, elite) in reps.iter_mut().zip(&elites) {
         if let Some((snap, teil)) = elite {
@@ -891,17 +701,12 @@ fn quench_all<'a>(
             }
         }
     }
-    // Lowest post-quench TEIL wins; first minimum, so the selection is
-    // total and deterministic.
-    let mut best = usize::MAX;
-    for (i, rep) in reps.iter().enumerate() {
-        if rep.live() && (best == usize::MAX || rep.state.teil() < reps[best].state.teil()) {
-            best = i;
-        }
-    }
+    // Lowest post-quench TEIL wins.
+    let Some(best) = multistart::best_live(&reps) else {
+        return Err(OrchestratorError::AllReplicasFailed(failures));
+    };
     let rep = reps.swap_remove(best);
-    let mut result = rep.run.into_result(&rep.state, ctx.t_infinity, ctx.s_t);
-    result.t_infinity = ctx.t_infinity;
+    let result = rep.run.into_result(&rep.state, ctx.t_infinity, ctx.s_t);
     let report = ParallelReport {
         strategy: params.strategy,
         replicas: params.replicas,

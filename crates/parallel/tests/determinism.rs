@@ -5,8 +5,9 @@
 use twmc_anneal::{derive_seed, CoolingSchedule};
 use twmc_estimator::EstimatorParams;
 use twmc_netlist::{synthesize, Netlist, SynthParams};
-use twmc_parallel::{parallel_stage1, ParallelParams, Strategy};
-use twmc_place::{place_stage1, PlaceParams};
+use twmc_obs::SummaryRecorder;
+use twmc_parallel::{parallel_stage1, parallel_stage1_with, ParallelParams, Strategy};
+use twmc_place::{place_stage1, place_stage1_with, PlaceParams};
 
 fn circuit() -> Netlist {
     synthesize(&SynthParams {
@@ -189,4 +190,30 @@ fn single_replica_passthrough_is_bit_identical() {
     assert_eq!(pos, ppos);
     assert_eq!(report.replicas, 1);
     assert_eq!(report.best_replica, 0);
+}
+
+#[test]
+fn single_replica_passthrough_records_the_same_events() {
+    let nl = circuit();
+    let mut plain = SummaryRecorder::new();
+    place_stage1_with(
+        &nl,
+        &fast_params(),
+        &EstimatorParams::default(),
+        &CoolingSchedule::stage1(),
+        7,
+        &mut plain,
+    );
+    let mut orchestrated = SummaryRecorder::new();
+    parallel_stage1_with(
+        &nl,
+        &fast_params(),
+        &EstimatorParams::default(),
+        &CoolingSchedule::stage1(),
+        &ParallelParams::default(),
+        7,
+        &mut orchestrated,
+    );
+    assert!(!plain.events().is_empty());
+    assert_eq!(plain.events(), orchestrated.events());
 }

@@ -53,8 +53,7 @@ pub use moves::{generate, metropolis, MoveSet, MoveStats};
 pub use params::{DisplacementSelector, PlaceParams};
 pub use sites::{SiteLayout, SiteRef};
 pub use stage1::{
-    attribute_cost_terms, place_stage1, place_stage1_with, run_annealing,
-    run_annealing_cancellable, run_annealing_with, CoolingRun, Stage1Context, Stage1Result,
-    TempRecord, COST_ATTRIB_SAMPLE,
+    inner_loop, place_stage1, place_stage1_with, run_annealing, run_annealing_cancellable,
+    CoolingRun, Stage1Context, Stage1Result, TempRecord, COST_ATTRIB_SAMPLE,
 };
 pub use state::{CellPlace, CostClock, CostTimes, MoveCost, PlacementSnapshot, PlacementState};

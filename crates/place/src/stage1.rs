@@ -13,8 +13,8 @@ use twmc_anneal::{t_infinity, temperature_scale, CoolingSchedule, RangeLimiter};
 use twmc_estimator::{cell_density_factors, determine_core, EstimatorParams, PinDensityFactors};
 use twmc_netlist::Netlist;
 use twmc_obs::{
-    CancelToken, ClassCount, CostBreakdown, Event, Lane, NullRecorder, PlaceTemp, Recorder,
-    RunScope, StopReason, MOVE_EVAL_SAMPLE,
+    CancelToken, ClassCount, CostBreakdown, Event, Lane, MetricsHub, NullRecorder, PlaceTemp,
+    Recorder, RunScope, StopReason, MOVE_EVAL_SAMPLE,
 };
 
 use crate::state::CostTimes;
@@ -80,6 +80,82 @@ const MAX_STEPS: usize = 1200;
 /// hundreds of blocks per temperature step on real circuits.
 pub const COST_ATTRIB_SAMPLE: usize = 16;
 
+/// One inner loop at temperature `t`: `inner` calls of [`generate`]
+/// (`A = A_c · N_c`, eq. 17) inside the `wx × wy` range-limiter window,
+/// counted into `stats`. Every annealing run of the workspace — stage 1,
+/// the stage-2 refinements, each tempering rung and each quench — runs
+/// its moves through here.
+///
+/// With neither a metrics `hub` nor a trace `lane` this is the bare
+/// loop. Otherwise the moves run in [`MOVE_EVAL_SAMPLE`]-move blocks
+/// whose two clock reads are shared between the hub's per-move
+/// histogram and the lane's `move_block` spans — a fraction of a
+/// nanosecond per move — while the block body stays branch-free,
+/// identical to the plain loop. Every [`COST_ATTRIB_SAMPLE`]-th traced
+/// block additionally arms the state's cost stopwatch, whose synthetic
+/// child spans split move-eval time across the three cost terms; the
+/// whole loop closes with one `temp_step` span and the hub's move and
+/// step counters. Neither the hub nor the lane ever sees the RNG, so
+/// results are bit-identical either way.
+#[allow(clippy::too_many_arguments)]
+pub fn inner_loop(
+    state: &mut PlacementState<'_>,
+    params: &PlaceParams,
+    move_set: MoveSet,
+    wx: f64,
+    wy: f64,
+    t: f64,
+    inner: usize,
+    rng: &mut StdRng,
+    stats: &mut MoveStats,
+    hub: Option<&MetricsHub>,
+    mut lane: Option<Lane>,
+) {
+    if hub.is_none() && lane.is_none() {
+        for _ in 0..inner {
+            generate(state, params, move_set, wx, wy, t, rng, stats);
+        }
+        return;
+    }
+    let step_t0 = std::time::Instant::now();
+    let before = *stats;
+    let mut done = 0usize;
+    let mut block = 0usize;
+    while done < inner {
+        let n = MOVE_EVAL_SAMPLE.min(inner - done);
+        let attributed = lane.is_some() && block.is_multiple_of(COST_ATTRIB_SAMPLE);
+        if attributed {
+            state.cost_clock().start();
+        }
+        let t0 = std::time::Instant::now();
+        for _ in 0..n {
+            generate(state, params, move_set, wx, wy, t, rng, stats);
+        }
+        let elapsed = t0.elapsed();
+        if let Some(hub) = hub {
+            hub.move_eval_ns
+                .observe(elapsed.as_nanos() as f64 / n as f64);
+        }
+        if let Some(lane) = &mut lane {
+            lane.span("move_block", "place", t0, elapsed);
+            if attributed {
+                attribute_cost_terms(lane, t0, elapsed, state.cost_clock().stop());
+            }
+        }
+        done += n;
+        block += 1;
+    }
+    if let Some(hub) = hub {
+        let delta = stats.since(&before);
+        hub.moves_total.add(delta.attempts() as u64);
+        hub.moves_accepted_total.add(delta.accepts() as u64);
+        hub.temp_steps_total.inc();
+    }
+    if let Some(lane) = &mut lane {
+        lane.span("temp_step", "place", step_t0, step_t0.elapsed());
+    }
+}
+
 /// Lays the sampled block's cost-term times into the trace as
 /// synthetic children of its `move_block` span: consecutive spans from
 /// the block's start, one per cost term. Their sum is bounded by the
@@ -87,10 +163,7 @@ pub const COST_ATTRIB_SAMPLE: usize = 16;
 /// containment — which is how the profiler re-derives nesting — holds
 /// by construction; each span is clamped to the block end anyway in
 /// case clock granularity rounds the terms past it.
-///
-/// Shared with the tempering orchestrator, which runs its own inlined
-/// move loop per rung.
-pub fn attribute_cost_terms(
+fn attribute_cost_terms(
     lane: &mut Lane,
     t0: std::time::Instant,
     elapsed: std::time::Duration,
@@ -197,58 +270,6 @@ impl<'a> Stage1Context<'a> {
         state.calibrate_p2(params.eta, params.normalization_samples, rng);
         state
     }
-
-    /// Runs the full stage-1 cooling loop on a state, starting from
-    /// `t_start` (pass [`Stage1Context::t_infinity`] for a fresh run, or
-    /// a rung temperature to quench a tempering replica).
-    pub fn cool(
-        &self,
-        state: &mut PlacementState<'a>,
-        params: &PlaceParams,
-        schedule: &CoolingSchedule,
-        t_start: f64,
-        rng: &mut StdRng,
-    ) -> Stage1Result {
-        self.cool_with(
-            state,
-            params,
-            schedule,
-            t_start,
-            rng,
-            &mut NullRecorder,
-            RunScope::STAGE1,
-        )
-    }
-
-    /// [`Stage1Context::cool`] with a telemetry sink: every temperature
-    /// step emits a [`PlaceTemp`] event labeled with `scope`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn cool_with(
-        &self,
-        state: &mut PlacementState<'a>,
-        params: &PlaceParams,
-        schedule: &CoolingSchedule,
-        t_start: f64,
-        rng: &mut StdRng,
-        rec: &mut dyn Recorder,
-        scope: RunScope,
-    ) -> Stage1Result {
-        let mut result = run_annealing_with(
-            state,
-            params,
-            MoveSet::Full,
-            schedule,
-            &self.limiter,
-            t_start,
-            self.s_t,
-            None,
-            rng,
-            rec,
-            scope,
-        );
-        result.t_infinity = self.t_infinity;
-        result
-    }
 }
 
 /// Runs stage-1 placement on a fresh random configuration.
@@ -280,14 +301,19 @@ pub fn place_stage1_with<'a>(
     let ctx = Stage1Context::new(nl, params, est_params);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut state = ctx.random_state(params, &mut rng);
-    let result = ctx.cool_with(
+    let (result, _) = run_annealing_cancellable(
         &mut state,
         params,
+        MoveSet::Full,
         schedule,
+        &ctx.limiter,
         ctx.t_infinity,
+        ctx.s_t,
+        None,
         &mut rng,
         rec,
         RunScope::STAGE1,
+        &CancelToken::new(),
     );
     (state, result)
 }
@@ -310,7 +336,7 @@ pub fn run_annealing(
     cost_stall: Option<usize>,
     rng: &mut StdRng,
 ) -> Stage1Result {
-    run_annealing_with(
+    run_annealing_cancellable(
         state,
         params,
         move_set,
@@ -322,42 +348,17 @@ pub fn run_annealing(
         rng,
         &mut NullRecorder,
         RunScope::STAGE1,
+        &CancelToken::new(),
     )
+    .0
 }
 
-/// [`run_annealing`] with a telemetry sink: each temperature step emits
-/// one [`PlaceTemp`] event labeled with `scope`, carrying the full
-/// controller state (window, cost decomposition, per-class counters,
-/// spatial-index counters). Events are emitted *outside* the inner
-/// Metropolis loop and never touch the RNG, so results are bit-identical
-/// to [`run_annealing`] for any recorder.
-#[allow(clippy::too_many_arguments)]
-pub fn run_annealing_with(
-    state: &mut PlacementState<'_>,
-    params: &PlaceParams,
-    move_set: MoveSet,
-    schedule: &CoolingSchedule,
-    limiter: &RangeLimiter,
-    t_start: f64,
-    s_t: f64,
-    cost_stall: Option<usize>,
-    rng: &mut StdRng,
-    rec: &mut dyn Recorder,
-    scope: RunScope,
-) -> Stage1Result {
-    let mut run = CoolingRun::new(t_start);
-    while !run.step(
-        state, params, move_set, schedule, limiter, s_t, cost_stall, rng, rec, scope,
-    ) {}
-    run.into_result(state, t_start, s_t)
-}
-
-/// The annealing loop of [`run_annealing_with`] in resumable stepping
-/// form: one [`CoolingRun::step`] call executes exactly one temperature
-/// step (one inner Metropolis loop + history/telemetry bookkeeping), so
-/// an orchestrator can checkpoint, cancel, or interleave replicas at
-/// every step boundary. Driving `step` to completion is bit-identical
-/// to the closed loop.
+/// The annealing loop in resumable stepping form: one
+/// [`CoolingRun::step`] call executes exactly one temperature step (one
+/// [`inner_loop`] plus history/telemetry bookkeeping), so an
+/// orchestrator can checkpoint, cancel, or interleave replicas at every
+/// step boundary. [`run_annealing_cancellable`] drives it as a closed
+/// loop.
 ///
 /// All fields are public so a checkpoint codec can capture and restore
 /// the loop position exactly.
@@ -420,61 +421,19 @@ impl CoolingRun {
         let wx = limiter.window_x(t);
         let wy = limiter.window_y(t);
         let before = self.moves;
-        let hub = rec.hub().cloned();
-        let tracer = rec.tracer().cloned();
-        if hub.is_some() || tracer.is_some() {
-            // Instrumented inner loop: time MOVE_EVAL_SAMPLE-move
-            // blocks and share the two clock reads between the hub's
-            // per-move histogram and the tracer's `move_block` span —
-            // a fraction of a nanosecond per move — while the block
-            // body stays branch-free, identical to the plain loop.
-            // Every COST_ATTRIB_SAMPLE-th block additionally arms the
-            // state's cost stopwatch, whose synthetic child spans
-            // split move-eval time across the three cost terms.
-            // Neither the hub nor the tracer ever sees the RNG, so
-            // results are bit-identical either way.
-            let step_t0 = std::time::Instant::now();
-            let mut lane = tracer.as_ref().map(|tr| tr.lane(&scope.lane_name()));
-            let mut done = 0usize;
-            let mut block = 0usize;
-            while done < inner {
-                let n = MOVE_EVAL_SAMPLE.min(inner - done);
-                let attributed = lane.is_some() && block.is_multiple_of(COST_ATTRIB_SAMPLE);
-                if attributed {
-                    state.cost_clock().start();
-                }
-                let t0 = std::time::Instant::now();
-                for _ in 0..n {
-                    generate(state, params, move_set, wx, wy, t, rng, &mut self.moves);
-                }
-                let elapsed = t0.elapsed();
-                if let Some(hub) = &hub {
-                    hub.move_eval_ns
-                        .observe(elapsed.as_nanos() as f64 / n as f64);
-                }
-                if let Some(lane) = &mut lane {
-                    lane.span("move_block", "place", t0, elapsed);
-                    if attributed {
-                        attribute_cost_terms(lane, t0, elapsed, state.cost_clock().stop());
-                    }
-                }
-                done += n;
-                block += 1;
-            }
-            if let Some(hub) = &hub {
-                let delta = self.moves.since(&before);
-                hub.moves_total.add(delta.attempts() as u64);
-                hub.moves_accepted_total.add(delta.accepts() as u64);
-                hub.temp_steps_total.inc();
-            }
-            if let Some(lane) = &mut lane {
-                lane.span("temp_step", "place", step_t0, step_t0.elapsed());
-            }
-        } else {
-            for _ in 0..inner {
-                generate(state, params, move_set, wx, wy, t, rng, &mut self.moves);
-            }
-        }
+        inner_loop(
+            state,
+            params,
+            move_set,
+            wx,
+            wy,
+            t,
+            inner,
+            rng,
+            &mut self.moves,
+            rec.hub().map(|hub| &**hub),
+            rec.tracer().map(|tr| tr.lane(&scope.lane_name())),
+        );
         self.history.push(TempRecord {
             temperature: t,
             attempts: self.moves.attempts() - before.attempts(),
@@ -565,12 +524,15 @@ impl CoolingRun {
     }
 }
 
-/// [`run_annealing_with`] with cooperative cancellation: the token is
-/// polled after every temperature step (its move budget fed with the
+/// [`run_annealing`] with a telemetry sink and cooperative
+/// cancellation. Each temperature step emits one [`PlaceTemp`] event
+/// labeled with `scope`, carrying the full controller state (window,
+/// cost decomposition, per-class counters, spatial-index counters). The
+/// token is polled after every step (its move budget fed with the
 /// step's attempts), and on a stop the partial result is returned with
-/// the reason. A token that never fires leaves the run bit-identical to
-/// [`run_annealing_with`] — the token is polled outside the Metropolis
-/// loop and never touches the RNG.
+/// the reason. Events and the token stay outside the Metropolis loop and
+/// never touch the RNG, so the run is bit-identical to [`run_annealing`]
+/// for any recorder and any token that never fires.
 #[allow(clippy::too_many_arguments)]
 pub fn run_annealing_cancellable(
     state: &mut PlacementState<'_>,
@@ -608,6 +570,7 @@ pub fn run_annealing_cancellable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use twmc_anneal::MIN_WINDOW_SPAN;
     use twmc_netlist::{synthesize, SynthParams};
 
     fn small_circuit() -> Netlist {
@@ -718,5 +681,82 @@ mod tests {
             assert!(pair[1].temperature < pair[0].temperature);
         }
         assert!(result.history.len() > 20, "expected a real cooling run");
+    }
+
+    #[test]
+    fn every_step_runs_the_eq17_inner_loop() {
+        let nl = small_circuit();
+        let params = fast_params();
+        let mut rec = twmc_obs::SummaryRecorder::new();
+        let (_, result) = place_stage1_with(
+            &nl,
+            &params,
+            &EstimatorParams::default(),
+            &CoolingSchedule::stage1(),
+            42,
+            &mut rec,
+        );
+        let steps = rec.place_temps("stage1");
+        assert_eq!(steps.len(), result.history.len());
+        // A = A_c · N_c (eq. 17); cascade retries only add attempts.
+        let inner = params.attempts_per_cell * nl.cells().len();
+        for step in steps {
+            assert_eq!(step.inner, inner, "step {}", step.step);
+            assert!(step.attempts >= inner, "step {}", step.step);
+        }
+    }
+
+    #[test]
+    fn stage1_stops_on_the_window_and_floor_rule() {
+        let nl = small_circuit();
+        let params = fast_params();
+        let est = EstimatorParams::default();
+        let (_, result) = place_stage1(&nl, &params, &est, &CoolingSchedule::stage1(), 42);
+        let ctx = Stage1Context::new(&nl, &params, &est);
+        let floor = FINAL_SCALED_T * result.s_t;
+        let stops =
+            |r: &TempRecord| ctx.limiter.at_minimum(r.temperature) && r.temperature <= floor;
+        let (last, earlier) = result.history.split_last().expect("history");
+        assert_eq!(last.window_x, MIN_WINDOW_SPAN);
+        assert!(stops(last), "{last:?} (floor {floor})");
+        assert!(!earlier.iter().any(stops), "the run went past its stop");
+        assert!(result.history.len() < MAX_STEPS);
+    }
+
+    #[test]
+    fn refinement_stops_on_a_stalled_cost_above_the_floor() {
+        let nl = small_circuit();
+        let est = EstimatorParams::default();
+        let stage1 = fast_params();
+        let params = PlaceParams {
+            attempts_per_cell: 1,
+            ..stage1
+        };
+        for seed in [7, 42] {
+            let (mut state, _) = place_stage1(&nl, &stage1, &est, &CoolingSchedule::stage1(), seed);
+            let ctx = Stage1Context::new(&nl, &params, &est);
+            let result = run_annealing(
+                &mut state,
+                &params,
+                MoveSet::Refinement,
+                &CoolingSchedule::stage2(),
+                &ctx.limiter,
+                ctx.limiter.temperature_for_fraction(0.03),
+                ctx.s_t,
+                Some(1),
+                &mut StdRng::seed_from_u64(seed),
+            );
+            // The run ends on the first pair of equal consecutive costs…
+            let costs: Vec<f64> = result.history.iter().map(|r| r.cost).collect();
+            let (&last, rest) = costs.split_last().expect("history");
+            assert_eq!(rest.last(), Some(&last), "seed {seed}: {costs:?}");
+            assert!(
+                rest.windows(2).all(|w| w[0] != w[1]),
+                "seed {seed}: {costs:?}"
+            );
+            // …before the window-and-floor rule would have stopped it.
+            let t = result.history.last().expect("history").temperature;
+            assert!(t > FINAL_SCALED_T * ctx.s_t, "seed {seed}: T {t}");
+        }
     }
 }

@@ -167,13 +167,6 @@ pub struct CostTimes {
     pub penalty_ns: u64,
 }
 
-impl CostTimes {
-    /// Sum of all three terms.
-    pub fn total_ns(&self) -> u64 {
-        self.net_ns + self.overlap_ns + self.penalty_ns
-    }
-}
-
 /// Interior-mutable stopwatch splitting [`PlacementState::move_cost`]
 /// wall time across its three cost terms.
 ///

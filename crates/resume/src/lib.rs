@@ -245,32 +245,24 @@ pub struct CheckpointWriter {
     every: u64,
     written: u64,
     vfs: Arc<dyn Vfs>,
-    durability: Durability,
 }
 
 impl CheckpointWriter {
     /// A writer flushing to `path` every `every` temperature steps
-    /// (`every` is clamped to ≥ 1). Writes go through [`RealVfs`] at
-    /// [`Durability::Full`] unless overridden.
+    /// (`every` is clamped to ≥ 1). Writes go through [`RealVfs`]
+    /// unless overridden, always at [`Durability::Full`].
     pub fn new(path: impl Into<PathBuf>, every: u64) -> Self {
         CheckpointWriter {
             path: path.into(),
             every: every.max(1),
             written: 0,
             vfs: Arc::new(RealVfs),
-            durability: Durability::Full,
         }
     }
 
     /// Route writes through an explicit [`Vfs`] (fault injection).
     pub fn with_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
         self.vfs = vfs;
-        self
-    }
-
-    /// Override the fsync discipline of each write.
-    pub fn with_durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
         self
     }
 
@@ -282,7 +274,7 @@ impl CheckpointWriter {
     /// Writes one checkpoint (atomic and durable, see
     /// [`write_checkpoint_with`]).
     pub fn write(&mut self, payload: &Value) -> Result<(), CheckpointError> {
-        write_checkpoint_with(self.vfs.as_ref(), &self.path, payload, self.durability)?;
+        write_checkpoint_with(self.vfs.as_ref(), &self.path, payload, Durability::Full)?;
         self.written += 1;
         Ok(())
     }

@@ -151,11 +151,6 @@ impl ChannelGraph {
             .map(|(i, _)| i)
     }
 
-    /// Total channel length (sum of region extents) — the realized `C_L`.
-    pub fn total_channel_length(&self) -> i64 {
-        self.nodes.iter().map(|n| n.region.extent()).sum()
-    }
-
     /// The bounding rectangle of all regions.
     pub fn bbox(&self) -> Option<Rect> {
         let mut it = self.nodes.iter().map(|n| n.region.rect);

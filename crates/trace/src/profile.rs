@@ -48,15 +48,6 @@ impl Profile {
         self.rows.iter().find(|r| r.name == name)
     }
 
-    /// Total exclusive time of every row in category `cat`.
-    pub fn cat_excl_ns(&self, cat: &str) -> u64 {
-        self.rows
-            .iter()
-            .filter(|r| r.cat == cat)
-            .map(|r| r.excl_ns)
-            .sum()
-    }
-
     /// Renders the attribution table (top `top` rows by exclusive
     /// time, plus a per-category footer).
     pub fn format_table(&self, top: usize) -> String {

@@ -8,8 +8,8 @@
 //! * [`geom`] — grid geometry, orientations, rectilinear tile sets;
 //! * [`netlist`] — macro/custom cells, pins, nets, netlist I/O,
 //!   synthetic circuits matching the paper's nine test cases;
-//! * [`anneal`] — the annealing engine, cooling schedules (Tables 1–2),
-//!   range limiter;
+//! * [`anneal`] — cooling schedules (Tables 1–2), range limiter, the
+//!   tempering ladder;
 //! * [`estimator`] — the dynamic interconnect-area estimator (eqs. 1–5);
 //! * [`place`] — stage-1 annealing placement (§3);
 //! * [`parallel`] — multi-replica orchestration of stage 1: deterministic

@@ -250,6 +250,46 @@ fn golden_stage1_digest() {
     assert_eq!(h.0, 13_373_364_292_557_116_919, "stage-1 placement changed");
 }
 
+/// A 3-replica multi-start run: the winner's placement, which replica
+/// won, and every replica's final TEIL — the same at any thread count.
+#[test]
+fn golden_multistart_digest() {
+    let params = PlaceParams {
+        attempts_per_cell: 1,
+        normalization_samples: 8,
+        ..Default::default()
+    };
+    let nl = synthetic();
+    for threads in [1, 2] {
+        let multistart = ParallelParams {
+            replicas: 3,
+            threads,
+            strategy: Strategy::MultiStart,
+            swap_interval: 1,
+            rounds: 0,
+        };
+        let (st, result, report) = parallel_stage1(
+            &nl,
+            &params,
+            &EstimatorParams::default(),
+            &CoolingSchedule::stage1(),
+            &multistart,
+            11,
+        );
+        let mut h = Fnv1a::new();
+        h.run(&st, &result);
+        h.int(report.best_replica as i64);
+        assert_eq!(report.replica_reports.len(), 3);
+        for r in &report.replica_reports {
+            h.float(r.teil);
+        }
+        assert_eq!(
+            h.0, 11_967_148_469_994_444_146,
+            "multi-start placement changed at {threads} threads"
+        );
+    }
+}
+
 /// The refinement engine as stage 2 drives it: static expansions frozen
 /// over a finished stage-1 placement, then the low-temperature anneal
 /// with the refinement move set (displacements and pin moves only) from

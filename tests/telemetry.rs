@@ -7,7 +7,7 @@ use timberwolfmc::core::{
 };
 use timberwolfmc::netlist::{synthesize, Netlist, SynthParams};
 use timberwolfmc::obs::validate::{expect_kinds, validate_jsonl};
-use timberwolfmc::obs::{JsonlRecorder, SummaryRecorder};
+use timberwolfmc::obs::{Instrumented, JsonlRecorder, SummaryRecorder, Tracer};
 use timberwolfmc::place::PlaceParams;
 use timberwolfmc::route::RouterParams;
 
@@ -126,8 +126,11 @@ fn tempering_run_covers_replica_and_swap_kinds() {
     };
 
     let plain = run_timberwolf(&nl, &config);
-    let mut rec = SummaryRecorder::new();
-    let recorded = run_timberwolf_with(&nl, &config, &mut rec);
+    let tracer = Tracer::new();
+    let mut traced =
+        Instrumented::maybe(SummaryRecorder::new(), None).with_tracer(Some(tracer.clone()));
+    let recorded = run_timberwolf_with(&nl, &config, &mut traced);
+    let rec = traced.into_inner();
     assert_eq!(plain.teil, recorded.teil);
     assert_eq!(plain.placement, recorded.placement);
 
@@ -139,4 +142,21 @@ fn tempering_run_covers_replica_and_swap_kinds() {
     assert!(rec.count("swap") > 0, "no swap sweeps recorded");
     assert!(!rec.place_temps("tempering").is_empty());
     assert!(!rec.place_temps("quench").is_empty());
+
+    // The trace sees the quench too: each rung's quench steps land on
+    // its `replica<k>` lane, one `temp_step` span per step.
+    let snap = tracer.collect();
+    for rung in 0..2 {
+        let steps = rec
+            .place_temps("quench")
+            .iter()
+            .filter(|p| p.replica == rung)
+            .count();
+        assert!(steps > 0, "rung {rung} never quenched");
+        let lane = snap
+            .lane(&format!("replica{rung}"))
+            .unwrap_or_else(|| panic!("no trace lane for rung {rung}'s quench"));
+        let spans = lane.spans.iter().filter(|s| s.name == "temp_step").count();
+        assert_eq!(spans, steps, "rung {rung}");
+    }
 }
