@@ -174,11 +174,20 @@ pub fn assign_routes(
     let stall_limit = (m_max * n_nets).max(64);
     let over = |edge: usize, d: i64| (d - graph.edges[edge].capacity as i64).max(0);
 
+    // The over-capacity edges in ascending index order, and the nets
+    // whose chosen tree uses such an edge, ascending, from the first
+    // time the edge is picked until it falls back to capacity. Both are
+    // updated on every accepted interchange, so they hold what a rescan
+    // of every edge and every net would list, in the same order, and
+    // each draw from them picks what it would.
+    let mut overfull: Vec<usize> = (0..graph.edges.len())
+        .filter(|&e| usage[e] > graph.edges[e].capacity)
+        .collect();
+    let mut users: Vec<Option<Vec<usize>>> = vec![None; graph.edges.len()];
+
     // Per-attempt buffers. `leaving[e]` is -1 on the edges of the net's
     // current tree while its alternatives are priced, 0 elsewhere.
     let mut leaving = vec![0i64; graph.edges.len()];
-    let mut overfull: Vec<usize> = Vec::new();
-    let mut users: Vec<usize> = Vec::new();
     let mut candidates: Vec<(usize, i64, i64)> = Vec::new();
 
     let mut attempts = 0usize;
@@ -188,30 +197,13 @@ pub fn assign_routes(
         attempts += 1;
         stall += 1;
         // Random over-capacity edge.
-        overfull.clear();
-        overfull.extend(
-            usage
-                .iter()
-                .zip(&graph.edges)
-                .enumerate()
-                .filter(|(_, (&d, e))| d > e.capacity)
-                .map(|(i, _)| i),
-        );
         let Some(&edge) = pick(&overfull, rng) else {
             break;
         };
         // Random net with a segment on that edge.
-        let (ea, eb) = (graph.edges[edge].a, graph.edges[edge].b);
-        let key = (ea.min(eb), ea.max(eb));
-        users.clear();
-        users.extend((0..n_nets).filter(|&net| {
-            !alternatives[net].is_empty()
-                && alternatives[net][choice[net]]
-                    .edges
-                    .binary_search(&key)
-                    .is_ok()
-        }));
-        let Some(&net) = pick(&users, rng) else {
+        let on_edge =
+            users[edge].get_or_insert_with(|| users_of(graph, alternatives, &choice, edge));
+        let Some(&net) = pick(on_edge, rng) else {
             continue;
         };
         // Alternatives with ΔX <= 0: ΔX is the change of ripping up the
@@ -249,21 +241,40 @@ pub fn assign_routes(
         if accept && (dx != 0 || dl != 0) {
             for &e in cur_ids {
                 usage[e] -= 1;
+                if usage[e] == graph.edges[e].capacity {
+                    remove_sorted(&mut overfull, e);
+                    users[e] = None;
+                } else if let Some(on_edge) = &mut users[e] {
+                    remove_sorted(on_edge, net);
+                }
             }
             for &e in ids.of(net, k) {
                 usage[e] += 1;
+                if usage[e] == graph.edges[e].capacity + 1 {
+                    insert_sorted(&mut overfull, e);
+                } else if let Some(on_edge) = &mut users[e] {
+                    insert_sorted(on_edge, net);
+                }
             }
             choice[net] = k;
             x += dx;
             l += dl;
             reassignments += 1;
             stall = 0;
+            debug_assert_eq!(usage, usage_of(graph, alternatives, &ids, &choice));
+            debug_assert_eq!(x, overflow_of(graph, &usage));
+            debug_assert_eq!(l, length_of(alternatives, &choice));
+            debug_assert!(overfull
+                .iter()
+                .copied()
+                .eq((0..usage.len()).filter(|&e| usage[e] > graph.edges[e].capacity)));
+            debug_assert!(users.iter().enumerate().all(|(e, on_edge)| on_edge
+                .as_ref()
+                .is_none_or(|on_edge| overfull.binary_search(&e).is_ok()
+                    && *on_edge == users_of(graph, alternatives, &choice, e))));
         }
     }
 
-    debug_assert_eq!(usage, usage_of(graph, alternatives, &ids, &choice));
-    debug_assert_eq!(x, overflow_of(graph, &usage));
-    debug_assert_eq!(l, length_of(alternatives, &choice));
     Ok(Assignment {
         choice,
         total_length: l,
@@ -273,6 +284,38 @@ pub fn assign_routes(
         attempts,
         reassignments,
     })
+}
+
+/// The nets whose chosen tree uses graph edge `edge`, ascending.
+fn users_of(
+    graph: &ChannelGraph,
+    alternatives: &[Vec<RouteTree>],
+    choice: &[usize],
+    edge: usize,
+) -> Vec<usize> {
+    let (a, b) = (graph.edges[edge].a, graph.edges[edge].b);
+    let key = (a.min(b), a.max(b));
+    (0..alternatives.len())
+        .filter(|&net| {
+            !alternatives[net].is_empty()
+                && alternatives[net][choice[net]]
+                    .edges
+                    .binary_search(&key)
+                    .is_ok()
+        })
+        .collect()
+}
+
+fn insert_sorted(items: &mut Vec<usize>, item: usize) {
+    if let Err(at) = items.binary_search(&item) {
+        items.insert(at, item);
+    }
+}
+
+fn remove_sorted(items: &mut Vec<usize>, item: usize) {
+    if let Ok(at) = items.binary_search(&item) {
+        items.remove(at);
+    }
 }
 
 fn pick<'a, T>(items: &'a [T], rng: &mut StdRng) -> Option<&'a T> {
@@ -395,6 +438,153 @@ mod tests {
         let a = assign_routes(&g, &alts, &mut rng).expect("fresh routes");
         assert_eq!(a.overflow, 0);
         assert_eq!(a.choice.len(), 2);
+    }
+
+    /// The reference for [`assign_routes`]: the interchange as it was
+    /// first written, rescanning every edge for the over-capacity ones
+    /// and every net for the users of the picked edge on each attempt.
+    fn assign_routes_rescan(
+        graph: &ChannelGraph,
+        alternatives: &[Vec<RouteTree>],
+        rng: &mut StdRng,
+    ) -> Assignment {
+        let ids = EdgeIds::resolve(graph, alternatives).expect("fresh routes");
+        let n_nets = alternatives.len();
+        let mut choice = vec![0usize; n_nets];
+        let mut usage = usage_of(graph, alternatives, &ids, &choice);
+        let mut x = overflow_of(graph, &usage);
+        let overflow_start = x;
+        let mut l = length_of(alternatives, &choice);
+        let m_max = alternatives.iter().map(|a| a.len()).max().unwrap_or(1);
+        let stall_limit = (m_max * n_nets).max(64);
+        let over = |edge: usize, d: i64| (d - graph.edges[edge].capacity as i64).max(0);
+        let mut leaving = vec![0i64; graph.edges.len()];
+        let mut overfull: Vec<usize> = Vec::new();
+        let mut users: Vec<usize> = Vec::new();
+        let mut candidates: Vec<(usize, i64, i64)> = Vec::new();
+        let (mut attempts, mut reassignments, mut stall) = (0, 0, 0);
+        while x > 0 && stall < stall_limit {
+            attempts += 1;
+            stall += 1;
+            overfull.clear();
+            overfull.extend(
+                usage
+                    .iter()
+                    .zip(&graph.edges)
+                    .enumerate()
+                    .filter(|(_, (&d, e))| d > e.capacity)
+                    .map(|(i, _)| i),
+            );
+            let Some(&edge) = pick(&overfull, rng) else {
+                break;
+            };
+            let (ea, eb) = (graph.edges[edge].a, graph.edges[edge].b);
+            let key = (ea.min(eb), ea.max(eb));
+            users.clear();
+            users.extend((0..n_nets).filter(|&net| {
+                !alternatives[net].is_empty()
+                    && alternatives[net][choice[net]]
+                        .edges
+                        .binary_search(&key)
+                        .is_ok()
+            }));
+            let Some(&net) = pick(&users, rng) else {
+                continue;
+            };
+            let cur = choice[net];
+            let cur_ids = ids.of(net, cur);
+            let mut dx_leave = 0i64;
+            for &e in cur_ids {
+                let d = usage[e] as i64;
+                dx_leave += over(e, d - 1) - over(e, d);
+                leaving[e] = -1;
+            }
+            candidates.clear();
+            for k in 0..alternatives[net].len() {
+                if k == cur {
+                    continue;
+                }
+                let mut dx = dx_leave;
+                for &e in ids.of(net, k) {
+                    let d = usage[e] as i64 + leaving[e];
+                    dx += over(e, d + 1) - over(e, d);
+                }
+                if dx <= 0 {
+                    let dl = alternatives[net][k].length - alternatives[net][cur].length;
+                    candidates.push((k, dx, dl));
+                }
+            }
+            for &e in cur_ids {
+                leaving[e] = 0;
+            }
+            let Some(&(k, dx, dl)) = pick(&candidates, rng) else {
+                continue;
+            };
+            let accept = dx < 0 || dl <= 0;
+            if accept && (dx != 0 || dl != 0) {
+                for &e in cur_ids {
+                    usage[e] -= 1;
+                }
+                for &e in ids.of(net, k) {
+                    usage[e] += 1;
+                }
+                choice[net] = k;
+                x += dx;
+                l += dl;
+                reassignments += 1;
+                stall = 0;
+            }
+        }
+        assert_eq!(usage, usage_of(graph, alternatives, &ids, &choice));
+        assert_eq!(x, overflow_of(graph, &usage));
+        assert_eq!(l, length_of(alternatives, &choice));
+        Assignment {
+            choice,
+            total_length: l,
+            overflow: x,
+            overflow_start,
+            edge_usage: usage,
+            attempts,
+            reassignments,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn interchange_matches_the_rescanning_loop(
+            nets in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<usize>(), 2..5),
+                1..24,
+            ),
+            capacities in proptest::collection::vec(0u32..4, 1..64),
+            m in 1usize..10,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut g = grid_graph();
+            let n = g.len();
+            for (e, edge) in g.edges.iter_mut().enumerate() {
+                edge.capacity = capacities[e % capacities.len()];
+            }
+            // Alternatives of 2–4-point nets, and an unroutable net
+            // (no alternatives) wherever a net draws one point.
+            let alternatives: Vec<Vec<RouteTree>> = nets
+                .iter()
+                .map(|pins| {
+                    let points: Vec<Vec<usize>> = pins.iter().map(|&p| vec![p % n]).collect();
+                    if pins[0] % 7 == 0 {
+                        Vec::new()
+                    } else {
+                        enumerate_route_trees(&g, &points, m, 3)
+                    }
+                })
+                .collect();
+            let fast = assign_routes(&g, &alternatives, &mut StdRng::seed_from_u64(seed))
+                .expect("fresh routes");
+            let reference = assign_routes_rescan(&g, &alternatives, &mut StdRng::seed_from_u64(seed));
+            proptest::prop_assert_eq!(fast, reference);
+        }
     }
 
     #[test]

@@ -10,9 +10,13 @@
 //! order, are those of the eager algorithm over plain Dijkstra.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, HashMap};
 
 use crate::ChannelGraph;
+
+/// The most distance-table entries one routing call keeps cached (2 MB).
+/// A net whose new tables would pass it drops the cache first.
+const TABLE_BUDGET: usize = 1 << 18;
 
 /// A simple path through the channel graph.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -77,10 +81,14 @@ type Deferred = (i64, usize, usize, i64);
 /// were used before. Buffers hold `n + 2` entries and are reset by
 /// visiting only what a search touched.
 pub(crate) struct SearchSpace {
-    /// Per connection point of the current net, each node's distance to
-    /// the point's nearest candidate (`i64::MAX` when unreachable): the
-    /// Prim step's lookup and the spur searches' heuristic.
+    /// Per candidate set, each node's distance to the set's nearest
+    /// node (`i64::MAX` when unreachable): the Prim step's lookup and
+    /// the spur searches' heuristic. The first `table_of.len()` are live.
     tables: Vec<Vec<i64>>,
+    /// Sorted, deduplicated candidate set → its live table.
+    table_of: HashMap<Vec<usize>, usize>,
+    /// Live table entries allowed before a net drops the cache.
+    pub(crate) table_budget: usize,
     /// Tentative distance per node, `i64::MAX` when untouched.
     dist: Vec<i64>,
     /// Predecessor on the shortest path found so far.
@@ -104,6 +112,8 @@ impl SearchSpace {
     pub(crate) fn new(n: usize) -> SearchSpace {
         SearchSpace {
             tables: Vec::new(),
+            table_of: HashMap::new(),
+            table_budget: TABLE_BUDGET,
             dist: vec![i64::MAX; n + 2],
             prev: vec![usize::MAX; n + 2],
             touched: Vec::new(),
@@ -115,30 +125,69 @@ impl SearchSpace {
         }
     }
 
-    /// Fills table `slot` with every node's distance to the nearest of
-    /// `candidates`.
-    pub(crate) fn fill_table(&mut self, graph: &ChannelGraph, slot: usize, candidates: &[usize]) {
-        if self.tables.len() <= slot {
-            self.tables.resize_with(slot + 1, Vec::new);
+    /// The tables of distances to each of `candidate_sets`, as indices
+    /// for [`SearchSpace::prim_step`] and [`SearchSpace::k_shortest`]. A
+    /// table depends only on the graph and the set, so a set an earlier
+    /// call already filled is not searched again. When the new tables
+    /// would take the cache past its budget, the cache is dropped first,
+    /// so the returned tables stay live until the next call.
+    pub(crate) fn tables_for(
+        &mut self,
+        graph: &ChannelGraph,
+        candidate_sets: &[Vec<usize>],
+    ) -> Vec<usize> {
+        let keys: Vec<Vec<usize>> = candidate_sets
+            .iter()
+            .map(|c| {
+                let mut key = c.clone();
+                key.sort_unstable();
+                key.dedup();
+                key
+            })
+            .collect();
+        let new = keys
+            .iter()
+            .filter(|k| !self.table_of.contains_key(*k))
+            .count();
+        if new > 0 && (self.table_of.len() + new) * graph.len() > self.table_budget {
+            self.table_of.clear();
         }
-        dijkstra_into(graph, candidates, &mut self.tables[slot], &mut self.heap);
+        keys.into_iter()
+            .map(|key| {
+                if let Some(&t) = self.table_of.get(&key) {
+                    return t;
+                }
+                let t = self.table_of.len();
+                if self.tables.len() == t {
+                    self.tables.push(Vec::new());
+                }
+                dijkstra_into(graph, &key, &mut self.tables[t], &mut self.heap);
+                self.table_of.insert(key, t);
+                t
+            })
+            .collect()
     }
 
     /// The position in `rest` of the connection point nearest to `tree`
-    /// (Prim's next pin group): the first point, in `rest` order, whose
-    /// table's least entry over `tree` is smallest, or the first point
-    /// when none is reachable. Tables hold exact distances on an
-    /// undirected graph, so this is the point a [`dijkstra`] from `tree`
-    /// followed by taking the first minimum picks.
-    pub(crate) fn prim_step(&self, tree: &[usize], rest: &[usize]) -> usize {
+    /// (Prim's next pin group), and its distance: the first point, in
+    /// `rest` order, whose table (`tables[point]`) has the smallest least
+    /// entry over `tree`, or the first point, at `i64::MAX`, when none is
+    /// reachable. Tables hold exact distances on an undirected graph, so
+    /// this is the point a [`dijkstra`] from `tree` followed by taking
+    /// the first minimum picks.
+    pub(crate) fn prim_step(
+        &self,
+        tree: &[usize],
+        rest: &[usize],
+        tables: &[usize],
+    ) -> (usize, i64) {
         rest.iter()
             .enumerate()
             .map(|(k, &p)| {
-                let table = &self.tables[p];
+                let table = &self.tables[tables[p]];
                 (k, tree.iter().map(|&v| table[v]).min().unwrap_or(i64::MAX))
             })
             .min_by_key(|&(_, d)| d)
-            .map(|(k, _)| k)
             .expect("rest nonempty")
     }
 
@@ -385,8 +434,8 @@ impl SearchSpace {
         })
     }
 
-    /// [`k_shortest_from_set`] on this workspace; table `table` holds
-    /// the distances to `targets`.
+    /// [`k_shortest_from_set`] on this workspace; table `table` (from
+    /// [`SearchSpace::tables_for`]) holds the distances to `targets`.
     pub(crate) fn k_shortest(
         &mut self,
         graph: &ChannelGraph,
@@ -482,12 +531,12 @@ pub fn k_shortest_from_set(
     k: usize,
 ) -> Vec<Path> {
     let mut space = SearchSpace::new(graph.len());
-    space.fill_table(graph, 0, targets);
-    space.k_shortest(graph, sources, targets, 0, k)
+    let table = space.tables_for(graph, &[targets.to_vec()])[0];
+    space.k_shortest(graph, sources, targets, table, k)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{build_channel_graph, PlacedGeometry};
     use twmc_geom::{Point, Rect, TileSet};
@@ -680,14 +729,16 @@ mod tests {
             .expect("rest nonempty")
     }
 
-    /// [`SearchSpace::prim_step`] from `tree` after filling every
-    /// point's table.
+    /// [`SearchSpace::prim_step`]'s position from `tree` after filling
+    /// every point's table; its distance is checked against [`dijkstra`].
     fn prim_step(g: &ChannelGraph, tree: &[usize], points: &[Vec<usize>], rest: &[usize]) -> usize {
         let mut space = SearchSpace::new(g.len());
-        for (p, cands) in points.iter().enumerate() {
-            space.fill_table(g, p, cands);
-        }
-        space.prim_step(tree, rest)
+        let tables = space.tables_for(g, points);
+        let (k, d) = space.prim_step(tree, rest, &tables);
+        let dist = dijkstra(g, tree);
+        let nearest = points[rest[k]].iter().map(|&c| dist[c]).min();
+        assert_eq!(d, nearest.unwrap_or(i64::MAX));
+        k
     }
 
     #[test]
@@ -865,7 +916,7 @@ mod tests {
     /// A channel graph of regions on a coarse lattice: equal edge lengths
     /// abound, and a width of 2 leaves a gap, so components are often
     /// disconnected and some nodes unreachable.
-    fn lattice_graph(rects: &[(i64, i64, i64, i64)]) -> ChannelGraph {
+    pub(crate) fn lattice_graph(rects: &[(i64, i64, i64, i64)]) -> ChannelGraph {
         ChannelGraph::build(
             rects
                 .iter()
@@ -920,12 +971,11 @@ mod tests {
             proptest::prop_assert_eq!(k_shortest_from_set(&g, &sources, &targets, k), expected.clone());
             // A workspace is left clean for the next search.
             let mut space = SearchSpace::new(n);
-            space.fill_table(&g, 0, &targets);
-            space.fill_table(&g, 1, &sources);
-            let first = space.k_shortest(&g, &sources, &targets, 0, k);
-            space.k_shortest(&g, &targets, &sources, 1, k);
+            let tables = space.tables_for(&g, &[targets.clone(), sources.clone()]);
+            let first = space.k_shortest(&g, &sources, &targets, tables[0], k);
+            space.k_shortest(&g, &targets, &sources, tables[1], k);
             proptest::prop_assert_eq!(&first, &expected);
-            proptest::prop_assert_eq!(space.k_shortest(&g, &sources, &targets, 0, k), expected);
+            proptest::prop_assert_eq!(space.k_shortest(&g, &sources, &targets, tables[0], k), expected);
         }
     }
 }

@@ -181,7 +181,8 @@ fn route_inner(
     let mut lane = tracer.as_ref().map(|tr| tr.lane("route"));
     let graph = build_channel_graph(geometry, params.track_spacing);
     let mut rng = StdRng::seed_from_u64(seed);
-    // Search buffers shared by every net's phase-1 enumeration.
+    // Search buffers and distance tables shared by every net's phase-1
+    // enumeration.
     let mut space = SearchSpace::new(graph.len());
 
     let mut alternatives: Vec<Vec<RouteTree>> = Vec::with_capacity(nets.len());

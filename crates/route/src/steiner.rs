@@ -9,9 +9,9 @@
 //! trees (documented in DESIGN.md); for small per-level counts this
 //! explores the same alternatives the paper's recursion stores.
 
-use std::collections::HashSet;
+use std::collections::{BinaryHeap, HashMap};
 
-use crate::mpaths::{edge_length, SearchSpace};
+use crate::mpaths::{edge_length, Path, SearchSpace};
 use crate::ChannelGraph;
 
 /// One complete route (a Steiner tree over channel-graph nodes) for a net.
@@ -31,15 +31,28 @@ impl RouteTree {
         &self.edges
     }
 
-    /// The tree extended by `path`: its new edges and nodes merged in
-    /// sorted order, each new edge's length added once.
-    fn absorb_path(&self, graph: &ChannelGraph, path: &[usize]) -> RouteTree {
+    /// The length of the tree extended by `path`: the path's length less
+    /// that of its edges already in the tree (a simple path uses each
+    /// edge once).
+    fn length_with(&self, graph: &ChannelGraph, path: &Path) -> i64 {
+        let mut length = self.length + path.length;
+        for w in path.nodes.windows(2) {
+            if self.edges.binary_search(&edge_key(w[0], w[1])).is_ok() {
+                length -= edge_length(graph, w[0], w[1]);
+            }
+        }
+        length
+    }
+
+    /// The tree extended by `path`, of length `length` (see
+    /// [`RouteTree::length_with`]): its new edges and nodes merged in
+    /// sorted order.
+    fn absorb(&self, path: &[usize], length: i64) -> RouteTree {
         let mut out = self.clone();
         for w in path.windows(2) {
-            let key = (w[0].min(w[1]), w[0].max(w[1]));
+            let key = edge_key(w[0], w[1]);
             if let Err(at) = out.edges.binary_search(&key) {
                 out.edges.insert(at, key);
-                out.length += edge_length(graph, w[0], w[1]);
             }
         }
         for &n in path {
@@ -47,7 +60,66 @@ impl RouteTree {
                 out.nodes.insert(at, n);
             }
         }
+        out.length = length;
         out
+    }
+}
+
+fn edge_key(a: usize, b: usize) -> (usize, usize) {
+    (a.min(b), a.max(b))
+}
+
+/// One level of the beam: the children of its states, each distinct
+/// tree once, with the lengths of the `width` shortest of them.
+struct Level {
+    width: usize,
+    states: Vec<(RouteTree, Vec<usize>)>,
+    /// A max-heap of the `width` least child lengths so far.
+    best: BinaryHeap<i64>,
+}
+
+impl Level {
+    fn new(width: usize) -> Level {
+        Level {
+            width,
+            states: Vec::new(),
+            best: BinaryHeap::with_capacity(width + 1),
+        }
+    }
+
+    /// Whether a child of length `length` can still be kept: the level
+    /// keeps its `width` shortest distinct children, so once it holds
+    /// `width` of them it keeps none longer than the longest.
+    fn admits(&self, length: i64) -> bool {
+        self.best.len() < self.width || self.best.peek().is_some_and(|&u| length <= u)
+    }
+
+    /// Adds `tree` unless an equal tree came first. The beam keeps the
+    /// first of equal trees (they have equal lengths, so the stable sort
+    /// leaves the first one first), so a later one is never kept.
+    fn offer(&mut self, tree: RouteTree, rest: &[usize]) {
+        let length = tree.length;
+        if self
+            .states
+            .iter()
+            .any(|(t, _)| t.length == length && t.edges == tree.edges && t.nodes == tree.nodes)
+        {
+            return;
+        }
+        if self.best.len() < self.width {
+            self.best.push(length);
+        } else if self.best.peek().is_some_and(|&u| length < u) {
+            self.best.pop();
+            self.best.push(length);
+        }
+        self.states.push((tree, rest.to_vec()));
+    }
+
+    /// The kept states: the `width` shortest, stably sorted by length.
+    fn into_beam(mut self) -> Vec<(RouteTree, Vec<usize>)> {
+        self.states.sort_by_key(|(t, _)| t.length);
+        self.states.truncate(self.width);
+        self.states
     }
 }
 
@@ -82,6 +154,12 @@ pub fn enumerate_route_trees(
 /// graph alone: Prim's step takes the first point in `rest` order among
 /// equally near ones, and the beam is stably sorted by length and keeps
 /// the first occurrence of each `(edges, nodes)` tree.
+///
+/// Work whose result is known or thrown away is skipped, exactly: a
+/// state whose every child is longer than `beam_width` distinct
+/// children already found is not searched, no child longer than them
+/// is built, and a state searches nothing a state of the same level or
+/// an earlier one searched for the same point and tree nodes.
 pub(crate) fn enumerate_in(
     space: &mut SearchSpace,
     graph: &ChannelGraph,
@@ -93,10 +171,11 @@ pub(crate) fn enumerate_in(
         return Vec::new();
     }
     // One distance table per point to connect (all but the first).
-    for (p, cands) in points.iter().enumerate().skip(1) {
-        space.fill_table(graph, p, cands);
-    }
+    let mut tables = vec![usize::MAX];
+    tables.extend(space.tables_for(graph, &points[1..]));
     let beam_width = m.max(per_level * per_level).min(64);
+    // Per point, the paths found from each set of tree nodes.
+    let mut searched: Vec<HashMap<Vec<usize>, Vec<Path>>> = vec![HashMap::new(); points.len()];
 
     // Start states: each candidate of the first connection point, with
     // the points still to connect.
@@ -112,36 +191,43 @@ pub(crate) fn enumerate_in(
         })
         .collect();
 
-    while beam.iter().any(|(_, rest)| !rest.is_empty()) {
-        let mut next_beam: Vec<(RouteTree, Vec<usize>)> = Vec::new();
+    // Every state of a level has connected as many points.
+    while beam.first().is_some_and(|(_, rest)| !rest.is_empty()) {
+        let mut level = Level::new(beam_width);
         for (tree, mut rest) in beam {
-            if rest.is_empty() {
-                next_beam.push((tree, rest));
+            // Prim: nearest unconnected point next.
+            let (pos, d) = space.prim_step(&tree.nodes, &rest, &tables);
+            // Every child adds at least `d`: its path past the last tree
+            // node uses no tree edge and still has to reach the point.
+            if !level.admits(tree.length.saturating_add(d)) {
                 continue;
             }
-            // Prim: nearest unconnected point next.
-            let pos = space.prim_step(&tree.nodes, &rest);
             let point = rest.remove(pos);
-            for p in space.k_shortest(graph, &tree.nodes, &points[point], point, per_level) {
-                next_beam.push((tree.absorb_path(graph, &p.nodes), rest.clone()));
+            let paths = match searched[point].get(&tree.nodes) {
+                Some(paths) => paths,
+                None => {
+                    let paths = space.k_shortest(
+                        graph,
+                        &tree.nodes,
+                        &points[point],
+                        tables[point],
+                        per_level,
+                    );
+                    searched[point].entry(tree.nodes.clone()).or_insert(paths)
+                }
+            };
+            for p in paths {
+                let length = tree.length_with(graph, p);
+                if level.admits(length) {
+                    level.offer(tree.absorb(&p.nodes, length), &rest);
+                }
             }
         }
-        if next_beam.is_empty() {
+        if level.states.is_empty() {
             // Some point is unreachable.
             return Vec::new();
         }
-        // Keep the best `beam_width` states, deduplicated by edge set.
-        next_beam.sort_by_key(|(t, _)| t.length);
-        let keep: Vec<bool> = {
-            let mut seen = HashSet::with_capacity(beam_width);
-            next_beam
-                .iter()
-                .map(|(t, _)| seen.len() < beam_width && seen.insert((&t.edges[..], &t.nodes[..])))
-                .collect()
-        };
-        let mut keep = keep.into_iter();
-        next_beam.retain(|_| keep.next().expect("one flag per state"));
-        beam = next_beam;
+        beam = level.into_beam();
     }
 
     let mut routes: Vec<RouteTree> = beam.into_iter().map(|(t, _)| t).collect();
@@ -262,6 +348,127 @@ mod tests {
         let relaxed = enumerate_route_trees(&g, &[vec![0], vec![far, near]], 1, 2);
         assert!(relaxed[0].length <= strict[0].length);
         assert!(relaxed[0].length <= d[near]);
+    }
+
+    /// The reference for [`enumerate_in`]: the beam as it was first
+    /// written, searching every state, building every child and
+    /// deduplicating the sorted level through a hash set, on a fresh
+    /// workspace.
+    fn enumerate_eager(
+        graph: &ChannelGraph,
+        points: &[Vec<usize>],
+        m: usize,
+        per_level: usize,
+    ) -> Vec<RouteTree> {
+        if graph.is_empty() || points.is_empty() || m == 0 {
+            return Vec::new();
+        }
+        let mut space = SearchSpace::new(graph.len());
+        let tables = space.tables_for(graph, points);
+        let absorb_path = |tree: &RouteTree, path: &[usize]| {
+            let mut out = tree.clone();
+            for w in path.windows(2) {
+                let key = (w[0].min(w[1]), w[0].max(w[1]));
+                if let Err(at) = out.edges.binary_search(&key) {
+                    out.edges.insert(at, key);
+                    out.length += edge_length(graph, w[0], w[1]);
+                }
+            }
+            for &n in path {
+                if let Err(at) = out.nodes.binary_search(&n) {
+                    out.nodes.insert(at, n);
+                }
+            }
+            out
+        };
+        let beam_width = m.max(per_level * per_level).min(64);
+        let mut beam: Vec<(RouteTree, Vec<usize>)> = points[0]
+            .iter()
+            .map(|&n| {
+                let tree = RouteTree {
+                    nodes: vec![n],
+                    edges: Vec::new(),
+                    length: 0,
+                };
+                (tree, (1..points.len()).collect())
+            })
+            .collect();
+        while beam.iter().any(|(_, rest)| !rest.is_empty()) {
+            let mut next_beam: Vec<(RouteTree, Vec<usize>)> = Vec::new();
+            for (tree, mut rest) in beam {
+                if rest.is_empty() {
+                    next_beam.push((tree, rest));
+                    continue;
+                }
+                let (pos, _) = space.prim_step(&tree.nodes, &rest, &tables);
+                let point = rest.remove(pos);
+                for p in
+                    space.k_shortest(graph, &tree.nodes, &points[point], tables[point], per_level)
+                {
+                    next_beam.push((absorb_path(&tree, &p.nodes), rest.clone()));
+                }
+            }
+            if next_beam.is_empty() {
+                return Vec::new();
+            }
+            next_beam.sort_by_key(|(t, _)| t.length);
+            let mut seen = std::collections::HashSet::new();
+            let keep: Vec<bool> = next_beam
+                .iter()
+                .map(|(t, _)| {
+                    seen.len() < beam_width && seen.insert((t.edges.clone(), t.nodes.clone()))
+                })
+                .collect();
+            let mut keep = keep.into_iter();
+            next_beam.retain(|_| keep.next().expect("one flag per state"));
+            beam = next_beam;
+        }
+        let mut routes: Vec<RouteTree> = beam.into_iter().map(|(t, _)| t).collect();
+        routes.sort_by(|a, b| a.length.cmp(&b.length).then(a.edges.cmp(&b.edges)));
+        routes.dedup_by(|a, b| a.edges == b.edges);
+        routes.truncate(m);
+        routes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn trees_match_the_eager_beam_tree_for_tree(
+            rects in proptest::collection::vec((0i64..6, 0i64..6, 1i64..3, 1i64..3), 1..40),
+            nets in proptest::collection::vec(
+                proptest::collection::vec(
+                    proptest::collection::vec(proptest::prelude::any::<usize>(), 1..4),
+                    1..6,
+                ),
+                1..5,
+            ),
+            in_tree in proptest::prelude::any::<bool>(),
+            m in 1usize..12,
+            per_level in 1usize..5,
+            tiny_budget in proptest::prelude::any::<bool>(),
+        ) {
+            let g = crate::mpaths::tests::lattice_graph(&rects);
+            let n = g.len();
+            // One workspace for every net, as in a routing call; a budget
+            // of two tables drops the cache between most nets.
+            let mut space = SearchSpace::new(n);
+            if tiny_budget {
+                space.table_budget = 2 * n;
+            }
+            for cands in &nets {
+                let mut points: Vec<Vec<usize>> =
+                    cands.iter().map(|c| c.iter().map(|&v| v % n).collect()).collect();
+                if in_tree && points.len() > 1 {
+                    // A later point can be reached at a start node.
+                    let first = points[0][0];
+                    points.last_mut().expect("two points").push(first);
+                }
+                let expected = enumerate_eager(&g, &points, m, per_level);
+                let trees = enumerate_in(&mut space, &g, &points, m, per_level);
+                proptest::prop_assert_eq!(trees, expected);
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,11 @@
 
 use proptest::prelude::*;
 
+use timberwolfmc::core::TimberWolfConfig;
 use timberwolfmc::geom::{Point, Rect, TileSet};
+use timberwolfmc::netlist::{paper_circuit, synthesize_profile};
+use timberwolfmc::place::{legalize, place_stage1};
+use timberwolfmc::refine::routing_snapshot;
 use timberwolfmc::route::{
     build_channel_graph, critical_regions, enumerate_route_trees, global_route, NetPins,
     PlacedGeometry, RouterParams,
@@ -359,4 +363,87 @@ fn golden_router_digest_lattice() {
     }
     assert!(attempts > 0, "no case exercised the interchange");
     assert_eq!(h.0, 11_080_888_186_397_519_065, "router output changed");
+}
+
+#[test]
+fn golden_router_digest_paper() {
+    // The placements the full flow routes first: a fast stage 1 of the
+    // i3 and p1 paper profiles, legalized as stage 2 does before its
+    // first route. Their graphs and nets are the sizes the flow routes
+    // (p1 has nets of up to 14 connection points), which the small
+    // shelf-packed and lattice digests above are not. Every alternative
+    // phase 1 enumerates is hashed in the order `global_route` sees it
+    // (dropping, as `global_route` does, points without an attachment
+    // and nets left with fewer than two points), then what one
+    // `global_route` selects.
+    let params = RouterParams::default();
+    let mut h = Fnv1a::new();
+    let mut attempts = 0;
+    for (name, seed) in [("i3", 7u64), ("p1", 7)] {
+        let nl = synthesize_profile(paper_circuit(name).expect("a paper circuit"), 1988);
+        let config = TimberWolfConfig::fast(seed);
+        let (mut state, _) = place_stage1(
+            &nl,
+            &config.place,
+            &config.estimator,
+            &config.schedule,
+            seed,
+        );
+        legalize(&mut state, 2, 500);
+        let (geometry, nets) = routing_snapshot(&state);
+        let graph = build_channel_graph(&geometry, params.track_spacing);
+        for net in &nets {
+            let points: Vec<Vec<usize>> = net
+                .points
+                .iter()
+                .map(|cands| {
+                    let mut nodes: Vec<usize> =
+                        cands.iter().filter_map(|&p| graph.attach_pin(p)).collect();
+                    nodes.sort_unstable();
+                    nodes.dedup();
+                    nodes
+                })
+                .filter(|nodes| !nodes.is_empty())
+                .collect();
+            if points.len() < 2 {
+                h.int(-1);
+                continue;
+            }
+            let trees =
+                enumerate_route_trees(&graph, &points, params.m_alternatives, params.per_level);
+            h.int(trees.len() as i64);
+            for tree in &trees {
+                h.int(tree.nodes.len() as i64);
+                for &n in &tree.nodes {
+                    h.int(n as i64);
+                }
+                h.int(tree.edges.len() as i64);
+                for &(a, b) in &tree.edges {
+                    h.int(a as i64);
+                    h.int(b as i64);
+                }
+                h.int(tree.length);
+            }
+        }
+        let routing = global_route(&geometry, &nets, &params, seed);
+        for &k in &routing.assignment.choice {
+            h.int(k as i64);
+        }
+        for route in routing.routes.iter().flatten() {
+            h.int(route.length);
+            for &(a, b) in &route.edges {
+                h.int(a as i64);
+                h.int(b as i64);
+            }
+        }
+        h.int(routing.total_length());
+        h.int(routing.overflow());
+        h.int(routing.assignment.overflow_start);
+        h.int(routing.assignment.reassignments as i64);
+        h.int(routing.assignment.attempts as i64);
+        h.int(routing.unrouted as i64);
+        attempts += routing.assignment.attempts;
+    }
+    assert!(attempts > 0, "no case exercised the interchange");
+    assert_eq!(h.0, 2_735_998_456_166_556_588, "router output changed");
 }
