@@ -164,7 +164,7 @@ fn metrics_row(test_mode: bool) -> ObsRow {
     // RNG stream.
     let (reference, _) = timed_run(&nl, &pp, &mut NullRecorder);
     let hub = MetricsHub::new();
-    let mut instrumented = Instrumented::new(NullRecorder, std::sync::Arc::clone(&hub));
+    let mut instrumented = Instrumented::new(NullRecorder, Some(std::sync::Arc::clone(&hub)), None);
     let (recorded, _) = timed_run(&nl, &pp, &mut instrumented);
     let bit_identical = identical(&reference, &recorded);
     let moves = reference.moves.attempts();
@@ -186,7 +186,7 @@ fn metrics_row(test_mode: bool) -> ObsRow {
     for _ in 0..trials {
         let (_, secs) = timed_run(&nl, &pp, &mut NullRecorder);
         disabled_best = disabled_best.min(secs);
-        let mut rec = Instrumented::new(NullRecorder, MetricsHub::new());
+        let mut rec = Instrumented::new(NullRecorder, Some(MetricsHub::new()), None);
         let (_, secs) = timed_run(&nl, &pp, &mut rec);
         black_box(rec.hub().map(|h| h.render().len()));
         metrics_best = metrics_best.min(secs);
@@ -222,7 +222,7 @@ fn trace_row(test_mode: bool) -> ObsRow {
     // never an RNG stream.
     let (reference, _) = timed_run(&nl, &pp, &mut NullRecorder);
     let tracer = Tracer::new();
-    let mut traced = Instrumented::maybe(NullRecorder, None).with_tracer(Some(tracer.clone()));
+    let mut traced = Instrumented::new(NullRecorder, None, Some(tracer.clone()));
     let (recorded, _) = timed_run(&nl, &pp, &mut traced);
     let bit_identical = identical(&reference, &recorded);
     let snap = tracer.collect();
@@ -240,7 +240,7 @@ fn trace_row(test_mode: bool) -> ObsRow {
         let (_, secs) = timed_run(&nl, &pp, &mut NullRecorder);
         disabled_best = disabled_best.min(secs);
         let t = Tracer::new();
-        let mut rec = Instrumented::maybe(NullRecorder, None).with_tracer(Some(t.clone()));
+        let mut rec = Instrumented::new(NullRecorder, None, Some(t.clone()));
         let (_, secs) = timed_run(&nl, &pp, &mut rec);
         black_box(t.collect().total_spans());
         traced_best = traced_best.min(secs);

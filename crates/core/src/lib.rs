@@ -52,13 +52,13 @@ pub use render::{render_svg, RenderOptions};
 pub use report::{
     compare, format_parallel_report, format_table4, format_telemetry_summary, ComparisonRow,
 };
-pub use resilient::{
-    run_timberwolf_resilient, InterruptedRun, PipelineError, RunOptions, RunOutcome,
-};
+pub use resilient::{run_timberwolf_resilient, InterruptedRun, PipelineError, RunOutcome};
 
 // Orchestration knobs and reports surface through the pipeline config
 // and result; re-export them so front ends need no direct dependency.
-pub use twmc_parallel::{ParallelParams, ParallelReport, ReplicaReport, Strategy, SwapReport};
+pub use twmc_parallel::{
+    ParallelParams, ParallelReport, ReplicaReport, RunCtrl, Strategy, SwapReport,
+};
 
 // Telemetry surface: front ends build recorders and consume events
 // without depending on `twmc-obs` directly.

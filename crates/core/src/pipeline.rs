@@ -9,7 +9,7 @@ use twmc_parallel::ParallelReport;
 use twmc_place::{PlacementState, Stage1Result};
 use twmc_refine::Stage2Result;
 
-use crate::{run_timberwolf_resilient, RunOptions, RunOutcome, TimberWolfConfig};
+use crate::{run_timberwolf_resilient, RunCtrl, RunOutcome, TimberWolfConfig};
 
 /// Final placement of one cell, in owned form.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +99,7 @@ pub fn run_timberwolf(nl: &Netlist, config: &TimberWolfConfig) -> TimberWolfResu
 /// results are bit-identical to [`run_timberwolf`] for any recorder.
 ///
 /// This is [`run_timberwolf_resilient`] under the default (no-op)
-/// [`RunOptions`].
+/// [`RunCtrl`].
 ///
 /// # Panics
 ///
@@ -111,7 +111,7 @@ pub fn run_timberwolf_with(
     config: &TimberWolfConfig,
     rec: &mut dyn Recorder,
 ) -> TimberWolfResult {
-    match run_timberwolf_resilient(nl, config, RunOptions::default(), rec) {
+    match run_timberwolf_resilient(nl, config, RunCtrl::default(), rec) {
         Ok(RunOutcome::Complete(result)) => result,
         Ok(RunOutcome::Interrupted(_)) => unreachable!("default options cannot interrupt"),
         Err(e) => panic!("{e}"),

@@ -12,14 +12,12 @@
 //! [`twmc_obs::RunInterrupted`] event, and still return the best-so-far
 //! placement.
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Value;
 
 use twmc_netlist::Netlist;
-use twmc_obs::{CancelToken, Event, Recorder, RunInterrupted, RunStart, StopReason};
+use twmc_obs::{Event, Interval, OpenInterval, Recorder, RunInterrupted, RunStart, StopReason};
 use twmc_parallel::{
     check_config, config_value, parallel_report_from, parallel_report_value,
     parallel_stage1_resilient, OrchestratorError, RunCtrl, Stage1Outcome,
@@ -27,24 +25,10 @@ use twmc_parallel::{
 use twmc_place::{persist, PlacementState, Stage1Context};
 use twmc_refine::refine_placement_resilient;
 use twmc_resume::codec::{self, field, str_field, u64_field};
-use twmc_resume::{CheckpointError, CheckpointWriter};
+use twmc_resume::CheckpointError;
 
 use crate::pipeline::{snapshot_placement, PlacedCellRecord, TimberWolfResult};
 use crate::TimberWolfConfig;
-
-/// Resilience options for [`run_timberwolf_resilient`]. The default is
-/// a no-op: never cancels, never writes, starts fresh — the plain
-/// [`crate::run_timberwolf_with`] runs under it.
-#[derive(Default)]
-pub struct RunOptions {
-    /// Cancellation token polled at every stage/step boundary; wire it
-    /// to signal flags, deadlines, and move budgets.
-    pub cancel: CancelToken,
-    /// Periodic checkpoint writer (also flushed once on interrupt).
-    pub checkpoint: Option<CheckpointWriter>,
-    /// Decoded checkpoint payload to resume from.
-    pub resume: Option<Value>,
-}
 
 /// What became of a resilient run.
 // `TimberWolfResult` dwarfs the interrupt record; boxing a value built
@@ -106,7 +90,7 @@ impl From<CheckpointError> for PipelineError {
     }
 }
 
-/// The full TimberWolfMC flow under [`RunOptions`]: periodic atomic
+/// The full TimberWolfMC flow under a [`RunCtrl`]: periodic atomic
 /// checkpoints, resume from any checkpoint phase, cooperative
 /// cancellation, and fault-isolated replicas.
 ///
@@ -120,20 +104,11 @@ impl From<CheckpointError> for PipelineError {
 pub fn run_timberwolf_resilient(
     nl: &Netlist,
     config: &TimberWolfConfig,
-    mut opts: RunOptions,
+    mut ctrl: RunCtrl,
     rec: &mut dyn Recorder,
 ) -> Result<RunOutcome, PipelineError> {
-    let run_t0 = Instant::now();
-    // Pipeline-level trace spans land on the `main` lane, checked out
-    // per span so the stages' own spans share the ring and nest by
-    // containment: run → stage1/stage2/finalize → temp_step → ...
-    let tracer = rec.tracer().cloned();
-    let tspan = |name: &'static str, t0: Instant| {
-        if let Some(tr) = &tracer {
-            tr.lane("main").span(name, "run", t0, t0.elapsed());
-        }
-    };
-    let resume_phase: Option<String> = match &opts.resume {
+    let run = Interval::Run.open();
+    let resume_phase: Option<String> = match &ctrl.resume {
         Some(payload) => Some(str_field(payload, "phase")?.to_owned()),
         None => None,
     };
@@ -159,7 +134,7 @@ pub fn run_timberwolf_resilient(
 
     // --- stage 1 (or its restoration from a stage2-phase checkpoint) ---
     let (mut state, stage1, parallel) = if resume_phase.as_deref() == Some("stage2") {
-        let payload = opts.resume.take().expect("phase implies a payload");
+        let payload = ctrl.resume.take().expect("phase implies a payload");
         check_config(
             &payload,
             config.seed,
@@ -184,14 +159,7 @@ pub fn run_timberwolf_resilient(
         );
         (state, stage1, parallel)
     } else {
-        let t0 = Instant::now();
-        let mut ctrl = RunCtrl {
-            cancel: opts.cancel.clone(),
-            writer: opts.checkpoint.take(),
-            resume: opts.resume.take(),
-            hub: rec.hub().cloned(),
-            tracer: rec.tracer().cloned(),
-        };
+        let stage1_time = Interval::Stage1.open();
         let outcome = parallel_stage1_resilient(
             nl,
             &config.place,
@@ -202,15 +170,13 @@ pub fn run_timberwolf_resilient(
             rec,
             &mut ctrl,
         );
-        opts.checkpoint = ctrl.writer.take();
         match outcome? {
             Stage1Outcome::Complete {
                 state,
                 result,
                 report,
             } => {
-                span(rec, "stage1", t0);
-                tspan("stage1", t0);
+                stage1_time.close(rec);
                 let parallel = (config.parallel.replicas > 1).then_some(report);
                 (state, result, parallel)
             }
@@ -221,9 +187,8 @@ pub fn run_timberwolf_resilient(
                 cost,
             } => {
                 // The orchestrator already flushed its final checkpoint.
-                tspan("run", run_t0);
                 return Ok(interrupted(
-                    rec, run_t0, reason, "stage1", nl, &state, teil, cost,
+                    rec, run, reason, "stage1", nl, &state, teil, cost,
                 ));
             }
         }
@@ -231,7 +196,7 @@ pub fn run_timberwolf_resilient(
 
     // Durable stage-1-complete mark: from here, resume re-runs stage 2
     // from this exact state and never repeats stage 1.
-    if opts.checkpoint.is_some() {
+    if ctrl.writer.is_some() {
         let payload = codec::object(vec![
             ("phase", Value::Str("stage2".to_owned())),
             (
@@ -255,24 +220,11 @@ pub fn run_timberwolf_resilient(
             ("rebuilds", Value::UInt(state.index_rebuilds())),
             ("updates", Value::UInt(state.index_updates())),
         ]);
-        if let Some(w) = opts.checkpoint.as_mut() {
-            let t0 = Instant::now();
-            w.write(&payload)?;
-            if let Some(hub) = rec.hub() {
-                hub.checkpoint_writes_total.inc();
-                hub.checkpoint_write_ms
-                    .observe(t0.elapsed().as_secs_f64() * 1e3);
-            }
-            if let Some(tracer) = rec.tracer() {
-                tracer
-                    .lane("ckpt")
-                    .span("checkpoint_write", "ckpt", t0, t0.elapsed());
-            }
-        }
+        ctrl.write_checkpoint(&payload, rec)?;
     }
 
     // --- stage 2 -------------------------------------------------------
-    let s2_t0 = Instant::now();
+    let stage2_time = Interval::Stage2.open();
     let stage2 = match refine_placement_resilient(
         &mut state,
         nl,
@@ -282,32 +234,30 @@ pub fn run_timberwolf_resilient(
         stage1.t_infinity,
         config.seed.wrapping_add(0x5eed),
         rec,
-        &opts.cancel,
+        &ctrl.cancel,
     ) {
         Ok(s2) => {
-            tspan("stage2", s2_t0);
+            stage2_time.close(rec);
             s2
         }
         Err(reason) => {
             // The stage2-phase checkpoint on disk stays authoritative —
             // stage 2 restarts from the stage-1 state by design.
             let (teil, cost) = (state.teil(), state.cost());
-            tspan("run", run_t0);
             return Ok(interrupted(
-                rec, run_t0, reason, "stage2", nl, &state, teil, cost,
+                rec, run, reason, "stage2", nl, &state, teil, cost,
             ));
         }
     };
 
     // --- finalize ------------------------------------------------------
-    if let Some(reason) = opts.cancel.check() {
+    if let Some(reason) = ctrl.cancel.check() {
         let (teil, cost) = (state.teil(), state.cost());
-        tspan("run", run_t0);
         return Ok(interrupted(
-            rec, run_t0, reason, "finalize", nl, &state, teil, cost,
+            rec, run, reason, "finalize", nl, &state, teil, cost,
         ));
     }
-    let t0 = Instant::now();
+    let finalize_time = Interval::Finalize.open();
     let fin = crate::finalize_chip_with(
         nl,
         &mut state,
@@ -315,9 +265,8 @@ pub fn run_timberwolf_resilient(
         config.seed.wrapping_add(0xf17a1),
         rec,
     );
-    span(rec, "finalize", t0);
-    tspan("finalize", t0);
-    tspan("run", run_t0);
+    finalize_time.close(rec);
+    let wall = run.close(rec);
     let placement = snapshot_placement(nl, &state);
     if rec.enabled() {
         rec.record(&Event::RunEnd(twmc_obs::RunEnd {
@@ -325,7 +274,7 @@ pub fn run_timberwolf_resilient(
             chip_width: fin.chip.width(),
             chip_height: fin.chip.height(),
             routed_length: fin.routed_length,
-            wall_us: run_t0.elapsed().as_micros() as u64,
+            wall_us: wall.as_micros() as u64,
         }));
     }
     rec.flush();
@@ -340,12 +289,13 @@ pub fn run_timberwolf_resilient(
     }))
 }
 
-/// Closes an interrupted run: emits the [`RunInterrupted`] footer,
-/// flushes telemetry, and packages the best-so-far placement.
+/// Closes an interrupted run: closes the `run` interval, emits the
+/// [`RunInterrupted`] footer, flushes telemetry, and packages the
+/// best-so-far placement.
 #[allow(clippy::too_many_arguments)]
 fn interrupted(
     rec: &mut dyn Recorder,
-    run_t0: Instant,
+    run: OpenInterval,
     reason: StopReason,
     stage: &'static str,
     nl: &Netlist,
@@ -353,13 +303,14 @@ fn interrupted(
     teil: f64,
     cost: f64,
 ) -> RunOutcome {
+    let wall = run.close(rec);
     if rec.enabled() {
         rec.record(&Event::RunInterrupted(RunInterrupted {
             reason: reason.as_str(),
             stage,
             teil,
             cost,
-            wall_us: run_t0.elapsed().as_micros() as u64,
+            wall_us: wall.as_micros() as u64,
         }));
     }
     rec.flush();
@@ -370,15 +321,4 @@ fn interrupted(
         teil,
         cost,
     })
-}
-
-/// Emits a pipeline-level [`twmc_obs::StageSpan`] (iteration 0).
-fn span(rec: &mut dyn Recorder, stage: &'static str, t0: Instant) {
-    if rec.enabled() {
-        rec.record(&Event::StageSpan(twmc_obs::StageSpan {
-            stage,
-            iteration: 0,
-            wall_us: t0.elapsed().as_micros() as u64,
-        }));
-    }
 }

@@ -9,7 +9,7 @@
 
 use std::path::PathBuf;
 
-use twmc_core::{run_timberwolf_resilient, RunOptions, RunOutcome, Strategy, TimberWolfConfig};
+use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome, Strategy, TimberWolfConfig};
 use twmc_netlist::{synthesize, Netlist, SynthParams};
 use twmc_obs::{CancelToken, NullRecorder, StopReason};
 use twmc_place::PlaceParams;
@@ -61,7 +61,7 @@ fn temp_path(tag: &str) -> PathBuf {
 fn complete(
     nl: &Netlist,
     cfg: &TimberWolfConfig,
-    opts: RunOptions,
+    opts: RunCtrl,
 ) -> (twmc_core::TimberWolfResult, u64) {
     let token = opts.cancel.clone();
     match run_timberwolf_resilient(nl, cfg, opts, &mut NullRecorder).expect("run succeeds") {
@@ -89,12 +89,12 @@ fn assert_same_chip(a: &twmc_core::TimberWolfResult, b: &twmc_core::TimberWolfRe
 fn assert_interrupt_resume_identical(replicas: usize, budget: u64, stage: &str, tag: &str) {
     let nl = circuit();
     let cfg = config(replicas);
-    let (reference, _) = complete(&nl, &cfg, RunOptions::default());
+    let (reference, _) = complete(&nl, &cfg, RunCtrl::default());
 
     let path = temp_path(tag);
-    let opts = RunOptions {
+    let opts = RunCtrl {
         cancel: CancelToken::new().with_max_moves(budget),
-        checkpoint: Some(CheckpointWriter::new(&path, 3)),
+        writer: Some(CheckpointWriter::new(&path, 3)),
         resume: None,
     };
     let cut = match run_timberwolf_resilient(&nl, &cfg, opts, &mut NullRecorder)
@@ -109,7 +109,7 @@ fn assert_interrupt_resume_identical(replicas: usize, budget: u64, stage: &str, 
     assert!(cut.teil > 0.0 && cut.cost > 0.0);
 
     let payload = read_checkpoint(&path).expect("checkpoint readable");
-    let resumed = RunOptions {
+    let resumed = RunCtrl {
         resume: Some(payload),
         ..Default::default()
     };
@@ -122,7 +122,7 @@ fn default_options_match_the_plain_pipeline() {
     let nl = circuit();
     let cfg = config(1);
     let plain = twmc_core::run_timberwolf(&nl, &cfg);
-    let (resilient, moves) = complete(&nl, &cfg, RunOptions::default());
+    let (resilient, moves) = complete(&nl, &cfg, RunCtrl::default());
     assert_same_chip(&plain, &resilient);
     assert!(moves > 0, "cancel token saw no move accounting");
 }
@@ -132,7 +132,7 @@ fn stage1_interrupt_then_resume_is_bit_identical() {
     // ~10% of a full run's moves is deep inside the stage-1 cooling.
     let nl = circuit();
     let cfg = config(1);
-    let (_, total) = complete(&nl, &cfg, RunOptions::default());
+    let (_, total) = complete(&nl, &cfg, RunCtrl::default());
     assert_interrupt_resume_identical(1, total / 10, "stage1", "stage1-single");
 }
 
@@ -140,7 +140,7 @@ fn stage1_interrupt_then_resume_is_bit_identical() {
 fn multistart_stage1_interrupt_then_resume_is_bit_identical() {
     let nl = circuit();
     let cfg = config(2);
-    let (_, total) = complete(&nl, &cfg, RunOptions::default());
+    let (_, total) = complete(&nl, &cfg, RunCtrl::default());
     assert_interrupt_resume_identical(2, total / 10, "stage1", "stage1-multistart");
 }
 
@@ -150,7 +150,7 @@ fn stage2_interrupt_resumes_from_the_stage1_complete_checkpoint() {
     // which lives in the final stage-2 refinement anneal.
     let nl = circuit();
     let cfg = config(1);
-    let (_, total) = complete(&nl, &cfg, RunOptions::default());
+    let (_, total) = complete(&nl, &cfg, RunCtrl::default());
     assert_interrupt_resume_identical(1, total - 1, "stage2", "stage2-cut");
 }
 
@@ -162,8 +162,8 @@ fn stage2_phase_checkpoint_alone_reproduces_the_run() {
     let nl = circuit();
     let cfg = config(2);
     let path = temp_path("stage2-clean");
-    let opts = RunOptions {
-        checkpoint: Some(CheckpointWriter::new(&path, 1_000_000)),
+    let opts = RunCtrl {
+        writer: Some(CheckpointWriter::new(&path, 1_000_000)),
         ..Default::default()
     };
     let (reference, _) = complete(&nl, &cfg, opts);
@@ -173,7 +173,7 @@ fn stage2_phase_checkpoint_alone_reproduces_the_run() {
         twmc_resume::codec::str_field(&payload, "phase").expect("phase field"),
         "stage2"
     );
-    let resumed = RunOptions {
+    let resumed = RunCtrl {
         resume: Some(payload),
         ..Default::default()
     };
@@ -186,8 +186,8 @@ fn checkpoint_from_a_different_run_is_rejected() {
     let nl = circuit();
     let cfg = config(1);
     let path = temp_path("mismatch");
-    let opts = RunOptions {
-        checkpoint: Some(CheckpointWriter::new(&path, 1_000_000)),
+    let opts = RunCtrl {
+        writer: Some(CheckpointWriter::new(&path, 1_000_000)),
         ..Default::default()
     };
     let _ = complete(&nl, &cfg, opts);
@@ -195,7 +195,7 @@ fn checkpoint_from_a_different_run_is_rejected() {
     let mut other = config(1);
     other.seed = 6;
     let payload = read_checkpoint(&path).expect("checkpoint readable");
-    let resumed = RunOptions {
+    let resumed = RunCtrl {
         resume: Some(payload),
         ..Default::default()
     };

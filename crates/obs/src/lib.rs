@@ -19,6 +19,10 @@
 //! * [`SummaryRecorder`] — an in-memory sink for tests and the CLI's
 //!   human-readable summary table;
 //! * [`Tee`] — fans one event stream out to two sinks;
+//! * [`Interval`] — times a stage, a phase, a checkpoint write, a
+//!   routing execution or a job wait: one clock read on close, and the
+//!   same duration to its trace span, `stage_span` event and hub
+//!   histogram;
 //! * [`validate`] — a minimal JSON parser plus JSONL stream validation
 //!   (used by tests and CI; the vendored `serde_json` stand-in only
 //!   serializes).
@@ -46,6 +50,7 @@
 
 mod cancel;
 mod event;
+mod interval;
 mod recorder;
 pub mod validate;
 
@@ -54,6 +59,7 @@ pub use event::{
     ClassCount, CostBreakdown, Event, PlaceTemp, ReplicaFailed, ReplicaSummary, RouteIter, RunEnd,
     RunInterrupted, RunScope, RunStart, StageSpan, Swap, EVENT_KINDS,
 };
+pub use interval::{Interval, OpenInterval};
 pub use recorder::{
     DurableFile, Instrumented, JsonlRecorder, NullRecorder, Recorder, SummaryRecorder, Tee,
 };

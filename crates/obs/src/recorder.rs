@@ -98,8 +98,7 @@ impl Recorder for NullRecorder {
 /// line, written through a [`BufWriter`].
 ///
 /// I/O errors are latched rather than panicking mid-anneal: the first
-/// error stops further writes and surfaces from [`JsonlRecorder::finish`]
-/// (or [`JsonlRecorder::io_error`]).
+/// error stops further writes and surfaces from [`JsonlRecorder::finish`].
 #[derive(Debug)]
 pub struct JsonlRecorder<W: Write> {
     out: BufWriter<W>,
@@ -203,11 +202,6 @@ impl<W: Write> JsonlRecorder<W> {
     /// Events recorded so far (counted even if a later write failed).
     pub fn events(&self) -> usize {
         self.events
-    }
-
-    /// The first I/O error hit, if any.
-    pub fn io_error(&self) -> Option<&io::Error> {
-        self.error.as_ref()
     }
 
     /// Flushes and returns the inner writer, surfacing any latched or
@@ -345,34 +339,9 @@ pub struct Instrumented<R: Recorder> {
 }
 
 impl<R: Recorder> Instrumented<R> {
-    /// Attaches `hub` to `inner`.
-    pub fn new(inner: R, hub: Arc<MetricsHub>) -> Self {
-        Instrumented {
-            inner,
-            hub: Some(hub),
-            tracer: None,
-        }
-    }
-
-    /// Attaches an optional hub — the forwarding adapter for worker
-    /// threads, where the orchestrator may or may not carry one.
-    pub fn maybe(inner: R, hub: Option<Arc<MetricsHub>>) -> Self {
-        Instrumented {
-            inner,
-            hub,
-            tracer: None,
-        }
-    }
-
-    /// Attaches an optional span tracer as well.
-    pub fn with_tracer(mut self, tracer: Option<Arc<Tracer>>) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// The wrapped sink.
-    pub fn inner(&self) -> &R {
-        &self.inner
+    /// Attaches an optional hub and an optional tracer to `inner`.
+    pub fn new(inner: R, hub: Option<Arc<MetricsHub>>, tracer: Option<Arc<Tracer>>) -> Self {
+        Instrumented { inner, hub, tracer }
     }
 
     /// Unwraps back into the inner sink.
@@ -460,7 +429,6 @@ mod tests {
         r.record(&span(1));
         r.record(&span(2)); // must not panic after the first failure
         assert_eq!(r.events(), 2);
-        assert!(r.io_error().is_some());
         assert!(r.finish().is_err());
     }
 

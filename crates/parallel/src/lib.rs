@@ -64,7 +64,7 @@ use serde::Value;
 use twmc_anneal::CoolingSchedule;
 use twmc_estimator::EstimatorParams;
 use twmc_netlist::Netlist;
-use twmc_obs::{CancelToken, NullRecorder, Recorder, StopReason};
+use twmc_obs::{CancelToken, Interval, NullRecorder, Recorder, StopReason};
 use twmc_place::{PlaceParams, PlacementState, Stage1Result};
 use twmc_resume::{CheckpointError, CheckpointWriter};
 
@@ -330,23 +330,22 @@ impl From<CheckpointError> for OrchestratorError {
     }
 }
 
-/// Run controller for [`parallel_stage1_resilient`]: cooperative
+/// Run controller for [`parallel_stage1_resilient`] and the full
+/// pipeline (`twmc_core::run_timberwolf_resilient`): cooperative
 /// cancellation, periodic checkpoints, and an optional decoded
 /// checkpoint to resume from. [`RunCtrl::default`] is a no-op controller
-/// (never cancels, never writes) under which the resilient entry point
-/// behaves exactly like [`parallel_stage1_with`].
+/// (never cancels, never writes, starts fresh) under which the resilient
+/// entry points behave exactly like [`parallel_stage1_with`] and
+/// `twmc_core::run_timberwolf_with`.
 #[derive(Default)]
 pub struct RunCtrl {
-    /// Cancellation token polled at every step/round boundary.
+    /// Cancellation token polled at every step/round boundary; wire it
+    /// to signal flags, deadlines, and move budgets.
     pub cancel: CancelToken,
     /// Periodic checkpoint writer (also flushed once on interrupt).
     pub writer: Option<CheckpointWriter>,
     /// Decoded checkpoint payload to resume from.
     pub resume: Option<Value>,
-    /// Live metrics hub (checkpoint-write counters and latency).
-    pub hub: Option<std::sync::Arc<twmc_obs::MetricsHub>>,
-    /// Span tracer (checkpoint-write spans on the `ckpt` lane).
-    pub tracer: Option<std::sync::Arc<twmc_obs::Tracer>>,
 }
 
 impl RunCtrl {
@@ -354,25 +353,21 @@ impl RunCtrl {
         self.writer.as_ref().is_some_and(|w| w.due(step))
     }
 
-    fn write_checkpoint(&mut self, payload: &Value) -> Result<(), CheckpointError> {
-        match self.writer.as_mut() {
-            Some(w) => {
-                let t0 = std::time::Instant::now();
-                let result = w.write(payload);
-                let elapsed = t0.elapsed();
-                if let Some(hub) = &self.hub {
-                    hub.checkpoint_writes_total.inc();
-                    hub.checkpoint_write_ms.observe(elapsed.as_secs_f64() * 1e3);
-                }
-                if let Some(tracer) = &self.tracer {
-                    tracer
-                        .lane("ckpt")
-                        .span("checkpoint_write", "ckpt", t0, elapsed);
-                }
-                result
-            }
-            None => Ok(()),
-        }
+    /// Writes `payload` through the writer, if there is one, as one
+    /// timed [`Interval::CheckpointWrite`] fed to `rec`'s hub and
+    /// tracer.
+    pub fn write_checkpoint(
+        &mut self,
+        payload: &Value,
+        rec: &mut dyn Recorder,
+    ) -> Result<(), CheckpointError> {
+        let Some(w) = self.writer.as_mut() else {
+            return Ok(());
+        };
+        let timed = Interval::CheckpointWrite.open();
+        let result = w.write(payload);
+        timed.close(rec);
+        result
     }
 }
 

@@ -318,8 +318,7 @@ pub(crate) fn drive<'a>(
             fault::maybe_fail(rep.index, round_base + rep.run.steps());
             let mut null = NullRecorder;
             let sink: &mut dyn Recorder = if enabled { &mut rep.local } else { &mut null };
-            let mut sink =
-                Instrumented::maybe(sink, round_hub.clone()).with_tracer(round_tracer.clone());
+            let mut sink = Instrumented::new(sink, round_hub.clone(), round_tracer.clone());
             rep.run.step(
                 &mut rep.state,
                 place,
@@ -368,7 +367,7 @@ pub(crate) fn drive<'a>(
         ctrl.cancel.add_moves((after - before) as u64);
 
         if let Some(reason) = ctrl.cancel.check() {
-            ctrl.write_checkpoint(&payload(reps, failures))?;
+            ctrl.write_checkpoint(&payload(reps, failures), rec)?;
             return Ok(Some(reason));
         }
         let step = reps
@@ -378,7 +377,7 @@ pub(crate) fn drive<'a>(
             .max()
             .unwrap_or(0);
         if step > 0 && ctrl.checkpoint_due((round_base + step) as u64 - 1) {
-            ctrl.write_checkpoint(&payload(reps, failures))?;
+            ctrl.write_checkpoint(&payload(reps, failures), rec)?;
         }
     }
     Ok(None)

@@ -532,7 +532,7 @@ pub(crate) fn run_controlled<'a>(
             )
         };
         if let Some(reason) = ctrl.cancel.check() {
-            ctrl.write_checkpoint(&ladder_payload(&rungs))?;
+            ctrl.write_checkpoint(&ladder_payload(&rungs), rec)?;
             // Best live configuration by cost (comparable: shared `p₂`).
             let mut best = 0;
             let mut seen = false;
@@ -551,7 +551,7 @@ pub(crate) fn run_controlled<'a>(
             });
         }
         if ctrl.checkpoint_due(round as u64) {
-            ctrl.write_checkpoint(&ladder_payload(&rungs))?;
+            ctrl.write_checkpoint(&ladder_payload(&rungs), rec)?;
         }
         round += 1;
     }

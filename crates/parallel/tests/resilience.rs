@@ -114,8 +114,6 @@ fn interrupted_run(
         cancel: CancelToken::new().with_max_moves(budget),
         writer: Some(CheckpointWriter::new(path, 3)),
         resume: None,
-        hub: None,
-        tracer: None,
     };
     let outcome = parallel_stage1_resilient(
         nl,
@@ -147,8 +145,6 @@ fn resumed_run(nl: &Netlist, params: &ParallelParams, path: &std::path::Path) ->
             cancel: CancelToken::new(),
             writer: None,
             resume: Some(payload),
-            hub: None,
-            tracer: None,
         },
     )
 }
@@ -251,8 +247,6 @@ fn wall_clock_budget_interrupts_with_a_final_checkpoint() {
         cancel: CancelToken::new().with_deadline(std::time::Instant::now()),
         writer: Some(CheckpointWriter::new(&path, 1_000_000)),
         resume: None,
-        hub: None,
-        tracer: None,
     };
     let outcome = parallel_stage1_resilient(
         &nl,
@@ -292,8 +286,6 @@ fn checkpoint_from_mismatched_config_is_rejected() {
         cancel: CancelToken::new(),
         writer: None,
         resume: Some(payload),
-        hub: None,
-        tracer: None,
     };
     let err = parallel_stage1_resilient(
         &nl,

@@ -20,35 +20,6 @@ use crate::PlacementState;
 /// Uses bounding boxes (conservative for rectilinear cells) and rebuilds
 /// the cost bookkeeping once at the end.
 pub fn legalize(state: &mut PlacementState<'_>, gap: i64, max_iters: usize) -> bool {
-    legalize_impl(state, gap, max_iters, false)
-}
-
-/// Like [`legalize`], but separates the *expansion-inflated* bounding
-/// boxes: each cell's box grown by its current per-side interconnect
-/// expansions. With static (routed) expansions installed, this spreads
-/// the placement until every channel has its required width — the
-/// spacing a detailed router would force (paper §4.3).
-pub fn legalize_expanded(state: &mut PlacementState<'_>, max_iters: usize) -> bool {
-    legalize_impl(state, 0, max_iters, true)
-}
-
-fn inflated_bbox(state: &PlacementState<'_>, i: usize, expanded: bool) -> twmc_geom::Rect {
-    let c = state.cell(i);
-    let bb = c.placed_bbox();
-    if expanded {
-        let (l, r, b, t) = c.expansions;
-        bb.expand_sides(l, r, b, t)
-    } else {
-        bb
-    }
-}
-
-fn legalize_impl(
-    state: &mut PlacementState<'_>,
-    gap: i64,
-    max_iters: usize,
-    expanded: bool,
-) -> bool {
     let n = state.cells().len();
     let core = state.estimator().core();
     let mut clean = false;
@@ -56,8 +27,8 @@ fn legalize_impl(
         let mut moved = false;
         for i in 0..n {
             for j in (i + 1)..n {
-                let a = inflated_bbox(state, i, expanded);
-                let b = inflated_bbox(state, j, expanded);
+                let a = state.cell(i).placed_bbox();
+                let b = state.cell(j).placed_bbox();
                 // Penetration including the required gap.
                 let pen_x = (a.hi().x.min(b.hi().x) + gap) - a.lo().x.max(b.lo().x);
                 let pen_y = (a.hi().y.min(b.hi().y) + gap) - a.lo().y.max(b.lo().y);
@@ -95,18 +66,18 @@ fn legalize_impl(
         // Relaxation failed to settle (dense stacks can oscillate): fall
         // back to a deterministic shelf packing — always legal, possibly
         // slightly larger than the core.
-        shelf_pack(state, gap, expanded);
+        shelf_pack(state, gap);
         clean = true;
     }
     state.rebuild_all();
-    debug_assert!(separated_impl(state, gap, expanded));
+    debug_assert!(separated(state, gap));
     let _ = core;
     clean
 }
 
 /// Deterministic fallback: pack cells onto shelves (rows) in order of
 /// their current position, with `gap` separation, centered on the core.
-fn shelf_pack(state: &mut PlacementState<'_>, gap: i64, expanded: bool) {
+fn shelf_pack(state: &mut PlacementState<'_>, gap: i64) {
     let core = state.estimator().core();
     let n = state.cells().len();
     let mut order: Vec<usize> = (0..n).collect();
@@ -114,12 +85,11 @@ fn shelf_pack(state: &mut PlacementState<'_>, gap: i64, expanded: bool) {
         let c = state.cell(i).center();
         (c.y, c.x, i)
     });
-    // Row width target: the core width normally, but when packing
-    // expansion-inflated boxes (whose total area can far exceed the
-    // core), aim for a square outline instead of a tall sliver.
+    // Row width target: the core width, or a square outline when the
+    // boxes' total area exceeds the core, instead of a tall sliver.
     let total_area: i64 = (0..n)
         .map(|i| {
-            let bb = inflated_bbox(state, i, expanded);
+            let bb = state.cell(i).placed_bbox();
             (bb.width() + gap) * (bb.height() + gap)
         })
         .sum();
@@ -130,20 +100,14 @@ fn shelf_pack(state: &mut PlacementState<'_>, gap: i64, expanded: bool) {
     let mut shelf_h = 0i64;
     let mut placed: Vec<(usize, Point)> = Vec::new();
     for &i in &order {
-        let bb = inflated_bbox(state, i, expanded);
+        let bb = state.cell(i).placed_bbox();
         let (w, h) = (bb.width() + gap, bb.height() + gap);
         if x > 0 && x + w > max_w {
             y += shelf_h;
             x = 0;
             shelf_h = 0;
         }
-        // Offset from the inflated box corner back to the cell position.
-        let (l, _, b, _) = if expanded {
-            state.cell(i).expansions
-        } else {
-            (0, 0, 0, 0)
-        };
-        placed.push((i, Point::new(x + l, y + b)));
+        placed.push((i, Point::new(x, y)));
         x += w;
         shelf_h = shelf_h.max(h);
     }
@@ -164,15 +128,11 @@ fn shift(state: &mut PlacementState<'_>, i: usize, d: Point) {
 
 /// Whether every pair of cell bounding boxes is separated by `gap`.
 pub fn separated(state: &PlacementState<'_>, gap: i64) -> bool {
-    separated_impl(state, gap, false)
-}
-
-fn separated_impl(state: &PlacementState<'_>, gap: i64, expanded: bool) -> bool {
     let n = state.cells().len();
     for i in 0..n {
         for j in (i + 1)..n {
-            let a = inflated_bbox(state, i, expanded).expand(gap);
-            let b = inflated_bbox(state, j, expanded);
+            let a = state.cell(i).placed_bbox().expand(gap);
+            let b = state.cell(j).placed_bbox();
             if a.overlap_area(b) > 0 {
                 return false;
             }

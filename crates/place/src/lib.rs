@@ -48,7 +48,7 @@ mod stage1;
 mod state;
 
 pub use displacement::select_displacement;
-pub use legalize::{legalize, legalize_expanded, separated};
+pub use legalize::{legalize, separated};
 pub use moves::{generate, metropolis, MoveSet, MoveStats};
 pub use params::{DisplacementSelector, PlaceParams};
 pub use sites::{SiteLayout, SiteRef};

@@ -6,7 +6,7 @@
 //! approximately evenly spaced, each with a capacity. A penalty function
 //! (`C₃`, eqs. 10–11) discourages exceeding the capacity.
 
-use twmc_geom::{Orientation, Point, Side};
+use twmc_geom::{Point, Side};
 
 /// Identifies one pin site on a custom cell: a side of the unoriented
 /// rectangle and a slot index along it.
@@ -97,12 +97,6 @@ impl SiteLayout {
             Side::Bottom => Point::new(along(self.w), 0),
             Side::Top => Point::new(along(self.w), self.h),
         }
-    }
-
-    /// Absolute position of a site for a cell oriented by `orientation`
-    /// with its (oriented) bounding-box lower-left corner at `at`.
-    pub fn absolute_position(&self, site: SiteRef, orientation: Orientation, at: Point) -> Point {
-        orientation.apply(self.position(site), self.w, self.h) + at
     }
 
     /// Adds a pin to a site.
@@ -216,20 +210,6 @@ mod tests {
             }),
             Point::new(35, 20)
         );
-    }
-
-    #[test]
-    fn oriented_positions_track_geometry() {
-        let l = layout();
-        let site = SiteRef {
-            side: Side::Bottom,
-            slot: 0,
-        };
-        let p = l.absolute_position(site, Orientation::R90, Point::new(100, 100));
-        // Local (5,0) on 40x20 under R90 -> (20-0, 5) = (20,5); +at.
-        assert_eq!(p, Point::new(120, 105));
-        let id = l.absolute_position(site, Orientation::R0, Point::new(100, 100));
-        assert_eq!(id, Point::new(105, 100));
     }
 
     #[test]

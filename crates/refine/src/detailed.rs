@@ -56,16 +56,6 @@ impl DetailedCheck {
         }
         self.channels.iter().filter(|c| c.fits).count() as f64 / self.channels.len() as f64
     }
-
-    /// The worst track overshoot `t − (d + 1)` observed (0 if none).
-    pub fn worst_overshoot(&self) -> i64 {
-        self.channels
-            .iter()
-            .map(|c| c.tracks as i64 - (c.global_density as i64 + 1))
-            .max()
-            .unwrap_or(0)
-            .max(0)
-    }
 }
 
 /// Builds and routes the channel-routing problem of every used channel.
@@ -250,6 +240,5 @@ mod tests {
         let check = detailed_check(&routing, 2.0);
         assert_eq!(check.failed, 0);
         assert_eq!(check.fit_rate(), 1.0);
-        assert_eq!(check.worst_overshoot(), 0);
     }
 }

@@ -8,15 +8,13 @@
 //! and the Table 2 schedule. Three iterations suffice for the final TEIL
 //! and chip area to converge (Table 3).
 
-use std::time::Instant;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use twmc_anneal::{CoolingSchedule, RangeLimiter};
 use twmc_geom::Rect;
 use twmc_netlist::Netlist;
-use twmc_obs::{CancelToken, Event, NullRecorder, Recorder, RunScope, StageSpan, StopReason};
+use twmc_obs::{CancelToken, Interval, NullRecorder, Recorder, RunScope, StopReason};
 use twmc_place::{run_annealing_cancellable, MoveSet, PlaceParams, PlacementState};
 use twmc_route::{global_route_cancellable, GlobalRouting, NetPins, PlacedGeometry, RouterParams};
 
@@ -132,7 +130,7 @@ pub fn refine_placement(
 }
 
 /// [`refine_placement`] with a telemetry sink: each refinement execution
-/// emits wall-clock [`StageSpan`]s for channel definition, global
+/// emits wall-clock [`twmc_obs::StageSpan`]s for channel definition, global
 /// routing, and the refinement anneal, plus the anneal's per-temperature
 /// [`twmc_obs::PlaceTemp`] stream scoped to `stage2` iteration `k`; the
 /// closing route emits a `final_routing` span. Recording never touches
@@ -186,24 +184,6 @@ pub fn refine_placement_resilient(
     rec: &mut dyn Recorder,
     cancel: &CancelToken,
 ) -> Result<Stage2Result, StopReason> {
-    let span = |rec: &mut dyn Recorder, stage: &'static str, k: usize, t0: Instant| {
-        if rec.enabled() {
-            rec.record(&Event::StageSpan(StageSpan {
-                stage,
-                iteration: k as u64,
-                wall_us: t0.elapsed().as_micros() as u64,
-            }));
-        }
-    };
-    // Phase spans on the `main` lane. The lane is checked out per span
-    // (not held across the loop) so the annealer's own temp_step spans
-    // land on the same ring and nest inside these by containment.
-    let tracer = rec.tracer().cloned();
-    let tspan = |name: &'static str, cat: &'static str, t0: Instant| {
-        if let Some(tr) = &tracer {
-            tr.lane("main").span(name, cat, t0, t0.elapsed());
-        }
-    };
     let mut rng = StdRng::seed_from_u64(seed);
     let core = state.estimator().core();
     let limiter = RangeLimiter::new(
@@ -222,15 +202,14 @@ pub fn refine_placement_resilient(
         }
         // Channel definition needs strictly disjoint cells with routable
         // gaps; clean up whatever residual overlap annealing left.
-        let t0 = Instant::now();
+        let channel_time = Interval::ChannelDefinition(k as u64).open();
         let gap = params.router.track_spacing.round().max(1.0) as i64;
         twmc_place::legalize(state, gap, 500);
 
         // (1) + (2): channel definition and global routing.
         let (geometry, nets) = routing_snapshot(state);
-        span(rec, "channel_definition", k, t0);
-        tspan("channel_definition", "route", t0);
-        let t0 = Instant::now();
+        channel_time.close(rec);
+        let routing_time = Interval::GlobalRouting(k as u64).open();
         let routing = global_route_cancellable(
             &geometry,
             &nets,
@@ -246,11 +225,10 @@ pub fn refine_placement_resilient(
         // Static expansions from the routed densities.
         let expansions = static_expansions(&routing, nl.cells().len(), params.router.track_spacing);
         state.set_static_expansions(expansions);
-        span(rec, "global_routing", k, t0);
-        tspan("global_routing", "route", t0);
+        routing_time.close(rec);
 
         // (3): low-temperature refinement.
-        let t0 = Instant::now();
+        let anneal_time = Interval::RefineAnneal(k as u64).open();
         let teil_before = state.teil();
         let stall = (k + 1 == params.refinements).then_some(params.final_stall);
         let (_run, stopped) = run_annealing_cancellable(
@@ -267,8 +245,7 @@ pub fn refine_placement_resilient(
             RunScope::stage2(k),
             cancel,
         );
-        span(rec, "refine_anneal", k, t0);
-        tspan("refine_anneal", "place", t0);
+        anneal_time.close(rec);
         records.push(RefinementRecord {
             teil_before,
             teil_after: state.teil(),
@@ -284,7 +261,7 @@ pub fn refine_placement_resilient(
     }
 
     // Final routing of the refined placement.
-    let t0 = Instant::now();
+    let final_time = Interval::FinalRouting(params.refinements as u64).open();
     let gap = params.router.track_spacing.round().max(1.0) as i64;
     twmc_place::legalize(state, gap, 500);
     let (geometry, nets) = routing_snapshot(state);
@@ -298,8 +275,7 @@ pub fn refine_placement_resilient(
         params.refinements as u64,
         cancel,
     )?;
-    span(rec, "final_routing", params.refinements, t0);
-    tspan("final_routing", "route", t0);
+    final_time.close(rec);
 
     Ok(Stage2Result {
         teil: state.teil(),

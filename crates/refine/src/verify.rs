@@ -45,12 +45,6 @@ pub struct WidthReport {
 }
 
 impl WidthReport {
-    /// Whether every channel satisfies its requirement — the "no
-    /// placement modification needed" condition.
-    pub fn routable(&self) -> bool {
-        self.violations.is_empty()
-    }
-
     /// Fraction of used channels in violation.
     pub fn violation_rate(&self) -> f64 {
         if self.used_channels == 0 {
@@ -125,7 +119,7 @@ mod tests {
         // 1 net needs (1+2)*2 = 6; a 30-wide corridor is fine.
         let r = corridor(30, 1);
         let report = verify_channel_widths(&r, 2.0);
-        assert!(report.routable(), "{:?}", report.violations);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.used_channels > 0);
         assert_eq!(report.total_deficit, 0.0);
     }
@@ -135,7 +129,7 @@ mod tests {
         // 10 nets need (10+2)*2 = 24; a 6-wide corridor violates.
         let r = corridor(6, 10);
         let report = verify_channel_widths(&r, 2.0);
-        assert!(!report.routable());
+        assert!(!report.violations.is_empty());
         let worst = &report.violations[0];
         assert_eq!(worst.density, 10);
         assert_eq!(worst.separation, 6);

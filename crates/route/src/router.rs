@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use twmc_geom::Point;
-use twmc_obs::{CancelToken, Event, NullRecorder, Recorder, RouteIter, StopReason};
+use twmc_obs::{CancelToken, Event, Interval, NullRecorder, Recorder, RouteIter, StopReason};
 
 use crate::mpaths::SearchSpace;
 use crate::steiner::enumerate_in;
@@ -171,12 +171,13 @@ fn route_inner(
     iteration: u64,
     cancel: Option<&CancelToken>,
 ) -> Result<GlobalRouting, StopReason> {
-    let route_t0 = std::time::Instant::now();
+    let route_time = Interval::RouteIter.open();
     // Span lane for this routing execution: one `route_net` span per
-    // net's phase-1 enumeration, a `route_select` span for the phase-2
-    // interchange, and a `route_iter` parent covering the whole call.
-    // Clocks are read only when a tracer is attached; the RNG is never
-    // touched, so routing stays bit-identical.
+    // net's phase-1 enumeration and a `route_select` span for the
+    // phase-2 interchange, inside the `route_iter` span that closing
+    // `route_time` adds to the same lane. Per-net clocks are read only
+    // when a tracer is attached; the RNG is never touched, so routing
+    // stays bit-identical.
     let tracer = rec.tracer().cloned();
     let mut lane = tracer.as_ref().map(|tr| tr.lane("route"));
     let graph = build_channel_graph(geometry, params.track_spacing);
@@ -334,14 +335,11 @@ fn route_inner(
     }
 
     if let Some(hub) = rec.hub() {
-        hub.route_iters_total.inc();
-        hub.route_iter_ms
-            .observe(route_t0.elapsed().as_secs_f64() * 1e3);
         hub.route_overflow.set(assignment.overflow);
     }
-    if let Some(lane) = &mut lane {
-        lane.span("route_iter", "route", route_t0, route_t0.elapsed());
-    }
+    // Check the lane back in so the interval's span lands on its ring.
+    drop(lane);
+    route_time.close(rec);
 
     Ok(GlobalRouting {
         graph,

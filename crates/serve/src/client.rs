@@ -7,9 +7,9 @@
 //! Retries: [`request_with_retry`] wraps any request in bounded
 //! exponential backoff with deterministic jitter, retrying connect
 //! failures, socket timeouts, and 5xx responses. Paired with an
-//! `Idempotency-Key` header ([`post_json_idempotent`]) a retried
-//! `POST /jobs` can never double-submit: the daemon replays the first
-//! accepted submission instead of creating a second job.
+//! `Idempotency-Key` header a retried `POST /jobs` can never
+//! double-submit: the daemon replays the first accepted submission
+//! instead of creating a second job.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -172,28 +172,6 @@ pub fn request_with_retry(
         }
     }
     Err(last_err.unwrap_or_else(|| io::Error::other("retry budget exhausted")))
-}
-
-/// `POST path` with a JSON body, an `Idempotency-Key`, and retries —
-/// the safe way to submit a job over a flaky network. The daemon
-/// guarantees at most one job is created for a given key no matter how
-/// many retries land.
-pub fn post_json_idempotent(
-    addr: &str,
-    path: &str,
-    body: &str,
-    idempotency_key: &str,
-    policy: &RetryPolicy,
-) -> io::Result<ClientResponse> {
-    request_with_retry(
-        addr,
-        "POST",
-        path,
-        Some("application/json"),
-        &[("Idempotency-Key", idempotency_key)],
-        body.as_bytes(),
-        policy,
-    )
 }
 
 /// `GET path`.

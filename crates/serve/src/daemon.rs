@@ -26,9 +26,12 @@ use std::time::{Duration, Instant};
 
 use serde::Value;
 use twmc_analyze::{analyze, parse_stream};
-use twmc_core::{run_timberwolf_resilient, RunOptions, RunOutcome, TimberWolfResult};
+use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome, TimberWolfResult};
 use twmc_fault::{RealVfs, Vfs};
-use twmc_obs::{CancelToken, Instrumented, JsonlRecorder, MetricsHub, Recorder, Tracer};
+use twmc_obs::{
+    CancelToken, Instrumented, Interval, JsonlRecorder, MetricsHub, NullRecorder, OpenInterval,
+    Recorder, Tracer,
+};
 use twmc_resume::{read_checkpoint, CheckpointWriter};
 use twmc_trace::capture_to_string;
 
@@ -142,9 +145,9 @@ struct RunningJob {
 struct JobRecord {
     spec: JobSpec,
     status: JobStatus,
-    /// When the job last entered the wait queue (set on submit and on
-    /// every re-enqueue) — the start point of the queue-wait histogram.
-    enqueued_at: Option<Instant>,
+    /// The wait the job is in (opened on submit and on every
+    /// re-enqueue), closed when a worker claims the job.
+    waiting: Option<OpenInterval>,
     /// The job's span trace.
     trace: JobTrace,
 }
@@ -161,25 +164,6 @@ enum JobTrace {
     Unspooled(String),
 }
 
-/// Monotonic service counters (the `/stats` payload).
-#[derive(Debug, Default, Clone)]
-pub struct Stats {
-    /// Jobs accepted.
-    pub submitted: u64,
-    /// Jobs finished successfully.
-    pub completed: u64,
-    /// Jobs that errored or panicked.
-    pub failed: u64,
-    /// Jobs cancelled by clients.
-    pub cancelled: u64,
-    /// Preemption events (one job can contribute several).
-    pub preemptions: u64,
-    /// Checkpoint resumes (after preemption or daemon restart).
-    pub resumes: u64,
-    /// Submissions rejected by backpressure.
-    pub rejected: u64,
-}
-
 #[derive(Debug)]
 struct Inner {
     queue: BinaryHeap<QueueEntry>,
@@ -190,7 +174,6 @@ struct Inner {
     next_id: u64,
     next_seq: u64,
     live_workers: usize,
-    stats: Stats,
     /// `Idempotency-Key` → job id, rebuilt from the spool at startup,
     /// so client retries across a daemon restart still dedupe.
     idem: HashMap<String, String>,
@@ -236,7 +219,6 @@ impl Daemon {
             next_id: 1,
             next_seq: 1,
             live_workers: opts.workers.max(1),
-            stats: Stats::default(),
             idem: HashMap::new(),
         };
         let scan = spool.scan()?;
@@ -275,13 +257,17 @@ impl Daemon {
                     id: recovered.spec.id.clone(),
                 });
             }
-            let waiting = !status.state.terminal();
+            let waiting = match status.state {
+                JobState::Preempted => Some(Interval::Preempted.open()),
+                state if state.terminal() => None,
+                _ => Some(Interval::Queued.open()),
+            };
             inner.jobs.insert(
                 recovered.spec.id.clone(),
                 JobRecord {
                     spec: recovered.spec,
                     status,
-                    enqueued_at: waiting.then(Instant::now),
+                    waiting,
                     trace: JobTrace::Live(Tracer::new()),
                 },
             );
@@ -370,7 +356,6 @@ impl Daemon {
             return Err(SubmitError::Draining);
         }
         if inner.backlog() >= self.opts.queue_cap {
-            inner.stats.rejected += 1;
             self.hub.rejected_total.inc();
             return Err(SubmitError::QueueFull);
         }
@@ -379,7 +364,6 @@ impl Daemon {
         inner.next_id += 1;
         inner.next_seq += 1;
         self.spool.create_job(&spec).map_err(SubmitError::Spool)?;
-        inner.stats.submitted += 1;
         self.hub.jobs_submitted_total.inc();
         inner.queue.push(QueueEntry {
             priority: spec.priority,
@@ -396,7 +380,7 @@ impl Daemon {
             JobRecord {
                 spec,
                 status: JobStatus::default(),
-                enqueued_at: Some(Instant::now()),
+                waiting: Some(Interval::Queued.open()),
                 trace: JobTrace::Live(Tracer::new()),
             },
         );
@@ -426,7 +410,6 @@ impl Daemon {
                 let running = inner.running.get_mut(&id).expect("victim is running");
                 running.cause = StopCause::Preempt;
                 running.cancel.cancel();
-                inner.stats.preemptions += 1;
                 self.hub.preemptions_total.inc();
                 if let Some(job) = inner.jobs.get_mut(&id) {
                     job.status.preemptions += 1;
@@ -447,7 +430,6 @@ impl Daemon {
                 let job = inner.jobs.get_mut(id).expect("checked above");
                 job.status.state = JobState::Cancelled;
                 let status = job.status.clone();
-                inner.stats.cancelled += 1;
                 self.hub.jobs_cancelled_total.inc();
                 let _ = self.spool.write_status(id, &status);
                 self.sync_gauges(&inner);
@@ -545,28 +527,26 @@ impl Daemon {
         Some(matches!(job.trace, JobTrace::Live(_)))
     }
 
-    /// The `/stats` payload.
+    /// The `/stats` payload. The lifetime counters are the hub's, the
+    /// ones `/metrics` renders, read under the state lock that every
+    /// increment holds.
     pub fn stats_value(&self) -> Value {
         let inner = self.state.lock().unwrap();
+        let hub = &self.hub;
         obj(vec![
             ("queue_depth", Value::UInt(inner.backlog() as u64)),
             ("workers", Value::UInt(self.opts.workers.max(1) as u64)),
             ("workers_busy", Value::UInt(inner.running.len() as u64)),
             ("accepting", Value::Bool(inner.accepting)),
             ("draining", Value::Bool(inner.shutdown)),
-            ("submitted", Value::UInt(inner.stats.submitted)),
-            ("completed", Value::UInt(inner.stats.completed)),
-            ("failed", Value::UInt(inner.stats.failed)),
-            ("cancelled", Value::UInt(inner.stats.cancelled)),
-            ("preemptions", Value::UInt(inner.stats.preemptions)),
-            ("resumes", Value::UInt(inner.stats.resumes)),
-            ("rejected", Value::UInt(inner.stats.rejected)),
+            ("submitted", Value::UInt(hub.jobs_submitted_total.value())),
+            ("completed", Value::UInt(hub.jobs_completed_total.value())),
+            ("failed", Value::UInt(hub.jobs_failed_total.value())),
+            ("cancelled", Value::UInt(hub.jobs_cancelled_total.value())),
+            ("preemptions", Value::UInt(hub.preemptions_total.value())),
+            ("resumes", Value::UInt(hub.resumes_total.value())),
+            ("rejected", Value::UInt(hub.rejected_total.value())),
         ])
-    }
-
-    /// A copy of the monotonic counters.
-    pub fn stats(&self) -> Stats {
-        self.state.lock().unwrap().stats.clone()
     }
 
     /// Whether submissions are currently accepted.
@@ -664,25 +644,13 @@ impl Daemon {
             if !matches!(job.status.state, JobState::Queued | JobState::Preempted) {
                 continue;
             }
-            let waited_as = job.status.state;
             job.status.state = JobState::Running;
             let JobTrace::Live(tracer) = &job.trace else {
                 unreachable!("traces are sealed only at a terminal state or a drain")
             };
             let tracer = Arc::clone(tracer);
-            if let Some(t0) = job.enqueued_at.take() {
-                self.hub
-                    .queue_wait_ms
-                    .observe(t0.elapsed().as_secs_f64() * 1e3);
-                // The wait that just ended, named by what kind it was:
-                // the first wait is `queued`, every later one (between
-                // a preemption and its re-claim) is `preempted`.
-                let name = if waited_as == JobState::Preempted {
-                    "preempted"
-                } else {
-                    "queued"
-                };
-                tracer.lane("job").span(name, "serve", t0, t0.elapsed());
+            if let Some(wait) = job.waiting.take() {
+                wait.close(&mut self.job_sinks(&tracer));
             }
             let spec = job.spec.clone();
             let status = job.status.clone();
@@ -731,7 +699,6 @@ impl Daemon {
         let resuming = resume.is_some();
         if resuming {
             let mut inner = self.state.lock().unwrap();
-            inner.stats.resumes += 1;
             self.hub.resumes_total.inc();
             if let Some(job) = inner.jobs.get_mut(&id) {
                 job.status.resumes += 1;
@@ -765,8 +732,11 @@ impl Daemon {
                 return;
             }
         };
-        let mut recorder = Instrumented::new(recorder, Arc::clone(&self.hub))
-            .with_tracer(Some(Arc::clone(&tracer)));
+        let mut recorder = Instrumented::new(
+            recorder,
+            Some(Arc::clone(&self.hub)),
+            Some(Arc::clone(&tracer)),
+        );
 
         let nl = match spec.parse_netlist() {
             Ok(nl) => nl,
@@ -776,9 +746,9 @@ impl Daemon {
             }
         };
         let config = spec.config();
-        let run_opts = RunOptions {
+        let run_opts = RunCtrl {
             cancel: cancel.clone(),
-            checkpoint: Some(
+            writer: Some(
                 CheckpointWriter::new(ckpt_path.clone(), self.opts.checkpoint_every.max(1))
                     .with_vfs(Arc::clone(&self.opts.vfs)),
             ),
@@ -787,14 +757,12 @@ impl Daemon {
 
         // Fault isolation: a panic anywhere in the pipeline fails this
         // job, not the daemon.
-        let attempt_t0 = Instant::now();
+        let attempt = Interval::Running.open();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             run_timberwolf_resilient(&nl, &config, run_opts, &mut recorder as &mut dyn Recorder)
         }));
         let _ = recorder.into_inner().finish();
-        tracer
-            .lane("job")
-            .span("running", "serve", attempt_t0, attempt_t0.elapsed());
+        attempt.close(&mut self.job_sinks(&tracer));
 
         match outcome {
             Err(panic) => self.dispose_failed(&id, panic_text(panic)),
@@ -802,6 +770,16 @@ impl Daemon {
             Ok(Ok(RunOutcome::Complete(result))) => self.dispose_complete(&id, &result),
             Ok(Ok(RunOutcome::Interrupted(_))) => self.dispose_interrupted(&id),
         }
+    }
+
+    /// What a job's waits and attempts feed when they close: the hub
+    /// and the job's tracer, with no event stream.
+    fn job_sinks(&self, tracer: &Arc<Tracer>) -> Instrumented<NullRecorder> {
+        Instrumented::new(
+            NullRecorder,
+            Some(Arc::clone(&self.hub)),
+            Some(Arc::clone(tracer)),
+        )
     }
 
     /// Stamps a terminal lifecycle mark on the job's trace, seals the
@@ -826,7 +804,6 @@ impl Daemon {
     fn dispose_failed(&self, id: &str, error: String) {
         let mut inner = self.state.lock().unwrap();
         inner.running.remove(id);
-        inner.stats.failed += 1;
         self.hub.jobs_failed_total.inc();
         if let Some(job) = inner.jobs.get_mut(id) {
             job.status.state = JobState::Failed;
@@ -850,7 +827,6 @@ impl Daemon {
 
         let mut inner = self.state.lock().unwrap();
         inner.running.remove(id);
-        inner.stats.completed += 1;
         self.hub.jobs_completed_total.inc();
         if let Some(job) = inner.jobs.get_mut(id) {
             job.status.state = JobState::Done;
@@ -873,7 +849,6 @@ impl Daemon {
             .unwrap_or(StopCause::None);
         match cause {
             StopCause::Cancel => {
-                inner.stats.cancelled += 1;
                 self.hub.jobs_cancelled_total.inc();
                 if let Some(job) = inner.jobs.get_mut(id) {
                     job.status.state = JobState::Cancelled;
@@ -899,7 +874,7 @@ impl Daemon {
             StopCause::Preempt | StopCause::None => {
                 let requeue = inner.jobs.get_mut(id).map(|job| {
                     job.status.state = JobState::Preempted;
-                    job.enqueued_at = Some(Instant::now());
+                    job.waiting = Some(Interval::Preempted.open());
                     let _ = self.spool.write_status(id, &job.status);
                     (job.spec.priority, job.spec.seq)
                 });

@@ -238,11 +238,6 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes `response` to `stream` and flushes it (closing semantics).
-pub fn write_response<W: Write>(stream: W, response: &Response) -> io::Result<()> {
-    write_response_conn(stream, response, false)
-}
-
 /// Writes `response`, advertising whether the server will keep the
 /// connection open for another request.
 pub fn write_response_conn<W: Write>(
@@ -424,7 +419,12 @@ mod tests {
     #[test]
     fn response_wire_format() {
         let mut out = Vec::new();
-        write_response(&mut out, &Response::json(201, "{\"id\":\"j1\"}".into())).unwrap();
+        write_response_conn(
+            &mut out,
+            &Response::json(201, "{\"id\":\"j1\"}".into()),
+            false,
+        )
+        .unwrap();
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 201 Created\r\n"), "{text}");
         assert!(text.contains("Content-Length: 11\r\n"), "{text}");

@@ -40,7 +40,7 @@ pub mod json;
 pub mod server;
 pub mod spool;
 
-pub use daemon::{Daemon, ServeOptions, Stats, SubmitError, Submitted};
+pub use daemon::{Daemon, ServeOptions, SubmitError, Submitted};
 pub use job::{placement_text, JobSpec, JobState};
 pub use server::{handle_request, Server};
 pub use spool::{JobStatus, ScanOutcome, Spool, QUARANTINE_DIR};

@@ -7,6 +7,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use common::*;
+use twmc_metrics::expo;
 use twmc_serve::client;
 use twmc_serve::json::{get_bool, get_str, get_u64};
 use twmc_serve::{JobState, ServeOptions};
@@ -141,9 +142,43 @@ fn cancel_and_backpressure() {
         daemon.wait_terminal(&id_running, Duration::from_secs(60)),
         Some(JobState::Cancelled)
     );
-    let stats = daemon.stats();
-    assert_eq!(stats.cancelled, 2);
-    assert_eq!(stats.rejected, 1);
+    let hub = daemon.hub();
+    assert_eq!(hub.jobs_cancelled_total.value(), 2);
+    assert_eq!(hub.rejected_total.value(), 1);
+
+    // Once every job is terminal, each `/stats` key equals the
+    // `/metrics` family it reads: both read the hub.
+    let id_accepted = get_str(&accepted.json().unwrap(), "id").unwrap().to_owned();
+    assert_eq!(
+        daemon.wait_terminal(&id_accepted, Duration::from_secs(60)),
+        Some(JobState::Done)
+    );
+    let stats = client::get(&addr, "/stats").unwrap().json().unwrap();
+    let metrics = client::get(&addr, "/metrics").unwrap();
+    let snap = expo::parse(&metrics.body).expect("exposition parses");
+    let serde::Value::Object(entries) = &stats else {
+        panic!("/stats is not an object: {stats:?}");
+    };
+    let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
+    let families = [
+        ("queue_depth", "twmc_queue_depth"),
+        ("workers", "twmc_workers"),
+        ("workers_busy", "twmc_workers_busy"),
+        ("submitted", "twmc_jobs_submitted_total"),
+        ("completed", "twmc_jobs_completed_total"),
+        ("failed", "twmc_jobs_failed_total"),
+        ("cancelled", "twmc_jobs_cancelled_total"),
+        ("preemptions", "twmc_preemptions_total"),
+        ("resumes", "twmc_resumes_total"),
+        ("rejected", "twmc_rejected_total"),
+    ];
+    assert_eq!(keys.len(), families.len() + 2, "{keys:?}");
+    assert_eq!(get_bool(&stats, "accepting"), Some(true));
+    assert_eq!(get_bool(&stats, "draining"), Some(false));
+    for (key, family) in families {
+        let stat = get_u64(&stats, key).map(|v| v as f64);
+        assert_eq!(stat, snap.scalar(family), "/stats `{key}` vs `{family}`");
+    }
 
     stop.store(true, Ordering::Relaxed);
     handle.join().unwrap().unwrap();

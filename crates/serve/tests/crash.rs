@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::*;
-use twmc_core::{run_timberwolf_resilient, RunOptions, RunOutcome};
+use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome};
 use twmc_fault::{
     atomic_write_durable, tmp_sibling, Durability, FaultSchedule, FaultVfs, ATOMIC_STAGES,
 };
@@ -58,17 +58,13 @@ fn start_over(spool: PathBuf, workers: usize) -> Arc<Daemon> {
 fn drained_snapshot(tag: &str) -> (PathBuf, String, String) {
     let long = spec(long_netlist(23), 23, LONG_AC, 0);
     let nl = long.parse_netlist().unwrap();
-    let reference = match run_timberwolf_resilient(
-        &nl,
-        &long.config(),
-        RunOptions::default(),
-        &mut NullRecorder,
-    )
-    .unwrap()
-    {
-        RunOutcome::Complete(result) => placement_text(&result.placement),
-        RunOutcome::Interrupted(_) => unreachable!("no stop conditions armed"),
-    };
+    let reference =
+        match run_timberwolf_resilient(&nl, &long.config(), RunCtrl::default(), &mut NullRecorder)
+            .unwrap()
+        {
+            RunOutcome::Complete(result) => placement_text(&result.placement),
+            RunOutcome::Interrupted(_) => unreachable!("no stop conditions armed"),
+        };
 
     let spool = temp_spool(tag);
     let daemon = start_over(spool.clone(), 1);
@@ -322,7 +318,11 @@ fn idempotency_key_never_double_submits() {
         "{}",
         replay.body
     );
-    assert_eq!(daemon.stats().submitted, 1, "key created two jobs");
+    assert_eq!(
+        daemon.hub().jobs_submitted_total.value(),
+        1,
+        "key created two jobs"
+    );
 
     // The dedupe survives a restart: the key is persisted in spec.json
     // and rebuilt into the map by the startup scan.
@@ -352,7 +352,11 @@ fn idempotency_key_never_double_submits() {
         twmc_serve::json::get_str(&replayed, "id"),
         Some(id.as_str())
     );
-    assert_eq!(daemon.stats().submitted, 0, "restart replay created a job");
+    assert_eq!(
+        daemon.hub().jobs_submitted_total.value(),
+        0,
+        "restart replay created a job"
+    );
 
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     handle.join().unwrap().unwrap();

@@ -10,7 +10,7 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use common::*;
-use twmc_core::{run_timberwolf_resilient, RunOptions, RunOutcome};
+use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome};
 use twmc_obs::NullRecorder;
 use twmc_serve::{placement_text, Daemon, JobState, ServeOptions};
 
@@ -28,17 +28,13 @@ fn drain_checkpoints_then_restart_resumes() {
     // Reference: the long job run uninterrupted.
     let long = spec(long_netlist(11), 11, LONG_AC, 0);
     let nl = long.parse_netlist().unwrap();
-    let reference = match run_timberwolf_resilient(
-        &nl,
-        &long.config(),
-        RunOptions::default(),
-        &mut NullRecorder,
-    )
-    .unwrap()
-    {
-        RunOutcome::Complete(result) => placement_text(&result.placement),
-        RunOutcome::Interrupted(_) => unreachable!("no stop conditions armed"),
-    };
+    let reference =
+        match run_timberwolf_resilient(&nl, &long.config(), RunCtrl::default(), &mut NullRecorder)
+            .unwrap()
+        {
+            RunOutcome::Complete(result) => placement_text(&result.placement),
+            RunOutcome::Interrupted(_) => unreachable!("no stop conditions armed"),
+        };
 
     // One job running, one queued behind it.
     let long_id = daemon.submit(long).unwrap().id;
@@ -93,7 +89,7 @@ fn drain_checkpoints_then_restart_resumes() {
         Some(JobState::Done)
     );
     assert!(
-        daemon.stats().resumes >= 1,
+        daemon.hub().resumes_total.value() >= 1,
         "restart did not resume from checkpoint"
     );
 

@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use common::*;
 use twmc_analyze::{analyze, parse_stream};
-use twmc_core::{run_timberwolf_resilient, RunOptions, RunOutcome};
+use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome};
 use twmc_obs::NullRecorder;
 use twmc_serve::client;
 use twmc_serve::json::get_str;
@@ -30,13 +30,8 @@ fn fifty_concurrent_jobs_with_preemption() {
     let long = spec(long_netlist(21), 21, LONG_AC, 0);
     let reference = {
         let nl = long.parse_netlist().unwrap();
-        match run_timberwolf_resilient(
-            &nl,
-            &long.config(),
-            RunOptions::default(),
-            &mut NullRecorder,
-        )
-        .unwrap()
+        match run_timberwolf_resilient(&nl, &long.config(), RunCtrl::default(), &mut NullRecorder)
+            .unwrap()
         {
             RunOutcome::Complete(result) => placement_text(&result.placement),
             RunOutcome::Interrupted(_) => unreachable!("no stop conditions armed"),
@@ -107,11 +102,17 @@ fn fifty_concurrent_jobs_with_preemption() {
 
     // The burst preempted the long job at least once, it resumed from
     // its checkpoint, and the result is bit-identical regardless.
-    let stats = daemon.stats();
-    assert!(stats.preemptions >= 1, "no preemption under load");
-    assert!(stats.resumes >= 1, "no checkpoint resume under load");
-    assert_eq!(stats.completed, ids.len() as u64);
-    assert_eq!(stats.failed, 0);
+    let hub = daemon.hub();
+    assert!(
+        hub.preemptions_total.value() >= 1,
+        "no preemption under load"
+    );
+    assert!(
+        hub.resumes_total.value() >= 1,
+        "no checkpoint resume under load"
+    );
+    assert_eq!(hub.jobs_completed_total.value(), ids.len() as u64);
+    assert_eq!(hub.jobs_failed_total.value(), 0);
     let placement = daemon.placement(&long_id).expect("placement written");
     assert_eq!(
         placement, reference,

@@ -119,7 +119,7 @@ fn client_disconnect_mid_stream_leaves_the_worker_unaffected() {
     let events = client::get(&addr, &format!("/jobs/{id}/events")).unwrap();
     let stats = validate_jsonl(&events.body).expect("events validate after disconnect");
     expect_kinds(&stats, &["run_start", "run_end"]).unwrap();
-    assert_eq!(daemon.stats().completed, 1);
+    assert_eq!(daemon.hub().jobs_completed_total.value(), 1);
 
     stop.store(true, Ordering::Relaxed);
     handle.join().unwrap().unwrap();

@@ -9,7 +9,7 @@ mod common;
 use std::time::Duration;
 
 use common::*;
-use twmc_core::{run_timberwolf_resilient, RunOptions, RunOutcome};
+use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome};
 use twmc_obs::NullRecorder;
 use twmc_serve::{placement_text, JobState};
 
@@ -17,13 +17,9 @@ use twmc_serve::{placement_text, JobState};
 /// placement exactly as the daemon does.
 fn uninterrupted_placement(spec: &twmc_serve::JobSpec) -> String {
     let nl = spec.parse_netlist().unwrap();
-    let outcome = run_timberwolf_resilient(
-        &nl,
-        &spec.config(),
-        RunOptions::default(),
-        &mut NullRecorder,
-    )
-    .unwrap();
+    let outcome =
+        run_timberwolf_resilient(&nl, &spec.config(), RunCtrl::default(), &mut NullRecorder)
+            .unwrap();
     match outcome {
         RunOutcome::Complete(result) => placement_text(&result.placement),
         RunOutcome::Interrupted(_) => unreachable!("no stop conditions armed"),
@@ -69,8 +65,8 @@ fn preempted_job_resumes_bit_identical() {
     let resumes = twmc_serve::json::get_u64(&status, "resumes").unwrap();
     assert!(preemptions >= 1, "job was never preempted");
     assert!(resumes >= 1, "job was never resumed from its checkpoint");
-    let stats = daemon.stats();
-    assert!(stats.preemptions >= 1 && stats.resumes >= 1);
+    let hub = daemon.hub();
+    assert!(hub.preemptions_total.value() >= 1 && hub.resumes_total.value() >= 1);
 
     // Bit-identical: the daemon's placement file equals the
     // uninterrupted run's, byte for byte.

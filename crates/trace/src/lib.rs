@@ -117,7 +117,7 @@ pub struct LaneSnapshot {
 pub struct TraceSnapshot {
     /// Nanoseconds since the Unix epoch at tracer creation; span
     /// timestamps are absolute, so snapshots from separate processes
-    /// (or a preempted job's attempts) share one timeline.
+    /// share one timeline.
     pub base_unix_ns: u64,
     /// Per-writer lanes.
     pub lanes: Vec<LaneSnapshot>,
@@ -137,25 +137,6 @@ impl TraceSnapshot {
     /// The lane named `name`, if present.
     pub fn lane(&self, name: &str) -> Option<&LaneSnapshot> {
         self.lanes.iter().find(|l| l.name == name)
-    }
-
-    /// Merges another snapshot into this one (used to stitch the
-    /// attempts of a preempted-and-resumed job into one timeline).
-    /// Lanes with the same name are concatenated in time order.
-    pub fn merge(&mut self, other: TraceSnapshot) {
-        if self.base_unix_ns == 0 {
-            self.base_unix_ns = other.base_unix_ns;
-        }
-        for lane in other.lanes {
-            match self.lanes.iter_mut().find(|l| l.name == lane.name) {
-                Some(mine) => {
-                    mine.dropped += lane.dropped;
-                    mine.spans.extend(lane.spans);
-                    mine.spans.sort_by_key(|s| s.ts_ns);
-                }
-                None => self.lanes.push(lane),
-            }
-        }
     }
 }
 
@@ -202,16 +183,6 @@ impl Tracer {
         })
     }
 
-    /// Per-lane span capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Nanoseconds since the Unix epoch at tracer creation.
-    pub fn base_unix_ns(&self) -> u64 {
-        self.base_unix_ns
-    }
-
     /// Checks out the writer handle for the lane named `name`,
     /// creating it on first use. A lane has exactly one writer at a
     /// time: re-checking-out a name still held elsewhere yields a
@@ -232,11 +203,6 @@ impl Tracer {
             }
         };
         Lane::new(shared, Arc::clone(&self.interner), self.epoch)
-    }
-
-    /// Total spans evicted by wraparound, across all lanes.
-    pub fn dropped(&self) -> u64 {
-        self.lanes.lock().unwrap().iter().map(|l| l.dropped()).sum()
     }
 
     /// Collects every lane's surviving spans into an owned snapshot.
@@ -316,7 +282,6 @@ mod tests {
         let lane = &snap.lanes[0];
         assert_eq!(lane.spans.len(), 8);
         assert_eq!(lane.dropped, 92);
-        assert_eq!(tracer.dropped(), 92);
         // The survivors are exactly the newest 8, still in order.
         let ts: Vec<u64> = lane
             .spans
@@ -407,47 +372,5 @@ mod tests {
             20_000
         );
         let _ = seen;
-    }
-
-    #[test]
-    fn merge_stitches_lanes_by_name() {
-        let mut a = TraceSnapshot {
-            base_unix_ns: 100,
-            lanes: vec![LaneSnapshot {
-                name: "job".into(),
-                spans: vec![SpanRecord {
-                    name: "queued".into(),
-                    cat: "serve".into(),
-                    ts_ns: 100,
-                    dur_ns: 10,
-                }],
-                dropped: 1,
-            }],
-        };
-        let b = TraceSnapshot {
-            base_unix_ns: 100,
-            lanes: vec![
-                LaneSnapshot {
-                    name: "job".into(),
-                    spans: vec![SpanRecord {
-                        name: "running".into(),
-                        cat: "serve".into(),
-                        ts_ns: 120,
-                        dur_ns: 10,
-                    }],
-                    dropped: 2,
-                },
-                LaneSnapshot {
-                    name: "main".into(),
-                    spans: vec![],
-                    dropped: 0,
-                },
-            ],
-        };
-        a.merge(b);
-        assert_eq!(a.lanes.len(), 2);
-        assert_eq!(a.lanes[0].spans.len(), 2);
-        assert_eq!(a.lanes[0].dropped, 3);
-        assert_eq!(a.lanes[0].spans[1].name, "running");
     }
 }

@@ -154,11 +154,6 @@ impl Lane {
         }
     }
 
-    /// Lane name.
-    pub fn name(&self) -> &str {
-        self.shared.name()
-    }
-
     fn id(&mut self, name: &'static str) -> u32 {
         // Pointer equality first: static span names are unique per
         // call site, so this is a hit for every span after the first.
@@ -204,11 +199,6 @@ impl Lane {
     /// Epoch-relative nanoseconds of `t` on this lane's clock.
     pub fn rel_of(&self, t: Instant) -> u64 {
         self.rel_ns(t)
-    }
-
-    /// Spans evicted from this lane so far.
-    pub fn dropped(&self) -> u64 {
-        self.shared.dropped()
     }
 }
 

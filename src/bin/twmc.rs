@@ -20,7 +20,7 @@ use timberwolfmc::analyze::{
 use timberwolfmc::core::{
     compare, format_parallel_report, format_table4, format_telemetry_summary, greedy_placement,
     quadratic_placement, render_svg, run_timberwolf, run_timberwolf_resilient, shelf_placement,
-    ParallelParams, RenderOptions, RunOptions, RunOutcome, Strategy, TimberWolfConfig,
+    ParallelParams, RenderOptions, RunCtrl, RunOutcome, Strategy, TimberWolfConfig,
 };
 use timberwolfmc::estimator::EstimatorParams;
 use timberwolfmc::netlist::{
@@ -216,11 +216,16 @@ impl Flags {
         Ok(Flags { values, positional })
     }
 
-    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.values
-            .get(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+    /// The value of `--name` parsed as `T`, or `default` when the flag
+    /// is absent. A value that does not parse is an error naming the
+    /// flag and the value, never a silent fall-back to the default.
+    fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.values.get(name) {
+            None => Ok(default),
+            Some(raw) => raw
+                .parse()
+                .map_err(|_| format!("invalid value `{raw}` for --{name}")),
+        }
     }
 
     fn get_str(&self, name: &str) -> Option<&str> {
@@ -271,17 +276,17 @@ fn load_netlist(path: &str) -> Result<Netlist, String> {
 }
 
 fn cmd_synth(flags: &Flags) -> Result<(), String> {
-    let seed: u64 = flags.get("seed", 42);
+    let seed: u64 = flags.get("seed", 42)?;
     let nl = if let Some(name) = flags.get_str("circuit") {
         let profile =
             paper_circuit(name).ok_or_else(|| format!("unknown paper circuit `{name}`"))?;
         synthesize_profile(profile, seed)
     } else {
         synthesize(&SynthParams {
-            cells: flags.get("cells", 20),
-            nets: flags.get("nets", 60),
-            pins: flags.get("pins", 240),
-            custom_fraction: flags.get("custom", 0.0),
+            cells: flags.get("cells", 20)?,
+            nets: flags.get("nets", 60)?,
+            pins: flags.get("pins", 240)?,
+            custom_fraction: flags.get("custom", 0.0)?,
             seed,
             ..Default::default()
         })
@@ -305,17 +310,17 @@ fn config_from(flags: &Flags) -> Result<TimberWolfConfig, String> {
     };
     let config = TimberWolfConfig {
         place: PlaceParams {
-            attempts_per_cell: flags.get("ac", 60),
+            attempts_per_cell: flags.get("ac", 60)?,
             ..Default::default()
         },
         parallel: ParallelParams {
-            replicas: flags.get("replicas", 1),
-            threads: flags.get("threads", 0),
+            replicas: flags.get("replicas", 1)?,
+            threads: flags.get("threads", 0)?,
             strategy,
-            swap_interval: flags.get("swap-interval", 1),
+            swap_interval: flags.get("swap-interval", 1)?,
             ..Default::default()
         },
-        seed: flags.get("seed", 42),
+        seed: flags.get("seed", 42)?,
         ..Default::default()
     };
     // Degenerate knob combinations (0 replicas, tempering with one
@@ -328,7 +333,7 @@ fn config_from(flags: &Flags) -> Result<TimberWolfConfig, String> {
 /// Builds the resilience options (signals, budgets, checkpoint writer,
 /// resume payload) from the `place` flags. Returns the options plus
 /// whether this run resumes an earlier one.
-fn run_options_from(flags: &Flags) -> Result<(RunOptions, bool), String> {
+fn run_options_from(flags: &Flags) -> Result<(RunCtrl, bool), String> {
     #[allow(unused_mut)]
     let mut cancel = CancelToken::new();
     #[cfg(unix)]
@@ -368,7 +373,7 @@ fn run_options_from(flags: &Flags) -> Result<(RunOptions, bool), String> {
     let resuming = resume.is_some();
     let checkpoint = match flags.get_str("checkpoint") {
         Some(path) => {
-            let every: u64 = flags.get("checkpoint-every", 10);
+            let every: u64 = flags.get("checkpoint-every", 10)?;
             if every == 0 {
                 return Err("--checkpoint-every must be at least 1".to_owned());
             }
@@ -377,9 +382,9 @@ fn run_options_from(flags: &Flags) -> Result<(RunOptions, bool), String> {
         None => None,
     };
     Ok((
-        RunOptions {
+        RunCtrl {
             cancel,
-            checkpoint,
+            writer: checkpoint,
             resume,
         },
         resuming,
@@ -475,7 +480,7 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
         let mut traced;
         let rec: &mut dyn Recorder = match &tracer {
             Some(t) => {
-                traced = Instrumented::maybe(rec, None).with_tracer(Some(t.clone()));
+                traced = Instrumented::new(rec, None, Some(t.clone()));
                 &mut traced
             }
             None => rec,
@@ -601,12 +606,12 @@ fn cmd_serve(flags: &Flags) -> Result<ExitCode, String> {
         None => std::sync::Arc::new(timberwolfmc::fault::RealVfs),
     };
     let opts = timberwolfmc::serve::ServeOptions {
-        workers: flags.get("workers", 2usize).max(1),
-        queue_cap: flags.get("queue-cap", 256usize).max(1),
-        checkpoint_every: flags.get("checkpoint-every", 10u64).max(1),
+        workers: flags.get("workers", 2usize)?.max(1),
+        queue_cap: flags.get("queue-cap", 256usize)?.max(1),
+        checkpoint_every: flags.get("checkpoint-every", 10u64)?.max(1),
         spool: std::path::PathBuf::from(flags.get_str("spool").unwrap_or("twmc-spool")),
-        drain_grace: std::time::Duration::from_millis(flags.get("drain-grace-ms", 250u64)),
-        event_fsync_every: flags.get("event-fsync-every", 0u64),
+        drain_grace: std::time::Duration::from_millis(flags.get("drain-grace-ms", 250u64)?),
+        event_fsync_every: flags.get("event-fsync-every", 0u64)?,
         vfs,
     };
     let workers = opts.workers;
@@ -657,7 +662,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), String> {
         eprintln!("wrote {out} (load in ui.perfetto.dev or chrome://tracing)");
     }
     let prof = timberwolfmc::obs::trace::profile(&snap);
-    print!("{}", prof.format_table(flags.get("top", 20usize)));
+    print!("{}", prof.format_table(flags.get("top", 20usize)?));
     Ok(())
 }
 
@@ -702,12 +707,12 @@ fn cmd_report_snapshot(flags: &Flags) -> Result<ExitCode, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let defaults = timberwolfmc::analyze::SnapshotThresholds::default();
     let thresholds = timberwolfmc::analyze::SnapshotThresholds {
-        max_failed_jobs: flags.get("max-failed-jobs", defaults.max_failed_jobs),
-        max_replica_failures: flags.get("max-replica-failures", defaults.max_replica_failures),
-        max_queue_depth: flags.get("max-queue-depth", defaults.max_queue_depth),
-        max_route_overflow: flags.get("max-route-overflow", defaults.max_route_overflow),
-        max_move_eval_p50_ns: flags.get("max-move-p50-ns", defaults.max_move_eval_p50_ns),
-        max_quarantined: flags.get("max-quarantined", defaults.max_quarantined),
+        max_failed_jobs: flags.get("max-failed-jobs", defaults.max_failed_jobs)?,
+        max_replica_failures: flags.get("max-replica-failures", defaults.max_replica_failures)?,
+        max_queue_depth: flags.get("max-queue-depth", defaults.max_queue_depth)?,
+        max_route_overflow: flags.get("max-route-overflow", defaults.max_route_overflow)?,
+        max_move_eval_p50_ns: flags.get("max-move-p50-ns", defaults.max_move_eval_p50_ns)?,
+        max_quarantined: flags.get("max-quarantined", defaults.max_quarantined)?,
     };
     let report = timberwolfmc::analyze::check_metrics_snapshot(&text, &thresholds)
         .map_err(|e| format!("{path}: {e}"))?;
@@ -746,7 +751,7 @@ fn cmd_report_trace(flags: &Flags) -> Result<ExitCode, String> {
     } else {
         print!(
             "{}",
-            timberwolfmc::analyze::format_trace_report(&report, flags.get("top", 20usize))
+            timberwolfmc::analyze::format_trace_report(&report, flags.get("top", 20usize)?)
         );
     }
     Ok(if report.healthy() {
@@ -768,11 +773,11 @@ fn cmd_diff(flags: &Flags) -> Result<ExitCode, String> {
     };
     let defaults = DiffThresholds::default();
     let thresholds = DiffThresholds {
-        teil_pct: flags.get("max-teil-pct", defaults.teil_pct),
-        length_pct: flags.get("max-length-pct", defaults.length_pct),
-        area_pct: flags.get("max-area-pct", defaults.area_pct),
-        overflow_abs: flags.get("max-overflow", defaults.overflow_abs),
-        unrouted_abs: flags.get("max-unrouted", defaults.unrouted_abs),
+        teil_pct: flags.get("max-teil-pct", defaults.teil_pct)?,
+        length_pct: flags.get("max-length-pct", defaults.length_pct)?,
+        area_pct: flags.get("max-area-pct", defaults.area_pct)?,
+        overflow_abs: flags.get("max-overflow", defaults.overflow_abs)?,
+        unrouted_abs: flags.get("max-unrouted", defaults.unrouted_abs)?,
     };
     let baseline = metrics(&load_stream(base_path)?);
     let candidate = metrics(&load_stream(cand_path)?);

@@ -423,3 +423,34 @@ fn yal_input_is_accepted() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn malformed_flag_values_are_errors() {
+    let dir = std::env::temp_dir().join(format!("twmc-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("tiny.twn");
+    let netlist = path.to_str().expect("UTF-8 temp path");
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/baseline-run.jsonl"
+    );
+
+    // Exit 1 (an operational error, not diff's exit-2 regression),
+    // naming the flag and the value it could not parse.
+    let rejects = |args: &[&str], named: &str| {
+        let out = twmc().args(args).output().expect("run twmc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
+    };
+    let bad = ["synth", "--out", netlist, "--cells", "abc"];
+    rejects(&bad, "`abc` for --cells");
+    assert!(!path.exists(), "a rejected synth wrote a circuit");
+    let synth = ["synth", "--out", netlist, "--cells", "4", "--nets", "8"];
+    let out = twmc().args(synth).output();
+    assert!(out.expect("run twmc").status.success());
+    rejects(&["place", netlist, "--seed", "-1"], "`-1` for --seed");
+    let diff = ["diff", fixture, fixture, "--max-teil-pct", "1,5"];
+    rejects(&diff, "`1,5` for --max-teil-pct");
+    std::fs::remove_dir_all(&dir).ok();
+}

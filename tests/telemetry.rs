@@ -3,12 +3,16 @@
 //! tempering run additionally covers the replica/swap event kinds.
 
 use timberwolfmc::core::{
-    run_timberwolf, run_timberwolf_with, ParallelParams, Strategy, TimberWolfConfig,
+    run_timberwolf, run_timberwolf_resilient, run_timberwolf_with, ParallelParams, RunCtrl,
+    RunOutcome, Strategy, TimberWolfConfig,
 };
 use timberwolfmc::netlist::{synthesize, Netlist, SynthParams};
 use timberwolfmc::obs::validate::{expect_kinds, validate_jsonl};
-use timberwolfmc::obs::{Instrumented, JsonlRecorder, SummaryRecorder, Tracer};
+use timberwolfmc::obs::{
+    Event, Instrumented, JsonlRecorder, MetricsHub, Recorder, SummaryRecorder, Tracer,
+};
 use timberwolfmc::place::PlaceParams;
+use timberwolfmc::resume::CheckpointWriter;
 use timberwolfmc::route::RouterParams;
 
 fn circuit() -> Netlist {
@@ -127,8 +131,7 @@ fn tempering_run_covers_replica_and_swap_kinds() {
 
     let plain = run_timberwolf(&nl, &config);
     let tracer = Tracer::new();
-    let mut traced =
-        Instrumented::maybe(SummaryRecorder::new(), None).with_tracer(Some(tracer.clone()));
+    let mut traced = Instrumented::new(SummaryRecorder::new(), None, Some(tracer.clone()));
     let recorded = run_timberwolf_with(&nl, &config, &mut traced);
     let rec = traced.into_inner();
     assert_eq!(plain.teil, recorded.teil);
@@ -159,4 +162,81 @@ fn tempering_run_covers_replica_and_swap_kinds() {
         let spans = lane.spans.iter().filter(|s| s.name == "temp_step").count();
         assert_eq!(spans, steps, "rung {rung}");
     }
+}
+
+/// Every interval is timed once: the `stage_span` event, the trace span
+/// and the hub histogram of one interval carry one duration.
+#[test]
+fn each_interval_reads_one_clock() {
+    let nl = circuit();
+    let config = quick_config(4);
+    let ckpt = std::env::temp_dir().join(format!("twmc-one-clock-{}.ckpt", std::process::id()));
+    let (hub, tracer) = (MetricsHub::new(), Tracer::new());
+    let mut rec = Instrumented::new(
+        SummaryRecorder::new(),
+        Some(hub.clone()),
+        Some(tracer.clone()),
+    );
+    let opts = RunCtrl {
+        writer: Some(CheckpointWriter::new(&ckpt, 2)),
+        ..Default::default()
+    };
+    let outcome = run_timberwolf_resilient(&nl, &config, opts, &mut rec as &mut dyn Recorder);
+    assert!(matches!(outcome, Ok(RunOutcome::Complete(_))));
+    let _ = std::fs::remove_file(&ckpt);
+    let events = rec.into_inner().into_events();
+    let snap = tracer.collect();
+    assert_eq!(snap.dropped(), 0);
+    let main = &snap.lane("main").expect("main lane").spans;
+
+    // Each stage_span is its stage's main-lane span, in order.
+    const STAGES: [&str; 6] = [
+        "stage1",
+        "channel_definition",
+        "global_routing",
+        "refine_anneal",
+        "final_routing",
+        "finalize",
+    ];
+    let from_spans: Vec<(&str, u64)> = main
+        .iter()
+        .filter(|s| STAGES.contains(&s.name.as_str()))
+        .map(|s| (s.name.as_str(), s.dur_ns / 1000))
+        .collect();
+    let from_events: Vec<(&str, u64)> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::StageSpan(s) => Some((s.stage, s.wall_us)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(from_events.len(), 3 * config.refine.refinements + 3);
+    assert_eq!(from_spans, from_events);
+
+    // run_end carries the run span's duration.
+    let run: Vec<u64> = main
+        .iter()
+        .filter(|s| s.name == "run")
+        .map(|s| s.dur_ns / 1000)
+        .collect();
+    let Some(Event::RunEnd(end)) = events.last() else {
+        panic!("the stream ends with run_end");
+    };
+    assert_eq!(run, [end.wall_us]);
+
+    // One checkpoint-write span per hub count and sample; likewise for
+    // routing executions.
+    let count = |lane: &str, name: &str| {
+        snap.lane(lane).map_or(0, |l| {
+            l.spans.iter().filter(|s| s.name == name).count() as u64
+        })
+    };
+    let writes = count("ckpt", "checkpoint_write");
+    assert!(writes >= 2, "stage 1 and the stage-2 mark both write");
+    assert_eq!(hub.checkpoint_writes_total.value(), writes);
+    assert_eq!(hub.checkpoint_write_ms.count(), writes);
+    let routes = count("route", "route_iter");
+    assert_eq!(routes as usize, config.refine.refinements + 3);
+    assert_eq!(hub.route_iters_total.value(), routes);
+    assert_eq!(hub.route_iter_ms.count(), routes);
 }
