@@ -6,9 +6,9 @@
 //!
 //! The checks are operational, not algorithmic: they ask where the
 //! run's wall-clock went, not whether the annealer obeyed the paper.
-//! A healthy run spends its move-evaluation time dominated by net-span
-//! arithmetic, keeps overlap-index maintenance a minority share, and
-//! pays only incidental time for checkpoints.
+//! A healthy run keeps the overlap query below the share an index
+//! rebuilt on every move would take, and pays only incidental time for
+//! checkpoints.
 
 use serde::Value;
 use twmc_obs::validate::parse_json;
@@ -16,11 +16,13 @@ use twmc_trace::{profile, Profile, SpanRecord, TraceSnapshot};
 
 use crate::health::{Finding, Severity};
 
-/// Fail when overlap-index maintenance exceeds this share of the
-/// attributed cost-term time — the index exists to make net-span
-/// evaluation cheap, so it dominating the move loop means the
-/// bin/segment structures are being rebuilt, not maintained.
-pub const INDEX_SHARE_FAIL: f64 = 0.50;
+/// Fail when the overlap query exceeds this share of the attributed
+/// cost-term time. The query is the largest term of an ordinary run:
+/// 0.63–0.82 of attributed move-eval time from 100 to 10k cells (0.68
+/// on the CI smoke circuit, 0.69 at 400 ladder cells). An index rebuilt
+/// on every move instead of maintained reaches 0.97–0.995, so the bound
+/// sits between the two.
+pub const INDEX_SHARE_FAIL: f64 = 0.90;
 
 /// Warn when checkpoint writes exceed this share of total run time.
 pub const CHECKPOINT_SHARE_WARN: f64 = 0.10;
@@ -327,7 +329,7 @@ mod tests {
             let t0 = b * 400_000;
             lane.span_rel("move_block", "place", t0, 400_000);
             let (net, idx) = if index_heavy {
-                (50_000, 300_000)
+                (10_000, 340_000)
             } else {
                 (300_000, 50_000)
             };

@@ -95,7 +95,7 @@ fn assert_interrupt_resume_identical(replicas: usize, budget: u64, stage: &str, 
     let opts = RunCtrl {
         cancel: CancelToken::new().with_max_moves(budget),
         writer: Some(CheckpointWriter::new(&path, 3)),
-        resume: None,
+        ..Default::default()
     };
     let cut = match run_timberwolf_resilient(&nl, &cfg, opts, &mut NullRecorder)
         .expect("interrupted run succeeds")

@@ -19,6 +19,10 @@
 //!   every subsequent operation fails (the in-process test mode), or
 //!   aborts the process outright (`with_abort`, for scripted kill tests).
 //!
+//! The schedule also carries the replica orchestrator's worker faults
+//! (`panic=replica:<k>@<round>`, [`FaultSchedule::replica_round`]), so
+//! one grammar describes every fault a test can inject.
+//!
 //! The one atomic-write sequence everything shares is
 //! [`atomic_write_durable`]: write `path.tmp`, fsync it, rename over
 //! `path`, fsync the parent directory — with a crashpoint before and after
@@ -263,11 +267,17 @@ impl FaultRule {
 ///   hit (omitted = every occurrence);
 /// * `crash=<pattern>[@<nth>]` — fire at the crashpoint whose name
 ///   contains `pattern` (crashpoint names are `"<file>:<stage>"`, e.g.
-///   `state.json:after_rename`).
+///   `state.json:after_rename`);
+/// * `panic=replica:<k>@<round>` — the annealing worker of replica (or
+///   rung) `k` panics when it reaches round `round` of its ensemble
+///   ([`FaultSchedule::replica_round`]). The filesystem never sees
+///   these clauses; the replica orchestrator probes them.
 #[derive(Debug, Clone, Default)]
 pub struct FaultSchedule {
     seed: u64,
     rules: Vec<FaultRule>,
+    /// `(replica, round)` coordinates of the `panic=` clauses.
+    panics: Vec<(usize, usize)>,
 }
 
 impl FaultSchedule {
@@ -288,6 +298,17 @@ impl FaultSchedule {
                 sched.seed = val
                     .parse()
                     .map_err(|_| format!("fault clause `{clause}`: bad seed"))?;
+                continue;
+            }
+            if key == "panic" {
+                let at = val
+                    .strip_prefix("replica:")
+                    .and_then(|at| at.split_once('@'))
+                    .and_then(|(k, round)| Some((k.parse().ok()?, round.parse().ok()?)))
+                    .ok_or_else(|| {
+                        format!("fault clause `{clause}`: expected panic=replica:<k>@<round>")
+                    })?;
+                sched.panics.push(at);
                 continue;
             }
             let kind = FaultKind::parse(key)
@@ -336,7 +357,6 @@ impl FaultSchedule {
     /// `pattern` on its first occurrence.
     pub fn crash_at(pattern: &str) -> FaultSchedule {
         FaultSchedule {
-            seed: 0,
             rules: vec![FaultRule {
                 kind: FaultKind::Crash,
                 op: "crashpoint".to_string(),
@@ -345,6 +365,23 @@ impl FaultSchedule {
                 hits: 0,
                 fired: false,
             }],
+            ..FaultSchedule::default()
+        }
+    }
+
+    /// Whether any `panic=` clause is present.
+    pub fn has_replica_panics(&self) -> bool {
+        !self.panics.is_empty()
+    }
+
+    /// The replica probe: panics with `injected fault: replica <k> at
+    /// round <r>` when a `panic=replica:<k>@<r>` clause names this
+    /// coordinate. The probe keeps no state, so a run resumed from a
+    /// checkpoint taken before the coordinate meets the fault again, as
+    /// the uninterrupted run did.
+    pub fn replica_round(&self, replica: usize, round: usize) {
+        if self.panics.contains(&(replica, round)) {
+            panic!("injected fault: replica {replica} at round {round}");
         }
     }
 }
@@ -541,6 +578,29 @@ mod tests {
         assert!(FaultSchedule::parse("eio=frobnicate").is_err());
         assert!(FaultSchedule::parse("eio").is_err());
         assert!(FaultSchedule::parse("eio=write:x@zz").is_err());
+    }
+
+    #[test]
+    fn replica_panic_clauses_parse_and_fire_at_their_coordinate() {
+        let s = FaultSchedule::parse("seed=1, panic=replica:2@5; panic=replica:0@0").unwrap();
+        assert_eq!(s.panics, [(2, 5), (0, 0)]);
+        assert!(s.rules.is_empty() && s.has_replica_panics());
+        s.replica_round(2, 4);
+        s.replica_round(1, 5);
+        let caught = std::panic::catch_unwind(|| s.replica_round(2, 5)).unwrap_err();
+        let msg = caught.downcast_ref::<String>().expect("formatted message");
+        assert_eq!(msg, "injected fault: replica 2 at round 5");
+        for bad in [
+            "panic=2@5",
+            "panic=replica:2",
+            "panic=replica:x@5",
+            "panic=replica:2@-1",
+        ] {
+            assert!(FaultSchedule::parse(bad).is_err(), "{bad}");
+        }
+        assert!(!FaultSchedule::parse("eio=write")
+            .unwrap()
+            .has_replica_panics());
     }
 
     #[test]

@@ -66,8 +66,8 @@ impl Interval {
             Interval::GlobalRouting(_) => ("main", "global_routing", "route"),
             Interval::RefineAnneal(_) => ("main", "refine_anneal", "place"),
             Interval::FinalRouting(_) => ("main", "final_routing", "route"),
-            Interval::CheckpointWrite => ("ckpt", "checkpoint_write", "ckpt"),
-            Interval::RouteIter => ("route", "route_iter", "route"),
+            Interval::CheckpointWrite => ("main", "checkpoint_write", "ckpt"),
+            Interval::RouteIter => ("main", "route_iter", "route"),
             Interval::Queued => ("job", "queued", "serve"),
             Interval::Preempted => ("job", "preempted", "serve"),
             Interval::Running => ("job", "running", "serve"),

@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod fault;
 mod multistart;
 mod pool;
 mod resume;
@@ -63,12 +62,13 @@ mod tempering;
 use serde::Value;
 use twmc_anneal::CoolingSchedule;
 use twmc_estimator::EstimatorParams;
+use twmc_fault::FaultSchedule;
 use twmc_netlist::Netlist;
 use twmc_obs::{CancelToken, Interval, NullRecorder, Recorder, StopReason};
 use twmc_place::{PlaceParams, PlacementState, Stage1Result};
 use twmc_resume::{CheckpointError, CheckpointWriter};
 
-pub use pool::{run_indexed, run_mut, try_run_indexed, try_run_mut, ReplicaError};
+pub use pool::{try_run_indexed, try_run_mut, ReplicaError};
 pub use resume::{
     check_config, config_value, ladder_temps_from, ladder_temps_value, parallel_report_from,
     parallel_report_value,
@@ -332,10 +332,11 @@ impl From<CheckpointError> for OrchestratorError {
 
 /// Run controller for [`parallel_stage1_resilient`] and the full
 /// pipeline (`twmc_core::run_timberwolf_resilient`): cooperative
-/// cancellation, periodic checkpoints, and an optional decoded
-/// checkpoint to resume from. [`RunCtrl::default`] is a no-op controller
-/// (never cancels, never writes, starts fresh) under which the resilient
-/// entry points behave exactly like [`parallel_stage1_with`] and
+/// cancellation, periodic checkpoints, an optional decoded checkpoint to
+/// resume from, and the replica faults to inject. [`RunCtrl::default`]
+/// is a no-op controller (never cancels, never writes, starts fresh,
+/// injects nothing) under which the resilient entry points behave
+/// exactly like [`parallel_stage1_with`] and
 /// `twmc_core::run_timberwolf_with`.
 #[derive(Default)]
 pub struct RunCtrl {
@@ -346,6 +347,10 @@ pub struct RunCtrl {
     pub writer: Option<CheckpointWriter>,
     /// Decoded checkpoint payload to resume from.
     pub resume: Option<Value>,
+    /// Replica faults for resilience tests: the worker of replica `k`
+    /// panics on reaching round `r` of its ensemble for every
+    /// `panic=replica:<k>@<r>` clause. Only those clauses apply here.
+    pub faults: FaultSchedule,
 }
 
 impl RunCtrl {
@@ -427,14 +432,13 @@ pub fn parallel_stage1<'a>(
 
 /// [`parallel_stage1`] with a telemetry sink.
 ///
-/// Replica annealing streams are recorded per-worker and replayed into
-/// `rec` in replica order after the join (multi-start), or emitted
-/// per-round on the orchestrator thread (tempering), followed by one
-/// [`twmc_obs::ReplicaSummary`] per replica (none for a single
-/// replica, whose stream equals [`twmc_place::place_stage1_with`]'s)
-/// and any [`twmc_obs::Swap`] events. Recording never touches any RNG stream,
-/// so results are bit-identical to [`parallel_stage1`] for any recorder
-/// and any thread count.
+/// Replica annealing streams are recorded per worker and replayed into
+/// `rec` in replica order after every round, with any
+/// [`twmc_obs::Swap`] events of the round, followed by one
+/// [`twmc_obs::ReplicaSummary`] per replica (none for a single replica,
+/// whose stream equals [`twmc_place::place_stage1_with`]'s). Recording
+/// never touches any RNG stream, so results are bit-identical to
+/// [`parallel_stage1`] for any recorder and any thread count.
 pub fn parallel_stage1_with<'a>(
     nl: &'a Netlist,
     place: &PlaceParams,
@@ -503,8 +507,8 @@ pub fn parallel_stage1_resilient<'a>(
             (stats.cells, stats.nets, stats.pins),
         )?;
     }
-    if params.replicas <= 1 {
-        return multistart::run_controlled(
+    if params.strategy == Strategy::Tempering {
+        return tempering::run_controlled(
             nl,
             place,
             est,
@@ -514,32 +518,18 @@ pub fn parallel_stage1_resilient<'a>(
             rec,
             ctrl,
             resume_payload.as_ref(),
-            true,
         );
     }
-    match params.strategy {
-        Strategy::MultiStart => multistart::run_controlled(
-            nl,
-            place,
-            est,
-            schedule,
-            params,
-            master_seed,
-            rec,
-            ctrl,
-            resume_payload.as_ref(),
-            false,
-        ),
-        Strategy::Tempering => tempering::run_controlled(
-            nl,
-            place,
-            est,
-            schedule,
-            params,
-            master_seed,
-            rec,
-            ctrl,
-            resume_payload.as_ref(),
-        ),
-    }
+    multistart::run_controlled(
+        nl,
+        place,
+        est,
+        schedule,
+        params,
+        master_seed,
+        rec,
+        ctrl,
+        resume_payload.as_ref(),
+        params.replicas <= 1,
+    )
 }

@@ -1,16 +1,19 @@
-//! Multi-start orchestration: independent replicas, best TEIL wins.
+//! The replica round loop and multi-start orchestration.
 //!
-//! Replicas are driven in *step-synchronized rounds* by [`drive`]: each
-//! round, every live replica runs exactly one temperature step
-//! ([`CoolingRun::step`]) in parallel, then the orchestrator drains
-//! telemetry, probes the cancellation token, and writes a checkpoint
-//! when one is due. All replicas share the Table-1 temperature
-//! trajectory (the stage-1 stop conditions depend only on the
-//! temperature), so they finish on the same step and a round boundary
-//! is a consistent cut of the whole ensemble — which is what makes the
-//! checkpoint/resume cycle and the interrupted-telemetry-prefix property
-//! exact. The tempering quench drives its rungs through the same
-//! [`drive`].
+//! Every ensemble — multi-start replicas, the tempering ladder's rungs
+//! and their quench — is driven in *step-synchronized rounds* by
+//! [`drive`]: each round, every live replica its strategy lets sweep
+//! runs one inner loop in parallel, then the orchestrator retires
+//! failed replicas, drains telemetry, runs the strategy's between-round
+//! work (the ladder's swaps and cooling), probes the cancellation token,
+//! and writes a checkpoint when one is due. A strategy supplies only its
+//! own rules, as a [`Rounds`] implementation.
+//!
+//! Multi-start replicas share the Table-1 temperature trajectory (the
+//! stage-1 stop conditions depend only on the temperature), so they
+//! finish on the same step and a round boundary is a consistent cut of
+//! the whole ensemble — which is what makes the checkpoint/resume cycle
+//! and the interrupted-telemetry-prefix property exact.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,31 +26,13 @@ use twmc_obs::{
     Event, Instrumented, NullRecorder, Recorder, ReplicaFailed, ReplicaSummary, RunScope,
     StopReason, SummaryRecorder,
 };
-use twmc_place::{CoolingRun, MoveSet, PlaceParams, PlacementState, Stage1Context, Stage1Result};
+use twmc_place::{CoolingRun, MoveSet, PlaceParams, PlacementState, Stage1Context};
+use twmc_resume::CheckpointError;
 
 use crate::{
-    fault, pool, resume, OrchestratorError, ParallelParams, ParallelReport, ReplicaFailure,
-    ReplicaReport, RunCtrl, Stage1Outcome, SwapReport,
+    pool, resume, OrchestratorError, ParallelParams, ParallelReport, ReplicaFailure, ReplicaReport,
+    RunCtrl, Stage1Outcome, SwapReport,
 };
-
-/// Builds the report row for one finished replica.
-pub(crate) fn replica_report(
-    replica: usize,
-    seed: u64,
-    state: &PlacementState<'_>,
-    result: &Stage1Result,
-) -> ReplicaReport {
-    ReplicaReport {
-        replica,
-        seed,
-        rung_temperature: None,
-        teil: result.teil,
-        cost: state.cost(),
-        attempts: result.moves.attempts(),
-        accepts: result.moves.accepts(),
-        teil_trajectory: result.history.iter().map(|r| r.teil).collect(),
-    }
-}
 
 /// The telemetry footer of one finished replica.
 pub(crate) fn replica_summary(phase: &'static str, r: &ReplicaReport) -> Event {
@@ -64,9 +49,11 @@ pub(crate) fn replica_summary(phase: &'static str, r: &ReplicaReport) -> Event {
 }
 
 /// One replica of a [`drive`]n ensemble (a multi-start replica or a
-/// quenching tempering rung): its configuration, RNG stream,
-/// cooling-loop position, a private telemetry buffer drained by the
-/// orchestrator after each round, and the failure note that retires it.
+/// tempering rung): its configuration, RNG stream, cooling run (move
+/// counters and TEIL history), a private telemetry buffer drained by
+/// the orchestrator after each round, and the failure note that retires
+/// it. A tempering swap exchanges `state` between rungs; everything
+/// else stays with the rung.
 pub(crate) struct Replica<'a> {
     pub(crate) index: usize,
     pub(crate) seed: u64,
@@ -78,47 +65,164 @@ pub(crate) struct Replica<'a> {
 }
 
 impl<'a> Replica<'a> {
-    /// A live replica about to run `run` from `state`.
-    pub(crate) fn new(
-        index: usize,
-        seed: u64,
-        state: PlacementState<'a>,
-        rng: StdRng,
-        run: CoolingRun,
-    ) -> Self {
-        Replica {
-            index,
-            seed,
-            state,
-            rng,
-            run,
-            local: SummaryRecorder::new(),
-            failed: None,
-        }
-    }
-
     pub(crate) fn live(&self) -> bool {
         self.failed.is_none()
     }
 
-    pub(crate) fn checkpoint(&self) -> resume::ReplicaCk {
-        resume::ReplicaCk {
+    /// The report row of the replica as it stands.
+    pub(crate) fn report(&self) -> ReplicaReport {
+        ReplicaReport {
+            replica: self.index,
             seed: self.seed,
-            failed: self.failed.clone(),
-            rng: self.rng.state(),
-            run: self.run.clone(),
-            snap: self.state.snapshot(),
-            rebuilds: self.state.index_rebuilds(),
-            updates: self.state.index_updates(),
+            rung_temperature: None,
+            teil: self.state.teil(),
+            cost: self.state.cost(),
+            attempts: self.run.moves.attempts(),
+            accepts: self.run.moves.accepts(),
+            teil_trajectory: self.run.history.iter().map(|r| r.teil).collect(),
         }
     }
+}
 
-    pub(crate) fn restore(&mut self, ck: &resume::ReplicaCk) {
-        self.state.restore(&ck.snap);
-        self.state.force_index_counters(ck.rebuilds, ck.updates);
-        self.rng = StdRng::from_state(ck.rng);
-        self.run = ck.run.clone();
-        self.failed = ck.failed.clone();
+/// Builds `replicas` live replicas on the pool, replica `i` from the
+/// random start its stream `derive_seed(master_seed, i)` draws, each
+/// about to cool from `T∞`. Fresh and resumed runs both start here (a
+/// resume then overwrites everything construction consumed).
+pub(crate) fn spawn<'a>(
+    ctx: &Stage1Context<'a>,
+    place: &PlaceParams,
+    master_seed: u64,
+    replicas: usize,
+    threads: usize,
+) -> Result<Vec<Replica<'a>>, OrchestratorError> {
+    let seeds: Vec<u64> = (0..replicas).map(|i| derive_seed(master_seed, i)).collect();
+    let init = pool::try_run_indexed(replicas, threads, |i| {
+        let mut rng = StdRng::seed_from_u64(seeds[i]);
+        let state = ctx.random_state(place, &mut rng);
+        (state, rng)
+    });
+    init.into_iter()
+        .enumerate()
+        .map(|(index, r)| {
+            // Construction is deterministic and does not panic; a
+            // failure here would leave no state to salvage, so surface it.
+            let (state, rng) = r.map_err(|e| {
+                OrchestratorError::AllReplicasFailed(vec![ReplicaFailure {
+                    replica: e.index,
+                    round: 0,
+                    error: e.message,
+                }])
+            })?;
+            Ok(Replica {
+                index,
+                seed: seeds[index],
+                state,
+                rng,
+                run: CoolingRun::new(ctx.t_infinity),
+                local: SummaryRecorder::new(),
+                failed: None,
+            })
+        })
+        .collect()
+}
+
+/// Restores every replica of `reps` from a checkpoint payload, if
+/// there is one, and returns its failure list.
+pub(crate) fn restore(
+    reps: &mut [Replica<'_>],
+    payload: Option<&Value>,
+) -> Result<Vec<ReplicaFailure>, OrchestratorError> {
+    let Some(payload) = payload else {
+        return Ok(Vec::new());
+    };
+    let records = twmc_resume::codec::array_field(payload, "replicas")?;
+    if records.len() != reps.len() {
+        return Err(CheckpointError::Corrupt("checkpoint replica count differs".into()).into());
+    }
+    for (rep, v) in reps.iter_mut().zip(records) {
+        resume::restore_replica(rep, v)?;
+    }
+    Ok(resume::failures_from(twmc_resume::codec::field(
+        payload, "failed",
+    )?)?)
+}
+
+/// Rounds the ensemble has completed: the step count of its live
+/// replicas, which every cooling replica that is still running shares.
+pub(crate) fn steps_done(reps: &[Replica<'_>]) -> usize {
+    reps.iter()
+        .filter(|r| r.live())
+        .map(|r| r.run.steps())
+        .max()
+        .unwrap_or(0)
+}
+
+/// A strategy's own rules around [`drive`]'s round loop.
+pub(crate) trait Rounds<'a>: Sync {
+    /// The phase of the checkpoint payload and the `replica_failed`
+    /// events.
+    fn phase(&self) -> &'static str;
+    /// Whether round `round` runs; checked before each round.
+    fn more(&self, reps: &[Replica<'a>], round: usize) -> bool;
+    /// Whether the live `rep` sweeps this round.
+    fn sweeps(&self, rep: &Replica<'a>) -> bool;
+    /// Runs `rep`'s sweep of round `round` on a worker thread.
+    fn sweep(&self, rep: &mut Replica<'a>, round: usize, rec: &mut dyn Recorder);
+    /// Runs on the orchestrator once round `round`'s failures are
+    /// retired and its telemetry drained, before the cancellation probe.
+    fn after_round(&mut self, _reps: &mut [Replica<'a>], _round: usize, _rec: &mut dyn Recorder) {}
+    /// The checkpoint fields the strategy adds to the replicas and
+    /// failures.
+    fn state(&self) -> Vec<(&'static str, Value)> {
+        Vec::new()
+    }
+}
+
+/// Cooling runs: every live replica takes one [`CoolingRun::step`] per
+/// round until its stop rule fires — multi-start, the single run and
+/// the tempering quench.
+pub(crate) struct Cooling<'c, 'a> {
+    pub(crate) ctx: &'c Stage1Context<'a>,
+    pub(crate) place: &'c PlaceParams,
+    pub(crate) schedule: &'c CoolingSchedule,
+    pub(crate) phase: &'static str,
+    /// The telemetry scope of replica `i`'s steps.
+    pub(crate) scope: &'c (dyn Fn(usize) -> RunScope + Sync),
+    /// The checkpoint fields beyond the replicas and failures (the
+    /// quench's ladder outcome), encoded only when a checkpoint is.
+    pub(crate) state: &'c (dyn Fn() -> Vec<(&'static str, Value)> + Sync),
+}
+
+impl<'a> Rounds<'a> for Cooling<'_, 'a> {
+    fn phase(&self) -> &'static str {
+        self.phase
+    }
+
+    fn more(&self, reps: &[Replica<'a>], _round: usize) -> bool {
+        reps.iter().any(|r| r.live() && !r.run.done)
+    }
+
+    fn sweeps(&self, rep: &Replica<'a>) -> bool {
+        !rep.run.done
+    }
+
+    fn sweep(&self, rep: &mut Replica<'a>, _round: usize, rec: &mut dyn Recorder) {
+        rep.run.step(
+            &mut rep.state,
+            self.place,
+            MoveSet::Full,
+            self.schedule,
+            &self.ctx.limiter,
+            self.ctx.s_t,
+            None,
+            &mut rep.rng,
+            rec,
+            (self.scope)(rep.index),
+        );
+    }
+
+    fn state(&self) -> Vec<(&'static str, Value)> {
+        (self.state)()
     }
 }
 
@@ -143,110 +247,45 @@ pub(crate) fn run_controlled<'a>(
 ) -> Result<Stage1Outcome<'a>, OrchestratorError> {
     let replicas = if single { 1 } else { params.replicas };
     let threads = params.effective_threads(replicas);
-    let stats = nl.stats();
-    let config = resume::config_value(
-        master_seed,
-        params,
-        place.attempts_per_cell,
-        (stats.cells, stats.nets, stats.pins),
-    );
-    let phase_tag = if single { "single" } else { "multistart" };
     let ctx = Stage1Context::new(nl, place, est);
-
-    // Fresh construction first (identical for fresh and resumed runs:
-    // the restore below overwrites everything construction consumed).
-    let seeds: Vec<u64> = (0..replicas).map(|i| derive_seed(master_seed, i)).collect();
-    let init = pool::try_run_indexed(replicas, threads, |i| {
-        let mut rng = StdRng::seed_from_u64(seeds[i]);
-        let state = ctx.random_state(place, &mut rng);
-        (state, rng)
-    });
-    let mut reps: Vec<Replica<'a>> = Vec::with_capacity(replicas);
-    let mut failures: Vec<ReplicaFailure> = Vec::new();
-    for (i, r) in init.into_iter().enumerate() {
-        // Construction is deterministic and non-panicking in production;
-        // an init failure (possible only under fault injection in the
-        // pool layer) would leave no state to salvage, so surface it.
-        let (state, rng) = r.map_err(|e| {
-            OrchestratorError::AllReplicasFailed(vec![ReplicaFailure {
-                replica: e.index,
-                round: 0,
-                error: e.message,
-            }])
-        })?;
-        reps.push(Replica::new(
-            i,
-            seeds[i],
-            state,
-            rng,
-            CoolingRun::new(ctx.t_infinity),
-        ));
-    }
-
-    if let Some(payload) = resume_payload {
-        let cks = resume::multistart_replicas(payload)?;
-        if cks.len() != replicas {
-            return Err(OrchestratorError::Checkpoint(
-                twmc_resume::CheckpointError::Corrupt("checkpoint replica count differs".into()),
-            ));
-        }
-        for (rep, ck) in reps.iter_mut().zip(&cks) {
-            rep.restore(ck);
-        }
-        failures = resume::failures_from(twmc_resume::codec::field(payload, "failed")?)?;
-    }
-
-    let scope_for = |i: usize| {
+    let mut reps = spawn(&ctx, place, master_seed, replicas, threads)?;
+    let mut failures = restore(&mut reps, resume_payload)?;
+    let scope = |i: usize| {
         if single {
             RunScope::STAGE1
         } else {
             RunScope::STAGE1.with_replica(i)
         }
     };
-    let build_payload = |reps: &[Replica<'a>], failures: &[ReplicaFailure]| {
-        resume::phase_payload(
-            phase_tag,
-            config.clone(),
-            vec![
-                (
-                    "replicas",
-                    Value::Array(
-                        reps.iter()
-                            .map(|r| resume::replica_value(&r.checkpoint(), nl))
-                            .collect(),
-                    ),
-                ),
-                ("failed", resume::failures_value(failures)),
-            ],
-        )
-    };
-
-    if let Some(reason) = drive(
-        &ctx,
+    let mut cooling = Cooling {
+        ctx: &ctx,
         place,
         schedule,
+        phase: "multistart",
+        scope: &scope,
+        state: &Vec::new,
+    };
+    let config = resume::run_config(master_seed, params, place, nl);
+    let first = steps_done(&reps);
+    if let Some(reason) = drive(
         &mut reps,
         threads,
-        "multistart",
-        0,
-        scope_for,
+        &mut cooling,
+        first,
+        &config,
         &mut failures,
         rec,
         ctrl,
-        build_payload,
     )? {
-        return Ok(interrupted(reason, reps));
+        return Ok(interrupted(reason, reps, PlacementState::teil));
     }
 
-    let mut reports: Vec<ReplicaReport> = Vec::new();
-    for rep in reps.iter().filter(|r| r.live()) {
-        let result = rep
-            .run
-            .clone()
-            .into_result(&rep.state, ctx.t_infinity, ctx.s_t);
-        reports.push(replica_report(rep.index, rep.seed, &rep.state, &result));
-    }
-    let Some(best) = best_live(&reps) else {
+    let reports: Vec<ReplicaReport> = reps
+        .iter()
+        .filter(|r| r.live())
+        .map(Replica::report)
+        .collect();
+    let Some(best) = best_live(&reps, PlacementState::teil) else {
         return Err(OrchestratorError::AllReplicasFailed(failures));
     };
     if !single && rec.enabled() {
@@ -272,88 +311,78 @@ pub(crate) fn run_controlled<'a>(
     })
 }
 
-/// Drives `reps` in step-synchronized rounds until every live replica's
-/// cooling run is done (`Ok(None)`) or the run controller's token fires
-/// (`Ok(Some(reason))`, after flushing a final checkpoint).
+/// Drives `reps` in step-synchronized rounds, numbered from `first`,
+/// while `rounds` says more are due (`Ok(None)`), until the run
+/// controller's token fires (`Ok(Some(reason))`, after flushing a final
+/// checkpoint), or until no replica is left alive (`AllReplicasFailed`).
 ///
-/// Each round every live replica runs one [`CoolingRun::step`] on the
-/// pool, scoped by `scope_for(index)`; round `k` of replica `i` is
-/// `round_base + k`, the coordinate fault injection, failure records and
-/// the checkpoint cadence use. A replica whose worker panicked is
-/// retired with a [`ReplicaFailed`] event tagged `phase`. Worker threads
-/// cannot share the caller's `&mut dyn Recorder` (the pool requires
-/// `Sync` closures), so each replica records its step's events into its
-/// own [`SummaryRecorder`] and the orchestrator drains them in replica
-/// order after every round — step-major order, deterministic for any
-/// thread count. A run interrupted at a round boundary has therefore
-/// emitted an exact prefix of the uninterrupted stream, and the resumed
-/// run emits exactly the remaining suffix. The hub and the tracer ride
-/// into the workers, so each replica's moves fill the per-move
-/// histogram and its own `replica<k>` trace lane. Checkpoints hold
-/// `payload(reps, failures)`.
+/// Each round every live replica that `rounds` lets sweep runs its
+/// sweep on the pool, after the run controller's fault schedule is
+/// probed at its (replica, round) coordinate. A replica whose worker
+/// panicked is retired with a [`ReplicaFailed`] event tagged with the
+/// strategy's phase and the round. Worker threads cannot share the
+/// caller's `&mut dyn Recorder` (the pool requires `Sync` closures), so
+/// each replica records its sweep's events into its own
+/// [`SummaryRecorder`] and the orchestrator drains them in replica order
+/// after every round — deterministic for any thread count. A run
+/// interrupted at a round boundary has therefore emitted an exact
+/// prefix of the uninterrupted stream, and the resumed run emits
+/// exactly the remaining suffix. The hub and the tracer ride into the
+/// workers, so each replica's moves fill the per-move histogram and its
+/// own `replica<k>` trace lane (`main` for a single run). Checkpoints
+/// hold every replica, the failures and the strategy's
+/// [`Rounds::state`] under the config digest `config`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn drive<'a>(
-    ctx: &Stage1Context<'a>,
-    place: &PlaceParams,
-    schedule: &CoolingSchedule,
     reps: &mut [Replica<'a>],
     threads: usize,
-    phase: &'static str,
-    round_base: usize,
-    scope_for: impl Fn(usize) -> RunScope + Sync,
+    rounds: &mut dyn Rounds<'a>,
+    first: usize,
+    config: &Value,
     failures: &mut Vec<ReplicaFailure>,
     rec: &mut dyn Recorder,
     ctrl: &mut RunCtrl,
-    payload: impl Fn(&[Replica<'a>], &[ReplicaFailure]) -> Value,
 ) -> Result<Option<StopReason>, OrchestratorError> {
     let enabled = rec.enabled();
-    while reps.iter().any(|r| r.live() && !r.run.done) {
+    let mut round = first;
+    while rounds.more(reps, round) {
         let before: usize = reps.iter().map(|r| r.run.moves.attempts()).sum();
-        let round_hub = rec.hub().cloned();
-        let round_tracer = rec.tracer().cloned();
+        let hub = rec.hub().cloned();
+        let tracer = rec.tracer().cloned();
+        let (policy, faults) = (&*rounds, &ctrl.faults);
         let outcomes = pool::try_run_mut(reps, threads, |_, rep| {
-            if !rep.live() || rep.run.done {
+            if !rep.live() || !policy.sweeps(rep) {
                 return;
             }
-            fault::maybe_fail(rep.index, round_base + rep.run.steps());
-            let mut null = NullRecorder;
-            let sink: &mut dyn Recorder = if enabled { &mut rep.local } else { &mut null };
-            let mut sink = Instrumented::new(sink, round_hub.clone(), round_tracer.clone());
-            rep.run.step(
-                &mut rep.state,
-                place,
-                MoveSet::Full,
-                schedule,
-                &ctx.limiter,
-                ctx.s_t,
-                None,
-                &mut rep.rng,
-                &mut sink,
-                scope_for(rep.index),
+            faults.replica_round(rep.index, round);
+            let (mut local, mut null) = (std::mem::take(&mut rep.local), NullRecorder);
+            let sink: &mut dyn Recorder = if enabled { &mut local } else { &mut null };
+            policy.sweep(
+                rep,
+                round,
+                &mut Instrumented::new(sink, hub.clone(), tracer.clone()),
             );
+            rep.local = local;
         });
-        for (rep, out) in reps.iter_mut().zip(&outcomes) {
+        for (rep, out) in reps.iter_mut().zip(outcomes) {
             if let Err(e) = out {
-                if rep.live() {
-                    rep.failed = Some(e.message.clone());
-                    let round = (round_base + rep.run.steps()) as u64;
-                    failures.push(ReplicaFailure {
-                        replica: rep.index,
-                        round,
-                        error: e.message.clone(),
-                    });
-                    if let Some(hub) = rec.hub() {
-                        hub.replica_failures_total.inc();
-                    }
-                    if enabled {
-                        rec.record(&Event::ReplicaFailed(ReplicaFailed {
-                            phase,
-                            replica: rep.index,
-                            round,
-                            error: e.message.clone(),
-                        }));
-                    }
+                rep.failed = Some(e.message.clone());
+                if let Some(hub) = rec.hub() {
+                    hub.replica_failures_total.inc();
                 }
+                if enabled {
+                    rec.record(&Event::ReplicaFailed(ReplicaFailed {
+                        phase: rounds.phase(),
+                        replica: rep.index,
+                        round: round as u64,
+                        error: e.message.clone(),
+                    }));
+                }
+                failures.push(ReplicaFailure {
+                    replica: rep.index,
+                    round: round as u64,
+                    error: e.message,
+                });
             }
         }
         if enabled {
@@ -365,31 +394,41 @@ pub(crate) fn drive<'a>(
         }
         let after: usize = reps.iter().map(|r| r.run.moves.attempts()).sum();
         ctrl.cancel.add_moves((after - before) as u64);
+        if !reps.iter().any(Replica::live) {
+            return Err(OrchestratorError::AllReplicasFailed(failures.clone()));
+        }
+        rounds.after_round(reps, round, rec);
 
-        if let Some(reason) = ctrl.cancel.check() {
-            ctrl.write_checkpoint(&payload(reps, failures), rec)?;
-            return Ok(Some(reason));
+        let stop = ctrl.cancel.check();
+        if stop.is_some() || ctrl.checkpoint_due(round as u64) {
+            let mut body = vec![
+                (
+                    "replicas",
+                    Value::Array(reps.iter().map(resume::replica_value).collect()),
+                ),
+                ("failed", resume::failures_value(failures)),
+            ];
+            body.extend(rounds.state());
+            let payload = resume::phase_payload(rounds.phase(), config.clone(), body);
+            ctrl.write_checkpoint(&payload, rec)?;
         }
-        let step = reps
-            .iter()
-            .filter(|r| r.live())
-            .map(|r| r.run.steps())
-            .max()
-            .unwrap_or(0);
-        if step > 0 && ctrl.checkpoint_due((round_base + step) as u64 - 1) {
-            ctrl.write_checkpoint(&payload(reps, failures), rec)?;
+        if stop.is_some() {
+            return Ok(stop);
         }
+        round += 1;
     }
     Ok(None)
 }
 
-/// Closes an interrupted run over the best live replica so far (lowest
-/// TEIL — total costs are not comparable across multi-start replicas,
-/// whose `p₂` normalizations differ).
-pub(crate) fn interrupted(reason: StopReason, mut reps: Vec<Replica<'_>>) -> Stage1Outcome<'_> {
-    // With every replica failed *and* an interrupt at the same boundary,
-    // fall back to replica 0's mid-mutation state — still a placement.
-    let rep = reps.swap_remove(best_live(&reps).unwrap_or(0));
+/// Closes an interrupted run over the live replica with the lowest
+/// `key` ([`drive`] stops only while one is alive).
+pub(crate) fn interrupted<'a>(
+    reason: StopReason,
+    mut reps: Vec<Replica<'a>>,
+    key: fn(&PlacementState<'a>) -> f64,
+) -> Stage1Outcome<'a> {
+    let best = best_live(&reps, key).expect("drive stops only with a live replica");
+    let rep = reps.swap_remove(best);
     Stage1Outcome::Interrupted {
         reason,
         teil: rep.state.teil(),
@@ -398,13 +437,16 @@ pub(crate) fn interrupted(reason: StopReason, mut reps: Vec<Replica<'_>>) -> Sta
     }
 }
 
-/// Position of the live replica with the lowest TEIL, the first on ties
-/// (`Iterator::min_by` would keep the last), so the selection is total
-/// and deterministic; `None` once every replica has failed.
-pub(crate) fn best_live(reps: &[Replica<'_>]) -> Option<usize> {
+/// Position of the live replica with the lowest `key`, the first on
+/// ties (`Iterator::min_by` would keep the last), so the selection is
+/// total and deterministic; `None` once every replica has failed.
+pub(crate) fn best_live<'a>(
+    reps: &[Replica<'a>],
+    key: fn(&PlacementState<'a>) -> f64,
+) -> Option<usize> {
     let mut best: Option<usize> = None;
     for (i, rep) in reps.iter().enumerate() {
-        if rep.live() && best.is_none_or(|b| rep.state.teil() < reps[b].state.teil()) {
+        if rep.live() && best.is_none_or(|b| key(&rep.state) < key(&reps[b].state)) {
             best = Some(i);
         }
     }

@@ -6,11 +6,9 @@
 //! (replica states borrow the netlist, so `'static` spawning is out) and
 //! assign work by index, never by arrival order.
 //!
-//! A panicking job must not take the run down with it: the `try_` forms
-//! catch each job's unwind and report it as a typed [`ReplicaError`] in
-//! that job's result slot, leaving every other job's outcome intact. The
-//! plain forms are thin wrappers that re-raise the first failure for
-//! callers with nothing useful to salvage.
+//! A panicking job must not take the run down with it: both forms catch
+//! each job's unwind and report it as a typed [`ReplicaError`] in that
+//! job's result slot, leaving every other job's outcome intact.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::PoisonError;
@@ -105,24 +103,6 @@ where
         .collect()
 }
 
-/// Runs `job(0..n)` on up to `threads` workers and returns the results
-/// in index order.
-///
-/// # Panics
-///
-/// Re-raises the first job panic (by index) after all jobs finish. Use
-/// [`try_run_indexed`] to handle failures per slot.
-pub fn run_indexed<T, F>(n: usize, threads: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    try_run_indexed(n, threads, job)
-        .into_iter()
-        .map(|r| r.unwrap_or_else(|e| panic!("{e}")))
-        .collect()
-}
-
 /// Applies `job(index, item)` to every item on up to `threads` workers,
 /// returning one fault-isolated result per item.
 ///
@@ -181,27 +161,16 @@ where
         .collect()
 }
 
-/// Applies `job(index, item)` to every item on up to `threads` workers.
-///
-/// # Panics
-///
-/// Re-raises the first job panic (by index) after all jobs finish. Use
-/// [`try_run_mut`] to handle failures per item.
-pub fn run_mut<T, F>(items: &mut [T], threads: usize, job: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    for r in try_run_mut(items, threads, job) {
-        if let Err(e) = r {
-            panic!("{e}");
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_indexed<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        try_run_indexed(n, threads, job)
+            .into_iter()
+            .map(|r| r.expect("no job panics"))
+            .collect()
+    }
 
     #[test]
     fn indexed_results_in_order() {
@@ -223,7 +192,8 @@ mod tests {
     fn mutation_touches_every_item_once() {
         for threads in [1, 2, 5] {
             let mut items = vec![0u64; 9];
-            run_mut(&mut items, threads, |i, item| *item += 10 + i as u64);
+            let out = try_run_mut(&mut items, threads, |i, item| *item += 10 + i as u64);
+            assert!(out.iter().all(Result::is_ok));
             let expect: Vec<u64> = (0..9).map(|i| 10 + i).collect();
             assert_eq!(items, expect, "threads={threads}");
         }
@@ -289,21 +259,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn plain_forms_reraise_with_the_replica_index() {
-        let caught = std::panic::catch_unwind(|| {
-            run_indexed(3, 2, |i| {
-                if i == 1 {
-                    panic!("bad seed");
-                }
-                i
-            })
-        });
-        let msg = panic_message(caught.expect_err("panic propagates"));
-        assert!(msg.contains("replica 1"), "{msg}");
-        assert!(msg.contains("bad seed"), "{msg}");
     }
 
     #[test]

@@ -10,15 +10,17 @@
 //! deliberately *not* in the digest: results are thread-count
 //! independent, so resuming on different hardware is legal.
 
+use rand::rngs::StdRng;
 use serde::Value;
 use twmc_netlist::Netlist;
 use twmc_place::persist;
-use twmc_place::{CoolingRun, MoveStats, PlacementSnapshot};
+use twmc_place::{PlaceParams, PlacementSnapshot};
 use twmc_resume::codec::{
     self, array_field, f64_field, field, str_field, u64_field, u64x4, u64x4_field, usize_field,
 };
 use twmc_resume::CheckpointError;
 
+use crate::multistart::Replica;
 use crate::{PairSwap, ParallelParams, ReplicaFailure, ReplicaReport, SwapReport};
 
 fn corrupt(msg: &str) -> CheckpointError {
@@ -45,7 +47,7 @@ fn f64s_value(xs: &[f64]) -> Value {
     Value::Array(xs.iter().map(|&x| codec::f64_bits(x)).collect())
 }
 
-fn f64s_from(v: &Value, what: &str) -> Result<Vec<f64>, CheckpointError> {
+pub(crate) fn f64s_from(v: &Value, what: &str) -> Result<Vec<f64>, CheckpointError> {
     codec::items(v, what)?
         .iter()
         .map(|x| {
@@ -81,6 +83,22 @@ pub fn config_value(
     ])
 }
 
+/// [`config_value`] of a run of `place` on `nl`.
+pub(crate) fn run_config(
+    master_seed: u64,
+    params: &ParallelParams,
+    place: &PlaceParams,
+    nl: &Netlist,
+) -> Value {
+    let stats = nl.stats();
+    config_value(
+        master_seed,
+        params,
+        place.attempts_per_cell,
+        (stats.cells, stats.nets, stats.pins),
+    )
+}
+
 /// Verifies a checkpoint's config digest against the resuming run's —
 /// any difference is a hard [`CheckpointError::ConfigMismatch`] naming
 /// the offending key.
@@ -113,78 +131,32 @@ pub fn check_config(
 
 // --- per-replica state ---------------------------------------------------
 
-/// One multi-start replica's (or the single-replica run's) full state.
-pub(crate) struct ReplicaCk {
-    pub seed: u64,
-    pub failed: Option<String>,
-    pub rng: [u64; 4],
-    pub run: CoolingRun,
-    pub snap: PlacementSnapshot,
-    pub rebuilds: u64,
-    pub updates: u64,
-}
-
-pub(crate) fn replica_value(r: &ReplicaCk, nl: &Netlist) -> Value {
+/// One replica's (or tempering rung's) full state: its RNG stream,
+/// cooling run, configuration and index counters.
+pub(crate) fn replica_value(r: &Replica<'_>) -> Value {
     codec::object(vec![
         ("seed", Value::UInt(r.seed)),
         ("failed", failed_value(&r.failed)),
-        ("rng", u64x4(r.rng)),
+        ("rng", u64x4(r.rng.state())),
         ("run", persist::cooling_run_value(&r.run)),
-        ("snap", persist::snapshot_value(&r.snap, nl)),
-        ("rebuilds", Value::UInt(r.rebuilds)),
-        ("updates", Value::UInt(r.updates)),
+        (
+            "snap",
+            persist::snapshot_value(&r.state.snapshot(), r.state.netlist()),
+        ),
+        ("rebuilds", Value::UInt(r.state.index_rebuilds())),
+        ("updates", Value::UInt(r.state.index_updates())),
     ])
 }
 
-pub(crate) fn replica_from(v: &Value) -> Result<ReplicaCk, CheckpointError> {
-    Ok(ReplicaCk {
-        seed: u64_field(v, "seed")?,
-        failed: failed_from(field(v, "failed")?)?,
-        rng: u64x4_field(v, "rng")?,
-        run: persist::cooling_run_from(field(v, "run")?)?,
-        snap: persist::snapshot_from(field(v, "snap")?)?,
-        rebuilds: u64_field(v, "rebuilds")?,
-        updates: u64_field(v, "updates")?,
-    })
-}
-
-/// One tempering rung's full state (round-based, so [`MoveStats`] and a
-/// TEIL trajectory instead of a cooling-loop position).
-pub(crate) struct RungCk {
-    pub seed: u64,
-    pub failed: Option<String>,
-    pub rng: [u64; 4],
-    pub stats: MoveStats,
-    pub trajectory: Vec<f64>,
-    pub snap: PlacementSnapshot,
-    pub rebuilds: u64,
-    pub updates: u64,
-}
-
-pub(crate) fn rung_value(r: &RungCk, nl: &Netlist) -> Value {
-    codec::object(vec![
-        ("seed", Value::UInt(r.seed)),
-        ("failed", failed_value(&r.failed)),
-        ("rng", u64x4(r.rng)),
-        ("stats", persist::move_stats_value(&r.stats)),
-        ("traj", f64s_value(&r.trajectory)),
-        ("snap", persist::snapshot_value(&r.snap, nl)),
-        ("rebuilds", Value::UInt(r.rebuilds)),
-        ("updates", Value::UInt(r.updates)),
-    ])
-}
-
-pub(crate) fn rung_from(v: &Value) -> Result<RungCk, CheckpointError> {
-    Ok(RungCk {
-        seed: u64_field(v, "seed")?,
-        failed: failed_from(field(v, "failed")?)?,
-        rng: u64x4_field(v, "rng")?,
-        stats: persist::move_stats_from(field(v, "stats")?)?,
-        trajectory: f64s_from(field(v, "traj")?, "traj")?,
-        snap: persist::snapshot_from(field(v, "snap")?)?,
-        rebuilds: u64_field(v, "rebuilds")?,
-        updates: u64_field(v, "updates")?,
-    })
+/// Restores a freshly built replica from its [`replica_value`].
+pub(crate) fn restore_replica(r: &mut Replica<'_>, v: &Value) -> Result<(), CheckpointError> {
+    r.state.restore(&persist::snapshot_from(field(v, "snap")?)?);
+    r.state
+        .force_index_counters(u64_field(v, "rebuilds")?, u64_field(v, "updates")?);
+    r.rng = StdRng::from_state(u64x4_field(v, "rng")?);
+    r.run = persist::cooling_run_from(field(v, "run")?)?;
+    r.failed = failed_from(field(v, "failed")?)?;
+    Ok(())
 }
 
 /// Pre-quench elite configurations: each live rung's ladder-end
@@ -382,16 +354,8 @@ pub(crate) fn payload_phase(payload: &Value) -> Result<String, CheckpointError> 
     Ok(str_field(payload, "phase")?.to_owned())
 }
 
-/// Decodes the replica array of a `multistart` payload.
-pub(crate) fn multistart_replicas(payload: &Value) -> Result<Vec<ReplicaCk>, CheckpointError> {
-    array_field(payload, "replicas")?
-        .iter()
-        .map(replica_from)
-        .collect()
-}
-
-/// Exposes the ladder-temperature vector codec for tests: rung
-/// temperatures roundtrip through f64-as-bits exactly.
+/// The ladder-temperature (and gap-ratio) vector codec: values
+/// roundtrip through f64-as-bits exactly.
 pub fn ladder_temps_value(temps: &[f64]) -> Value {
     f64s_value(temps)
 }
@@ -399,61 +363,4 @@ pub fn ladder_temps_value(temps: &[f64]) -> Value {
 /// Decodes [`ladder_temps_value`].
 pub fn ladder_temps_from(v: &Value) -> Result<Vec<f64>, CheckpointError> {
     f64s_from(v, "temps")
-}
-
-/// Decoded body of a `tempering` payload: the ladder's adaptive state
-/// (per-rung temperatures and per-pair gap ratios) travels alongside the
-/// rung snapshots so a resumed run re-enters the exact ladder geometry.
-pub(crate) struct TemperingCk {
-    pub round: usize,
-    pub sweep: usize,
-    pub orch_rng: [u64; 4],
-    pub temps: Vec<f64>,
-    pub gaps: Vec<f64>,
-    pub swaps: SwapReport,
-    pub rungs: Vec<RungCk>,
-    pub failures: Vec<ReplicaFailure>,
-}
-
-pub(crate) fn tempering_from(payload: &Value) -> Result<TemperingCk, CheckpointError> {
-    Ok(TemperingCk {
-        round: usize_field(payload, "round")?,
-        sweep: usize_field(payload, "sweep")?,
-        orch_rng: u64x4_field(payload, "orch_rng")?,
-        temps: f64s_from(field(payload, "temps")?, "temps")?,
-        gaps: f64s_from(field(payload, "gaps")?, "gaps")?,
-        swaps: swaps_from(field(payload, "swaps")?)?,
-        rungs: array_field(payload, "rungs")?
-            .iter()
-            .map(rung_from)
-            .collect::<Result<Vec<_>, _>>()?,
-        failures: failures_from(field(payload, "failed")?)?,
-    })
-}
-
-/// Decoded body of a `quench` payload: every rung (dead ones included,
-/// so indices stay aligned) mid-quench, plus the already-final ladder
-/// reports and exchange statistics.
-pub(crate) struct QuenchCk {
-    pub rungs: Vec<ReplicaCk>,
-    pub reports: Vec<ReplicaReport>,
-    pub swaps: SwapReport,
-    pub failures: Vec<ReplicaFailure>,
-    pub elites: Vec<Option<(PlacementSnapshot, f64)>>,
-}
-
-pub(crate) fn quench_from(payload: &Value) -> Result<QuenchCk, CheckpointError> {
-    Ok(QuenchCk {
-        rungs: array_field(payload, "rungs")?
-            .iter()
-            .map(replica_from)
-            .collect::<Result<Vec<_>, _>>()?,
-        reports: array_field(payload, "reports")?
-            .iter()
-            .map(report_from)
-            .collect::<Result<Vec<_>, _>>()?,
-        swaps: swaps_from(field(payload, "swaps")?)?,
-        failures: failures_from(field(payload, "failed")?)?,
-        elites: elites_from(field(payload, "elites")?)?,
-    })
 }

@@ -2,29 +2,18 @@
 //! step/round boundary and resumed from its checkpoint is bit-identical
 //! to the uninterrupted run — final placement, stage-1 record, report,
 //! and the telemetry stream (interrupted prefix + resumed suffix equals
-//! the uninterrupted stream) — at any thread count; and (behind the
-//! `fault-inject` feature) a panicking replica is retired without
-//! taking the run down.
-
-use std::sync::{Mutex, MutexGuard, PoisonError};
+//! the uninterrupted stream) — at any thread count; and a replica whose
+//! worker panics (a `panic=replica:<k>@<round>` clause of the run
+//! controller's fault schedule) is retired without taking the run down.
 
 use twmc_anneal::CoolingSchedule;
 use twmc_estimator::EstimatorParams;
+use twmc_fault::FaultSchedule;
 use twmc_netlist::{synthesize, Netlist, SynthParams};
 use twmc_obs::{CancelToken, Event, StopReason, SummaryRecorder};
 use twmc_parallel::{parallel_stage1_resilient, ParallelParams, RunCtrl, Stage1Outcome, Strategy};
 use twmc_place::PlaceParams;
 use twmc_resume::CheckpointWriter;
-
-/// The fault-injection statics (`fault::arm`) are process-global, so
-/// the tests in this binary must not overlap: a fault armed by one test
-/// would otherwise fire inside an unrelated concurrent run. Every test
-/// takes this lock first.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn circuit() -> Netlist {
     synthesize(&SynthParams {
@@ -101,19 +90,21 @@ fn complete_run(nl: &Netlist, params: &ParallelParams, mut ctrl: RunCtrl) -> Run
     }
 }
 
-/// Interrupts a run after `budget` move attempts, checkpointing to
-/// `path`; returns the telemetry prefix emitted before the stop.
+/// Interrupts a run under `base` after `budget` move attempts,
+/// checkpointing to `path`; returns the telemetry prefix emitted before
+/// the stop.
 fn interrupted_run(
     nl: &Netlist,
     params: &ParallelParams,
     path: &std::path::Path,
     budget: u64,
+    base: RunCtrl,
 ) -> Vec<Event> {
     let mut rec = SummaryRecorder::new();
     let mut ctrl = RunCtrl {
         cancel: CancelToken::new().with_max_moves(budget),
         writer: Some(CheckpointWriter::new(path, 3)),
-        resume: None,
+        ..base
     };
     let outcome = parallel_stage1_resilient(
         nl,
@@ -136,17 +127,43 @@ fn interrupted_run(
     rec.into_events()
 }
 
-fn resumed_run(nl: &Netlist, params: &ParallelParams, path: &std::path::Path) -> Run {
+fn resumed_run(
+    nl: &Netlist,
+    params: &ParallelParams,
+    path: &std::path::Path,
+    base: RunCtrl,
+) -> Run {
     let payload = twmc_resume::read_checkpoint(path).expect("checkpoint reads back");
     complete_run(
         nl,
         params,
         RunCtrl {
-            cancel: CancelToken::new(),
-            writer: None,
             resume: Some(payload),
+            ..base
         },
     )
+}
+
+/// The resumed run ends where the uninterrupted one did, and the
+/// interrupted prefix plus the resumed suffix is the uninterrupted
+/// stream, event for event.
+fn assert_stitched(full: &Run, prefix: &[Event], resumed: &Run, threads: usize) {
+    assert_eq!(resumed.positions, full.positions, "threads={threads}");
+    assert_eq!(resumed.teil.to_bits(), full.teil.to_bits());
+    assert_eq!(resumed.cost.to_bits(), full.cost.to_bits());
+    assert_eq!(resumed.report, full.report);
+    assert!(
+        !prefix.is_empty() && prefix.len() < full.events.len(),
+        "prefix {} vs full {}",
+        prefix.len(),
+        full.events.len()
+    );
+    assert_eq!(prefix[..], full.events[..prefix.len()], "threads={threads}");
+    assert_eq!(
+        resumed.events[..],
+        full.events[prefix.len()..],
+        "threads={threads}"
+    );
 }
 
 fn temp_path(tag: &str) -> std::path::PathBuf {
@@ -168,47 +185,25 @@ fn assert_resume_bit_identical(strategy: Strategy, replicas: usize, frac: f64, t
         assert!(budget < full.moves, "cut fraction leaves nothing to resume");
 
         let path = temp_path(&format!("{tag}-t{threads}"));
-        let prefix = interrupted_run(&nl, &params, &path, budget);
-        let resumed = resumed_run(&nl, &params, &path);
-
-        assert_eq!(resumed.positions, full.positions, "threads={threads}");
-        assert_eq!(resumed.teil.to_bits(), full.teil.to_bits());
-        assert_eq!(resumed.cost.to_bits(), full.cost.to_bits());
-        assert_eq!(resumed.report, full.report);
-
-        // The interrupted prefix plus the resumed suffix is the
-        // uninterrupted stream, event for event.
-        assert!(
-            !prefix.is_empty() && prefix.len() < full.events.len(),
-            "prefix {} vs full {}",
-            prefix.len(),
-            full.events.len()
-        );
-        assert_eq!(prefix[..], full.events[..prefix.len()], "threads={threads}");
-        assert_eq!(
-            resumed.events[..],
-            full.events[prefix.len()..],
-            "threads={threads}"
-        );
+        let prefix = interrupted_run(&nl, &params, &path, budget, RunCtrl::default());
+        let resumed = resumed_run(&nl, &params, &path, RunCtrl::default());
+        assert_stitched(&full, &prefix, &resumed, threads);
         let _ = std::fs::remove_file(&path);
     }
 }
 
 #[test]
 fn multistart_resumes_bit_identically_from_an_early_cut() {
-    let _guard = serial();
     assert_resume_bit_identical(Strategy::MultiStart, 3, 0.1, "ms-early");
 }
 
 #[test]
 fn multistart_resumes_bit_identically_from_a_late_cut() {
-    let _guard = serial();
     assert_resume_bit_identical(Strategy::MultiStart, 2, 0.9, "ms-late");
 }
 
 #[test]
 fn tempering_resumes_bit_identically_from_the_ladder() {
-    let _guard = serial();
     // 16 rounds of ladder precede the quench; a 5% cut lands well
     // inside the ladder phase.
     assert_resume_bit_identical(Strategy::Tempering, 3, 0.05, "pt-ladder");
@@ -216,7 +211,6 @@ fn tempering_resumes_bit_identically_from_the_ladder() {
 
 #[test]
 fn tempering_resumes_bit_identically_mid_adaptation() {
-    let _guard = serial();
     // A mid-run cut lands after several swap sweeps have already moved
     // the adaptive gaps and rung temperatures away from their initial
     // values — the resumed run must reload that ladder state exactly,
@@ -226,27 +220,24 @@ fn tempering_resumes_bit_identically_mid_adaptation() {
 
 #[test]
 fn tempering_resumes_bit_identically_from_the_quench() {
-    let _guard = serial();
     // The quench is the tail of the run; a 95% cut lands inside it.
     assert_resume_bit_identical(Strategy::Tempering, 3, 0.95, "pt-quench");
 }
 
 #[test]
 fn single_replica_run_resumes_bit_identically() {
-    let _guard = serial();
     assert_resume_bit_identical(Strategy::MultiStart, 1, 0.4, "single");
 }
 
 #[test]
 fn wall_clock_budget_interrupts_with_a_final_checkpoint() {
-    let _guard = serial();
     let nl = circuit();
     let params = parallel_params(2, 2, Strategy::MultiStart);
     let path = temp_path("wall");
     let mut ctrl = RunCtrl {
         cancel: CancelToken::new().with_deadline(std::time::Instant::now()),
         writer: Some(CheckpointWriter::new(&path, 1_000_000)),
-        resume: None,
+        ..Default::default()
     };
     let outcome = parallel_stage1_resilient(
         &nl,
@@ -267,25 +258,23 @@ fn wall_clock_budget_interrupts_with_a_final_checkpoint() {
     }
     // The final checkpoint was flushed even though the periodic cadence
     // (one per 1M steps) never came due — and it resumes cleanly.
-    let resumed = resumed_run(&nl, &params, &path);
+    let resumed = resumed_run(&nl, &params, &path, RunCtrl::default());
     assert!(resumed.teil > 0.0);
     let _ = std::fs::remove_file(&path);
 }
 
 #[test]
 fn checkpoint_from_mismatched_config_is_rejected() {
-    let _guard = serial();
     let nl = circuit();
     let params = parallel_params(2, 1, Strategy::MultiStart);
     let full = complete_run(&nl, &params, RunCtrl::default());
     let path = temp_path("mismatch");
-    interrupted_run(&nl, &params, &path, full.moves / 2);
+    interrupted_run(&nl, &params, &path, full.moves / 2, RunCtrl::default());
     let payload = twmc_resume::read_checkpoint(&path).expect("checkpoint reads back");
     // Same checkpoint, different replica count: refused.
     let mut ctrl = RunCtrl {
-        cancel: CancelToken::new(),
-        writer: None,
         resume: Some(payload),
+        ..Default::default()
     };
     let err = parallel_stage1_resilient(
         &nl,
@@ -306,33 +295,36 @@ fn checkpoint_from_mismatched_config_is_rejected() {
     let _ = std::fs::remove_file(&path);
 }
 
-// --- fault injection (compiled only with `--features fault-inject`) ----
+// --- replica faults ------------------------------------------------------
 
-#[cfg(feature = "fault-inject")]
+/// A controller whose fault schedule kills `replica` at `round`.
+fn faulted(replica: usize, round: usize) -> RunCtrl {
+    RunCtrl {
+        faults: FaultSchedule::parse(&format!("panic=replica:{replica}@{round}"))
+            .expect("valid clause"),
+        ..Default::default()
+    }
+}
+
 mod faults {
     use super::*;
-    use twmc_parallel::fault;
 
-    /// Runs with a fault armed for `replica` at `step`; the run must
+    /// Runs with a fault scheduled for `replica` at `round`; the run must
     /// complete degraded, with the failure recorded and telemetered.
     fn run_with_fault(
         strategy: Strategy,
         replicas: usize,
         threads: usize,
         replica: usize,
-        step: usize,
+        round: usize,
     ) -> Run {
         let nl = circuit();
         let params = parallel_params(replicas, threads, strategy);
-        fault::arm(replica, step);
-        let run = complete_run(&nl, &params, RunCtrl::default());
-        fault::disarm();
-        run
+        complete_run(&nl, &params, faulted(replica, round))
     }
 
     #[test]
     fn multistart_survives_a_replica_panic() {
-        let _guard = serial();
         for threads in [1, 2] {
             let run = run_with_fault(Strategy::MultiStart, 3, threads, 1, 5);
             assert_eq!(run.report.failed.len(), 1, "threads={threads}");
@@ -362,7 +354,6 @@ mod faults {
 
     #[test]
     fn degraded_multistart_matches_the_survivors_of_a_clean_run() {
-        let _guard = serial();
         // The survivors' trajectories are untouched by replica 1's
         // death: their report rows match the clean run's exactly.
         let nl = circuit();
@@ -383,7 +374,6 @@ mod faults {
 
     #[test]
     fn tempering_survives_a_rung_panic() {
-        let _guard = serial();
         for threads in [1, 2] {
             let run = run_with_fault(Strategy::Tempering, 3, threads, 2, 4);
             assert_eq!(run.report.failed.len(), 1, "threads={threads}");
@@ -402,10 +392,8 @@ mod faults {
 
     #[test]
     fn losing_every_replica_is_a_typed_error_not_a_panic() {
-        let _guard = serial();
         let nl = circuit();
         let params = parallel_params(1, 1, Strategy::MultiStart);
-        fault::arm(0, 2);
         let result = parallel_stage1_resilient(
             &nl,
             &fast_params(),
@@ -414,9 +402,8 @@ mod faults {
             &params,
             42,
             &mut twmc_obs::NullRecorder,
-            &mut RunCtrl::default(),
+            &mut faulted(0, 2),
         );
-        fault::disarm();
         match result {
             Err(twmc_parallel::OrchestratorError::AllReplicasFailed(fs)) => {
                 assert_eq!(fs.len(), 1);
@@ -425,5 +412,62 @@ mod faults {
             Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("run with its only replica dead cannot succeed"),
         }
+    }
+}
+
+/// A fault scheduled at a quench round fires on the same round of the
+/// same rung whether the run goes through or is cut mid-quench and
+/// resumed: the quench numbers its rounds on from the ladder's round
+/// count, which its checkpoints carry. The default round budget (0)
+/// runs the ladder until its last rung lands, after the anchor, so that
+/// count is not the anchor's trajectory length.
+#[test]
+fn quench_fault_hits_the_same_round_after_a_resume() {
+    let nl = circuit();
+    let failed = |events: &[Event]| -> Vec<twmc_obs::ReplicaFailed> {
+        let failed = events.iter().filter_map(|e| match e {
+            Event::ReplicaFailed(f) => Some(f.clone()),
+            _ => None,
+        });
+        failed.collect()
+    };
+    for threads in [1, 2] {
+        let params = ParallelParams {
+            rounds: 0,
+            ..parallel_params(3, threads, Strategy::Tempering)
+        };
+        let clean = complete_run(&nl, &params, RunCtrl::default());
+        let sweeps = |phase: &str| {
+            let temps = clean.events.iter().filter_map(move |e| match e {
+                Event::PlaceTemp(p) if p.phase == phase => Some(p),
+                _ => None,
+            });
+            temps.collect::<Vec<_>>()
+        };
+        let (ladder, quench) = (sweeps("tempering"), sweeps("quench"));
+        let ladder_rounds = ladder.iter().map(|p| p.step).max().expect("ladder swept") + 1;
+        let anchor = ladder.iter().filter(|p| p.replica == 2).map(|p| p.step);
+        assert!(
+            anchor.max() < Some(ladder_rounds - 1),
+            "no rung landed after the anchor"
+        );
+
+        // Cut after quench round 2, before the fault at quench round 5.
+        let head = ladder.iter().chain(quench.iter().filter(|p| p.step < 2));
+        let budget = head.map(|p| p.attempts as u64).sum::<u64>() + 1;
+        let round = ladder_rounds + 5;
+        let full = complete_run(&nl, &params, faulted(1, round));
+        let full_failed = failed(&full.events);
+        assert_eq!(full_failed.len(), 1, "threads={threads}");
+        let f = &full_failed[0];
+        assert_eq!((f.phase, f.replica, f.round), ("quench", 1, round as u64));
+
+        let path = temp_path(&format!("quench-fault-t{threads}"));
+        let prefix = interrupted_run(&nl, &params, &path, budget, faulted(1, round));
+        assert!(failed(&prefix).is_empty(), "the cut lands before the fault");
+        let resumed = resumed_run(&nl, &params, &path, faulted(1, round));
+        assert_eq!(failed(&resumed.events), full_failed, "threads={threads}");
+        assert_stitched(&full, &prefix, &resumed, threads);
+        let _ = std::fs::remove_file(&path);
     }
 }

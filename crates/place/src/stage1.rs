@@ -416,8 +416,61 @@ impl CoolingRun {
             self.done = true;
             return true;
         }
-        let inner = params.attempts_per_cell * state.cells().len();
         let t = self.t;
+        let step = self.history.len();
+        self.sweep(
+            state, params, move_set, limiter, s_t, t, step, rng, rec, scope,
+        );
+        if let Some(k) = cost_stall {
+            let cost = state.cost();
+            if (cost - self.last_cost).abs() <= 1e-9 * cost.abs().max(1.0) {
+                self.stall += 1;
+                if self.stall >= k {
+                    self.done = true;
+                    return true;
+                }
+            } else {
+                self.stall = 0;
+            }
+            self.last_cost = cost;
+        }
+        if limiter.at_minimum(t) && t <= s_t * FINAL_SCALED_T {
+            self.done = true;
+            return true;
+        }
+        let next = schedule.next(t, s_t);
+        if next <= 0.0 || !next.is_finite() {
+            self.done = true;
+            return true;
+        }
+        self.t = next;
+        if self.history.len() >= MAX_STEPS {
+            self.done = true;
+            return true;
+        }
+        false
+    }
+
+    /// Runs one inner loop at `t`, appends it to the history and records
+    /// it as one [`PlaceTemp`] labelled `scope` and numbered `step`.
+    /// [`CoolingRun::step`] sweeps at the run's own temperature; a
+    /// tempering rung sweeps at its ladder temperature, numbered by
+    /// round. Moves trace onto `scope`'s lane.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sweep(
+        &mut self,
+        state: &mut PlacementState<'_>,
+        params: &PlaceParams,
+        move_set: MoveSet,
+        limiter: &RangeLimiter,
+        s_t: f64,
+        t: f64,
+        step: usize,
+        rng: &mut StdRng,
+        rec: &mut dyn Recorder,
+        scope: RunScope,
+    ) {
+        let inner = params.attempts_per_cell * state.cells().len();
         let wx = limiter.window_x(t);
         let wy = limiter.window_y(t);
         let before = self.moves;
@@ -449,7 +502,7 @@ impl CoolingRun {
                 phase: scope.phase,
                 iteration: scope.iteration,
                 replica: scope.replica,
-                step: self.history.len() - 1,
+                step,
                 temperature: t,
                 s_t,
                 window_x: wx,
@@ -478,34 +531,6 @@ impl CoolingRun {
                     .collect(),
             }));
         }
-        if let Some(k) = cost_stall {
-            let cost = state.cost();
-            if (cost - self.last_cost).abs() <= 1e-9 * cost.abs().max(1.0) {
-                self.stall += 1;
-                if self.stall >= k {
-                    self.done = true;
-                    return true;
-                }
-            } else {
-                self.stall = 0;
-            }
-            self.last_cost = cost;
-        }
-        if limiter.at_minimum(t) && t <= s_t * FINAL_SCALED_T {
-            self.done = true;
-            return true;
-        }
-        let next = schedule.next(t, s_t);
-        if next <= 0.0 || !next.is_finite() {
-            self.done = true;
-            return true;
-        }
-        self.t = next;
-        if self.history.len() >= MAX_STEPS {
-            self.done = true;
-            return true;
-        }
-        false
     }
 
     /// Closes the run into a [`Stage1Result`] over the final state.

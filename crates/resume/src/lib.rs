@@ -45,10 +45,12 @@ pub mod codec;
 pub const MAGIC: &str = "twmc-ckpt";
 /// Current checkpoint format version. Version 2 added the adaptive
 /// tempering-ladder state (per-rung temperatures, per-pair gap ratios,
-/// per-pair swap counters) and the all-rung quench payload; version-1
-/// checkpoints carry a static ladder that no longer exists, so they are
-/// rejected rather than silently misresumed.
-pub const VERSION: u64 = 2;
+/// per-pair swap counters) and the all-rung quench payload. Version 3
+/// stores tempering rungs as the same replica records multi-start uses
+/// (cooling run included) and adds the ladder's round count to the
+/// quench payload. Older checkpoints are rejected rather than silently
+/// misresumed.
+pub const VERSION: u64 = 3;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]
@@ -311,7 +313,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let payload = sample_payload();
         let text = encode(&payload);
-        assert!(text.starts_with("{\"magic\":\"twmc-ckpt\",\"version\":2,"));
+        assert!(text.starts_with("{\"magic\":\"twmc-ckpt\",\"version\":3,"));
         let back = decode(&text).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), {
             serde_json::to_string(&payload).unwrap()
@@ -345,16 +347,20 @@ mod tests {
             Err(CheckpointError::BadMagic(m)) if m == "not-a-ckpt"
         ));
 
-        let wrong_version = text.replace("\"version\":2", "\"version\":99");
+        let current = format!("\"version\":{VERSION}");
+        let wrong_version = text.replace(&current, "\"version\":99");
         assert!(matches!(
             decode(&wrong_version),
             Err(CheckpointError::BadVersion(99))
         ));
 
-        // A version-1 envelope (the pre-adaptive-ladder format) is
+        // Version-1 (static ladder) and version-2 (separate rung
+        // records, no ladder round count in the quench) envelopes are
         // rejected as version skew, not misread.
-        let v1 = text.replace("\"version\":2", "\"version\":1");
+        let v1 = text.replace(&current, "\"version\":1");
         assert!(matches!(decode(&v1), Err(CheckpointError::BadVersion(1))));
+        let v2 = text.replace(&current, "\"version\":2");
+        assert!(matches!(decode(&v2), Err(CheckpointError::BadVersion(2))));
 
         let tampered = text.replace("\"step\":17", "\"step\":18");
         assert!(matches!(

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 
 use serde::Value;
 use twmc_resume::codec::f64_bits;
-use twmc_resume::{decode, encode, read_checkpoint, write_checkpoint, CheckpointError};
+use twmc_resume::{decode, encode, read_checkpoint, write_checkpoint, CheckpointError, VERSION};
 
 /// Lowercase identifier-like strings (the shape real payload keys and
 /// tags take; content is irrelevant to the corruption properties).
@@ -78,9 +78,9 @@ proptest! {
 
     #[test]
     fn unknown_versions_are_rejected_by_number(payload in arb_payload(), version in any::<u64>()) {
-        prop_assume!(version != 2);
+        prop_assume!(version != VERSION);
         let text = encode(&payload).replacen(
-            "\"version\":2,",
+            &format!("\"version\":{VERSION},"),
             &format!("\"version\":{version},"),
             1,
         );

@@ -172,14 +172,14 @@ fn route_inner(
     cancel: Option<&CancelToken>,
 ) -> Result<GlobalRouting, StopReason> {
     let route_time = Interval::RouteIter.open();
-    // Span lane for this routing execution: one `route_net` span per
-    // net's phase-1 enumeration and a `route_select` span for the
-    // phase-2 interchange, inside the `route_iter` span that closing
-    // `route_time` adds to the same lane. Per-net clocks are read only
-    // when a tracer is attached; the RNG is never touched, so routing
-    // stays bit-identical.
+    // The calling thread's `main` lane: one `route_net` span per net's
+    // phase-1 enumeration and a `route_select` span for the phase-2
+    // interchange, inside the `route_iter` span that closing
+    // `route_time` adds to the same lane, inside the caller's stage
+    // span. Per-net clocks are read only when a tracer is attached; the
+    // RNG is never touched, so routing stays bit-identical.
     let tracer = rec.tracer().cloned();
-    let mut lane = tracer.as_ref().map(|tr| tr.lane("route"));
+    let mut lane = tracer.as_ref().map(|tr| tr.lane("main"));
     let graph = build_channel_graph(geometry, params.track_spacing);
     let mut rng = StdRng::seed_from_u64(seed);
     // Search buffers and distance tables shared by every net's phase-1

@@ -753,6 +753,7 @@ impl Daemon {
                     .with_vfs(Arc::clone(&self.opts.vfs)),
             ),
             resume,
+            ..RunCtrl::default()
         };
 
         // Fault isolation: a panic anywhere in the pipeline fails this

@@ -386,6 +386,7 @@ fn run_options_from(flags: &Flags) -> Result<(RunCtrl, bool), String> {
             cancel,
             writer: checkpoint,
             resume,
+            ..RunCtrl::default()
         },
         resuming,
     ))
@@ -601,6 +602,14 @@ fn cmd_serve(flags: &Flags) -> Result<ExitCode, String> {
         Some(spec) => {
             let sched = timberwolfmc::fault::FaultSchedule::parse(spec)
                 .map_err(|e| format!("--fault-schedule: {e}"))?;
+            // Replica faults live on a run's controller, which the
+            // daemon builds per job; refuse them rather than drop them.
+            if sched.has_replica_panics() {
+                return Err(format!(
+                    "--fault-schedule: `panic=` clauses inject replica faults into a \
+                     single run and are not supported by `twmc serve` (got `{spec}`)"
+                ));
+            }
             std::sync::Arc::new(timberwolfmc::fault::FaultVfs::new(sched).with_abort())
         }
         None => std::sync::Arc::new(timberwolfmc::fault::RealVfs),

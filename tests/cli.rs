@@ -454,3 +454,21 @@ fn malformed_flag_values_are_errors() {
     rejects(&diff, "`1,5` for --max-teil-pct");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn serve_refuses_replica_fault_clauses() {
+    // The daemon builds each job's run controller itself, so a `panic=`
+    // clause could never reach a run: the flag is refused before the
+    // daemon starts, not silently dropped.
+    let spool = std::env::temp_dir().join(format!("twmc-cli-spool-{}", std::process::id()));
+    let out = twmc()
+        .args(["serve", "--listen", "127.0.0.1:0", "--spool"])
+        .arg(&spool)
+        .args(["--fault-schedule", "eio=write:x@9, panic=replica:0@3"])
+        .output()
+        .expect("run twmc serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("`panic=`"), "{stderr}");
+    assert!(!spool.exists(), "a refused daemon created its spool");
+}

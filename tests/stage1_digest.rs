@@ -342,3 +342,82 @@ fn golden_refinement_digest() {
     }
     assert_eq!(h.0, 594_021_179_809_433_069, "refinement placement changed");
 }
+
+/// A 5-replica tempering run, which splits into a 3-rung and a 2-rung
+/// ladder: the winner's placement, which rung won, every ladder report
+/// field (TEIL trajectory and rung temperature bits included) and the
+/// per-pair swap counts — the same at any thread count, for both swap
+/// cadences.
+#[test]
+fn golden_tempering_digest() {
+    let params = PlaceParams {
+        attempts_per_cell: 1,
+        normalization_samples: 8,
+        ..Default::default()
+    };
+    let nl = synthesize(&SynthParams {
+        cells: 14,
+        nets: 30,
+        pins: 110,
+        custom_fraction: 0.3,
+        rectilinear_fraction: 0.3,
+        avg_cell_dim: 24,
+        seed: 21,
+        ..Default::default()
+    });
+    for (swap_interval, golden) in [
+        (1, 2_281_160_520_208_257_586),
+        (2, 1_277_423_836_823_658_496),
+    ] {
+        for threads in [1, 2] {
+            let tempering = ParallelParams {
+                replicas: 5,
+                threads,
+                strategy: Strategy::Tempering,
+                swap_interval,
+                rounds: 0,
+            };
+            let (st, result, report) = parallel_stage1(
+                &nl,
+                &params,
+                &EstimatorParams::default(),
+                &CoolingSchedule::stage1(),
+                &tempering,
+                17,
+            );
+            let mut h = Fnv1a::new();
+            h.run(&st, &result);
+            h.int(report.best_replica as i64);
+            assert_eq!(report.replica_reports.len(), 5);
+            for r in &report.replica_reports {
+                h.int(r.replica as i64);
+                h.int(r.seed as i64);
+                h.float(r.rung_temperature.expect("every rung has a temperature"));
+                h.float(r.teil);
+                h.float(r.cost);
+                h.int(r.attempts as i64);
+                h.int(r.accepts as i64);
+                h.int(r.teil_trajectory.len() as i64);
+                for &teil in &r.teil_trajectory {
+                    h.float(teil);
+                }
+            }
+            h.int(report.swaps.attempts as i64);
+            h.int(report.swaps.accepts as i64);
+            for pair in &report.swaps.pairs {
+                h.int(pair.attempts as i64);
+                h.int(pair.accepts as i64);
+            }
+            // The pair that straddles the two ladders never swaps; the
+            // pairs inside them do.
+            let attempts: Vec<usize> = report.swaps.pairs.iter().map(|p| p.attempts).collect();
+            assert_eq!(attempts.len(), 4);
+            assert_eq!(attempts[2], 0, "pairs {attempts:?}");
+            assert!(attempts.iter().enumerate().all(|(i, &a)| i == 2 || a > 0));
+            assert_eq!(
+                h.0, golden,
+                "tempering placement changed at {threads} threads, swap interval {swap_interval}"
+            );
+        }
+    }
+}

@@ -146,22 +146,24 @@ fn tempering_run_covers_replica_and_swap_kinds() {
     assert!(!rec.place_temps("tempering").is_empty());
     assert!(!rec.place_temps("quench").is_empty());
 
-    // The trace sees the quench too: each rung's quench steps land on
-    // its `replica<k>` lane, one `temp_step` span per step.
+    // The trace sees every sweep: each rung's ladder and quench steps
+    // land on its `replica<k>` lane, one `temp_step` span per step.
     let snap = tracer.collect();
     for rung in 0..2 {
-        let steps = rec
-            .place_temps("quench")
-            .iter()
-            .filter(|p| p.replica == rung)
-            .count();
-        assert!(steps > 0, "rung {rung} never quenched");
+        let steps = |phase| {
+            rec.place_temps(phase)
+                .iter()
+                .filter(|p| p.replica == rung)
+                .count()
+        };
+        assert!(steps("quench") > 0, "rung {rung} never quenched");
         let lane = snap
             .lane(&format!("replica{rung}"))
-            .unwrap_or_else(|| panic!("no trace lane for rung {rung}'s quench"));
+            .unwrap_or_else(|| panic!("no trace lane for rung {rung}"));
         let spans = lane.spans.iter().filter(|s| s.name == "temp_step").count();
-        assert_eq!(spans, steps, "rung {rung}");
+        assert_eq!(spans, steps("tempering") + steps("quench"), "rung {rung}");
     }
+    assert!(snap.lanes.iter().all(|l| !l.name.starts_with("rung")));
 }
 
 /// Every interval is timed once: the `stage_span` event, the trace span
@@ -231,12 +233,45 @@ fn each_interval_reads_one_clock() {
             l.spans.iter().filter(|s| s.name == name).count() as u64
         })
     };
-    let writes = count("ckpt", "checkpoint_write");
+    let writes = count("main", "checkpoint_write");
     assert!(writes >= 2, "stage 1 and the stage-2 mark both write");
     assert_eq!(hub.checkpoint_writes_total.value(), writes);
     assert_eq!(hub.checkpoint_write_ms.count(), writes);
-    let routes = count("route", "route_iter");
+    let routes = count("main", "route_iter");
     assert_eq!(routes as usize, config.refine.refinements + 3);
     assert_eq!(hub.route_iters_total.value(), routes);
     assert_eq!(hub.route_iter_ms.count(), routes);
+}
+
+/// One lane per producing thread: a single-replica run records every
+/// span on `main`, so the profile nests the checkpoint writes and the
+/// router's spans inside the stages that contain them, and the self
+/// times add up to the run span instead of counting that time twice.
+#[test]
+fn profile_self_times_sum_to_the_run_span() {
+    let nl = circuit();
+    let config = quick_config(6);
+    let ckpt = std::env::temp_dir().join(format!("twmc-profile-{}.ckpt", std::process::id()));
+    let tracer = Tracer::new();
+    let mut rec = Instrumented::new(SummaryRecorder::new(), None, Some(tracer.clone()));
+    let opts = RunCtrl {
+        writer: Some(CheckpointWriter::new(&ckpt, 2)),
+        ..Default::default()
+    };
+    let outcome = run_timberwolf_resilient(&nl, &config, opts, &mut rec as &mut dyn Recorder);
+    assert!(matches!(outcome, Ok(RunOutcome::Complete(_))));
+    let _ = std::fs::remove_file(&ckpt);
+    let snap = tracer.collect();
+    assert_eq!(snap.lanes.len(), 1, "one writer, one lane");
+    let profile = timberwolfmc::trace::profile(&snap);
+    for name in ["checkpoint_write", "route_iter", "route_net", "temp_step"] {
+        assert!(profile.row(name).is_some(), "no `{name}` span");
+    }
+    let run = profile.row("run").expect("run span").incl_ns as f64;
+    let self_total: u64 = profile.rows.iter().map(|r| r.excl_ns).sum();
+    let ratio = self_total as f64 / run;
+    assert!(
+        (ratio - 1.0).abs() <= 0.01,
+        "self times sum to {self_total} ns against a {run} ns run ({ratio:.3}x)"
+    );
 }
