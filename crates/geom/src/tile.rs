@@ -94,15 +94,29 @@ impl TileSet {
     ///
     /// Panics if `w` or `h` is not positive.
     pub fn rect(w: i64, h: i64) -> Self {
+        let mut out = TileSet {
+            tiles: Vec::with_capacity(1),
+            bbox: Rect::from_wh(0, 0, 0, 0),
+        };
+        out.set_rect(w, h);
+        out
+    }
+
+    /// Overwrites this set with a single `w × h` rectangle, reusing its
+    /// tile buffer: the in-place form of [`TileSet::rect`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `w` or `h` is not positive.
+    pub fn set_rect(&mut self, w: i64, h: i64) {
         assert!(
             w > 0 && h > 0,
             "cell dimensions must be positive, got {w}x{h}"
         );
         let r = Rect::from_wh(0, 0, w, h);
-        TileSet {
-            tiles: vec![r],
-            bbox: r,
-        }
+        self.tiles.clear();
+        self.tiles.push(r);
+        self.bbox = r;
     }
 
     /// The tiles, in cell-local coordinates.
@@ -143,13 +157,23 @@ impl TileSet {
     /// The tile set under the given orientation (tiles transformed, bbox
     /// dimensions possibly swapped).
     pub fn oriented(&self, o: Orientation) -> TileSet {
-        let (w, h) = (self.width(), self.height());
-        let tiles: Vec<Rect> = self.tiles.iter().map(|t| o.apply_rect(*t, w, h)).collect();
+        let mut out = TileSet {
+            tiles: Vec::with_capacity(self.tiles.len()),
+            bbox: self.bbox,
+        };
+        out.set_oriented(self, o);
+        out
+    }
+
+    /// Overwrites this set with `src` under orientation `o`, reusing its
+    /// tile buffer: the in-place form of [`TileSet::oriented`].
+    pub fn set_oriented(&mut self, src: &TileSet, o: Orientation) {
+        let (w, h) = (src.width(), src.height());
+        self.tiles.clear();
+        self.tiles
+            .extend(src.tiles.iter().map(|t| o.apply_rect(*t, w, h)));
         let (ww, hh) = o.apply_dims(w, h);
-        TileSet {
-            tiles,
-            bbox: Rect::from_wh(0, 0, ww, hh),
-        }
+        self.bbox = Rect::from_wh(0, 0, ww, hh);
     }
 
     /// Overlap area between `self` placed with its bbox lower-left corner
@@ -180,6 +204,10 @@ impl TileSet {
     /// intersection, as the dynamic estimator prescribes (paper §2.2).
     ///
     /// `exp` order is `(left, right, bottom, top)`.
+    ///
+    /// The expanded bboxes are intersected first: when they are disjoint
+    /// no tiles can meet, and when both sets hold a single tile that tile
+    /// *is* the bbox, so their intersection is the answer.
     #[allow(clippy::too_many_arguments)]
     pub fn expanded_overlap_area_at(
         &self,
@@ -192,8 +220,9 @@ impl TileSet {
         let grow = |r: Rect, e: (i64, i64, i64, i64)| r.expand_sides(e.0, e.1, e.2, e.3);
         let self_bb = grow(self.bbox.translate(at), exp);
         let other_bb = grow(other.bbox.translate(other_at), other_exp);
-        if self_bb.overlap_area(other_bb) == 0 {
-            return 0;
+        let bb_overlap = self_bb.overlap_area(other_bb);
+        if bb_overlap == 0 || (self.tiles.len() == 1 && other.tiles.len() == 1) {
+            return bb_overlap;
         }
         let mut total = 0;
         for t in &self.tiles {

@@ -35,6 +35,20 @@ fn arb_tileset() -> impl Strategy<Value = TileSet> {
     })
 }
 
+/// Points close enough that tile sets placed at two of them often meet.
+fn arb_near_point() -> impl Strategy<Value = Point> {
+    (-60i64..60, -60i64..60).prop_map(|(x, y)| Point::new(x, y))
+}
+
+/// Per-side expansions `(left, right, bottom, top)`.
+fn arb_expansions() -> impl Strategy<Value = (i64, i64, i64, i64)> {
+    (0i64..25, 0i64..25, 0i64..25, 0i64..25)
+}
+
+fn grow(r: Rect, e: (i64, i64, i64, i64)) -> Rect {
+    r.expand_sides(e.0, e.1, e.2, e.3)
+}
+
 proptest! {
     #[test]
     fn manhattan_is_a_metric(a in arb_point(), b in arb_point(), c in arb_point()) {
@@ -161,6 +175,69 @@ proptest! {
         let t = ts.oriented(o);
         prop_assert_eq!(t.area(), ts.area());
         prop_assert_eq!(t.perimeter(), ts.perimeter());
+    }
+
+    /// `set_oriented` into a reused set of another shape equals
+    /// `oriented`, and orienting a rectangle is the rectangle of the
+    /// oriented dims.
+    #[test]
+    fn in_place_forms_match_the_allocating_ones(
+        ts in arb_tileset(),
+        other in arb_tileset(),
+        o in arb_orientation(),
+        (w, h) in (1i64..200, 1i64..200),
+    ) {
+        let mut reused = other.clone();
+        reused.set_oriented(&ts, o);
+        prop_assert_eq!(&reused, &ts.oriented(o));
+        let (ww, hh) = o.apply_dims(w, h);
+        reused.set_rect(ww, hh);
+        prop_assert_eq!(&reused, &TileSet::rect(w, h).oriented(o));
+    }
+
+    /// On single-tile sets the expanded overlap is the overlap of the
+    /// two expanded rects: the shortcut that skips the tile loop.
+    #[test]
+    fn single_tile_expanded_overlap_is_the_rect_overlap(
+        (w1, h1, w2, h2) in (1i64..120, 1i64..120, 1i64..120, 1i64..120),
+        o in arb_orientation(),
+        at in arb_near_point(),
+        other_at in arb_near_point(),
+        exp in arb_expansions(),
+        other_exp in arb_expansions(),
+    ) {
+        let a = TileSet::rect(w1, h1).oriented(o);
+        let b = TileSet::rect(w2, h2);
+        let ra = grow(Rect::from_wh(at.x, at.y, a.width(), a.height()), exp);
+        let rb = grow(Rect::from_wh(other_at.x, other_at.y, w2, h2), other_exp);
+        prop_assert_eq!(
+            a.expanded_overlap_area_at(at, exp, &b, other_at, other_exp),
+            ra.overlap_area(rb)
+        );
+    }
+
+    /// On any tile sets the expanded overlap is the tile-by-tile sum of
+    /// expanded-tile intersections (paper eq. 8 on expanded tiles).
+    #[test]
+    fn expanded_overlap_is_the_tile_by_tile_sum(
+        a in arb_tileset(),
+        b in arb_tileset(),
+        oa in arb_orientation(),
+        ob in arb_orientation(),
+        at in arb_near_point(),
+        other_at in arb_near_point(),
+        exp in arb_expansions(),
+        other_exp in arb_expansions(),
+    ) {
+        let (a, b) = (a.oriented(oa), b.oriented(ob));
+        let mut sum = 0;
+        for t in a.tiles() {
+            for u in b.tiles() {
+                sum += grow(t.translate(at), exp)
+                    .overlap_area(grow(u.translate(other_at), other_exp));
+            }
+        }
+        prop_assert_eq!(a.expanded_overlap_area_at(at, exp, &b, other_at, other_exp), sum);
     }
 
     #[test]

@@ -47,17 +47,6 @@ impl RunScope {
             ..self
         }
     }
-
-    /// The trace lane this scope's spans belong on: `replica<k>` for
-    /// replica/rung runs, `main` otherwise (one lane per writer
-    /// thread; single-replica stages all run on the caller's thread).
-    pub fn lane_name(&self) -> String {
-        if self.replica >= 0 {
-            format!("replica{}", self.replica)
-        } else {
-            "main".to_owned()
-        }
-    }
 }
 
 impl Default for RunScope {

@@ -166,8 +166,9 @@ pub(crate) trait Rounds<'a>: Sync {
     fn more(&self, reps: &[Replica<'a>], round: usize) -> bool;
     /// Whether the live `rep` sweeps this round.
     fn sweeps(&self, rep: &Replica<'a>) -> bool;
-    /// Runs `rep`'s sweep of round `round` on a worker thread.
-    fn sweep(&self, rep: &mut Replica<'a>, round: usize, rec: &mut dyn Recorder);
+    /// Runs `rep`'s sweep of round `round` on a worker thread, tracing
+    /// its moves on trace lane `lane`.
+    fn sweep(&self, rep: &mut Replica<'a>, round: usize, rec: &mut dyn Recorder, lane: &str);
     /// Runs on the orchestrator once round `round`'s failures are
     /// retired and its telemetry drained, before the cancellation probe.
     fn after_round(&mut self, _reps: &mut [Replica<'a>], _round: usize, _rec: &mut dyn Recorder) {}
@@ -206,7 +207,7 @@ impl<'a> Rounds<'a> for Cooling<'_, 'a> {
         !rep.run.done
     }
 
-    fn sweep(&self, rep: &mut Replica<'a>, _round: usize, rec: &mut dyn Recorder) {
+    fn sweep(&self, rep: &mut Replica<'a>, _round: usize, rec: &mut dyn Recorder, lane: &str) {
         rep.run.step(
             &mut rep.state,
             self.place,
@@ -218,6 +219,7 @@ impl<'a> Rounds<'a> for Cooling<'_, 'a> {
             &mut rep.rng,
             rec,
             (self.scope)(rep.index),
+            lane,
         );
     }
 
@@ -328,8 +330,11 @@ pub(crate) fn run_controlled<'a>(
 /// interrupted at a round boundary has therefore emitted an exact
 /// prefix of the uninterrupted stream, and the resumed run emits
 /// exactly the remaining suffix. The hub and the tracer ride into the
-/// workers, so each replica's moves fill the per-move histogram and its
-/// own `replica<k>` trace lane (`main` for a single run). Checkpoints
+/// workers, so each replica's moves fill the per-move histogram and the
+/// trace lane of the thread that runs them: its own `replica<k>` on a
+/// pool worker, and `main` when the pool runs every sweep inline on the
+/// orchestrator (one thread, or a single run), whose `stage1` span then
+/// contains them on the same lane. Checkpoints
 /// hold every replica, the failures and the strategy's
 /// [`Rounds::state`] under the config digest `config`.
 #[allow(clippy::too_many_arguments)]
@@ -344,13 +349,24 @@ pub(crate) fn drive<'a>(
     ctrl: &mut RunCtrl,
 ) -> Result<Option<StopReason>, OrchestratorError> {
     let enabled = rec.enabled();
+    let inline = pool::runs_inline(reps.len(), threads);
+    let lanes: Vec<String> = reps
+        .iter()
+        .map(|r| {
+            if inline {
+                "main".to_owned()
+            } else {
+                format!("replica{}", r.index)
+            }
+        })
+        .collect();
     let mut round = first;
     while rounds.more(reps, round) {
         let before: usize = reps.iter().map(|r| r.run.moves.attempts()).sum();
         let hub = rec.hub().cloned();
         let tracer = rec.tracer().cloned();
         let (policy, faults) = (&*rounds, &ctrl.faults);
-        let outcomes = pool::try_run_mut(reps, threads, |_, rep| {
+        let outcomes = pool::try_run_mut(reps, threads, |i, rep| {
             if !rep.live() || !policy.sweeps(rep) {
                 return;
             }
@@ -361,6 +377,7 @@ pub(crate) fn drive<'a>(
                 rep,
                 round,
                 &mut Instrumented::new(sink, hub.clone(), tracer.clone()),
+                &lanes[i],
             );
             rep.local = local;
         });

@@ -103,6 +103,12 @@ where
         .collect()
 }
 
+/// Whether [`try_run_mut`] over `n` items on up to `threads` workers
+/// runs every job on the calling thread instead of spawning workers.
+pub(crate) fn runs_inline(n: usize, threads: usize) -> bool {
+    threads.clamp(1, n.max(1)) <= 1
+}
+
 /// Applies `job(index, item)` to every item on up to `threads` workers,
 /// returning one fault-isolated result per item.
 ///
@@ -119,7 +125,7 @@ where
 {
     let n = items.len();
     let threads = threads.clamp(1, n.max(1));
-    if threads <= 1 {
+    if runs_inline(n, threads) {
         return items
             .iter_mut()
             .enumerate()

@@ -227,7 +227,7 @@ impl<'a> Rounds<'a> for Ladder<'_, 'a> {
         t > self.t_floor && t < self.ctx.t_infinity
     }
 
-    fn sweep(&self, rep: &mut Replica<'a>, round: usize, rec: &mut dyn Recorder) {
+    fn sweep(&self, rep: &mut Replica<'a>, round: usize, rec: &mut dyn Recorder, lane: &str) {
         rep.run.sweep(
             &mut rep.state,
             self.place,
@@ -243,6 +243,7 @@ impl<'a> Rounds<'a> for Ladder<'_, 'a> {
                 iteration: round as u64,
                 replica: rep.index as i64,
             },
+            lane,
         );
     }
 

@@ -149,24 +149,30 @@ pub enum MoveSet {
 /// Runs one cell-geometry attempt: save the involved cells, mutate via
 /// `apply`, Metropolis-test, and on rejection put the saved record back.
 ///
+/// `resizes` says whether `apply` may change a cell's dims (the aspect
+/// change): only then can `C₃` change, so only then is it summed (see
+/// [`PlacementState::attempt_cost`]).
+///
 /// `known` is the cost of the current state over `involved` when the
 /// caller has it: a rejected attempt restores exactly the state its
-/// `before` was measured on, so a retry over the same cells passes that
-/// back instead of re-evaluating it. Returns whether the move was
-/// accepted, and the `before` cost.
+/// `before` was measured on, so a retry over the same cells and with the
+/// same `resizes` passes that back instead of re-evaluating it. Returns
+/// whether the move was accepted, and the `before` cost.
 fn attempt_cells(
     st: &mut PlacementState<'_>,
     involved: &[usize],
+    resizes: bool,
     known: Option<MoveCost>,
     t: f64,
     rng: &mut StdRng,
     apply: impl FnOnce(&mut PlacementState<'_>),
 ) -> (bool, MoveCost) {
     st.save_attempt(involved);
-    let before = known.unwrap_or_else(|| st.move_cost(involved, st.attempt_nets()));
-    debug_assert!(known.is_none() || known == Some(st.move_cost(involved, st.attempt_nets())));
+    let cost = |st: &PlacementState<'_>| st.attempt_cost(involved, st.attempt_nets(), resizes);
+    let before = known.unwrap_or_else(|| cost(st));
+    debug_assert!(known.is_none() || known == Some(cost(st)));
     apply(st);
-    let after = st.move_cost(involved, st.attempt_nets());
+    let after = cost(st);
     let delta = st.weighted_delta(before, after);
     let accepted = metropolis(delta, t, rng);
     if accepted {
@@ -177,11 +183,10 @@ fn attempt_cells(
     (accepted, before)
 }
 
-/// The aspect-inverted displacement: re-orient, then move — one refresh.
+/// The aspect-inverted displacement: re-orient and move in one refresh.
 fn displace_inverted(st: &mut PlacementState<'_>, i: usize, target: Point) {
     let inverted = st.cell(i).orientation.aspect_inverted();
-    st.reorient(i, inverted);
-    st.set_cell_center(i, target);
+    st.reorient_at(i, inverted, target);
 }
 
 /// The pairwise interchange of two cell centers, optionally with both
@@ -192,11 +197,12 @@ fn interchange(st: &mut PlacementState<'_>, i: usize, j: usize, inverted: bool) 
     if inverted {
         let oi = st.cell(i).orientation.aspect_inverted();
         let oj = st.cell(j).orientation.aspect_inverted();
-        st.reorient(i, oi);
-        st.reorient(j, oj);
+        st.reorient_at(i, oi, cj);
+        st.reorient_at(j, oj, ci);
+    } else {
+        st.set_cell_center(i, cj);
+        st.set_cell_center(j, ci);
     }
-    st.set_cell_center(i, cj);
-    st.set_cell_center(j, ci);
 }
 
 /// A pin-reassignment attempt: `pins[k]` moves to slot `start + k`
@@ -302,14 +308,15 @@ pub fn generate(
             raw.y.clamp(core.lo().y, core.hi().y),
         );
 
-        let (mut accepted, before) =
-            attempt_cells(st, &[i], None, t, rng, |s| s.set_cell_center(i, target));
+        let (mut accepted, before) = attempt_cells(st, &[i], false, None, t, rng, |s| {
+            s.set_cell_center(i, target)
+        });
         MoveStats::add(&mut stats.displacements, accepted);
 
         // The retries start from the state the rejected attempt restored.
         if !accepted && move_set == MoveSet::Full {
             // Retry with the aspect ratio inverted (paper Fig. 2).
-            (accepted, _) = attempt_cells(st, &[i], Some(before), t, rng, |s| {
+            (accepted, _) = attempt_cells(st, &[i], false, Some(before), t, rng, |s| {
                 displace_inverted(s, i, target)
             });
             MoveStats::add(&mut stats.inverted_displacements, accepted);
@@ -321,7 +328,7 @@ pub fn generate(
                 if o == cur {
                     o = o.aspect_inverted();
                 }
-                let (acc, _) = attempt_cells(st, &[i], Some(before), t, rng, |s| {
+                let (acc, _) = attempt_cells(st, &[i], false, Some(before), t, rng, |s| {
                     s.set_cell_orientation(i, o)
                 });
                 MoveStats::add(&mut stats.orientations, acc);
@@ -341,8 +348,9 @@ pub fn generate(
                 // Aspect-ratio change within the specified bounds.
                 if let twmc_netlist::CellGeometry::Flexible { aspect, .. } = &cell.geometry {
                     let ratio = aspect.sample(rng.random::<f64>());
-                    let (acc, _) =
-                        attempt_cells(st, &[i], None, t, rng, |s| s.set_cell_aspect(i, ratio));
+                    let (acc, _) = attempt_cells(st, &[i], true, None, t, rng, |s| {
+                        s.set_cell_aspect(i, ratio)
+                    });
                     MoveStats::add(&mut stats.aspect_moves, acc);
                 }
             }
@@ -350,7 +358,8 @@ pub fn generate(
             // Instance selection for multi-instance macro cells.
             let k = rng.random_range(0..cell.instance_count());
             if k != st.cell(i).instance {
-                let (acc, _) = attempt_cells(st, &[i], None, t, rng, |s| s.set_cell_instance(i, k));
+                let (acc, _) =
+                    attempt_cells(st, &[i], false, None, t, rng, |s| s.set_cell_instance(i, k));
                 MoveStats::add(&mut stats.instance_moves, acc);
             }
         }
@@ -361,14 +370,15 @@ pub fn generate(
         if j == i {
             j = (j + 1) % n;
         }
-        let (accepted, before) =
-            attempt_cells(st, &[i, j], None, t, rng, |s| interchange(s, i, j, false));
+        let (accepted, before) = attempt_cells(st, &[i, j], false, None, t, rng, |s| {
+            interchange(s, i, j, false)
+        });
         MoveStats::add(&mut stats.interchanges, accepted);
 
         if !accepted && move_set == MoveSet::Full {
             // Retry with both aspect ratios inverted, from the restored
             // state.
-            let (acc, _) = attempt_cells(st, &[i, j], Some(before), t, rng, |s| {
+            let (acc, _) = attempt_cells(st, &[i, j], false, Some(before), t, rng, |s| {
                 interchange(s, i, j, true)
             });
             MoveStats::add(&mut stats.inverted_interchanges, acc);
@@ -445,7 +455,7 @@ mod tests {
         let before_pos: Vec<Point> = st.cells().iter().map(|c| c.pos).collect();
         // Force a move onto cell 1's position: guaranteed overlap spike.
         let target = st.cell(1).center();
-        let (acc, _) = attempt_cells(&mut st, &[0], None, 1.0e-12, &mut rng, |s| {
+        let (acc, _) = attempt_cells(&mut st, &[0], false, None, 1.0e-12, &mut rng, |s| {
             s.set_cell_center(0, target)
         });
         assert!(!acc);
@@ -673,6 +683,151 @@ mod tests {
             let (_, ov, _) = st.recompute_totals();
             assert_eq!(st.raw_overlap(), ov, "class {class} on cells {involved:?}");
         }
+    }
+
+    /// Every pin where a recompute from the geometry puts it, and every
+    /// cached net span the hull of its primary pins — with `assert!`, so
+    /// release builds (without the engine's debug cross-checks) check it.
+    fn assert_pins_and_spans_exact(st: &PlacementState<'_>, what: &str) {
+        let nl = st.netlist();
+        let mut fresh = st.clone();
+        for i in 0..nl.cells().len() {
+            fresh.refresh_pins(i);
+        }
+        for p in 0..nl.pins().len() {
+            assert!(
+                st.pin_position(p) == fresh.pin_position(p),
+                "{what}: pin {p} at {} but its geometry puts it at {}",
+                st.pin_position(p),
+                fresh.pin_position(p)
+            );
+        }
+        for net in nl.nets() {
+            let hull = net.primary_pins().map(|p| st.pin_position(p.index())).fold(
+                None,
+                |acc: Option<(twmc_geom::Span, twmc_geom::Span)>, q| {
+                    let (qx, qy) = (
+                        twmc_geom::Span::new(q.x, q.x),
+                        twmc_geom::Span::new(q.y, q.y),
+                    );
+                    Some(acc.map_or((qx, qy), |(xs, ys)| (xs.hull(qx), ys.hull(qy))))
+                },
+            );
+            let n = net.id().index();
+            assert!(st.net_spans(n) == hull, "{what}: net {n} span drifted");
+        }
+    }
+
+    /// A 40-cell circuit with custom cells and L-shaped macros.
+    fn synthetic_40() -> Netlist {
+        synthesize(&SynthParams {
+            cells: 40,
+            nets: 100,
+            pins: 360,
+            custom_fraction: 0.3,
+            rectilinear_fraction: 0.4,
+            seed: 23,
+            ..Default::default()
+        })
+    }
+
+    /// Displacements and interchanges keep every cell's shape, so they
+    /// translate its pins instead of re-deriving them; the translated
+    /// pins and the spans maintained under the inward-exit rule must
+    /// equal a recompute after every move. Wandering `generate` calls in
+    /// between vary orientations, instances, aspects and pin sites.
+    #[test]
+    fn position_only_moves_translate_pins() {
+        let synthetic = synthetic_40();
+        assert!(synthetic.cells().iter().any(|c| c.is_custom()));
+        assert!(synthetic
+            .cells()
+            .iter()
+            .any(|c| c.instances().iter().any(|i| i.tiles.tiles().len() > 1)));
+        for nl in [every_shape(), synthetic] {
+            let mut st = state(&nl);
+            let mut rng = StdRng::seed_from_u64(43);
+            let params = PlaceParams::default();
+            let mut stats = MoveStats::default();
+            let core = st.estimator().core();
+            let n = nl.cells().len();
+            for trial in 0..300 {
+                if trial % 4 == 0 {
+                    generate(
+                        &mut st,
+                        &params,
+                        MoveSet::Full,
+                        core.width() as f64,
+                        core.height() as f64,
+                        1.0e3,
+                        &mut rng,
+                        &mut stats,
+                    );
+                }
+                let i = rng.random_range(0..n);
+                let j = (i + rng.random_range(1..n)) % n;
+                let target = Point::new(
+                    rng.random_range(core.lo().x..=core.hi().x),
+                    rng.random_range(core.lo().y..=core.hi().y),
+                );
+                let class = if trial % 2 == 0 { 0 } else { 5 };
+                mutate(&mut st, class, i, j, target, &mut rng);
+                assert_pins_and_spans_exact(&st, &format!("trial {trial}, class {class}"));
+            }
+        }
+    }
+
+    /// Only an aspect change can change `C₃`: every other move class
+    /// leaves the bits of every cell's site penalty as they were, which
+    /// is what lets those attempts skip summing it. Sites are crowded
+    /// first so the penalties are not all zero.
+    #[test]
+    fn cell_moves_leave_site_penalties_unchanged() {
+        let nl = every_shape();
+        let mut st = state(&nl);
+        for cell in 0..nl.cells().len() {
+            for u in st.pin_units(cell).to_vec() {
+                let pins = match u {
+                    PinUnit::Single(pin, _) => vec![pin],
+                    PinUnit::Group(g) => g.pins.clone(),
+                };
+                for pin in pins {
+                    let site = SiteRef {
+                        side: Side::Left,
+                        slot: 0,
+                    };
+                    st.set_pin_site(pin.index(), site);
+                }
+            }
+        }
+        let penalties = |st: &PlacementState<'_>| -> Vec<u64> {
+            st.cells()
+                .iter()
+                .map(|c| c.sites.as_ref().map_or(0, |s| s.penalty().to_bits()))
+                .collect()
+        };
+        assert!(penalties(&st).iter().any(|&p| p != 0));
+        let mut rng = StdRng::seed_from_u64(47);
+        let core = st.estimator().core();
+        let n = nl.cells().len();
+        let mut aspect_changed = 0;
+        for trial in 0..280 {
+            let i = rng.random_range(0..n);
+            let j = (i + rng.random_range(1..n)) % n;
+            let target = Point::new(
+                rng.random_range(core.lo().x..=core.hi().x),
+                rng.random_range(core.lo().y..=core.hi().y),
+            );
+            let class = trial % 7;
+            let before = penalties(&st);
+            mutate(&mut st, class, i, j, target, &mut rng);
+            if class == 3 {
+                aspect_changed += usize::from(penalties(&st) != before);
+            } else {
+                assert!(penalties(&st) == before, "class {class} on cell {i}");
+            }
+        }
+        assert!(aspect_changed > 0, "aspect changes never moved a penalty");
     }
 
     /// The pin-unit table lists, per cell, the cell's sited pins in

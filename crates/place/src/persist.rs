@@ -309,7 +309,9 @@ pub fn snapshot_value(s: &PlacementSnapshot, nl: &Netlist) -> Value {
                 nl.nets()
                     .iter()
                     .zip(&s.net_span)
-                    .map(|(net, &spans)| codec::f64_bits(net_cost(net, spans)))
+                    .map(|(net, &spans)| {
+                        codec::f64_bits(net_cost((net.weight_h, net.weight_v), spans))
+                    })
                     .collect(),
             ),
         ),
@@ -588,6 +590,7 @@ mod tests {
                 &mut rng,
                 &mut NullRecorder,
                 RunScope::STAGE1,
+                "main",
             );
         }
         let snap = state.snapshot();
@@ -657,6 +660,7 @@ mod tests {
                 &mut rng,
                 &mut NullRecorder,
                 RunScope::STAGE1,
+                "main",
             );
         }
         let text = twmc_resume::encode(&snapshot_value(&state.snapshot(), &nl));
@@ -686,6 +690,7 @@ mod tests {
                 &mut rng,
                 &mut NullRecorder,
                 RunScope::STAGE1,
+                "main",
             );
         }
         let decoded = cooling_run_from(&envelope_roundtrip(&cooling_run_value(&run))).unwrap();

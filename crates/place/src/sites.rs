@@ -49,14 +49,11 @@ impl SiteLayout {
     /// `t_s` rounded to a grid unit.
     pub fn new(w: i64, h: i64, sites_per_edge: u32, track_spacing: f64, kappa: f64) -> Self {
         let n = sites_per_edge.max(1);
-        let ts = track_spacing.max(1.0);
-        let cap_for = |len: i64| -> u32 { ((len as f64 / (n as f64 * ts)).floor() as u32).max(1) };
-        let cap = [cap_for(h), cap_for(h), cap_for(w), cap_for(w)];
         SiteLayout {
             sites_per_edge: n,
             w,
             h,
-            cap,
+            cap: capacities(w, h, n, track_spacing),
             occ: [
                 vec![0; n as usize],
                 vec![0; n as usize],
@@ -145,13 +142,22 @@ impl SiteLayout {
         self.occ.iter().flatten().sum()
     }
 
-    /// Rebuilds the layout for new dimensions (aspect-ratio move),
-    /// preserving occupancy by (side, slot).
-    pub fn resized(&self, w: i64, h: i64, track_spacing: f64) -> SiteLayout {
-        let mut out = SiteLayout::new(w, h, self.sites_per_edge, track_spacing, self.kappa);
-        out.occ = self.occ.clone();
-        out
+    /// Re-spaces the layout in place for new dimensions (aspect-ratio
+    /// move): the capacities follow the new edges, and occupancy by
+    /// (side, slot) is kept.
+    pub fn resize(&mut self, w: i64, h: i64, track_spacing: f64) {
+        self.w = w;
+        self.h = h;
+        self.cap = capacities(w, h, self.sites_per_edge, track_spacing);
     }
+}
+
+/// Per-side site capacities `[left, right, bottom, top]` of a `w × h`
+/// cell with `n` sites per edge: `max(1, edge_len / (n · t_s))`.
+fn capacities(w: i64, h: i64, n: u32, track_spacing: f64) -> [u32; 4] {
+    let ts = track_spacing.max(1.0);
+    let cap_for = |len: i64| -> u32 { ((len as f64 / (n as f64 * ts)).floor() as u32).max(1) };
+    [cap_for(h), cap_for(h), cap_for(w), cap_for(w)]
 }
 
 #[cfg(test)]
@@ -251,10 +257,16 @@ mod tests {
             slot: 2,
         };
         l.occupy(s);
-        let r = l.resized(20, 40, 2.0);
-        assert_eq!(r.occupancy(s), 1);
-        // Capacities follow the new dimensions.
-        assert_eq!(r.capacity(Side::Bottom), 2);
-        assert_eq!(r.capacity(Side::Left), 5);
+        l.resize(20, 40, 2.0);
+        assert_eq!(l.occupancy(s), 1);
+        assert_eq!(l.total_occupancy(), 1);
+        // Capacities and positions follow the new dimensions.
+        assert_eq!(l.capacity(Side::Bottom), 2);
+        assert_eq!(l.capacity(Side::Left), 5);
+        assert_eq!(l.position(s), Point::new(12, 0));
+        // The in-place form equals a fresh layout with the same occupancy.
+        let mut fresh = SiteLayout::new(20, 40, 4, 2.0, 5.0);
+        fresh.occupy(s);
+        assert_eq!(l, fresh);
     }
 }

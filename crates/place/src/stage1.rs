@@ -73,11 +73,13 @@ impl Stage1Result {
 /// Hard cap on temperature steps (a paper run is ≈120).
 const MAX_STEPS: usize = 1200;
 
-/// One move block in this many gets its cost terms attributed when a
-/// tracer is attached: the armed [`crate::CostClock`] adds ~12 clock
-/// reads per move, so sampling 1-in-16 blocks keeps the traced path
-/// within the benched <2% per-move overhead gate while still sampling
-/// hundreds of blocks per temperature step on real circuits.
+/// One move block in this many gets its `move_cost` time split across
+/// the three cost terms when a tracer is attached: the armed
+/// [`crate::CostClock`] adds ~12 clock reads per move, so sampling
+/// 1-in-16 blocks keeps the traced path within the benched <2% per-move
+/// overhead gate while still sampling hundreds of blocks per temperature
+/// step on real circuits. The terms' spans cover `move_cost` only; the
+/// rest of each attempt stays in the block's self time.
 pub const COST_ATTRIB_SAMPLE: usize = 16;
 
 /// One inner loop at temperature `t`: `inner` calls of [`generate`]
@@ -411,6 +413,7 @@ impl CoolingRun {
         rng: &mut StdRng,
         rec: &mut dyn Recorder,
         scope: RunScope,
+        lane: &str,
     ) -> bool {
         if self.done || self.history.len() >= MAX_STEPS {
             self.done = true;
@@ -419,7 +422,7 @@ impl CoolingRun {
         let t = self.t;
         let step = self.history.len();
         self.sweep(
-            state, params, move_set, limiter, s_t, t, step, rng, rec, scope,
+            state, params, move_set, limiter, s_t, t, step, rng, rec, scope, lane,
         );
         if let Some(k) = cost_stall {
             let cost = state.cost();
@@ -455,7 +458,8 @@ impl CoolingRun {
     /// it as one [`PlaceTemp`] labelled `scope` and numbered `step`.
     /// [`CoolingRun::step`] sweeps at the run's own temperature; a
     /// tempering rung sweeps at its ladder temperature, numbered by
-    /// round. Moves trace onto `scope`'s lane.
+    /// round. Moves trace onto trace lane `lane`, the one of the thread
+    /// that runs them.
     #[allow(clippy::too_many_arguments)]
     pub fn sweep(
         &mut self,
@@ -469,6 +473,7 @@ impl CoolingRun {
         rng: &mut StdRng,
         rec: &mut dyn Recorder,
         scope: RunScope,
+        lane: &str,
     ) {
         let inner = params.attempts_per_cell * state.cells().len();
         let wx = limiter.window_x(t);
@@ -485,7 +490,7 @@ impl CoolingRun {
             rng,
             &mut self.moves,
             rec.hub().map(|hub| &**hub),
-            rec.tracer().map(|tr| tr.lane(&scope.lane_name())),
+            rec.tracer().map(|tr| tr.lane(lane)),
         );
         self.history.push(TempRecord {
             temperature: t,
@@ -557,7 +562,8 @@ impl CoolingRun {
 /// step's attempts), and on a stop the partial result is returned with
 /// the reason. Events and the token stay outside the Metropolis loop and
 /// never touch the RNG, so the run is bit-identical to [`run_annealing`]
-/// for any recorder and any token that never fires.
+/// for any recorder and any token that never fires. The run's moves
+/// trace on lane `main`: it runs on the calling thread.
 #[allow(clippy::too_many_arguments)]
 pub fn run_annealing_cancellable(
     state: &mut PlacementState<'_>,
@@ -578,7 +584,7 @@ pub fn run_annealing_cancellable(
     loop {
         let before = run.moves;
         let finished = run.step(
-            state, params, move_set, schedule, limiter, s_t, cost_stall, rng, rec, scope,
+            state, params, move_set, schedule, limiter, s_t, cost_stall, rng, rec, scope, "main",
         );
         cancel.add_moves((run.moves.attempts() - before.attempts()) as u64);
         if finished {

@@ -21,7 +21,7 @@ use rand::Rng;
 use twmc_estimator::{Estimator, PinDensityFactors};
 use twmc_geom::{Orientation, Point, Rect, Side, Span, TileSet};
 use twmc_netlist::{
-    flexible_dims, CellGeometry, Net, NetId, Netlist, PinGroup, PinId, PinPlacement, SideSet,
+    flexible_dims, CellGeometry, NetId, Netlist, PinGroup, PinId, PinPlacement, SideSet,
 };
 
 use crate::index::BinGrid;
@@ -155,8 +155,8 @@ impl PlacementSnapshot {
     }
 }
 
-/// Wall time spent in the three cost terms of sampled move
-/// evaluations, nanoseconds.
+/// Wall time spent in the three cost terms of sampled
+/// [`PlacementState::move_cost`] calls, nanoseconds.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostTimes {
     /// Net bounding-span (`C₁`) evaluation time.
@@ -169,6 +169,16 @@ pub struct CostTimes {
 
 /// Interior-mutable stopwatch splitting [`PlacementState::move_cost`]
 /// wall time across its three cost terms.
+///
+/// It times only the terms a move attempt evaluates before and after
+/// its mutation: `C₁` read from the cached net spans, the overlap query
+/// and the site-penalty sum. Everything else an attempt does — moving
+/// pins and maintaining the spans, refreshing expansions, reshaping,
+/// saving, committing or rolling back — is outside it. A term's share
+/// of the clock is therefore a share of `move_cost` time, not of move
+/// evaluation: on the 100–400-cell `stage1_ladder` circuits the overlap
+/// query is about three quarters of the clock but under a third of a
+/// sampled whole-attempt profile.
 ///
 /// Armed by the tracing layer for sampled move blocks only; while
 /// disarmed, `move_cost` pays one predictable branch. Timing reads the
@@ -217,7 +227,10 @@ impl CostClock {
 pub struct PlacementState<'a> {
     nl: &'a Netlist,
     estimator: Estimator,
-    density: Vec<PinDensityFactors>,
+    /// Relative pin density factor of each cell per orientation and
+    /// placed side: `density[i][o as usize][side as usize]` is
+    /// `PinDensityFactors::factor_oriented(o, side)` of cell `i`.
+    density: Vec<[[f64; 4]; 8]>,
     cells: Vec<CellPlace>,
     pin_pos: Vec<Point>,
     pin_site: Vec<Option<SiteRef>>,
@@ -225,6 +238,8 @@ pub struct PlacementState<'a> {
     /// aspect change).
     fixed_frac: Vec<Option<(f64, f64)>>,
     nets_of_cell: Vec<Vec<NetId>>,
+    /// `(h(n), v(n))` weights of each net (eq. 6).
+    net_weight: Vec<(f64, f64)>,
     /// The net whose `C₁` span each pin enters: its own net when the pin
     /// is the primary member of a connection point, [`NO_NET`] otherwise.
     pin_net: Vec<u32>,
@@ -353,6 +368,10 @@ impl<'a> PlacementState<'a> {
         let rects: Vec<Rect> = cells.iter().map(|c| c.placed_bbox()).collect();
         let index = BinGrid::build(estimator.core(), target_bin, &rects);
 
+        let density = density
+            .iter()
+            .map(|d| Orientation::ALL.map(|o| Side::ALL.map(|side| d.factor_oriented(o, side))))
+            .collect();
         let mut state = PlacementState {
             nl,
             estimator,
@@ -362,6 +381,7 @@ impl<'a> PlacementState<'a> {
             pin_site: vec![None; n_pins],
             fixed_frac,
             nets_of_cell,
+            net_weight: nl.nets().iter().map(|n| (n.weight_h, n.weight_v)).collect(),
             pin_net,
             net_pin_start,
             net_pins,
@@ -380,7 +400,11 @@ impl<'a> PlacementState<'a> {
 
         // Random sites for uncommitted pins.
         state.assign_initial_sites(rng);
-        // Random positions.
+        // Pins from geometry at the origin; the random positions then
+        // move every cell, and its pins with it, by a plain offset.
+        for i in 0..state.cells.len() {
+            state.refresh_pins(i);
+        }
         state.randomize_positions(rng);
         state.rebuild_all();
         state
@@ -634,36 +658,48 @@ impl<'a> PlacementState<'a> {
     // --- geometry mutation primitives ------------------------------------
 
     /// Moves a cell so its oriented bbox lower-left corner is `pos`,
-    /// refreshing expansions and pin positions.
+    /// refreshing expansions. The shape is unchanged, so every pin moves
+    /// by the same offset.
     pub fn set_cell_pos(&mut self, i: usize, pos: Point) {
+        let offset = pos - self.cells[i].pos;
         self.cells[i].pos = pos;
         self.refresh_expansions(i);
-        self.refresh_pins(i);
+        self.translate_pins(i, offset);
     }
 
     /// Moves a cell so its center lands (up to rounding) on `center`.
     pub fn set_cell_center(&mut self, i: usize, center: Point) {
+        self.set_cell_pos(i, self.pos_for_center(i, center));
+    }
+
+    /// The position that puts cell `i`'s center (up to rounding) on
+    /// `center` under its current shape.
+    fn pos_for_center(&self, i: usize, center: Point) -> Point {
         let bb = self.cells[i].shape.bbox();
-        self.set_cell_pos(
-            i,
-            Point::new(center.x - bb.width() / 2, center.y - bb.height() / 2),
-        );
+        Point::new(center.x - bb.width() / 2, center.y - bb.height() / 2)
+    }
+
+    /// Puts a cell whose shape just changed (orientation, instance or
+    /// dims) at `center`: the pins are placed from the new geometry, not
+    /// translated.
+    fn recenter_reshaped(&mut self, i: usize, center: Point) {
+        self.cells[i].pos = self.pos_for_center(i, center);
+        self.refresh_expansions(i);
+        self.refresh_pins(i);
     }
 
     /// Re-orients a cell in place (center preserved up to rounding).
     pub fn set_cell_orientation(&mut self, i: usize, o: Orientation) {
         let center = self.cells[i].center();
-        self.reorient(i, o);
-        self.set_cell_center(i, center);
+        self.reorient_at(i, o, center);
     }
 
-    /// Sets a cell's orientation and oriented shape only: the position,
-    /// expansions, pins and index entry are left for the position setter
-    /// that must follow (the aspect-inverted retries move the cell right
-    /// after re-orienting it, which refreshes everything once).
-    pub(crate) fn reorient(&mut self, i: usize, o: Orientation) {
+    /// Re-orients a cell and centers it on `center` in one refresh (the
+    /// aspect-inverted retries move the cell while re-orienting it).
+    pub(crate) fn reorient_at(&mut self, i: usize, o: Orientation, center: Point) {
         self.cells[i].orientation = o;
-        self.cells[i].shape = self.oriented_shape(i);
+        self.reshape(i);
+        self.recenter_reshaped(i, center);
     }
 
     /// Selects another instance of a macro cell (center preserved).
@@ -680,8 +716,8 @@ impl<'a> PlacementState<'a> {
         let center = self.cells[i].center();
         self.cells[i].instance = instance;
         self.cells[i].dims = (tiles.width(), tiles.height());
-        self.cells[i].shape = self.oriented_shape(i);
-        self.set_cell_center(i, center);
+        self.reshape(i);
+        self.recenter_reshaped(i, center);
     }
 
     /// Changes a custom cell's aspect ratio (center preserved); pin sites
@@ -702,28 +738,35 @@ impl<'a> PlacementState<'a> {
         let cell = &mut self.cells[i];
         cell.aspect = ratio;
         cell.dims = (w, h);
-        cell.sites = cell.sites.as_ref().map(|s| s.resized(w, h, ts));
-        self.cells[i].shape = self.oriented_shape(i);
-        self.set_cell_center(i, center);
+        if let Some(sites) = &mut cell.sites {
+            sites.resize(w, h, ts);
+        }
+        self.reshape(i);
+        self.recenter_reshaped(i, center);
     }
 
     /// Reassigns an uncommitted pin to another site.
     pub fn set_pin_site(&mut self, pin: usize, site: SiteRef) {
         self.occupy(pin, site);
         let cell = self.nl.pins()[pin].cell.index();
-        self.refresh_pin(cell, pin);
+        let p = self.absolute(cell, self.custom_pin_local(cell, pin));
+        self.move_pin(pin, p);
     }
 
-    /// The tile geometry of a cell's current instance (macro) or dims
-    /// (custom) under its current orientation.
-    fn oriented_shape(&self, i: usize) -> TileSet {
-        let c = &self.cells[i];
-        match &self.nl.cells()[i].geometry {
+    /// Rewrites cell `i`'s cached shape, in its own tile buffer, as the
+    /// tile geometry of its current instance (macro) or dims (custom)
+    /// under its current orientation.
+    fn reshape(&mut self, i: usize) {
+        let nl = self.nl;
+        let c = &mut self.cells[i];
+        match &nl.cells()[i].geometry {
             CellGeometry::Fixed { instances } => {
-                instances[c.instance].tiles.oriented(c.orientation)
+                c.shape
+                    .set_oriented(&instances[c.instance].tiles, c.orientation);
             }
             CellGeometry::Flexible { .. } => {
-                TileSet::rect(c.dims.0, c.dims.1).oriented(c.orientation)
+                let (w, h) = c.orientation.apply_dims(c.dims.0, c.dims.1);
+                c.shape.set_rect(w, h);
             }
         }
     }
@@ -737,11 +780,10 @@ impl<'a> PlacementState<'a> {
             self.cells[i].expansions = fixed[i];
         } else {
             let bbox = self.cells[i].placed_bbox();
-            let o = self.cells[i].orientation;
-            let d = &self.density[i];
+            let f = &self.density[i][self.cells[i].orientation as usize];
             let exp = self
                 .estimator
-                .side_expansions(bbox, |side| d.factor_oriented(o, side));
+                .side_expansions(bbox, |side| f[side as usize]);
             self.cells[i].expansions = exp;
         }
         // Geometry (position, shape, or expansions) may have changed:
@@ -794,31 +836,47 @@ impl<'a> PlacementState<'a> {
             .collect()
     }
 
-    /// Recomputes the absolute positions of all pins of cell `i`.
+    /// Recomputes the absolute positions of all pins of cell `i` from
+    /// its geometry.
     pub fn refresh_pins(&mut self, i: usize) {
-        let cell = &self.nl.cells()[i];
-        match &cell.geometry {
-            // Macro pins sit at per-instance positions, listed by slot.
-            CellGeometry::Fixed { instances } => {
-                let positions = &instances[self.cells[i].instance].pin_positions;
-                for (pin, &local) in cell.pins.iter().zip(positions) {
-                    self.place_pin(i, pin.index(), local);
-                }
-            }
-            CellGeometry::Flexible { .. } => {
-                for pin in &cell.pins {
-                    self.refresh_pin(i, pin.index());
-                }
-            }
+        for (k, pin) in self.nl.cells()[i].pins.iter().enumerate() {
+            let p = self.absolute(i, self.pin_local(i, k, pin.index()));
+            self.move_pin(pin.index(), p);
         }
     }
 
-    /// Recomputes the absolute position of one pin of custom cell
-    /// `cell_idx`: a fixed pin keeps its fractional position on the
-    /// current dims, a sited pin sits at its site.
-    fn refresh_pin(&mut self, cell_idx: usize, pin: usize) {
+    /// Shifts every pin of cell `i` by `offset` — what
+    /// [`PlacementState::refresh_pins`] computes after a move that keeps
+    /// the cell's shape, without re-deriving any pin (debug builds check
+    /// the two agree).
+    fn translate_pins(&mut self, i: usize, offset: Point) {
+        for pin in &self.nl.cells()[i].pins {
+            let pin = pin.index();
+            self.move_pin(pin, self.pin_pos[pin] + offset);
+        }
+        debug_assert!(
+            self.nl.cells()[i].pins.iter().enumerate().all(|(k, pin)| {
+                self.pin_pos[pin.index()] == self.absolute(i, self.pin_local(i, k, pin.index()))
+            }),
+            "translated pins of cell {i} drifted from its geometry"
+        );
+    }
+
+    /// Cell-local (unoriented) position of `pin`, the `k`-th pin of cell
+    /// `i`: macro pins sit at per-instance positions listed by slot.
+    fn pin_local(&self, i: usize, k: usize, pin: usize) -> Point {
+        match &self.nl.cells()[i].geometry {
+            CellGeometry::Fixed { instances } => instances[self.cells[i].instance].pin_positions[k],
+            CellGeometry::Flexible { .. } => self.custom_pin_local(i, pin),
+        }
+    }
+
+    /// Cell-local position of a pin of custom cell `cell_idx`: a fixed
+    /// pin keeps its fractional position on the current dims, a sited
+    /// pin sits at its site.
+    fn custom_pin_local(&self, cell_idx: usize, pin: usize) -> Point {
         let cell = &self.cells[cell_idx];
-        let local = match (self.fixed_frac[pin], self.pin_site[pin]) {
+        match (self.fixed_frac[pin], self.pin_site[pin]) {
             (Some((fx, fy)), _) => Point::new(
                 (fx * cell.dims.0 as f64).round() as i64,
                 (fy * cell.dims.1 as f64).round() as i64,
@@ -829,16 +887,20 @@ impl<'a> PlacementState<'a> {
                 .expect("sited pin on custom cell")
                 .position(site),
             (None, None) => unreachable!("custom-cell pins are fixed or sited"),
-        };
-        self.place_pin(cell_idx, pin, local);
+        }
     }
 
-    /// Puts a pin at cell-local position `local` of its cell's unoriented
-    /// geometry, keeping its net's cached span in step.
-    fn place_pin(&mut self, cell_idx: usize, pin: usize, local: Point) {
-        let cell = &self.cells[cell_idx];
+    /// Absolute position of cell-local point `local` of cell `i`'s
+    /// unoriented geometry.
+    fn absolute(&self, i: usize, local: Point) -> Point {
+        let cell = &self.cells[i];
         let (w, h) = cell.dims;
-        let new_pos = cell.orientation.apply(local, w, h) + cell.pos;
+        cell.orientation.apply(local, w, h) + cell.pos
+    }
+
+    /// Puts a pin at absolute position `new_pos`, keeping its net's
+    /// cached span in step.
+    fn move_pin(&mut self, pin: usize, new_pos: Point) {
         let old_pos = self.pin_pos[pin];
         if new_pos == old_pos {
             return;
@@ -853,10 +915,12 @@ impl<'a> PlacementState<'a> {
     /// Incrementally maintains one net's cached span after a primary pin
     /// moved from `old` to `new` (the pin position is already updated).
     ///
-    /// When the departing position sat strictly inside the hull, the
-    /// remaining pins still realize both extremes on each axis, so the
-    /// new hull is exactly `hull(old span, new point)`. Only when it sat
-    /// *on* the hull can the span shrink, and then the net is rescanned.
+    /// Every other pin lies within the old span. So unless the pin left
+    /// an extreme it held *inward* (it sat on `lo` and moved above it, or
+    /// on `hi` and moved below it), each extreme is still realized — by
+    /// another pin, or by the new point at or beyond it — and the new
+    /// hull is exactly `hull(old span, new point)`. Only an inward exit
+    /// can shrink the span, and then the net is rescanned.
     fn update_net_span(&mut self, net: usize, old: Point, new: Point) {
         let Some((xs, ys)) = self.net_span[net] else {
             // `None` means either a degenerate zero-pin net (no pins can
@@ -864,7 +928,7 @@ impl<'a> PlacementState<'a> {
             // closing `rebuild_all` computes it from scratch.
             return;
         };
-        if old.x == xs.lo() || old.x == xs.hi() || old.y == ys.lo() || old.y == ys.hi() {
+        if exits_inward(xs, old.x, new.x) || exits_inward(ys, old.y, new.y) {
             self.net_span[net] = self.net_spans_scratch(net);
         } else {
             self.net_span[net] = Some((
@@ -909,7 +973,7 @@ impl<'a> PlacementState<'a> {
     /// One net's `C₁` contribution: `x(n)·h(n) + y(n)·v(n)` (zero for
     /// degenerate pin-less nets).
     pub fn net_cost_live(&self, net: usize) -> f64 {
-        net_cost(&self.nl.nets()[net], self.net_spans(net))
+        net_cost(self.net_weight[net], self.net_spans(net))
     }
 
     /// Expanded overlap between two cells (the `O(i,j)` of eq. 8 on
@@ -923,8 +987,15 @@ impl<'a> PlacementState<'a> {
 
     /// Overlap of a cell's expanded tiles with the area beyond the core
     /// boundary — the four conceptual dummy cells of the paper (ref. 16).
+    ///
+    /// Every expanded tile lies within the expanded bbox, so a cell whose
+    /// expanded bbox lies inside the core has none: the tiles are only
+    /// visited for a cell that reaches past the core.
     pub fn boundary_overlap(&self, i: usize) -> i64 {
         let core = self.estimator.core();
+        if core.contains_rect(self.expanded_bbox(i)) {
+            return 0;
+        }
         let c = &self.cells[i];
         let (l, r, b, t) = c.expansions;
         c.shape
@@ -1024,13 +1095,22 @@ impl<'a> PlacementState<'a> {
     /// Evaluates the cost pieces a move over `involved` cells would
     /// touch, using the *live* geometry (call before and after mutating).
     pub fn move_cost(&self, involved: &[usize], nets: &[NetId]) -> MoveCost {
+        self.attempt_cost(involved, nets, true)
+    }
+
+    /// [`PlacementState::move_cost`] with `C₃` summed only when `sites`
+    /// is set (`c3` is 0 otherwise). A move that keeps every cell's dims
+    /// changes no site's occupancy, nor any capacity (capacities follow
+    /// the unoriented dims), so its `C₃` delta is exactly 0 either way:
+    /// only aspect changes need the sum.
+    pub(crate) fn attempt_cost(&self, involved: &[usize], nets: &[NetId], sites: bool) -> MoveCost {
         if self.cost_clock.armed() {
-            return self.move_cost_timed(involved, nets);
+            return self.move_cost_timed(involved, nets, sites);
         }
         MoveCost {
             c1: nets.iter().map(|n| self.net_cost_live(n.index())).sum(),
             overlap: self.group_overlap(involved),
-            c3: self.cells_c3(involved),
+            c3: if sites { self.cells_c3(involved) } else { 0.0 },
         }
     }
 
@@ -1040,20 +1120,26 @@ impl<'a> PlacementState<'a> {
         &self.cost_clock
     }
 
-    /// [`PlacementState::move_cost`] with the stopwatch running: the
-    /// same three computations in the same order — the clock reads
-    /// around them cannot change a bit of the result.
-    fn move_cost_timed(&self, involved: &[usize], nets: &[NetId]) -> MoveCost {
+    /// [`PlacementState::attempt_cost`] with the stopwatch running: the
+    /// same computations in the same order — the clock reads around them
+    /// cannot change a bit of the result. Without `sites` no penalty time
+    /// is recorded, as none is spent.
+    fn move_cost_timed(&self, involved: &[usize], nets: &[NetId], sites: bool) -> MoveCost {
         let t0 = Instant::now();
         let c1 = nets.iter().map(|n| self.net_cost_live(n.index())).sum();
         let t1 = Instant::now();
         let overlap = self.group_overlap(involved);
         let t2 = Instant::now();
-        let c3 = self.cells_c3(involved);
-        let t3 = Instant::now();
         self.cost_clock.add(&self.cost_clock.net_ns, t0, t1);
         self.cost_clock.add(&self.cost_clock.overlap_ns, t1, t2);
-        self.cost_clock.add(&self.cost_clock.penalty_ns, t2, t3);
+        let c3 = if sites {
+            let c3 = self.cells_c3(involved);
+            self.cost_clock
+                .add(&self.cost_clock.penalty_ns, t2, Instant::now());
+            c3
+        } else {
+            0.0
+        };
         MoveCost { c1, overlap, c3 }
     }
 
@@ -1067,7 +1153,7 @@ impl<'a> PlacementState<'a> {
                 .iter()
                 .map(|n| {
                     net_cost(
-                        &self.nl.nets()[n.index()],
+                        self.net_weight[n.index()],
                         self.net_spans_scratch(n.index()),
                     )
                 })
@@ -1160,7 +1246,9 @@ impl<'a> PlacementState<'a> {
             let reshape =
                 c.orientation != s.orientation || c.instance != s.instance || c.dims != s.dims;
             if c.dims != s.dims {
-                c.sites = c.sites.as_ref().map(|l| l.resized(s.dims.0, s.dims.1, ts));
+                if let Some(sites) = &mut c.sites {
+                    sites.resize(s.dims.0, s.dims.1, ts);
+                }
             }
             c.pos = s.pos;
             c.orientation = s.orientation;
@@ -1169,7 +1257,7 @@ impl<'a> PlacementState<'a> {
             c.dims = s.dims;
             c.expansions = s.expansions;
             if reshape {
-                self.cells[s.idx].shape = self.oriented_shape(s.idx);
+                self.reshape(s.idx);
             }
             debug_assert_eq!(self.index.rect(s.idx), self.expanded_bbox(s.idx));
         }
@@ -1314,12 +1402,16 @@ impl<'a> PlacementState<'a> {
     }
 }
 
-/// A net's `C₁` contribution over its spans: `x(n)·h(n) + y(n)·v(n)`
-/// (zero for a degenerate pin-less net).
-pub(crate) fn net_cost(net: &Net, spans: Option<(Span, Span)>) -> f64 {
-    spans.map_or(0.0, |(xs, ys)| {
-        xs.len() as f64 * net.weight_h + ys.len() as f64 * net.weight_v
-    })
+/// A net's `C₁` contribution over its spans under its `(h(n), v(n))`
+/// weights: `x(n)·h(n) + y(n)·v(n)` (zero for a degenerate pin-less net).
+pub(crate) fn net_cost((h, v): (f64, f64), spans: Option<(Span, Span)>) -> f64 {
+    spans.map_or(0.0, |(xs, ys)| xs.len() as f64 * h + ys.len() as f64 * v)
+}
+
+/// Whether a coordinate moving `from → to` leaves an extreme of span `s`
+/// it held inward — the one move along an axis that can shrink the span.
+fn exits_inward(s: Span, from: i64, to: i64) -> bool {
+    (from == s.lo() && to > s.lo()) || (from == s.hi() && to < s.hi())
 }
 
 /// A uniformly drawn side of `sides`, or of all four when it is empty.
@@ -1465,6 +1557,48 @@ mod tests {
         assert_eq!(st.boundary_overlap(0), 0);
     }
 
+    /// The inside-the-core shortcut of `boundary_overlap` equals the
+    /// tile-by-tile sum of what each expanded tile leaves outside the
+    /// core, for cells placed across and around the core boundary.
+    #[test]
+    fn boundary_overlap_matches_the_tile_sum() {
+        let nl = circuit();
+        let mut st = make_state(&nl, 13);
+        let core = st.estimator().core();
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut inside, mut outside) = (0, 0);
+        for _ in 0..400 {
+            let i = rng.random_range(0..nl.cells().len());
+            let margin = core.width() / 4;
+            let center = Point::new(
+                rng.random_range(core.lo().x - margin..=core.hi().x + margin),
+                rng.random_range(core.lo().y - margin..=core.hi().y + margin),
+            );
+            st.set_cell_center(i, center);
+            let c = st.cell(i);
+            let (l, r, b, t) = c.expansions;
+            let want: i64 = c
+                .shape
+                .tiles()
+                .iter()
+                .map(|tile| {
+                    let e = tile.translate(c.pos).expand_sides(l, r, b, t);
+                    e.area() - e.intersect(core).map_or(0, |x| x.area())
+                })
+                .sum();
+            assert_eq!(st.boundary_overlap(i), want, "cell {i} at {center}");
+            if want == 0 {
+                inside += 1;
+            } else {
+                outside += 1;
+            }
+        }
+        assert!(
+            inside > 0 && outside > 0,
+            "{inside} inside, {outside} outside"
+        );
+    }
+
     #[test]
     fn pin_positions_follow_cell() {
         let nl = circuit();
@@ -1475,6 +1609,61 @@ mod tests {
         for (k, &p) in cell0_pins.iter().enumerate() {
             assert_eq!(st.pin_position(p), before[k] + Point::new(17, -5));
         }
+    }
+
+    /// The span rule's three cases on one net of three macro pins: a
+    /// hull pin moving outward extends the span without a rescan, a hull
+    /// pin moving inward shrinks it through a rescan, and a hull pin
+    /// moving inward while a second pin shares its extreme rescans and
+    /// keeps the extreme.
+    #[test]
+    fn span_rule_rescans_only_inward_exits() {
+        use twmc_netlist::NetlistBuilder;
+        let mut b = NetlistBuilder::new();
+        let pins: Vec<PinId> = (0..3)
+            .map(|k| {
+                let c = b.add_macro(&format!("m{k}"), TileSet::rect(4, 4));
+                b.add_fixed_pin(c, "p", Point::ORIGIN).expect("pin")
+            })
+            .collect();
+        b.add_simple_net("n", &pins).expect("net");
+        let nl = b.build().expect("valid netlist");
+        let mut st = make_state(&nl, 12);
+        let span = |st: &PlacementState<'_>| {
+            let (xs, ys) = st.net_spans(0).expect("net has pins");
+            assert_eq!(Some((xs, ys)), st.net_spans_scratch(0), "cache drifted");
+            (xs.lo(), xs.hi(), ys.lo(), ys.hi())
+        };
+        // Each macro's only pin sits on its cell's lower-left corner.
+        for (i, (x, y)) in [(0, 0), (50, 10), (100, 20)].into_iter().enumerate() {
+            st.set_cell_pos(i, Point::new(x, y));
+        }
+        assert_eq!(span(&st), (0, 100, 0, 20));
+
+        // Outward from the low x and y extremes: no inward exit.
+        let lo = Span::new(0, 100);
+        assert!(!exits_inward(lo, 0, -20));
+        st.set_cell_pos(0, Point::new(-20, -5));
+        assert_eq!(span(&st), (-20, 100, -5, 20));
+
+        // Inward from both low extremes: the span shrinks to the others.
+        assert!(exits_inward(Span::new(-20, 100), -20, 70));
+        st.set_cell_pos(0, Point::new(70, 15));
+        assert_eq!(span(&st), (50, 100, 10, 20));
+
+        // Inward from the low x extreme that cell 1 shares: the rescan
+        // finds cell 1 still there.
+        st.set_cell_pos(0, Point::new(50, 10));
+        assert_eq!(span(&st), (50, 100, 10, 20));
+        assert!(exits_inward(Span::new(50, 100), 50, 80));
+        st.set_cell_pos(0, Point::new(80, 12));
+        assert_eq!(span(&st), (50, 100, 10, 20));
+
+        // Interior moves and moves onto an extreme never exit inward.
+        assert!(!exits_inward(Span::new(50, 100), 80, 100));
+        assert!(!exits_inward(Span::new(50, 100), 100, 120));
+        assert!(!exits_inward(Span::new(5, 5), 5, 5));
+        assert!(exits_inward(Span::new(5, 5), 5, 4));
     }
 
     #[test]

@@ -123,7 +123,7 @@ fn tempering_run_covers_replica_and_swap_kinds() {
     let mut config = quick_config(9);
     config.parallel = ParallelParams {
         replicas: 2,
-        threads: 1,
+        threads: 2,
         strategy: Strategy::Tempering,
         swap_interval: 4,
         ..Default::default()
@@ -146,8 +146,9 @@ fn tempering_run_covers_replica_and_swap_kinds() {
     assert!(!rec.place_temps("tempering").is_empty());
     assert!(!rec.place_temps("quench").is_empty());
 
-    // The trace sees every sweep: each rung's ladder and quench steps
-    // land on its `replica<k>` lane, one `temp_step` span per step.
+    // The trace sees every sweep: on two threads each rung's ladder and
+    // quench steps land on its `replica<k>` lane, one `temp_step` span
+    // per step.
     let snap = tracer.collect();
     for rung in 0..2 {
         let steps = |phase| {
@@ -243,35 +244,51 @@ fn each_interval_reads_one_clock() {
     assert_eq!(hub.route_iter_ms.count(), routes);
 }
 
-/// One lane per producing thread: a single-replica run records every
-/// span on `main`, so the profile nests the checkpoint writes and the
-/// router's spans inside the stages that contain them, and the self
-/// times add up to the run span instead of counting that time twice.
+/// One lane per producing thread: a run on one thread records every
+/// span on `main`, so the profile nests the checkpoint writes, the
+/// router's spans and the replicas' sweeps inside the stages that
+/// contain them, and the self times add up to the run span instead of
+/// counting that time twice. That holds for a single replica, and for
+/// a 3-replica multi-start and a 2-rung tempering run whose pool runs
+/// every sweep on the orchestrator thread.
 #[test]
 fn profile_self_times_sum_to_the_run_span() {
     let nl = circuit();
-    let config = quick_config(6);
     let ckpt = std::env::temp_dir().join(format!("twmc-profile-{}.ckpt", std::process::id()));
-    let tracer = Tracer::new();
-    let mut rec = Instrumented::new(SummaryRecorder::new(), None, Some(tracer.clone()));
-    let opts = RunCtrl {
-        writer: Some(CheckpointWriter::new(&ckpt, 2)),
-        ..Default::default()
-    };
-    let outcome = run_timberwolf_resilient(&nl, &config, opts, &mut rec as &mut dyn Recorder);
-    assert!(matches!(outcome, Ok(RunOutcome::Complete(_))));
-    let _ = std::fs::remove_file(&ckpt);
-    let snap = tracer.collect();
-    assert_eq!(snap.lanes.len(), 1, "one writer, one lane");
-    let profile = timberwolfmc::trace::profile(&snap);
-    for name in ["checkpoint_write", "route_iter", "route_net", "temp_step"] {
-        assert!(profile.row(name).is_some(), "no `{name}` span");
+    let shapes = [
+        ("single", 1, Strategy::MultiStart),
+        ("multi-start x3", 3, Strategy::MultiStart),
+        ("tempering x2", 2, Strategy::Tempering),
+    ];
+    for (what, replicas, strategy) in shapes {
+        let mut config = quick_config(6);
+        config.parallel = ParallelParams {
+            replicas,
+            threads: 1,
+            strategy,
+            ..Default::default()
+        };
+        let tracer = Tracer::new();
+        let mut rec = Instrumented::new(SummaryRecorder::new(), None, Some(tracer.clone()));
+        let opts = RunCtrl {
+            writer: Some(CheckpointWriter::new(&ckpt, 2)),
+            ..Default::default()
+        };
+        let outcome = run_timberwolf_resilient(&nl, &config, opts, &mut rec as &mut dyn Recorder);
+        assert!(matches!(outcome, Ok(RunOutcome::Complete(_))), "{what}");
+        let _ = std::fs::remove_file(&ckpt);
+        let snap = tracer.collect();
+        let profile = timberwolfmc::trace::profile(&snap);
+        for name in ["checkpoint_write", "route_iter", "route_net", "temp_step"] {
+            assert!(profile.row(name).is_some(), "{what}: no `{name}` span");
+        }
+        let run = profile.row("run").expect("run span").incl_ns as f64;
+        let self_total: u64 = profile.rows.iter().map(|r| r.excl_ns).sum();
+        let ratio = self_total as f64 / run;
+        assert!(
+            (ratio - 1.0).abs() <= 0.01,
+            "{what}: self times sum to {self_total} ns against a {run} ns run ({ratio:.3}x)"
+        );
+        assert_eq!(snap.lanes.len(), 1, "{what}: one writer, one lane");
     }
-    let run = profile.row("run").expect("run span").incl_ns as f64;
-    let self_total: u64 = profile.rows.iter().map(|r| r.excl_ns).sum();
-    let ratio = self_total as f64 / run;
-    assert!(
-        (ratio - 1.0).abs() <= 0.01,
-        "self times sum to {self_total} ns against a {run} ns run ({ratio:.3}x)"
-    );
 }
