@@ -9,7 +9,11 @@
 //! writes a `BENCH_place.json` summary at the workspace root — one row
 //! per circuit size with the indexed and scan nanoseconds per evaluation,
 //! the resulting speedup (the acceptance bar is ≥5× at 400 cells), and
-//! the nanoseconds per `generate` attempt.
+//! the nanoseconds per `generate` attempt. Raw nanoseconds move with the
+//! host's momentary speed, which on a shared VM swings by half, so each
+//! row also carries `ref_ns`, the time of a fixed host-reference kernel
+//! taken around the row's measurements, and the three timings divided
+//! by it.
 
 use criterion::{criterion_group, Criterion};
 use rand::rngs::StdRng;
@@ -61,6 +65,49 @@ struct KernelRow {
     scan_ns_per_eval: f64,
     speedup: f64,
     generate_ns_per_attempt: f64,
+    ref_ns: f64,
+    indexed_per_ref: f64,
+    scan_per_ref: f64,
+    generate_per_ref: f64,
+}
+
+/// Nanoseconds of the fastest of `rounds` runs of a fixed piece of
+/// bench-owned work (sorting, an ordered map, integer formatting and
+/// parsing) that the placer never runs, so its time moves only with the
+/// host's speed — the kind of kernel perfbench scales its timings by.
+fn reference_ns(rounds: usize) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..rounds {
+        let t0 = std::time::Instant::now();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut keys: Vec<u64> = (0..20_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            })
+            .collect();
+        keys.sort_unstable();
+        let map: std::collections::BTreeMap<u64, usize> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| (k % 50_000, i))
+            .collect();
+        let text = keys[..5000]
+            .iter()
+            .map(|k| k.to_string())
+            .collect::<Vec<_>>()
+            .join(" ");
+        let sum: usize = text
+            .split(' ')
+            .filter_map(|t| t.parse::<u64>().ok())
+            .map(|k| map.get(&(k % 50_000)).copied().unwrap_or(0))
+            .sum();
+        black_box(sum);
+        best = best.min(t0.elapsed().as_nanos() as f64);
+    }
+    best
 }
 
 /// Nanoseconds per Metropolis attempt over `calls` whole `generate`
@@ -102,8 +149,10 @@ fn time_evals<F: FnMut() -> f64>(mut f: F, iters: usize) -> f64 {
 fn kernel_summary(test_mode: bool) {
     let sizes: &[usize] = if test_mode { &[25] } else { &[25, 100, 400] };
     let evals = if test_mode { 8 } else { 4000 };
+    let ref_rounds = if test_mode { 1 } else { 20 };
     let mut rows = Vec::new();
     for &n in sizes {
+        let ref_before = reference_ns(ref_rounds);
         let nl = circuit(n);
         let st = make_state(&nl);
         let moves = draw_moves(&st, n, 64);
@@ -127,22 +176,32 @@ fn kernel_summary(test_mode: bool) {
         );
         let (generate_ns, accept) = time_generate(&nl, if test_mode { 8 } else { 20_000 });
         eprintln!("place/kernels {n} cells: generate acceptance {accept:.2}");
+        // The host's speed over the row: the mean of the reference
+        // kernel's time just before and just after its measurements.
+        let ref_ns = (ref_before + reference_ns(ref_rounds)) / 2.0;
         rows.push(KernelRow {
             cells: n,
             indexed_ns_per_eval: indexed,
             scan_ns_per_eval: scan,
             speedup: scan / indexed,
             generate_ns_per_attempt: generate_ns,
+            ref_ns,
+            indexed_per_ref: indexed / ref_ns,
+            scan_per_ref: scan / ref_ns,
+            generate_per_ref: generate_ns / ref_ns,
         });
     }
     for r in &rows {
         eprintln!(
-            "place/kernels {} cells: indexed {:.0}ns, scan {:.0}ns, {:.1}x, generate {:.0}ns/attempt",
+            "place/kernels {} cells: indexed {:.0}ns, scan {:.0}ns, {:.1}x, generate {:.0}ns/attempt, \
+             ref {:.0}ns, generate {:.3e} ref/attempt",
             r.cells,
             r.indexed_ns_per_eval,
             r.scan_ns_per_eval,
             r.speedup,
-            r.generate_ns_per_attempt
+            r.generate_ns_per_attempt,
+            r.ref_ns,
+            r.generate_per_ref
         );
     }
     if !test_mode {

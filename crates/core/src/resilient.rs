@@ -142,7 +142,7 @@ pub fn run_timberwolf_resilient(
             config.place.attempts_per_cell,
             circuit,
         )?;
-        let snap = persist::snapshot_from(field(&payload, "snap")?)?;
+        let snap = persist::snapshot_from(field(&payload, "snap")?, nl)?;
         let stage1 = persist::stage1_result_from(field(&payload, "stage1")?)?;
         let parallel = match field(&payload, "parallel")? {
             Value::Null => None,
@@ -208,7 +208,7 @@ pub fn run_timberwolf_resilient(
                     circuit,
                 ),
             ),
-            ("snap", persist::snapshot_value(&state.snapshot(), nl)),
+            ("snap", persist::snapshot_value(&state.snapshot())),
             ("stage1", persist::stage1_result_value(&stage1)),
             (
                 "parallel",

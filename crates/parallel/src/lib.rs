@@ -123,9 +123,6 @@ pub struct ParallelParams {
     /// 1 sweeps after every round (the textbook cadence); larger values
     /// trade ladder mixing for fewer orchestrator barriers. Must be ≥ 1.
     pub swap_interval: usize,
-    /// Tempering: total rounds before the final quench; 0 sizes this to
-    /// the Table-1 trajectory length (matching a full run per replica).
-    pub rounds: usize,
 }
 
 impl Default for ParallelParams {
@@ -135,7 +132,6 @@ impl Default for ParallelParams {
             threads: 1,
             strategy: Strategy::MultiStart,
             swap_interval: 1,
-            rounds: 0,
         }
     }
 }

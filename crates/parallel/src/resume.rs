@@ -1,7 +1,8 @@
 //! Checkpoint payload codecs for the orchestrator.
 //!
 //! A stage-1 checkpoint captures everything the resumed process cannot
-//! rederive: each replica's placement snapshot, RNG stream position,
+//! rederive: each replica's placement snapshot (the annealer's
+//! decisions and accumulated cost totals), RNG stream position,
 //! cooling-loop position, and accumulated counters, plus the
 //! orchestrator's own swap stream and a config digest. The digest guards
 //! against resuming under a different configuration — everything in it
@@ -75,7 +76,6 @@ pub fn config_value(
         ("replicas", Value::UInt(params.replicas as u64)),
         ("strategy", Value::Str(params.strategy.to_string())),
         ("swap_interval", Value::UInt(params.swap_interval as u64)),
-        ("rounds", Value::UInt(params.rounds as u64)),
         ("attempts_per_cell", Value::UInt(attempts_per_cell as u64)),
         ("cells", Value::UInt(circuit.0 as u64)),
         ("nets", Value::UInt(circuit.1 as u64)),
@@ -135,14 +135,10 @@ pub fn check_config(
 /// cooling run, configuration and index counters.
 pub(crate) fn replica_value(r: &Replica<'_>) -> Value {
     codec::object(vec![
-        ("seed", Value::UInt(r.seed)),
         ("failed", failed_value(&r.failed)),
         ("rng", u64x4(r.rng.state())),
         ("run", persist::cooling_run_value(&r.run)),
-        (
-            "snap",
-            persist::snapshot_value(&r.state.snapshot(), r.state.netlist()),
-        ),
+        ("snap", persist::snapshot_value(&r.state.snapshot())),
         ("rebuilds", Value::UInt(r.state.index_rebuilds())),
         ("updates", Value::UInt(r.state.index_updates())),
     ])
@@ -150,7 +146,8 @@ pub(crate) fn replica_value(r: &Replica<'_>) -> Value {
 
 /// Restores a freshly built replica from its [`replica_value`].
 pub(crate) fn restore_replica(r: &mut Replica<'_>, v: &Value) -> Result<(), CheckpointError> {
-    r.state.restore(&persist::snapshot_from(field(v, "snap")?)?);
+    let snap = persist::snapshot_from(field(v, "snap")?, r.state.netlist())?;
+    r.state.restore(&snap);
     r.state
         .force_index_counters(u64_field(v, "rebuilds")?, u64_field(v, "updates")?);
     r.rng = StdRng::from_state(u64x4_field(v, "rng")?);
@@ -164,14 +161,14 @@ pub(crate) fn restore_replica(r: &mut Replica<'_>, v: &Value) -> Result<(), Chec
 /// They travel in the quench payload so the elitist rollback after a
 /// resumed quench compares against the same baselines the
 /// uninterrupted run would have used.
-pub(crate) fn elites_value(elites: &[Option<(PlacementSnapshot, f64)>], nl: &Netlist) -> Value {
+pub(crate) fn elites_value(elites: &[Option<(PlacementSnapshot, f64)>]) -> Value {
     Value::Array(
         elites
             .iter()
             .map(|e| match e {
                 None => Value::Null,
                 Some((snap, teil)) => codec::object(vec![
-                    ("snap", persist::snapshot_value(snap, nl)),
+                    ("snap", persist::snapshot_value(snap)),
                     ("teil", codec::f64_bits(*teil)),
                 ]),
             })
@@ -181,13 +178,14 @@ pub(crate) fn elites_value(elites: &[Option<(PlacementSnapshot, f64)>], nl: &Net
 
 pub(crate) fn elites_from(
     v: &Value,
+    nl: &Netlist,
 ) -> Result<Vec<Option<(PlacementSnapshot, f64)>>, CheckpointError> {
     codec::items(v, "elites")?
         .iter()
         .map(|e| match e {
             Value::Null => Ok(None),
             other => Ok(Some((
-                persist::snapshot_from(field(other, "snap")?)?,
+                persist::snapshot_from(field(other, "snap")?, nl)?,
                 f64_field(other, "teil")?,
             ))),
         })

@@ -114,8 +114,6 @@ struct Ladder<'c, 'a> {
     intra: Vec<bool>,
     swap_interval: usize,
     t_floor: f64,
-    /// The fixed round budget, if any.
-    fixed_rounds: Option<usize>,
     /// Backstop for pathological schedules that never land; the quench
     /// harvests whatever is still mid-air if it ever triggers.
     round_cap: usize,
@@ -210,10 +208,9 @@ impl<'a> Rounds<'a> for Ladder<'_, 'a> {
     }
 
     fn more(&self, _reps: &[Replica<'a>], round: usize) -> bool {
-        // With no fixed budget, the ladder ends once every rung has
-        // completed its staggered descent to the floor.
-        round < self.round_cap
-            && (self.fixed_rounds.is_some() || !ladder_landed(&self.temps, self.t_floor))
+        // The ladder ends once every rung has completed its staggered
+        // descent to the floor.
+        round < self.round_cap && !ladder_landed(&self.temps, self.t_floor)
     }
 
     /// A rung moves only while its temperature is in transit. Waiting at
@@ -337,19 +334,17 @@ pub(crate) fn run_controlled<'a>(
     // rungs' cooling runs.
     if let Some(payload) = resume_payload {
         if resume::payload_phase(payload)? == "quench" {
-            let ladder = LadderOutcome::decode(payload, replicas)?;
+            let ladder = LadderOutcome::decode(payload, nl, replicas)?;
             return quench_all(
                 &ctx, place, schedule, params, rec, ctrl, &config, reps, ladder, failures,
             );
         }
     }
 
-    // A fixed round budget truncates the ladder (the quench below then
-    // harvests rungs stranded mid-air); the default (0) runs the ladder
-    // until every rung has completed its own staggered descent to the
-    // floor, so the ensemble ends with `replicas` finished anneals.
-    let fixed_rounds = (params.rounds > 0).then_some(params.rounds);
-    // The Table-1 trajectory length: the anchor's landing time.
+    // The ladder runs until every rung has completed its own staggered
+    // descent to the floor, so the ensemble ends with `replicas`
+    // finished anneals. The Table-1 trajectory length is the anchor's
+    // landing time.
     let schedule_len = schedule
         .steps_between(ctx.t_infinity, t_floor, ctx.s_t)
         .max(1);
@@ -365,8 +360,7 @@ pub(crate) fn run_controlled<'a>(
         parts,
         swap_interval: params.swap_interval,
         t_floor,
-        fixed_rounds,
-        round_cap: fixed_rounds.unwrap_or_else(|| schedule_len.saturating_mul(replicas)),
+        round_cap: schedule_len.saturating_mul(replicas),
         temps: vec![ctx.t_infinity; replicas],
         gaps: initial_gaps(replicas),
         orch_rng: StdRng::seed_from_u64(derive_seed(master_seed, replicas)),
@@ -452,26 +446,26 @@ struct LadderOutcome {
 }
 
 impl LadderOutcome {
-    fn encode(&self, nl: &Netlist) -> Vec<(&'static str, Value)> {
+    fn encode(&self) -> Vec<(&'static str, Value)> {
         vec![
             (
                 "reports",
                 Value::Array(self.reports.iter().map(resume::report_value).collect()),
             ),
             ("swaps", resume::swaps_value(&self.swaps)),
-            ("elites", resume::elites_value(&self.elites, nl)),
+            ("elites", resume::elites_value(&self.elites)),
             ("ladder_rounds", Value::UInt(self.rounds as u64)),
         ]
     }
 
-    fn decode(payload: &Value, replicas: usize) -> Result<Self, CheckpointError> {
+    fn decode(payload: &Value, nl: &Netlist, replicas: usize) -> Result<Self, CheckpointError> {
         let ladder = LadderOutcome {
             reports: array_field(payload, "reports")?
                 .iter()
                 .map(resume::report_from)
                 .collect::<Result<_, _>>()?,
             swaps: resume::swaps_from(field(payload, "swaps")?)?,
-            elites: resume::elites_from(field(payload, "elites")?)?,
+            elites: resume::elites_from(field(payload, "elites")?, nl)?,
             rounds: usize_field(payload, "ladder_rounds")?,
         };
         if ladder.elites.len() != replicas {
@@ -508,7 +502,7 @@ fn quench_all<'a>(
         iteration: 0,
         replica: i as i64,
     };
-    let state = || ladder.encode(ctx.netlist());
+    let state = || ladder.encode();
     let mut cooling = Cooling {
         ctx,
         place,

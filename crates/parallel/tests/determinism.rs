@@ -39,8 +39,6 @@ fn run(
         replicas,
         threads,
         strategy,
-        // Dynamic ladder: tempering runs until every rung lands.
-        rounds: 0,
         swap_interval: 2,
     };
     let (state, result, report) = parallel_stage1(

@@ -6,14 +6,17 @@
 //! worker panics (a `panic=replica:<k>@<round>` clause of the run
 //! controller's fault schedule) is retired without taking the run down.
 
+use serde::Value;
 use twmc_anneal::CoolingSchedule;
 use twmc_estimator::EstimatorParams;
 use twmc_fault::FaultSchedule;
-use twmc_netlist::{synthesize, Netlist, SynthParams};
+use twmc_netlist::{synthesize, Netlist, PinPlacement, SynthParams};
 use twmc_obs::{CancelToken, Event, StopReason, SummaryRecorder};
-use twmc_parallel::{parallel_stage1_resilient, ParallelParams, RunCtrl, Stage1Outcome, Strategy};
+use twmc_parallel::{
+    parallel_stage1_resilient, OrchestratorError, ParallelParams, RunCtrl, Stage1Outcome, Strategy,
+};
 use twmc_place::PlaceParams;
-use twmc_resume::CheckpointWriter;
+use twmc_resume::{CheckpointError, CheckpointWriter};
 
 fn circuit() -> Netlist {
     synthesize(&SynthParams {
@@ -40,11 +43,6 @@ fn parallel_params(replicas: usize, threads: usize, strategy: Strategy) -> Paral
         replicas,
         threads,
         strategy,
-        rounds: if strategy == Strategy::Tempering {
-            16
-        } else {
-            0
-        },
         swap_interval: 2,
     }
 }
@@ -175,8 +173,15 @@ fn temp_path(tag: &str) -> std::path::PathBuf {
 /// The interrupt → resume → compare harness. Runs the uninterrupted
 /// reference first to measure its total move count, then cuts at
 /// `frac` of it — so the cut point tracks the actual run length
-/// instead of guessing step counts. Covers two thread counts.
-fn assert_resume_bit_identical(strategy: Strategy, replicas: usize, frac: f64, tag: &str) {
+/// instead of guessing step counts — and requires the checkpoint to
+/// have been taken in `phase`. Covers two thread counts.
+fn assert_resume_bit_identical(
+    strategy: Strategy,
+    replicas: usize,
+    frac: f64,
+    phase: &str,
+    tag: &str,
+) {
     let nl = circuit();
     for threads in [1, 2] {
         let params = parallel_params(replicas, threads, strategy);
@@ -186,6 +191,9 @@ fn assert_resume_bit_identical(strategy: Strategy, replicas: usize, frac: f64, t
 
         let path = temp_path(&format!("{tag}-t{threads}"));
         let prefix = interrupted_run(&nl, &params, &path, budget, RunCtrl::default());
+        let payload = twmc_resume::read_checkpoint(&path).expect("checkpoint reads back");
+        let cut = twmc_resume::codec::str_field(&payload, "phase").expect("phase tag");
+        assert_eq!(cut, phase, "threads={threads}");
         let resumed = resumed_run(&nl, &params, &path, RunCtrl::default());
         assert_stitched(&full, &prefix, &resumed, threads);
         let _ = std::fs::remove_file(&path);
@@ -194,19 +202,18 @@ fn assert_resume_bit_identical(strategy: Strategy, replicas: usize, frac: f64, t
 
 #[test]
 fn multistart_resumes_bit_identically_from_an_early_cut() {
-    assert_resume_bit_identical(Strategy::MultiStart, 3, 0.1, "ms-early");
+    assert_resume_bit_identical(Strategy::MultiStart, 3, 0.1, "multistart", "ms-early");
 }
 
 #[test]
 fn multistart_resumes_bit_identically_from_a_late_cut() {
-    assert_resume_bit_identical(Strategy::MultiStart, 2, 0.9, "ms-late");
+    assert_resume_bit_identical(Strategy::MultiStart, 2, 0.9, "multistart", "ms-late");
 }
 
 #[test]
 fn tempering_resumes_bit_identically_from_the_ladder() {
-    // 16 rounds of ladder precede the quench; a 5% cut lands well
-    // inside the ladder phase.
-    assert_resume_bit_identical(Strategy::Tempering, 3, 0.05, "pt-ladder");
+    // A 5% cut lands early in the ladder phase.
+    assert_resume_bit_identical(Strategy::Tempering, 3, 0.05, "tempering", "pt-ladder");
 }
 
 #[test]
@@ -215,18 +222,18 @@ fn tempering_resumes_bit_identically_mid_adaptation() {
     // the adaptive gaps and rung temperatures away from their initial
     // values — the resumed run must reload that ladder state exactly,
     // not re-derive it from the schedule.
-    assert_resume_bit_identical(Strategy::Tempering, 4, 0.45, "pt-adapt");
+    assert_resume_bit_identical(Strategy::Tempering, 4, 0.45, "tempering", "pt-adapt");
 }
 
 #[test]
 fn tempering_resumes_bit_identically_from_the_quench() {
     // The quench is the tail of the run; a 95% cut lands inside it.
-    assert_resume_bit_identical(Strategy::Tempering, 3, 0.95, "pt-quench");
+    assert_resume_bit_identical(Strategy::Tempering, 3, 0.95, "quench", "pt-quench");
 }
 
 #[test]
 fn single_replica_run_resumes_bit_identically() {
-    assert_resume_bit_identical(Strategy::MultiStart, 1, 0.4, "single");
+    assert_resume_bit_identical(Strategy::MultiStart, 1, 0.4, "multistart", "single");
 }
 
 #[test]
@@ -293,6 +300,151 @@ fn checkpoint_from_mismatched_config_is_rejected() {
         "unexpected error: {err}"
     );
     let _ = std::fs::remove_file(&path);
+}
+
+// --- checkpoints that do not fit the netlist -----------------------------
+
+fn field_mut<'v>(v: &'v mut Value, name: &str) -> &'v mut Value {
+    match v {
+        Value::Object(fields) => {
+            let (_, value) = fields.iter_mut().find(|(k, _)| k == name).expect("field");
+            value
+        }
+        other => panic!("not an object: {other:?}"),
+    }
+}
+
+fn items_mut(v: &mut Value) -> &mut Vec<Value> {
+    match v {
+        Value::Array(items) => items,
+        other => panic!("not an array: {other:?}"),
+    }
+}
+
+/// A snapshot whose decisions do not fit the netlist is a typed
+/// `Corrupt` error naming the cell or pin, never a panic: each damaged
+/// copy of a multi-start checkpoint's first replica snapshot is fed
+/// back through the resume path.
+#[test]
+fn snapshot_that_does_not_fit_the_netlist_is_a_typed_error() {
+    let nl = circuit();
+    let params = parallel_params(2, 1, Strategy::MultiStart);
+    let path = temp_path("misfit");
+    interrupted_run(&nl, &params, &path, 300, RunCtrl::default());
+    let payload = twmc_resume::read_checkpoint(&path).expect("checkpoint reads back");
+    let _ = std::fs::remove_file(&path);
+
+    let custom = nl
+        .cells()
+        .iter()
+        .position(|c| c.is_custom())
+        .expect("custom");
+    let macro_cell = nl
+        .cells()
+        .iter()
+        .position(|c| !c.is_custom())
+        .expect("macro");
+    let sited = nl
+        .pins()
+        .iter()
+        .position(|p| nl.cell(p.cell).is_custom() && !matches!(p.placement, PinPlacement::Fixed(_)))
+        .expect("sited pin");
+    let fixed = nl
+        .pins()
+        .iter()
+        .position(|p| matches!(p.placement, PinPlacement::Fixed(_)))
+        .expect("fixed pin");
+    let pin_name = |k: usize| {
+        let pin = &nl.pins()[k];
+        format!("`{}.{}`", nl.cell(pin.cell).name, pin.name)
+    };
+    let spe = nl.cell(nl.pins()[sited].cell).sites_per_edge;
+    let site = |slot: u32| Value::Array(vec![Value::UInt(0), Value::UInt(slot as u64)]);
+    let aspect = |x: f64| twmc_resume::codec::f64_bits(x);
+
+    type Damage = Box<dyn Fn(&mut Value)>;
+    let cases: Vec<(&str, String, Damage)> = vec![
+        (
+            "truncated cells",
+            "cells, the netlist".into(),
+            Box::new(|s| {
+                items_mut(field_mut(s, "cells")).pop();
+            }),
+        ),
+        (
+            "truncated pin sites",
+            "pins, the netlist".into(),
+            Box::new(|s| {
+                items_mut(field_mut(s, "pin_site")).pop();
+            }),
+        ),
+        (
+            "instance out of range",
+            format!("`{}` selects instance 7", nl.cells()[macro_cell].name),
+            Box::new(move |s| {
+                let cell = &mut items_mut(field_mut(s, "cells"))[macro_cell];
+                *field_mut(cell, "inst") = Value::UInt(7);
+            }),
+        ),
+        (
+            "missing site",
+            format!("pin {} has no site", pin_name(sited)),
+            Box::new(move |s| items_mut(field_mut(s, "pin_site"))[sited] = Value::Null),
+        ),
+        (
+            "site on a fixed pin",
+            format!("pin {} is not sited", pin_name(fixed)),
+            Box::new(move |s| items_mut(field_mut(s, "pin_site"))[fixed] = site(0)),
+        ),
+        (
+            "slot out of range",
+            format!("pin {} sits on a slot", pin_name(sited)),
+            Box::new(move |s| items_mut(field_mut(s, "pin_site"))[sited] = site(spe)),
+        ),
+        (
+            "static-expansion count",
+            "static expansions".into(),
+            Box::new(|s| {
+                let exp = Value::Array(vec![Value::Int(0); 4]);
+                *field_mut(s, "static_exp") = Value::Array(vec![exp]);
+            }),
+        ),
+    ];
+    let aspects = [f64::NAN, 0.0, -1.0, f64::INFINITY].map(|x| {
+        let damage: Damage = Box::new(move |s| {
+            let cell = &mut items_mut(field_mut(s, "cells"))[custom];
+            *field_mut(cell, "aspect") = aspect(x);
+        });
+        let expect = format!("`{}` has aspect", nl.cells()[custom].name);
+        ("bad aspect", expect, damage)
+    });
+    for (what, expect, damage) in cases.into_iter().chain(aspects) {
+        let mut damaged = payload.clone();
+        let replica = &mut items_mut(field_mut(&mut damaged, "replicas"))[0];
+        damage(field_mut(replica, "snap"));
+        let mut ctrl = RunCtrl {
+            resume: Some(damaged),
+            ..Default::default()
+        };
+        let err = parallel_stage1_resilient(
+            &nl,
+            &fast_params(),
+            &EstimatorParams::default(),
+            &CoolingSchedule::stage1(),
+            &params,
+            42,
+            &mut twmc_obs::NullRecorder,
+            &mut ctrl,
+        )
+        .err()
+        .unwrap_or_else(|| panic!("{what}: the damaged checkpoint resumed"));
+        match err {
+            OrchestratorError::Checkpoint(CheckpointError::Corrupt(msg)) => {
+                assert!(msg.contains(&expect), "{what}: `{msg}` lacks `{expect}`")
+            }
+            other => panic!("{what}: wrong error {other}"),
+        }
+    }
 }
 
 // --- replica faults ------------------------------------------------------
@@ -418,9 +570,9 @@ mod faults {
 /// A fault scheduled at a quench round fires on the same round of the
 /// same rung whether the run goes through or is cut mid-quench and
 /// resumed: the quench numbers its rounds on from the ladder's round
-/// count, which its checkpoints carry. The default round budget (0)
-/// runs the ladder until its last rung lands, after the anchor, so that
-/// count is not the anchor's trajectory length.
+/// count, which its checkpoints carry. The ladder runs until its last
+/// rung lands, after the anchor, so that count is not the anchor's
+/// trajectory length.
 #[test]
 fn quench_fault_hits_the_same_round_after_a_resume() {
     let nl = circuit();
@@ -432,10 +584,7 @@ fn quench_fault_hits_the_same_round_after_a_resume() {
         failed.collect()
     };
     for threads in [1, 2] {
-        let params = ParallelParams {
-            rounds: 0,
-            ..parallel_params(3, threads, Strategy::Tempering)
-        };
+        let params = parallel_params(3, threads, Strategy::Tempering);
         let clean = complete_run(&nl, &params, RunCtrl::default());
         let sweeps = |phase: &str| {
             let temps = clean.events.iter().filter_map(move |e| match e {

@@ -405,9 +405,13 @@ mod tests {
     }
 
     fn state(nl: &Netlist) -> PlacementState<'_> {
+        seeded_state(nl, 3)
+    }
+
+    fn seeded_state(nl: &Netlist, seed: u64) -> PlacementState<'_> {
         let det = determine_core(nl, &EstimatorParams::default());
         let density = cell_density_factors(nl, nl.stats().avg_pin_density);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = StdRng::seed_from_u64(seed);
         PlacementState::random(nl, det.estimator, density, 5.0, &mut rng)
     }
 
@@ -828,6 +832,118 @@ mod tests {
             }
         }
         assert!(aspect_changed > 0, "aspect changes never moved a penalty");
+    }
+
+    /// A snapshot keeps only decisions and accumulated totals; restoring
+    /// it into a freshly built state of the same netlist must re-derive
+    /// everything else exactly. Random `generate` sequences and explicit
+    /// attempts commit and roll back every move class, on `every_shape`
+    /// and a 40-cell circuit with custom cells and L-shaped macros, with
+    /// dynamic and with static expansions. At every cut the restored
+    /// state equals the annealed one in every `CellPlace`, pin position
+    /// and site, net span, indexed rect, total and `p₂`; the restore
+    /// re-indexes once and counts no re-bin; and from one seed both
+    /// states anneal on to equal move statistics, cost bits and index
+    /// counters. Checked with `assert_eq!`, so release builds run it.
+    #[test]
+    fn restore_rederives_the_annealed_state() {
+        let params = PlaceParams::default();
+        for nl in [every_shape(), synthetic_40()] {
+            for frozen in [false, true] {
+                let mut st = state(&nl);
+                let n = nl.cells().len();
+                if frozen {
+                    let exp = (0..n as i64).map(|i| (i % 3, i % 5, i % 4, i % 2 + 1));
+                    st.set_static_expansions(exp.collect());
+                }
+                st.set_p2(0.37);
+                let core = st.estimator().core();
+                let mut rng = StdRng::seed_from_u64(53);
+                let mut stats = MoveStats::default();
+                for cut in 0..10u64 {
+                    for trial in 0..28 {
+                        generate(
+                            &mut st,
+                            &params,
+                            MoveSet::Full,
+                            core.width() as f64,
+                            core.height() as f64,
+                            10f64.powi(trial % 6),
+                            &mut rng,
+                            &mut stats,
+                        );
+                        let i = rng.random_range(0..n);
+                        let j = (i + rng.random_range(1..n)) % n;
+                        let target = Point::new(
+                            rng.random_range(core.lo().x..=core.hi().x),
+                            rng.random_range(core.lo().y..=core.hi().y),
+                        );
+                        let class = trial as usize % 7;
+                        let involved: &[usize] = if class >= 5 { &[i, j] } else { &[i] };
+                        st.save_attempt(involved);
+                        let before = st.move_cost(involved, st.attempt_nets());
+                        mutate(&mut st, class, i, j, target, &mut rng);
+                        if (trial / 7) % 2 == 0 {
+                            let after = st.move_cost(involved, st.attempt_nets());
+                            st.commit_attempt(before, after);
+                        } else {
+                            st.rollback_attempt();
+                        }
+                    }
+                    let what = format!("frozen={frozen}, cut {cut}");
+                    let mut fresh = seeded_state(&nl, 1000 + cut);
+                    let (rebuilds, updates) = (fresh.index_rebuilds(), fresh.index_updates());
+                    fresh.restore(&st.snapshot());
+                    assert_eq!(capture(&fresh), capture(&st), "{what}");
+                    assert_eq!(fresh.p2().to_bits(), st.p2().to_bits(), "{what}");
+                    assert_eq!(fresh.index_rebuilds(), rebuilds + 1, "{what}");
+                    assert_eq!(fresh.index_updates(), updates, "{what}");
+
+                    fresh.force_index_counters(st.index_rebuilds(), st.index_updates());
+                    let mut copy = st.clone();
+                    let (mut ra, mut rb) = (StdRng::seed_from_u64(cut), StdRng::seed_from_u64(cut));
+                    let (mut ma, mut mb) = (MoveStats::default(), MoveStats::default());
+                    for k in 0..40 {
+                        let t = 10f64.powi(k % 5);
+                        let (wx, wy) = (core.width() as f64, core.height() as f64);
+                        generate(
+                            &mut copy,
+                            &params,
+                            MoveSet::Full,
+                            wx,
+                            wy,
+                            t,
+                            &mut ra,
+                            &mut ma,
+                        );
+                        generate(
+                            &mut fresh,
+                            &params,
+                            MoveSet::Full,
+                            wx,
+                            wy,
+                            t,
+                            &mut rb,
+                            &mut mb,
+                        );
+                    }
+                    assert_eq!(ma, mb, "{what}");
+                    assert_eq!(fresh.cost().to_bits(), copy.cost().to_bits(), "{what}");
+                    assert_eq!(capture(&fresh), capture(&copy), "{what}");
+                    assert_eq!(
+                        (fresh.index_rebuilds(), fresh.index_updates()),
+                        (copy.index_rebuilds(), copy.index_updates()),
+                        "{what}"
+                    );
+                }
+                assert!(stats.accepts() > 0 && stats.accepts() < stats.attempts());
+                let instances = nl.cells().iter().any(|c| c.instance_count() > 1);
+                for (class, (attempts, _)) in stats.classes() {
+                    let optional = class == "instance_moves" && !instances;
+                    assert!(attempts > 0 || optional, "{class} never attempted");
+                }
+            }
+        }
     }
 
     /// The pin-unit table lists, per cell, the cell's sited pins in

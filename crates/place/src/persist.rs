@@ -10,17 +10,15 @@
 //! exactly as if it had never stopped.
 
 use serde::Value;
-use twmc_geom::{Orientation, Point, Rect, Side, Span, TileSet};
-use twmc_netlist::Netlist;
+use twmc_geom::{Orientation, Point, Rect, Side};
+use twmc_netlist::{CellGeometry, Netlist, PinPlacement};
 use twmc_resume::codec::{
-    self, array_field, bool_field, f64_field, i64_field, items, u64_field, usize_field,
+    self, array_field, bool_field, f64_field, field, i64_field, items, usize_field,
 };
 use twmc_resume::CheckpointError;
 
-use crate::state::{net_cost, CellPlace};
-use crate::{
-    CoolingRun, MoveStats, PlacementSnapshot, SiteLayout, SiteRef, Stage1Result, TempRecord,
-};
+use crate::state::CellDecision;
+use crate::{CoolingRun, MoveStats, PlacementSnapshot, SiteRef, Stage1Result, TempRecord};
 
 fn corrupt(msg: &str) -> CheckpointError {
     CheckpointError::Corrupt(msg.to_owned())
@@ -64,33 +62,6 @@ fn rect_from(v: &Value) -> Result<Rect, CheckpointError> {
     Ok(Rect::new(Point::new(c[0], c[1]), Point::new(c[2], c[3])))
 }
 
-fn span_pair_value(spans: Option<(Span, Span)>) -> Value {
-    match spans {
-        None => Value::Null,
-        Some((xs, ys)) => Value::Array(vec![
-            Value::Int(xs.lo()),
-            Value::Int(xs.hi()),
-            Value::Int(ys.lo()),
-            Value::Int(ys.hi()),
-        ]),
-    }
-}
-
-fn span_pair_from(v: &Value) -> Result<Option<(Span, Span)>, CheckpointError> {
-    if matches!(v, Value::Null) {
-        return Ok(None);
-    }
-    let a = items(v, "net_span")?;
-    if a.len() != 4 {
-        return Err(corrupt("net_span is not a 4-element array"));
-    }
-    let mut c = [0i64; 4];
-    for (slot, item) in c.iter_mut().zip(a) {
-        *slot = codec::as_i64(item).ok_or_else(|| corrupt("net_span bound is not an integer"))?;
-    }
-    Ok(Some((Span::new(c[0], c[1]), Span::new(c[2], c[3]))))
-}
-
 fn orientation_value(o: Orientation) -> Value {
     let idx = Orientation::ALL
         .iter()
@@ -121,18 +92,6 @@ fn side_from(v: &Value) -> Result<Side, CheckpointError> {
         .get(idx)
         .copied()
         .ok_or_else(|| corrupt("side index out of range"))
-}
-
-fn tileset_value(t: &TileSet) -> Value {
-    Value::Array(t.tiles().iter().map(|&r| rect_value(r)).collect())
-}
-
-fn tileset_from(v: &Value) -> Result<TileSet, CheckpointError> {
-    let rects = items(v, "shape")?
-        .iter()
-        .map(rect_from)
-        .collect::<Result<Vec<_>, _>>()?;
-    TileSet::new(rects).map_err(|e| CheckpointError::Corrupt(format!("invalid tile set: {e:?}")))
 }
 
 fn expansions_value(e: (i64, i64, i64, i64)) -> Value {
@@ -167,129 +126,40 @@ fn site_ref_from(v: &Value) -> Result<SiteRef, CheckpointError> {
     match a {
         [side, slot] => Ok(SiteRef {
             side: side_from(side)?,
-            slot: codec::as_u64(slot).ok_or_else(|| corrupt("site slot is not an integer"))? as u32,
+            slot: codec::as_u64(slot)
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| corrupt("site slot is not a u32"))?,
         }),
         _ => Err(corrupt("site is not a 2-element array")),
     }
 }
 
-fn u32s_value(xs: &[u32]) -> Value {
-    Value::Array(xs.iter().map(|&x| Value::UInt(x as u64)).collect())
-}
-
-fn u32s_from(v: &Value, what: &str) -> Result<Vec<u32>, CheckpointError> {
-    items(v, what)?
-        .iter()
-        .map(|x| {
-            codec::as_u64(x)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| CheckpointError::Corrupt(format!("`{what}` holds a non-u32")))
-        })
-        .collect()
-}
-
-fn site_layout_value(l: &SiteLayout) -> Value {
-    codec::object(vec![
-        ("spe", Value::UInt(l.sites_per_edge as u64)),
-        ("w", Value::Int(l.w)),
-        ("h", Value::Int(l.h)),
-        ("cap", u32s_value(&l.cap)),
-        (
-            "occ",
-            Value::Array(l.occ.iter().map(|side| u32s_value(side)).collect()),
-        ),
-        ("kappa", codec::f64_bits(l.kappa)),
-    ])
-}
-
-fn site_layout_from(v: &Value) -> Result<SiteLayout, CheckpointError> {
-    let cap = u32s_from(field(v, "cap")?, "cap")?;
-    if cap.len() != 4 {
-        return Err(corrupt("site layout `cap` is not 4 sides"));
-    }
-    let occ_items = array_field(v, "occ")?;
-    if occ_items.len() != 4 {
-        return Err(corrupt("site layout `occ` is not 4 sides"));
-    }
-    let mut occ: [Vec<u32>; 4] = Default::default();
-    for (slot, item) in occ.iter_mut().zip(occ_items) {
-        *slot = u32s_from(item, "occ")?;
-    }
-    Ok(SiteLayout {
-        sites_per_edge: u64_field(v, "spe")? as u32,
-        w: i64_field(v, "w")?,
-        h: i64_field(v, "h")?,
-        cap: [cap[0], cap[1], cap[2], cap[3]],
-        occ,
-        kappa: f64_field(v, "kappa")?,
-    })
-}
-
-use twmc_resume::codec::field;
-
 // --- cell placements and snapshots ---------------------------------------
 
-fn cell_place_value(c: &CellPlace) -> Value {
+fn cell_value(c: &CellDecision) -> Value {
     codec::object(vec![
         ("pos", point_value(c.pos)),
         ("o", orientation_value(c.orientation)),
         ("inst", Value::UInt(c.instance as u64)),
         ("aspect", codec::f64_bits(c.aspect)),
-        (
-            "dims",
-            Value::Array(vec![Value::Int(c.dims.0), Value::Int(c.dims.1)]),
-        ),
-        ("shape", tileset_value(&c.shape)),
-        ("exp", expansions_value(c.expansions)),
-        (
-            "sites",
-            match &c.sites {
-                None => Value::Null,
-                Some(l) => site_layout_value(l),
-            },
-        ),
     ])
 }
 
-fn cell_place_from(v: &Value) -> Result<CellPlace, CheckpointError> {
-    let dims = items(field(v, "dims")?, "dims")?;
-    let dims = match dims {
-        [w, h] => (
-            codec::as_i64(w).ok_or_else(|| corrupt("dims width is not an integer"))?,
-            codec::as_i64(h).ok_or_else(|| corrupt("dims height is not an integer"))?,
-        ),
-        _ => return Err(corrupt("dims is not a 2-element array")),
-    };
-    Ok(CellPlace {
+fn cell_from(v: &Value) -> Result<CellDecision, CheckpointError> {
+    Ok(CellDecision {
         pos: point_from(field(v, "pos")?)?,
         orientation: orientation_from(field(v, "o")?)?,
         instance: usize_field(v, "inst")?,
         aspect: f64_field(v, "aspect")?,
-        dims,
-        shape: tileset_from(field(v, "shape")?)?,
-        expansions: expansions_from(field(v, "exp")?)?,
-        sites: match field(v, "sites")? {
-            Value::Null => None,
-            other => Some(site_layout_from(other)?),
-        },
     })
 }
 
-/// Encodes a [`PlacementSnapshot`] of a state over `nl` as a checkpoint
-/// payload fragment.
-///
-/// The `net_cost` array holds each net's `C₁` contribution, derived from
-/// its span. It keeps the format unchanged for older readers; decoding
-/// checks its length and drops it.
-pub fn snapshot_value(s: &PlacementSnapshot, nl: &Netlist) -> Value {
+/// Encodes a [`PlacementSnapshot`] as a checkpoint payload fragment.
+pub fn snapshot_value(s: &PlacementSnapshot) -> Value {
     codec::object(vec![
         (
             "cells",
-            Value::Array(s.cells.iter().map(cell_place_value).collect()),
-        ),
-        (
-            "pin_pos",
-            Value::Array(s.pin_pos.iter().map(|&p| point_value(p)).collect()),
+            Value::Array(s.cells.iter().map(cell_value).collect()),
         ),
         (
             "pin_site",
@@ -302,22 +172,6 @@ pub fn snapshot_value(s: &PlacementSnapshot, nl: &Netlist) -> Value {
                     })
                     .collect(),
             ),
-        ),
-        (
-            "net_cost",
-            Value::Array(
-                nl.nets()
-                    .iter()
-                    .zip(&s.net_span)
-                    .map(|(net, &spans)| {
-                        codec::f64_bits(net_cost((net.weight_h, net.weight_v), spans))
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "net_span",
-            Value::Array(s.net_span.iter().map(|&sp| span_pair_value(sp)).collect()),
         ),
         ("c1", codec::f64_bits(s.total_c1)),
         ("overlap", Value::Int(s.total_overlap)),
@@ -333,16 +187,45 @@ pub fn snapshot_value(s: &PlacementSnapshot, nl: &Netlist) -> Value {
     ])
 }
 
-/// Decodes a [`snapshot_value`] payload fragment.
-pub fn snapshot_from(v: &Value) -> Result<PlacementSnapshot, CheckpointError> {
+/// Decodes a [`snapshot_value`] payload fragment of a state over `nl`.
+///
+/// Checks every decision [`crate::PlacementState::restore`] derives
+/// from against the netlist — the cell and pin counts, each macro's
+/// instance, each custom cell's aspect, that exactly the sited pins
+/// carry a site and each slot exists, the static-expansion count — so
+/// a checkpoint that does not fit is a typed error naming the cell or
+/// pin, not a panic.
+pub fn snapshot_from(v: &Value, nl: &Netlist) -> Result<PlacementSnapshot, CheckpointError> {
     let cells = array_field(v, "cells")?
         .iter()
-        .map(cell_place_from)
+        .map(cell_from)
         .collect::<Result<Vec<_>, _>>()?;
-    let pin_pos = array_field(v, "pin_pos")?
-        .iter()
-        .map(point_from)
-        .collect::<Result<Vec<_>, _>>()?;
+    if cells.len() != nl.cells().len() {
+        return Err(CheckpointError::Corrupt(format!(
+            "snapshot holds {} cells, the netlist {}",
+            cells.len(),
+            nl.cells().len()
+        )));
+    }
+    for (cell, d) in nl.cells().iter().zip(&cells) {
+        match &cell.geometry {
+            CellGeometry::Fixed { instances } if d.instance >= instances.len() => {
+                return Err(CheckpointError::Corrupt(format!(
+                    "cell `{}` selects instance {} of {}",
+                    cell.name,
+                    d.instance,
+                    instances.len()
+                )));
+            }
+            CellGeometry::Flexible { .. } if !(d.aspect.is_finite() && d.aspect > 0.0) => {
+                return Err(CheckpointError::Corrupt(format!(
+                    "custom cell `{}` has aspect {}",
+                    cell.name, d.aspect
+                )));
+            }
+            _ => {}
+        }
+    }
     let pin_site = array_field(v, "pin_site")?
         .iter()
         .map(|item| match item {
@@ -350,16 +233,26 @@ pub fn snapshot_from(v: &Value) -> Result<PlacementSnapshot, CheckpointError> {
             other => site_ref_from(other).map(Some),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let net_span = array_field(v, "net_span")?
-        .iter()
-        .map(span_pair_from)
-        .collect::<Result<Vec<_>, _>>()?;
-    let costs = array_field(v, "net_cost")?;
-    if costs.len() != net_span.len() {
-        return Err(corrupt("net_cost and net_span differ in length"));
+    if pin_site.len() != nl.pins().len() {
+        return Err(CheckpointError::Corrupt(format!(
+            "snapshot holds {} pins, the netlist {}",
+            pin_site.len(),
+            nl.pins().len()
+        )));
     }
-    if costs.iter().any(|item| codec::bits_f64(item).is_none()) {
-        return Err(corrupt("net_cost holds a non-float"));
+    for (pin, site) in nl.pins().iter().zip(&pin_site) {
+        let cell = &nl.cells()[pin.cell.index()];
+        let sited = cell.is_custom() && !matches!(pin.placement, PinPlacement::Fixed(_));
+        let defect = match site {
+            None if sited => "has no site",
+            Some(_) if !sited => "is not sited but carries a site",
+            Some(s) if s.slot >= cell.sites_per_edge => "sits on a slot its cell lacks",
+            _ => continue,
+        };
+        return Err(CheckpointError::Corrupt(format!(
+            "pin `{}.{}` {defect}",
+            cell.name, pin.name
+        )));
     }
     let static_expansions = match field(v, "static_exp")? {
         Value::Null => None,
@@ -370,11 +263,18 @@ pub fn snapshot_from(v: &Value) -> Result<PlacementSnapshot, CheckpointError> {
                 .collect::<Result<Vec<_>, _>>()?,
         ),
     };
+    if let Some(es) = &static_expansions {
+        if es.len() != cells.len() {
+            return Err(CheckpointError::Corrupt(format!(
+                "snapshot holds {} static expansions for {} cells",
+                es.len(),
+                cells.len()
+            )));
+        }
+    }
     Ok(PlacementSnapshot {
         cells,
-        pin_pos,
         pin_site,
-        net_span,
         total_c1: f64_field(v, "c1")?,
         total_overlap: i64_field(v, "overlap")?,
         total_c3: f64_field(v, "c3")?,
@@ -594,7 +494,7 @@ mod tests {
             );
         }
         let snap = state.snapshot();
-        let decoded = snapshot_from(&envelope_roundtrip(&snapshot_value(&snap, &nl))).unwrap();
+        let decoded = snapshot_from(&envelope_roundtrip(&snapshot_value(&snap)), &nl).unwrap();
 
         // Restoring the decoded snapshot must reproduce the state
         // bit-for-bit: costs, spans, and future evolution.
@@ -636,10 +536,41 @@ mod tests {
         assert_eq!(state.cost().to_bits(), restored.cost().to_bits());
     }
 
-    /// The encoded snapshot of a fixed mid-stage-1 state, byte for byte:
-    /// checkpoints written before and after a change to the state's
-    /// internals must stay interchangeable. The pinned bytes include the
-    /// envelope, whose format version is 3.
+    /// FNV-1a of a snapshot's decisions and accumulated totals: per cell
+    /// its position, orientation index, instance and aspect bits, per
+    /// pin its site, then the bits of `C₁`, the overlap, `C₃` and `p₂`.
+    fn decision_digest(s: &PlacementSnapshot) -> u64 {
+        let mut text = String::new();
+        for c in &s.cells {
+            let o = Orientation::ALL.iter().position(|&x| x == c.orientation);
+            let (x, y, inst, aspect) = (c.pos.x, c.pos.y, c.instance, c.aspect.to_bits());
+            text += &format!("{x} {y} {} {inst} {aspect};", o.unwrap());
+        }
+        text += "|";
+        for site in &s.pin_site {
+            match site {
+                None => text += "-,",
+                Some(r) => {
+                    let side = Side::ALL.iter().position(|&x| x == r.side).unwrap();
+                    text += &format!("{side}:{},", r.slot);
+                }
+            }
+        }
+        text += &format!(
+            "|{} {} {} {}",
+            s.total_c1.to_bits(),
+            s.total_overlap,
+            s.total_c3.to_bits(),
+            s.p2.to_bits()
+        );
+        twmc_resume::fnv1a64(text.as_bytes())
+    }
+
+    /// The encoded snapshot of a fixed mid-stage-1 state, byte for byte,
+    /// and what it decodes to. The pinned bytes include the envelope,
+    /// whose format version is 4; the decisions and totals decoded from
+    /// them hash to the digest the same state's decisions had before
+    /// format 4 dropped the derived data.
     #[test]
     fn snapshot_encoding_is_pinned() {
         let nl = circuit();
@@ -663,11 +594,13 @@ mod tests {
                 "main",
             );
         }
-        let text = twmc_resume::encode(&snapshot_value(&state.snapshot(), &nl));
+        let text = twmc_resume::encode(&snapshot_value(&state.snapshot()));
         assert_eq!(
             twmc_resume::fnv1a64(text.as_bytes()),
-            6_611_810_917_583_366_201
+            4_942_141_058_259_192_427
         );
+        let decoded = snapshot_from(&twmc_resume::decode(&text).unwrap(), &nl).unwrap();
+        assert_eq!(decision_digest(&decoded), 7_919_933_625_265_209_193);
     }
 
     #[test]
@@ -704,10 +637,10 @@ mod tests {
 
     #[test]
     fn decoders_reject_malformed_fragments() {
-        assert!(snapshot_from(&Value::Null).is_err());
+        assert!(snapshot_from(&Value::Null, &circuit()).is_err());
         assert!(move_stats_from(&Value::Array(vec![Value::UInt(1)])).is_err());
         assert!(cooling_run_from(&codec::object(vec![("t", Value::UInt(0))])).is_err());
         let bad_orient = codec::object(vec![("o", Value::UInt(99))]);
-        assert!(cell_place_from(&bad_orient).is_err());
+        assert!(cell_from(&bad_orient).is_err());
     }
 }

@@ -21,14 +21,14 @@ pub struct SiteRef {
 /// The pin-site layout of one custom cell at its current dimensions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteLayout {
-    pub(crate) sites_per_edge: u32,
-    pub(crate) w: i64,
-    pub(crate) h: i64,
+    sites_per_edge: u32,
+    w: i64,
+    h: i64,
     /// Capacity per site on each side (uniform along a side).
-    pub(crate) cap: [u32; 4],
+    cap: [u32; 4],
     /// Occupancy per (side, slot).
-    pub(crate) occ: [Vec<u32>; 4],
-    pub(crate) kappa: f64,
+    occ: [Vec<u32>; 4],
+    kappa: f64,
 }
 
 fn side_index(side: Side) -> usize {
@@ -135,6 +135,13 @@ impl SiteLayout {
             }
         }
         total
+    }
+
+    /// Empties every site.
+    pub(crate) fn clear_occupancy(&mut self) {
+        for side in &mut self.occ {
+            side.fill(0);
+        }
     }
 
     /// Total number of pins currently assigned to sites on this cell.

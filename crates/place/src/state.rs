@@ -125,17 +125,27 @@ pub(crate) enum PinUnit<'a> {
 /// [`PlacementState::pin_net`] of a pin that enters no net's span.
 const NO_NET: u32 = u32::MAX;
 
-/// A detached copy of the mutable part of a [`PlacementState`]: cell
-/// placements, pin positions/sites, and the incremental cost totals.
+/// What `generate` decides about one cell (paper §3.2.1). Everything
+/// else a [`CellPlace`] holds follows from these and the netlist.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct CellDecision {
+    pub(crate) pos: Point,
+    pub(crate) orientation: Orientation,
+    pub(crate) instance: usize,
+    pub(crate) aspect: f64,
+}
+
+/// A detached copy of the decisions of a [`PlacementState`] — each
+/// cell's position, orientation, instance and aspect, each pin's site —
+/// plus what cannot be recomputed bit for bit: the incrementally summed
+/// cost totals, `p₂`, and any static expansions.
 ///
 /// Produced by [`PlacementState::snapshot`], reapplied with
-/// [`PlacementState::restore`].
+/// [`PlacementState::restore`], which derives the rest.
 #[derive(Debug, Clone)]
 pub struct PlacementSnapshot {
-    pub(crate) cells: Vec<CellPlace>,
-    pub(crate) pin_pos: Vec<Point>,
+    pub(crate) cells: Vec<CellDecision>,
     pub(crate) pin_site: Vec<Option<SiteRef>>,
-    pub(crate) net_span: Vec<Option<(Span, Span)>>,
     pub(crate) total_c1: f64,
     pub(crate) total_overlap: i64,
     pub(crate) total_c3: f64,
@@ -144,11 +154,6 @@ pub struct PlacementSnapshot {
 }
 
 impl PlacementSnapshot {
-    /// The captured cell placements.
-    pub fn cells(&self) -> &[CellPlace] {
-        &self.cells
-    }
-
     /// Total cost `C = C₁ + p₂·C₂ + C₃` at capture time.
     pub fn cost(&self) -> f64 {
         self.total_c1 + self.p2 * self.total_overlap as f64 + self.total_c3
@@ -581,19 +586,25 @@ impl<'a> PlacementState<'a> {
         it.fold(first, |acc, r| acc.hull(r))
     }
 
-    /// Captures the mutable configuration (cell placements, pin
-    /// assignments, cost bookkeeping) without the immutable context.
-    ///
-    /// Cheaper than cloning the whole state: the netlist reference,
-    /// estimator, density factors, and connectivity indexes are shared
-    /// or rebuilt-free, so replica orchestrators snapshot/restore on
-    /// every improvement without copying them.
+    /// Captures the decisions of the configuration (each cell's
+    /// position, orientation, instance and aspect, each pin's site) and
+    /// the cost bookkeeping that cannot be recomputed bit for bit (the
+    /// incrementally summed totals, `p₂`, static expansions). Shapes,
+    /// site layouts, expansions, pin positions and net spans are left
+    /// to [`PlacementState::restore`] to derive.
     pub fn snapshot(&self) -> PlacementSnapshot {
         PlacementSnapshot {
-            cells: self.cells.clone(),
-            pin_pos: self.pin_pos.clone(),
+            cells: self
+                .cells
+                .iter()
+                .map(|c| CellDecision {
+                    pos: c.pos,
+                    orientation: c.orientation,
+                    instance: c.instance,
+                    aspect: c.aspect,
+                })
+                .collect(),
             pin_site: self.pin_site.clone(),
-            net_span: self.net_span.clone(),
             total_c1: self.total_c1,
             total_overlap: self.total_overlap,
             total_c3: self.total_c3,
@@ -602,10 +613,22 @@ impl<'a> PlacementState<'a> {
         }
     }
 
-    /// Restores a configuration captured by [`PlacementState::snapshot`].
+    /// Restores a configuration captured by [`PlacementState::snapshot`]
+    /// on a state over the same netlist, built with the same parameters.
     ///
-    /// The snapshot must come from a state over the same netlist (same
-    /// cell/pin/net counts); mixing circuits corrupts the bookkeeping.
+    /// Everything the snapshot leaves out is derived from its decisions
+    /// through the primitives the moves use: each cell's dims, site
+    /// spacing and shape (`resize`), its site
+    /// occupancy recounted from the pin sites, its expansions, every pin
+    /// from the geometry and every net span by a rescan. The spatial
+    /// index is rebuilt once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell or pin count differs from this state's, or if
+    /// a decision does not fit the netlist (an instance or site slot out
+    /// of range, a site on a pin that has none). A decoded checkpoint
+    /// ([`crate::persist::snapshot_from`]) has been checked for all of it.
     pub fn restore(&mut self, snap: &PlacementSnapshot) {
         assert_eq!(
             snap.cells.len(),
@@ -613,20 +636,46 @@ impl<'a> PlacementState<'a> {
             "snapshot from another circuit"
         );
         assert_eq!(
-            snap.pin_pos.len(),
-            self.pin_pos.len(),
+            snap.pin_site.len(),
+            self.pin_site.len(),
             "snapshot from another circuit"
         );
-        self.cells.clone_from(&snap.cells);
-        self.pin_pos.clone_from(&snap.pin_pos);
+        let nl = self.nl;
+        self.static_expansions.clone_from(&snap.static_expansions);
+        for (i, d) in snap.cells.iter().enumerate() {
+            let c = &mut self.cells[i];
+            c.pos = d.pos;
+            c.orientation = d.orientation;
+            c.instance = d.instance;
+            c.aspect = d.aspect;
+            if let Some(sites) = &mut c.sites {
+                sites.clear_occupancy();
+            }
+            self.resize(i);
+            self.cells[i].expansions = self.expansions(i);
+        }
         self.pin_site.clone_from(&snap.pin_site);
-        self.net_span.clone_from(&snap.net_span);
+        for (pin, site) in snap.pin_site.iter().enumerate() {
+            if let Some(site) = *site {
+                self.cells[nl.pins()[pin].cell.index()]
+                    .sites
+                    .as_mut()
+                    .expect("sited pin on custom cell")
+                    .occupy(site);
+            }
+        }
+        for (i, cell) in nl.cells().iter().enumerate() {
+            for (k, pin) in cell.pins.iter().enumerate() {
+                self.pin_pos[pin.index()] = self.absolute(i, self.pin_local(i, k, pin.index()));
+            }
+        }
+        for n in 0..self.net_span.len() {
+            self.net_span[n] = self.net_spans_scratch(n);
+        }
         self.total_c1 = snap.total_c1;
         self.total_overlap = snap.total_overlap;
         self.total_c3 = snap.total_c3;
         self.p2 = snap.p2;
-        self.static_expansions.clone_from(&snap.static_expansions);
-        // The cells were replaced wholesale: re-register them.
         let rects: Vec<Rect> = (0..self.cells.len())
             .map(|i| self.expanded_bbox(i))
             .collect();
@@ -708,15 +757,13 @@ impl<'a> PlacementState<'a> {
     ///
     /// Panics if the cell is custom or the instance index is out of range.
     pub fn set_cell_instance(&mut self, i: usize, instance: usize) {
-        let nl = self.nl;
-        let tiles = match &nl.cells()[i].geometry {
-            CellGeometry::Fixed { instances } => &instances[instance].tiles,
-            CellGeometry::Flexible { .. } => panic!("custom cells have no instances"),
-        };
+        assert!(
+            !self.nl.cells()[i].is_custom(),
+            "custom cells have no instances"
+        );
         let center = self.cells[i].center();
         self.cells[i].instance = instance;
-        self.cells[i].dims = (tiles.width(), tiles.height());
-        self.reshape(i);
+        self.resize(i);
         self.recenter_reshaped(i, center);
     }
 
@@ -728,20 +775,13 @@ impl<'a> PlacementState<'a> {
     ///
     /// Panics if the cell is a macro cell.
     pub fn set_cell_aspect(&mut self, i: usize, ratio: f64) {
-        let area = match &self.nl.cells()[i].geometry {
-            CellGeometry::Flexible { area, .. } => *area,
-            CellGeometry::Fixed { .. } => panic!("macro cells have a fixed aspect"),
-        };
+        assert!(
+            self.nl.cells()[i].is_custom(),
+            "macro cells have a fixed aspect"
+        );
         let center = self.cells[i].center();
-        let (w, h) = flexible_dims(area, ratio);
-        let ts = self.estimator.track_spacing();
-        let cell = &mut self.cells[i];
-        cell.aspect = ratio;
-        cell.dims = (w, h);
-        if let Some(sites) = &mut cell.sites {
-            sites.resize(w, h, ts);
-        }
-        self.reshape(i);
+        self.cells[i].aspect = ratio;
+        self.resize(i);
         self.recenter_reshaped(i, center);
     }
 
@@ -751,6 +791,26 @@ impl<'a> PlacementState<'a> {
         let cell = self.nl.pins()[pin].cell.index();
         let p = self.absolute(cell, self.custom_pin_local(cell, pin));
         self.move_pin(pin, p);
+    }
+
+    /// Re-derives cell `i`'s dims from its instance (macro) or aspect
+    /// (custom), re-spaces its pin sites on them and rewrites its shape.
+    #[inline]
+    fn resize(&mut self, i: usize) {
+        let nl = self.nl;
+        let ts = self.estimator.track_spacing();
+        let c = &mut self.cells[i];
+        c.dims = match &nl.cells()[i].geometry {
+            CellGeometry::Fixed { instances } => {
+                let tiles = &instances[c.instance].tiles;
+                (tiles.width(), tiles.height())
+            }
+            CellGeometry::Flexible { area, .. } => flexible_dims(*area, c.aspect),
+        };
+        if let Some(sites) = &mut c.sites {
+            sites.resize(c.dims.0, c.dims.1, ts);
+        }
+        self.reshape(i);
     }
 
     /// Rewrites cell `i`'s cached shape, in its own tile buffer, as the
@@ -776,16 +836,7 @@ impl<'a> PlacementState<'a> {
     /// participates in a move — paper §2.2). When static expansions are
     /// installed (stage 2), those are used unchanged.
     pub fn refresh_expansions(&mut self, i: usize) {
-        if let Some(fixed) = &self.static_expansions {
-            self.cells[i].expansions = fixed[i];
-        } else {
-            let bbox = self.cells[i].placed_bbox();
-            let f = &self.density[i][self.cells[i].orientation as usize];
-            let exp = self
-                .estimator
-                .side_expansions(bbox, |side| f[side as usize]);
-            self.cells[i].expansions = exp;
-        }
+        self.cells[i].expansions = self.expansions(i);
         // Geometry (position, shape, or expansions) may have changed:
         // keep the spatial index in sync — except inside a move attempt,
         // whose commit re-indexes its cells once and whose rollback
@@ -793,6 +844,18 @@ impl<'a> PlacementState<'a> {
         if !self.attempt.open {
             self.index.update(i, self.expanded_bbox(i));
         }
+    }
+
+    /// Cell `i`'s per-side expansions at its current placement: the
+    /// installed static ones, or else the dynamic estimate.
+    #[inline]
+    fn expansions(&self, i: usize) -> (i64, i64, i64, i64) {
+        if let Some(fixed) = &self.static_expansions {
+            return fixed[i];
+        }
+        let f = &self.density[i][self.cells[i].orientation as usize];
+        self.estimator
+            .side_expansions(self.cells[i].placed_bbox(), |side| f[side as usize])
     }
 
     /// A cell's placed bounding box grown by its per-side expansions —
@@ -864,6 +927,7 @@ impl<'a> PlacementState<'a> {
 
     /// Cell-local (unoriented) position of `pin`, the `k`-th pin of cell
     /// `i`: macro pins sit at per-instance positions listed by slot.
+    #[inline]
     fn pin_local(&self, i: usize, k: usize, pin: usize) -> Point {
         match &self.nl.cells()[i].geometry {
             CellGeometry::Fixed { instances } => instances[self.cells[i].instance].pin_positions[k],
@@ -1404,7 +1468,7 @@ impl<'a> PlacementState<'a> {
 
 /// A net's `C₁` contribution over its spans under its `(h(n), v(n))`
 /// weights: `x(n)·h(n) + y(n)·v(n)` (zero for a degenerate pin-less net).
-pub(crate) fn net_cost((h, v): (f64, f64), spans: Option<(Span, Span)>) -> f64 {
+fn net_cost((h, v): (f64, f64), spans: Option<(Span, Span)>) -> f64 {
     spans.map_or(0.0, |(xs, ys)| xs.len() as f64 * h + ys.len() as f64 * v)
 }
 

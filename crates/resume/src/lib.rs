@@ -48,9 +48,13 @@ pub const MAGIC: &str = "twmc-ckpt";
 /// per-pair swap counters) and the all-rung quench payload. Version 3
 /// stores tempering rungs as the same replica records multi-start uses
 /// (cooling run included) and adds the ladder's round count to the
-/// quench payload. Older checkpoints are rejected rather than silently
-/// misresumed.
-pub const VERSION: u64 = 3;
+/// quench payload. Version 4 keeps only the annealer's decisions and
+/// accumulated cost totals in a placement snapshot (the resumed process
+/// derives shapes, site layouts, expansions, pin positions and net
+/// spans from them), drops the replica record's seed and the config
+/// digest's `rounds` key. Older checkpoints are rejected rather than
+/// silently misresumed.
+pub const VERSION: u64 = 4;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]
@@ -313,7 +317,7 @@ mod tests {
     fn encode_decode_roundtrip() {
         let payload = sample_payload();
         let text = encode(&payload);
-        assert!(text.starts_with("{\"magic\":\"twmc-ckpt\",\"version\":3,"));
+        assert!(text.starts_with("{\"magic\":\"twmc-ckpt\",\"version\":4,"));
         let back = decode(&text).unwrap();
         assert_eq!(serde_json::to_string(&back).unwrap(), {
             serde_json::to_string(&payload).unwrap()
@@ -354,13 +358,14 @@ mod tests {
             Err(CheckpointError::BadVersion(99))
         ));
 
-        // Version-1 (static ladder) and version-2 (separate rung
-        // records, no ladder round count in the quench) envelopes are
-        // rejected as version skew, not misread.
-        let v1 = text.replace(&current, "\"version\":1");
-        assert!(matches!(decode(&v1), Err(CheckpointError::BadVersion(1))));
-        let v2 = text.replace(&current, "\"version\":2");
-        assert!(matches!(decode(&v2), Err(CheckpointError::BadVersion(2))));
+        // Version-1 (static ladder), version-2 (separate rung records,
+        // no ladder round count in the quench) and version-3 (derived
+        // placement data in every snapshot) envelopes are rejected as
+        // version skew, not misread.
+        for old in 1..VERSION {
+            let text = text.replace(&current, &format!("\"version\":{old}"));
+            assert!(matches!(decode(&text), Err(CheckpointError::BadVersion(v)) if v == old));
+        }
 
         let tampered = text.replace("\"step\":17", "\"step\":18");
         assert!(matches!(

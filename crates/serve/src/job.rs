@@ -247,7 +247,6 @@ impl JobSpec {
                 threads: self.threads,
                 strategy: self.strategy,
                 swap_interval: self.swap_interval,
-                ..Default::default()
             },
             seed: self.seed,
             ..Default::default()

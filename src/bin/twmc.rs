@@ -318,7 +318,6 @@ fn config_from(flags: &Flags) -> Result<TimberWolfConfig, String> {
             threads: flags.get("threads", 0)?,
             strategy,
             swap_interval: flags.get("swap-interval", 1)?,
-            ..Default::default()
         },
         seed: flags.get("seed", 42)?,
         ..Default::default()

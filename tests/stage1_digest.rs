@@ -234,7 +234,6 @@ fn golden_stage1_digest() {
         threads: 1,
         strategy: Strategy::Tempering,
         swap_interval: 1,
-        rounds: 0,
     };
     let quick = PlaceParams {
         attempts_per_cell: 1,
@@ -266,7 +265,6 @@ fn golden_multistart_digest() {
             threads,
             strategy: Strategy::MultiStart,
             swap_interval: 1,
-            rounds: 0,
         };
         let (st, result, report) = parallel_stage1(
             &nl,
@@ -375,7 +373,6 @@ fn golden_tempering_digest() {
                 threads,
                 strategy: Strategy::Tempering,
                 swap_interval,
-                rounds: 0,
             };
             let (st, result, report) = parallel_stage1(
                 &nl,

@@ -126,7 +126,6 @@ fn tempering_run_covers_replica_and_swap_kinds() {
         threads: 2,
         strategy: Strategy::Tempering,
         swap_interval: 4,
-        ..Default::default()
     };
 
     let plain = run_timberwolf(&nl, &config);
