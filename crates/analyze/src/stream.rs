@@ -245,6 +245,22 @@ impl RunStream {
     pub fn degraded(&self) -> bool {
         !self.failures.is_empty()
     }
+
+    /// Drops the stage-2 and finalize records read so far: a run cut
+    /// there resumes from the stage-1-complete checkpoint.
+    fn drop_stage2(&mut self) {
+        const STAGES: [&str; 5] = [
+            "channel_definition",
+            "global_routing",
+            "refine_anneal",
+            "final_routing",
+            "finalize",
+        ];
+        self.temps.retain(|t| t.phase != "stage2");
+        self.routes
+            .retain(|r| !["stage2", "final", "finalize"].contains(&r.phase.as_str()));
+        self.spans.retain(|s| !STAGES.contains(&s.stage.as_str()));
+    }
 }
 
 fn field<'a>(entries: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
@@ -280,6 +296,9 @@ fn text(entries: &[(String, Value)], name: &str) -> String {
 /// Validation errors (malformed JSON, schema violations, a broken run
 /// envelope, reheating within an anneal stream) are returned verbatim
 /// from the obs validator, line numbers included.
+///
+/// A `run_interrupted` in `stage2` or `finalize` drops the stage-2 and
+/// finalize records before it, which the resumed run records again.
 pub fn parse_stream(jsonl: &str) -> Result<RunStream, String> {
     let stats = validate_jsonl(jsonl)?;
     let mut out = RunStream {
@@ -423,9 +442,13 @@ pub fn parse_stream(jsonl: &str) -> Result<RunStream, String> {
                 // A later interrupt starts a new resumable suffix: the
                 // continuation it cuts short was itself clean.
                 out.trailing_after_interrupt = false;
+                let stage = text(&entries, "stage");
+                if stage == "stage2" || stage == "finalize" {
+                    out.drop_stage2();
+                }
                 out.interrupted = Some(RunInterruptedRec {
                     reason: text(&entries, "reason"),
-                    stage: text(&entries, "stage"),
+                    stage,
                     teil: num(&entries, "teil"),
                     cost: num(&entries, "cost"),
                     wall_us: uint(&entries, "wall_us"),

@@ -15,7 +15,7 @@
 //!    (`NullRecorder`) path is one always-false branch per step.
 //!
 //! The sweep covers four scopes: bare stage-1 placement, the same
-//! stage-1 run with the live metrics hub attached (sharded counters
+//! stage-1 run with the live metrics hub attached (atomic counters
 //! plus the stride-sampled per-move latency histogram, no events —
 //! the always-on `/metrics` configuration), the same run with the
 //! span [`Tracer`] attached (per-block timing plus sampled cost-term
@@ -150,9 +150,9 @@ fn stage1_row(test_mode: bool) -> ObsRow {
 }
 
 /// Live-metrics sweep: a stage-1 run with the [`MetricsHub`] attached
-/// but JSONL events off — the hot loop ticks the sharded move counters
-/// and the stride-sampled per-move latency histogram on every
-/// temperature step. This is the "always-on" configuration the live
+/// but JSONL events off — the hot loop adds to the move counters on
+/// every temperature step and feeds the stride-sampled per-move
+/// latency histogram. This is the "always-on" configuration the live
 /// `/metrics` plane runs in, so it carries the same <2% bound.
 fn metrics_row(test_mode: bool) -> ObsRow {
     let (cells, ac, trials) = if test_mode { (10, 6, 1) } else { (40, 30, 9) };
@@ -209,17 +209,17 @@ fn metrics_row(test_mode: bool) -> ObsRow {
 
 /// Span-tracing sweep: a stage-1 run with a [`Tracer`] attached and no
 /// event sink — every temperature step opens a span, every 32-move
-/// block is timed into the per-thread ring, and the stride-sampled
-/// cost-term attribution runs. This is the `twmc place --trace`
-/// configuration, so it carries the same <2% per-move bound.
+/// block is timed into the per-thread span buffer, and the
+/// stride-sampled cost-term attribution runs. This is the `twmc place
+/// --trace` configuration, so it carries the same <2% per-move bound.
 fn trace_row(test_mode: bool) -> ObsRow {
     let (cells, ac, trials) = if test_mode { (10, 6, 1) } else { (40, 30, 9) };
     let nl = circuit(cells);
     let pp = params(ac);
 
     // Correctness: the traced run must reproduce the disabled run —
-    // spans only ever read clocks and write to the lock-free ring,
-    // never an RNG stream.
+    // spans only ever read clocks and append to a span buffer, never
+    // an RNG stream.
     let (reference, _) = timed_run(&nl, &pp, &mut NullRecorder);
     let tracer = Tracer::new();
     let mut traced = Instrumented::new(NullRecorder, None, Some(tracer.clone()));

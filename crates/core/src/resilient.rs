@@ -11,6 +11,9 @@
 //! land at stage boundaries, flush a final checkpoint and a
 //! [`twmc_obs::RunInterrupted`] event, and still return the best-so-far
 //! placement.
+//!
+//! Telemetry appended across a stage-2 cut keeps both attempts' stage 2;
+//! `twmc-analyze`'s `parse_stream` reads only the resumed one.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -99,8 +102,9 @@ impl From<CheckpointError> for PipelineError {
 /// at any worker-thread count. A resumed run skips the work the
 /// checkpoint already covers (mid-stage-1 state, or all of stage 1 for
 /// a `"stage2"`-phase checkpoint) and does not re-emit the telemetry
-/// the interrupted run already flushed — append the resumed stream to
-/// the original JSONL file to obtain the full-run stream.
+/// of that work — append the resumed stream to the original JSONL file
+/// to obtain the full-run stream (a stage-2 cut's partial stage 2 stays
+/// in the file; see the module docs).
 pub fn run_timberwolf_resilient(
     nl: &Netlist,
     config: &TimberWolfConfig,

@@ -5,13 +5,15 @@
 //! Event streams at this level carry wall-clock fields, so these tests
 //! compare the *results* (placement, TEIL bits, chip, routed length);
 //! the telemetry prefix/suffix contract is proven per-stage in
-//! `twmc-parallel`'s resilience tests.
+//! `twmc-parallel`'s resilience tests, and a stage-2 cut's stitched
+//! stream is compared here through the reader, wall clocks aside.
 
 use std::path::PathBuf;
 
+use twmc_analyze::{metrics, parse_stream, Metrics, RunStream};
 use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome, Strategy, TimberWolfConfig};
 use twmc_netlist::{synthesize, Netlist, SynthParams};
-use twmc_obs::{CancelToken, NullRecorder, StopReason};
+use twmc_obs::{CancelToken, JsonlRecorder, NullRecorder, StopReason};
 use twmc_place::PlaceParams;
 use twmc_resume::{read_checkpoint, CheckpointWriter};
 
@@ -152,6 +154,61 @@ fn stage2_interrupt_resumes_from_the_stage1_complete_checkpoint() {
     let cfg = config(1);
     let (_, total) = complete(&nl, &cfg, RunCtrl::default());
     assert_interrupt_resume_identical(1, total - 1, "stage2", "stage2-cut");
+}
+
+/// Runs the pipeline under `opts` into a JSONL memory sink.
+fn recorded(nl: &Netlist, cfg: &TimberWolfConfig, opts: RunCtrl) -> (RunOutcome, String) {
+    let mut rec = JsonlRecorder::new(Vec::new());
+    let outcome = run_timberwolf_resilient(nl, cfg, opts, &mut rec).expect("run succeeds");
+    let bytes = rec.finish().expect("memory sink");
+    (outcome, String::from_utf8(bytes).expect("utf-8 stream"))
+}
+
+/// What a stitched stream shares with the uninterrupted one: steps,
+/// routings, stage spans in order and metrics, wall clocks aside.
+fn comparable(s: &RunStream) -> impl PartialEq + std::fmt::Debug {
+    let spans: Vec<_> = s
+        .spans
+        .iter()
+        .map(|x| (x.stage.clone(), x.iteration))
+        .collect();
+    let timeless = Metrics {
+        wall_us: 0,
+        ..metrics(s)
+    };
+    (s.temps.clone(), s.routes.clone(), spans, timeless)
+}
+
+#[test]
+fn stage2_cut_stitches_to_the_uninterrupted_stream() {
+    // The resumed run re-runs all of stage 2 from the stage-1-complete
+    // checkpoint, so the stitched file holds the cut attempt's partial
+    // stage 2 and then all of it again: the reader keeps the second.
+    let nl = circuit();
+    let cfg = config(1);
+    let (_, full_text) = recorded(&nl, &cfg, RunCtrl::default());
+    let full = parse_stream(&full_text).expect("uninterrupted stream parses");
+    let attempts = |phase: &str| -> u64 {
+        let steps = full.temps.iter().filter(|t| t.phase == phase);
+        steps.map(|t| t.attempts).sum()
+    };
+    let budget = attempts("stage1") + attempts("stage2") / 2;
+
+    let path = temp_path("stage2-stitch");
+    let opts = RunCtrl {
+        cancel: CancelToken::new().with_max_moves(budget),
+        writer: Some(CheckpointWriter::new(&path, 3)),
+        ..Default::default()
+    };
+    let (outcome, cut_text) = recorded(&nl, &cfg, opts);
+    assert!(matches!(outcome, RunOutcome::Interrupted(cut) if cut.stage == "stage2"));
+    let resumed = RunCtrl {
+        resume: Some(read_checkpoint(&path).expect("checkpoint readable")),
+        ..Default::default()
+    };
+    let (_, resumed_text) = recorded(&nl, &cfg, resumed);
+    let stitched = parse_stream(&(cut_text + &resumed_text)).expect("stitched stream parses");
+    assert_eq!(comparable(&stitched), comparable(&full));
 }
 
 #[test]

@@ -6,11 +6,12 @@
 //! after the fact; this crate answers "what is the process doing right
 //! now?" while it runs. The design constraints, in order:
 //!
-//! 1. **Hot-path cheap.** Counters are sharded over cache-line-padded
-//!    atomics (one shard per thread, assigned lazily), so the stage-1
-//!    Metropolis loop can keep them on permanently. Histograms observe
-//!    through one relaxed `fetch_add` per bucket plus a fixed-point sum
-//!    — no locks, no allocation, no formatting until scrape time.
+//! 1. **Hot-path cheap.** A counter is one atomic, added to with a
+//!    relaxed `fetch_add`; the stage-1 Metropolis loop folds its move
+//!    counts into it once per temperature step, so it can stay on
+//!    permanently. Histograms observe through one relaxed `fetch_add`
+//!    per bucket plus a fixed-point sum — no locks, no allocation, no
+//!    formatting until scrape time.
 //! 2. **Never perturbs results.** Nothing here touches an RNG or any
 //!    annealing state; recording is write-only from the producers'
 //!    perspective. The obs bench proves runs stay bit-identical with

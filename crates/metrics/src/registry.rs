@@ -1,54 +1,34 @@
 //! The metric primitives and the registry that renders them.
 
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Shards per counter. Each worker thread lands on one shard (assigned
-/// round-robin on first use), so concurrent increments from the daemon's
-/// worker pool don't bounce one cache line between cores.
-const SHARDS: usize = 8;
 
 /// Fixed-point scale of histogram sums: values are accumulated as
 /// `value * 1000` rounded, so fractional milliseconds survive without a
 /// compare-and-swap loop over f64 bits.
 const SUM_SCALE: f64 = 1000.0;
 
-/// A cache-line-padded atomic cell (64-byte alignment keeps neighboring
-/// shards out of each other's cache lines).
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// Round-robin shard assignment: each thread caches its index.
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed) % SHARDS;
-    }
-    SHARD.with(|s| *s)
-}
-
-/// A monotonically increasing counter, sharded across padded atomics.
+/// A monotonically increasing counter.
 ///
 /// Handles are cheap `Arc` clones; increments are one relaxed
-/// `fetch_add` on the calling thread's shard.
+/// `fetch_add`.
 #[derive(Clone)]
 pub struct Counter {
-    shards: Arc<[PaddedU64; SHARDS]>,
+    cell: Arc<AtomicU64>,
 }
 
 impl Counter {
     fn new() -> Counter {
         Counter {
-            shards: Arc::new(Default::default()),
+            cell: Arc::new(AtomicU64::new(0)),
         }
     }
 
     /// Adds `n` to the counter.
     #[inline]
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.cell.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds 1.
@@ -57,12 +37,9 @@ impl Counter {
         self.add(1);
     }
 
-    /// The current total (sum over shards).
+    /// The current total.
     pub fn value(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.0.load(Ordering::Relaxed))
-            .sum()
+        self.cell.load(Ordering::Relaxed)
     }
 }
 

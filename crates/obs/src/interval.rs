@@ -130,7 +130,7 @@ impl OpenInterval {
                 _ => {}
             }
         }
-        // The lane is checked out only now, so the span lands on the ring
+        // The lane is checked out only now, so the span lands on the lane
         // the interval's own code recorded into and nests around it.
         if let Some(tracer) = rec.tracer() {
             tracer.lane(lane).span(name, cat, self.t0, dur);

@@ -337,7 +337,7 @@ fn route_inner(
     if let Some(hub) = rec.hub() {
         hub.route_overflow.set(assignment.overflow);
     }
-    // Check the lane back in so the interval's span lands on its ring.
+    // Check the lane back in so the interval's span lands on its lane.
     drop(lane);
     route_time.close(rec);
 

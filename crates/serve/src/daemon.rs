@@ -158,7 +158,7 @@ enum JobTrace {
     /// Recording: one timeline across every attempt, so queued →
     /// running → preempted → resumed → done reads as one trace.
     Live(Arc<Tracer>),
-    /// Sealed into the spool; the span rings are dropped.
+    /// Sealed into the spool; the span buffers are dropped.
     Sealed,
     /// Sealed, but the spool write failed: the capture itself.
     Unspooled(String),
@@ -519,7 +519,7 @@ impl Daemon {
         }
     }
 
-    /// Whether the job still holds its span rings in memory (it is
+    /// Whether the job still holds its span buffers in memory (it is
     /// recording), or `None` for an unknown id.
     pub fn trace_is_live(&self, id: &str) -> Option<bool> {
         let inner = self.state.lock().unwrap();
@@ -784,7 +784,7 @@ impl Daemon {
     }
 
     /// Stamps a terminal lifecycle mark on the job's trace, seals the
-    /// capture into the spool and drops the span rings (keeping the
+    /// capture into the spool and drops the span buffers (keeping the
     /// capture itself when the write fails). Called with the state lock
     /// held.
     fn seal_trace(&self, inner: &mut Inner, id: &str, terminal: &'static str) {

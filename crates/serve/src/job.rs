@@ -302,9 +302,10 @@ impl JobSpec {
     }
 }
 
-/// Renders a placement in the CLI's `--placement` file format — one
-/// line per cell, byte-stable for a given placement, which is what the
-/// bit-identical preemption/resume checks compare.
+/// Renders a placement as text: the CLI's `--placement` file and the
+/// daemon's `/placement` body. One line per cell, byte-stable for a
+/// given placement, which is what the bit-identical preemption/resume
+/// checks compare.
 pub fn placement_text(cells: &[PlacedCellRecord]) -> String {
     use std::fmt::Write as _;
     let mut text = String::new();

@@ -4,9 +4,9 @@
 //! this crate answers "*where did the wall clock go*": hierarchical
 //! spans — run → stage1 → temp_step → move-block, cost terms inside
 //! move evaluation, route iterations, checkpoint writes, daemon job
-//! lifecycles — recorded into per-thread lock-free ring buffers and
-//! exported as Chrome Trace Event JSON (Perfetto / `chrome://tracing`)
-//! or folded into a self-time attribution table.
+//! lifecycles — recorded into per-thread span buffers and exported as
+//! Chrome Trace Event JSON (Perfetto / `chrome://tracing`) or folded
+//! into a self-time attribution table.
 //!
 //! Design rules, in priority order:
 //!
@@ -14,13 +14,13 @@
 //!    a tracer once per scope (`Recorder::tracer()`, mirroring
 //!    `hub()`); with no tracer attached not a single atomic is touched.
 //! 2. **Bit-identical results when on.** Recording reads clocks and
-//!    writes ring slots — it never touches an RNG stream or a cost
-//!    value, so a traced run places identically to an untraced one.
-//! 3. **Bounded memory, never blocking.** Each lane is a fixed-size
-//!    power-of-two ring written by exactly one thread. When a lane
-//!    wraps, the oldest spans are evicted and counted as dropped;
-//!    recording never allocates after lane checkout, never locks, and
-//!    never waits for a reader.
+//!    appends to a span buffer — it never touches an RNG stream or a
+//!    cost value, so a traced run places identically to an untraced one.
+//! 3. **Bounded memory that grows with use.** Each lane is a span
+//!    buffer behind a mutex, written by one thread, holding only the
+//!    spans recorded so far, up to the lane capacity; past that, the
+//!    oldest are evicted and counted as dropped. A span costs one
+//!    uncontended lock; a collector locks a lane only to copy it.
 //! 4. **Eviction cannot corrupt structure.** Spans are *complete*
 //!    events (start + duration); parent/child nesting is re-derived
 //!    from time containment at read time, so losing an old span can
@@ -36,49 +36,22 @@
 
 mod capture;
 mod chrome;
+mod lane;
 mod profile;
-mod ring;
 
 pub use capture::capture_to_string;
 pub use chrome::chrome_trace_json;
+pub use lane::Lane;
 pub use profile::{profile, Profile, ProfileRow};
-pub use ring::{Lane, LaneShared};
 
+use lane::LaneShared;
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-/// Default per-lane span capacity (slots). Power of two; at one span
-/// per 32-move block this holds the last ~2M move evaluations per
-/// thread, plus every coarse span of any realistic run.
+/// Default per-lane span capacity. At one span per 32-move block this
+/// holds the last ~2M move evaluations per thread, plus every coarse
+/// span of any realistic run.
 pub const DEFAULT_LANE_CAPACITY: usize = 65_536;
-
-/// Span names are interned to `u32` ids so a ring slot is four words.
-/// The table is append-only under a mutex; writers hit it only on a
-/// lane-local cache miss (a handful of times per lane, ever).
-#[derive(Default)]
-struct Interner {
-    names: Mutex<Vec<&'static str>>,
-}
-
-impl Interner {
-    fn intern(&self, name: &'static str) -> u32 {
-        let mut names = self.names.lock().unwrap();
-        if let Some(id) = names.iter().position(|n| *n == name) {
-            return id as u32;
-        }
-        names.push(name);
-        (names.len() - 1) as u32
-    }
-
-    fn resolve(&self) -> Vec<String> {
-        self.names
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|n| (*n).to_owned())
-            .collect()
-    }
-}
 
 /// One recorded span, resolved into owned form by [`Tracer::collect`].
 #[derive(Debug, Clone, PartialEq)]
@@ -101,14 +74,14 @@ impl SpanRecord {
 }
 
 /// One lane of a collected trace: the surviving spans of one writer
-/// thread, in recording (completion) order.
+/// thread, by start time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneSnapshot {
-    /// Lane name (`main`, `replica3`, `rung2`, `route`, `job`, ...).
+    /// Lane name (`main`, `replica3`, `job`, ...).
     pub name: String,
     /// Surviving spans.
     pub spans: Vec<SpanRecord>,
-    /// Spans evicted by ring wraparound before this collection.
+    /// Spans evicted before this collection to stay within capacity.
     pub dropped: u64,
 }
 
@@ -140,14 +113,13 @@ impl TraceSnapshot {
     }
 }
 
-/// The tracing hub: owns the lane pool and the name table. Cloned by
-/// `Arc` into every instrumented scope (recorders hand out
-/// `Option<&Arc<Tracer>>`, exactly like the metrics hub).
+/// The tracing hub: owns the lane pool. Cloned by `Arc` into every
+/// instrumented scope (recorders hand out `Option<&Arc<Tracer>>`,
+/// exactly like the metrics hub).
 pub struct Tracer {
     epoch: Instant,
     base_unix_ns: u64,
     capacity: usize,
-    interner: Arc<Interner>,
     lanes: Mutex<Vec<Arc<LaneShared>>>,
 }
 
@@ -166,19 +138,16 @@ impl Tracer {
         Tracer::with_capacity(DEFAULT_LANE_CAPACITY)
     }
 
-    /// A tracer whose lanes hold `capacity` spans each (rounded up to
-    /// a power of two, minimum 8) before evicting the oldest.
+    /// A tracer whose lanes hold up to `capacity` spans each (at least
+    /// one) before evicting the oldest.
     pub fn with_capacity(capacity: usize) -> Arc<Tracer> {
-        let capacity = capacity.max(8).next_power_of_two();
         let base_unix_ns = SystemTime::now()
             .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0);
+            .map_or(0, |d| d.as_nanos() as u64);
         Arc::new(Tracer {
             epoch: Instant::now(),
             base_unix_ns,
-            capacity,
-            interner: Arc::new(Interner::default()),
+            capacity: capacity.max(1),
             lanes: Mutex::new(Vec::new()),
         })
     }
@@ -186,45 +155,38 @@ impl Tracer {
     /// Checks out the writer handle for the lane named `name`,
     /// creating it on first use. A lane has exactly one writer at a
     /// time: re-checking-out a name still held elsewhere yields a
-    /// fresh ring under the same name (collected as a separate lane),
-    /// so two threads can never race one ring. Dropping the [`Lane`]
-    /// checks it back in. This is the only lock on the recording path,
-    /// paid once per scope (per temp step, per route call, per job) —
-    /// never per span.
+    /// fresh lane under the same name (collected as a separate lane),
+    /// so two threads never write one lane. Dropping the [`Lane`]
+    /// checks it back in.
     pub fn lane(self: &Arc<Self>, name: &str) -> Lane {
         let mut lanes = self.lanes.lock().unwrap();
-        let shared = match lanes.iter().find(|l| l.name() == name && l.checkout()) {
+        let shared = match lanes.iter().find(|l| l.checkout(name)) {
             Some(found) => Arc::clone(found),
             None => {
-                let fresh = Arc::new(LaneShared::new(name.to_owned(), self.capacity));
-                assert!(fresh.checkout(), "fresh lane is checked in");
+                let fresh = Arc::new(LaneShared::checked_out(name, self.capacity));
                 lanes.push(Arc::clone(&fresh));
                 fresh
             }
         };
-        Lane::new(shared, Arc::clone(&self.interner), self.epoch)
+        Lane {
+            shared,
+            epoch: self.epoch,
+        }
     }
 
     /// Collects every lane's surviving spans into an owned snapshot.
-    /// Safe to call while writers are live (a span being written at
-    /// this instant is skipped, not torn); lanes appear in creation
-    /// order and spans within a lane in recording order.
+    /// Safe to call while writers are live: each lane is copied under
+    /// its lock, so the snapshot holds every span recorded before the
+    /// copy. Lanes appear in creation order and spans within a lane by
+    /// start time.
     pub fn collect(&self) -> TraceSnapshot {
-        let names = self.interner.resolve();
         let lanes = self.lanes.lock().unwrap();
-        let mut out = Vec::with_capacity(lanes.len());
-        for lane in lanes.iter() {
-            let (mut spans, dropped) = lane.read(&names, self.base_unix_ns);
-            spans.sort_by_key(|s| s.ts_ns);
-            out.push(LaneSnapshot {
-                name: lane.name().to_owned(),
-                spans,
-                dropped,
-            });
-        }
         TraceSnapshot {
             base_unix_ns: self.base_unix_ns,
-            lanes: out,
+            lanes: lanes
+                .iter()
+                .map(|lane| lane.snapshot(self.base_unix_ns))
+                .collect(),
         }
     }
 }
@@ -234,16 +196,12 @@ mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn rel(lane: &mut Lane, name: &'static str, cat: &'static str, ts: u64, dur: u64) {
-        lane.span_rel(name, cat, ts, dur);
-    }
-
     #[test]
     fn records_and_collects_spans() {
         let tracer = Tracer::with_capacity(64);
         let mut lane = tracer.lane("main");
-        rel(&mut lane, "inner", "place", 100, 50);
-        rel(&mut lane, "outer", "place", 0, 1000);
+        lane.span_rel("inner", "place", 100, 50);
+        lane.span_rel("outer", "place", 0, 1000);
         drop(lane);
         let snap = tracer.collect();
         assert_eq!(snap.lanes.len(), 1);
@@ -275,7 +233,7 @@ mod tests {
         let tracer = Tracer::with_capacity(8);
         let mut lane = tracer.lane("main");
         for i in 0..100u64 {
-            rel(&mut lane, "s", "place", i * 10, 5);
+            lane.span_rel("s", "place", i * 10, 5);
         }
         drop(lane);
         let snap = tracer.collect();
@@ -302,9 +260,9 @@ mod tests {
         for step in 0..50u64 {
             let base = step * 1_000;
             for blk in 0..4u64 {
-                rel(&mut lane, "move_block", "place", base + blk * 200, 180);
+                lane.span_rel("move_block", "place", base + blk * 200, 180);
             }
-            rel(&mut lane, "temp_step", "place", base, 900);
+            lane.span_rel("temp_step", "place", base, 900);
         }
         drop(lane);
         let snap = tracer.collect();
@@ -320,15 +278,15 @@ mod tests {
     fn lane_checkout_is_exclusive_and_reusable() {
         let tracer = Tracer::with_capacity(16);
         let mut a = tracer.lane("main");
-        rel(&mut a, "x", "place", 0, 1);
-        // Same name while held: a distinct ring, not a shared writer.
+        a.span_rel("x", "place", 0, 1);
+        // Same name while held: a distinct lane, not a shared writer.
         let mut b = tracer.lane("main");
-        rel(&mut b, "y", "place", 5, 1);
+        b.span_rel("y", "place", 5, 1);
         drop(a);
         drop(b);
-        // After check-in the original ring is reused.
+        // After check-in the original lane is reused.
         let mut c = tracer.lane("main");
-        rel(&mut c, "z", "place", 9, 1);
+        c.span_rel("z", "place", 9, 1);
         drop(c);
         let snap = tracer.collect();
         assert_eq!(snap.lanes.len(), 2);
@@ -354,23 +312,83 @@ mod tests {
                 }
             })
         };
-        let mut seen = 0usize;
-        while !writer.is_finished() {
+        let mut written = 0u64;
+        loop {
+            let finished = writer.is_finished();
             let snap = tracer.collect();
             for lane in &snap.lanes {
-                for s in &lane.spans {
-                    let i = s.ts_ns - snap.base_unix_ns;
-                    assert_eq!(s.dur_ns, i + 1, "torn slot read");
-                    seen += 1;
+                // Span i starts at i, so the survivors of a live snapshot
+                // are the newest spans written, with no gap: exactly
+                // dropped..dropped + len, none torn.
+                let total = lane.dropped + lane.spans.len() as u64;
+                for (s, i) in lane.spans.iter().zip(lane.dropped..total) {
+                    assert_eq!((s.ts_ns - snap.base_unix_ns, s.dur_ns), (i, i + 1));
                 }
+                assert!(total >= written, "{total} spans after {written}");
+                written = total;
+            }
+            if finished {
+                break;
             }
         }
         writer.join().unwrap();
-        let snap = tracer.collect();
-        assert_eq!(
-            snap.lanes[0].spans.len() as u64 + snap.lanes[0].dropped,
-            20_000
-        );
-        let _ = seen;
+        assert_eq!(written, 20_000);
+    }
+
+    /// FNV-1a over `bytes`: the golden capture below pins every byte
+    /// the capture writer emits.
+    fn fnv1a64(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn golden_capture_is_pinned() {
+        // A fixed recording into 16-span lanes: `main` wraps several
+        // times with each parent recorded after its children (so spans
+        // arrive out of start order), `main` is checked out a second
+        // time while held, and instants before the tracer's epoch clamp
+        // to 0. Rebased to base 0, the capture must hash to the same
+        // constant whatever the lanes store spans in.
+        let before = Instant::now();
+        let tracer = Tracer::with_capacity(16);
+        let mut main = tracer.lane("main");
+        let mut job = tracer.lane("job");
+        job.mark("queued", "serve", before);
+        for step in 0..9u64 {
+            let base = 10_000 * step;
+            for blk in 0..5u64 {
+                let start = base + 100 + blk * 1_500;
+                main.span_rel("move_block", "place", start, 1_400 - step);
+            }
+            main.span_rel("temp_step", "place", base, 9_000 + step);
+            if step == 4 {
+                let mut held = tracer.lane("main");
+                held.span_rel("route_iter", "route", base + 50, 30);
+                let dur = Duration::from_nanos(123);
+                held.span("checkpoint_write", "ckpt", before, dur);
+                job.span_rel("running", "serve", 7, base);
+            }
+        }
+        main.span_rel("stage1", "run", 0, 90_000);
+        job.span_rel("q\"uote", "serve", 3, 4);
+        drop(main);
+        drop(job);
+        let mut again = tracer.lane("main");
+        again.span_rel("run", "run", 0, 95_000);
+        drop(again);
+
+        let mut snap = tracer.collect();
+        let base = snap.base_unix_ns;
+        snap.base_unix_ns = 0;
+        for lane in &mut snap.lanes {
+            for span in &mut lane.spans {
+                span.ts_ns -= base;
+            }
+        }
+        let text = capture_to_string(&snap);
+        let digest = fnv1a64(text.as_bytes());
+        assert_eq!(digest, 16_425_552_851_278_780_806, "{text}");
     }
 }

@@ -4,7 +4,7 @@
 //! Nesting is re-derived from time containment per lane: spans are
 //! swept in start order with a stack of open ancestors, and each
 //! span's duration is subtracted from the *exclusive* time of its
-//! nearest enclosing span. Complete events make this robust to ring
+//! nearest enclosing span. Complete events make this robust to lane
 //! eviction — a lost parent simply promotes its surviving children to
 //! the next enclosing span (or to the lane root), never to a wrong
 //! parent.

@@ -395,16 +395,8 @@ fn write_placement_file(
     path: &str,
     cells: &[timberwolfmc::core::PlacedCellRecord],
 ) -> Result<(), String> {
-    let mut text = String::new();
-    for c in cells {
-        use std::fmt::Write as _;
-        let _ = writeln!(
-            text,
-            "{} {} {} {:?} instance={} aspect={:.3}",
-            c.name, c.pos.x, c.pos.y, c.orientation, c.instance, c.aspect
-        );
-    }
-    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
+    std::fs::write(path, timberwolfmc::serve::placement_text(cells))
+        .map_err(|e| format!("cannot write {path}: {e}"))?;
     println!("wrote {path}");
     Ok(())
 }

@@ -21,8 +21,8 @@
 //! * [`core`] — the full pipeline, baselines, and reports;
 //! * [`obs`] — dependency-light telemetry: recorders, the JSONL event
 //!   schema, and stream validation;
-//! * [`trace`] — hierarchical span tracing: per-thread lock-free span
-//!   rings, self-time profiles, and Chrome Trace Event export
+//! * [`trace`] — hierarchical span tracing: per-thread span buffers,
+//!   self-time profiles, and Chrome Trace Event export
 //!   (`twmc place --trace` / `twmc trace`);
 //! * [`analyze`] — offline run-health diagnostics over recorded
 //!   telemetry and cross-run regression diffs (`twmc report` / `twmc
