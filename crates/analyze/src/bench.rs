@@ -11,7 +11,7 @@
 //! matching replica count also gates.
 
 use serde::Value;
-use twmc_obs::validate::parse_json;
+use twmc_obs::validate::{get, get_f64, parse_json};
 
 use crate::health::{Finding, Severity};
 
@@ -53,17 +53,8 @@ impl BenchGateReport {
     }
 }
 
-fn field<'a>(entries: &'a [(String, Value)], name: &str) -> Option<&'a Value> {
-    entries.iter().find(|(k, _)| k == name).map(|(_, v)| v)
-}
-
-fn num(entries: &[(String, Value)], name: &str) -> Result<f64, String> {
-    match field(entries, name) {
-        Some(Value::Int(n)) => Ok(*n as f64),
-        Some(Value::UInt(n)) => Ok(*n as f64),
-        Some(Value::Float(f)) => Ok(*f),
-        _ => Err(format!("equal_wall row lacks a numeric `{name}` field")),
-    }
+fn num(row: &Value, name: &str) -> Result<f64, String> {
+    get_f64(row, name).ok_or_else(|| format!("equal_wall row lacks a numeric `{name}` field"))
 }
 
 /// Parses a bench summary's `equal_wall` rows. The pre-gate array
@@ -72,26 +63,23 @@ fn num(entries: &[(String, Value)], name: &str) -> Result<f64, String> {
 pub fn parse_equal_wall(text: &str) -> Result<Vec<EqualWallRec>, String> {
     const REGEN: &str = "regenerate with `cargo bench -p twmc-bench --bench parallel`";
     let v = parse_json(text).map_err(|e| format!("not valid JSON: {e}"))?;
-    let Value::Object(top) = v else {
+    if !matches!(v, Value::Object(_)) {
         return Err(format!(
             "not a bench summary object (pre-equal-wall format?); {REGEN}"
         ));
-    };
-    let Some(Value::Array(items)) = field(&top, "equal_wall") else {
+    }
+    let Some(Value::Array(items)) = get(&v, "equal_wall") else {
         return Err(format!("summary has no `equal_wall` section; {REGEN}"));
     };
     let mut rows = Vec::new();
     for item in items {
-        let Value::Object(entries) = item else {
-            return Err("equal_wall row is not an object".to_owned());
-        };
         rows.push(EqualWallRec {
-            replicas: num(entries, "replicas")? as u64,
-            tempering_wall_seconds: num(entries, "tempering_wall_seconds")?,
-            tempering_best_teil: num(entries, "tempering_best_teil")?,
-            multistart_batches: num(entries, "multistart_batches")? as u64,
-            multistart_wall_seconds: num(entries, "multistart_wall_seconds")?,
-            multistart_best_teil: num(entries, "multistart_best_teil")?,
+            replicas: num(item, "replicas")? as u64,
+            tempering_wall_seconds: num(item, "tempering_wall_seconds")?,
+            tempering_best_teil: num(item, "tempering_best_teil")?,
+            multistart_batches: num(item, "multistart_batches")? as u64,
+            multistart_wall_seconds: num(item, "multistart_wall_seconds")?,
+            multistart_best_teil: num(item, "multistart_best_teil")?,
         });
     }
     if rows.is_empty() {

@@ -201,10 +201,10 @@ fn check_envelope(stream: &RunStream) -> Finding {
     }
 }
 
-/// Crash-recovery record of an interrupted-and-resumed stream. The obs
-/// validator has already rejected a torn continuation (records after a
-/// `run_interrupted` with no `run_end` fail validation, so they never
-/// reach this check); here the stream either closed with `run_end` —
+/// Crash-recovery record of an interrupted-and-resumed stream.
+/// `parse_stream` has already rejected a torn continuation (records
+/// after a `run_interrupted` with no `run_end` do not read, so they
+/// never reach this check); here the stream either closed with `run_end` —
 /// the daemon resumed the checkpoint and completed end-to-end — or ends
 /// at the interrupt with a checkpoint still pending resume.
 fn check_fault_resume(stream: &RunStream) -> Vec<Finding> {
@@ -609,10 +609,10 @@ fn check_swaps(stream: &RunStream) -> Vec<Finding> {
         .start
         .as_ref()
         .is_some_and(|s| s.strategy == "tempering");
-    if !tempering && stream.swap_attempts == 0 {
+    if !tempering && stream.swaps.is_empty() {
         return Vec::new();
     }
-    if stream.swap_attempts == 0 {
+    if stream.swaps.is_empty() {
         return vec![finding(
             "tempering.swap_rate",
             Severity::Warn,

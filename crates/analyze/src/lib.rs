@@ -6,9 +6,10 @@
 //! crate judges whether that matches what the paper says a healthy run
 //! *does*:
 //!
-//! * [`parse_stream`] — validates a JSONL stream (schema, run
-//!   envelope, temperature monotonicity; every error names its line)
-//!   and lifts it into typed records;
+//! * [`parse_stream`] — the one reader of the JSONL telemetry format:
+//!   parses each line once, lifting it into typed records while it
+//!   checks it (known kinds, every field a record reads, run envelope,
+//!   temperature monotonicity; every error names its line);
 //! * [`analyze`] — the health checks: Table-1 cooling regions and
 //!   `S_T`/`T_∞` scaling (eqs. 18–21), eq. 12–14 range-limiter decay
 //!   with ρ = 4, acceptance-rate trajectory, cost convergence, the
@@ -62,8 +63,8 @@ pub use promsnap::{
     SnapshotThresholds,
 };
 pub use stream::{
-    parse_stream, ClassRec, ReplicaFailedRec, RouteRec, RunEndRec, RunInterruptedRec, RunStartRec,
-    RunStream, SpanRec, TempRec,
+    parse_stream, ClassRec, ReplicaFailedRec, ReplicaSummaryRec, RouteRec, RunEndRec,
+    RunInterruptedRec, RunStartRec, RunStream, SpanRec, StreamStats, SwapRec, TempRec,
 };
 pub use trace::{
     check_trace, format_trace_report, parse_capture, TraceReport, CHECKPOINT_SHARE_WARN,

@@ -7,7 +7,7 @@
 //! health checks pass on it by construction. [`SynthSpec`] knobs bend
 //! individual laws to fabricate unhealthy runs (a non-Table-1 cooling
 //! constant, an overflow-rule violation) without invalidating the
-//! stream itself: everything still passes the obs validator.
+//! stream itself: everything still reads through `parse_stream`.
 //!
 //! Everything here is pure arithmetic on the spec — no RNG, no clock —
 //! so a given spec always produces byte-identical output.
@@ -157,7 +157,7 @@ pub fn synth_stream(spec: &SynthSpec) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use twmc_obs::validate::validate_jsonl;
+    use crate::stream::parse_stream;
 
     #[test]
     fn synthetic_streams_validate() {
@@ -173,11 +173,11 @@ mod tests {
                 ..SynthSpec::default()
             },
         ] {
-            let stats = validate_jsonl(&synth_stream(&spec)).unwrap();
+            let stats = parse_stream(&synth_stream(&spec)).unwrap().stats;
             assert!(stats.kind_counts["place_temp"] > 10);
             assert_eq!(stats.kind_counts["route_iter"], 4);
         }
-        validate_jsonl(&pathological_stream()).unwrap();
+        parse_stream(&pathological_stream()).unwrap();
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! checkpoints.
 
 use serde::Value;
-use twmc_obs::validate::parse_json;
+use twmc_obs::validate::{get_str, get_u64, parse_json};
 use twmc_trace::{profile, Profile, SpanRecord, TraceSnapshot};
 
 use crate::health::{Finding, Severity};
@@ -58,25 +58,6 @@ impl TraceReport {
     }
 }
 
-fn field<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn str_field(entries: &[(String, Value)], key: &str) -> Option<String> {
-    match field(entries, key) {
-        Some(Value::Str(s)) => Some(s.clone()),
-        _ => None,
-    }
-}
-
-fn u64_field(entries: &[(String, Value)], key: &str) -> Option<u64> {
-    match field(entries, key) {
-        Some(Value::UInt(n)) => Some(*n),
-        Some(Value::Int(n)) if *n >= 0 => Some(*n as u64),
-        _ => None,
-    }
-}
-
 /// Parses a JSONL trace capture (the `twmc --trace` / spool format)
 /// back into a [`TraceSnapshot`]. Every error names its line.
 pub fn parse_capture(text: &str) -> Result<TraceSnapshot, String> {
@@ -89,43 +70,43 @@ pub fn parse_capture(text: &str) -> Result<TraceSnapshot, String> {
         }
         let lineno = idx + 1;
         let v = parse_json(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let Value::Object(entries) = &v else {
+        if !matches!(v, Value::Object(_)) {
             return Err(format!("line {lineno}: not a JSON object"));
-        };
-        let kind =
-            str_field(entries, "kind").ok_or_else(|| format!("line {lineno}: missing `kind`"))?;
-        match kind.as_str() {
+        }
+        let kind = get_str(&v, "kind").ok_or_else(|| format!("line {lineno}: missing `kind`"))?;
+        match kind {
             "trace_meta" => {
                 if saw_meta {
                     return Err(format!("line {lineno}: duplicate `trace_meta`"));
                 }
                 saw_meta = true;
-                snap.base_unix_ns = u64_field(entries, "base_unix_ns")
+                snap.base_unix_ns = get_u64(&v, "base_unix_ns")
                     .ok_or_else(|| format!("line {lineno}: trace_meta lacks `base_unix_ns`"))?;
             }
             "span" => {
                 if !saw_meta {
                     return Err(format!("line {lineno}: span before `trace_meta`"));
                 }
-                let lane = str_field(entries, "lane")
+                let lane = get_str(&v, "lane")
                     .ok_or_else(|| format!("line {lineno}: span lacks `lane`"))?;
                 let span = SpanRecord {
-                    name: str_field(entries, "name")
-                        .ok_or_else(|| format!("line {lineno}: span lacks `name`"))?,
-                    cat: str_field(entries, "cat").unwrap_or_default(),
-                    ts_ns: u64_field(entries, "ts_ns")
+                    name: get_str(&v, "name")
+                        .ok_or_else(|| format!("line {lineno}: span lacks `name`"))?
+                        .to_owned(),
+                    cat: get_str(&v, "cat").unwrap_or_default().to_owned(),
+                    ts_ns: get_u64(&v, "ts_ns")
                         .ok_or_else(|| format!("line {lineno}: span lacks `ts_ns`"))?,
-                    dur_ns: u64_field(entries, "dur_ns")
+                    dur_ns: get_u64(&v, "dur_ns")
                         .ok_or_else(|| format!("line {lineno}: span lacks `dur_ns`"))?,
                 };
-                lane_mut(&mut snap, &lane).spans.push(span);
+                lane_mut(&mut snap, lane).spans.push(span);
             }
             "trace_drop" => {
-                let lane = str_field(entries, "lane")
+                let lane = get_str(&v, "lane")
                     .ok_or_else(|| format!("line {lineno}: trace_drop lacks `lane`"))?;
-                let dropped = u64_field(entries, "dropped")
+                let dropped = get_u64(&v, "dropped")
                     .ok_or_else(|| format!("line {lineno}: trace_drop lacks `dropped`"))?;
-                lane_mut(&mut snap, &lane).dropped = dropped;
+                lane_mut(&mut snap, lane).dropped = dropped;
             }
             other => return Err(format!("line {lineno}: unknown kind `{other}`")),
         }
@@ -417,19 +398,13 @@ mod tests {
         let snap = parse_capture(&synth_capture(false)).unwrap();
         let chrome = chrome_trace_json(&snap);
         let v = parse_json(&chrome).expect("chrome trace is valid JSON");
-        let Value::Object(entries) = &v else {
-            panic!("chrome trace root is not an object")
-        };
-        let Some(Value::Array(events)) = field(entries, "traceEvents") else {
+        let Some(Value::Array(events)) = twmc_obs::validate::get(&v, "traceEvents") else {
             panic!("no traceEvents array")
         };
         // Metadata (process + 2 lanes) plus the 11 spans.
         assert_eq!(events.len(), 3 + 11);
         for ev in events {
-            let Value::Object(e) = ev else {
-                panic!("event is not an object")
-            };
-            let ph = str_field(e, "ph").expect("event has ph");
+            let ph = get_str(ev, "ph").expect("event has ph");
             assert!(ph == "X" || ph == "M" || ph == "I", "bad ph `{ph}`");
         }
     }

@@ -125,7 +125,7 @@ pub fn adapt_gap(gap: f64, accepted: bool) -> f64 {
 ///
 /// Two invariants hold by construction: no rung ever re-heats
 /// (`temps[i]` is non-increasing round over round — required by the
-/// telemetry validator's monotonicity rule), and the ladder stays
+/// telemetry reader's monotonicity rule), and the ladder stays
 /// ordered hottest-first (`temps[i] ≥ temps[i+1]`, so
 /// [`swap_probability`]'s precondition always holds).
 pub fn cool_ladder(

@@ -23,17 +23,23 @@
 //! full pipeline (stage 1 + stage 2 + finalize) whose stream
 //! additionally carries the `route_iter` events — the bound must hold
 //! with routing telemetry included.
+//!
+//! Each scope times pairs of one disabled and one enabled run, flipping
+//! the order every pair, and reports the median per-pair overhead with
+//! its interquartile range. On a shared VM two runs of the same work a
+//! second apart can differ by 10–20%; a pair's ratio cancels what its
+//! two runs share, where the difference of two best-of-N times did not.
 
 use criterion::{criterion_group, Criterion};
 use serde::Serialize;
 use std::hint::black_box;
 
+use twmc_analyze::parse_stream;
 use twmc_anneal::CoolingSchedule;
 use twmc_core::{run_timberwolf_with, TimberWolfConfig, TimberWolfResult};
 use twmc_estimator::EstimatorParams;
 use twmc_netlist::{synthesize, Netlist, SynthParams};
 use twmc_obs::trace::capture_to_string;
-use twmc_obs::validate::validate_jsonl;
 use twmc_obs::{Instrumented, JsonlRecorder, MetricsHub, NullRecorder, Recorder, Tracer};
 use twmc_place::{place_stage1_with, PlaceParams, Stage1Result};
 use twmc_route::RouterParams;
@@ -85,30 +91,103 @@ fn identical(a: &Stage1Result, b: &Stage1Result) -> bool {
 
 #[derive(Serialize)]
 struct ObsRow {
-    /// What was measured: bare `stage1` placement, or the full
-    /// `pipeline` including stage-2 routing telemetry.
+    /// What was measured: bare `stage1` placement, the live `metrics`
+    /// hub, span `trace`, or the full `pipeline` including stage-2
+    /// routing telemetry.
     scope: &'static str,
     cells: usize,
     moves: usize,
     events: usize,
-    /// `route_iter` events in the stream (0 for the stage-1 scope).
+    /// `route_iter` events in the stream (0 for the stage-1 scopes).
     route_iters: usize,
     jsonl_bytes: usize,
+    /// Median per-move cost of the disabled runs.
     disabled_ns_per_move: f64,
-    /// Per-move cost with the scope's instrumentation enabled (a JSONL
-    /// sink for the event scopes, the live metrics hub for `metrics`).
+    /// Median per-move cost with the scope's instrumentation enabled (a
+    /// JSONL sink for the event scopes, the live metrics hub for
+    /// `metrics`, a tracer for `trace`).
     jsonl_ns_per_move: f64,
-    /// Extra per-move cost of the enabled path over the disabled path,
-    /// in percent. The acceptance bar is < 2%.
+    /// Median over the run pairs of the enabled run's extra time over
+    /// its disabled partner, in percent. The acceptance bar is < 2%.
     overhead_pct: f64,
+    /// Interquartile range of the per-pair overheads, in percentage
+    /// points: the spread the median is read from.
+    overhead_iqr_pct: f64,
+    /// Disabled/enabled run pairs timed.
+    pairs: usize,
     /// Whether the recorded run reproduced the disabled run bit for bit
     /// (final TEIL, per-step costs/attempts/accepts, move counters).
     bit_identical: bool,
 }
 
+/// What a row measured, before it is timed.
+struct Scope {
+    scope: &'static str,
+    cells: usize,
+    moves: usize,
+    events: usize,
+    route_iters: usize,
+    jsonl_bytes: usize,
+    bit_identical: bool,
+}
+
+/// Times `pairs` pairs of one disabled and one enabled run (each
+/// closure runs once and returns its seconds) and takes the median of
+/// the per-pair ratios. The order within a pair flips every pair, so a
+/// drift in clock speed or steal time lands on both sides alike, and
+/// the ratio cancels what the two runs of a pair share.
+fn timed_row(
+    s: Scope,
+    pairs: usize,
+    mut disabled: impl FnMut() -> f64,
+    mut enabled: impl FnMut() -> f64,
+) -> ObsRow {
+    let (mut off, mut on, mut overhead) = (Vec::new(), Vec::new(), Vec::new());
+    for pair in 0..pairs {
+        let (d, e) = if pair % 2 == 0 {
+            let d = disabled();
+            (d, enabled())
+        } else {
+            let e = enabled();
+            (disabled(), e)
+        };
+        off.push(d);
+        on.push(e);
+        overhead.push(100.0 * (e / d - 1.0));
+    }
+    let quantile = |v: &mut Vec<f64>, q: f64| {
+        v.sort_by(f64::total_cmp);
+        v[((v.len() - 1) as f64 * q).round() as usize]
+    };
+    let ns_per_move = |secs: f64| secs * 1e9 / s.moves.max(1) as f64;
+    ObsRow {
+        scope: s.scope,
+        cells: s.cells,
+        moves: s.moves,
+        events: s.events,
+        route_iters: s.route_iters,
+        jsonl_bytes: s.jsonl_bytes,
+        disabled_ns_per_move: ns_per_move(quantile(&mut off, 0.5)),
+        jsonl_ns_per_move: ns_per_move(quantile(&mut on, 0.5)),
+        overhead_pct: quantile(&mut overhead, 0.5),
+        overhead_iqr_pct: quantile(&mut overhead, 0.75) - quantile(&mut overhead, 0.25),
+        pairs,
+        bit_identical: s.bit_identical,
+    }
+}
+
+/// Circuit size, `A_c` and run pairs of the stage-1 scopes.
+fn stage1_shape(test_mode: bool) -> (usize, usize, usize) {
+    if test_mode {
+        (10, 6, 1)
+    } else {
+        (40, 30, 31)
+    }
+}
+
 /// Disabled-vs-JSONL stage-1 sweep: the original overhead row.
 fn stage1_row(test_mode: bool) -> ObsRow {
-    let (cells, ac, trials) = if test_mode { (10, 6, 1) } else { (40, 30, 9) };
+    let (cells, ac, pairs) = stage1_shape(test_mode);
     let nl = circuit(cells);
     let pp = params(ac);
 
@@ -116,37 +195,26 @@ fn stage1_row(test_mode: bool) -> ObsRow {
     let (reference, _) = timed_run(&nl, &pp, &mut NullRecorder);
     let mut jsonl = JsonlRecorder::new(Vec::new());
     let (recorded, _) = timed_run(&nl, &pp, &mut jsonl);
-    let events = jsonl.events();
-    let jsonl_bytes = jsonl.finish().expect("memory sink").len();
-    let bit_identical = identical(&reference, &recorded);
-
-    // Timing: best of `trials` for each path (the minimum is the least
-    // noise-contaminated estimate of the true cost).
-    let moves = reference.moves.attempts();
-    let mut disabled_best = f64::INFINITY;
-    let mut jsonl_best = f64::INFINITY;
-    for _ in 0..trials {
-        let (_, secs) = timed_run(&nl, &pp, &mut NullRecorder);
-        disabled_best = disabled_best.min(secs);
-        let mut rec = JsonlRecorder::new(Vec::new());
-        let (_, secs) = timed_run(&nl, &pp, &mut rec);
-        black_box(rec.finish().expect("memory sink"));
-        jsonl_best = jsonl_best.min(secs);
-    }
-    let disabled_ns = disabled_best * 1e9 / moves.max(1) as f64;
-    let jsonl_ns = jsonl_best * 1e9 / moves.max(1) as f64;
-    ObsRow {
+    let scope = Scope {
         scope: "stage1",
         cells,
-        moves,
-        events,
+        moves: reference.moves.attempts(),
+        events: jsonl.events(),
         route_iters: 0,
-        jsonl_bytes,
-        disabled_ns_per_move: disabled_ns,
-        jsonl_ns_per_move: jsonl_ns,
-        overhead_pct: 100.0 * (jsonl_ns - disabled_ns) / disabled_ns.max(1e-12),
-        bit_identical,
-    }
+        jsonl_bytes: jsonl.finish().expect("memory sink").len(),
+        bit_identical: identical(&reference, &recorded),
+    };
+    timed_row(
+        scope,
+        pairs,
+        || timed_run(&nl, &pp, &mut NullRecorder).1,
+        || {
+            let mut rec = JsonlRecorder::new(Vec::new());
+            let (_, secs) = timed_run(&nl, &pp, &mut rec);
+            black_box(rec.finish().expect("memory sink"));
+            secs
+        },
+    )
 }
 
 /// Live-metrics sweep: a stage-1 run with the [`MetricsHub`] attached
@@ -155,7 +223,7 @@ fn stage1_row(test_mode: bool) -> ObsRow {
 /// latency histogram. This is the "always-on" configuration the live
 /// `/metrics` plane runs in, so it carries the same <2% bound.
 fn metrics_row(test_mode: bool) -> ObsRow {
-    let (cells, ac, trials) = if test_mode { (10, 6, 1) } else { (40, 30, 9) };
+    let (cells, ac, pairs) = stage1_shape(test_mode);
     let nl = circuit(cells);
     let pp = params(ac);
 
@@ -166,7 +234,6 @@ fn metrics_row(test_mode: bool) -> ObsRow {
     let hub = MetricsHub::new();
     let mut instrumented = Instrumented::new(NullRecorder, Some(std::sync::Arc::clone(&hub)), None);
     let (recorded, _) = timed_run(&nl, &pp, &mut instrumented);
-    let bit_identical = identical(&reference, &recorded);
     let moves = reference.moves.attempts();
     assert_eq!(
         hub.moves_total.value(),
@@ -180,31 +247,26 @@ fn metrics_row(test_mode: bool) -> ObsRow {
             > 0,
         "no per-move latencies were sampled"
     );
-
-    let mut disabled_best = f64::INFINITY;
-    let mut metrics_best = f64::INFINITY;
-    for _ in 0..trials {
-        let (_, secs) = timed_run(&nl, &pp, &mut NullRecorder);
-        disabled_best = disabled_best.min(secs);
-        let mut rec = Instrumented::new(NullRecorder, Some(MetricsHub::new()), None);
-        let (_, secs) = timed_run(&nl, &pp, &mut rec);
-        black_box(rec.hub().map(|h| h.render().len()));
-        metrics_best = metrics_best.min(secs);
-    }
-    let disabled_ns = disabled_best * 1e9 / moves.max(1) as f64;
-    let metrics_ns = metrics_best * 1e9 / moves.max(1) as f64;
-    ObsRow {
+    let scope = Scope {
         scope: "metrics",
         cells,
         moves,
         events: 0,
         route_iters: 0,
         jsonl_bytes: 0,
-        disabled_ns_per_move: disabled_ns,
-        jsonl_ns_per_move: metrics_ns,
-        overhead_pct: 100.0 * (metrics_ns - disabled_ns) / disabled_ns.max(1e-12),
-        bit_identical,
-    }
+        bit_identical: identical(&reference, &recorded),
+    };
+    timed_row(
+        scope,
+        pairs,
+        || timed_run(&nl, &pp, &mut NullRecorder).1,
+        || {
+            let mut rec = Instrumented::new(NullRecorder, Some(MetricsHub::new()), None);
+            let (_, secs) = timed_run(&nl, &pp, &mut rec);
+            black_box(rec.hub().map(|h| h.render().len()));
+            secs
+        },
+    )
 }
 
 /// Span-tracing sweep: a stage-1 run with a [`Tracer`] attached and no
@@ -213,7 +275,7 @@ fn metrics_row(test_mode: bool) -> ObsRow {
 /// stride-sampled cost-term attribution runs. This is the `twmc place
 /// --trace` configuration, so it carries the same <2% per-move bound.
 fn trace_row(test_mode: bool) -> ObsRow {
-    let (cells, ac, trials) = if test_mode { (10, 6, 1) } else { (40, 30, 9) };
+    let (cells, ac, pairs) = stage1_shape(test_mode);
     let nl = circuit(cells);
     let pp = params(ac);
 
@@ -224,41 +286,32 @@ fn trace_row(test_mode: bool) -> ObsRow {
     let tracer = Tracer::new();
     let mut traced = Instrumented::new(NullRecorder, None, Some(tracer.clone()));
     let (recorded, _) = timed_run(&nl, &pp, &mut traced);
-    let bit_identical = identical(&reference, &recorded);
     let snap = tracer.collect();
-    let spans = snap.total_spans();
     let move_blocks = snap.lane("main").map_or(0, |l| {
         l.spans.iter().filter(|s| s.name == "move_block").count()
     });
     assert!(move_blocks > 0, "no move_block spans were recorded");
-    let capture_bytes = capture_to_string(&snap).len();
-
-    let moves = reference.moves.attempts();
-    let mut disabled_best = f64::INFINITY;
-    let mut traced_best = f64::INFINITY;
-    for _ in 0..trials {
-        let (_, secs) = timed_run(&nl, &pp, &mut NullRecorder);
-        disabled_best = disabled_best.min(secs);
-        let t = Tracer::new();
-        let mut rec = Instrumented::new(NullRecorder, None, Some(t.clone()));
-        let (_, secs) = timed_run(&nl, &pp, &mut rec);
-        black_box(t.collect().total_spans());
-        traced_best = traced_best.min(secs);
-    }
-    let disabled_ns = disabled_best * 1e9 / moves.max(1) as f64;
-    let traced_ns = traced_best * 1e9 / moves.max(1) as f64;
-    ObsRow {
+    let scope = Scope {
         scope: "trace",
         cells,
-        moves,
-        events: spans,
+        moves: reference.moves.attempts(),
+        events: snap.total_spans(),
         route_iters: 0,
-        jsonl_bytes: capture_bytes,
-        disabled_ns_per_move: disabled_ns,
-        jsonl_ns_per_move: traced_ns,
-        overhead_pct: 100.0 * (traced_ns - disabled_ns) / disabled_ns.max(1e-12),
-        bit_identical,
-    }
+        jsonl_bytes: capture_to_string(&snap).len(),
+        bit_identical: identical(&reference, &recorded),
+    };
+    timed_row(
+        scope,
+        pairs,
+        || timed_run(&nl, &pp, &mut NullRecorder).1,
+        || {
+            let t = Tracer::new();
+            let mut rec = Instrumented::new(NullRecorder, None, Some(t.clone()));
+            let (_, secs) = timed_run(&nl, &pp, &mut rec);
+            black_box(t.collect().total_spans());
+            secs
+        },
+    )
 }
 
 fn pipeline_config(ac: usize, seed: u64) -> TimberWolfConfig {
@@ -299,7 +352,7 @@ fn pipeline_identical(a: &TimberWolfResult, b: &TimberWolfResult) -> bool {
 /// every stage-2 refinement and finalize pass, and the overhead bound
 /// must hold with them included.
 fn pipeline_row(test_mode: bool) -> ObsRow {
-    let (cells, ac, trials) = if test_mode { (8, 4, 1) } else { (16, 10, 3) };
+    let (cells, ac, pairs) = if test_mode { (8, 4, 1) } else { (16, 10, 61) };
     let nl = circuit(cells);
     let config = pipeline_config(ac, 42);
 
@@ -309,38 +362,30 @@ fn pipeline_row(test_mode: bool) -> ObsRow {
     let events = jsonl.events();
     let bytes = jsonl.finish().expect("memory sink");
     let text = String::from_utf8(bytes).expect("utf-8 stream");
-    let stats = validate_jsonl(&text).expect("recorded stream validates");
-    let route_iters = stats.kind_counts.get("route_iter").copied().unwrap_or(0);
-    let bit_identical = pipeline_identical(&reference, &recorded);
-
-    let moves = reference.stage1.moves.attempts();
-    let mut disabled_best = f64::INFINITY;
-    let mut jsonl_best = f64::INFINITY;
-    for _ in 0..trials {
-        let (_, secs) = timed_pipeline(&nl, &config, &mut NullRecorder);
-        disabled_best = disabled_best.min(secs);
-        let mut rec = JsonlRecorder::new(Vec::new());
-        let (_, secs) = timed_pipeline(&nl, &config, &mut rec);
-        black_box(rec.finish().expect("memory sink"));
-        jsonl_best = jsonl_best.min(secs);
-    }
-    let disabled_ns = disabled_best * 1e9 / moves.max(1) as f64;
-    let jsonl_ns = jsonl_best * 1e9 / moves.max(1) as f64;
-    ObsRow {
+    let stream = parse_stream(&text).expect("recorded stream validates");
+    let scope = Scope {
         scope: "pipeline",
         cells,
-        moves,
+        moves: reference.stage1.moves.attempts(),
         events,
-        route_iters,
+        route_iters: stream.routes.len(),
         jsonl_bytes: text.len(),
-        disabled_ns_per_move: disabled_ns,
-        jsonl_ns_per_move: jsonl_ns,
-        overhead_pct: 100.0 * (jsonl_ns - disabled_ns) / disabled_ns.max(1e-12),
-        bit_identical,
-    }
+        bit_identical: pipeline_identical(&reference, &recorded),
+    };
+    timed_row(
+        scope,
+        pairs,
+        || timed_pipeline(&nl, &config, &mut NullRecorder).1,
+        || {
+            let mut rec = JsonlRecorder::new(Vec::new());
+            let (_, secs) = timed_pipeline(&nl, &config, &mut rec);
+            black_box(rec.finish().expect("memory sink"));
+            secs
+        },
+    )
 }
 
-/// Runs the three sweeps, dumped as `BENCH_obs.json` on a measurement
+/// Runs the four sweeps, dumped as `BENCH_obs.json` on a measurement
 /// run.
 fn obs_summary(test_mode: bool) {
     let rows = [
@@ -352,7 +397,8 @@ fn obs_summary(test_mode: bool) {
     for row in &rows {
         eprintln!(
             "obs/overhead {} {} cells: {} moves, {} events ({} route_iter, {} bytes), \
-             disabled {:.0}ns/move, enabled {:.0}ns/move ({:+.2}%), bit-identical: {}",
+             disabled {:.0}ns/move, enabled {:.0}ns/move ({:+.2}% median of {} pairs, \
+             IQR {:.2}), bit-identical: {}",
             row.scope,
             row.cells,
             row.moves,
@@ -362,6 +408,8 @@ fn obs_summary(test_mode: bool) {
             row.disabled_ns_per_move,
             row.jsonl_ns_per_move,
             row.overhead_pct,
+            row.pairs,
+            row.overhead_iqr_pct,
             row.bit_identical,
         );
         assert!(

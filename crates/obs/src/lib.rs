@@ -23,9 +23,10 @@
 //!   routing execution or a job wait: one clock read on close, and the
 //!   same duration to its trace span, `stage_span` event and hub
 //!   histogram;
-//! * [`validate`] — a minimal JSON parser plus JSONL stream validation
-//!   (used by tests and CI; the vendored `serde_json` stand-in only
-//!   serializes).
+//! * [`validate`] — the workspace's JSON reader: a parser linear in
+//!   its input plus typed field accessors (the vendored `serde_json`
+//!   stand-in only serializes). Telemetry streams are read, and
+//!   checked, by `twmc_analyze::parse_stream`.
 //!
 //! # Examples
 //!

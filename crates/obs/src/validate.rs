@@ -1,229 +1,82 @@
-//! JSONL stream validation: a minimal JSON parser plus schema checks.
+//! The workspace's JSON reader: a minimal parser plus field accessors.
 //!
-//! The vendored `serde_json` stand-in only serializes, so tests and CI
-//! need an independent reader to prove the emitted stream actually
-//! parses. This module provides one: [`parse_json`] lifts a line back
-//! into a [`serde::Value`] tree, [`validate_jsonl`] walks a whole
-//! stream checking every line is an object with a known `kind` tag and
-//! that kind's required fields, and [`expect_kinds`] asserts coverage.
-
-use std::collections::BTreeMap;
+//! The vendored `serde_json` stand-in only serializes, so everything
+//! that reads JSON back goes through [`parse_json`]: telemetry streams
+//! and trace captures (twmc-analyze), checkpoints (twmc-resume), and
+//! the daemon's request bodies and spool files (twmc-serve). It lifts
+//! one document into a [`serde::Value`] tree in time linear in its
+//! length; [`get`] and its typed siblings pick fields out of an object.
+//! Telemetry streams are checked as they are read, by
+//! `twmc_analyze::parse_stream`.
 
 use serde::Value;
 
-use crate::EVENT_KINDS;
-
-/// Fields every event of a given kind must carry (a subset — the schema
-/// is append-only, so validation pins only the load-bearing keys).
-fn required_fields(kind: &str) -> &'static [&'static str] {
-    match kind {
-        "run_start" => &["seed", "cells", "nets", "pins", "replicas", "strategy"],
-        "place_temp" => &[
-            "phase",
-            "replica",
-            "step",
-            "temperature",
-            "s_t",
-            "window_x",
-            "window_y",
-            "inner",
-            "attempts",
-            "accepts",
-            "cost",
-            "teil",
-            "index_rebuilds",
-            "classes",
-        ],
-        "stage_span" => &["stage", "iteration", "wall_us"],
-        "route_iter" => &[
-            "phase",
-            "iteration",
-            "nets",
-            "unrouted",
-            "overflow_start",
-            "overflow",
-            "total_length",
-            "attempts",
-            "reassignments",
-            "usage_total",
-            "util_hist",
-        ],
-        "replica_summary" => &["phase", "replica", "seed", "teil", "cost"],
-        "swap" => &["round", "lower", "upper", "s_t", "accepted"],
-        "replica_failed" => &["phase", "replica", "round", "error"],
-        "run_interrupted" => &["reason", "stage", "teil", "cost", "wall_us"],
-        "run_end" => &[
-            "teil",
-            "chip_width",
-            "chip_height",
-            "routed_length",
-            "wall_us",
-        ],
-        _ => &[],
-    }
-}
-
-/// Aggregate statistics of a validated stream.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StreamStats {
-    /// Non-empty lines seen.
-    pub lines: usize,
-    /// Events per `kind` tag.
-    pub kind_counts: BTreeMap<String, usize>,
-}
-
 /// Parses one JSON document (object, array, scalar).
 pub fn parse_json(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let v = parse_value(text, &mut pos)?;
+    skip_ws(text.as_bytes(), &mut pos);
+    if pos != text.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(v)
 }
 
-/// Looks up a field in a parsed object and coerces it to `f64`.
-fn numeric_field(entries: &[(String, Value)], field: &str) -> Option<f64> {
-    entries
-        .iter()
-        .find(|(k, _)| k == field)
-        .and_then(|(_, v)| match *v {
-            Value::Int(n) => Some(n as f64),
-            Value::UInt(n) => Some(n as f64),
-            Value::Float(f) => Some(f),
-            _ => None,
-        })
-}
-
-fn string_field(entries: &[(String, Value)], field: &str) -> Option<String> {
-    entries.iter().find(|(k, _)| k == field).and_then(|(_, v)| {
-        if let Value::Str(s) = v {
-            Some(s.clone())
-        } else {
-            None
-        }
-    })
-}
-
-/// Validates a JSONL telemetry stream: every non-empty line must parse
-/// as a JSON object carrying a known `kind` tag and that kind's
-/// required fields; additionally the stream must contain exactly one
-/// `run_start`/`run_end` pair when either appears (in that order), and
-/// temperatures within one annealing stream (the `place_temp`s sharing
-/// a phase/iteration/replica scope) must be non-increasing. A
-/// `run_interrupted` event resets the temperature tracking (the
-/// continuation of an interrupted stage re-runs its cooling), and a
-/// stream whose last event is `run_interrupted` may legally omit
-/// `run_end` — the continuation lives in a checkpoint.
-/// Every error names the offending line. Returns per-kind counts.
-pub fn validate_jsonl(text: &str) -> Result<StreamStats, String> {
-    let mut stats = StreamStats::default();
-    // Line numbers of the run envelope events (1-based, 0 = unseen).
-    let mut run_start_line = 0usize;
-    let mut run_end_line = 0usize;
-    let mut last_kind = String::new();
-    // Last temperature per annealing stream, keyed by the place_temp
-    // scope (phase, iteration, replica).
-    let mut last_temp: BTreeMap<(String, i64, i64), (f64, usize)> = BTreeMap::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let lineno = lineno + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse_json(line).map_err(|e| format!("line {lineno}: {e}"))?;
-        let Value::Object(entries) = v else {
-            return Err(format!("line {lineno}: not a JSON object"));
-        };
-        let kind = string_field(&entries, "kind")
-            .ok_or_else(|| format!("line {lineno}: missing string `kind`"))?;
-        if !EVENT_KINDS.contains(&kind.as_str()) {
-            return Err(format!("line {lineno}: unknown kind `{kind}`"));
-        }
-        for field in required_fields(&kind) {
-            if !entries.iter().any(|(k, _)| k == field) {
-                return Err(format!(
-                    "line {lineno}: `{kind}` event missing field `{field}`"
-                ));
-            }
-        }
-        match kind.as_str() {
-            "run_start" => {
-                if run_start_line != 0 {
-                    return Err(format!(
-                        "line {lineno}: duplicate `run_start` (first at line {run_start_line})"
-                    ));
-                }
-                run_start_line = lineno;
-            }
-            "run_end" => {
-                if run_end_line != 0 {
-                    return Err(format!(
-                        "line {lineno}: duplicate `run_end` (first at line {run_end_line})"
-                    ));
-                }
-                if run_start_line == 0 {
-                    return Err(format!(
-                        "line {lineno}: `run_end` without a preceding `run_start`"
-                    ));
-                }
-                run_end_line = lineno;
-            }
-            "place_temp" => {
-                let key = (
-                    string_field(&entries, "phase").unwrap_or_default(),
-                    numeric_field(&entries, "iteration").unwrap_or(0.0) as i64,
-                    numeric_field(&entries, "replica").unwrap_or(-1.0) as i64,
-                );
-                let t = numeric_field(&entries, "temperature")
-                    .ok_or_else(|| format!("line {lineno}: non-numeric `temperature`"))?;
-                if let Some(&(prev, prev_line)) = last_temp.get(&key) {
-                    if t > prev {
-                        return Err(format!(
-                            "line {lineno}: temperature {t} rose above {prev} (line \
-                             {prev_line}) within the {}[{}/{}] anneal stream",
-                            key.0, key.1, key.2
-                        ));
-                    }
-                }
-                last_temp.insert(key, (t, lineno));
-            }
-            "run_interrupted" => {
-                if run_start_line == 0 {
-                    return Err(format!(
-                        "line {lineno}: `run_interrupted` without a preceding `run_start`"
-                    ));
-                }
-                // A resumed stage-2 re-runs its cooling from the top, so
-                // the per-scope monotonicity restarts here.
-                last_temp.clear();
-            }
-            _ => {}
-        }
-        stats.lines += 1;
-        *stats.kind_counts.entry(kind.clone()).or_insert(0) += 1;
-        last_kind = kind;
+/// Looks a field up in an object value.
+pub fn get<'a>(v: &'a Value, name: &str) -> Option<&'a Value> {
+    match v {
+        Value::Object(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v),
+        _ => None,
     }
-    if run_start_line != 0 && run_end_line == 0 && last_kind != "run_interrupted" {
-        return Err(format!(
-            "line {run_start_line}: `run_start` has no matching `run_end` (truncated stream?)"
-        ));
-    }
-    Ok(stats)
 }
 
-/// Checks that every kind in `required` appears at least once.
-pub fn expect_kinds(stats: &StreamStats, required: &[&str]) -> Result<(), String> {
-    let missing: Vec<&str> = required
-        .iter()
-        .copied()
-        .filter(|k| !stats.kind_counts.contains_key(*k))
-        .collect();
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(format!("stream missing event kinds: {missing:?}"))
+/// Reads a string field.
+pub fn get_str<'a>(v: &'a Value, name: &str) -> Option<&'a str> {
+    match get(v, name) {
+        Some(Value::Str(s)) => Some(s),
+        _ => None,
+    }
+}
+
+/// Reads an unsigned-integer field.
+pub fn get_u64(v: &Value, name: &str) -> Option<u64> {
+    get(v, name).and_then(as_u64)
+}
+
+/// Reads a value as an unsigned integer (the parser produces `Int` for
+/// every integer that fits one).
+pub fn as_u64(v: &Value) -> Option<u64> {
+    match v {
+        Value::UInt(n) => Some(*n),
+        Value::Int(n) => u64::try_from(*n).ok(),
+        _ => None,
+    }
+}
+
+/// Reads a signed-integer field.
+pub fn get_i64(v: &Value, name: &str) -> Option<i64> {
+    match get(v, name) {
+        Some(Value::Int(n)) => Some(*n),
+        Some(Value::UInt(n)) => i64::try_from(*n).ok(),
+        _ => None,
+    }
+}
+
+/// Reads a boolean field.
+pub fn get_bool(v: &Value, name: &str) -> Option<bool> {
+    match get(v, name) {
+        Some(Value::Bool(b)) => Some(*b),
+        _ => None,
+    }
+}
+
+/// Reads a float field (accepting integer spellings).
+pub fn get_f64(v: &Value, name: &str) -> Option<f64> {
+    match get(v, name) {
+        Some(Value::Float(f)) => Some(*f),
+        Some(Value::Int(n)) => Some(*n as f64),
+        Some(Value::UInt(n)) => Some(*n as f64),
+        _ => None,
     }
 }
 
@@ -233,7 +86,8 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value(s: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     skip_ws(b, pos);
     match b.get(*pos) {
         None => Err("unexpected end of input".to_owned()),
@@ -247,7 +101,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(s, pos)? {
                     Value::Str(s) => s,
                     _ => return Err(format!("object key at byte {pos} is not a string")),
                 };
@@ -256,7 +110,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                     return Err(format!("expected `:` at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(s, pos)?;
                 entries.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -278,7 +132,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(s, pos)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -290,11 +144,11 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
                 }
             }
         }
-        Some(b'"') => parse_string(b, pos).map(Value::Str),
+        Some(b'"') => parse_string(s, pos).map(Value::Str),
         Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_number(b, pos),
+        Some(_) => parse_number(s, pos),
     }
 }
 
@@ -307,7 +161,8 @@ fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, St
     }
 }
 
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
+fn parse_string(s: &str, pos: &mut usize) -> Result<String, String> {
+    let b = s.as_bytes();
     debug_assert_eq!(b[*pos], b'"');
     *pos += 1;
     let mut out = String::new();
@@ -330,14 +185,11 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = b
+                        let hex = s
                             .get(*pos + 1..*pos + 5)
                             .ok_or("truncated \\u escape".to_owned())?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape".to_owned())?,
-                            16,
-                        )
-                        .map_err(|_| "bad \\u escape".to_owned())?;
+                        let code = u32::from_str_radix(hex, 16)
+                            .map_err(|_| "bad \\u escape".to_owned())?;
                         // Surrogate pairs are not emitted by our writer;
                         // map lone surrogates to the replacement char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -348,22 +200,22 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so
-                // boundaries are valid).
-                let s = &text_from(b)[*pos..];
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the run of plain characters up to the next quote
+                // or escape. Both are ASCII, so the run ends on a
+                // character boundary.
+                let end = b[*pos..]
+                    .iter()
+                    .position(|&c| c == b'"' || c == b'\\')
+                    .map_or(b.len(), |n| *pos + n);
+                out.push_str(&s[*pos..end]);
+                *pos = end;
             }
         }
     }
 }
 
-fn text_from(b: &[u8]) -> &str {
-    std::str::from_utf8(b).expect("input was a &str")
-}
-
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_number(s: &str, pos: &mut usize) -> Result<Value, String> {
+    let b = s.as_bytes();
     let start = *pos;
     while *pos < b.len()
         && matches!(
@@ -388,7 +240,7 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Value, String> {
         // a confusing `expected , or }`.
         *pos += 1;
     }
-    let text = &text_from(b)[start..*pos];
+    let text = &s[start..*pos];
     if text.is_empty() {
         return Err(format!("unexpected character at byte {start}"));
     }
@@ -439,6 +291,45 @@ mod tests {
         assert!(parse_json("1 2").is_err());
         assert!(parse_json("NaN").is_err());
         assert!(parse_json("\"unterminated").is_err());
+        assert!(parse_json("\"\\u12").is_err());
+        assert!(parse_json("\"\\u12é\"").is_err());
+    }
+
+    #[test]
+    fn strings_keep_every_character() {
+        let v = parse_json(r#"{"s": "añb\t\"c\u00e9\\d€"}"#).unwrap();
+        assert_eq!(get_str(&v, "s"), Some("añb\t\"cé\\d€"));
+    }
+
+    #[test]
+    fn parses_a_mebibyte_string_in_linear_time() {
+        // A body this size used to take tens of seconds: every string
+        // character re-checked the whole input as UTF-8.
+        let value = "ab€\\n".repeat(1 << 18);
+        let text = format!("{{\"netlist\":\"{value}\",\"seed\":7}}");
+        assert!(text.len() > 1 << 20);
+        let t0 = std::time::Instant::now();
+        let v = parse_json(&text).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(secs < 2.0, "parsing 1 MiB took {secs:.2}s");
+        assert_eq!(get_str(&v, "netlist").map(str::len), Some(6 << 18));
+        assert_eq!(get_u64(&v, "seed"), Some(7));
+    }
+
+    #[test]
+    fn accessors_read_typed_fields() {
+        let v = parse_json(r#"{"n": "j1", "u": 7, "i": -2, "b": true, "f": 12.5}"#).unwrap();
+        assert_eq!(get_str(&v, "n"), Some("j1"));
+        assert_eq!(get_u64(&v, "u"), Some(7));
+        assert_eq!(get_i64(&v, "i"), Some(-2));
+        assert_eq!(get_bool(&v, "b"), Some(true));
+        assert_eq!(get_f64(&v, "f"), Some(12.5));
+        assert_eq!(get_f64(&v, "u"), Some(7.0));
+        assert_eq!(get_u64(&v, "i"), None, "negative is not unsigned");
+        assert_eq!(get_u64(&v, "f"), None, "a float is not an integer");
+        assert_eq!(get_str(&v, "u"), None);
+        assert_eq!(get(&v, "missing"), None);
+        assert_eq!(get(&Value::Int(1), "n"), None, "not an object");
     }
 
     #[test]
@@ -453,120 +344,5 @@ mod tests {
         // Int(2) and UInt(2) are both valid parses of `2`, so compare
         // the re-serialized text rather than the value trees.
         assert_eq!(serde_json::to_string(&v).unwrap(), json);
-    }
-
-    const RUN_START: &str = "{\"kind\":\"run_start\",\"seed\":1,\"cells\":2,\"nets\":3,\
-                             \"pins\":4,\"replicas\":1,\"strategy\":\"single\"}";
-    const RUN_END: &str = "{\"kind\":\"run_end\",\"teil\":1.0,\"chip_width\":1,\
-                           \"chip_height\":1,\"routed_length\":1,\"wall_us\":9}";
-
-    fn place_temp(t: f64) -> String {
-        format!(
-            "{{\"kind\":\"place_temp\",\"phase\":\"stage1\",\"iteration\":0,\"replica\":-1,\
-             \"step\":0,\"temperature\":{t},\"s_t\":1.0,\"window_x\":6.0,\"window_y\":6.0,\
-             \"inner\":1,\"attempts\":1,\"accepts\":1,\"cost\":{{\"total\":1.0}},\"teil\":1.0,\
-             \"index_rebuilds\":0,\"classes\":[]}}"
-        )
-    }
-
-    #[test]
-    fn validates_streams() {
-        let good = concat!(
-            "{\"kind\":\"stage_span\",\"stage\":\"stage1\",\"iteration\":0,\"wall_us\":5}\n",
-            "\n",
-        );
-        let stats = validate_jsonl(good).unwrap();
-        assert_eq!(stats.lines, 1);
-        assert_eq!(stats.kind_counts["stage_span"], 1);
-        expect_kinds(&stats, &["stage_span"]).unwrap();
-        assert!(expect_kinds(&stats, &["swap"]).is_err());
-
-        assert!(validate_jsonl("{\"kind\":\"bogus\"}").is_err());
-        assert!(
-            validate_jsonl("{\"kind\":\"stage_span\"}").is_err(),
-            "missing fields"
-        );
-        assert!(validate_jsonl("[1]").is_err(), "not an object");
-        assert!(validate_jsonl("{oops").is_err());
-    }
-
-    #[test]
-    fn enforces_run_envelope_pairing() {
-        // A complete pair validates.
-        let good = format!("{RUN_START}\n{RUN_END}\n");
-        assert_eq!(validate_jsonl(&good).unwrap().lines, 2);
-
-        // run_end without run_start, duplicate starts/ends, and a
-        // truncated stream all fail with the offending line number.
-        let orphan_end = format!("{RUN_END}\n");
-        let err = validate_jsonl(&orphan_end).unwrap_err();
-        assert!(err.contains("line 1") && err.contains("run_end"), "{err}");
-
-        let dup_start = format!("{RUN_START}\n{RUN_START}\n{RUN_END}\n");
-        let err = validate_jsonl(&dup_start).unwrap_err();
-        assert!(err.contains("line 2") && err.contains("duplicate"), "{err}");
-
-        let dup_end = format!("{RUN_START}\n{RUN_END}\n{RUN_END}\n");
-        let err = validate_jsonl(&dup_end).unwrap_err();
-        assert!(err.contains("line 3") && err.contains("duplicate"), "{err}");
-
-        let truncated = format!("{RUN_START}\n");
-        let err = validate_jsonl(&truncated).unwrap_err();
-        assert!(err.contains("no matching `run_end`"), "{err}");
-    }
-
-    const INTERRUPTED: &str = "{\"kind\":\"run_interrupted\",\"reason\":\"signal\",\
-                               \"stage\":\"stage1\",\"teil\":1.0,\"cost\":2.0,\"wall_us\":7}";
-
-    #[test]
-    fn interrupted_streams_may_end_without_run_end() {
-        // run_start … run_interrupted as the final event validates.
-        let cut = format!("{RUN_START}\n{}\n{INTERRUPTED}\n", place_temp(10.0));
-        assert_eq!(validate_jsonl(&cut).unwrap().lines, 3);
-
-        // A resumed stream may carry several interrupts and close with
-        // run_end; the temperature tracking restarts at each interrupt,
-        // so a stage that re-runs its cooling does not trip monotonicity.
-        let resumed = format!(
-            "{RUN_START}\n{}\n{INTERRUPTED}\n{}\n{INTERRUPTED}\n{}\n{RUN_END}\n",
-            place_temp(8.0),
-            place_temp(10.0),
-            place_temp(9.0),
-        );
-        assert_eq!(validate_jsonl(&resumed).unwrap().lines, 7);
-
-        // An interrupt before any run_start is malformed.
-        let orphan = format!("{INTERRUPTED}\n");
-        let err = validate_jsonl(&orphan).unwrap_err();
-        assert!(err.contains("run_interrupted"), "{err}");
-
-        // Events after the interrupt re-arm the truncation check.
-        let trailing = format!("{RUN_START}\n{INTERRUPTED}\n{}\n", place_temp(5.0));
-        let err = validate_jsonl(&trailing).unwrap_err();
-        assert!(err.contains("no matching `run_end`"), "{err}");
-    }
-
-    #[test]
-    fn enforces_monotone_temperatures_per_stream() {
-        // Cooling (and plateaus) validate; reheating fails with the line.
-        let cooling = format!(
-            "{}\n{}\n{}\n",
-            place_temp(10.0),
-            place_temp(8.0),
-            place_temp(8.0)
-        );
-        assert_eq!(validate_jsonl(&cooling).unwrap().lines, 3);
-
-        let reheat = format!("{}\n{}\n", place_temp(8.0), place_temp(10.0));
-        let err = validate_jsonl(&reheat).unwrap_err();
-        assert!(
-            err.contains("line 2") && err.contains("rose above"),
-            "{err}"
-        );
-
-        // Different scopes are independent streams.
-        let other_scope = place_temp(10.0).replace("\"replica\":-1", "\"replica\":1");
-        let two_streams = format!("{}\n{}\n", place_temp(8.0), other_scope);
-        assert_eq!(validate_jsonl(&two_streams).unwrap().lines, 2);
     }
 }

@@ -1,9 +1,9 @@
 //! Stage-2 routing telemetry: `global_route_with` must report exactly
 //! what the returned routing contains, never perturb the routing
-//! itself, and produce a stream the obs validator accepts end-to-end.
+//! itself, and produce a stream `twmc_analyze::parse_stream` reads
+//! end-to-end.
 
 use twmc_geom::{Point, Rect, TileSet};
-use twmc_obs::validate::{expect_kinds, validate_jsonl};
 use twmc_obs::{Event, JsonlRecorder, SummaryRecorder};
 use twmc_route::{global_route, global_route_with, NetPins, PlacedGeometry, RouterParams};
 
@@ -130,7 +130,7 @@ fn route_iter_stream_validates_end_to_end() {
         3,
     );
     let text = String::from_utf8(rec.finish().expect("memory sink")).expect("utf-8");
-    let stats = validate_jsonl(&text).expect("stream validates");
-    expect_kinds(&stats, &["route_iter"]).expect("route_iter present");
-    assert_eq!(stats.kind_counts["route_iter"], 1);
+    let stream = twmc_analyze::parse_stream(&text).expect("stream validates");
+    assert_eq!(stream.stats.kind_counts["route_iter"], 1);
+    assert_eq!(stream.routes.len(), 1);
 }

@@ -2,12 +2,15 @@
 //!
 //! The vendored `serde_json` only serializes and the obs crate's
 //! parser produces [`serde::Value`] trees, so the API builds and picks
-//! apart values by hand; these helpers keep that code short. Unlike the
+//! apart values by hand; these helpers keep that code short. The field
+//! accessors are the obs reader's own, re-exported. Unlike the
 //! checkpoint codec (which needs bit-exact floats), the wire format
 //! uses plain JSON numbers — responses are for humans and HTTP clients,
 //! not for resuming RNG streams.
 
 use serde::Value;
+
+pub use twmc_obs::validate::{get, get_bool, get_f64, get_i64, get_str, get_u64};
 
 /// Builds an object value from `(key, value)` pairs.
 pub fn obj(fields: Vec<(&str, Value)>) -> Value {
@@ -17,59 +20,6 @@ pub fn obj(fields: Vec<(&str, Value)>) -> Value {
 /// Serializes a value tree to compact JSON text.
 pub fn to_text(v: &Value) -> String {
     serde_json::to_string(v).expect("value trees always serialize")
-}
-
-/// Looks a field up in an object value.
-pub fn get<'a>(v: &'a Value, name: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(entries) => entries.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-        _ => None,
-    }
-}
-
-/// Reads a string field.
-pub fn get_str<'a>(v: &'a Value, name: &str) -> Option<&'a str> {
-    match get(v, name) {
-        Some(Value::Str(s)) => Some(s),
-        _ => None,
-    }
-}
-
-/// Reads an unsigned-integer field (the parser may produce `Int` for
-/// small numbers).
-pub fn get_u64(v: &Value, name: &str) -> Option<u64> {
-    match get(v, name) {
-        Some(Value::UInt(n)) => Some(*n),
-        Some(Value::Int(n)) => u64::try_from(*n).ok(),
-        _ => None,
-    }
-}
-
-/// Reads a signed-integer field.
-pub fn get_i64(v: &Value, name: &str) -> Option<i64> {
-    match get(v, name) {
-        Some(Value::Int(n)) => Some(*n),
-        Some(Value::UInt(n)) => i64::try_from(*n).ok(),
-        _ => None,
-    }
-}
-
-/// Reads a boolean field.
-pub fn get_bool(v: &Value, name: &str) -> Option<bool> {
-    match get(v, name) {
-        Some(Value::Bool(b)) => Some(*b),
-        _ => None,
-    }
-}
-
-/// Reads a float field (accepting integer spellings).
-pub fn get_f64(v: &Value, name: &str) -> Option<f64> {
-    match get(v, name) {
-        Some(Value::Float(f)) => Some(*f),
-        Some(Value::Int(n)) => Some(*n as f64),
-        Some(Value::UInt(n)) => Some(*n as f64),
-        _ => None,
-    }
 }
 
 #[cfg(test)]

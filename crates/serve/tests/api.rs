@@ -57,8 +57,9 @@ fn submit_poll_events_result_placement() {
     // The events stream is valid JSONL with the full run envelope.
     let events = client::get(&addr, &format!("/jobs/{id_json}/events")).unwrap();
     assert_eq!(events.status, 200);
-    let stats = twmc_obs::validate::validate_jsonl(&events.body).expect("events validate");
-    twmc_obs::validate::expect_kinds(&stats, &["run_start", "place_temp", "run_end"]).unwrap();
+    let stream = twmc_analyze::parse_stream(&events.body).expect("events validate");
+    assert!(stream.start.is_some() && stream.end.is_some());
+    assert!(!stream.temps.is_empty());
 
     // Result: healthy report with findings; placement: one line per cell.
     let result = client::get(&addr, &format!("/jobs/{id_json}/result")).unwrap();

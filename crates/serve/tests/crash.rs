@@ -108,7 +108,7 @@ fn assert_recovers(spool: PathBuf, id: &str, reference: &str, context: &str) {
         "{context}: crash recovery changed the placement"
     );
     let events = daemon.events(id).unwrap();
-    twmc_obs::validate::validate_jsonl(&events)
+    twmc_analyze::parse_stream(&events)
         .unwrap_or_else(|e| panic!("{context}: events do not validate: {e}"));
     daemon.begin_drain();
     assert!(daemon.wait_drained(Duration::from_secs(30)));

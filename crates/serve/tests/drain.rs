@@ -99,7 +99,7 @@ fn drain_checkpoints_then_restart_resumes() {
 
     // The stitched stream still validates end to end.
     let events = daemon.events(&long_id).unwrap();
-    twmc_obs::validate::validate_jsonl(&events).expect("events validate");
+    twmc_analyze::parse_stream(&events).expect("events validate");
 
     daemon.begin_drain();
     assert!(daemon.wait_drained(Duration::from_secs(30)));

@@ -9,19 +9,19 @@ use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 use common::*;
+use twmc_analyze::parse_stream;
 use twmc_metrics::expo;
-use twmc_obs::validate::{expect_kinds, validate_jsonl};
 use twmc_serve::client::{self, FollowEnd};
 use twmc_serve::json::{get_str, get_u64};
 use twmc_serve::{server::MAX_REQUESTS_PER_CONN, JobState};
 
-/// A prefix of a live JSONL stream is valid when the full-stream
-/// validator either accepts it outright or complains *only* that the
-/// run envelope is still open — the one incompleteness a mid-run
-/// prefix is allowed. Any other diagnostic is a real defect.
+/// A prefix of a live JSONL stream is valid when the stream reader
+/// either accepts it outright or complains *only* that the run
+/// envelope is still open — the one incompleteness a mid-run prefix is
+/// allowed. Any other diagnostic is a real defect.
 fn assert_valid_prefix(prefix: &[u8]) {
     let text = std::str::from_utf8(prefix).expect("stream chunks are UTF-8");
-    if let Err(e) = validate_jsonl(text) {
+    if let Err(e) = parse_stream(text) {
         assert!(
             e.contains("no matching `run_end`"),
             "mid-stream prefix failed validation: {e}"
@@ -44,7 +44,7 @@ fn follow_streams_validator_clean_chunks_to_completion() {
     let id = get_str(&posted.json().unwrap(), "id").unwrap().to_owned();
 
     // Follow the tail while the job runs. Every chunk is whole JSONL
-    // lines, so every accumulated prefix must pass the validator (up
+    // lines, so every accumulated prefix must pass the reader (up
     // to the still-open run envelope).
     let mut prefix = Vec::new();
     let mut chunks = 0usize;
@@ -64,8 +64,9 @@ fn follow_streams_validator_clean_chunks_to_completion() {
     assert!(chunks > 1, "a multi-second run should stream incrementally");
     assert_eq!(daemon.job_state(&id), Some(JobState::Done));
     let text = String::from_utf8(received).unwrap();
-    let stats = validate_jsonl(&text).expect("assembled stream validates");
-    expect_kinds(&stats, &["run_start", "place_temp", "run_end"]).unwrap();
+    let stream = parse_stream(&text).expect("assembled stream validates");
+    assert!(stream.start.is_some() && stream.end.is_some());
+    assert!(!stream.temps.is_empty());
 
     // The streamed bytes match the spooled event file exactly.
     let spooled = client::get(&addr, &format!("/jobs/{id}/events")).unwrap();
@@ -117,8 +118,8 @@ fn client_disconnect_mid_stream_leaves_the_worker_unaffected() {
         Some(JobState::Done)
     );
     let events = client::get(&addr, &format!("/jobs/{id}/events")).unwrap();
-    let stats = validate_jsonl(&events.body).expect("events validate after disconnect");
-    expect_kinds(&stats, &["run_start", "run_end"]).unwrap();
+    let stream = parse_stream(&events.body).expect("events validate after disconnect");
+    assert!(stream.start.is_some() && stream.end.is_some());
     assert_eq!(daemon.hub().jobs_completed_total.value(), 1);
 
     stop.store(true, Ordering::Relaxed);

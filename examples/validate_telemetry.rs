@@ -1,6 +1,8 @@
-//! Validates a `--telemetry` JSONL stream: every line must parse as a
-//! known, schema-complete event, and the stream must cover the core
-//! pipeline kinds. Used by CI as the telemetry smoke check.
+//! Validates a `--telemetry` JSONL stream: it must read through
+//! `parse_stream` (every line a known event carrying every field its
+//! record reads, an intact run envelope, no temperature rising within
+//! one anneal scope), and it must cover the core pipeline kinds. Used
+//! by CI as the telemetry smoke check.
 //!
 //! ```sh
 //! cargo run --release --example validate_telemetry run.jsonl
@@ -8,7 +10,10 @@
 
 use std::process::ExitCode;
 
-use timberwolfmc::obs::validate::{expect_kinds, validate_jsonl};
+use timberwolfmc::analyze::parse_stream;
+
+/// Kinds every pipeline stream carries.
+const REQUIRED: [&str; 4] = ["run_start", "place_temp", "stage_span", "run_end"];
 
 fn main() -> ExitCode {
     let Some(path) = std::env::args().nth(1) else {
@@ -22,18 +27,19 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let stats = match validate_jsonl(&text) {
-        Ok(stats) => stats,
+    let stats = match parse_stream(&text) {
+        Ok(stream) => stream.stats,
         Err(e) => {
             eprintln!("{path}: invalid telemetry stream: {e}");
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = expect_kinds(
-        &stats,
-        &["run_start", "place_temp", "stage_span", "run_end"],
-    ) {
-        eprintln!("{path}: {e}");
+    let missing: Vec<&str> = REQUIRED
+        .into_iter()
+        .filter(|kind| !stats.kind_counts.contains_key(*kind))
+        .collect();
+    if !missing.is_empty() {
+        eprintln!("{path}: stream missing event kinds: {missing:?}");
         return ExitCode::FAILURE;
     }
     println!("{path}: {} events valid", stats.lines);

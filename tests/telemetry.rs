@@ -7,7 +7,6 @@ use timberwolfmc::core::{
     RunOutcome, Strategy, TimberWolfConfig,
 };
 use timberwolfmc::netlist::{synthesize, Netlist, SynthParams};
-use timberwolfmc::obs::validate::{expect_kinds, validate_jsonl};
 use timberwolfmc::obs::{
     Event, Instrumented, JsonlRecorder, MetricsHub, Recorder, SummaryRecorder, Tracer,
 };
@@ -62,21 +61,12 @@ fn pipeline_streams_valid_jsonl_without_changing_the_result() {
     assert_eq!(plain.chip, recorded.chip);
     assert_eq!(plain.placement, recorded.placement);
 
-    // The stream is valid JSONL and covers the pipeline's event kinds.
+    // The stream reads as valid JSONL and covers the pipeline's event
+    // kinds.
     let bytes = rec.finish().expect("memory sink");
     let text = String::from_utf8(bytes).expect("utf-8 stream");
-    let stats = validate_jsonl(&text).expect("every line validates");
-    expect_kinds(
-        &stats,
-        &[
-            "run_start",
-            "place_temp",
-            "stage_span",
-            "route_iter",
-            "run_end",
-        ],
-    )
-    .expect("pipeline kinds covered");
+    let stream = timberwolfmc::analyze::parse_stream(&text).expect("stream parses");
+    let stats = &stream.stats;
     assert_eq!(stats.kind_counts["run_start"], 1);
     assert_eq!(stats.kind_counts["run_end"], 1);
     // One route_iter per global-routing execution: each stage-2
@@ -94,10 +84,9 @@ fn pipeline_streams_valid_jsonl_without_changing_the_result() {
     // A real cooling run emits many temperature steps.
     assert!(stats.kind_counts["place_temp"] > 20);
 
-    // The analyzer reads the stream back and judges the run healthy:
-    // the recorded laws (Table-1 regions, rho = 4 window decay, the
-    // phase-2 overflow rule) all hold for a real pipeline execution.
-    let stream = timberwolfmc::analyze::parse_stream(&text).expect("stream parses");
+    // The analyzer judges the run healthy: the recorded laws (Table-1
+    // regions, rho = 4 window decay, the phase-2 overflow rule) all
+    // hold for a real pipeline execution.
     let report = timberwolfmc::analyze::analyze(&stream);
     assert!(
         report.healthy(),
@@ -164,6 +153,49 @@ fn tempering_run_covers_replica_and_swap_kinds() {
         assert_eq!(spans, steps("tempering") + steps("quench"), "rung {rung}");
     }
     assert!(snap.lanes.iter().all(|l| !l.name.starts_with("rung")));
+}
+
+/// A tempering run has no `stage1` steps, so the stage-1 laws are
+/// checked on its ladder's anchor, the coldest rung: none of the six
+/// checks may find the stream missing or too short.
+#[test]
+fn tempering_run_is_held_to_the_stage1_laws() {
+    let nl = circuit();
+    let mut config = quick_config(9);
+    config.parallel = ParallelParams {
+        replicas: 2,
+        threads: 1,
+        strategy: Strategy::Tempering,
+        swap_interval: 1,
+    };
+    let mut rec = JsonlRecorder::new(Vec::new());
+    run_timberwolf_with(&nl, &config, &mut rec);
+    let text = String::from_utf8(rec.finish().expect("memory sink")).expect("utf-8 stream");
+    let stream = timberwolfmc::analyze::parse_stream(&text).expect("stream parses");
+    let anchor = stream.stage1_temps();
+    assert!(anchor.len() > 4, "{} anchor steps", anchor.len());
+    assert!(anchor
+        .iter()
+        .all(|t| t.phase == "tempering" && t.replica == 1));
+
+    let report = timberwolfmc::analyze::analyze(&stream);
+    for check in [
+        "schedule.scaling",
+        "schedule.table1",
+        "anneal.acceptance",
+        "window.decay",
+        "cost.convergence",
+        "moves.ratio",
+    ] {
+        let finding = report.findings.iter().find(|f| f.check == check).unwrap();
+        for absent in ["no stage-1", "too short", "cannot check", "no per-class"] {
+            assert!(
+                !finding.detail.contains(absent),
+                "{check}: {}",
+                finding.detail
+            );
+        }
+    }
 }
 
 /// Every interval is timed once: the `stage_span` event, the trace span
