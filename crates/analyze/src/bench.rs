@@ -90,7 +90,7 @@ pub fn parse_equal_wall(text: &str) -> Result<Vec<EqualWallRec>, String> {
 
 /// Gates a candidate `BENCH_parallel.json` (optionally against a
 /// baseline summary): equal-wall losses to multistart at
-/// ≥ [`GATED_REPLICAS`] replicas fail, smaller ladders only warn, and
+/// ≥ `GATED_REPLICAS` replicas fail, smaller ladders only warn, and
 /// with a baseline any tempering best-TEIL regression at a matching
 /// replica count fails. A baseline predating the `equal_wall` section
 /// downgrades the regression check to a warning instead of blocking.

@@ -252,12 +252,13 @@ pub struct RunStream {
 impl RunStream {
     /// The temperature stream the stage-1 laws apply to: the `stage1`
     /// steps of the lowest-numbered replica (a single run is replica
-    /// -1). A tempering run has none, so it offers its ladder's anchor,
-    /// the coldest rung, which steps every round: the `tempering` rung
-    /// with the most steps, ties going to the highest index (hotter
-    /// rungs dwell, and a dwell reads as a cooling ratio of 1). A dead
-    /// anchor steps less, so a `replica_failed` rung at or above the
-    /// chosen index means the anchor was retired, and there is none.
+    /// -1). A tempering run has none, so it offers its ladder's anchor:
+    /// the highest-index `tempering` rung. Packs are laid out hottest
+    /// rung first, so that rung is the coldest of the last pack, and it
+    /// steps every round from its first sweep until it lands; a hotter
+    /// rung dwells (a dwell reads as a cooling ratio of 1) and may take
+    /// more steps. A `replica_failed` rung at or above that index means
+    /// the anchor was retired, and there is none.
     pub fn stage1_temps(&self) -> Vec<&TempRec> {
         let steps_of = |phase: &str, replica: i64| {
             self.temps
@@ -269,12 +270,8 @@ impl RunStream {
         if let Some(replica) = stage1.map(|t| t.replica).min() {
             return steps_of("stage1", replica);
         }
-        let mut rungs: BTreeMap<i64, usize> = BTreeMap::new();
-        for t in self.temps.iter().filter(|t| t.phase == "tempering") {
-            *rungs.entry(t.replica).or_insert(0) += 1;
-        }
-        // `max_by_key` keeps the last of equal maxima: the highest index.
-        let Some((&anchor, _)) = rungs.iter().max_by_key(|&(_, &n)| n) else {
+        let rungs = self.temps.iter().filter(|t| t.phase == "tempering");
+        let Some(anchor) = rungs.map(|t| t.replica).max() else {
             return Vec::new();
         };
         let retired = self
@@ -1052,13 +1049,12 @@ mod tests {
 
     #[test]
     fn tempering_streams_offer_the_ladder_anchor() {
-        // Rung 1 (the coldest) steps rounds 1-3; rung 0 waits a round
-        // and steps rounds 2-4: equal counts, so the highest index wins.
+        // Rung 1 (the coldest) steps three rounds, and so does rung 0.
         let ladder = |extra: &[String]| {
             let mut lines = vec![run_start()];
             for round in 1..=3 {
-                lines.push(scoped_temp("tempering", round, 1, 10.0 - round as f64));
-                lines.push(scoped_temp("tempering", round + 1, 0, 20.0 - round as f64));
+                lines.push(scoped_temp("tempering", 0, 1, 10.0 - round as f64));
+                lines.push(scoped_temp("tempering", 0, 0, 20.0 - round as f64));
             }
             lines.extend_from_slice(extra);
             lines.push(run_end());
@@ -1071,16 +1067,14 @@ mod tests {
             rungs
         };
         assert_eq!(anchor(&ladder(&[])), [1, 1, 1]);
-        // A rung with more steps is the anchor.
-        let longer = ladder(&[scoped_temp("tempering", 5, 0, 1.0)]);
-        assert_eq!(anchor(&longer), [0, 0, 0, 0]);
-        // A retired rung at or above the chosen one leaves no stream.
+        // A hotter rung that dwells takes more steps, but the anchor is
+        // still the highest index.
+        let longer = ladder(&[scoped_temp("tempering", 0, 0, 17.0)]);
+        assert_eq!(anchor(&longer), [1, 1, 1]);
+        // A retired anchor leaves no stream; a retired hotter rung does
+        // not retire it.
         assert!(ladder(&[failed("tempering", 1)]).stage1_temps().is_empty());
-        assert!(
-            ladder(&[scoped_temp("tempering", 5, 0, 1.0), failed("tempering", 1)])
-                .stage1_temps()
-                .is_empty()
-        );
+        assert_eq!(anchor(&ladder(&[failed("tempering", 0)])), [1, 1, 1]);
         // A multi-start failure does not retire a rung.
         assert_eq!(anchor(&ladder(&[failed("multistart", 1)])), [1, 1, 1]);
         // A stage-1 stream, when there is one, comes first.

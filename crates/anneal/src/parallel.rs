@@ -124,9 +124,9 @@ pub fn adapt_gap(gap: f64, accepted: bool) -> f64 {
 /// descent.
 ///
 /// Two invariants hold by construction: no rung ever re-heats
-/// (`temps[i]` is non-increasing round over round — required by the
-/// telemetry reader's monotonicity rule), and the ladder stays
-/// ordered hottest-first (`temps[i] ≥ temps[i+1]`, so
+/// (`temps[i]` is non-increasing round over round; each rung's sweeps
+/// share one telemetry scope, so the stream reader's monotonicity rule
+/// checks this rung by rung), and the ladder stays ordered hottest-first (`temps[i] ≥ temps[i+1]`, so
 /// [`swap_probability`]'s precondition always holds).
 pub fn cool_ladder(
     schedule: &CoolingSchedule,

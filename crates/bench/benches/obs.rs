@@ -321,9 +321,7 @@ fn pipeline_config(ac: usize, seed: u64) -> TimberWolfConfig {
             router: RouterParams {
                 m_alternatives: 6,
                 per_level: 3,
-                ..Default::default()
             },
-            ..Default::default()
         },
         seed,
         ..Default::default()

@@ -28,7 +28,7 @@ fn make_state(nl: &Netlist) -> PlacementState<'_> {
     let det = determine_core(nl, &EstimatorParams::default());
     let density = cell_density_factors(nl, nl.stats().avg_pin_density);
     let mut rng = StdRng::seed_from_u64(1);
-    PlacementState::random(nl, det.estimator, density, 5.0, &mut rng)
+    PlacementState::random(nl, det.estimator, density, &mut rng)
 }
 
 fn bench_generate(c: &mut Criterion) {

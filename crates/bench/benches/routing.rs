@@ -32,12 +32,12 @@ fn bench_channel_definition(c: &mut Criterion) {
         bench.iter(|| black_box(critical_regions(black_box(&g))))
     });
     c.bench_function("route/build_channel_graph_16cells", |bench| {
-        bench.iter(|| black_box(build_channel_graph(black_box(&g), 2.0)))
+        bench.iter(|| black_box(build_channel_graph(black_box(&g))))
     });
 }
 
 fn bench_paths(c: &mut Criterion) {
-    let graph = build_channel_graph(&grid_geometry(), 2.0);
+    let graph = build_channel_graph(&grid_geometry());
     let (s, t) = (0, graph.len() - 1);
     c.bench_function("route/k_shortest_paths_k8", |bench| {
         bench.iter(|| black_box(k_shortest_paths(&graph, black_box(s), black_box(t), 8)))
@@ -54,7 +54,7 @@ fn bench_paths(c: &mut Criterion) {
 }
 
 fn bench_assignment(c: &mut Criterion) {
-    let mut graph = build_channel_graph(&grid_geometry(), 2.0);
+    let mut graph = build_channel_graph(&grid_geometry());
     for e in &mut graph.edges {
         e.capacity = 1; // force congestion so phase 2 has work to do
     }

@@ -63,8 +63,7 @@ fn run_one(nl: &twmc_netlist::Netlist, mode: Mode, ac: usize, seed: u64) -> (f64
     } else {
         density.clone()
     };
-    let mut state =
-        PlacementState::random(nl, det.estimator.clone(), factors, params.kappa, &mut rng);
+    let mut state = PlacementState::random(nl, det.estimator.clone(), factors, &mut rng);
     match mode {
         Mode::Dynamic | Mode::PositionOnly => {}
         Mode::DensityOnly => {
@@ -124,9 +123,7 @@ fn run_one(nl: &twmc_netlist::Netlist, mode: Mode, ac: usize, seed: u64) -> (f64
         router: RouterParams {
             m_alternatives: 6,
             per_level: 3,
-            ..Default::default()
         },
-        ..Default::default()
     };
     let s2 = refine_placement(&mut state, nl, &params, &rp, s_t, t_inf, seed ^ 0x2);
     let drift_teil = 100.0 * (s2.teil - s1.teil) / s1.teil.max(1.0);

@@ -50,8 +50,7 @@ fn main() {
                     attempts_per_cell: ac,
                     ..Default::default()
                 };
-                let mut state =
-                    PlacementState::random(nl, det.estimator, density, params.kappa, &mut rng);
+                let mut state = PlacementState::random(nl, det.estimator, density, &mut rng);
                 state.calibrate_p2(params.eta, params.normalization_samples, &mut rng);
                 let c_a = det.effective_area / nl.cells().len() as f64;
                 let s_t = temperature_scale(c_a);

@@ -38,7 +38,6 @@ fn main() {
     let router = RouterParams {
         m_alternatives: 6,
         per_level: 3,
-        ..Default::default()
     };
     // The smaller profiles keep the default run quick.
     let names = if opts.full {
@@ -69,7 +68,6 @@ fn main() {
             if two_stage {
                 let rp = RefineParams {
                     router: router.clone(),
-                    ..Default::default()
                 };
                 refine_placement(
                     &mut state,
@@ -87,7 +85,7 @@ fn main() {
             }
             let (geometry, nets) = routing_snapshot(&state);
             let routing = global_route(&geometry, &nets, &router, opts.seed ^ 0xdd);
-            let check = detailed_check(&routing, router.track_spacing);
+            let check = detailed_check(&routing);
             eprintln!(
                 "{mode} / {name}: fit {:.2}, t<=d+1 {:.2}, failed {}, channels {}",
                 check.fit_rate(),

@@ -46,7 +46,6 @@ fn main() {
         RouterParams {
             m_alternatives: 6,
             per_level: 3,
-            ..Default::default()
         }
     };
 
@@ -79,7 +78,6 @@ fn main() {
             let area1 = s1.chip_area() as f64;
             let rp = RefineParams {
                 router: router.clone(),
-                ..Default::default()
             };
             let s2 = refine_placement(
                 &mut state,

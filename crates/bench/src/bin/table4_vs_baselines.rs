@@ -56,7 +56,6 @@ fn main() {
         RouterParams {
             m_alternatives: 6,
             per_level: 3,
-            ..Default::default()
         }
     };
 
@@ -78,7 +77,6 @@ fn main() {
             },
             refine: twmc_refine::RefineParams {
                 router: router.clone(),
-                ..Default::default()
             },
             seed: opts.seed,
             ..Default::default()

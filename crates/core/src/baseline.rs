@@ -61,7 +61,7 @@ fn fresh_state<'a>(
     let det = determine_core(nl, est_params);
     let density = cell_density_factors(nl, nl.stats().avg_pin_density);
     let mut rng = StdRng::seed_from_u64(seed);
-    let state = PlacementState::random(nl, det.estimator, density, 5.0, &mut rng);
+    let state = PlacementState::random(nl, det.estimator, density, &mut rng);
     (state, rng)
 }
 

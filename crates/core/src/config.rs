@@ -11,9 +11,11 @@ use twmc_refine::RefineParams;
 pub struct TimberWolfConfig {
     /// Stage-1 placement parameters (move ratio, `A_c`, η, ρ, …).
     pub place: PlaceParams,
-    /// Interconnect-area estimator parameters (modulation, `t_s`, γ).
+    /// Interconnect-area estimator parameters (modulation, γ, core
+    /// aspect).
     pub estimator: EstimatorParams,
-    /// Stage-2 refinement parameters (μ, refinement count, router).
+    /// Stage-2 refinement parameters: the global router's (μ and the
+    /// refinement count are the paper's constants).
     pub refine: RefineParams,
     /// Stage-1 cooling schedule (Table 1 by default).
     pub schedule: CoolingSchedule,

@@ -9,7 +9,7 @@
 //! bounding box is the comparable "chip area"; a placement that packed
 //! cells with no regard for wiring pays for it here.
 
-use twmc_geom::Rect;
+use twmc_geom::{Rect, TRACK_PITCH};
 use twmc_netlist::Netlist;
 use twmc_place::PlacementState;
 use twmc_refine::{
@@ -65,26 +65,26 @@ pub fn finalize_chip_with(
     seed: u64,
     rec: &mut dyn twmc_obs::Recorder,
 ) -> FinalChip {
-    let gap = router.track_spacing.round().max(1.0) as i64;
+    let gap = TRACK_PITCH as i64;
     twmc_place::legalize(state, gap, 500);
 
     // Route the legal placement and derive required widths.
     let (geometry, nets) = routing_snapshot(state);
     let routing = global_route_with(&geometry, &nets, router, seed, rec, "finalize", 0);
-    let expansions = static_expansions(&routing, nl.cells().len(), router.track_spacing);
+    let expansions = static_expansions(&routing, nl.cells().len());
     state.set_static_expansions(expansions);
 
     // Spread per-channel: one spacing constraint per routed channel
     // (precise), then a raw-gap legalization to fix anything the
     // spreading pushed together.
-    let constraints = spacing_constraints(&routing, router.track_spacing);
+    let constraints = spacing_constraints(&routing);
     spread_for_widths(state, &constraints, 500);
     twmc_place::legalize(state, gap, 500);
 
     // Final routing of the spread placement.
     let (geometry, nets) = routing_snapshot(state);
     let routing = global_route_with(&geometry, &nets, router, seed ^ 0xf17a1, rec, "finalize", 1);
-    let width_report = verify_channel_widths(&routing, router.track_spacing);
+    let width_report = verify_channel_widths(&routing);
 
     FinalChip {
         teil: state.teil(),
@@ -117,7 +117,7 @@ mod tests {
         let det = determine_core(&nl, &EstimatorParams::default());
         let density = cell_density_factors(&nl, nl.stats().avg_pin_density);
         let mut rng = StdRng::seed_from_u64(1);
-        let mut state = PlacementState::random(&nl, det.estimator, density, 5.0, &mut rng);
+        let mut state = PlacementState::random(&nl, det.estimator, density, &mut rng);
         // Pack everything tightly (no wiring space).
         for i in 0..nl.cells().len() {
             state.set_cell_center(i, twmc_geom::Point::ORIGIN);

@@ -48,7 +48,7 @@ pub use finalize::{finalize_chip, finalize_chip_with, FinalChip};
 pub use pipeline::{
     run_timberwolf, run_timberwolf_with, snapshot_placement, PlacedCellRecord, TimberWolfResult,
 };
-pub use render::{render_svg, RenderOptions};
+pub use render::render_svg;
 pub use report::{
     compare, format_parallel_report, format_table4, format_telemetry_summary, ComparisonRow,
 };

@@ -152,9 +152,7 @@ mod tests {
                 router: twmc_route::RouterParams {
                     m_alternatives: 6,
                     per_level: 3,
-                    ..Default::default()
                 },
-                ..Default::default()
             },
             seed: 5,
             ..Default::default()

@@ -9,36 +9,18 @@ use twmc_route::{ChannelKind, GlobalRouting};
 
 use crate::PlacedCellRecord;
 
-/// Rendering options.
-#[derive(Debug, Clone)]
-pub struct RenderOptions {
-    /// Output width in pixels (height follows the aspect ratio).
-    pub width_px: f64,
-    /// Draw the critical regions (channels) of the routing.
-    pub draw_channels: bool,
-    /// Draw the routed trees as polylines between channel centers.
-    pub draw_routes: bool,
-    /// Label cells with their names.
-    pub labels: bool,
-}
-
-impl Default for RenderOptions {
-    fn default() -> Self {
-        RenderOptions {
-            width_px: 800.0,
-            draw_channels: true,
-            draw_routes: true,
-            labels: true,
-        }
-    }
-}
+/// Output width in pixels (the height follows the aspect ratio).
+const WIDTH_PX: f64 = 800.0;
 
 /// A muted qualitative palette for cells (cycled).
 const CELL_COLORS: [&str; 8] = [
     "#7fa7d0", "#e0a66b", "#8fbf8f", "#c98ebf", "#d0cf7f", "#7fcfcf", "#d08f8f", "#a0a0d8",
 ];
 
-/// Renders a placement (optionally with its routing) as an SVG document.
+/// Renders a placement (optionally with its routing) as an SVG document
+/// 800 px wide: the routing's channels under the cells, each cell's
+/// tiles labeled with its name, and the routed trees as polylines
+/// between channel centers.
 ///
 /// The viewport covers `chip` plus a small margin; y is flipped so the
 /// chip's +y points up as in the paper's figures.
@@ -46,14 +28,13 @@ pub fn render_svg(
     placement: &[PlacedCellRecord],
     routing: Option<&GlobalRouting>,
     chip: Rect,
-    options: &RenderOptions,
 ) -> String {
     let margin = (chip.width().max(chip.height()) as f64 * 0.04).max(4.0);
     let min_x = chip.lo().x as f64 - margin;
     let min_y = chip.lo().y as f64 - margin;
     let w = chip.width() as f64 + 2.0 * margin;
     let h = chip.height() as f64 + 2.0 * margin;
-    let scale = options.width_px / w;
+    let scale = WIDTH_PX / w;
     let px = |v: f64| v * scale;
     // Flip y: svg y grows downward.
     let tx = |x: i64| px(x as f64 - min_x);
@@ -85,25 +66,23 @@ pub fn render_svg(
     );
 
     // Channels below cells.
-    if options.draw_channels {
-        if let Some(r) = routing {
-            for (i, node) in r.graph.nodes.iter().enumerate() {
-                let rect = node.region.rect;
-                let dense = r.node_density.get(i).copied().unwrap_or(0);
-                let fill = if dense > 0 { "#f2d7c0" } else { "#eeeeee" };
-                let stroke = match node.region.kind {
-                    ChannelKind::Vertical => "#c8b9a8",
-                    ChannelKind::Horizontal => "#b9c8a8",
-                };
-                let _ = writeln!(
-                    svg,
-                    r##"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="{fill}" fill-opacity="0.5" stroke="{stroke}" stroke-width="0.4"/>"##,
-                    tx(rect.lo().x),
-                    ty(rect.hi().y),
-                    px(rect.width() as f64),
-                    px(rect.height() as f64)
-                );
-            }
+    if let Some(r) = routing {
+        for (i, node) in r.graph.nodes.iter().enumerate() {
+            let rect = node.region.rect;
+            let dense = r.node_density.get(i).copied().unwrap_or(0);
+            let fill = if dense > 0 { "#f2d7c0" } else { "#eeeeee" };
+            let stroke = match node.region.kind {
+                ChannelKind::Vertical => "#c8b9a8",
+                ChannelKind::Horizontal => "#b9c8a8",
+            };
+            let _ = writeln!(
+                svg,
+                r##"<rect x="{:.1}" y="{:.1}" width="{:.1}" height="{:.1}" fill="{fill}" fill-opacity="0.5" stroke="{stroke}" stroke-width="0.4"/>"##,
+                tx(rect.lo().x),
+                ty(rect.hi().y),
+                px(rect.width() as f64),
+                px(rect.height() as f64)
+            );
         }
     }
 
@@ -121,37 +100,33 @@ pub fn render_svg(
                 px(r.height() as f64)
             );
         }
-        if options.labels {
-            let c = cell.bbox.center();
-            let size = (px(cell.bbox.height() as f64) * 0.25).clamp(6.0, 16.0);
-            let _ = writeln!(
-                svg,
-                r##"<text x="{:.1}" y="{:.1}" font-family="sans-serif" font-size="{size:.0}" text-anchor="middle" fill="#111">{}</text>"##,
-                tx(c.x),
-                ty(c.y) + size * 0.35,
-                cell.name
-            );
-        }
+        let c = cell.bbox.center();
+        let size = (px(cell.bbox.height() as f64) * 0.25).clamp(6.0, 16.0);
+        let _ = writeln!(
+            svg,
+            r##"<text x="{:.1}" y="{:.1}" font-family="sans-serif" font-size="{size:.0}" text-anchor="middle" fill="#111">{}</text>"##,
+            tx(c.x),
+            ty(c.y) + size * 0.35,
+            cell.name
+        );
     }
 
     // Routes as polylines between the channel centers of each tree edge.
-    if options.draw_routes {
-        if let Some(r) = routing {
-            for (ni, route) in r.routes.iter().enumerate() {
-                let Some(tree) = route else { continue };
-                let hue = (ni * 47) % 360;
-                for &(a, b) in &tree.edges {
-                    let pa = r.graph.nodes[a].center;
-                    let pb = r.graph.nodes[b].center;
-                    let _ = writeln!(
-                        svg,
-                        r##"<line x1="{:.1}" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="hsl({hue},60%,40%)" stroke-width="1.1" stroke-opacity="0.75"/>"##,
-                        tx(pa.x),
-                        ty(pa.y),
-                        tx(pb.x),
-                        ty(pb.y)
-                    );
-                }
+    if let Some(r) = routing {
+        for (ni, route) in r.routes.iter().enumerate() {
+            let Some(tree) = route else { continue };
+            let hue = (ni * 47) % 360;
+            for &(a, b) in &tree.edges {
+                let pa = r.graph.nodes[a].center;
+                let pb = r.graph.nodes[b].center;
+                let _ = writeln!(
+                    svg,
+                    r##"<line x1="{:.1}" y1="{:.1}" x2="{:.1}" y2="{:.1}" stroke="hsl({hue},60%,40%)" stroke-width="1.1" stroke-opacity="0.75"/>"##,
+                    tx(pa.x),
+                    ty(pa.y),
+                    tx(pb.x),
+                    ty(pb.y)
+                );
             }
         }
     }
@@ -181,25 +156,13 @@ mod tests {
     fn renders_wellformed_svg() {
         let placement = vec![record("a", 0, 0, 10, 10), record("b", 20, 0, 8, 12)];
         let chip = Rect::from_wh(-5, -5, 40, 25);
-        let svg = render_svg(&placement, None, chip, &RenderOptions::default());
+        let svg = render_svg(&placement, None, chip);
         assert!(svg.starts_with("<svg"));
         assert!(svg.trim_end().ends_with("</svg>"));
         // One chip outline + background + 2 cell rects.
         assert_eq!(svg.matches("<rect").count(), 4);
         assert_eq!(svg.matches("<text").count(), 2);
         assert!(svg.contains(">a</text>"));
-    }
-
-    #[test]
-    fn options_toggle_layers() {
-        let placement = vec![record("a", 0, 0, 10, 10)];
-        let chip = Rect::from_wh(0, 0, 10, 10);
-        let opts = RenderOptions {
-            labels: false,
-            ..Default::default()
-        };
-        let svg = render_svg(&placement, None, chip, &opts);
-        assert_eq!(svg.matches("<text").count(), 0);
     }
 
     #[test]
@@ -217,12 +180,7 @@ mod tests {
         }];
         let routing = global_route(&geometry, &nets, &RouterParams::default(), 1);
         let placement = vec![record("a", -15, -5, 10, 10), record("b", 5, -5, 10, 10)];
-        let svg = render_svg(
-            &placement,
-            Some(&routing),
-            geometry.core,
-            &RenderOptions::default(),
-        );
+        let svg = render_svg(&placement, Some(&routing), geometry.core);
         // Channels rendered as extra rects beyond background/outline/cells.
         assert!(svg.matches("<rect").count() > 4);
     }

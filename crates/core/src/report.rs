@@ -532,7 +532,6 @@ mod tests {
                 },
                 node_density: vec![],
                 pin_attachments: vec![],
-                reserved_tracks: 0.0,
                 unrouted: 0,
             },
             teil: 100.0,

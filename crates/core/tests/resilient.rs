@@ -40,9 +40,7 @@ fn config(replicas: usize) -> TimberWolfConfig {
             router: twmc_route::RouterParams {
                 m_alternatives: 6,
                 per_level: 3,
-                ..Default::default()
             },
-            ..Default::default()
         },
         seed: 5,
         ..Default::default()

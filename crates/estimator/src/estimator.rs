@@ -1,7 +1,7 @@
 //! The dynamic interconnect-area estimator and target-core determination
 //! (paper §2.2–2.3, eqs. 1–5).
 
-use twmc_geom::{Rect, Side};
+use twmc_geom::{Rect, Side, TRACK_PITCH};
 use twmc_netlist::Netlist;
 
 use crate::{
@@ -20,8 +20,6 @@ pub struct EstimatorParams {
     pub m_y: f64,
     /// Border vertical modulation `B_y`.
     pub b_y: f64,
-    /// Center-to-center wiring track separation `t_s`.
-    pub track_spacing: f64,
     /// Optimized-placement length factor γ for the `N_L` estimate.
     pub gamma: f64,
     /// Desired core aspect ratio (width / height).
@@ -35,7 +33,6 @@ impl Default for EstimatorParams {
             b_x: 1.0,
             m_y: 2.0,
             b_y: 1.0,
-            track_spacing: 2.0,
             gamma: DEFAULT_GAMMA,
             target_aspect: 1.0,
         }
@@ -52,7 +49,6 @@ pub struct Estimator {
     c_w: f64,
     avg_pin_density: f64,
     core: Rect,
-    track_spacing: f64,
 }
 
 impl Estimator {
@@ -72,12 +68,6 @@ impl Estimator {
     #[inline]
     pub fn avg_pin_density(&self) -> f64 {
         self.avg_pin_density
-    }
-
-    /// The wiring track separation `t_s`.
-    #[inline]
-    pub fn track_spacing(&self) -> f64 {
-        self.track_spacing
     }
 
     /// The position-modulation profile.
@@ -184,7 +174,7 @@ pub fn determine_core(nl: &Netlist, params: &EstimatorParams) -> CoreDeterminati
         h = (effective / params.target_aspect).sqrt();
         let n_l = estimate_total_interconnect_length(nl, w, h, params.gamma);
         let c_l = estimate_channel_length(nl, w, h);
-        c_w = channel_width(n_l, c_l, params.track_spacing);
+        c_w = channel_width(n_l, c_l, TRACK_PITCH);
         // Eq. 5 allowance with a fresh modulation for this core size.
         let modulation = Modulation::new(w, h, params.m_x, params.b_x, params.m_y, params.b_y);
         let e = 0.5 * c_w * modulation.peak() / modulation.alpha();
@@ -219,7 +209,6 @@ pub fn determine_core(nl: &Netlist, params: &EstimatorParams) -> CoreDeterminati
             c_w,
             avg_pin_density: stats.avg_pin_density,
             core,
-            track_spacing: params.track_spacing,
         },
         effective_area: effective,
         iterations,

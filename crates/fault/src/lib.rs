@@ -40,22 +40,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-/// How hard a durable write tries to survive power loss.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Durability {
-    /// No fsync at all: fast, but a crash can lose or tear the write.
-    /// Only appropriate for files that are rebuilt from scratch anyway.
-    None,
-    /// Fsync the file before rename, but not the parent directory. The
-    /// file contents are safe; the rename itself may be lost on power
-    /// failure (the old version reappears).
-    File,
-    /// Fsync the file before rename and the parent directory after: the
-    /// full discipline. A crash leaves either the old or the new
-    /// version, never a torn or missing file.
-    Full,
-}
-
 /// Abstraction over the syscalls a durable write path performs.
 ///
 /// Implementations must be shareable across threads; the daemon hands one
@@ -149,16 +133,11 @@ pub fn tmp_sibling(path: &Path) -> PathBuf {
 ///
 /// Crashpoints named `"<file_name>:<stage>"` (see [`ATOMIC_STAGES`]) fire
 /// between each step so a [`FaultVfs`] can freeze the disk at any prefix
-/// of the sequence. With [`Durability::Full`] a crash at any point leaves
-/// either the old file intact or the new file complete — never a torn
-/// `path`, though a stale `.tmp` sibling may remain for the startup scan
-/// to sweep.
-pub fn atomic_write_durable(
-    vfs: &dyn Vfs,
-    path: &Path,
-    bytes: &[u8],
-    durability: Durability,
-) -> io::Result<()> {
+/// of the sequence. A crash at any point leaves either the old file
+/// intact or the new file complete — never a torn or missing `path`,
+/// though a stale `.tmp` sibling may remain for the startup scan to
+/// sweep.
+pub fn atomic_write_durable(vfs: &dyn Vfs, path: &Path, bytes: &[u8]) -> io::Result<()> {
     let name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
@@ -167,16 +146,12 @@ pub fn atomic_write_durable(
     vfs.crashpoint(&format!("{name}:before_write"))?;
     vfs.write(&tmp, bytes)?;
     vfs.crashpoint(&format!("{name}:after_write"))?;
-    if durability != Durability::None {
-        vfs.sync_file(&tmp)?;
-    }
+    vfs.sync_file(&tmp)?;
     vfs.crashpoint(&format!("{name}:after_sync_file"))?;
     vfs.rename(&tmp, path)?;
     vfs.crashpoint(&format!("{name}:after_rename"))?;
-    if durability == Durability::Full {
-        if let Some(dir) = path.parent() {
-            vfs.sync_dir(dir)?;
-        }
+    if let Some(dir) = path.parent() {
+        vfs.sync_dir(dir)?;
     }
     vfs.crashpoint(&format!("{name}:after_sync_dir"))?;
     Ok(())
@@ -562,7 +537,7 @@ mod tests {
     fn real_vfs_atomic_write_roundtrips() {
         let dir = tmpdir("real");
         let path = dir.join("state.json");
-        atomic_write_durable(&RealVfs, &path, b"{\"a\":1}", Durability::Full).unwrap();
+        atomic_write_durable(&RealVfs, &path, b"{\"a\":1}").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"{\"a\":1}");
         assert!(!tmp_sibling(&path).exists());
         let _ = fs::remove_dir_all(&dir);
@@ -639,7 +614,7 @@ mod tests {
         let path = dir.join("state.json");
         fs::write(&path, b"old").unwrap();
         let vfs = FaultVfs::new(FaultSchedule::crash_at("state.json:after_sync_file"));
-        let err = atomic_write_durable(&vfs, &path, b"new", Durability::Full).unwrap_err();
+        let err = atomic_write_durable(&vfs, &path, b"new").unwrap_err();
         assert!(err.to_string().contains("simulated crash"), "{err}");
         assert!(vfs.crashed());
         // Frozen at after_sync_file: tmp exists with full contents, the
@@ -659,7 +634,7 @@ mod tests {
             let path = dir.join("job.ckpt");
             fs::write(&path, b"old-version").unwrap();
             let vfs = FaultVfs::new(FaultSchedule::crash_at(&format!("job.ckpt:{stage}")));
-            let res = atomic_write_durable(&vfs, &path, b"new-version", Durability::Full);
+            let res = atomic_write_durable(&vfs, &path, b"new-version");
             if *stage == "after_sync_dir" {
                 // The final crashpoint fires after the sequence is
                 // already durable; the write itself errors but the new
@@ -680,15 +655,13 @@ mod tests {
     }
 
     #[test]
-    fn eio_on_sync_dir_surfaces_with_full_durability_only() {
+    fn eio_on_sync_dir_surfaces() {
         let dir = tmpdir("syncdir");
         let path = dir.join("spec.json");
         let vfs = FaultVfs::new(FaultSchedule::parse("eio=sync_dir").unwrap());
-        assert!(atomic_write_durable(&vfs, &path, b"x", Durability::Full).is_err());
-        // File mode never touches the directory, so the same schedule
-        // passes.
-        let vfs = FaultVfs::new(FaultSchedule::parse("eio=sync_dir").unwrap());
-        atomic_write_durable(&vfs, &path, b"x", Durability::File).unwrap();
+        assert!(atomic_write_durable(&vfs, &path, b"x").is_err());
+        // The directory sync comes after the rename: the new file is in
+        // place even though the write reports the error.
         assert_eq!(fs::read(&path).unwrap(), b"x");
         let _ = fs::remove_dir_all(&dir);
     }

@@ -12,7 +12,8 @@
 //!   paper's eq. 8 (plain and with interconnect-allowance expansion);
 //! * [`boundary_edges`] — exposed boundary extraction, feeding the
 //!   per-edge interconnect-area estimate and critical-region pairing;
-//! * [`decompose_rectilinear`] — vertex-loop to tile-set conversion.
+//! * [`decompose_rectilinear`] — vertex-loop to tile-set conversion;
+//! * [`TRACK_PITCH`] — the wiring track pitch `t_s` that sizes channels.
 //!
 //! # Examples
 //!
@@ -46,3 +47,9 @@ pub use polygon::{decompose_rectilinear, PolygonError};
 pub use rect::Rect;
 pub use span::{span_difference, span_union_len, Span};
 pub use tile::{TileSet, TileSetError};
+
+/// The center-to-center wiring track pitch `t_s`, in grid units. The
+/// estimator's expected channel width `C_w` (eq. 1), the pin-site
+/// capacities, the router's channel capacities and the required channel
+/// width `w = (d + 2)·t_s` (eq. 22) all read this one value.
+pub const TRACK_PITCH: f64 = 2.0;

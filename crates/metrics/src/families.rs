@@ -33,8 +33,8 @@ pub const JOB_STATES: &[&str] = &[
 /// Every metric family in the workspace, pre-registered and resolved.
 ///
 /// Shared as an `Arc` between the producers (annealing loops, router,
-/// checkpoint writer, daemon) and the consumers (`GET /metrics`,
-/// `twmc place --metrics-dump`). Construction is the single place the
+/// checkpoint writer, daemon) and the consumers (the daemon's
+/// `GET /metrics` and `GET /stats`). Construction is the single place the
 /// inventory is defined — DESIGN.md §12 documents it.
 pub struct MetricsHub {
     registry: Registry,

@@ -17,7 +17,8 @@ use serde::{Serialize, Value};
 pub struct RunScope {
     /// Pipeline phase: `"stage1"`, `"stage2"`, `"tempering"`, `"quench"`.
     pub phase: &'static str,
-    /// Refinement iteration (stage 2) or round base (tempering); 0 otherwise.
+    /// Refinement iteration (stage 2); 0 otherwise, so each tempering
+    /// rung's whole descent is one scope (its `step` counts the rounds).
     pub iteration: u64,
     /// Replica or rung index; -1 for single-replica runs.
     pub replica: i64,

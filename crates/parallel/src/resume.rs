@@ -295,9 +295,9 @@ pub(crate) fn swaps_from(v: &Value) -> Result<SwapReport, CheckpointError> {
     })
 }
 
-/// Serializes a full [`ParallelReport`] — the pipeline's stage-2
-/// checkpoint carries it so a resumed run that skips stage 1 still
-/// reports the original orchestration.
+/// Serializes a full [`ParallelReport`](crate::ParallelReport) — the
+/// pipeline's stage-2 checkpoint carries it so a resumed run that skips
+/// stage 1 still reports the original orchestration.
 pub fn parallel_report_value(r: &crate::ParallelReport) -> Value {
     codec::object(vec![
         ("strategy", Value::Str(r.strategy.to_string())),

@@ -237,7 +237,7 @@ impl<'a> Rounds<'a> for Ladder<'_, 'a> {
             rec,
             RunScope {
                 phase: "tempering",
-                iteration: round as u64,
+                iteration: 0,
                 replica: rep.index as i64,
             },
             lane,

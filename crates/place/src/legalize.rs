@@ -164,7 +164,7 @@ mod tests {
         let det = determine_core(nl, &EstimatorParams::default());
         let density = cell_density_factors(nl, nl.stats().avg_pin_density);
         let mut rng = StdRng::seed_from_u64(8);
-        let mut st = PlacementState::random(nl, det.estimator, density, 5.0, &mut rng);
+        let mut st = PlacementState::random(nl, det.estimator, density, &mut rng);
         // Worst case: everything stacked at the origin.
         for i in 0..nl.cells().len() {
             st.set_cell_center(i, twmc_geom::Point::ORIGIN);

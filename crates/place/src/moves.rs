@@ -23,6 +23,10 @@ use twmc_netlist::PinId;
 use crate::state::{random_side, PinUnit};
 use crate::{select_displacement, MoveCost, PlaceParams, PlacementState, SiteRef};
 
+/// Cap on the pin-placement attempts per `generate` call on a custom
+/// cell (the paper attempts one per uncommitted pin unit).
+const PIN_MOVES_CAP: usize = 4;
+
 /// Attempt/accept counters per move class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MoveStats {
@@ -338,7 +342,7 @@ pub fn generate(
         let cell = &st.netlist().cells()[i];
         if cell.is_custom() {
             // Pin placement attempts: one per uncommitted unit, capped.
-            let units = st.pin_units(i).len().min(params.pin_moves_cap);
+            let units = st.pin_units(i).len().min(PIN_MOVES_CAP);
             for _ in 0..units {
                 if let Some(acc) = try_pin_move(st, i, t, rng) {
                     MoveStats::add(&mut stats.pin_moves, acc);
@@ -412,7 +416,7 @@ mod tests {
         let det = determine_core(nl, &EstimatorParams::default());
         let density = cell_density_factors(nl, nl.stats().avg_pin_density);
         let mut rng = StdRng::seed_from_u64(seed);
-        PlacementState::random(nl, det.estimator, density, 5.0, &mut rng)
+        PlacementState::random(nl, det.estimator, density, &mut rng)
     }
 
     #[test]

@@ -12,7 +12,10 @@ pub enum DisplacementSelector {
     Random,
 }
 
-/// Tunable parameters of the stage-1 annealing placement.
+/// Tunable parameters of the stage-1 annealing placement: the ones the
+/// paper's experiments sweep. The pin-site constant κ of eq. 10 and the
+/// cap on pin moves per `generate` call are constants of the move
+/// machine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlaceParams {
     /// Ratio `r` of single-cell displacements to pairwise interchanges
@@ -28,13 +31,8 @@ pub struct PlaceParams {
     pub eta: f64,
     /// Range-limiter exponent ρ (paper §3.2.2 selects 4).
     pub rho: f64,
-    /// Pin-site over-capacity constant κ of eq. 10 (paper uses 5).
-    pub kappa: f64,
     /// Displacement-point selector (`D_s` by default).
     pub selector: DisplacementSelector,
-    /// Cap on the number of pin-placement attempts per `generate` call on
-    /// a custom cell (the paper attempts one per uncommitted pin unit).
-    pub pin_moves_cap: usize,
     /// Number of random placements sampled to calibrate the `p₂`
     /// normalization at `T_∞`.
     pub normalization_samples: usize,
@@ -47,9 +45,7 @@ impl Default for PlaceParams {
             attempts_per_cell: 100,
             eta: 0.5,
             rho: 4.0,
-            kappa: 5.0,
             selector: DisplacementSelector::Quantized,
-            pin_moves_cap: 4,
             normalization_samples: 64,
         }
     }
@@ -90,7 +86,6 @@ mod tests {
         assert_eq!(p.move_ratio, 10.0);
         assert_eq!(p.eta, 0.5);
         assert_eq!(p.rho, 4.0);
-        assert_eq!(p.kappa, 5.0);
         assert_eq!(p.selector, DisplacementSelector::Quantized);
         assert_eq!(PlaceParams::paper_quality().attempts_per_cell, 400);
         assert_eq!(PlaceParams::fast().attempts_per_cell, 25);

@@ -6,7 +6,10 @@
 //! approximately evenly spaced, each with a capacity. A penalty function
 //! (`C₃`, eqs. 10–11) discourages exceeding the capacity.
 
-use twmc_geom::{Point, Side};
+use twmc_geom::{Point, Side, TRACK_PITCH};
+
+/// The over-capacity constant κ of eq. 10 (the paper uses 5).
+const KAPPA: f64 = 5.0;
 
 /// Identifies one pin site on a custom cell: a side of the unoriented
 /// rectangle and a slot index along it.
@@ -18,7 +21,9 @@ pub struct SiteRef {
     pub slot: u32,
 }
 
-/// The pin-site layout of one custom cell at its current dimensions.
+/// The pin-site layout of one custom cell at its current dimensions:
+/// per-site capacities from the track pitch [`TRACK_PITCH`], occupancy,
+/// and the eq. 10 penalty with κ = 5.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SiteLayout {
     sites_per_edge: u32,
@@ -28,7 +33,6 @@ pub struct SiteLayout {
     cap: [u32; 4],
     /// Occupancy per (side, slot).
     occ: [Vec<u32>; 4],
-    kappa: f64,
 }
 
 fn side_index(side: Side) -> usize {
@@ -45,22 +49,21 @@ impl SiteLayout {
     /// sites per side.
     ///
     /// Site capacity is the number of legal pin locations the site spans:
-    /// `max(1, edge_len / (sites_per_edge · t_s))` with track spacing
-    /// `t_s` rounded to a grid unit.
-    pub fn new(w: i64, h: i64, sites_per_edge: u32, track_spacing: f64, kappa: f64) -> Self {
+    /// `max(1, edge_len / (sites_per_edge · t_s))` with the track pitch
+    /// [`TRACK_PITCH`].
+    pub fn new(w: i64, h: i64, sites_per_edge: u32) -> Self {
         let n = sites_per_edge.max(1);
         SiteLayout {
             sites_per_edge: n,
             w,
             h,
-            cap: capacities(w, h, n, track_spacing),
+            cap: capacities(w, h, n),
             occ: [
                 vec![0; n as usize],
                 vec![0; n as usize],
                 vec![0; n as usize],
                 vec![0; n as usize],
             ],
-            kappa,
         }
     }
 
@@ -121,7 +124,7 @@ impl SiteLayout {
         if occ <= cap {
             0.0
         } else {
-            (occ - cap) as f64 + self.kappa
+            (occ - cap) as f64 + KAPPA
         }
     }
 
@@ -152,18 +155,18 @@ impl SiteLayout {
     /// Re-spaces the layout in place for new dimensions (aspect-ratio
     /// move): the capacities follow the new edges, and occupancy by
     /// (side, slot) is kept.
-    pub fn resize(&mut self, w: i64, h: i64, track_spacing: f64) {
+    pub fn resize(&mut self, w: i64, h: i64) {
         self.w = w;
         self.h = h;
-        self.cap = capacities(w, h, self.sites_per_edge, track_spacing);
+        self.cap = capacities(w, h, self.sites_per_edge);
     }
 }
 
 /// Per-side site capacities `[left, right, bottom, top]` of a `w × h`
 /// cell with `n` sites per edge: `max(1, edge_len / (n · t_s))`.
-fn capacities(w: i64, h: i64, n: u32, track_spacing: f64) -> [u32; 4] {
-    let ts = track_spacing.max(1.0);
-    let cap_for = |len: i64| -> u32 { ((len as f64 / (n as f64 * ts)).floor() as u32).max(1) };
+fn capacities(w: i64, h: i64, n: u32) -> [u32; 4] {
+    let cap_for =
+        |len: i64| -> u32 { ((len as f64 / (n as f64 * TRACK_PITCH)).floor() as u32).max(1) };
     [cap_for(h), cap_for(h), cap_for(w), cap_for(w)]
 }
 
@@ -172,7 +175,7 @@ mod tests {
     use super::*;
 
     fn layout() -> SiteLayout {
-        SiteLayout::new(40, 20, 4, 2.0, 5.0)
+        SiteLayout::new(40, 20, 4)
     }
 
     #[test]
@@ -185,7 +188,7 @@ mod tests {
         assert_eq!(l.capacity(Side::Left), 2);
         assert_eq!(l.capacity(Side::Right), 2);
         // Tiny cell floors at 1.
-        let tiny = SiteLayout::new(3, 3, 8, 2.0, 5.0);
+        let tiny = SiteLayout::new(3, 3, 8);
         assert_eq!(tiny.capacity(Side::Left), 1);
     }
 
@@ -264,7 +267,7 @@ mod tests {
             slot: 2,
         };
         l.occupy(s);
-        l.resize(20, 40, 2.0);
+        l.resize(20, 40);
         assert_eq!(l.occupancy(s), 1);
         assert_eq!(l.total_occupancy(), 1);
         // Capacities and positions follow the new dimensions.
@@ -272,7 +275,7 @@ mod tests {
         assert_eq!(l.capacity(Side::Left), 5);
         assert_eq!(l.position(s), Point::new(12, 0));
         // The in-place form equals a fresh layout with the same occupancy.
-        let mut fresh = SiteLayout::new(20, 40, 4, 2.0, 5.0);
+        let mut fresh = SiteLayout::new(20, 40, 4);
         fresh.occupy(s);
         assert_eq!(l, fresh);
     }

@@ -262,13 +262,8 @@ impl<'a> Stage1Context<'a> {
     /// `StdRng::seed_from_u64(seed)` starts bit-identically to
     /// `place_stage1(.., seed)`.
     pub fn random_state(&self, params: &PlaceParams, rng: &mut StdRng) -> PlacementState<'a> {
-        let mut state = PlacementState::random(
-            self.nl,
-            self.estimator.clone(),
-            self.density.clone(),
-            params.kappa,
-            rng,
-        );
+        let mut state =
+            PlacementState::random(self.nl, self.estimator.clone(), self.density.clone(), rng);
         state.calibrate_p2(params.eta, params.normalization_samples, rng);
         state
     }

@@ -291,7 +291,6 @@ impl<'a> PlacementState<'a> {
         nl: &'a Netlist,
         estimator: Estimator,
         density: Vec<PinDensityFactors>,
-        kappa: f64,
         rng: &mut StdRng,
     ) -> Self {
         let n_pins = nl.pins().len();
@@ -340,13 +339,7 @@ impl<'a> PlacementState<'a> {
                                 Some((p.x as f64 / w.max(1) as f64, p.y as f64 / h.max(1) as f64));
                         }
                     }
-                    let layout = SiteLayout::new(
-                        w,
-                        h,
-                        cell.sites_per_edge,
-                        estimator.track_spacing(),
-                        kappa,
-                    );
+                    let layout = SiteLayout::new(w, h, cell.sites_per_edge);
                     ((w, h), TileSet::rect(w, h), r, Some(layout))
                 }
             };
@@ -798,7 +791,6 @@ impl<'a> PlacementState<'a> {
     #[inline]
     fn resize(&mut self, i: usize) {
         let nl = self.nl;
-        let ts = self.estimator.track_spacing();
         let c = &mut self.cells[i];
         c.dims = match &nl.cells()[i].geometry {
             CellGeometry::Fixed { instances } => {
@@ -808,7 +800,7 @@ impl<'a> PlacementState<'a> {
             CellGeometry::Flexible { area, .. } => flexible_dims(*area, c.aspect),
         };
         if let Some(sites) = &mut c.sites {
-            sites.resize(c.dims.0, c.dims.1, ts);
+            sites.resize(c.dims.0, c.dims.1);
         }
         self.reshape(i);
     }
@@ -1303,7 +1295,6 @@ impl<'a> PlacementState<'a> {
     /// touched: the index still holds the restored footprints.
     pub(crate) fn rollback_attempt(&mut self) {
         self.attempt.open = false;
-        let ts = self.estimator.track_spacing();
         for k in 0..self.attempt.cells.len() {
             let s = self.attempt.cells[k];
             let c = &mut self.cells[s.idx];
@@ -1311,7 +1302,7 @@ impl<'a> PlacementState<'a> {
                 c.orientation != s.orientation || c.instance != s.instance || c.dims != s.dims;
             if c.dims != s.dims {
                 if let Some(sites) = &mut c.sites {
-                    sites.resize(s.dims.0, s.dims.1, ts);
+                    sites.resize(s.dims.0, s.dims.1);
                 }
             }
             c.pos = s.pos;
@@ -1500,7 +1491,7 @@ mod tests {
         let det = determine_core(nl, &EstimatorParams::default());
         let density = cell_density_factors(nl, nl.stats().avg_pin_density);
         let mut rng = StdRng::seed_from_u64(seed);
-        PlacementState::random(nl, det.estimator, density, 5.0, &mut rng)
+        PlacementState::random(nl, det.estimator, density, &mut rng)
     }
 
     fn circuit() -> Netlist {

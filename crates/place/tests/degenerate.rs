@@ -18,7 +18,7 @@ fn state(nl: &Netlist) -> PlacementState<'_> {
     let det = determine_core(nl, &EstimatorParams::default());
     let density = cell_density_factors(nl, nl.stats().avg_pin_density);
     let mut rng = StdRng::seed_from_u64(7);
-    PlacementState::random(nl, det.estimator, density, 5.0, &mut rng)
+    PlacementState::random(nl, det.estimator, density, &mut rng)
 }
 
 #[test]

@@ -63,7 +63,7 @@ fn state(nl: &Netlist, seed: u64) -> PlacementState<'_> {
     let det = determine_core(nl, &EstimatorParams::default());
     let density = cell_density_factors(nl, nl.stats().avg_pin_density);
     let mut rng = StdRng::seed_from_u64(seed);
-    PlacementState::random(nl, det.estimator, density, 5.0, &mut rng)
+    PlacementState::random(nl, det.estimator, density, &mut rng)
 }
 
 /// An arbitrary state mutation.

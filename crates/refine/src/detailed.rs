@@ -5,7 +5,7 @@
 //! needs no modification during detailed routing.
 
 use twmc_channel::{route_channel, ChannelProblem, ChannelSide};
-use twmc_geom::Point;
+use twmc_geom::{Point, TRACK_PITCH};
 use twmc_route::{ChannelKind, GlobalRouting};
 
 /// The detailed-routing outcome of one channel.
@@ -59,7 +59,7 @@ impl DetailedCheck {
 }
 
 /// Builds and routes the channel-routing problem of every used channel.
-pub fn detailed_check(routing: &GlobalRouting, track_spacing: f64) -> DetailedCheck {
+pub fn detailed_check(routing: &GlobalRouting) -> DetailedCheck {
     let mut problems: Vec<ChannelProblem> = vec![ChannelProblem::new(); routing.graph.len()];
     let mut used = vec![false; routing.graph.len()];
 
@@ -122,7 +122,7 @@ pub fn detailed_check(routing: &GlobalRouting, track_spacing: f64) -> DetailedCh
                     doglegs: route.doglegs,
                     separation,
                     within_bound: t as i64 <= d as i64 + 1,
-                    fits: ((t as f64 + 1.0) * track_spacing) <= separation as f64,
+                    fits: ((t as f64 + 1.0) * TRACK_PITCH) <= separation as f64,
                 });
             }
             Err(_) => out.failed += 1,
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn corridor_channel_routes_within_bound() {
         let routing = corridor_routing(5, 24);
-        let check = detailed_check(&routing, 2.0);
+        let check = detailed_check(&routing);
         assert_eq!(check.failed, 0);
         assert!(!check.channels.is_empty());
         // The central channel carries all 5 nets.
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn narrow_corridor_fails_fit_but_still_routes() {
         let routing = congested_corridor(8, 6);
-        let check = detailed_check(&routing, 2.0);
+        let check = detailed_check(&routing);
         assert_eq!(check.failed, 0);
         let central = check
             .channels
@@ -223,7 +223,7 @@ mod tests {
         // it, however many nets cross — the detailed router agreeing
         // that eq. 22's density model is conservative for crossings.
         let routing = corridor_routing(8, 6);
-        let check = detailed_check(&routing, 2.0);
+        let check = detailed_check(&routing);
         assert_eq!(check.failed, 0);
         let central = check
             .channels
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn empty_routing_is_vacuously_fine() {
         let routing = corridor_routing(0, 20);
-        let check = detailed_check(&routing, 2.0);
+        let check = detailed_check(&routing);
         assert_eq!(check.failed, 0);
         assert_eq!(check.fit_rate(), 1.0);
     }

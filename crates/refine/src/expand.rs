@@ -8,18 +8,14 @@
 //! outward by its half, and these expansions stay *static* for the
 //! duration of one placement-refinement step.
 
-use twmc_geom::Side;
+use twmc_geom::{Side, TRACK_PITCH};
 use twmc_route::GlobalRouting;
 
 /// Computes per-cell `(left, right, bottom, top)` expansions from a
 /// routing: each cell side takes the maximum half-required-width over all
 /// channels that side borders; sides bordering no channel get one track.
-pub fn static_expansions(
-    routing: &GlobalRouting,
-    n_cells: usize,
-    track_spacing: f64,
-) -> Vec<(i64, i64, i64, i64)> {
-    let base = track_spacing.round().max(1.0) as i64;
+pub fn static_expansions(routing: &GlobalRouting, n_cells: usize) -> Vec<(i64, i64, i64, i64)> {
+    let base = TRACK_PITCH as i64;
     let mut req = vec![[base; 4]; n_cells];
     let idx = |side: Side| -> usize {
         match side {
@@ -30,7 +26,7 @@ pub fn static_expansions(
         }
     };
     for (node, gn) in routing.graph.nodes.iter().enumerate() {
-        let w = routing.required_width(node, track_spacing);
+        let w = routing.required_width(node);
         let half = (w / 2.0).ceil() as i64;
         for edge in [&gn.region.lo_edge, &gn.region.hi_edge] {
             if let Some(cell) = edge.cell {
@@ -76,7 +72,7 @@ mod tests {
     #[test]
     fn dense_channel_drives_expansion() {
         let (routing, n) = routed_pair();
-        let exp = static_expansions(&routing, n, 2.0);
+        let exp = static_expansions(&routing, n);
         assert_eq!(exp.len(), 2);
         // The central channel carries 3 nets: required width
         // (3+2)*2 = 10, half = 5 on cell 0's right and cell 1's left.
@@ -96,7 +92,7 @@ mod tests {
             core: Rect::from_wh(-5, -5, 10, 10),
         };
         let routing = global_route(&geometry, &[], &RouterParams::default(), 2);
-        let exp = static_expansions(&routing, 1, 2.0);
+        let exp = static_expansions(&routing, 1);
         assert_eq!(exp[0], (2, 2, 2, 2));
     }
 }

@@ -42,6 +42,6 @@ pub use expand::static_expansions;
 pub use spread::{spacing_constraints, spread_for_widths, SpacingConstraint};
 pub use stage2::{
     refine_placement, refine_placement_resilient, refine_placement_with, routing_snapshot,
-    RefineParams, RefinementRecord, Stage2Result,
+    RefineParams, RefinementRecord, Stage2Result, REFINEMENTS,
 };
 pub use verify::{verify_channel_widths, WidthReport, WidthViolation};

@@ -30,10 +30,10 @@ pub struct SpacingConstraint {
 /// Extracts one constraint per routed channel whose two bordering edges
 /// belong to cells (core-border channels are skipped: the core can
 /// grow).
-pub fn spacing_constraints(routing: &GlobalRouting, track_spacing: f64) -> Vec<SpacingConstraint> {
+pub fn spacing_constraints(routing: &GlobalRouting) -> Vec<SpacingConstraint> {
     let mut out = Vec::new();
     for (node, gn) in routing.graph.nodes.iter().enumerate() {
-        let required = routing.required_width(node, track_spacing).ceil() as i64;
+        let required = routing.required_width(node).ceil() as i64;
         let c = SpacingConstraint {
             lo: gn.region.lo_edge.cell,
             hi: gn.region.hi_edge.cell,
@@ -138,7 +138,7 @@ mod tests {
         let det = determine_core(nl, &EstimatorParams::default());
         let density = cell_density_factors(nl, nl.stats().avg_pin_density);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut st = PlacementState::random(nl, det.estimator, density, 5.0, &mut rng);
+        let mut st = PlacementState::random(nl, det.estimator, density, &mut rng);
         legalize(&mut st, 2, 500);
         st
     }
@@ -149,7 +149,7 @@ mod tests {
         let mut st = state(&nl);
         let (geometry, nets) = crate::routing_snapshot(&st);
         let routing = global_route(&geometry, &nets, &RouterParams::default(), 3);
-        let constraints = spacing_constraints(&routing, 2.0);
+        let constraints = spacing_constraints(&routing);
         assert!(!constraints.is_empty());
         // Every cell-cell constraint references valid cells.
         for c in &constraints {

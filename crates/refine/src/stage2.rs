@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use twmc_anneal::{CoolingSchedule, RangeLimiter};
-use twmc_geom::Rect;
+use twmc_geom::{Rect, TRACK_PITCH};
 use twmc_netlist::Netlist;
 use twmc_obs::{CancelToken, Interval, NullRecorder, Recorder, RunScope, StopReason};
 use twmc_place::{run_annealing_cancellable, MoveSet, PlaceParams, PlacementState};
@@ -20,28 +20,22 @@ use twmc_route::{global_route_cancellable, GlobalRouting, NetPins, PlacedGeometr
 
 use crate::static_expansions;
 
-/// Stage-2 parameters.
-#[derive(Debug, Clone, PartialEq)]
+/// Number of refinement executions (paper §4: three suffice).
+pub const REFINEMENTS: usize = 3;
+
+/// Initial window fraction μ of the full span (eq. 28; the paper uses
+/// 0.03).
+const MU: f64 = 0.03;
+
+/// Consecutive unchanged inner loops that end the *final* refinement.
+const FINAL_STALL: usize = 3;
+
+/// Stage-2 parameters: the router's. μ, the refinement count and the
+/// final stall rule are the paper's constants ([`REFINEMENTS`]).
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RefineParams {
-    /// Initial window fraction μ of the full span (paper uses 0.03).
-    pub mu: f64,
-    /// Number of refinement executions (paper: three suffice).
-    pub refinements: usize,
     /// Global router settings.
     pub router: RouterParams,
-    /// Consecutive unchanged inner loops ending the *final* refinement.
-    pub final_stall: usize,
-}
-
-impl Default for RefineParams {
-    fn default() -> Self {
-        RefineParams {
-            mu: 0.03,
-            refinements: 3,
-            router: RouterParams::default(),
-            final_stall: 3,
-        }
-    }
 }
 
 /// Record of one refinement execution.
@@ -192,19 +186,18 @@ pub fn refine_placement_resilient(
         t_inf,
         place_params.rho,
     );
-    let t_start = limiter.temperature_for_fraction(params.mu);
+    let t_start = limiter.temperature_for_fraction(MU);
     let schedule = CoolingSchedule::stage2();
 
     let mut records = Vec::new();
-    for k in 0..params.refinements {
+    for k in 0..REFINEMENTS {
         if let Some(reason) = cancel.check() {
             return Err(reason);
         }
         // Channel definition needs strictly disjoint cells with routable
         // gaps; clean up whatever residual overlap annealing left.
         let channel_time = Interval::ChannelDefinition(k as u64).open();
-        let gap = params.router.track_spacing.round().max(1.0) as i64;
-        twmc_place::legalize(state, gap, 500);
+        twmc_place::legalize(state, TRACK_PITCH as i64, 500);
 
         // (1) + (2): channel definition and global routing.
         let (geometry, nets) = routing_snapshot(state);
@@ -223,14 +216,14 @@ pub fn refine_placement_resilient(
         let max_density = routing.node_density.iter().copied().max().unwrap_or(0);
 
         // Static expansions from the routed densities.
-        let expansions = static_expansions(&routing, nl.cells().len(), params.router.track_spacing);
+        let expansions = static_expansions(&routing, nl.cells().len());
         state.set_static_expansions(expansions);
         routing_time.close(rec);
 
         // (3): low-temperature refinement.
         let anneal_time = Interval::RefineAnneal(k as u64).open();
         let teil_before = state.teil();
-        let stall = (k + 1 == params.refinements).then_some(params.final_stall);
+        let stall = (k + 1 == REFINEMENTS).then_some(FINAL_STALL);
         let (_run, stopped) = run_annealing_cancellable(
             state,
             place_params,
@@ -261,9 +254,8 @@ pub fn refine_placement_resilient(
     }
 
     // Final routing of the refined placement.
-    let final_time = Interval::FinalRouting(params.refinements as u64).open();
-    let gap = params.router.track_spacing.round().max(1.0) as i64;
-    twmc_place::legalize(state, gap, 500);
+    let final_time = Interval::FinalRouting(REFINEMENTS as u64).open();
+    twmc_place::legalize(state, TRACK_PITCH as i64, 500);
     let (geometry, nets) = routing_snapshot(state);
     let final_routing = global_route_cancellable(
         &geometry,
@@ -272,7 +264,7 @@ pub fn refine_placement_resilient(
         seed ^ 0xffff,
         rec,
         "final",
-        params.refinements as u64,
+        REFINEMENTS as u64,
         cancel,
     )?;
     final_time.close(rec);
@@ -328,9 +320,7 @@ mod tests {
             router: RouterParams {
                 m_alternatives: 6,
                 per_level: 3,
-                ..Default::default()
             },
-            ..Default::default()
         };
         let s2 = refine_placement(&mut state, &nl, &pp, &rp, s1.s_t, s1.t_infinity, 7);
         assert_eq!(s2.records.len(), 3);
@@ -367,7 +357,7 @@ mod tests {
         );
         let (geometry, nets) = routing_snapshot(&state);
         let routing = global_route(&geometry, &nets, &RouterParams::default(), 5);
-        let exp = static_expansions(&routing, nl.cells().len(), 2.0);
+        let exp = static_expansions(&routing, nl.cells().len());
         state.set_static_expansions(exp.clone());
         // After any motion, expansions stay frozen.
         state.set_cell_center(0, twmc_geom::Point::ORIGIN);

@@ -56,7 +56,7 @@ impl WidthReport {
 }
 
 /// Checks every channel of a routing against eq. 22.
-pub fn verify_channel_widths(routing: &GlobalRouting, track_spacing: f64) -> WidthReport {
+pub fn verify_channel_widths(routing: &GlobalRouting) -> WidthReport {
     let mut violations = Vec::new();
     let mut used = 0;
     for (node, gn) in routing.graph.nodes.iter().enumerate() {
@@ -64,7 +64,7 @@ pub fn verify_channel_widths(routing: &GlobalRouting, track_spacing: f64) -> Wid
         if density > 0 {
             used += 1;
         }
-        let required = routing.required_width(node, track_spacing);
+        let required = routing.required_width(node);
         let separation = gn.region.separation();
         if (separation as f64) < required {
             violations.push(WidthViolation {
@@ -118,7 +118,7 @@ mod tests {
     fn wide_channel_passes() {
         // 1 net needs (1+2)*2 = 6; a 30-wide corridor is fine.
         let r = corridor(30, 1);
-        let report = verify_channel_widths(&r, 2.0);
+        let report = verify_channel_widths(&r);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         assert!(report.used_channels > 0);
         assert_eq!(report.total_deficit, 0.0);
@@ -128,7 +128,7 @@ mod tests {
     fn overloaded_channel_is_flagged() {
         // 10 nets need (10+2)*2 = 24; a 6-wide corridor violates.
         let r = corridor(6, 10);
-        let report = verify_channel_widths(&r, 2.0);
+        let report = verify_channel_widths(&r);
         assert!(!report.violations.is_empty());
         let worst = &report.violations[0];
         assert_eq!(worst.density, 10);
@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn violations_sorted_by_deficit() {
         let r = corridor(6, 10);
-        let report = verify_channel_widths(&r, 2.0);
+        let report = verify_channel_widths(&r);
         for w in report.violations.windows(2) {
             assert!(w[0].deficit() >= w[1].deficit());
         }

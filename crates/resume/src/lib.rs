@@ -12,9 +12,8 @@
 //!   `.tmp` sibling, fsynced, renamed over the target, and the parent
 //!   directory is fsynced, so a crash — including power loss — leaves
 //!   either the old checkpoint or the new one, never a torn file
-//!   ([`write_checkpoint`]; [`write_checkpoint_with`] exposes the
-//!   [`Vfs`]/[`Durability`] knobs for fault-injection tests and callers
-//!   that deliberately trade safety for speed).
+//!   ([`write_checkpoint`]; [`write_checkpoint_with`] takes the [`Vfs`]
+//!   for fault-injection tests).
 //! * Reads are **paranoid**: magic, version, and an FNV-1a checksum
 //!   over the serialized payload are all verified, and every failure is
 //!   a typed [`CheckpointError`] ([`read_checkpoint`]).
@@ -36,7 +35,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::Value;
-use twmc_fault::{atomic_write_durable, Durability, RealVfs, Vfs};
+use twmc_fault::{atomic_write_durable, RealVfs, Vfs};
 use twmc_obs::validate::parse_json;
 
 pub mod codec;
@@ -198,27 +197,22 @@ pub fn decode(text: &str) -> Result<Value, CheckpointError> {
 
 /// Atomically and durably writes `payload` as a checkpoint at `path`:
 /// the document goes to a `.tmp` sibling, is fsynced, renamed into
-/// place, and the parent directory is fsynced ([`Durability::Full`]), so
-/// readers only ever observe a complete, verifiable file — even after
-/// power loss.
+/// place, and the parent directory is fsynced, so readers only ever
+/// observe a complete, verifiable file — even after power loss.
 pub fn write_checkpoint(path: &Path, payload: &Value) -> Result<(), CheckpointError> {
-    write_checkpoint_with(&RealVfs, path, payload, Durability::Full)
+    write_checkpoint_with(&RealVfs, path, payload)
 }
 
-/// [`write_checkpoint`] with an explicit [`Vfs`] and [`Durability`].
-///
-/// The daemon's fault-injection tests route checkpoint writes through a
-/// `FaultVfs` here; throughput-sensitive callers that can afford to lose
-/// the latest checkpoint (it is only a restart accelerator for them) may
-/// drop to [`Durability::File`] or [`Durability::None`].
+/// [`write_checkpoint`] through an explicit [`Vfs`]: the daemon's
+/// fault-injection tests route checkpoint writes through a `FaultVfs`
+/// here.
 pub fn write_checkpoint_with(
     vfs: &dyn Vfs,
     path: &Path,
     payload: &Value,
-    durability: Durability,
 ) -> Result<(), CheckpointError> {
     let text = encode(payload);
-    atomic_write_durable(vfs, path, text.as_bytes(), durability)?;
+    atomic_write_durable(vfs, path, text.as_bytes())?;
     Ok(())
 }
 
@@ -256,7 +250,8 @@ pub struct CheckpointWriter {
 impl CheckpointWriter {
     /// A writer flushing to `path` every `every` temperature steps
     /// (`every` is clamped to ≥ 1). Writes go through [`RealVfs`]
-    /// unless overridden, always at [`Durability::Full`].
+    /// unless overridden, and always run the full write, fsync, rename,
+    /// directory-fsync sequence.
     pub fn new(path: impl Into<PathBuf>, every: u64) -> Self {
         CheckpointWriter {
             path: path.into(),
@@ -280,7 +275,7 @@ impl CheckpointWriter {
     /// Writes one checkpoint (atomic and durable, see
     /// [`write_checkpoint_with`]).
     pub fn write(&mut self, payload: &Value) -> Result<(), CheckpointError> {
-        write_checkpoint_with(self.vfs.as_ref(), &self.path, payload, Durability::Full)?;
+        write_checkpoint_with(self.vfs.as_ref(), &self.path, payload)?;
         self.written += 1;
         Ok(())
     }

@@ -343,13 +343,10 @@ mod tests {
                 ));
             }
         }
-        build_channel_graph(
-            &PlacedGeometry {
-                cells,
-                core: Rect::from_wh(-30, -30, 60, 60),
-            },
-            2.0,
-        )
+        build_channel_graph(&PlacedGeometry {
+            cells,
+            core: Rect::from_wh(-30, -30, 60, 60),
+        })
     }
 
     fn nets_for(g: &ChannelGraph, n: usize, seed: u64) -> Vec<Vec<RouteTree>> {

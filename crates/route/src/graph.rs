@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use twmc_geom::{Point, Rect};
+use twmc_geom::{Point, Rect, TRACK_PITCH};
 
 use crate::CriticalRegion;
 
@@ -19,7 +19,8 @@ pub struct ChannelNode {
     pub region: CriticalRegion,
     /// Node position (region center), used for edge lengths.
     pub center: Point,
-    /// Wiring capacity of the channel: `floor(separation / t_s)` tracks.
+    /// Wiring capacity of the channel: `floor(separation / t_s)` tracks,
+    /// with the track pitch [`TRACK_PITCH`].
     pub capacity: u32,
 }
 
@@ -53,15 +54,11 @@ pub struct ChannelGraph {
 
 impl ChannelGraph {
     /// Builds the graph from the critical regions of a placement.
-    ///
-    /// `track_spacing` is the center-to-center wiring pitch `t_s` used to
-    /// convert separations to track capacities.
-    pub fn build(regions: Vec<CriticalRegion>, track_spacing: f64) -> ChannelGraph {
-        let ts = track_spacing.max(1.0);
+    pub fn build(regions: Vec<CriticalRegion>) -> ChannelGraph {
         let nodes: Vec<ChannelNode> = regions
             .into_iter()
             .map(|region| {
-                let capacity = (region.separation() as f64 / ts).floor() as u32;
+                let capacity = (region.separation() as f64 / TRACK_PITCH).floor() as u32;
                 ChannelNode {
                     center: region.rect.center(),
                     capacity,
@@ -160,8 +157,8 @@ impl ChannelGraph {
 }
 
 /// Convenience: run channel definition and build the graph in one step.
-pub fn build_channel_graph(geometry: &crate::PlacedGeometry, track_spacing: f64) -> ChannelGraph {
-    ChannelGraph::build(crate::critical_regions(geometry), track_spacing)
+pub fn build_channel_graph(geometry: &crate::PlacedGeometry) -> ChannelGraph {
+    ChannelGraph::build(crate::critical_regions(geometry))
 }
 
 #[cfg(test)]
@@ -185,7 +182,7 @@ mod tests {
 
     #[test]
     fn graph_is_connected_for_grid_placement() {
-        let g = build_channel_graph(&quad_geometry(), 2.0);
+        let g = build_channel_graph(&quad_geometry());
         assert!(!g.is_empty());
         assert!(!g.edges.is_empty());
         // BFS reaches every node: the channel network around a legal
@@ -206,7 +203,7 @@ mod tests {
 
     #[test]
     fn capacities_follow_separation() {
-        let g = build_channel_graph(&quad_geometry(), 2.0);
+        let g = build_channel_graph(&quad_geometry());
         // The street between the west cells and east cells is 10 wide:
         // capacity 5 at t_s = 2.
         let street = g
@@ -229,7 +226,7 @@ mod tests {
 
     #[test]
     fn pin_attaches_to_adjacent_channel() {
-        let g = build_channel_graph(&quad_geometry(), 2.0);
+        let g = build_channel_graph(&quad_geometry());
         // A pin on the right edge of the SW cell (x=-5, y=-10) lies on the
         // boundary of the vertical street region.
         let node = g.attach_pin(Point::new(-5, -10)).expect("graph nonempty");
@@ -242,7 +239,7 @@ mod tests {
 
     #[test]
     fn edge_between_lookup() {
-        let g = build_channel_graph(&quad_geometry(), 2.0);
+        let g = build_channel_graph(&quad_geometry());
         let e = g.edges[0];
         assert_eq!(g.edge_between(e.a, e.b), Some(0));
         assert_eq!(g.edge_between(e.b, e.a), Some(0));
@@ -251,13 +248,10 @@ mod tests {
     #[test]
     fn empty_geometry_gives_single_core_region() {
         // One cell in a core: four side channels plus corners overlap.
-        let g = build_channel_graph(
-            &PlacedGeometry {
-                cells: vec![(TileSet::rect(10, 10), Point::new(-5, -5))],
-                core: Rect::from_wh(-15, -15, 30, 30),
-            },
-            2.0,
-        );
+        let g = build_channel_graph(&PlacedGeometry {
+            cells: vec![(TileSet::rect(10, 10), Point::new(-5, -5))],
+            core: Rect::from_wh(-15, -15, 30, 30),
+        });
         // Four cell-to-border channels exist.
         let cell_border = g
             .nodes

@@ -553,13 +553,10 @@ pub(crate) mod tests {
                 ));
             }
         }
-        build_channel_graph(
-            &PlacedGeometry {
-                cells,
-                core: Rect::from_wh(-30, -30, 60, 60),
-            },
-            2.0,
-        )
+        build_channel_graph(&PlacedGeometry {
+            cells,
+            core: Rect::from_wh(-30, -30, 60, 60),
+        })
     }
 
     #[test]
@@ -683,7 +680,7 @@ pub(crate) mod tests {
                 span: Span::new(0, 10),
             },
         };
-        let g = ChannelGraph::build(vec![strip(0), strip(2), strip(4)], 2.0);
+        let g = ChannelGraph::build(vec![strip(0), strip(2), strip(4)]);
         assert_eq!(g.len(), 3);
         let paths = k_shortest_paths(&g, 0, 2, 50);
         assert_eq!(paths.len(), 1);
@@ -749,7 +746,7 @@ pub(crate) mod tests {
             .map(|i| region(Rect::from_wh(2 * i, 0, 2, 10)))
             .collect();
         regions.push(region(Rect::from_wh(100, 0, 2, 10)));
-        let g = ChannelGraph::build(regions, 2.0);
+        let g = ChannelGraph::build(regions);
         let points = vec![vec![5], vec![3], vec![4, 1], vec![0]];
         for rest in [vec![0, 1, 2, 3], vec![0, 2, 1, 3], vec![0, 3], vec![0]] {
             let expected = nearest_by_dijkstra(&g, &[2], &points, &rest);
@@ -922,7 +919,6 @@ pub(crate) mod tests {
                 .iter()
                 .map(|&(x, y, w, h)| region(Rect::from_wh(4 * x, 4 * y, 2 * w, 2 * h)))
                 .collect(),
-            2.0,
         )
     }
 

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use twmc_geom::Point;
+use twmc_geom::{Point, TRACK_PITCH};
 use twmc_obs::{CancelToken, Event, Interval, NullRecorder, Recorder, RouteIter, StopReason};
 
 use crate::mpaths::SearchSpace;
@@ -14,7 +14,8 @@ use crate::{
     assign_routes, build_channel_graph, Assignment, ChannelGraph, PlacedGeometry, RouteTree,
 };
 
-/// Global router parameters.
+/// Global router parameters. Channel capacities and required widths
+/// read the track pitch [`TRACK_PITCH`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct RouterParams {
     /// Number of alternative routes stored per net (`M`; the paper uses
@@ -23,13 +24,6 @@ pub struct RouterParams {
     /// Alternative paths explored per Prim step of the multi-pin
     /// enumeration.
     pub per_level: usize,
-    /// Wiring track separation `t_s`.
-    pub track_spacing: f64,
-    /// Extra track-equivalents reserved in every channel beyond the
-    /// eq. 22 allocation — the paper's §5 evaluation assumed power and
-    /// ground lines "about twice a normal wire width ... present in
-    /// every channel", i.e. `reserved_tracks = 2.0` per rail pair.
-    pub reserved_tracks: f64,
 }
 
 impl Default for RouterParams {
@@ -37,8 +31,6 @@ impl Default for RouterParams {
         RouterParams {
             m_alternatives: 20,
             per_level: 4,
-            track_spacing: 2.0,
-            reserved_tracks: 0.0,
         }
     }
 }
@@ -69,9 +61,6 @@ pub struct GlobalRouting {
     /// channel node it enters the graph at and the pin's position
     /// (empty for unrouted nets). Feeds detailed-routing checks.
     pub pin_attachments: Vec<Vec<(usize, Point)>>,
-    /// Reserved track-equivalents per channel (power/ground allowance,
-    /// copied from [`RouterParams::reserved_tracks`]).
-    pub reserved_tracks: f64,
     /// Nets that could not be routed.
     pub unrouted: usize,
 }
@@ -87,10 +76,11 @@ impl GlobalRouting {
         self.assignment.overflow
     }
 
-    /// Required width of channel node `i` per eq. 22, plus any reserved
-    /// power/ground tracks: `(d + 2 + reserved) · t_s`.
-    pub fn required_width(&self, node: usize, track_spacing: f64) -> f64 {
-        (self.node_density[node] as f64 + 2.0 + self.reserved_tracks) * track_spacing
+    /// Required width of channel node `node` per eq. 22:
+    /// `(d + 2) · t_s` with the track pitch [`TRACK_PITCH`]. No
+    /// power/ground tracks are reserved.
+    pub fn required_width(&self, node: usize) -> f64 {
+        (self.node_density[node] as f64 + 2.0) * TRACK_PITCH
     }
 }
 
@@ -180,7 +170,7 @@ fn route_inner(
     // RNG is never touched, so routing stays bit-identical.
     let tracer = rec.tracer().cloned();
     let mut lane = tracer.as_ref().map(|tr| tr.lane("main"));
-    let graph = build_channel_graph(geometry, params.track_spacing);
+    let graph = build_channel_graph(geometry);
     let mut rng = StdRng::seed_from_u64(seed);
     // Search buffers and distance tables shared by every net's phase-1
     // enumeration.
@@ -347,7 +337,6 @@ fn route_inner(
         assignment,
         node_density,
         pin_attachments,
-        reserved_tracks: params.reserved_tracks,
         unrouted,
     })
 }
@@ -394,7 +383,7 @@ mod tests {
             .position(|&d| d > 0)
             .expect("some dense node");
         assert_eq!(
-            r.required_width(node, 2.0),
+            r.required_width(node),
             (r.node_density[node] as f64 + 2.0) * 2.0
         );
     }
@@ -428,33 +417,6 @@ mod tests {
         let r = global_route(&g, &nets, &RouterParams::default(), 3);
         assert_eq!(r.unrouted, 1);
         assert!(r.routes[0].is_none());
-    }
-
-    #[test]
-    fn reserved_tracks_widen_requirements() {
-        // The paper's §5 evaluation assumed power/ground rails of about
-        // two normal wire widths in every channel.
-        let g = quad_geometry();
-        let nets = vec![NetPins {
-            points: vec![vec![Point::new(-5, -10)], vec![Point::new(5, -10)]],
-        }];
-        let plain = global_route(&g, &nets, &RouterParams::default(), 4);
-        let pg = global_route(
-            &g,
-            &nets,
-            &RouterParams {
-                reserved_tracks: 2.0,
-                ..Default::default()
-            },
-            4,
-        );
-        // Same routing, wider requirement: +reserved*t_s on every node.
-        for node in 0..plain.graph.len() {
-            assert_eq!(
-                pg.required_width(node, 2.0),
-                plain.required_width(node, 2.0) + 4.0
-            );
-        }
     }
 
     #[test]

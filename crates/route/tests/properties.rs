@@ -34,13 +34,10 @@ fn arb_graph() -> impl Strategy<Value = ChannelGraph> {
         }
         let w = nx as i64 * 14 + 6;
         let h = ny as i64 * 14 + 6;
-        build_channel_graph(
-            &PlacedGeometry {
-                cells,
-                core: Rect::from_wh(-6, -6, w + 6, h + 6),
-            },
-            2.0,
-        )
+        build_channel_graph(&PlacedGeometry {
+            cells,
+            core: Rect::from_wh(-6, -6, w + 6, h + 6),
+        })
     })
 }
 

@@ -40,7 +40,6 @@ fn route_iter_matches_the_returned_routing() {
     let params = RouterParams {
         m_alternatives: 6,
         per_level: 3,
-        ..Default::default()
     };
 
     let plain = global_route(&geometry, &nets, &params, 77);
@@ -96,7 +95,6 @@ fn repeated_routes_keep_overflow_within_the_shortest_route_bound() {
     let params = RouterParams {
         m_alternatives: 6,
         per_level: 3,
-        ..Default::default()
     };
     // Every reassign iteration (distinct seeds, as stage 2 drives it)
     // honors the accept rule: selected overflow <= starting overflow.

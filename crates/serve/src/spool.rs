@@ -28,7 +28,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use serde::Value;
-use twmc_fault::{atomic_write_durable, Durability, RealVfs, Vfs};
+use twmc_fault::{atomic_write_durable, RealVfs, Vfs};
 
 use crate::job::{JobSpec, JobState};
 use crate::json::{self, obj};
@@ -261,7 +261,7 @@ impl Spool {
             None => 0,
         };
         if keep != bytes.len() {
-            atomic_write_durable(self.vfs.as_ref(), &path, &bytes[..keep], Durability::Full)?;
+            atomic_write_durable(self.vfs.as_ref(), &path, &bytes[..keep])?;
         }
         Ok(())
     }
@@ -328,7 +328,7 @@ impl Spool {
     /// Writes `bytes` to `path` with the full fsync discipline: tmp
     /// sibling, fsync, rename, parent-directory fsync.
     fn atomic_write(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        atomic_write_durable(self.vfs.as_ref(), path, bytes, Durability::Full)
+        atomic_write_durable(self.vfs.as_ref(), path, bytes)
     }
 }
 

@@ -22,9 +22,7 @@ use std::time::Duration;
 
 use common::*;
 use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome};
-use twmc_fault::{
-    atomic_write_durable, tmp_sibling, Durability, FaultSchedule, FaultVfs, ATOMIC_STAGES,
-};
+use twmc_fault::{atomic_write_durable, tmp_sibling, FaultSchedule, FaultVfs, ATOMIC_STAGES};
 use twmc_obs::NullRecorder;
 use twmc_serve::{client, placement_text, Daemon, JobState, ServeOptions, QUARANTINE_DIR};
 
@@ -143,7 +141,7 @@ fn crashpoint_matrix_resumes_or_reruns_never_half_adopts() {
             let target = spool.join(&id).join(file);
 
             let vfs = FaultVfs::new(FaultSchedule::crash_at(&case));
-            let err = atomic_write_durable(&vfs, &target, new_bytes, Durability::Full)
+            let err = atomic_write_durable(&vfs, &target, new_bytes)
                 .expect_err("the crashpoint must fire");
             assert!(vfs.crashed(), "{case}: vfs did not latch ({err})");
 
@@ -377,7 +375,7 @@ fn torn_checkpoint_is_discarded_and_job_reruns() {
     // reports success, the file holds a seeded prefix.
     let vfs = FaultVfs::new(FaultSchedule::parse("seed=11, torn=write:job.ckpt@1").unwrap());
     let full = fs::read(&ckpt).unwrap();
-    atomic_write_durable(&vfs, &ckpt, &full, Durability::Full).unwrap();
+    atomic_write_durable(&vfs, &ckpt, &full).unwrap();
     assert!(vfs.tore(), "torn clause never fired");
     assert!(
         fs::read(&ckpt).unwrap().len() < full.len(),

@@ -123,7 +123,7 @@ fn main() {
             r.rect,
             r.separation(),
             d,
-            routing.required_width(node, params.track_spacing)
+            routing.required_width(node)
         );
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example render_placement [outfile.svg]
 //! ```
 
-use timberwolfmc::core::{render_svg, run_timberwolf, RenderOptions, TimberWolfConfig};
+use timberwolfmc::core::{render_svg, run_timberwolf, TimberWolfConfig};
 use timberwolfmc::netlist::{synthesize, SynthParams};
 use timberwolfmc::place::PlaceParams;
 
@@ -39,7 +39,6 @@ fn main() {
         &result.placement,
         Some(&result.stage2.final_routing),
         result.chip,
-        &RenderOptions::default(),
     );
     std::fs::write(&out, &svg).expect("writable output path");
     println!(

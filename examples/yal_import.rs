@@ -8,7 +8,7 @@
 //! Defaults to the bundled `examples/data/fab9.yal`, a 9-block chip in
 //! the style of the apte/xerox benchmarks.
 
-use timberwolfmc::core::{render_svg, run_timberwolf, RenderOptions, TimberWolfConfig};
+use timberwolfmc::core::{render_svg, run_timberwolf, TimberWolfConfig};
 use timberwolfmc::netlist::parse_yal;
 use timberwolfmc::place::PlaceParams;
 
@@ -55,7 +55,6 @@ fn main() {
         &result.placement,
         Some(&result.stage2.final_routing),
         result.chip,
-        &RenderOptions::default(),
     );
     std::fs::write("fab9.svg", svg).expect("writable cwd");
     println!("wrote fab9.svg");

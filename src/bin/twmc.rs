@@ -20,7 +20,7 @@ use timberwolfmc::analyze::{
 use timberwolfmc::core::{
     compare, format_parallel_report, format_table4, format_telemetry_summary, greedy_placement,
     quadratic_placement, render_svg, run_timberwolf, run_timberwolf_resilient, shelf_placement,
-    ParallelParams, RenderOptions, RunCtrl, RunOutcome, Strategy, TimberWolfConfig,
+    ParallelParams, RunCtrl, RunOutcome, Strategy, TimberWolfConfig,
 };
 use timberwolfmc::estimator::EstimatorParams;
 use timberwolfmc::netlist::{
@@ -541,7 +541,6 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
             &result.placement,
             Some(&result.stage2.final_routing),
             result.chip,
-            &RenderOptions::default(),
         );
         std::fs::write(svg_path, svg).map_err(|e| format!("cannot write {svg_path}: {e}"))?;
         println!("wrote {svg_path}");

@@ -19,7 +19,6 @@ fn full_flow_channels_route_in_detail() {
     let router = RouterParams {
         m_alternatives: 6,
         per_level: 3,
-        ..Default::default()
     };
     let (mut state, s1) = place_stage1(
         &nl,
@@ -30,14 +29,13 @@ fn full_flow_channels_route_in_detail() {
     );
     let rp = RefineParams {
         router: router.clone(),
-        ..Default::default()
     };
     refine_placement(&mut state, &nl, &params, &rp, s1.s_t, s1.t_infinity, 12);
     let fin = timberwolfmc::core::finalize_chip(&nl, &mut state, &router, 13);
 
     let (geometry, nets) = routing_snapshot(&state);
     let routing = global_route(&geometry, &nets, &router, 14);
-    let check = detailed_check(&routing, router.track_spacing);
+    let check = detailed_check(&routing);
 
     // Every channel routes (no unresolved constraint cycles).
     assert_eq!(check.failed, 0);
@@ -78,10 +76,9 @@ fn detailed_and_global_densities_are_consistent() {
     let router = RouterParams {
         m_alternatives: 4,
         per_level: 3,
-        ..Default::default()
     };
     let routing = global_route(&geometry, &nets, &router, 22);
-    let check = detailed_check(&routing, router.track_spacing);
+    let check = detailed_check(&routing);
     for c in &check.channels {
         // The channel problem never involves more nets than the global
         // router put through the channel, so detailed tracks are bounded

@@ -21,9 +21,7 @@ fn quick_config(seed: u64) -> TimberWolfConfig {
             router: RouterParams {
                 m_alternatives: 6,
                 per_level: 3,
-                ..Default::default()
             },
-            ..Default::default()
         },
         seed,
         ..Default::default()

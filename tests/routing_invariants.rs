@@ -58,7 +58,7 @@ proptest! {
 
     #[test]
     fn channel_graph_is_connected(geometry in arb_geometry()) {
-        let g = build_channel_graph(&geometry, 2.0);
+        let g = build_channel_graph(&geometry);
         prop_assert!(!g.is_empty());
         let mut seen = vec![false; g.len()];
         let mut stack = vec![0usize];
@@ -104,7 +104,7 @@ proptest! {
         let routing = global_route(&geometry, &[], &RouterParams::default(), 1);
         for node in 0..routing.graph.len() {
             // Unused channels still need (0+2)*t_s.
-            let w = routing.required_width(node, 2.0);
+            let w = routing.required_width(node);
             prop_assert_eq!(w, 4.0);
         }
     }
@@ -154,12 +154,10 @@ fn routed_length_reacts_to_congestion() {
         .max_by_key(|&(_, d)| d)
         .expect("nonempty graph");
     assert_eq!(density, 12, "central channel must carry every net");
-    assert_eq!(routing.required_width(node, 2.0), 28.0);
+    assert_eq!(routing.required_width(node), 28.0);
     // The channel is only 10 wide: the required width exceeds the
     // separation, which is exactly what forces refinement to expand it.
-    assert!(
-        routing.required_width(node, 2.0) > routing.graph.nodes[node].region.separation() as f64
-    );
+    assert!(routing.required_width(node) > routing.graph.nodes[node].region.separation() as f64);
 }
 
 /// 64-bit FNV-1a over a stream of integers (little-endian bytes), so the
@@ -278,7 +276,7 @@ fn digest_routing(
     seed: u64,
     with_nodes: bool,
 ) -> usize {
-    let graph = build_channel_graph(geometry, params.track_spacing);
+    let graph = build_channel_graph(geometry);
     for net in nets {
         let points: Vec<Vec<usize>> = net
             .points
@@ -391,7 +389,7 @@ fn golden_router_digest_paper() {
         );
         legalize(&mut state, 2, 500);
         let (geometry, nets) = routing_snapshot(&state);
-        let graph = build_channel_graph(&geometry, params.track_spacing);
+        let graph = build_channel_graph(&geometry);
         for net in &nets {
             let points: Vec<Vec<usize>> = net
                 .points

@@ -5,6 +5,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use timberwolfmc::anneal::{CoolingSchedule, RangeLimiter};
+use timberwolfmc::core::{render_svg, run_timberwolf, TimberWolfConfig};
 use timberwolfmc::estimator::EstimatorParams;
 use timberwolfmc::geom::{Orientation, Point, Rect, Side, TileSet};
 use timberwolfmc::netlist::{
@@ -39,6 +40,19 @@ impl Fnv1a {
     fn point(&mut self, p: Point) {
         self.int(p.x);
         self.int(p.y);
+    }
+
+    fn rect(&mut self, r: Rect) {
+        self.point(r.lo());
+        self.point(r.hi());
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        self.int(bytes.len() as i64);
+        for &byte in bytes {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
     }
 
     /// Every cell's placement, every pin's position and site, the TEIL,
@@ -417,4 +431,77 @@ fn golden_tempering_digest() {
             );
         }
     }
+}
+
+/// The whole pipeline as `twmc place` runs it: stage 1, the three
+/// route-and-refine executions of stage 2 and finalization's spread,
+/// then the default SVG of the result. Stage 2 and finalization are
+/// where the track pitch, κ, μ, the refinement count and the stall rule
+/// take effect.
+#[test]
+fn golden_pipeline_digest() {
+    let nl = synthesize(&SynthParams {
+        cells: 12,
+        nets: 28,
+        pins: 100,
+        custom_fraction: 0.3,
+        rectilinear_fraction: 0.5,
+        avg_cell_dim: 24,
+        seed: 8,
+        ..Default::default()
+    });
+    assert!(nl.cells().iter().any(|c| c.is_custom()));
+    assert!(nl
+        .cells()
+        .iter()
+        .any(|c| c.instances().iter().any(|i| i.tiles.tiles().len() > 1)));
+    let mut h = Fnv1a::new();
+    for seed in [3, 29] {
+        let mut config = TimberWolfConfig {
+            place: PlaceParams {
+                attempts_per_cell: 4,
+                normalization_samples: 8,
+                ..Default::default()
+            },
+            seed,
+            ..Default::default()
+        };
+        config.refine.router.m_alternatives = 6;
+        config.refine.router.per_level = 3;
+        let result = run_timberwolf(&nl, &config);
+        for p in &result.placement {
+            h.point(p.pos);
+            h.int(
+                Orientation::ALL
+                    .iter()
+                    .position(|&o| o == p.orientation)
+                    .unwrap() as i64,
+            );
+            h.int(p.instance as i64);
+            h.float(p.aspect);
+            h.rect(p.bbox);
+        }
+        h.float(result.teil);
+        h.rect(result.chip);
+        h.int(result.routed_length);
+        assert_eq!(result.stage2.records.len(), 3);
+        for r in &result.stage2.records {
+            h.float(r.teil_before);
+            h.float(r.teil_after);
+            h.rect(r.chip_after);
+            h.int(r.routed_length);
+            h.int(r.overflow);
+            h.int(r.unrouted as i64);
+            h.int(r.max_density as i64);
+        }
+        h.int(result.stage2.final_routing.total_length());
+        h.int(result.stage2.final_routing.overflow());
+        let svg = render_svg(
+            &result.placement,
+            Some(&result.stage2.final_routing),
+            result.chip,
+        );
+        h.bytes(svg.as_bytes());
+    }
+    assert_eq!(h.0, 6_104_515_053_802_906_261, "pipeline result changed");
 }

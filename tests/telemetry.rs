@@ -6,11 +6,12 @@ use timberwolfmc::core::{
     run_timberwolf, run_timberwolf_resilient, run_timberwolf_with, ParallelParams, RunCtrl,
     RunOutcome, Strategy, TimberWolfConfig,
 };
-use timberwolfmc::netlist::{synthesize, Netlist, SynthParams};
+use timberwolfmc::netlist::{parse_netlist, synthesize, write_netlist, Netlist, SynthParams};
 use timberwolfmc::obs::{
     Event, Instrumented, JsonlRecorder, MetricsHub, Recorder, SummaryRecorder, Tracer,
 };
 use timberwolfmc::place::PlaceParams;
+use timberwolfmc::refine::REFINEMENTS;
 use timberwolfmc::resume::CheckpointWriter;
 use timberwolfmc::route::RouterParams;
 
@@ -37,9 +38,7 @@ fn quick_config(seed: u64) -> TimberWolfConfig {
             router: RouterParams {
                 m_alternatives: 6,
                 per_level: 3,
-                ..Default::default()
             },
-            ..Default::default()
         },
         seed,
         ..Default::default()
@@ -71,14 +70,12 @@ fn pipeline_streams_valid_jsonl_without_changing_the_result() {
     assert_eq!(stats.kind_counts["run_end"], 1);
     // One route_iter per global-routing execution: each stage-2
     // refinement, the closing stage-2 route, and both finalize passes.
-    let refinements = config.refine.refinements;
-    assert_eq!(stats.kind_counts["route_iter"], refinements + 3);
+    assert_eq!(stats.kind_counts["route_iter"], REFINEMENTS + 3);
     // One span per stage-2 iteration for each of the three traced
     // sub-stages, plus stage1 / final_routing / finalize.
     assert!(
-        stats.kind_counts["stage_span"] >= 3 * refinements + 3,
-        "expected spans for {} refinements, got {}",
-        refinements,
+        stats.kind_counts["stage_span"] >= 3 * REFINEMENTS + 3,
+        "expected spans for {REFINEMENTS} refinements, got {}",
         stats.kind_counts["stage_span"]
     );
     // A real cooling run emits many temperature steps.
@@ -198,6 +195,108 @@ fn tempering_run_is_held_to_the_stage1_laws() {
     }
 }
 
+/// The circuit `twmc synth --cells 8 --nets 16 --pins 50 --seed 3`
+/// writes, read back as `twmc place` reads it.
+fn ci_resume_circuit() -> Netlist {
+    let nl = synthesize(&SynthParams {
+        cells: 8,
+        nets: 16,
+        pins: 50,
+        seed: 3,
+        ..Default::default()
+    });
+    parse_netlist(&write_netlist(&nl)).expect("written netlists parse")
+}
+
+/// `twmc place --ac 8 --seed <seed> --replicas 2 --strategy tempering
+/// --telemetry`: the recorded stream.
+fn two_rung_stream(nl: &Netlist, seed: u64) -> String {
+    let config = TimberWolfConfig {
+        place: PlaceParams {
+            attempts_per_cell: 8,
+            ..Default::default()
+        },
+        parallel: ParallelParams {
+            replicas: 2,
+            strategy: Strategy::Tempering,
+            ..Default::default()
+        },
+        seed,
+        ..Default::default()
+    };
+    let mut rec = JsonlRecorder::new(Vec::new());
+    run_timberwolf_with(nl, &config, &mut rec);
+    String::from_utf8(rec.finish().expect("memory sink")).expect("utf-8 stream")
+}
+
+/// Each rung's ladder sweeps are one anneal scope, so the reader holds
+/// every rung to falling temperatures: a rung that reheats between two
+/// of its steps fails to parse, naming the line.
+#[test]
+fn a_reheating_rung_fails_to_parse() {
+    let text = two_rung_stream(&circuit(), 9);
+    timberwolfmc::analyze::parse_stream(&text).expect("the recorded stream parses");
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let rung0: Vec<usize> = lines
+        .iter()
+        .enumerate()
+        .filter(|(_, l)| {
+            l.starts_with(r#"{"kind":"place_temp","phase":"tempering","#)
+                && l.contains(r#","replica":0,"#)
+        })
+        .map(|(i, _)| i)
+        .collect();
+    assert!(rung0.len() > 2, "{} rung-0 steps", rung0.len());
+    // The byte range of a line's temperature value.
+    let value = |line: &str| {
+        let start = line.find(r#""temperature":"#).expect("a temperature") + 14;
+        start..start + line[start..].find(',').expect("more fields")
+    };
+    let temperature = |line: &str| -> f64 { line[value(line)].parse().expect("a number") };
+    // Raise rung 0's last ladder step above the step before it.
+    let (prev, last) = (rung0[rung0.len() - 2], rung0[rung0.len() - 1]);
+    let hotter = 2.0 * temperature(&lines[prev]) + 1.0;
+    let range = value(&lines[last]);
+    lines[last].replace_range(range, &hotter.to_string());
+    assert_eq!(temperature(&lines[last]), hotter);
+    let err = timberwolfmc::analyze::parse_stream(&lines.join("\n")).unwrap_err();
+    assert!(
+        err.starts_with(&format!("line {}: temperature", last + 1)),
+        "{err}"
+    );
+}
+
+/// The anchor of a 2-rung ladder is its highest-index rung, which steps
+/// every round until it lands. On this circuit and seed the hotter rung
+/// takes more steps, dwells included; the anchor must still pass all
+/// six stage-1 laws.
+#[test]
+fn two_rung_anchor_passes_the_stage1_laws() {
+    let text = two_rung_stream(&ci_resume_circuit(), 7);
+    let stream = timberwolfmc::analyze::parse_stream(&text).expect("stream parses");
+    let report = timberwolfmc::analyze::analyze(&stream);
+    for check in [
+        "schedule.scaling",
+        "schedule.table1",
+        "anneal.acceptance",
+        "window.decay",
+        "cost.convergence",
+        "moves.ratio",
+    ] {
+        let finding = report.findings.iter().find(|f| f.check == check).unwrap();
+        assert_eq!(
+            finding.severity,
+            timberwolfmc::analyze::Severity::Pass,
+            "{check}: {}",
+            finding.detail
+        );
+    }
+    assert!(stream
+        .stage1_temps()
+        .iter()
+        .all(|t| t.phase == "tempering" && t.replica == 1));
+}
+
 /// Every interval is timed once: the `stage_span` event, the trace span
 /// and the hub histogram of one interval carry one duration.
 #[test]
@@ -244,7 +343,7 @@ fn each_interval_reads_one_clock() {
             _ => None,
         })
         .collect();
-    assert_eq!(from_events.len(), 3 * config.refine.refinements + 3);
+    assert_eq!(from_events.len(), 3 * REFINEMENTS + 3);
     assert_eq!(from_spans, from_events);
 
     // run_end carries the run span's duration.
@@ -270,7 +369,7 @@ fn each_interval_reads_one_clock() {
     assert_eq!(hub.checkpoint_writes_total.value(), writes);
     assert_eq!(hub.checkpoint_write_ms.count(), writes);
     let routes = count("main", "route_iter");
-    assert_eq!(routes as usize, config.refine.refinements + 3);
+    assert_eq!(routes as usize, REFINEMENTS + 3);
     assert_eq!(hub.route_iters_total.value(), routes);
     assert_eq!(hub.route_iter_ms.count(), routes);
 }
