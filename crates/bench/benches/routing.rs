@@ -3,7 +3,11 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
+use twmc_core::TimberWolfConfig;
 use twmc_geom::{Point, Rect, TileSet};
+use twmc_netlist::{synthesize, SynthParams};
+use twmc_place::{legalize, place_stage1};
+use twmc_refine::routing_snapshot;
 use twmc_route::{
     assign_routes, build_channel_graph, critical_regions, enumerate_route_trees, global_route,
     k_shortest_paths, NetPins, PlacedGeometry, RouteTree, RouterParams,
@@ -95,11 +99,40 @@ fn bench_full_route(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `global_route` of a placement from the size ladder: a circuit of
+/// `CELLS` cells with 3 nets and 12 pins per cell, a quarter of the
+/// cells custom (circuit seed 1988), placed by stage 1 at `A_c` = 2
+/// (seed 7) and legalized at gap 2, routed at the default parameters.
+/// Phase 1's search memo answers most of its searches.
+fn bench_ladder_route(c: &mut Criterion) {
+    const CELLS: usize = 100;
+    let nl = synthesize(&SynthParams {
+        cells: CELLS,
+        nets: 3 * CELLS,
+        pins: 12 * CELLS,
+        custom_fraction: 0.25,
+        seed: 1988,
+        ..Default::default()
+    });
+    let mut config = TimberWolfConfig::fast(7);
+    config.place.attempts_per_cell = 2;
+    let (mut state, _) = place_stage1(&nl, &config.place, &config.estimator, &config.schedule, 7);
+    legalize(&mut state, 2, 500);
+    let (geometry, nets) = routing_snapshot(&state);
+    let mut group = c.benchmark_group("route/global_route");
+    group.sample_size(10);
+    group.bench_function(format!("ladder_{CELLS}cells"), |bench| {
+        bench.iter(|| black_box(global_route(&geometry, &nets, &RouterParams::default(), 7)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_channel_definition,
     bench_paths,
     bench_assignment,
-    bench_full_route
+    bench_full_route,
+    bench_ladder_route
 );
 criterion_main!(benches);

@@ -105,6 +105,12 @@ pub(crate) struct SearchSpace {
     /// Nodes the current spur node may not step to directly (Yen's
     /// banned edges all leave the spur node).
     banned_next: Vec<bool>,
+    /// Route-tree memo probes and Yen searches so far, for the memo's
+    /// tests.
+    #[cfg(test)]
+    pub(crate) probes: usize,
+    #[cfg(test)]
+    pub(crate) searches: usize,
 }
 
 impl SearchSpace {
@@ -122,6 +128,10 @@ impl SearchSpace {
             target: vec![false; n + 2],
             banned: vec![false; n + 2],
             banned_next: vec![false; n + 2],
+            #[cfg(test)]
+            probes: 0,
+            #[cfg(test)]
+            searches: 0,
         }
     }
 
@@ -166,6 +176,12 @@ impl SearchSpace {
                 t
             })
             .collect()
+    }
+
+    /// Table `t` (from [`SearchSpace::tables_for`]): each node's distance
+    /// to its candidate set.
+    pub(crate) fn table(&self, t: usize) -> &[i64] {
+        &self.tables[t]
     }
 
     /// The position in `rest` of the connection point nearest to `tree`
@@ -444,6 +460,10 @@ impl SearchSpace {
         table: usize,
         k: usize,
     ) -> Vec<Path> {
+        #[cfg(test)]
+        {
+            self.searches += 1;
+        }
         if graph.is_empty() || sources.is_empty() || targets.is_empty() || k == 0 {
             return Vec::new();
         }
@@ -689,7 +709,7 @@ pub(crate) mod tests {
 
     /// A region over `rect` (its bounding edges do not matter to the
     /// graph beyond the separation).
-    fn region(rect: Rect) -> crate::CriticalRegion {
+    pub(crate) fn region(rect: Rect) -> crate::CriticalRegion {
         use crate::{ChannelKind, EdgeRef};
         use twmc_geom::{Side, Span};
         let edge = |side, coord| EdgeRef {

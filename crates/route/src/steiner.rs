@@ -9,7 +9,7 @@
 //! trees (documented in DESIGN.md); for small per-level counts this
 //! explores the same alternatives the paper's recursion stores.
 
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use crate::mpaths::{edge_length, Path, SearchSpace};
 use crate::ChannelGraph;
@@ -67,6 +67,35 @@ impl RouteTree {
 
 fn edge_key(a: usize, b: usize) -> (usize, usize) {
     (a.min(b), a.max(b))
+}
+
+/// A Yen search's paths to one point, keyed on what it could see of the
+/// tree it ran from: `key` holds the tree's nodes `v` with
+/// `h[v] ≤ bound` (`h` the point's table), where `bound` is the longest
+/// path's length, or `i64::MAX` when the search found fewer paths than
+/// it was asked for. Every tree with those nodes within `bound` gets the
+/// same paths (DESIGN.md §4).
+struct Search {
+    bound: i64,
+    key: Vec<usize>,
+    paths: Vec<Path>,
+}
+
+impl Search {
+    fn new(h: &[i64], nodes: &[usize], paths: Vec<Path>, per_level: usize) -> Search {
+        let longest = paths.iter().map(|p| p.length).max();
+        let bound = match longest {
+            Some(l) if paths.len() == per_level => l,
+            _ => i64::MAX,
+        };
+        let key = nodes.iter().copied().filter(|&v| h[v] <= bound).collect();
+        Search { bound, key, paths }
+    }
+
+    /// Whether a tree of `nodes` gets these paths.
+    fn answers(&self, h: &[i64], nodes: &[usize]) -> bool {
+        nodes.iter().filter(|&&v| h[v] <= self.bound).eq(&self.key)
+    }
 }
 
 /// One level of the beam: the children of its states, each distinct
@@ -158,8 +187,9 @@ pub fn enumerate_route_trees(
 /// Work whose result is known or thrown away is skipped, exactly: a
 /// state whose every child is longer than `beam_width` distinct
 /// children already found is not searched, no child longer than them
-/// is built, and a state searches nothing a state of the same level or
-/// an earlier one searched for the same point and tree nodes.
+/// is built, and a state takes its paths to a point from an earlier
+/// search whose tree had the same nodes within that search's reach
+/// (see [`Search`]).
 pub(crate) fn enumerate_in(
     space: &mut SearchSpace,
     graph: &ChannelGraph,
@@ -174,8 +204,8 @@ pub(crate) fn enumerate_in(
     let mut tables = vec![usize::MAX];
     tables.extend(space.tables_for(graph, &points[1..]));
     let beam_width = m.max(per_level * per_level).min(64);
-    // Per point, the paths found from each set of tree nodes.
-    let mut searched: Vec<HashMap<Vec<usize>, Vec<Path>>> = vec![HashMap::new(); points.len()];
+    // Per point, the searches run so far.
+    let mut searched: Vec<Vec<Search>> = (0..points.len()).map(|_| Vec::new()).collect();
 
     // Start states: each candidate of the first connection point, with
     // the points still to connect.
@@ -203,20 +233,22 @@ pub(crate) fn enumerate_in(
                 continue;
             }
             let point = rest.remove(pos);
-            let paths = match searched[point].get(&tree.nodes) {
-                Some(paths) => paths,
-                None => {
-                    let paths = space.k_shortest(
-                        graph,
-                        &tree.nodes,
-                        &points[point],
-                        tables[point],
-                        per_level,
-                    );
-                    searched[point].entry(tree.nodes.clone()).or_insert(paths)
-                }
-            };
-            for p in paths {
+            #[cfg(test)]
+            {
+                space.probes += 1;
+            }
+            let h = space.table(tables[point]);
+            let hit = searched[point]
+                .iter()
+                .position(|s| s.answers(h, &tree.nodes));
+            let at = hit.unwrap_or_else(|| {
+                let paths =
+                    space.k_shortest(graph, &tree.nodes, &points[point], tables[point], per_level);
+                let h = space.table(tables[point]);
+                searched[point].push(Search::new(h, &tree.nodes, paths, per_level));
+                searched[point].len() - 1
+            });
+            for p in &searched[point][at].paths {
                 let length = tree.length_with(graph, p);
                 if level.admits(length) {
                     level.offer(tree.absorb(&p.nodes, length), &rest);
@@ -465,6 +497,58 @@ mod tests {
                 let trees = enumerate_in(&mut space, &g, &points, m, per_level);
                 proptest::prop_assert_eq!(trees, expected);
             }
+        }
+    }
+
+    /// A 3x3 lattice of touching squares (nodes 0–8, row by row from the
+    /// corner node 0) with a chain of `len` regions leaving its middle
+    /// row to the right (nodes 9 on): every route from the lattice to a
+    /// chain node crosses node 5 and runs along the chain.
+    fn lattice_with_chain(len: usize) -> (ChannelGraph, Vec<usize>) {
+        use crate::mpaths::tests::region;
+        let lattice = (0..9).map(|k| region(Rect::from_wh(4 * (k % 3), 4 * (k / 3), 4, 4)));
+        let links = (0..len as i64).map(|i| region(Rect::from_wh(12 + 4 * i, 5, 4, 2)));
+        let graph = ChannelGraph::build(lattice.chain(links).collect());
+        (graph, (9..9 + len).collect())
+    }
+
+    #[test]
+    fn states_share_a_search_that_saw_only_what_they_share() {
+        // The net starts at the lattice corner, connects the third chain
+        // node and then the ninth. The four level-1 paths cross the
+        // lattice on four node sets and then run along the chain. From
+        // each, the ninth node's four shortest paths start at the chain's
+        // first three nodes and at node 5, and no other tree node is
+        // within the longest of them: one search answers all four states,
+        // where an exact-match memo would run four.
+        let (g, chain) = lattice_with_chain(9);
+        let points = vec![vec![0], vec![chain[2]], vec![chain[8]]];
+        let mut space = SearchSpace::new(g.len());
+        let trees = enumerate_in(&mut space, &g, &points, 8, 4);
+        assert_eq!(trees, enumerate_eager(&g, &points, 8, 4));
+        assert_eq!((space.probes, space.searches), (5, 2));
+    }
+
+    #[test]
+    fn a_short_search_answers_only_its_own_tree() {
+        // Along the chain, each tree node starts one path to the far end.
+        // From the third node alone that is one path, fewer than four: a
+        // tree that also holds the first node has a second one, from a
+        // node farther than the first path is long, so the search keys on
+        // all of its tree. Asked for one path, it is full, and its tree's
+        // nodes beyond that path's length do not change it.
+        let (g, chain) = lattice_with_chain(6);
+        let target = vec![chain[5]];
+        let (near, both) = (vec![chain[2]], vec![chain[0], chain[2]]);
+        let mut space = SearchSpace::new(g.len());
+        let table = space.tables_for(&g, std::slice::from_ref(&target))[0];
+        for (per_level, shared) in [(4, false), (1, true)] {
+            let paths = space.k_shortest(&g, &near, &target, table, per_level);
+            let search = Search::new(space.table(table), &near, paths.clone(), per_level);
+            assert!(search.answers(space.table(table), &near));
+            assert_eq!(search.answers(space.table(table), &both), shared);
+            let from_both = space.k_shortest(&g, &both, &target, table, per_level);
+            assert_eq!(from_both == paths, shared);
         }
     }
 

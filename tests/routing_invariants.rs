@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use timberwolfmc::core::TimberWolfConfig;
 use timberwolfmc::geom::{Point, Rect, TileSet};
-use timberwolfmc::netlist::{paper_circuit, synthesize_profile};
+use timberwolfmc::netlist::{paper_circuit, synthesize, synthesize_profile, SynthParams};
 use timberwolfmc::place::{legalize, place_stage1};
 use timberwolfmc::refine::routing_snapshot;
 use timberwolfmc::route::{
@@ -444,4 +444,31 @@ fn golden_router_digest_paper() {
     }
     assert!(attempts > 0, "no case exercised the interchange");
     assert_eq!(h.0, 2_735_998_456_166_556_588, "router output changed");
+}
+
+#[test]
+fn golden_router_digest_ladder() {
+    // A legalized stage-1 placement of a circuit from the size ladder (3
+    // nets and 12 pins per cell, a quarter of the cells custom, circuit
+    // seed 1988): 311 graph nodes and 150 nets of up to 14 points, far
+    // larger than the paper placements' graphs. Beam states there differ
+    // mostly in detours far from the point they connect next, where
+    // phase 1's search memo answers most searches.
+    let cells = 50;
+    let nl = synthesize(&SynthParams {
+        cells,
+        nets: 3 * cells,
+        pins: 12 * cells,
+        custom_fraction: 0.25,
+        seed: 1988,
+        ..Default::default()
+    });
+    let mut config = TimberWolfConfig::fast(7);
+    config.place.attempts_per_cell = 2;
+    let (mut state, _) = place_stage1(&nl, &config.place, &config.estimator, &config.schedule, 7);
+    legalize(&mut state, 2, 500);
+    let (geometry, nets) = routing_snapshot(&state);
+    let mut h = Fnv1a::new();
+    digest_routing(&mut h, &geometry, &nets, &RouterParams::default(), 7, true);
+    assert_eq!(h.0, 7_297_032_554_490_785_800, "router output changed");
 }
