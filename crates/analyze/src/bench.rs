@@ -13,7 +13,7 @@
 use serde::Value;
 use twmc_obs::validate::{get, get_f64, parse_json};
 
-use crate::health::{Finding, Severity};
+use crate::health::{finding, format_findings, Finding, Severity};
 
 /// Replica count from which an equal-wall loss is a failure rather
 /// than a warning: below this the ladder is too short for exchange to
@@ -116,48 +116,48 @@ pub fn check_bench_parallel(
             r.multistart_wall_seconds,
             margin,
         );
-        findings.push(Finding {
-            check: "bench.equal_wall".to_owned(),
-            severity: match (wins, gated) {
+        findings.push(finding(
+            "bench.equal_wall",
+            match (wins, gated) {
                 (true, _) => Severity::Pass,
                 (false, true) => Severity::Fail,
                 (false, false) => Severity::Warn,
             },
-            detail: if wins {
+            if wins {
                 detail
             } else {
                 format!("{detail} — tempering loses at equal wall clock")
             },
-        });
+        ));
     }
     match baseline.map(parse_equal_wall) {
         None => {}
-        Some(Err(e)) => findings.push(Finding {
-            check: "bench.regression".to_owned(),
-            severity: Severity::Warn,
-            detail: format!("baseline: {e}; regression check skipped"),
-        }),
+        Some(Err(e)) => findings.push(finding(
+            "bench.regression",
+            Severity::Warn,
+            format!("baseline: {e}; regression check skipped"),
+        )),
         Some(Ok(base)) => {
             for r in &rows {
                 let Some(b) = base.iter().find(|b| b.replicas == r.replicas) else {
                     continue;
                 };
                 let regressed = r.tempering_best_teil > b.tempering_best_teil;
-                findings.push(Finding {
-                    check: "bench.regression".to_owned(),
-                    severity: if regressed {
+                findings.push(finding(
+                    "bench.regression",
+                    if regressed {
                         Severity::Fail
                     } else {
                         Severity::Pass
                     },
-                    detail: format!(
+                    format!(
                         "x{}: tempering best TEIL {:.0} vs baseline {:.0}{}",
                         r.replicas,
                         r.tempering_best_teil,
                         b.tempering_best_teil,
                         if regressed { " — regression" } else { "" },
                     ),
-                });
+                ));
             }
         }
     }
@@ -167,15 +167,7 @@ pub fn check_bench_parallel(
 /// Renders the gate verdict as the terminal table behind
 /// `twmc diff --bench-parallel`.
 pub fn format_bench_gate(report: &BenchGateReport) -> String {
-    let mut out = String::new();
-    for f in &report.findings {
-        let tag = match f.severity {
-            Severity::Pass => "PASS",
-            Severity::Warn => "WARN",
-            Severity::Fail => "FAIL",
-        };
-        out.push_str(&format!("{tag}  {:<20} {}\n", f.check, f.detail));
-    }
+    let mut out = format_findings(&report.findings);
     out.push_str(&format!(
         "bench gate: {}\n",
         if report.regressed() {

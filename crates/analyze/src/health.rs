@@ -71,11 +71,7 @@ pub struct HealthReport {
 impl HealthReport {
     /// Worst severity across all findings.
     pub fn worst(&self) -> Severity {
-        self.findings
-            .iter()
-            .map(|f| f.severity)
-            .max()
-            .unwrap_or(Severity::Pass)
+        worst(&self.findings)
     }
 
     /// Whether no finding failed.
@@ -93,12 +89,36 @@ const ALPHA_TOL: f64 = 1e-3;
 /// paper's 4 (window spans are printed with limited precision).
 const RHO_TOL: f64 = 0.25;
 
-fn finding(check: &str, severity: Severity, detail: String) -> Finding {
+pub(crate) fn finding(check: &str, severity: Severity, detail: String) -> Finding {
     Finding {
         check: check.to_owned(),
         severity,
         detail,
     }
+}
+
+/// Worst severity across `findings` (`Pass` when there are none).
+pub(crate) fn worst(findings: &[Finding]) -> Severity {
+    findings
+        .iter()
+        .map(|f| f.severity)
+        .max()
+        .unwrap_or(Severity::Pass)
+}
+
+/// Renders findings one per line, `PASS`/`WARN`/`FAIL` then the check
+/// and its evidence: the head of every `report` and gate table.
+pub(crate) fn format_findings(findings: &[Finding]) -> String {
+    let mut out = String::new();
+    for f in findings {
+        let tag = match f.severity {
+            Severity::Pass => "PASS",
+            Severity::Warn => "WARN",
+            Severity::Fail => "FAIL",
+        };
+        out.push_str(&format!("{tag}  {:<20} {}\n", f.check, f.detail));
+    }
+    out
 }
 
 /// Extracts the headline metrics (used standalone by the diff engine).
@@ -157,23 +177,39 @@ pub fn analyze(stream: &RunStream) -> HealthReport {
     }
 }
 
+/// Kinds a pipeline run records between its `run_start` and `run_end`.
+const PIPELINE_KINDS: [&str; 2] = ["place_temp", "stage_span"];
+
 fn check_envelope(stream: &RunStream) -> Finding {
     match (&stream.start, &stream.end, &stream.interrupted) {
-        (Some(s), Some(e), _) => finding(
-            "run.envelope",
-            Severity::Pass,
-            format!(
-                "seed {} ({} cells, {} nets, {} pins, {} x{}) -> TEIL {:.0} in {:.2}s",
-                s.seed,
-                s.cells,
-                s.nets,
-                s.pins,
-                s.strategy,
-                s.replicas,
-                e.teil,
-                e.wall_us as f64 / 1e6
-            ),
-        ),
+        (Some(s), Some(e), _) => {
+            let missing: Vec<&str> = PIPELINE_KINDS
+                .into_iter()
+                .filter(|kind| !stream.stats.kind_counts.contains_key(*kind))
+                .collect();
+            let (severity, lacks) = match missing.as_slice() {
+                [] => (Severity::Pass, String::new()),
+                kinds => (
+                    Severity::Warn,
+                    format!(", but the stream holds no {} event", kinds.join(" or ")),
+                ),
+            };
+            finding(
+                "run.envelope",
+                severity,
+                format!(
+                    "seed {} ({} cells, {} nets, {} pins, {} x{}) -> TEIL {:.0} in {:.2}s{lacks}",
+                    s.seed,
+                    s.cells,
+                    s.nets,
+                    s.pins,
+                    s.strategy,
+                    s.replicas,
+                    e.teil,
+                    e.wall_us as f64 / 1e6
+                ),
+            )
+        }
         // A run_interrupted footer closes the envelope just as well as
         // run_end: the run stopped on purpose, mid-flight, and left a
         // checkpoint — the stream is a clean prefix, not a fragment.
@@ -781,15 +817,7 @@ fn check_routes(stream: &RunStream) -> Vec<Finding> {
 
 /// Renders a report as the terminal table behind `twmc report`.
 pub fn format_report(report: &HealthReport) -> String {
-    let mut out = String::new();
-    for f in &report.findings {
-        let tag = match f.severity {
-            Severity::Pass => "PASS",
-            Severity::Warn => "WARN",
-            Severity::Fail => "FAIL",
-        };
-        out.push_str(&format!("{tag}  {:<20} {}\n", f.check, f.detail));
-    }
+    let mut out = format_findings(&report.findings);
     let m = &report.metrics;
     out.push_str(&format!(
         "metrics: TEIL {:.0}  area {}  routed {}  overflow {}  unrouted {}  \
@@ -1035,6 +1063,32 @@ mod tests {
         );
         assert_eq!(report.metrics.teil, 512.0);
         assert_eq!(report.metrics.wall_us, 4200);
+    }
+
+    #[test]
+    fn a_closed_stream_must_carry_the_pipeline_kinds() {
+        let full = synth_stream(&SynthSpec::default());
+        // The envelope finding once the lines of `dropped` kinds are gone.
+        let envelope = |dropped: &[&str]| {
+            let keep = |l: &&str| !dropped.iter().any(|k| l.contains(k));
+            let kept: String = full.split_inclusive('\n').filter(keep).collect();
+            let mut findings = analyze(&parse_stream(&kept).unwrap()).findings;
+            let env = findings.remove(0);
+            assert_eq!(env.check, "run.envelope");
+            (env.severity, env.detail)
+        };
+        assert_eq!(envelope(&[]).0, Severity::Pass);
+        let (severity, detail) = envelope(&["stage_span"]);
+        assert_eq!(severity, Severity::Warn);
+        assert!(
+            detail.ends_with(", but the stream holds no stage_span event"),
+            "{detail}"
+        );
+        let (_, detail) = envelope(&["stage_span", "place_temp"]);
+        assert!(
+            detail.ends_with("holds no place_temp or stage_span event"),
+            "{detail}"
+        );
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   with ρ = 4, acceptance-rate trajectory, cost convergence, the
 //!   r ≈ 10 move mix (Fig. 3), and the phase-2 routing overflow
 //!   guarantees (eq. 24) — each a pass/warn/fail [`Finding`];
+//! * [`format_runs`] — the run tables `twmc report` prints after the
+//!   findings: one row per anneal scope and per routing execution, the
+//!   wall clock per stage, and the swap acceptance;
 //! * [`diff_runs`] — compares two runs' headline [`Metrics`] under
 //!   configurable thresholds; quality regressions gate, wall-clock is
 //!   informational;
@@ -49,6 +52,7 @@ mod bench;
 mod diff;
 mod health;
 mod promsnap;
+mod runs;
 mod stream;
 pub mod testgen;
 mod trace;
@@ -62,6 +66,7 @@ pub use promsnap::{
     check_metrics_snapshot, format_snapshot_report, SnapshotCheck, SnapshotReport,
     SnapshotThresholds,
 };
+pub use runs::format_runs;
 pub use stream::{
     parse_stream, ClassRec, ReplicaFailedRec, ReplicaSummaryRec, RouteRec, RunEndRec,
     RunInterruptedRec, RunStartRec, RunStream, SpanRec, StreamStats, SwapRec, TempRec,

@@ -14,7 +14,7 @@ use serde::Value;
 use twmc_obs::validate::{get_str, get_u64, parse_json};
 use twmc_trace::{profile, Profile, SpanRecord, TraceSnapshot};
 
-use crate::health::{Finding, Severity};
+use crate::health::{finding, format_findings, worst, Finding, Severity};
 
 /// Fail when the overlap query exceeds this share of the attributed
 /// cost-term time. The query is the largest term of an ordinary run:
@@ -45,11 +45,7 @@ pub struct TraceReport {
 impl TraceReport {
     /// Worst severity across all findings.
     pub fn worst(&self) -> Severity {
-        self.findings
-            .iter()
-            .map(|f| f.severity)
-            .max()
-            .unwrap_or(Severity::Pass)
+        worst(&self.findings)
     }
 
     /// Whether no finding failed.
@@ -127,14 +123,6 @@ fn lane_mut<'s>(snap: &'s mut TraceSnapshot, name: &str) -> &'s mut twmc_trace::
         dropped: 0,
     });
     snap.lanes.last_mut().expect("just pushed")
-}
-
-fn finding(check: &str, severity: Severity, detail: String) -> Finding {
-    Finding {
-        check: check.to_owned(),
-        severity,
-        detail,
-    }
 }
 
 fn pct(part: u64, whole: u64) -> f64 {
@@ -279,15 +267,7 @@ pub fn check_trace(snap: &TraceSnapshot) -> TraceReport {
 /// Renders a [`TraceReport`] for the terminal: findings first, then
 /// the top-`top` self-time rows.
 pub fn format_trace_report(report: &TraceReport, top: usize) -> String {
-    let mut out = String::new();
-    for f in &report.findings {
-        let tag = match f.severity {
-            Severity::Pass => "PASS",
-            Severity::Warn => "WARN",
-            Severity::Fail => "FAIL",
-        };
-        out.push_str(&format!("{tag}  {:<18} {}\n", f.check, f.detail));
-    }
+    let mut out = format_findings(&report.findings);
     out.push('\n');
     out.push_str(&report.profile.format_table(top));
     out

@@ -49,9 +49,7 @@ pub use pipeline::{
     run_timberwolf, run_timberwolf_with, snapshot_placement, PlacedCellRecord, TimberWolfResult,
 };
 pub use render::render_svg;
-pub use report::{
-    compare, format_parallel_report, format_table4, format_telemetry_summary, ComparisonRow,
-};
+pub use report::{compare, format_parallel_report, format_table4, ComparisonRow};
 pub use resilient::{run_timberwolf_resilient, InterruptedRun, PipelineError, RunOutcome};
 
 // Orchestration knobs and reports surface through the pipeline config

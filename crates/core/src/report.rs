@@ -1,6 +1,5 @@
 //! Human-readable reports in the style of the paper's tables.
 
-use twmc_obs::Event;
 use twmc_parallel::{ParallelReport, Strategy};
 
 use crate::{BaselineResult, TimberWolfResult};
@@ -150,166 +149,6 @@ pub fn format_parallel_report(report: &ParallelReport) -> String {
     out
 }
 
-/// Formats a recorded telemetry stream as a human-readable table: one
-/// row per annealing run (phase/iteration/replica), wall-clock totals
-/// per pipeline stage, and swap statistics. This is the terminal view
-/// behind the CLI's `--telemetry-summary`.
-pub fn format_telemetry_summary(events: &[Event]) -> String {
-    // Aggregate per annealing run, in first-seen order.
-    struct Run {
-        key: (String, u64, i64),
-        steps: usize,
-        attempts: usize,
-        accepts: usize,
-        last_t: f64,
-        last_cost: f64,
-        last_teil: f64,
-    }
-    let mut runs: Vec<Run> = Vec::new();
-    let mut routes: Vec<&twmc_obs::RouteIter> = Vec::new();
-    let mut stages: Vec<(&'static str, u64, usize)> = Vec::new();
-    let mut swap_attempts = 0usize;
-    let mut swap_accepts = 0usize;
-    let mut out = String::new();
-
-    for ev in events {
-        match ev {
-            Event::RunStart(s) => {
-                out.push_str(&format!(
-                    "run: seed {}  {} cells  {} nets  {} pins  {} replica(s) [{}]\n",
-                    s.seed, s.cells, s.nets, s.pins, s.replicas, s.strategy
-                ));
-            }
-            Event::PlaceTemp(p) => {
-                let key = (p.phase.to_owned(), p.iteration, p.replica);
-                let run = match runs.iter_mut().find(|r| r.key == key) {
-                    Some(r) => r,
-                    None => {
-                        runs.push(Run {
-                            key,
-                            steps: 0,
-                            attempts: 0,
-                            accepts: 0,
-                            last_t: 0.0,
-                            last_cost: 0.0,
-                            last_teil: 0.0,
-                        });
-                        runs.last_mut().expect("just pushed")
-                    }
-                };
-                run.steps += 1;
-                run.attempts += p.attempts;
-                run.accepts += p.accepts;
-                run.last_t = p.temperature;
-                run.last_cost = p.cost.total;
-                run.last_teil = p.teil;
-            }
-            Event::RouteIter(r) => routes.push(r),
-            Event::StageSpan(s) => match stages.iter_mut().find(|(name, _, _)| *name == s.stage) {
-                Some((_, us, n)) => {
-                    *us += s.wall_us;
-                    *n += 1;
-                }
-                None => stages.push((s.stage, s.wall_us, 1)),
-            },
-            Event::ReplicaSummary(_) => {}
-            Event::Swap(s) => {
-                swap_attempts += 1;
-                swap_accepts += s.accepted as usize;
-            }
-            Event::RunEnd(e) => {
-                out.push_str(&format!(
-                    "done: TEIL {:.0}  chip {} x {}  routed {}  in {:.2}s\n",
-                    e.teil,
-                    e.chip_width,
-                    e.chip_height,
-                    e.routed_length,
-                    e.wall_us as f64 / 1e6,
-                ));
-            }
-            Event::ReplicaFailed(f) => {
-                out.push_str(&format!(
-                    "warning: replica {} failed in {} at round {}: {}\n",
-                    f.replica, f.phase, f.round, f.error
-                ));
-            }
-            Event::RunInterrupted(i) => {
-                out.push_str(&format!(
-                    "interrupted ({}) in {}: TEIL {:.0}  cost {:.0}  after {:.2}s\n",
-                    i.reason,
-                    i.stage,
-                    i.teil,
-                    i.cost,
-                    i.wall_us as f64 / 1e6,
-                ));
-            }
-        }
-    }
-
-    if !runs.is_empty() {
-        out.push_str("anneal runs:\n");
-        out.push_str(
-            "  phase            steps   attempts    accepts  accept%    final T  final cost\n",
-        );
-        for r in &runs {
-            let label = match (r.key.0.as_str(), r.key.2) {
-                ("stage2", _) => format!("{}/{}", r.key.0, r.key.1),
-                (_, rep) if rep >= 0 => format!("{}[{}]", r.key.0, rep),
-                _ => r.key.0.clone(),
-            };
-            out.push_str(&format!(
-                "  {:<15} {:>6} {:>10} {:>10} {:>8.1} {:>10.3} {:>11.0}\n",
-                label,
-                r.steps,
-                r.attempts,
-                r.accepts,
-                100.0 * r.accepts as f64 / r.attempts.max(1) as f64,
-                r.last_t,
-                r.last_cost,
-            ));
-        }
-    }
-    if !routes.is_empty() {
-        out.push_str("global routing:\n");
-        out.push_str(
-            "  phase            nets  unrouted  overflow (start->end)      length  reassigns\n",
-        );
-        for r in &routes {
-            out.push_str(&format!(
-                "  {:<15} {:>5} {:>9} {:>10} -> {:<10} {:>9} {:>10}\n",
-                format!("{}/{}", r.phase, r.iteration),
-                r.nets,
-                r.unrouted,
-                r.overflow_start,
-                r.overflow,
-                r.total_length,
-                r.reassignments,
-            ));
-        }
-    }
-    if !stages.is_empty() {
-        out.push_str("stage wall-clock:\n");
-        for (name, us, n) in &stages {
-            out.push_str(&format!(
-                "  {:<20} {:>8.3}s  ({} span(s))\n",
-                name,
-                *us as f64 / 1e6,
-                n
-            ));
-        }
-    }
-    if swap_attempts > 0 {
-        out.push_str(&format!(
-            "swaps: {swap_accepts}/{swap_attempts} accepted ({:.0}%)\n",
-            100.0 * swap_accepts as f64 / swap_attempts as f64
-        ));
-    }
-    if out.is_empty() {
-        out.push_str("no telemetry events recorded\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -384,79 +223,6 @@ mod tests {
         assert!(text.contains("T(rung)"), "{text}");
         assert!(text.contains("swaps: 3/10"), "{text}");
         assert!(text.contains("pair 0-1: 3/10"), "{text}");
-    }
-
-    #[test]
-    fn telemetry_summary_renders_runs_spans_and_swaps() {
-        use twmc_obs::{CostBreakdown, PlaceTemp, RunEnd, RunStart, StageSpan, Swap};
-        let temp = |step: usize, t: f64| {
-            Event::PlaceTemp(PlaceTemp {
-                phase: "stage1",
-                iteration: 0,
-                replica: -1,
-                step,
-                temperature: t,
-                s_t: 1.0,
-                window_x: 10.0,
-                window_y: 10.0,
-                inner: 100,
-                attempts: 100,
-                accepts: 40,
-                cost: CostBreakdown {
-                    total: 500.0,
-                    c1: 400.0,
-                    overlap: 10,
-                    overlap_penalty: 90.0,
-                    c3: 10.0,
-                },
-                teil: 450.0,
-                index_rebuilds: 0,
-                index_updates: 5,
-                classes: vec![],
-            })
-        };
-        let events = vec![
-            Event::RunStart(RunStart {
-                seed: 9,
-                cells: 8,
-                nets: 16,
-                pins: 50,
-                replicas: 2,
-                strategy: "tempering",
-            }),
-            temp(0, 100.0),
-            temp(1, 85.0),
-            Event::StageSpan(StageSpan {
-                stage: "stage1",
-                iteration: 0,
-                wall_us: 1_500_000,
-            }),
-            Event::Swap(Swap {
-                round: 0,
-                lower: 0,
-                upper: 1,
-                t_lower: 2.0,
-                t_upper: 1.0,
-                s_t: 1.0,
-                accepted: true,
-            }),
-            Event::RunEnd(RunEnd {
-                teil: 1234.0,
-                chip_width: 100,
-                chip_height: 90,
-                routed_length: 2000,
-                wall_us: 3_000_000,
-            }),
-        ];
-        let text = format_telemetry_summary(&events);
-        assert!(text.contains("seed 9"), "{text}");
-        // Two steps aggregated into one stage1 row, 200 attempts / 80 accepts.
-        assert!(text.contains("200"), "{text}");
-        assert!(text.contains("40.0"), "{text}");
-        assert!(text.contains("1.500s"), "{text}");
-        assert!(text.contains("swaps: 1/1"), "{text}");
-        assert!(text.contains("done: TEIL 1234"), "{text}");
-        assert!(!format_telemetry_summary(&[]).is_empty());
     }
 
     #[test]

@@ -9,7 +9,6 @@ use crate::{Span, TileSet};
 
 /// Which way a boundary edge faces (its outward normal).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Side {
     /// Vertical edge, cell interior to the right (outward normal −x).
     Left,
@@ -48,7 +47,6 @@ impl Side {
 /// For a vertical edge, `coord` is the x position and `span` the y extent;
 /// for a horizontal edge, `coord` is y and `span` is the x extent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BoundaryEdge {
     /// Orientation and outward direction of the edge.
     pub side: Side,

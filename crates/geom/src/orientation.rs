@@ -29,7 +29,6 @@ use crate::{Point, Rect};
 /// assert_eq!(Orientation::R90.apply_dims(5, 2), (2, 5));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Orientation {
     /// Identity.
     #[default]

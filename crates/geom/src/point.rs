@@ -19,7 +19,6 @@ use core::ops::{Add, AddAssign, Neg, Sub, SubAssign};
 /// assert_eq!(p.manhattan(Point::new(0, 0)), 7);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Point {
     /// Horizontal coordinate.
     pub x: i64,

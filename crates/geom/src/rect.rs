@@ -19,7 +19,6 @@ use crate::{Point, Span};
 /// assert_eq!(r.center(), Point::new(2, 1));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Rect {
     lo: Point,
     hi: Point,

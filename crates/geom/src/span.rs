@@ -21,7 +21,6 @@ use core::fmt;
 /// assert_eq!(a.len(), 10);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Span {
     lo: i64,
     hi: i64,

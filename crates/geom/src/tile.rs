@@ -25,7 +25,6 @@ use crate::{Orientation, Point, Rect};
 /// assert_eq!(l.bbox(), Rect::from_wh(0, 0, 4, 4));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TileSet {
     tiles: Vec<Rect>,
     bbox: Rect,

@@ -16,9 +16,8 @@
 //!   per-move — see DESIGN.md §8 for the overhead argument);
 //! * [`JsonlRecorder`] — a buffered JSON-lines sink over any
 //!   `io::Write` (one event per line, `{"kind": …}` tagged);
-//! * [`SummaryRecorder`] — an in-memory sink for tests and the CLI's
-//!   human-readable summary table;
-//! * [`Tee`] — fans one event stream out to two sinks;
+//! * [`SummaryRecorder`] — an in-memory sink for tests and for the
+//!   per-replica buffers a multi-replica run replays in replica order;
 //! * [`Interval`] — times a stage, a phase, a checkpoint write, a
 //!   routing execution or a job wait: one clock read on close, and the
 //!   same duration to its trace span, `stage_span` event and hub
@@ -62,7 +61,7 @@ pub use event::{
 };
 pub use interval::{Interval, OpenInterval};
 pub use recorder::{
-    DurableFile, Instrumented, JsonlRecorder, NullRecorder, Recorder, SummaryRecorder, Tee,
+    DurableFile, Instrumented, JsonlRecorder, NullRecorder, Recorder, SummaryRecorder,
 };
 pub use twmc_metrics::{MetricsHub, MOVE_EVAL_SAMPLE};
 pub use twmc_trace as trace;

@@ -246,8 +246,9 @@ impl<W: Write> Recorder for JsonlRecorder<W> {
     }
 }
 
-/// An in-memory sink keeping every event — the test fixture and the
-/// source of the CLI's `--telemetry-summary` table.
+/// An in-memory sink keeping every event — the test fixture, and the
+/// buffer each replica of a multi-replica run records into, replayed
+/// in replica order.
 #[derive(Debug, Clone, Default)]
 pub struct SummaryRecorder {
     events: Vec<Event>,
@@ -289,39 +290,6 @@ impl SummaryRecorder {
 impl Recorder for SummaryRecorder {
     fn record(&mut self, event: &Event) {
         self.events.push(event.clone());
-    }
-}
-
-/// Fans one stream out to two sinks (e.g. a JSONL file plus the
-/// in-memory summary behind `--telemetry-summary`).
-pub struct Tee<'a> {
-    /// First sink.
-    pub a: &'a mut dyn Recorder,
-    /// Second sink.
-    pub b: &'a mut dyn Recorder,
-}
-
-impl Recorder for Tee<'_> {
-    fn enabled(&self) -> bool {
-        self.a.enabled() || self.b.enabled()
-    }
-
-    fn record(&mut self, event: &Event) {
-        self.a.record(event);
-        self.b.record(event);
-    }
-
-    fn flush(&mut self) {
-        self.a.flush();
-        self.b.flush();
-    }
-
-    fn hub(&self) -> Option<&Arc<MetricsHub>> {
-        self.a.hub().or_else(|| self.b.hub())
-    }
-
-    fn tracer(&self) -> Option<&Arc<Tracer>> {
-        self.a.tracer().or_else(|| self.b.tracer())
     }
 }
 
@@ -441,33 +409,5 @@ mod tests {
         assert_eq!(r.count("run_start"), 0);
         assert_eq!(r.events().len(), 2);
         assert_eq!(r.into_events().len(), 2);
-    }
-
-    #[test]
-    fn tee_reaches_both_sinks() {
-        let mut a = SummaryRecorder::new();
-        let mut b = SummaryRecorder::new();
-        {
-            let mut t = Tee {
-                a: &mut a,
-                b: &mut b,
-            };
-            assert!(t.enabled());
-            t.record(&span(1));
-            t.flush();
-        }
-        assert_eq!(a.events().len(), 1);
-        assert_eq!(b.events().len(), 1);
-    }
-
-    #[test]
-    fn tee_disabled_only_when_both_are() {
-        let mut a = NullRecorder;
-        let mut b = NullRecorder;
-        let t = Tee {
-            a: &mut a,
-            b: &mut b,
-        };
-        assert!(!t.enabled());
     }
 }

@@ -15,21 +15,20 @@
 use std::process::ExitCode;
 
 use timberwolfmc::analyze::{
-    analyze, diff_runs, format_diff, format_report, metrics, parse_stream, DiffThresholds,
+    analyze, diff_runs, format_diff, format_report, format_runs, metrics, parse_stream,
+    DiffThresholds,
 };
 use timberwolfmc::core::{
-    compare, format_parallel_report, format_table4, format_telemetry_summary, greedy_placement,
-    quadratic_placement, render_svg, run_timberwolf, run_timberwolf_resilient, shelf_placement,
-    ParallelParams, RunCtrl, RunOutcome, Strategy, TimberWolfConfig,
+    compare, format_parallel_report, format_table4, greedy_placement, quadratic_placement,
+    render_svg, run_timberwolf, run_timberwolf_resilient, shelf_placement, ParallelParams, RunCtrl,
+    RunOutcome, Strategy, TimberWolfConfig,
 };
 use timberwolfmc::estimator::EstimatorParams;
 use timberwolfmc::netlist::{
     paper_circuit, parse_netlist, synthesize, synthesize_profile, write_netlist, Netlist,
     SynthParams,
 };
-use timberwolfmc::obs::{
-    CancelToken, Instrumented, JsonlRecorder, NullRecorder, Recorder, SummaryRecorder, Tee, Tracer,
-};
+use timberwolfmc::obs::{CancelToken, Instrumented, JsonlRecorder, NullRecorder, Recorder, Tracer};
 use timberwolfmc::place::PlaceParams;
 use timberwolfmc::resume::{read_checkpoint, CheckpointWriter};
 
@@ -42,7 +41,7 @@ fn usage() -> ExitCode {
          twmc synth [--circuit NAME | --cells N --nets N --pins N] [--seed N] [--custom F] --out FILE\n  \
          twmc place FILE [--seed N] [--ac N] [--svg FILE] [--placement FILE]\n              \
          [--replicas N] [--threads N] [--strategy multistart|tempering] [--swap-interval N]\n              \
-         [--telemetry FILE.jsonl] [--telemetry-overwrite] [--telemetry-summary]\n              \
+         [--telemetry FILE.jsonl] [--telemetry-overwrite]\n              \
          [--checkpoint FILE] [--checkpoint-every N] [--resume FILE]\n              \
          [--max-wall-secs F] [--max-moves N] [--trace FILE.jsonl]\n  \
          twmc compare FILE [--seed N] [--ac N] [--replicas N] [--threads N]\n  \
@@ -53,8 +52,7 @@ fn usage() -> ExitCode {
          twmc report --metrics-snapshot SNAPSHOT.prom [--json] [--max-failed-jobs N]\n              \
          [--max-replica-failures N] [--max-queue-depth N] [--max-route-overflow N]\n              \
          [--max-move-p50-ns F] [--max-quarantined N]\n  \
-         twmc report --trace CAPTURE.jsonl [--json] [--top N]\n  \
-         twmc trace CAPTURE.jsonl [--out CHROME.json] [--top N]\n  \
+         twmc report --trace CAPTURE.jsonl [--json] [--top N] [--out CHROME.json]\n  \
          twmc diff BASELINE.jsonl CANDIDATE.jsonl [--json] [--max-teil-pct F]\n              \
          [--max-length-pct F] [--max-area-pct F] [--max-overflow N] [--max-unrouted N]\n  \
          twmc diff --bench-parallel [BASELINE.json] BENCH_parallel.json [--json]\n\n\
@@ -63,7 +61,7 @@ fn usage() -> ExitCode {
          --threads 0 uses one thread per replica; --strategy tempering needs\n\
          --replicas 2.. and exchanges rungs every --swap-interval N rounds (N >= 1,\n\
          default 1)\n\
-         --telemetry FILE streams JSONL events; --telemetry-summary prints a table\n\
+         --telemetry FILE streams JSONL events, which `twmc report` reads\n\
          --checkpoint FILE writes an atomic resume checkpoint every N steps (default 10);\n\
          --resume FILE continues a checkpointed run bit-identically; Ctrl-C / SIGTERM,\n\
          --max-wall-secs, and --max-moves stop gracefully (exit 3, checkpoint flushed)\n\
@@ -79,13 +77,13 @@ fn usage() -> ExitCode {
          --fault-schedule 'seed=N, eio=write:state.json@2, crash=job.ckpt:after_rename'\n\
          injects deterministic I/O faults for chaos testing (crashpoints abort)\n\
          --trace FILE records a hierarchical span trace (run > stage > temp step >\n\
-         move block, cost-term self-time) with no effect on results; convert it with\n\
-         `twmc trace` to a Chrome Trace Event JSON for ui.perfetto.dev plus a\n\
-         terminal self-time table, and health-check it with `twmc report --trace`\n\
-         (exit 2 when the time distribution is pathological, e.g. overlap-index\n\
-         maintenance dominating move evaluation)\n\
+         move block, cost-term self-time) with no effect on results; `twmc report\n\
+         --trace` prints its self-time table and health-checks it (exit 2 when the time\n\
+         distribution is pathological, e.g. overlap-index maintenance dominating move\n\
+         evaluation); --out converts it to a Chrome Trace Event JSON for ui.perfetto.dev\n\
          report checks a recorded run against the paper's control laws (exit 1 if\n\
-         unhealthy); report --metrics-snapshot judges a scraped GET /metrics exposition\n\
+         unhealthy) and prints its anneal, routing, stage wall-clock and swap tables;\n\
+         report --metrics-snapshot judges a scraped GET /metrics exposition\n\
          against operational thresholds offline (exit 2 on breach);\n\
          diff compares two runs' headline metrics (exit 2 on regression);\n\
          diff --bench-parallel gates the equal-wall-clock bench summary (exit 2 when\n\
@@ -118,7 +116,6 @@ const PLACE_FLAGS: FlagSpec = &[
     ("swap-interval", true),
     ("telemetry", true),
     ("telemetry-overwrite", false),
-    ("telemetry-summary", false),
     ("checkpoint", true),
     ("checkpoint-every", true),
     ("resume", true),
@@ -143,6 +140,7 @@ const REPORT_FLAGS: FlagSpec = &[
     ("metrics-snapshot", false),
     ("trace", false),
     ("top", true),
+    ("out", true),
     ("max-failed-jobs", true),
     ("max-replica-failures", true),
     ("max-queue-depth", true),
@@ -160,8 +158,6 @@ const DIFF_FLAGS: FlagSpec = &[
     ("max-overflow", true),
     ("max-unrouted", true),
 ];
-
-const TRACE_FLAGS: FlagSpec = &[("out", true), ("top", true)];
 
 const COMPARE_FLAGS: FlagSpec = &[
     ("seed", true),
@@ -266,8 +262,12 @@ mod sig {
     }
 }
 
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
 fn load_netlist(path: &str) -> Result<Netlist, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = read(path)?;
     if path.to_ascii_lowercase().ends_with(".yal") {
         timberwolfmc::netlist::parse_yal(&text).map_err(|e| format!("{path}: {e}"))
     } else {
@@ -428,7 +428,7 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
             config.place.attempts_per_cell
         );
     }
-    // Telemetry sinks: a JSONL file, an in-memory summary, both, or none.
+    // The telemetry sink: a JSONL file, or none.
     let telemetry_path = flags.get_str("telemetry");
     let mut jsonl = match telemetry_path {
         Some(path) => {
@@ -449,7 +449,6 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
         }
         None => None,
     };
-    let mut summary = flags.has("telemetry-summary").then(SummaryRecorder::new);
     let mut null = NullRecorder;
     // `--trace FILE` records a hierarchical span trace alongside the
     // run. The tracer rides the recorder via `Recorder::tracer()`, so
@@ -459,15 +458,9 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
 
     let t0 = std::time::Instant::now();
     let outcome = {
-        let mut tee;
-        let rec: &mut dyn Recorder = match (jsonl.as_mut(), summary.as_mut()) {
-            (Some(j), Some(s)) => {
-                tee = Tee { a: j, b: s };
-                &mut tee
-            }
-            (Some(j), None) => j,
-            (None, Some(s)) => s,
-            (None, None) => &mut null,
+        let rec: &mut dyn Recorder = match jsonl.as_mut() {
+            Some(j) => j,
+            None => &mut null,
         };
         let mut traced;
         let rec: &mut dyn Recorder = match &tracer {
@@ -485,9 +478,6 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
             .map_err(|e| format!("cannot write {path}: {e}"))?;
         eprintln!("wrote {events} telemetry events to {path}");
     }
-    if let Some(s) = &summary {
-        print!("{}", format_telemetry_summary(s.events()));
-    }
     // The capture is written on the interrupted path too — a span
     // trace of a budget-cut run is exactly what a profiling session
     // wants to look at.
@@ -496,7 +486,7 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
         let spans = snap.total_spans();
         std::fs::write(tpath, timberwolfmc::obs::trace::capture_to_string(&snap))
             .map_err(|e| format!("cannot write {tpath}: {e}"))?;
-        eprintln!("wrote {spans} spans to {tpath} (convert: twmc trace {tpath} --out chrome.json)");
+        eprintln!("wrote {spans} spans to {tpath} (convert: twmc report --trace {tpath} --out chrome.json)");
     }
     let result = match outcome {
         RunOutcome::Complete(result) => result,
@@ -573,8 +563,7 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
 }
 
 fn load_stream(path: &str) -> Result<timberwolfmc::analyze::RunStream, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    parse_stream(&text).map_err(|e| format!("{path}: {e}"))
+    parse_stream(&read(path)?).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `twmc serve`: runs the placement daemon until SIGINT/SIGTERM, then
@@ -639,34 +628,27 @@ fn cmd_serve(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn load_capture(path: &str) -> Result<timberwolfmc::obs::TraceSnapshot, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    timberwolfmc::analyze::parse_capture(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-/// `twmc trace CAPTURE.jsonl [--out CHROME.json] [--top N]`: converts
-/// a span-trace capture (from `twmc place --trace` or a daemon's
-/// `GET /jobs/<id>/trace`) into a Chrome Trace Event JSON that loads
-/// in ui.perfetto.dev / chrome://tracing, and prints the self-time
-/// attribution table to stdout.
-fn cmd_trace(flags: &Flags) -> Result<(), String> {
-    let path = flags
-        .positional
-        .first()
-        .ok_or_else(|| "trace needs a span-trace capture file".to_owned())?;
-    let snap = load_capture(path)?;
-    if let Some(out) = flags.get_str("out") {
-        let json = timberwolfmc::obs::trace::chrome_trace_json(&snap);
-        std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("wrote {out} (load in ui.perfetto.dev or chrome://tracing)");
+/// Prints a verdict, as one line of JSON under `--json` or else as its
+/// text table, and maps it to its exit code: `fail_code` if `failed`.
+fn verdict(
+    flags: &Flags,
+    json: impl FnOnce() -> Result<String, serde_json::Error>,
+    table: impl FnOnce() -> Result<String, String>,
+    failed: bool,
+    fail_code: u8,
+) -> Result<ExitCode, String> {
+    if flags.has("json") {
+        println!("{}", json().map_err(|e| e.to_string())?);
+    } else {
+        print!("{}", table()?);
     }
-    let prof = timberwolfmc::obs::trace::profile(&snap);
-    print!("{}", prof.format_table(flags.get("top", 20usize)?));
-    Ok(())
+    Ok(ExitCode::from(if failed { fail_code } else { 0 }))
 }
 
 /// `twmc report RUN.jsonl`: health-checks a recorded run against the
-/// paper's control laws. Exits non-zero when any check fails.
+/// paper's control laws, then prints the run's tables (anneal scopes,
+/// routing executions, stage wall-clock, swaps). Exits non-zero when
+/// any check fails.
 fn cmd_report(flags: &Flags) -> Result<ExitCode, String> {
     if flags.has("metrics-snapshot") {
         return cmd_report_snapshot(flags);
@@ -678,20 +660,15 @@ fn cmd_report(flags: &Flags) -> Result<ExitCode, String> {
         .positional
         .first()
         .ok_or_else(|| "report needs a telemetry JSONL file".to_owned())?;
-    let report = analyze(&load_stream(path)?);
-    if flags.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string(&report).map_err(|e| e.to_string())?
-        );
-    } else {
-        print!("{}", format_report(&report));
-    }
-    Ok(if report.healthy() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    let stream = load_stream(path)?;
+    let report = analyze(&stream);
+    let table = || {
+        let tables = format_runs(&stream);
+        let gap = if tables.is_empty() { "" } else { "\n" };
+        Ok(format!("{}{gap}{tables}", format_report(&report)))
+    };
+    let json = || serde_json::to_string(&report);
+    verdict(flags, json, table, !report.healthy(), 1)
 }
 
 /// `twmc report --metrics-snapshot SNAPSHOT.prom`: judges a scraped
@@ -703,7 +680,7 @@ fn cmd_report_snapshot(flags: &Flags) -> Result<ExitCode, String> {
         .positional
         .first()
         .ok_or_else(|| "report --metrics-snapshot needs a scraped /metrics file".to_owned())?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let text = read(path)?;
     let defaults = timberwolfmc::analyze::SnapshotThresholds::default();
     let thresholds = timberwolfmc::analyze::SnapshotThresholds {
         max_failed_jobs: flags.get("max-failed-jobs", defaults.max_failed_jobs)?,
@@ -715,49 +692,39 @@ fn cmd_report_snapshot(flags: &Flags) -> Result<ExitCode, String> {
     };
     let report = timberwolfmc::analyze::check_metrics_snapshot(&text, &thresholds)
         .map_err(|e| format!("{path}: {e}"))?;
-    if flags.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string(&report).map_err(|e| e.to_string())?
-        );
-    } else {
-        print!("{}", timberwolfmc::analyze::format_snapshot_report(&report));
-    }
-    Ok(if report.regressed() {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    })
+    let table = || Ok(timberwolfmc::analyze::format_snapshot_report(&report));
+    let json = || serde_json::to_string(&report);
+    verdict(flags, json, table, report.regressed(), 2)
 }
 
-/// `twmc report --trace CAPTURE.jsonl`: health-checks the wall-time
-/// distribution of a span-trace capture — flags pathological splits
-/// like overlap-index maintenance dominating move evaluation, or
-/// checkpoint writes eating a material slice of the run. Exits 2 on a
-/// breach (the `twmc diff` regression convention).
+/// `twmc report --trace CAPTURE.jsonl [--out CHROME.json]`:
+/// health-checks the wall-time distribution of a span-trace capture
+/// (from `twmc place --trace` or a daemon's `GET /jobs/<id>/trace`) —
+/// flags pathological splits like overlap-index maintenance dominating
+/// move evaluation, or checkpoint writes eating a material slice of the
+/// run — and prints its self-time table. `--out` also converts the
+/// capture into a Chrome Trace Event JSON that loads in
+/// ui.perfetto.dev / chrome://tracing. Exits 2 on a breach (the `twmc
+/// diff` regression convention).
 fn cmd_report_trace(flags: &Flags) -> Result<ExitCode, String> {
     let path = flags
         .positional
         .first()
         .ok_or_else(|| "report --trace needs a span-trace capture file".to_owned())?;
-    let snap = load_capture(path)?;
-    let report = timberwolfmc::analyze::check_trace(&snap);
-    if flags.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string(&report.findings).map_err(|e| e.to_string())?
-        );
-    } else {
-        print!(
-            "{}",
-            timberwolfmc::analyze::format_trace_report(&report, flags.get("top", 20usize)?)
-        );
+    let snap =
+        timberwolfmc::analyze::parse_capture(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
+    if let Some(out) = flags.get_str("out") {
+        let json = timberwolfmc::obs::trace::chrome_trace_json(&snap);
+        std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+        eprintln!("wrote {out} (load in ui.perfetto.dev or chrome://tracing)");
     }
-    Ok(if report.healthy() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    })
+    let report = timberwolfmc::analyze::check_trace(&snap);
+    let table = || {
+        let top = flags.get("top", 20usize)?;
+        Ok(timberwolfmc::analyze::format_trace_report(&report, top))
+    };
+    let json = || serde_json::to_string(&report.findings);
+    verdict(flags, json, table, !report.healthy(), 2)
 }
 
 /// `twmc diff BASELINE.jsonl CANDIDATE.jsonl`: compares headline
@@ -781,19 +748,14 @@ fn cmd_diff(flags: &Flags) -> Result<ExitCode, String> {
     let baseline = metrics(&load_stream(base_path)?);
     let candidate = metrics(&load_stream(cand_path)?);
     let report = diff_runs(&baseline, &candidate, &thresholds);
-    if flags.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string(&report).map_err(|e| e.to_string())?
-        );
-    } else {
-        print!("{}", format_diff(&report));
-    }
-    Ok(if report.regressed() {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    })
+    let json = || serde_json::to_string(&report);
+    verdict(
+        flags,
+        json,
+        || Ok(format_diff(&report)),
+        report.regressed(),
+        2,
+    )
 }
 
 /// `twmc diff --bench-parallel BENCH.json [BASELINE.json]`: gates the
@@ -812,26 +774,13 @@ fn cmd_diff_bench(flags: &Flags) -> Result<ExitCode, String> {
             )
         }
     };
-    let read = |path: &String| -> Result<String, String> {
-        std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
-    };
     let candidate = read(cand_path)?;
-    let baseline = base_path.map(read).transpose()?;
+    let baseline = base_path.map(|path| read(path)).transpose()?;
     let report = timberwolfmc::analyze::check_bench_parallel(&candidate, baseline.as_deref())
         .map_err(|e| format!("{cand_path}: {e}"))?;
-    if flags.has("json") {
-        println!(
-            "{}",
-            serde_json::to_string(&report.findings).map_err(|e| e.to_string())?
-        );
-    } else {
-        print!("{}", timberwolfmc::analyze::format_bench_gate(&report));
-    }
-    Ok(if report.regressed() {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    })
+    let table = || Ok(timberwolfmc::analyze::format_bench_gate(&report));
+    let json = || serde_json::to_string(&report.findings);
+    verdict(flags, json, table, report.regressed(), 2)
 }
 
 fn main() -> ExitCode {
@@ -845,7 +794,6 @@ fn main() -> ExitCode {
         "compare" => COMPARE_FLAGS,
         "serve" => SERVE_FLAGS,
         "report" => REPORT_FLAGS,
-        "trace" => TRACE_FLAGS,
         "diff" => DIFF_FLAGS,
         _ => return usage(),
     };
@@ -862,7 +810,6 @@ fn main() -> ExitCode {
         "compare" => cmd_compare(&flags).map(|()| ExitCode::SUCCESS),
         "serve" => cmd_serve(&flags),
         "report" => cmd_report(&flags),
-        "trace" => cmd_trace(&flags).map(|()| ExitCode::SUCCESS),
         "diff" => cmd_diff(&flags),
         _ => return usage(),
     };

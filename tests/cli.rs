@@ -169,6 +169,52 @@ fn report_and_diff_judge_recorded_runs() {
 }
 
 #[test]
+fn report_prints_run_tables_and_converts_traces() {
+    use timberwolfmc::{analyze::parse_capture, trace::chrome_trace_json};
+
+    let dir = std::env::temp_dir().join(format!("twmc-cli-tables-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = |file: &str| dir.join(file).to_str().unwrap().to_owned();
+    let (netlist, telemetry) = (path("tiny.twn"), path("run.jsonl"));
+    let (capture, chrome) = (path("run.trace.jsonl"), path("chrome.json"));
+    let run = |args: &[&str]| twmc().args(args).output().expect("run twmc");
+    let synth = format!("synth --cells 6 --nets 12 --pins 40 --out {netlist}");
+    let place = format!("place {netlist} --ac 8 --telemetry {telemetry} --trace {capture}");
+    assert!(run(&synth.split(' ').collect::<Vec<_>>()).status.success());
+    let out = run(&place.split(' ').collect::<Vec<_>>());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("twmc report --trace"), "{stderr}");
+
+    // The report on a recorded run prints the run tables after the verdict.
+    let out = run(&["report", &telemetry]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let tables = stdout.find("anneal runs:").expect("an anneal table");
+    assert!(out.status.success(), "{stdout}");
+    assert!(stdout[..tables].contains("health: healthy"), "{stdout}");
+    assert!(stdout[tables..].contains("\n  stage1 "), "{stdout}");
+
+    // `report --trace --out` writes the capture's Chrome Trace Event JSON
+    // and prints what `report --trace` prints.
+    let plain = run(&["report", "--trace", &capture]);
+    let converted = run(&["report", "--trace", &capture, "--out", &chrome]);
+    assert_eq!(converted.status.code(), plain.status.code());
+    assert_eq!(converted.stdout, plain.stdout);
+    let snap = parse_capture(&std::fs::read_to_string(&capture).unwrap()).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(&chrome).unwrap(),
+        chrome_trace_json(&snap)
+    );
+
+    // There is no `trace` subcommand: it prints the usage and exits 1.
+    let out = run(&["trace", &capture]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn telemetry_files_are_not_overwritten_silently() {
     let dir = std::env::temp_dir().join(format!("twmc-cli-telemetry-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
