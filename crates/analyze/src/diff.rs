@@ -1,75 +1,19 @@
 //! Cross-run regression diffs over the headline metrics.
 //!
-//! Compares a candidate run's [`Metrics`] against a baseline's, with a
-//! configurable tolerance per quality metric. Quality metrics (TEIL,
-//! routed length, chip area, overflow, unrouted nets) regress when the
-//! candidate is *worse* by more than the threshold — improvements never
-//! regress. Wall-clock is reported but informational: machine noise
-//! must not gate CI.
+//! Compares a candidate run's [`Metrics`] against a baseline's under
+//! fixed bounds, one [`Finding`] per metric. A quality metric (TEIL,
+//! routed length, chip area, overflow, unrouted nets) fails when the
+//! candidate is *worse* by more than its bound — improvements never
+//! fail. Wall-clock always passes and is labelled informational:
+//! machine noise must not gate CI.
 
-use serde::Serialize;
+use crate::health::{finding, Finding, Metrics, Severity};
 
-use crate::health::Metrics;
+/// Allowed increase of TEIL, routed length and chip area, in percent.
+const MAX_PCT: f64 = 2.0;
 
-/// Per-metric regression tolerances.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DiffThresholds {
-    /// Allowed TEIL increase, in percent.
-    pub teil_pct: f64,
-    /// Allowed routed-length increase, in percent.
-    pub length_pct: f64,
-    /// Allowed chip-area increase, in percent.
-    pub area_pct: f64,
-    /// Allowed absolute overflow increase.
-    pub overflow_abs: i64,
-    /// Allowed absolute unrouted-net increase.
-    pub unrouted_abs: i64,
-}
-
-impl Default for DiffThresholds {
-    fn default() -> Self {
-        DiffThresholds {
-            teil_pct: 2.0,
-            length_pct: 2.0,
-            area_pct: 2.0,
-            overflow_abs: 0,
-            unrouted_abs: 0,
-        }
-    }
-}
-
-/// One compared metric.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct MetricDelta {
-    /// Metric name.
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Candidate value.
-    pub candidate: f64,
-    /// Signed change in percent of the baseline (0 when both are 0).
-    pub change_pct: f64,
-    /// Whether the change breaches the metric's threshold.
-    pub regressed: bool,
-    /// Whether the metric gates the diff at all.
-    pub gating: bool,
-}
-
-/// Outcome of one baseline/candidate comparison.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct DiffReport {
-    /// One row per compared metric, in fixed order.
-    pub deltas: Vec<MetricDelta>,
-    /// Number of regressed gating metrics.
-    pub regressions: u64,
-}
-
-impl DiffReport {
-    /// Whether any gating metric regressed.
-    pub fn regressed(&self) -> bool {
-        self.regressions > 0
-    }
-}
+/// Allowed increase of residual overflow and of unrouted nets.
+const MAX_ABS: i64 = 0;
 
 fn pct_change(baseline: f64, candidate: f64) -> f64 {
     if baseline == 0.0 && candidate == 0.0 {
@@ -81,102 +25,70 @@ fn pct_change(baseline: f64, candidate: f64) -> f64 {
     }
 }
 
-/// Diffs a candidate against a baseline under the given thresholds.
-pub fn diff_runs(baseline: &Metrics, candidate: &Metrics, th: &DiffThresholds) -> DiffReport {
-    let pct_row = |metric: &str, b: f64, c: f64, threshold_pct: f64| {
-        let change_pct = pct_change(b, c);
-        MetricDelta {
-            metric: metric.to_owned(),
-            baseline: b,
-            candidate: c,
-            change_pct,
-            regressed: change_pct > threshold_pct,
-            gating: true,
-        }
+/// `"b -> c (+x.xx%)"`, with `new` for a change from zero.
+fn change(b: f64, c: f64) -> String {
+    let pct = pct_change(b, c);
+    let pct = if pct.is_finite() {
+        format!("{pct:+.2}%")
+    } else {
+        "new".to_owned()
     };
-    let abs_row = |metric: &str, b: i64, c: i64, threshold_abs: i64| MetricDelta {
-        metric: metric.to_owned(),
-        baseline: b as f64,
-        candidate: c as f64,
-        change_pct: pct_change(b as f64, c as f64),
-        regressed: c - b > threshold_abs,
-        gating: true,
-    };
-    let mut deltas = vec![
-        pct_row("teil", baseline.teil, candidate.teil, th.teil_pct),
-        pct_row(
-            "routed_length",
-            baseline.routed_length as f64,
-            candidate.routed_length as f64,
-            th.length_pct,
-        ),
-        pct_row(
-            "chip_area",
-            baseline.chip_area as f64,
-            candidate.chip_area as f64,
-            th.area_pct,
-        ),
-        abs_row(
-            "overflow",
-            baseline.overflow,
-            candidate.overflow,
-            th.overflow_abs,
-        ),
-        abs_row(
-            "unrouted",
-            baseline.unrouted,
-            candidate.unrouted,
-            th.unrouted_abs,
-        ),
-    ];
-    deltas.push(MetricDelta {
-        metric: "wall_us".to_owned(),
-        baseline: baseline.wall_us as f64,
-        candidate: candidate.wall_us as f64,
-        change_pct: pct_change(baseline.wall_us as f64, candidate.wall_us as f64),
-        regressed: false,
-        gating: false,
-    });
-    let regressions = deltas.iter().filter(|d| d.regressed).count() as u64;
-    DiffReport {
-        deltas,
-        regressions,
+    format!("{b:.0} -> {c:.0} ({pct})")
+}
+
+fn fails_if(worse: bool) -> Severity {
+    if worse {
+        Severity::Fail
+    } else {
+        Severity::Pass
     }
 }
 
-/// Renders a diff as the terminal table behind `twmc diff`.
-pub fn format_diff(report: &DiffReport) -> String {
-    let mut out = String::new();
-    out.push_str("metric          baseline    candidate    change\n");
-    for d in &report.deltas {
-        let marker = if d.regressed {
-            "  REGRESSED"
-        } else if !d.gating {
-            "  (info)"
-        } else {
-            ""
-        };
-        let change = if d.change_pct.is_finite() {
-            format!("{:+.2}%", d.change_pct)
-        } else {
-            "new".to_owned()
-        };
-        out.push_str(&format!(
-            "{:<14} {:>10.0} {:>12.0} {:>9}{marker}\n",
-            d.metric, d.baseline, d.candidate, change
-        ));
-    }
-    out.push_str(&if report.regressed() {
-        format!("diff: {} metric(s) REGRESSED\n", report.regressions)
-    } else {
-        "diff: no regressions\n".to_owned()
-    });
-    out
+/// Diffs a candidate against a baseline: `diff.teil`,
+/// `diff.routed_length` and `diff.chip_area` fail beyond +2%,
+/// `diff.overflow` and `diff.unrouted` on any increase, and
+/// `diff.wall_us` always passes.
+pub fn diff_runs(baseline: &Metrics, candidate: &Metrics) -> Vec<Finding> {
+    let pct = |check: &str, b: f64, c: f64| {
+        finding(
+            check,
+            fails_if(pct_change(b, c) > MAX_PCT),
+            format!("{}, bound +{MAX_PCT}%", change(b, c)),
+        )
+    };
+    let abs = |check: &str, b: i64, c: i64| {
+        finding(
+            check,
+            fails_if(c - b > MAX_ABS),
+            format!("{b} -> {c} ({:+}), bound +{MAX_ABS}", c - b),
+        )
+    };
+    let (b, c) = (baseline, candidate);
+    vec![
+        pct("diff.teil", b.teil, c.teil),
+        pct(
+            "diff.routed_length",
+            b.routed_length as f64,
+            c.routed_length as f64,
+        ),
+        pct("diff.chip_area", b.chip_area as f64, c.chip_area as f64),
+        abs("diff.overflow", b.overflow, c.overflow),
+        abs("diff.unrouted", b.unrouted, c.unrouted),
+        finding(
+            "diff.wall_us",
+            Severity::Pass,
+            format!(
+                "{}, informational",
+                change(b.wall_us as f64, c.wall_us as f64)
+            ),
+        ),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::{format_findings, worst};
 
     fn base() -> Metrics {
         Metrics {
@@ -191,30 +103,45 @@ mod tests {
         }
     }
 
+    fn severity(findings: &[Finding], check: &str) -> Severity {
+        findings.iter().find(|f| f.check == check).unwrap().severity
+    }
+
     #[test]
     fn identical_runs_do_not_regress() {
-        let d = diff_runs(&base(), &base(), &DiffThresholds::default());
-        assert!(!d.regressed(), "{}", format_diff(&d));
-        assert!(format_diff(&d).contains("no regressions"));
+        let d = diff_runs(&base(), &base());
+        assert_eq!(worst(&d), Severity::Pass, "{}", format_findings(&d));
+        let checks: Vec<&str> = d.iter().map(|f| f.check.as_str()).collect();
+        assert_eq!(
+            checks,
+            [
+                "diff.teil",
+                "diff.routed_length",
+                "diff.chip_area",
+                "diff.overflow",
+                "diff.unrouted",
+                "diff.wall_us"
+            ]
+        );
+        assert!(format_findings(&d).ends_with("verdict: pass\n"));
     }
 
     #[test]
     fn teil_regression_is_flagged_beyond_threshold() {
         let mut cand = base();
-        cand.teil = 1030.0; // +3% > default 2%
-        let d = diff_runs(&base(), &cand, &DiffThresholds::default());
-        assert!(d.regressed());
-        let row = d.deltas.iter().find(|r| r.metric == "teil").unwrap();
-        assert!(row.regressed);
-        assert!((row.change_pct - 3.0).abs() < 1e-9);
-        assert!(format_diff(&d).contains("REGRESSED"));
+        cand.teil = 1030.0; // +3% > 2%
+        let d = diff_runs(&base(), &cand);
+        assert_eq!(severity(&d, "diff.teil"), Severity::Fail);
+        let text = format_findings(&d);
+        assert!(
+            text.contains("FAIL  diff.teil            1000 -> 1030 (+3.00%), bound +2%"),
+            "{text}"
+        );
+        assert!(text.ends_with("verdict: FAIL\n"), "{text}");
 
-        // A looser threshold absorbs it.
-        let th = DiffThresholds {
-            teil_pct: 5.0,
-            ..DiffThresholds::default()
-        };
-        assert!(!diff_runs(&base(), &cand, &th).regressed());
+        // The bound itself still passes.
+        cand.teil = 1020.0;
+        assert_eq!(worst(&diff_runs(&base(), &cand)), Severity::Pass);
     }
 
     #[test]
@@ -223,34 +150,41 @@ mod tests {
         cand.teil = 500.0;
         cand.routed_length = 2000;
         cand.chip_area = 10_000;
-        let d = diff_runs(&base(), &cand, &DiffThresholds::default());
-        assert!(!d.regressed(), "{}", format_diff(&d));
+        let d = diff_runs(&base(), &cand);
+        assert_eq!(worst(&d), Severity::Pass, "{}", format_findings(&d));
     }
 
     #[test]
     fn overflow_and_unrouted_gate_absolutely() {
         let mut cand = base();
         cand.overflow = 1;
-        assert!(diff_runs(&base(), &cand, &DiffThresholds::default()).regressed());
+        assert_eq!(
+            severity(&diff_runs(&base(), &cand), "diff.overflow"),
+            Severity::Fail
+        );
         cand.overflow = 0;
         cand.unrouted = 2;
-        assert!(diff_runs(&base(), &cand, &DiffThresholds::default()).regressed());
+        let d = diff_runs(&base(), &cand);
+        assert_eq!(severity(&d, "diff.unrouted"), Severity::Fail);
+        assert!(format_findings(&d).contains("0 -> 2 (+2), bound +0"));
     }
 
     #[test]
     fn wall_clock_is_informational() {
         let mut cand = base();
         cand.wall_us = 10_000_000; // 10x slower
-        let d = diff_runs(&base(), &cand, &DiffThresholds::default());
-        assert!(!d.regressed());
-        assert!(format_diff(&d).contains("(info)"));
+        let d = diff_runs(&base(), &cand);
+        assert_eq!(worst(&d), Severity::Pass);
+        assert!(format_findings(&d).contains("(+900.00%), informational"));
     }
 
     #[test]
     fn diff_serializes_to_json() {
-        let json = serde_json::to_string(&diff_runs(&base(), &base(), &DiffThresholds::default()))
-            .unwrap();
-        assert!(json.contains("\"deltas\""), "{json}");
+        let json = serde_json::to_string(&diff_runs(&base(), &base())).unwrap();
+        assert!(
+            json.starts_with("[{\"check\":\"diff.teil\",\"severity\":\"Pass\""),
+            "{json}"
+        );
         twmc_obs::validate::parse_json(&json).unwrap();
     }
 }

@@ -69,14 +69,9 @@ pub struct HealthReport {
 }
 
 impl HealthReport {
-    /// Worst severity across all findings.
-    pub fn worst(&self) -> Severity {
-        worst(&self.findings)
-    }
-
     /// Whether no finding failed.
     pub fn healthy(&self) -> bool {
-        self.worst() != Severity::Fail
+        worst(&self.findings) != Severity::Fail
     }
 }
 
@@ -97,8 +92,9 @@ pub(crate) fn finding(check: &str, severity: Severity, detail: String) -> Findin
     }
 }
 
-/// Worst severity across `findings` (`Pass` when there are none).
-pub(crate) fn worst(findings: &[Finding]) -> Severity {
+/// Worst severity across `findings` (`Pass` when there are none): a
+/// `Fail` makes every `twmc report` and `twmc diff` judgement exit 2.
+pub fn worst(findings: &[Finding]) -> Severity {
     findings
         .iter()
         .map(|f| f.severity)
@@ -107,8 +103,9 @@ pub(crate) fn worst(findings: &[Finding]) -> Severity {
 }
 
 /// Renders findings one per line, `PASS`/`WARN`/`FAIL` then the check
-/// and its evidence: the head of every `report` and gate table.
-pub(crate) fn format_findings(findings: &[Finding]) -> String {
+/// and its evidence, closed by one `verdict:` line from [`worst`]: the
+/// head of every `twmc report` and `twmc diff` table.
+pub fn format_findings(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         let tag = match f.severity {
@@ -118,6 +115,12 @@ pub(crate) fn format_findings(findings: &[Finding]) -> String {
         };
         out.push_str(&format!("{tag}  {:<20} {}\n", f.check, f.detail));
     }
+    let verdict = match worst(findings) {
+        Severity::Pass => "pass",
+        Severity::Warn => "pass with warnings",
+        Severity::Fail => "FAIL",
+    };
+    out.push_str(&format!("verdict: {verdict}\n"));
     out
 }
 
@@ -815,7 +818,8 @@ fn check_routes(stream: &RunStream) -> Vec<Finding> {
     findings
 }
 
-/// Renders a report as the terminal table behind `twmc report`.
+/// Renders a report as the head of `twmc report RUN.jsonl`: the
+/// findings and their verdict, then the headline metrics.
 pub fn format_report(report: &HealthReport) -> String {
     let mut out = format_findings(&report.findings);
     let m = &report.metrics;
@@ -831,12 +835,6 @@ pub fn format_report(report: &HealthReport) -> String {
         m.route_iters,
         m.wall_us as f64 / 1e6
     ));
-    let verdict = match report.worst() {
-        Severity::Pass => "healthy",
-        Severity::Warn => "healthy with warnings",
-        Severity::Fail => "UNHEALTHY",
-    };
-    out.push_str(&format!("health: {verdict}\n"));
     out
 }
 
@@ -861,7 +859,7 @@ mod tests {
         assert_eq!(sched.severity, Severity::Pass, "{}", sched.detail);
         assert!(sched.detail.contains("0.85 -> 0.92 -> 0.85 -> 0.8"));
         let text = format_report(&report);
-        assert!(text.contains("health: healthy"), "{text}");
+        assert!(text.contains("verdict: pass\nmetrics: TEIL"), "{text}");
     }
 
     #[test]
@@ -876,7 +874,7 @@ mod tests {
             .find(|f| f.check == "schedule.table1")
             .unwrap();
         assert_eq!(sched.severity, Severity::Fail, "{}", sched.detail);
-        assert!(format_report(&report).contains("UNHEALTHY"));
+        assert!(format_report(&report).contains("verdict: FAIL"));
     }
 
     /// A minimal tempering stream with the given exchange tallies.

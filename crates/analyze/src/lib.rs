@@ -1,10 +1,11 @@
-//! Offline run-health diagnostics and cross-run regression diffs for
-//! recorded TimberWolfMC telemetry (the engine behind `twmc report`
-//! and `twmc diff`).
+//! Offline judgements of recorded TimberWolfMC artefacts (the engine
+//! behind `twmc report` and `twmc diff`).
 //!
 //! The twmc-obs crate records what the annealing stack *did*; this
 //! crate judges whether that matches what the paper says a healthy run
-//! *does*:
+//! *does*. Every judgement is a list of pass/warn/fail [`Finding`]s
+//! against fixed bounds, rendered by the one [`format_findings`] and
+//! gated by the one [`worst`]:
 //!
 //! * [`parse_stream`] — the one reader of the JSONL telemetry format:
 //!   parses each line once, lifting it into typed records while it
@@ -14,35 +15,34 @@
 //!   `S_T`/`T_∞` scaling (eqs. 18–21), eq. 12–14 range-limiter decay
 //!   with ρ = 4, acceptance-rate trajectory, cost convergence, the
 //!   r ≈ 10 move mix (Fig. 3), and the phase-2 routing overflow
-//!   guarantees (eq. 24) — each a pass/warn/fail [`Finding`];
+//!   guarantees (eq. 24);
 //! * [`format_runs`] — the run tables `twmc report` prints after the
 //!   findings: one row per anneal scope and per routing execution, the
 //!   wall clock per stage, and the swap acceptance;
-//! * [`diff_runs`] — compares two runs' headline [`Metrics`] under
-//!   configurable thresholds; quality regressions gate, wall-clock is
-//!   informational;
-//! * [`check_metrics_snapshot`] — judges a scraped `/metrics`
-//!   exposition offline against operational thresholds (the engine
-//!   behind `twmc report --metrics-snapshot`, same exit-2 convention);
+//! * [`parse_capture`] / [`check_trace`] — a span-trace capture's
+//!   wall-time split and self-time table;
+//! * [`diff_runs`] — compares two runs' headline [`Metrics`]: quality
+//!   regressions beyond fixed bounds fail, wall-clock is informational;
+//! * [`check_metrics_snapshot`] — holds a scraped `/metrics`
+//!   exposition to fixed operational bounds;
 //! * [`check_bench_parallel`] — the equal-wall-clock bench gate over
-//!   `BENCH_parallel.json` (`twmc diff --bench-parallel`): tempering
-//!   must beat best-of-N multistart on the same CPU budget at ≥ 4
-//!   replicas, and must not regress against a baseline summary;
+//!   `BENCH_parallel.json`: tempering must beat best-of-N multistart
+//!   on the same CPU budget at ≥ 4 replicas;
 //! * [`testgen`] — deterministic synthetic streams that follow (or
 //!   deliberately bend) the laws, for tests and CI fixtures.
 //!
 //! # Examples
 //!
 //! ```
-//! use twmc_analyze::{analyze, diff_runs, parse_stream, DiffThresholds};
+//! use twmc_analyze::{analyze, diff_runs, parse_stream, worst, Severity};
 //! use twmc_analyze::testgen::{synth_stream, SynthSpec};
 //!
 //! let stream = parse_stream(&synth_stream(&SynthSpec::default())).unwrap();
 //! let report = analyze(&stream);
 //! assert!(report.healthy());
 //!
-//! let diff = diff_runs(&report.metrics, &report.metrics, &DiffThresholds::default());
-//! assert!(!diff.regressed());
+//! let diff = diff_runs(&report.metrics, &report.metrics);
+//! assert_eq!(worst(&diff), Severity::Pass);
 //! ```
 
 #![warn(missing_docs)]
@@ -57,15 +57,13 @@ mod stream;
 pub mod testgen;
 mod trace;
 
-pub use bench::{
-    check_bench_parallel, format_bench_gate, parse_equal_wall, BenchGateReport, EqualWallRec,
+pub use bench::check_bench_parallel;
+pub use diff::diff_runs;
+pub use health::{
+    analyze, format_findings, format_report, metrics, worst, Finding, HealthReport, Metrics,
+    Severity,
 };
-pub use diff::{diff_runs, format_diff, DiffReport, DiffThresholds, MetricDelta};
-pub use health::{analyze, format_report, metrics, Finding, HealthReport, Metrics, Severity};
-pub use promsnap::{
-    check_metrics_snapshot, format_snapshot_report, SnapshotCheck, SnapshotReport,
-    SnapshotThresholds,
-};
+pub use promsnap::check_metrics_snapshot;
 pub use runs::format_runs;
 pub use stream::{
     parse_stream, ClassRec, ReplicaFailedRec, ReplicaSummaryRec, RouteRec, RunEndRec,

@@ -1,81 +1,30 @@
 //! Offline health judgment of a scraped `/metrics` exposition.
 //!
-//! `twmc report --metrics-snapshot SNAPSHOT.prom` feeds a file captured
-//! with `curl /metrics` through the [`twmc_metrics::expo`] parser and
-//! checks the live-plane families against operational thresholds — the
-//! same exit-2 gating convention as `twmc diff`, so CI can tell "the
-//! daemon is unhealthy" (2) apart from "the snapshot is unreadable"
-//! (1). Every check names the family it read, the value it saw, and
-//! the bound it applied; a family the daemon always pre-registers
-//! being *absent* is an operational error (wrong file), not a breach.
-
-use serde::Serialize;
+//! `twmc report SNAPSHOT.prom` feeds a file captured with `curl
+//! /metrics` through the [`twmc_metrics::expo`] parser and holds the
+//! live-plane families to fixed operational bounds, one
+//! `metrics.<family>` [`Finding`] each. A breach fails (exit 2), so CI
+//! can tell "the daemon is unhealthy" apart from "the snapshot is
+//! unreadable" (exit 1). Every finding names the value it saw and the
+//! bound it applied; a family the daemon always pre-registers being
+//! *absent* is an operational error (wrong file), not a breach.
 
 use twmc_metrics::expo::{self, Snapshot};
 
-/// Operational bounds for a `/metrics` snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SnapshotThresholds {
-    /// Max jobs allowed in the failed state-counter.
-    pub max_failed_jobs: u64,
-    /// Max replica failures absorbed by the fault-isolation layer.
-    pub max_replica_failures: u64,
-    /// Max queued + preempted jobs waiting for a worker.
-    pub max_queue_depth: i64,
-    /// Max routing overflow on the most recent route iteration.
-    pub max_route_overflow: i64,
-    /// Max p50 of the sampled per-move evaluation latency, in
-    /// nanoseconds (ROADMAP's sub-microsecond gate). `0` disables the
-    /// check — a snapshot scraped before any job ran has no samples.
-    pub max_move_eval_p50_ns: f64,
-    /// Max job directories the startup scan is allowed to have
-    /// quarantined. Any quarantined job means durable state was torn or
-    /// unreadable — the default of 0 treats that as a breach so an
-    /// operator looks at `spool/quarantine/` before trusting the fleet.
-    pub max_quarantined: i64,
-}
+use crate::health::{finding, Finding, Severity};
 
-impl Default for SnapshotThresholds {
-    fn default() -> Self {
-        SnapshotThresholds {
-            max_failed_jobs: 0,
-            max_replica_failures: 0,
-            max_queue_depth: 64,
-            max_route_overflow: 0,
-            max_move_eval_p50_ns: 0.0,
-            max_quarantined: 0,
-        }
-    }
-}
-
-/// One threshold check over one family.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SnapshotCheck {
-    /// The family (plus derivation, e.g. a quantile) that was read.
-    pub metric: String,
-    /// The value the snapshot holds.
-    pub value: f64,
-    /// The bound it was held to.
-    pub threshold: f64,
-    /// Whether the value breaches the bound.
-    pub regressed: bool,
-}
-
-/// Outcome of judging one snapshot.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct SnapshotReport {
-    /// One row per checked family, in fixed order.
-    pub checks: Vec<SnapshotCheck>,
-    /// Number of breached checks.
-    pub regressions: u64,
-}
-
-impl SnapshotReport {
-    /// Whether any check breached its bound.
-    pub fn regressed(&self) -> bool {
-        self.regressions > 0
-    }
-}
+/// Each gated family with the largest value it may hold: no failed
+/// jobs, no replica failures absorbed, at most 64 jobs waiting for a
+/// worker, no overflow on the latest route iteration, and no job
+/// directory quarantined by the startup scan (torn or unreadable
+/// durable state: look at `spool/quarantine/` before trusting it).
+const BOUNDS: [(&str, f64); 5] = [
+    ("twmc_jobs_failed_total", 0.0),
+    ("twmc_replica_failures_total", 0.0),
+    ("twmc_queue_depth", 64.0),
+    ("twmc_route_overflow", 0.0),
+    ("twmc_spool_quarantined", 0.0),
+];
 
 /// Reads a required scalar family, erroring when it is absent — the
 /// daemon pre-registers every family, so absence means the file is not
@@ -85,94 +34,37 @@ fn required(snap: &Snapshot, name: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("snapshot lacks required family `{name}`"))
 }
 
-/// Parses and judges a scraped exposition against the thresholds.
-pub fn check_metrics_snapshot(
-    text: &str,
-    th: &SnapshotThresholds,
-) -> Result<SnapshotReport, String> {
-    let snap = expo::parse(text)?;
-    let le = |metric: &str, value: f64, threshold: f64| SnapshotCheck {
-        metric: metric.to_owned(),
-        value,
-        threshold,
-        regressed: value > threshold,
-    };
-
-    let mut checks = vec![
-        le(
-            "twmc_jobs_failed_total",
-            required(&snap, "twmc_jobs_failed_total")?,
-            th.max_failed_jobs as f64,
-        ),
-        le(
-            "twmc_replica_failures_total",
-            required(&snap, "twmc_replica_failures_total")?,
-            th.max_replica_failures as f64,
-        ),
-        le(
-            "twmc_queue_depth",
-            required(&snap, "twmc_queue_depth")?,
-            th.max_queue_depth as f64,
-        ),
-        le(
-            "twmc_route_overflow",
-            required(&snap, "twmc_route_overflow")?,
-            th.max_route_overflow as f64,
-        ),
-        le(
-            "twmc_spool_quarantined",
-            required(&snap, "twmc_spool_quarantined")?,
-            th.max_quarantined as f64,
-        ),
-    ];
-    // Busy workers beyond the pool size means the gauges are corrupt —
-    // always a breach, never configurable.
-    let workers = required(&snap, "twmc_workers")?;
-    checks.push(le(
-        "twmc_workers_busy",
-        required(&snap, "twmc_workers_busy")?,
-        workers,
-    ));
-    if th.max_move_eval_p50_ns > 0.0 {
-        let hist = snap
-            .histogram("twmc_move_eval_ns")
-            .ok_or_else(|| "snapshot lacks required family `twmc_move_eval_ns`".to_owned())?;
-        // No samples yet (no job has run) is vacuously healthy.
-        if let Some(p50) = hist.quantile(0.5) {
-            checks.push(le("twmc_move_eval_ns{p50}", p50, th.max_move_eval_p50_ns));
-        }
-    }
-
-    let regressions = checks.iter().filter(|c| c.regressed).count() as u64;
-    Ok(SnapshotReport {
-        checks,
-        regressions,
-    })
+fn at_most(family: &str, value: f64, bound: f64) -> Finding {
+    finding(
+        &format!("metrics.{family}"),
+        if value > bound {
+            Severity::Fail
+        } else {
+            Severity::Pass
+        },
+        format!("{value:.0}, bound <= {bound:.0}"),
+    )
 }
 
-/// Renders a snapshot report as the terminal table behind
-/// `twmc report --metrics-snapshot`.
-pub fn format_snapshot_report(report: &SnapshotReport) -> String {
-    let mut out = String::new();
-    out.push_str("family                            value    threshold\n");
-    for c in &report.checks {
-        let marker = if c.regressed { "  BREACHED" } else { "" };
-        out.push_str(&format!(
-            "{:<30} {:>10.0} {:>12.0}{marker}\n",
-            c.metric, c.value, c.threshold
-        ));
+/// Parses and judges a scraped exposition: one finding per bounded
+/// family, then `metrics.twmc_workers_busy`, which may never exceed
+/// the pool size (beyond it the gauges are corrupt).
+pub fn check_metrics_snapshot(text: &str) -> Result<Vec<Finding>, String> {
+    let snap = expo::parse(text)?;
+    let mut findings = Vec::new();
+    for (family, bound) in BOUNDS {
+        findings.push(at_most(family, required(&snap, family)?, bound));
     }
-    out.push_str(&if report.regressed() {
-        format!("snapshot: {} check(s) BREACHED\n", report.regressions)
-    } else {
-        "snapshot: healthy\n".to_owned()
-    });
-    out
+    let workers = required(&snap, "twmc_workers")?;
+    let busy = required(&snap, "twmc_workers_busy")?;
+    findings.push(at_most("twmc_workers_busy", busy, workers));
+    Ok(findings)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::health::{format_findings, worst};
     use twmc_metrics::MetricsHub;
 
     fn healthy_scrape() -> String {
@@ -183,56 +75,39 @@ mod tests {
         hub.render()
     }
 
+    fn failed(findings: &[Finding]) -> Vec<&str> {
+        findings
+            .iter()
+            .filter(|f| f.severity == Severity::Fail)
+            .map(|f| f.check.as_str())
+            .collect()
+    }
+
     #[test]
     fn a_fresh_daemon_scrape_is_healthy() {
-        let report =
-            check_metrics_snapshot(&healthy_scrape(), &SnapshotThresholds::default()).unwrap();
-        assert!(!report.regressed(), "{}", format_snapshot_report(&report));
-        assert!(format_snapshot_report(&report).contains("healthy"));
+        let findings = check_metrics_snapshot(&healthy_scrape()).unwrap();
+        assert_eq!(worst(&findings), Severity::Pass);
+        assert_eq!(findings.len(), 6);
+        let text = format_findings(&findings);
+        assert!(text.contains("PASS  metrics.twmc_queue_depth 0, bound <= 64\n"));
+        assert!(text.ends_with("verdict: pass\n"), "{text}");
     }
 
     #[test]
     fn failed_jobs_breach_the_default_bound() {
         let hub = MetricsHub::new();
         hub.jobs_failed_total.inc();
-        let report = check_metrics_snapshot(&hub.render(), &SnapshotThresholds::default()).unwrap();
-        assert!(report.regressed());
-        let row = &report.checks[0];
-        assert_eq!(row.metric, "twmc_jobs_failed_total");
-        assert!(row.regressed);
-        assert!(format_snapshot_report(&report).contains("BREACHED"));
-
-        // A looser bound absorbs it.
-        let th = SnapshotThresholds {
-            max_failed_jobs: 1,
-            ..SnapshotThresholds::default()
-        };
-        assert!(!check_metrics_snapshot(&hub.render(), &th)
-            .unwrap()
-            .regressed());
+        let findings = check_metrics_snapshot(&hub.render()).unwrap();
+        assert_eq!(failed(&findings), ["metrics.twmc_jobs_failed_total"]);
+        assert!(format_findings(&findings).contains("FAIL  metrics.twmc_jobs_failed_total 1, "));
     }
 
     #[test]
     fn quarantined_jobs_breach_by_default() {
         let hub = MetricsHub::new();
         hub.spool_quarantined.set(1);
-        let report = check_metrics_snapshot(&hub.render(), &SnapshotThresholds::default()).unwrap();
-        assert!(report.regressed(), "{}", format_snapshot_report(&report));
-        let row = report
-            .checks
-            .iter()
-            .find(|c| c.metric == "twmc_spool_quarantined")
-            .unwrap();
-        assert!(row.regressed);
-
-        // An operator can acknowledge a known quarantine backlog.
-        let th = SnapshotThresholds {
-            max_quarantined: 1,
-            ..SnapshotThresholds::default()
-        };
-        assert!(!check_metrics_snapshot(&hub.render(), &th)
-            .unwrap()
-            .regressed());
+        let findings = check_metrics_snapshot(&hub.render()).unwrap();
+        assert_eq!(failed(&findings), ["metrics.twmc_spool_quarantined"]);
     }
 
     #[test]
@@ -240,48 +115,25 @@ mod tests {
         let hub = MetricsHub::new();
         hub.workers.set(2);
         hub.workers_busy.set(3);
-        let report = check_metrics_snapshot(&hub.render(), &SnapshotThresholds::default()).unwrap();
-        assert!(report.regressed());
-    }
-
-    #[test]
-    fn move_latency_gate_is_opt_in_and_judges_the_p50() {
-        let hub = MetricsHub::new();
-        for _ in 0..100 {
-            hub.move_eval_ns.observe(50_000.0);
-        }
-        // Off by default: slow moves alone do not breach.
-        let report = check_metrics_snapshot(&hub.render(), &SnapshotThresholds::default()).unwrap();
-        assert!(!report.regressed());
-        // Gated at 1 µs, a 50 µs p50 breaches.
-        let th = SnapshotThresholds {
-            max_move_eval_p50_ns: 1_000.0,
-            ..SnapshotThresholds::default()
-        };
-        let report = check_metrics_snapshot(&hub.render(), &th).unwrap();
-        assert!(report.regressed(), "{}", format_snapshot_report(&report));
-        // An empty histogram is vacuously healthy under the same gate.
-        let empty = check_metrics_snapshot(&MetricsHub::new().render(), &th).unwrap();
-        assert!(!empty.regressed());
+        let findings = check_metrics_snapshot(&hub.render()).unwrap();
+        assert_eq!(failed(&findings), ["metrics.twmc_workers_busy"]);
     }
 
     #[test]
     fn a_foreign_file_is_an_operational_error() {
-        let err = check_metrics_snapshot("up 1\n", &SnapshotThresholds::default()).unwrap_err();
+        let err = check_metrics_snapshot("up 1\n").unwrap_err();
         assert!(err.contains("twmc_jobs_failed_total"), "{err}");
-        assert!(check_metrics_snapshot(
-            "garbage without value-lines that parse? no:",
-            &SnapshotThresholds::default()
-        )
-        .is_err());
+        assert!(check_metrics_snapshot("garbage without value-lines that parse? no:").is_err());
     }
 
     #[test]
     fn report_serializes_to_json() {
-        let report =
-            check_metrics_snapshot(&healthy_scrape(), &SnapshotThresholds::default()).unwrap();
-        let json = serde_json::to_string(&report).unwrap();
-        assert!(json.contains("\"checks\""), "{json}");
+        let findings = check_metrics_snapshot(&healthy_scrape()).unwrap();
+        let json = serde_json::to_string(&findings).unwrap();
+        assert!(
+            json.starts_with("[{\"check\":\"metrics.twmc_jobs_failed_total\""),
+            "{json}"
+        );
         twmc_obs::validate::parse_json(&json).unwrap();
     }
 }

@@ -2,7 +2,7 @@
 //! `twmc --trace` / the daemon spool back into a
 //! [`TraceSnapshot`], and judges the resulting wall-time profile for
 //! pathological distributions (the engine behind `twmc report
-//! --trace`).
+//! CAPTURE.jsonl`).
 //!
 //! The checks are operational, not algorithmic: they ask where the
 //! run's wall-clock went, not whether the annealer obeyed the paper.
@@ -43,14 +43,9 @@ pub struct TraceReport {
 }
 
 impl TraceReport {
-    /// Worst severity across all findings.
-    pub fn worst(&self) -> Severity {
-        worst(&self.findings)
-    }
-
     /// Whether no finding failed.
     pub fn healthy(&self) -> bool {
-        self.worst() != Severity::Fail
+        worst(&self.findings) != Severity::Fail
     }
 }
 
@@ -264,8 +259,8 @@ pub fn check_trace(snap: &TraceSnapshot) -> TraceReport {
     }
 }
 
-/// Renders a [`TraceReport`] for the terminal: findings first, then
-/// the top-`top` self-time rows.
+/// Renders a [`TraceReport`] for the terminal: findings and their
+/// verdict first, then the top-`top` self-time rows.
 pub fn format_trace_report(report: &TraceReport, top: usize) -> String {
     let mut out = format_findings(&report.findings);
     out.push('\n');

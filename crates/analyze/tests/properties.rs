@@ -5,7 +5,9 @@
 use proptest::prelude::*;
 
 use twmc_analyze::testgen::{synth_stream, SynthSpec};
-use twmc_analyze::{analyze, diff_runs, format_diff, format_report, parse_stream, DiffThresholds};
+use twmc_analyze::{
+    analyze, diff_runs, format_findings, format_report, parse_stream, worst, Severity,
+};
 
 fn arb_spec() -> impl Strategy<Value = SynthSpec> {
     let alpha = prop_oneof![Just(None), (0.55f64..0.99).prop_map(Some)];
@@ -87,12 +89,11 @@ proptest! {
     fn self_diff_is_clean_and_diff_is_deterministic(a in arb_spec(), b in arb_spec()) {
         let ma = analyze(&parse_stream(&synth_stream(&a)).expect("validates")).metrics;
         let mb = analyze(&parse_stream(&synth_stream(&b)).expect("validates")).metrics;
-        let th = DiffThresholds::default();
-        prop_assert!(!diff_runs(&ma, &ma, &th).regressed());
-        let d1 = diff_runs(&ma, &mb, &th);
-        let d2 = diff_runs(&ma, &mb, &th);
+        prop_assert_eq!(worst(&diff_runs(&ma, &ma)), Severity::Pass);
+        let d1 = diff_runs(&ma, &mb);
+        let d2 = diff_runs(&ma, &mb);
         prop_assert_eq!(&d1, &d2);
-        prop_assert_eq!(format_diff(&d1), format_diff(&d2));
+        prop_assert_eq!(format_findings(&d1), format_findings(&d2));
     }
 
     /// Arbitrary bytes are rejected with an error, never a panic.

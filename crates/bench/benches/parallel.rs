@@ -97,7 +97,7 @@ struct BenchSummary {
     checkpoint_overhead: CheckpointOverheadRow,
 }
 
-/// The equal-wall-clock win gate behind `twmc diff --bench-parallel`:
+/// The equal-wall-clock win gate behind `twmc report BENCH_parallel.json`:
 /// time one tempering run, then grant multistart the same CPU budget
 /// as best-of-N batches (distinct master seeds, at least one batch)
 /// and record both best TEILs. A ladder that cannot beat that at ≥ 4

@@ -1,6 +1,6 @@
 //! Reader for the Prometheus text exposition format this crate writes.
 //!
-//! `twmc report --metrics-snapshot` judges a scraped `/metrics` file
+//! `twmc report SNAPSHOT.prom` judges a scraped `/metrics` file
 //! offline, and the tests round-trip [`crate::Registry::render`]
 //! through this parser. The dialect accepted is the one the registry
 //! emits — `# HELP` / `# TYPE` comments, bare and single-label sample

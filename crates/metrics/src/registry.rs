@@ -124,34 +124,6 @@ pub struct HistogramSnapshot {
     pub sum: f64,
 }
 
-impl HistogramSnapshot {
-    /// Estimates the `q`-quantile (0..=1) by linear interpolation
-    /// within the bucket that crosses it — the standard
-    /// `histogram_quantile` estimate. Returns `None` on an empty
-    /// histogram; an answer in the +Inf bucket saturates to the top
-    /// finite bound.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let rank = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut seen = 0u64;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            let next = seen + n;
-            if (next as f64) >= rank && n > 0 {
-                let lo = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let Some(&hi) = self.bounds.get(i) else {
-                    return Some(*self.bounds.last().unwrap_or(&0.0));
-                };
-                let frac = (rank - seen as f64) / n as f64;
-                return Some(lo + (hi - lo) * frac.clamp(0.0, 1.0));
-            }
-            seen = next;
-        }
-        Some(*self.bounds.last().unwrap_or(&0.0))
-    }
-}
-
 impl Histogram {
     fn new(bounds: &[f64]) -> Histogram {
         assert!(
@@ -480,28 +452,6 @@ mod tests {
         assert_eq!(snap.buckets, vec![2, 1, 1, 1]);
         assert_eq!(snap.count, 5);
         assert!((snap.sum - 5555.5).abs() < 1e-6, "{}", snap.sum);
-    }
-
-    #[test]
-    fn quantile_interpolates() {
-        let registry = Registry::new();
-        let h = registry.histogram("q", "test", &[100.0, 200.0, 400.0]);
-        for _ in 0..50 {
-            h.observe(50.0);
-        }
-        for _ in 0..50 {
-            h.observe(150.0);
-        }
-        let snap = h.snapshot();
-        let p50 = snap.quantile(0.5).unwrap();
-        assert!((0.0..=100.0).contains(&p50), "{p50}");
-        let p99 = snap.quantile(0.99).unwrap();
-        assert!((100.0..=200.0).contains(&p99), "{p99}");
-        assert_eq!(
-            Histogram::new(&[1.0]).snapshot().quantile(0.5),
-            None,
-            "empty histogram has no quantile"
-        );
     }
 
     #[test]

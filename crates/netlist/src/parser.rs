@@ -71,6 +71,16 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
+/// A netlist without cells has nothing to place: reject it as a typed
+/// error where it is read, not at an assert deep in the flow. (The YAL
+/// reader already refuses a parent with an empty `NETWORK`.)
+fn require_cells(nl: Netlist) -> Result<Netlist, ParseError> {
+    if nl.cells().is_empty() {
+        return Err(err(0, "the netlist defines no cells"));
+    }
+    Ok(nl)
+}
+
 fn parse_num<T: std::str::FromStr>(line: usize, tok: &str, what: &str) -> Result<T, ParseError> {
     tok.parse()
         .map_err(|_| err(line, format!("invalid {what}: `{tok}`")))
@@ -115,7 +125,10 @@ impl<'a> Parser<'a> {
                 other => return Err(err(line, format!("unknown directive `{other}`"))),
             }
         }
-        self.builder.build().map_err(ParseError::from)
+        self.builder
+            .build()
+            .map_err(ParseError::from)
+            .and_then(require_cells)
     }
 
     fn parse_tiles_and_pins_for_macro(
@@ -400,8 +413,9 @@ impl<'a> Parser<'a> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with a line number for syntax problems, or a
-/// wrapped [`NetlistError`] (line 0) for semantic problems.
+/// Returns a [`ParseError`] with a line number for syntax problems, or
+/// line 0 for semantic problems: a wrapped [`NetlistError`], or a
+/// netlist that defines no cells.
 ///
 /// # Examples
 ///
@@ -506,6 +520,14 @@ net n1 vw 3 : cc.d1 m.y cc.fx
         let e = parse_netlist("macro a\n tile 0 0 4 4\n bogus\nend").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("bogus"));
+    }
+
+    #[test]
+    fn a_netlist_without_cells_is_an_error() {
+        for text in ["", "# nothing\n", "\n  \n"] {
+            let e = parse_netlist(text).unwrap_err();
+            assert_eq!(e.to_string(), "line 0: the netlist defines no cells");
+        }
     }
 
     #[test]

@@ -107,24 +107,6 @@ pub struct JsonlRecorder<W: Write> {
     autoflush: bool,
 }
 
-impl JsonlRecorder<std::fs::File> {
-    /// Creates (truncates) `path` and records events into it.
-    pub fn create(path: &str) -> io::Result<Self> {
-        Ok(JsonlRecorder::new(std::fs::File::create(path)?))
-    }
-
-    /// Opens `path` for appending (creating it if absent) — the resume
-    /// path, where the suffix of an interrupted stream continues the
-    /// prefix already on disk.
-    pub fn append(path: &str) -> io::Result<Self> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?;
-        Ok(JsonlRecorder::new(file))
-    }
-}
-
 /// A file sink with an fsync cadence: every `every`-th flush also
 /// pushes the data to stable storage with `sync_data`, bounding how
 /// many telemetry events power loss can cost a long daemon job.
@@ -154,9 +136,9 @@ impl Write for DurableFile {
 }
 
 impl JsonlRecorder<DurableFile> {
-    /// [`JsonlRecorder::create`] with an fsync every `every` flushes
-    /// (0 = never fsync).
-    pub fn create_durable(path: &str, every: u64) -> io::Result<Self> {
+    /// Creates (truncates) `path` and records events into it, with an
+    /// fsync every `every` flushes (0 = never fsync).
+    pub fn create(path: &str, every: u64) -> io::Result<Self> {
         Ok(JsonlRecorder::new(DurableFile {
             file: std::fs::File::create(path)?,
             every,
@@ -164,9 +146,11 @@ impl JsonlRecorder<DurableFile> {
         }))
     }
 
-    /// [`JsonlRecorder::append`] with an fsync every `every` flushes
-    /// (0 = never fsync).
-    pub fn append_durable(path: &str, every: u64) -> io::Result<Self> {
+    /// Opens `path` for appending (creating it if absent), with an
+    /// fsync every `every` flushes (0 = never fsync) — the resume path,
+    /// where the suffix of an interrupted stream continues the prefix
+    /// already on disk.
+    pub fn append(path: &str, every: u64) -> io::Result<Self> {
         let file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)

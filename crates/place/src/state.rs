@@ -548,16 +548,15 @@ impl<'a> PlacementState<'a> {
     }
 
     /// Total estimated interconnect *length* (TEIL): the eq. 6 sum with
-    /// unit weights, the figure the paper reports.
+    /// unit weights, the figure the paper reports. Folded from `+0.0`,
+    /// where `Iterator::sum` starts from `-0.0`, so a net-less circuit
+    /// reads `0`, not `-0`.
     pub fn teil(&self) -> f64 {
-        self.nl
-            .nets()
-            .iter()
-            .map(|n| {
-                self.net_spans(n.id().index())
-                    .map_or(0.0, |(xs, ys)| (xs.len() + ys.len()) as f64)
-            })
-            .sum()
+        self.nl.nets().iter().fold(0.0, |teil, n| {
+            teil + self
+                .net_spans(n.id().index())
+                .map_or(0.0, |(xs, ys)| (xs.len() + ys.len()) as f64)
+        })
     }
 
     /// Wholesale spatial-index rebuilds performed on this state

@@ -10,9 +10,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use twmc_anneal::CoolingSchedule;
 use twmc_estimator::{cell_density_factors, determine_core, EstimatorParams};
 use twmc_netlist::{parse_netlist, Netlist, NetlistBuilder};
-use twmc_place::PlacementState;
+use twmc_place::{place_stage1, PlaceParams, PlacementState};
 
 fn state(nl: &Netlist) -> PlacementState<'_> {
     let det = determine_core(nl, &EstimatorParams::default());
@@ -64,4 +65,20 @@ fn builder_zero_pin_net_does_not_panic_cost_engine() {
     assert_eq!(st.net_spans(hollow.index()), None);
     assert_eq!(st.net_cost_live(hollow.index()), 0.0);
     assert!(st.cost().is_finite());
+}
+
+#[test]
+fn a_net_less_circuit_has_a_positive_zero_teil() {
+    let nl = parse_netlist("macro a\n tile 0 0 10 10\nend\nmacro b\n tile 0 0 8 6\nend\n")
+        .expect("valid text netlist");
+    let params = PlaceParams {
+        attempts_per_cell: 2,
+        ..PlaceParams::default()
+    };
+    let est = EstimatorParams::default();
+    let (state, result) = place_stage1(&nl, &params, &est, &CoolingSchedule::stage1(), 7);
+    for teil in [state.teil(), result.teil] {
+        assert_eq!(teil, 0.0);
+        assert!(teil.is_sign_positive(), "TEIL {teil}");
+    }
 }

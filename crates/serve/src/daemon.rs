@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use serde::Value;
+use serde::{Serialize, Value};
 use twmc_analyze::{analyze, parse_stream};
 use twmc_core::{run_timberwolf_resilient, RunCtrl, RunOutcome, TimberWolfResult};
 use twmc_fault::{RealVfs, Vfs};
@@ -716,11 +716,9 @@ impl Daemon {
         let recorder = if resuming && events_path.exists() {
             self.spool
                 .truncate_events_to_last_newline(&id)
-                .and_then(|()| {
-                    JsonlRecorder::append_durable(&events_str, self.opts.event_fsync_every)
-                })
+                .and_then(|()| JsonlRecorder::append(&events_str, self.opts.event_fsync_every))
         } else {
-            JsonlRecorder::create_durable(&events_str, self.opts.event_fsync_every)
+            JsonlRecorder::create(&events_str, self.opts.event_fsync_every)
         };
         // Autoflush so `GET /jobs/<id>/events?follow=1` tails see each
         // event the moment it is recorded; the hub rides along so the
@@ -910,22 +908,8 @@ impl Daemon {
         if let Ok(events) = self.spool.read_events(id) {
             if let Ok(stream) = parse_stream(&events) {
                 let health = analyze(&stream);
-                let findings: Vec<Value> = health
-                    .findings
-                    .iter()
-                    .map(|f| {
-                        obj(vec![
-                            ("check", Value::Str(f.check.clone())),
-                            (
-                                "severity",
-                                Value::Str(format!("{:?}", f.severity).to_lowercase()),
-                            ),
-                            ("detail", Value::Str(f.detail.clone())),
-                        ])
-                    })
-                    .collect();
                 fields.push(("healthy", Value::Bool(health.healthy())));
-                fields.push(("findings", Value::Array(findings)));
+                fields.push(("findings", health.findings.to_value()));
             }
         }
         obj(fields)

@@ -209,9 +209,6 @@ impl JobSpec {
                 spec.swap_interval = n.max(0) as usize;
             }
         }
-        if spec.netlist.trim().is_empty() {
-            return Err("job has an empty netlist".to_owned());
-        }
         if spec.ac == 0 {
             return Err("`ac` must be at least 1".to_owned());
         }
@@ -220,7 +217,8 @@ impl JobSpec {
         // submission time, not a failed job.
         spec.config().parallel.validate()?;
         // Fail bad circuits at submission time (a clean 400), not in a
-        // worker (an opaque `failed` job).
+        // worker (an opaque `failed` job): an empty or comment-only
+        // netlist defines no cells, which the parsers reject.
         spec.parse_netlist()?;
         Ok(spec)
     }
@@ -405,6 +403,18 @@ mod tests {
         req.content_type = "application/json".into();
         let err = JobSpec::from_request(&req).unwrap_err();
         assert!(err.contains("netlist"), "{err}");
+    }
+
+    #[test]
+    fn rejects_netlists_without_cells() {
+        for body in ["", "# nothing\n"] {
+            let err = JobSpec::from_request(&raw_request("", body)).unwrap_err();
+            assert_eq!(err, "netlist: line 0: the netlist defines no cells");
+        }
+        let mut req = raw_request("", "{\"netlist\":\"# nothing\\n\",\"yal\":true}");
+        req.content_type = "application/json".into();
+        let err = JobSpec::from_request(&req).unwrap_err();
+        assert!(err.starts_with("YAL netlist: "), "{err}");
     }
 
     #[test]

@@ -61,11 +61,18 @@ fn submit_poll_events_result_placement() {
     assert!(stream.start.is_some() && stream.end.is_some());
     assert!(!stream.temps.is_empty());
 
-    // Result: healthy report with findings; placement: one line per cell.
+    // Result: healthy report whose findings are the analyzer's verdict
+    // on the job's events, as `twmc report --json` serializes them;
+    // placement: one line per cell.
     let result = client::get(&addr, &format!("/jobs/{id_json}/result")).unwrap();
     assert_eq!(result.status, 200);
     let report = result.json().unwrap();
     assert_eq!(get_bool(&report, "healthy"), Some(true), "{}", result.body);
+    let findings = twmc_serve::json::get(&report, "findings").expect("findings");
+    assert_eq!(
+        serde_json::to_string(findings).unwrap(),
+        serde_json::to_string(&twmc_analyze::analyze(&stream).findings).unwrap()
+    );
     let placement = client::get(&addr, &format!("/jobs/{id_json}/placement")).unwrap();
     assert_eq!(placement.status, 200);
     assert_eq!(placement.body.lines().count(), 4);
@@ -84,12 +91,9 @@ fn submit_poll_events_result_placement() {
             .status,
         405
     );
-    assert_eq!(
-        client::post_raw(&addr, "/jobs", "not a netlist")
-            .unwrap()
-            .status,
-        400
-    );
+    for bad in ["not a netlist", "# nothing\n"] {
+        assert_eq!(client::post_raw(&addr, "/jobs", bad).unwrap().status, 400);
+    }
     assert_eq!(
         client::post_raw(&addr, "/jobs?seed=abc", &tiny_netlist(9))
             .unwrap()

@@ -236,17 +236,17 @@ fn startup_quarantines_torn_job_dirs_and_exposes_the_gauge() {
     assert!(!spool.join("j1").join("state.json.tmp").exists());
     // The good job is still adopted, terminal state intact.
     assert_eq!(daemon.job_state("j1"), Some(JobState::Done));
-    // The gauge rides the exposition for `twmc report --metrics-snapshot`.
+    // The gauge rides the exposition for `twmc report SNAPSHOT.prom`.
     let scrape = daemon.hub().render();
     assert!(
         scrape.contains("twmc_spool_quarantined 1"),
         "gauge missing from exposition:\n{scrape}"
     );
-    let thresholds = twmc_analyze::SnapshotThresholds::default();
-    let report = twmc_analyze::check_metrics_snapshot(&scrape, &thresholds).unwrap();
-    assert!(
-        report.regressed(),
-        "a quarantined job must breach the default report gate"
+    let findings = twmc_analyze::check_metrics_snapshot(&scrape).unwrap();
+    assert_eq!(
+        twmc_analyze::worst(&findings),
+        twmc_analyze::Severity::Fail,
+        "a quarantined job must breach the report gate"
     );
     daemon.begin_drain();
     assert!(daemon.wait_drained(Duration::from_secs(30)));

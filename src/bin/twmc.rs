@@ -7,16 +7,18 @@
 //! ```
 //!
 //! Exit codes (one map for every subcommand):
-//! 0 = success / healthy / no regression; 1 = operational error
-//! (bad flags, I/O, unreadable input) or an unhealthy `report`;
-//! 2 = `diff` regression; 3 = run interrupted (signal or budget) with
-//! a resumable checkpoint and best-so-far placement emitted.
+//! 0 = success, or every finding of a `report`/`diff` judgement passed
+//! (warnings allowed); 1 = operational error (bad flags, I/O, an empty
+//! or unreadable input); 2 = a `report`/`diff` judgement with a FAIL
+//! finding; 3 = run interrupted (signal or budget) with a resumable
+//! checkpoint and best-so-far placement emitted.
 
 use std::process::ExitCode;
 
 use timberwolfmc::analyze::{
-    analyze, diff_runs, format_diff, format_report, format_runs, metrics, parse_stream,
-    DiffThresholds,
+    analyze, check_bench_parallel, check_metrics_snapshot, check_trace, diff_runs, format_findings,
+    format_report, format_runs, format_trace_report, metrics, parse_capture, parse_stream, worst,
+    Finding, Severity,
 };
 use timberwolfmc::core::{
     compare, format_parallel_report, format_table4, greedy_placement, quadratic_placement,
@@ -48,14 +50,8 @@ fn usage() -> ExitCode {
          twmc serve [--listen ADDR] [--workers N] [--queue-cap N] [--spool DIR]\n              \
          [--checkpoint-every N] [--drain-grace-ms N] [--event-fsync-every N]\n              \
          [--fault-schedule SPEC]\n  \
-         twmc report RUN.jsonl [--json]\n  \
-         twmc report --metrics-snapshot SNAPSHOT.prom [--json] [--max-failed-jobs N]\n              \
-         [--max-replica-failures N] [--max-queue-depth N] [--max-route-overflow N]\n              \
-         [--max-move-p50-ns F] [--max-quarantined N]\n  \
-         twmc report --trace CAPTURE.jsonl [--json] [--top N] [--out CHROME.json]\n  \
-         twmc diff BASELINE.jsonl CANDIDATE.jsonl [--json] [--max-teil-pct F]\n              \
-         [--max-length-pct F] [--max-area-pct F] [--max-overflow N] [--max-unrouted N]\n  \
-         twmc diff --bench-parallel [BASELINE.json] BENCH_parallel.json [--json]\n\n\
+         twmc report FILE [--json] [--top N] [--out CHROME.json]\n  \
+         twmc diff BASELINE.jsonl CANDIDATE.jsonl [--json]\n\n\
          NAME is one of the paper's circuits: i1 p1 x1 i2 i3 l1 d2 d1 d3\n\
          --replicas N runs N annealing replicas (deterministic per seed);\n\
          --threads 0 uses one thread per replica; --strategy tempering needs\n\
@@ -77,17 +73,19 @@ fn usage() -> ExitCode {
          --fault-schedule 'seed=N, eio=write:state.json@2, crash=job.ckpt:after_rename'\n\
          injects deterministic I/O faults for chaos testing (crashpoints abort)\n\
          --trace FILE records a hierarchical span trace (run > stage > temp step >\n\
-         move block, cost-term self-time) with no effect on results; `twmc report\n\
-         --trace` prints its self-time table and health-checks it (exit 2 when the time\n\
-         distribution is pathological, e.g. overlap-index maintenance dominating move\n\
-         evaluation); --out converts it to a Chrome Trace Event JSON for ui.perfetto.dev\n\
-         report checks a recorded run against the paper's control laws (exit 1 if\n\
-         unhealthy) and prints its anneal, routing, stage wall-clock and swap tables;\n\
-         report --metrics-snapshot judges a scraped GET /metrics exposition\n\
-         against operational thresholds offline (exit 2 on breach);\n\
-         diff compares two runs' headline metrics (exit 2 on regression);\n\
-         diff --bench-parallel gates the equal-wall-clock bench summary (exit 2 when\n\
-         tempering loses to multistart at >= 4 replicas or regresses vs the baseline)"
+         move block, cost-term self-time) with no effect on results\n\
+         report judges the artefact FILE holds, told apart by its content:\n\
+         a --telemetry stream against the paper's control laws, then its anneal,\n\
+         routing, stage wall-clock and swap tables; a --trace capture by its time\n\
+         split (e.g. overlap-index maintenance dominating move evaluation fails), then\n\
+         its top-N self-time rows (--top, default 20), and --out converts it to a\n\
+         Chrome Trace Event JSON for ui.perfetto.dev; a scraped GET /metrics against\n\
+         fixed operational bounds; BENCH_parallel.json (tempering must beat\n\
+         multistart at equal wall clock from 4 replicas)\n\
+         diff holds a run's headline metrics to a baseline's (+2% TEIL, routed length\n\
+         and area; no added overflow or unrouted net; wall clock informational)\n\
+         exit codes: 0 ok; 1 operational error (flags, I/O, empty or unreadable input);\n\
+         2 a report or diff with a FAIL finding; 3 run interrupted, checkpoint flushed"
     );
     ExitCode::FAILURE
 }
@@ -135,29 +133,9 @@ const SERVE_FLAGS: FlagSpec = &[
     ("fault-schedule", true),
 ];
 
-const REPORT_FLAGS: FlagSpec = &[
-    ("json", false),
-    ("metrics-snapshot", false),
-    ("trace", false),
-    ("top", true),
-    ("out", true),
-    ("max-failed-jobs", true),
-    ("max-replica-failures", true),
-    ("max-queue-depth", true),
-    ("max-route-overflow", true),
-    ("max-move-p50-ns", true),
-    ("max-quarantined", true),
-];
+const REPORT_FLAGS: FlagSpec = &[("json", false), ("top", true), ("out", true)];
 
-const DIFF_FLAGS: FlagSpec = &[
-    ("json", false),
-    ("bench-parallel", false),
-    ("max-teil-pct", true),
-    ("max-length-pct", true),
-    ("max-area-pct", true),
-    ("max-overflow", true),
-    ("max-unrouted", true),
-];
+const DIFF_FLAGS: FlagSpec = &[("json", false)];
 
 const COMPARE_FLAGS: FlagSpec = &[
     ("seed", true),
@@ -262,6 +240,25 @@ mod sig {
     }
 }
 
+/// Writes `text` to stdout, the one channel every subcommand's output
+/// takes. A reader that hung up (`twmc report RUN.jsonl | head`) ends
+/// the output quietly, and the command keeps the exit code its work
+/// earned. SIGPIPE stays ignored process-wide: a client hanging up on
+/// `twmc serve` must not kill the daemon.
+fn emit(text: &str) -> Result<(), String> {
+    use std::io::Write;
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            Err(format!("cannot write to stdout: {e}"))
+        }
+        _ => Ok(()),
+    }
+}
+
 fn read(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
@@ -282,9 +279,15 @@ fn cmd_synth(flags: &Flags) -> Result<(), String> {
             paper_circuit(name).ok_or_else(|| format!("unknown paper circuit `{name}`"))?;
         synthesize_profile(profile, seed)
     } else {
+        let (cells, nets) = (flags.get("cells", 20)?, flags.get("nets", 60)?);
+        for (name, n) in [("cells", cells), ("nets", nets)] {
+            if n == 0 {
+                return Err(format!("--{name} must be at least 1"));
+            }
+        }
         synthesize(&SynthParams {
-            cells: flags.get("cells", 20)?,
-            nets: flags.get("nets", 60)?,
+            cells,
+            nets,
             pins: flags.get("pins", 240)?,
             custom_fraction: flags.get("custom", 0.0)?,
             seed,
@@ -296,11 +299,10 @@ fn cmd_synth(flags: &Flags) -> Result<(), String> {
         .ok_or_else(|| "synth needs --out FILE".to_owned())?;
     std::fs::write(out, write_netlist(&nl)).map_err(|e| format!("cannot write {out}: {e}"))?;
     let s = nl.stats();
-    println!(
-        "wrote {out}: {} cells, {} nets, {} pins",
+    emit(&format!(
+        "wrote {out}: {} cells, {} nets, {} pins\n",
         s.cells, s.nets, s.pins
-    );
-    Ok(())
+    ))
 }
 
 fn config_from(flags: &Flags) -> Result<TimberWolfConfig, String> {
@@ -397,8 +399,7 @@ fn write_placement_file(
 ) -> Result<(), String> {
     std::fs::write(path, timberwolfmc::serve::placement_text(cells))
         .map_err(|e| format!("cannot write {path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(())
+    emit(&format!("wrote {path}\n"))
 }
 
 fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
@@ -436,14 +437,14 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
             let recorder = if exists && resuming {
                 // A resumed run's events are the exact suffix of the
                 // uninterrupted stream; appending completes the file.
-                JsonlRecorder::append(path)
+                JsonlRecorder::append(path, 0)
             } else if exists && !flags.has("telemetry-overwrite") {
                 return Err(format!(
                     "telemetry file `{path}` already exists; pass --telemetry-overwrite \
                      to replace it (or --resume to append a continuation)"
                 ));
             } else {
-                JsonlRecorder::create(path)
+                JsonlRecorder::create(path, 0)
             };
             Some(recorder.map_err(|e| format!("cannot open {path}: {e}"))?)
         }
@@ -486,7 +487,9 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
         let spans = snap.total_spans();
         std::fs::write(tpath, timberwolfmc::obs::trace::capture_to_string(&snap))
             .map_err(|e| format!("cannot write {tpath}: {e}"))?;
-        eprintln!("wrote {spans} spans to {tpath} (convert: twmc report --trace {tpath} --out chrome.json)");
+        eprintln!(
+            "wrote {spans} spans to {tpath} (convert: twmc report {tpath} --out chrome.json)"
+        );
     }
     let result = match outcome {
         RunOutcome::Complete(result) => result,
@@ -510,22 +513,22 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
         }
     };
     if let Some(report) = &result.parallel {
-        print!("{}", format_parallel_report(report));
+        emit(&format_parallel_report(report))?;
     }
-    println!(
-        "TEIL {:.0}  chip {} x {} (area {})  routed length {}  [{:.1}s]",
+    emit(&format!(
+        "TEIL {:.0}  chip {} x {} (area {})  routed length {}  [{:.1}s]\n",
         result.teil,
         result.chip.width(),
         result.chip.height(),
         result.chip_area(),
         result.routed_length,
         t0.elapsed().as_secs_f64()
-    );
-    println!(
-        "stage-2 drift: TEIL {:+.1}%, area {:+.1}% (paper Table 3: small values)",
+    ))?;
+    emit(&format!(
+        "stage-2 drift: TEIL {:+.1}%, area {:+.1}% (paper Table 3: small values)\n",
         100.0 * result.stage2_teil_change(),
         100.0 * result.stage2_area_change()
-    );
+    ))?;
     if let Some(svg_path) = flags.get_str("svg") {
         let svg = render_svg(
             &result.placement,
@@ -533,7 +536,7 @@ fn cmd_place(flags: &Flags) -> Result<ExitCode, String> {
             result.chip,
         );
         std::fs::write(svg_path, svg).map_err(|e| format!("cannot write {svg_path}: {e}"))?;
-        println!("wrote {svg_path}");
+        emit(&format!("wrote {svg_path}\n"))?;
     }
     if let Some(pl_path) = flags.get_str("placement") {
         write_placement_file(pl_path, &result.placement)?;
@@ -558,8 +561,7 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
         compare(path, &stats, &twmc, &greedy_placement(&nl, &est, 60, seed)),
         compare(path, &stats, &twmc, &shelf_placement(&nl, &est, seed)),
     ];
-    println!("{}", format_table4(&rows));
-    Ok(())
+    emit(&format!("{}\n", format_table4(&rows)))
 }
 
 fn load_stream(path: &str) -> Result<timberwolfmc::analyze::RunStream, String> {
@@ -628,159 +630,108 @@ fn cmd_serve(flags: &Flags) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// Prints a verdict, as one line of JSON under `--json` or else as its
-/// text table, and maps it to its exit code: `fail_code` if `failed`.
-fn verdict(
+/// Prints a judgement, as one line of JSON under `--json` or else as
+/// its text table, and maps its findings to the exit code: 2 when any
+/// finding fails.
+fn judged(
     flags: &Flags,
+    findings: &[Finding],
     json: impl FnOnce() -> Result<String, serde_json::Error>,
-    table: impl FnOnce() -> Result<String, String>,
-    failed: bool,
-    fail_code: u8,
+    table: impl FnOnce() -> String,
 ) -> Result<ExitCode, String> {
     if flags.has("json") {
-        println!("{}", json().map_err(|e| e.to_string())?);
+        emit(&format!("{}\n", json().map_err(|e| e.to_string())?))?;
     } else {
-        print!("{}", table()?);
+        emit(&table())?;
     }
-    Ok(ExitCode::from(if failed { fail_code } else { 0 }))
+    let failed = worst(findings) == Severity::Fail;
+    Ok(ExitCode::from(if failed { 2 } else { 0 }))
 }
 
-/// `twmc report RUN.jsonl`: health-checks a recorded run against the
-/// paper's control laws, then prints the run's tables (anneal scopes,
-/// routing executions, stage wall-clock, swaps). Exits non-zero when
-/// any check fails.
+/// `twmc report FILE`: judges the artefact FILE holds, told apart by
+/// its first non-empty line:
+/// - a JSON object with `"kind":"trace_meta"` opens a span-trace
+///   capture (`twmc place --trace`, a daemon's `GET /jobs/<id>/trace`):
+///   its wall-time split, then its self-time table; `--out` also writes
+///   it as a Chrome Trace Event JSON for ui.perfetto.dev /
+///   chrome://tracing;
+/// - a JSON object with any other string `kind` opens a telemetry
+///   stream: the paper's control laws, then the run's tables (anneal
+///   scopes, routing executions, stage wall-clock, swaps);
+/// - other text starting with `{` is a parallel-bench summary
+///   (`BENCH_parallel.json`): the equal-wall-clock gate;
+/// - anything else is a scraped `/metrics` exposition: the operational
+///   bounds.
 fn cmd_report(flags: &Flags) -> Result<ExitCode, String> {
-    if flags.has("metrics-snapshot") {
-        return cmd_report_snapshot(flags);
-    }
-    if flags.has("trace") {
-        return cmd_report_trace(flags);
-    }
     let path = flags
         .positional
         .first()
-        .ok_or_else(|| "report needs a telemetry JSONL file".to_owned())?;
-    let stream = load_stream(path)?;
-    let report = analyze(&stream);
-    let table = || {
-        let tables = format_runs(&stream);
-        let gap = if tables.is_empty() { "" } else { "\n" };
-        Ok(format!("{}{gap}{tables}", format_report(&report)))
-    };
-    let json = || serde_json::to_string(&report);
-    verdict(flags, json, table, !report.healthy(), 1)
-}
-
-/// `twmc report --metrics-snapshot SNAPSHOT.prom`: judges a scraped
-/// `/metrics` exposition against operational thresholds offline.
-/// Exits 2 on a breach (the `twmc diff` regression convention) and 1
-/// when the file is unreadable or not a twmc scrape.
-fn cmd_report_snapshot(flags: &Flags) -> Result<ExitCode, String> {
-    let path = flags
-        .positional
-        .first()
-        .ok_or_else(|| "report --metrics-snapshot needs a scraped /metrics file".to_owned())?;
+        .ok_or_else(|| "report needs a file to judge".to_owned())?;
+    let top = flags.get("top", 20usize)?;
     let text = read(path)?;
-    let defaults = timberwolfmc::analyze::SnapshotThresholds::default();
-    let thresholds = timberwolfmc::analyze::SnapshotThresholds {
-        max_failed_jobs: flags.get("max-failed-jobs", defaults.max_failed_jobs)?,
-        max_replica_failures: flags.get("max-replica-failures", defaults.max_replica_failures)?,
-        max_queue_depth: flags.get("max-queue-depth", defaults.max_queue_depth)?,
-        max_route_overflow: flags.get("max-route-overflow", defaults.max_route_overflow)?,
-        max_move_eval_p50_ns: flags.get("max-move-p50-ns", defaults.max_move_eval_p50_ns)?,
-        max_quarantined: flags.get("max-quarantined", defaults.max_quarantined)?,
+    let named = |e: String| format!("{path}: {e}");
+    let Some(head) = text.lines().map(str::trim).find(|l| !l.is_empty()) else {
+        return Err(format!("{path}: the file is empty, nothing to judge"));
     };
-    let report = timberwolfmc::analyze::check_metrics_snapshot(&text, &thresholds)
-        .map_err(|e| format!("{path}: {e}"))?;
-    let table = || Ok(timberwolfmc::analyze::format_snapshot_report(&report));
-    let json = || serde_json::to_string(&report);
-    verdict(flags, json, table, report.regressed(), 2)
-}
-
-/// `twmc report --trace CAPTURE.jsonl [--out CHROME.json]`:
-/// health-checks the wall-time distribution of a span-trace capture
-/// (from `twmc place --trace` or a daemon's `GET /jobs/<id>/trace`) —
-/// flags pathological splits like overlap-index maintenance dominating
-/// move evaluation, or checkpoint writes eating a material slice of the
-/// run — and prints its self-time table. `--out` also converts the
-/// capture into a Chrome Trace Event JSON that loads in
-/// ui.perfetto.dev / chrome://tracing. Exits 2 on a breach (the `twmc
-/// diff` regression convention).
-fn cmd_report_trace(flags: &Flags) -> Result<ExitCode, String> {
-    let path = flags
-        .positional
-        .first()
-        .ok_or_else(|| "report --trace needs a span-trace capture file".to_owned())?;
-    let snap =
-        timberwolfmc::analyze::parse_capture(&read(path)?).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(out) = flags.get_str("out") {
-        let json = timberwolfmc::obs::trace::chrome_trace_json(&snap);
-        std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
-        eprintln!("wrote {out} (load in ui.perfetto.dev or chrome://tracing)");
+    let kind = timberwolfmc::obs::validate::parse_json(head)
+        .ok()
+        .and_then(|v| timberwolfmc::obs::validate::get_str(&v, "kind").map(str::to_owned));
+    if kind.as_deref() == Some("trace_meta") {
+        let snap = parse_capture(&text).map_err(named)?;
+        if let Some(out) = flags.get_str("out") {
+            let json = timberwolfmc::obs::trace::chrome_trace_json(&snap);
+            std::fs::write(out, json).map_err(|e| format!("cannot write {out}: {e}"))?;
+            eprintln!("wrote {out} (load in ui.perfetto.dev or chrome://tracing)");
+        }
+        let report = check_trace(&snap);
+        let json = || serde_json::to_string(&report.findings);
+        return judged(flags, &report.findings, json, || {
+            format_trace_report(&report, top)
+        });
     }
-    let report = timberwolfmc::analyze::check_trace(&snap);
-    let table = || {
-        let top = flags.get("top", 20usize)?;
-        Ok(timberwolfmc::analyze::format_trace_report(&report, top))
-    };
-    let json = || serde_json::to_string(&report.findings);
-    verdict(flags, json, table, !report.healthy(), 2)
+    if flags.has("out") || flags.has("top") {
+        return Err(format!(
+            "{path}: --out and --top apply only to a span-trace capture"
+        ));
+    }
+    if kind.is_some() {
+        let stream = parse_stream(&text).map_err(named)?;
+        let report = analyze(&stream);
+        let table = || {
+            let tables = format_runs(&stream);
+            let gap = if tables.is_empty() { "" } else { "\n" };
+            format!("{}{gap}{tables}", format_report(&report))
+        };
+        return judged(
+            flags,
+            &report.findings,
+            || serde_json::to_string(&report),
+            table,
+        );
+    }
+    let findings = if text.trim_start().starts_with('{') {
+        check_bench_parallel(&text)
+    } else {
+        check_metrics_snapshot(&text)
+    }
+    .map_err(named)?;
+    let json = || serde_json::to_string(&findings);
+    judged(flags, &findings, json, || format_findings(&findings))
 }
 
-/// `twmc diff BASELINE.jsonl CANDIDATE.jsonl`: compares headline
-/// metrics under configurable thresholds. Exits 2 on regression so CI
-/// can distinguish a quality regression from an operational error.
+/// `twmc diff BASELINE.jsonl CANDIDATE.jsonl`: holds the candidate's
+/// headline metrics to fixed bounds against the baseline's. Exits 2 on
+/// a regression, so CI can tell a quality regression apart from an
+/// operational error.
 fn cmd_diff(flags: &Flags) -> Result<ExitCode, String> {
-    if flags.has("bench-parallel") {
-        return cmd_diff_bench(flags);
-    }
     let [base_path, cand_path] = flags.positional.as_slice() else {
         return Err("diff needs two telemetry JSONL files (baseline, candidate)".to_owned());
     };
-    let defaults = DiffThresholds::default();
-    let thresholds = DiffThresholds {
-        teil_pct: flags.get("max-teil-pct", defaults.teil_pct)?,
-        length_pct: flags.get("max-length-pct", defaults.length_pct)?,
-        area_pct: flags.get("max-area-pct", defaults.area_pct)?,
-        overflow_abs: flags.get("max-overflow", defaults.overflow_abs)?,
-        unrouted_abs: flags.get("max-unrouted", defaults.unrouted_abs)?,
-    };
     let baseline = metrics(&load_stream(base_path)?);
     let candidate = metrics(&load_stream(cand_path)?);
-    let report = diff_runs(&baseline, &candidate, &thresholds);
-    let json = || serde_json::to_string(&report);
-    verdict(
-        flags,
-        json,
-        || Ok(format_diff(&report)),
-        report.regressed(),
-        2,
-    )
-}
-
-/// `twmc diff --bench-parallel BENCH.json [BASELINE.json]`: gates the
-/// equal-wall-clock bench summary — tempering must beat best-of-N
-/// multistart on the same CPU budget at ≥ 4 replicas, and (with a
-/// baseline) must not regress its best TEIL. Exits 2 on failure.
-fn cmd_diff_bench(flags: &Flags) -> Result<ExitCode, String> {
-    let (cand_path, base_path) = match flags.positional.as_slice() {
-        [cand] => (cand, None),
-        [base, cand] => (cand, Some(base)),
-        _ => {
-            return Err(
-                "diff --bench-parallel needs a BENCH_parallel.json (optionally preceded \
-                 by a baseline summary)"
-                    .to_owned(),
-            )
-        }
-    };
-    let candidate = read(cand_path)?;
-    let baseline = base_path.map(|path| read(path)).transpose()?;
-    let report = timberwolfmc::analyze::check_bench_parallel(&candidate, baseline.as_deref())
-        .map_err(|e| format!("{cand_path}: {e}"))?;
-    let table = || Ok(timberwolfmc::analyze::format_bench_gate(&report));
-    let json = || serde_json::to_string(&report.findings);
-    verdict(flags, json, table, report.regressed(), 2)
+    let findings = diff_runs(&baseline, &candidate);
+    let json = || serde_json::to_string(&findings);
+    judged(flags, &findings, json, || format_findings(&findings))
 }
 
 fn main() -> ExitCode {

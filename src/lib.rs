@@ -23,10 +23,12 @@
 //!   schema, and stream validation;
 //! * [`trace`] — hierarchical span tracing: per-thread span buffers,
 //!   self-time profiles, and Chrome Trace Event export
-//!   (`twmc place --trace` / `twmc report --trace --out`);
-//! * [`analyze`] — offline run-health diagnostics and run tables over
-//!   recorded telemetry and span traces, and cross-run regression diffs
-//!   (`twmc report` / `twmc diff`);
+//!   (`twmc place --trace` / `twmc report CAPTURE --out`);
+//! * [`analyze`] — offline judgements, each a list of findings against
+//!   fixed bounds, of recorded telemetry (the paper's control laws, plus
+//!   the run tables), span traces, `/metrics` scrapes and the parallel
+//!   bench summary, and cross-run regression diffs (`twmc report FILE`
+//!   / `twmc diff`);
 //! * [`serve`] — the multi-tenant placement daemon (`twmc serve`): an
 //!   HTTP/1.1 JSON job API with a priority queue, checkpoint-based
 //!   preemption, and per-job telemetry streams;

@@ -74,96 +74,66 @@ fn report_and_diff_judge_recorded_runs() {
 
     let dir = std::env::temp_dir().join(format!("twmc-cli-report-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let healthy = dir.join("healthy.jsonl");
-    let sick = dir.join("pathological.jsonl");
-    let regressed = dir.join("regressed.jsonl");
-    std::fs::write(&healthy, synth_stream(&SynthSpec::default())).expect("write healthy");
-    std::fs::write(&sick, pathological_stream()).expect("write pathological");
+    let write = |file: &str, text: String| {
+        let path = dir.join(file).to_str().unwrap().to_owned();
+        std::fs::write(&path, text).expect("write stream");
+        path
+    };
+    let healthy = write("healthy.jsonl", synth_stream(&SynthSpec::default()));
+    let sick = write("pathological.jsonl", pathological_stream());
     // Same run shape, 10% worse cost trajectory: TEIL regresses past
-    // the default 2% gate.
-    std::fs::write(
-        &regressed,
-        synth_stream(&SynthSpec {
-            cost0: 1.1e6,
-            ..SynthSpec::default()
-        }),
-    )
-    .expect("write regressed");
+    // the 2% bound.
+    let worse = SynthSpec {
+        cost0: 1.1e6,
+        ..SynthSpec::default()
+    };
+    let regressed = write("regressed.jsonl", synth_stream(&worse));
+    let empty = write("empty.jsonl", "\n  \n".to_owned());
+    // Exit code, stdout and stderr of one `twmc` run.
+    let run = |args: &[&str]| {
+        let out = twmc().args(args).output().expect("run twmc");
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr))
+    };
 
-    // A healthy run reports cleanly and exits 0.
-    let out = twmc().arg("report").arg(&healthy).output().expect("report");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("health: healthy"), "{stdout}");
+    // A healthy run reports cleanly and exits 0; JSON mode emits
+    // machine-readable findings.
+    let (code, stdout, stderr) = run(&["report", &healthy]);
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stdout.contains("verdict: pass\n"), "{stdout}");
     assert!(stdout.contains("schedule.table1"), "{stdout}");
-
-    // JSON mode emits machine-readable findings.
-    let out = twmc()
-        .arg("report")
-        .arg(&healthy)
-        .arg("--json")
-        .output()
-        .expect("report --json");
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
+    let (code, stdout, _) = run(&["report", &healthy, "--json"]);
+    assert_eq!(code, Some(0));
     assert!(stdout.contains("\"findings\""), "{stdout}");
 
-    // A pathological cooling schedule is flagged and fails the command.
-    let out = twmc().arg("report").arg(&sick).output().expect("report");
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("UNHEALTHY"), "{stdout}");
+    // A pathological cooling schedule is flagged and fails the command
+    // with exit 2, as every judgement with a Fail finding does.
+    let (code, stdout, _) = run(&["report", &sick]);
+    assert_eq!(code, Some(2));
+    assert!(stdout.contains("FAIL  schedule.table1"), "{stdout}");
+    assert!(stdout.contains("verdict: FAIL\n"), "{stdout}");
 
-    // Diffing a run against itself is clean (exit 0)...
-    let out = twmc()
-        .arg("diff")
-        .arg(&healthy)
-        .arg(&healthy)
-        .output()
-        .expect("diff");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("no regressions"));
+    // Diffing a run against itself is clean (exit 0), while a seeded
+    // TEIL regression trips the gate with exit 2.
+    let (code, stdout, _) = run(&["diff", &healthy, &healthy]);
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.ends_with("verdict: pass\n"), "{stdout}");
+    let (code, stdout, _) = run(&["diff", &healthy, &regressed]);
+    assert_eq!(code, Some(2));
+    assert!(stdout.contains("FAIL  diff.teil"), "{stdout}");
 
-    // ...while a seeded TEIL regression trips the gate with exit 2.
-    let out = twmc()
-        .arg("diff")
-        .arg(&healthy)
-        .arg(&regressed)
-        .output()
-        .expect("diff");
-    assert_eq!(out.status.code(), Some(2));
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("REGRESSED"), "{stdout}");
+    // Unreadable or empty input is an operational error (exit 1) naming
+    // the file, not a panic.
+    for file in ["/nonexistent/run.jsonl", &empty] {
+        let (code, _, stderr) = run(&["report", file]);
+        assert_eq!(code, Some(1));
+        assert!(stderr.contains(file), "{stderr}");
+    }
 
-    // A loosened threshold lets the same pair pass.
-    let out = twmc()
-        .arg("diff")
-        .arg(&healthy)
-        .arg(&regressed)
-        .args(["--max-teil-pct", "15"])
-        .output()
-        .expect("diff");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-
-    // Unreadable input is an operational error (exit 1), not a panic.
-    let out = twmc()
-        .args(["report", "/nonexistent/run.jsonl"])
-        .output()
-        .expect("report");
-    assert_eq!(out.status.code(), Some(1));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("error:"));
+    // The artefact picks its reader: the old mode flags are unknown.
+    let (code, _, stderr) = run(&["report", "--trace", &healthy]);
+    assert_eq!(code, Some(1));
+    assert!(stderr.contains("unknown flag `--trace`"), "{stderr}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -184,32 +154,172 @@ fn report_prints_run_tables_and_converts_traces() {
     let out = run(&place.split(' ').collect::<Vec<_>>());
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "{stderr}");
-    assert!(stderr.contains("twmc report --trace"), "{stderr}");
+    let hint = format!("convert: twmc report {capture} --out chrome.json");
+    assert!(stderr.contains(&hint), "{stderr}");
 
     // The report on a recorded run prints the run tables after the verdict.
     let out = run(&["report", &telemetry]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let tables = stdout.find("anneal runs:").expect("an anneal table");
     assert!(out.status.success(), "{stdout}");
-    assert!(stdout[..tables].contains("health: healthy"), "{stdout}");
+    assert!(stdout[..tables].contains("verdict: pass\n"), "{stdout}");
     assert!(stdout[tables..].contains("\n  stage1 "), "{stdout}");
 
-    // `report --trace --out` writes the capture's Chrome Trace Event JSON
-    // and prints what `report --trace` prints.
-    let plain = run(&["report", "--trace", &capture]);
-    let converted = run(&["report", "--trace", &capture, "--out", &chrome]);
+    // The capture is told apart by its content: `report CAP --out F`
+    // writes its Chrome Trace Event JSON and prints what `report CAP`
+    // prints, the findings and their verdict ahead of the self-time table.
+    let plain = run(&["report", &capture]);
+    let converted = run(&["report", &capture, "--out", &chrome]);
     assert_eq!(converted.status.code(), plain.status.code());
     assert_eq!(converted.stdout, plain.stdout);
+    let stdout = String::from_utf8_lossy(&plain.stdout);
+    assert!(stdout.starts_with("PASS  trace.spans"), "{stdout}");
+    assert!(stdout.contains("verdict: "), "{stdout}");
     let snap = parse_capture(&std::fs::read_to_string(&capture).unwrap()).unwrap();
     assert_eq!(
         std::fs::read_to_string(&chrome).unwrap(),
         chrome_trace_json(&snap)
     );
 
+    // `--out` belongs to a capture: with a run stream it is an error
+    // naming the file, and nothing is written.
+    let stray = path("stray.json");
+    let out = run(&["report", &telemetry, "--out", &stray]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains(&telemetry));
+    assert!(!std::path::Path::new(&stray).exists());
+
     // There is no `trace` subcommand: it prints the usage and exits 1.
     let out = run(&["trace", &capture]);
     assert_eq!(out.status.code(), Some(1));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn report_judges_metrics_scrapes_and_bench_summaries() {
+    use timberwolfmc::obs::MetricsHub;
+
+    let dir = std::env::temp_dir().join(format!("twmc-cli-gates-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let judge = |name: &str, text: &str| {
+        let file = dir.join(name);
+        std::fs::write(&file, text).expect("write artefact");
+        let out = twmc().arg("report").arg(&file).output().expect("report");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout)
+    };
+
+    // A `/metrics` scrape is held to the fixed operational bounds.
+    let hub = MetricsHub::new();
+    hub.workers.set(2);
+    let (code, stdout) = judge("healthy.prom", &hub.render());
+    assert_eq!(code, Some(0), "{stdout}");
+    assert!(stdout.ends_with("verdict: pass\n"), "{stdout}");
+    hub.jobs_failed_total.inc();
+    let (code, stdout) = judge("failed.prom", &hub.render());
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(
+        stdout.contains("FAIL  metrics.twmc_jobs_failed_total"),
+        "{stdout}"
+    );
+
+    // A parallel-bench summary: the committed one passes, and a ladder
+    // that loses to multistart at 4 replicas fails.
+    let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_parallel.json");
+    let out = twmc().args(["report", committed]).output().expect("report");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(
+        stdout.contains("PASS  bench.equal_wall     x4:"),
+        "{stdout}"
+    );
+    let losing = "{\"equal_wall\":[{\"replicas\":4,\"tempering_wall_seconds\":1.0,\
+                  \"tempering_best_teil\":18000,\"multistart_batches\":2,\
+                  \"multistart_wall_seconds\":0.9,\"multistart_best_teil\":17000}]}";
+    let (code, stdout) = judge("losing.json", losing);
+    assert_eq!(code, Some(2), "{stdout}");
+    assert!(stdout.contains("loses at equal wall clock"), "{stdout}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    let dir = std::env::temp_dir().join(format!("twmc-cli-pipe-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let netlist = dir.join("tiny.twn");
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/baseline-run.jsonl"
+    );
+    let synth = ["synth", "--cells", "4", "--nets", "8", "--out"];
+    let runs: [&[&str]; 3] = [&["report", fixture], &["report", "--json", fixture], &synth];
+    for args in runs {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let mut cmd = twmc();
+        cmd.args(args).stdout(writer);
+        if args[0] == "synth" {
+            cmd.arg(&netlist);
+        }
+        let out = cmd.output().expect("run twmc");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(netlist.exists(), "synth stopped before writing its circuit");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn empty_inputs_are_typed_errors() {
+    let dir = std::env::temp_dir().join(format!("twmc-cli-empty-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |args: &[&str]| twmc().args(args).output().expect("run twmc");
+
+    // A netlist with no cells is refused where it is read, naming it.
+    for (name, text) in [("zero.twn", ""), ("comment.twn", "# nothing\n")] {
+        let file = dir.join(name);
+        std::fs::write(&file, text).expect("write netlist");
+        let out = run(&["place", file.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!(
+                "{}: line 0: the netlist defines no cells",
+                file.display()
+            )),
+            "{stderr}"
+        );
+    }
+
+    // `synth` refuses a circuit without cells or nets as a flag error.
+    let out_file = dir.join("never.twn");
+    for flag in ["--cells", "--nets"] {
+        let out = run(&["synth", flag, "0", "--out", out_file.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} must be at least 1")),
+            "{stderr}"
+        );
+        assert!(!out_file.exists());
+    }
+
+    // A net-less circuit places, with a TEIL of 0 (not -0).
+    let netless = dir.join("netless.twn");
+    let cells = "macro a\n tile 0 0 10 10\nend\nmacro b\n tile 0 0 8 6\nend\n";
+    std::fs::write(&netless, cells).expect("write netlist");
+    let out = run(&["place", netless.to_str().unwrap(), "--ac", "2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.starts_with("TEIL 0  chip"), "{stdout}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -496,8 +606,7 @@ fn malformed_flag_values_are_errors() {
     let out = twmc().args(synth).output();
     assert!(out.expect("run twmc").status.success());
     rejects(&["place", netlist, "--seed", "-1"], "`-1` for --seed");
-    let diff = ["diff", fixture, fixture, "--max-teil-pct", "1,5"];
-    rejects(&diff, "`1,5` for --max-teil-pct");
+    rejects(&["report", fixture, "--top", "1,5"], "`1,5` for --top");
     std::fs::remove_dir_all(&dir).ok();
 }
 
