@@ -22,12 +22,12 @@ use serde::Value;
 use twmc_netlist::Netlist;
 use twmc_obs::{Event, Interval, OpenInterval, Recorder, RunInterrupted, RunStart, StopReason};
 use twmc_parallel::{
-    check_config, config_value, parallel_report_from, parallel_report_value,
-    parallel_stage1_resilient, OrchestratorError, RunCtrl, Stage1Outcome,
+    check_config, config_value, parallel_stage1_resilient, OrchestratorError, RunCtrl,
+    Stage1Outcome,
 };
 use twmc_place::{persist, PlacementState, Stage1Context};
 use twmc_refine::refine_placement_resilient;
-use twmc_resume::codec::{self, field, str_field, u64_field};
+use twmc_resume::codec::{self, field, get, Codec};
 use twmc_resume::CheckpointError;
 
 use crate::pipeline::{snapshot_placement, PlacedCellRecord, TimberWolfResult};
@@ -113,7 +113,7 @@ pub fn run_timberwolf_resilient(
 ) -> Result<RunOutcome, PipelineError> {
     let run = Interval::Run.open();
     let resume_phase: Option<String> = match &ctrl.resume {
-        Some(payload) => Some(str_field(payload, "phase")?.to_owned()),
+        Some(payload) => Some(field(payload, "phase")?),
         None => None,
     };
     let stats = nl.stats();
@@ -146,21 +146,15 @@ pub fn run_timberwolf_resilient(
             config.place.attempts_per_cell,
             circuit,
         )?;
-        let snap = persist::snapshot_from(field(&payload, "snap")?, nl)?;
-        let stage1 = persist::stage1_result_from(field(&payload, "stage1")?)?;
-        let parallel = match field(&payload, "parallel")? {
-            Value::Null => None,
-            v => Some(parallel_report_from(v)?),
-        };
+        let snap = persist::snapshot_from(get(&payload, "snap")?, nl)?;
+        let stage1 = field(&payload, "stage1")?;
+        let parallel = field(&payload, "parallel")?;
         let ctx = Stage1Context::new(nl, &config.place, &config.estimator);
         // Seed value is irrelevant: the restore overwrites everything
         // construction randomized.
         let mut state = ctx.random_state(&config.place, &mut StdRng::seed_from_u64(0));
         state.restore(&snap);
-        state.force_index_counters(
-            u64_field(&payload, "rebuilds")?,
-            u64_field(&payload, "updates")?,
-        );
+        state.force_index_counters(field(&payload, "rebuilds")?, field(&payload, "updates")?);
         (state, stage1, parallel)
     } else {
         let stage1_time = Interval::Stage1.open();
@@ -213,16 +207,10 @@ pub fn run_timberwolf_resilient(
                 ),
             ),
             ("snap", persist::snapshot_value(&state.snapshot())),
-            ("stage1", persist::stage1_result_value(&stage1)),
-            (
-                "parallel",
-                match &parallel {
-                    None => Value::Null,
-                    Some(r) => parallel_report_value(r),
-                },
-            ),
-            ("rebuilds", Value::UInt(state.index_rebuilds())),
-            ("updates", Value::UInt(state.index_updates())),
+            ("stage1", stage1.encode()),
+            ("parallel", parallel.encode()),
+            ("rebuilds", state.index_rebuilds().encode()),
+            ("updates", state.index_updates().encode()),
         ]);
         ctrl.write_checkpoint(&payload, rec)?;
     }

@@ -225,7 +225,7 @@ fn stage2_phase_checkpoint_alone_reproduces_the_run() {
 
     let payload = read_checkpoint(&path).expect("checkpoint readable");
     assert_eq!(
-        twmc_resume::codec::str_field(&payload, "phase").expect("phase field"),
+        twmc_resume::codec::field::<String>(&payload, "phase").expect("phase field"),
         "stage2"
     );
     let resumed = RunCtrl {
@@ -262,4 +262,61 @@ fn checkpoint_from_a_different_run_is_rejected() {
         err.to_string().contains("does not match"),
         "unexpected error: {err}"
     );
+}
+
+/// Runs `cfg` on `nl` with a writer that flushes only when the run
+/// stops or leaves stage 1, cut at `budget` moves (`None` runs to the
+/// end, leaving the stage-2 mark), and returns the checkpoint's text.
+fn checkpoint_text(nl: &Netlist, cfg: &TimberWolfConfig, budget: Option<u64>, tag: &str) -> String {
+    let path = temp_path(tag);
+    let opts = RunCtrl {
+        cancel: budget.map_or_else(CancelToken::new, |m| CancelToken::new().with_max_moves(m)),
+        writer: Some(CheckpointWriter::new(&path, 1_000_000)),
+        ..Default::default()
+    };
+    let outcome = run_timberwolf_resilient(nl, cfg, opts, &mut NullRecorder).expect("run succeeds");
+    assert_eq!(
+        matches!(outcome, RunOutcome::Interrupted(_)),
+        budget.is_some(),
+        "{tag}: the budget decides whether the run is cut"
+    );
+    let text = std::fs::read_to_string(&path).expect("checkpoint written");
+    let _ = std::fs::remove_file(&path);
+    text
+}
+
+/// The bytes of one checkpoint of every payload phase on the fixed
+/// circuit: a single run and a 3-replica multi-start cut in stage 1,
+/// a 3-rung tempering run cut in its ladder and in its quench, and the
+/// stage-2 mark a completed 2-rung tempering run leaves behind. Any
+/// change to a payload's keys, their order, the value variants or the
+/// float bit patterns moves a pin.
+#[test]
+fn checkpoint_bytes_of_every_phase_are_pinned() {
+    let nl = circuit();
+    let tempering = |replicas: usize| {
+        let mut cfg = config(replicas);
+        cfg.parallel.strategy = Strategy::Tempering;
+        cfg
+    };
+    let cases = [
+        ("pin-single", config(1), Some(2_000), "multistart"),
+        ("pin-multistart", config(3), Some(6_000), "multistart"),
+        ("pin-ladder", tempering(3), Some(10_000), "tempering"),
+        ("pin-quench", tempering(3), Some(41_000), "quench"),
+        ("pin-stage2", tempering(2), None, "stage2"),
+    ];
+    let pins = [
+        15_286_698_169_866_396_254,
+        9_186_576_948_896_199_273,
+        7_401_155_822_752_087_507,
+        8_556_904_968_842_603_088,
+        10_227_552_538_848_547_932,
+    ];
+    for ((tag, cfg, budget, phase), pin) in cases.into_iter().zip(pins) {
+        let text = checkpoint_text(&nl, &cfg, budget, tag);
+        let tagged = format!("\"payload\":{{\"phase\":\"{phase}\",");
+        assert!(text.contains(&tagged), "{tag}: not a `{phase}` checkpoint");
+        assert_eq!(twmc_resume::fnv1a64(text.as_bytes()), pin, "{tag}");
+    }
 }

@@ -144,10 +144,6 @@ pub struct CoreDetermination {
 /// circularity by fixed-point iteration: size the core for the current
 /// effective cell area, recompute `C_w` and the eq. 5 allowance, re-grow
 /// the cells, and repeat until the area is stable (a few iterations).
-///
-/// # Panics
-///
-/// Panics if the netlist has no cells.
 pub fn determine_core(nl: &Netlist, params: &EstimatorParams) -> CoreDetermination {
     let stats = nl.stats();
     assert!(stats.cells > 0, "cannot size a core for an empty netlist");

@@ -34,7 +34,7 @@ pub const JOB_STATES: &[&str] = &[
 ///
 /// Shared as an `Arc` between the producers (annealing loops, router,
 /// checkpoint writer, daemon) and the consumers (the daemon's
-/// `GET /metrics` and `GET /stats`). Construction is the single place the
+/// `GET /metrics` and `GET /healthz`). Construction is the single place the
 /// inventory is defined — DESIGN.md §12 documents it.
 pub struct MetricsHub {
     registry: Registry,

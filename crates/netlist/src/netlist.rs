@@ -41,6 +41,8 @@ pub enum NetlistError {
     InstanceMissingPinPosition(String, usize),
     /// A numeric parameter was out of range (message describes it).
     BadParameter(String),
+    /// The netlist has no cell: there is nothing to place.
+    NoCells,
 }
 
 impl core::fmt::Display for NetlistError {
@@ -72,6 +74,7 @@ impl core::fmt::Display for NetlistError {
                 write!(f, "instance {i} of cell `{c}` is missing pin positions")
             }
             BadParameter(msg) => write!(f, "bad parameter: {msg}"),
+            NoCells => write!(f, "the netlist defines no cells"),
         }
     }
 }
@@ -530,6 +533,9 @@ impl NetlistBuilder {
     ///
     /// Returns the first [`NetlistError`] found.
     pub fn build(self) -> Result<Netlist, NetlistError> {
+        if self.cells.is_empty() {
+            return Err(NetlistError::NoCells);
+        }
         // Unique cell names.
         let mut seen = HashMap::new();
         for c in &self.cells {
@@ -614,6 +620,18 @@ mod tests {
         assert!((st.avg_pin_density - 2.0 / 68.0).abs() < 1e-12);
         assert_eq!(nl.pin_by_name("a", "o").unwrap().id(), p1);
         assert_eq!(nl.nets_of_cell(a), vec![NetId::from_index(0)]);
+    }
+
+    #[test]
+    fn a_netlist_needs_a_cell() {
+        assert_eq!(
+            NetlistBuilder::new().build().unwrap_err(),
+            NetlistError::NoCells
+        );
+        let mut b = NetlistBuilder::new();
+        b.add_net("floating", Vec::new(), 1.0, 1.0).unwrap();
+        let e = b.build().unwrap_err();
+        assert_eq!(e.to_string(), "the netlist defines no cells");
     }
 
     #[test]

@@ -71,19 +71,23 @@ fn err(line: usize, message: impl Into<String>) -> ParseError {
     }
 }
 
-/// A netlist without cells has nothing to place: reject it as a typed
-/// error where it is read, not at an assert deep in the flow. (The YAL
-/// reader already refuses a parent with an empty `NETWORK`.)
-fn require_cells(nl: Netlist) -> Result<Netlist, ParseError> {
-    if nl.cells().is_empty() {
-        return Err(err(0, "the netlist defines no cells"));
-    }
-    Ok(nl)
-}
-
 fn parse_num<T: std::str::FromStr>(line: usize, tok: &str, what: &str) -> Result<T, ParseError> {
     tok.parse()
         .map_err(|_| err(line, format!("invalid {what}: `{tok}`")))
+}
+
+/// Parses header argument `toks[i]` as a `what`; a header that ends
+/// before it is an error, not an index past the end.
+fn parse_arg<T: std::str::FromStr>(
+    line: usize,
+    toks: &[&str],
+    i: usize,
+    what: &str,
+) -> Result<T, ParseError> {
+    let tok = toks
+        .get(i)
+        .ok_or_else(|| err(line, format!("missing {what}")))?;
+    parse_num(line, tok, what)
 }
 
 impl<'a> Parser<'a> {
@@ -125,10 +129,7 @@ impl<'a> Parser<'a> {
                 other => return Err(err(line, format!("unknown directive `{other}`"))),
             }
         }
-        self.builder
-            .build()
-            .map_err(ParseError::from)
-            .and_then(require_cells)
+        self.builder.build().map_err(ParseError::from)
     }
 
     fn parse_tiles_and_pins_for_macro(
@@ -260,17 +261,18 @@ impl<'a> Parser<'a> {
         while i < toks.len() {
             match toks[i] {
                 "area" => {
-                    area = Some(parse_num(line, toks[i + 1], "area")?);
+                    area = Some(parse_arg(line, toks, i + 1, "area")?);
                     i += 2;
                 }
                 "aspect" => {
-                    let min = parse_num(line, toks[i + 1], "aspect min")?;
-                    let max = parse_num(line, toks[i + 2], "aspect max")?;
+                    let min = parse_arg(line, toks, i + 1, "aspect min")?;
+                    let max = parse_arg(line, toks, i + 2, "aspect max")?;
                     aspect = Some(AspectRange::Continuous { min, max });
                     i += 3;
                 }
                 "aspectlist" => {
-                    let rs: Result<Vec<f64>, _> = toks[i + 1]
+                    let list: String = parse_arg(line, toks, i + 1, "aspect list")?;
+                    let rs: Result<Vec<f64>, _> = list
                         .split(',')
                         .map(|t| parse_num(line, t, "aspect ratio"))
                         .collect();
@@ -278,7 +280,7 @@ impl<'a> Parser<'a> {
                     i += 2;
                 }
                 "sites" => {
-                    sites = parse_num(line, toks[i + 1], "sites")?;
+                    sites = parse_arg(line, toks, i + 1, "sites")?;
                     i += 2;
                 }
                 other => return Err(err(line, format!("unexpected `{other}` in custom header"))),
@@ -378,11 +380,11 @@ impl<'a> Parser<'a> {
         while i < toks.len() && toks[i] != ":" {
             match toks[i] {
                 "hw" => {
-                    hw = parse_num(line, toks[i + 1], "hw")?;
+                    hw = parse_arg(line, toks, i + 1, "hw")?;
                     i += 2;
                 }
                 "vw" => {
-                    vw = parse_num(line, toks[i + 1], "vw")?;
+                    vw = parse_arg(line, toks, i + 1, "vw")?;
                     i += 2;
                 }
                 other => return Err(err(line, format!("unexpected `{other}` in net header"))),
@@ -414,8 +416,8 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] with a line number for syntax problems, or
-/// line 0 for semantic problems: a wrapped [`NetlistError`], or a
-/// netlist that defines no cells.
+/// line 0 for semantic problems: a wrapped [`NetlistError`], such as
+/// [`NetlistError::NoCells`] for a netlist that defines no cells.
 ///
 /// # Examples
 ///
@@ -520,6 +522,18 @@ net n1 vw 3 : cc.d1 m.y cc.fx
         let e = parse_netlist("macro a\n tile 0 0 4 4\n bogus\nend").unwrap_err();
         assert_eq!(e.line, 3);
         assert!(e.message.contains("bogus"));
+    }
+
+    #[test]
+    fn a_short_header_is_an_error() {
+        let custom = "custom a area 5 aspect 1\n pin p sides L\nend\n";
+        let e = parse_netlist(custom).unwrap_err();
+        assert_eq!(e.to_string(), "line 1: missing aspect max");
+        let net = "macro a\n tile 0 0 4 4\n pin o 4 2\nend\nnet n hw\n";
+        assert_eq!(
+            parse_netlist(net).unwrap_err().to_string(),
+            "line 5: missing hw"
+        );
     }
 
     #[test]

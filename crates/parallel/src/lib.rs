@@ -69,10 +69,7 @@ use twmc_place::{PlaceParams, PlacementState, Stage1Result};
 use twmc_resume::{CheckpointError, CheckpointWriter};
 
 pub use pool::{try_run_indexed, try_run_mut, ReplicaError};
-pub use resume::{
-    check_config, config_value, ladder_temps_from, ladder_temps_value, parallel_report_from,
-    parallel_report_value,
-};
+pub use resume::{check_config, config_value};
 
 /// How the replicas cooperate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -27,6 +27,7 @@ use twmc_obs::{
     StopReason, SummaryRecorder,
 };
 use twmc_place::{CoolingRun, MoveSet, PlaceParams, PlacementState, Stage1Context};
+use twmc_resume::codec::{self, field, get, Codec};
 use twmc_resume::CheckpointError;
 
 use crate::{
@@ -135,16 +136,16 @@ pub(crate) fn restore(
     let Some(payload) = payload else {
         return Ok(Vec::new());
     };
-    let records = twmc_resume::codec::array_field(payload, "replicas")?;
+    let Value::Array(records) = get(payload, "replicas")? else {
+        return Err(CheckpointError::Corrupt("`replicas` is not an array".into()).into());
+    };
     if records.len() != reps.len() {
         return Err(CheckpointError::Corrupt("checkpoint replica count differs".into()).into());
     }
     for (rep, v) in reps.iter_mut().zip(records) {
         resume::restore_replica(rep, v)?;
     }
-    Ok(resume::failures_from(twmc_resume::codec::field(
-        payload, "failed",
-    )?)?)
+    Ok(field(payload, "failed")?)
 }
 
 /// Rounds the ensemble has completed: the step count of its live
@@ -418,16 +419,17 @@ pub(crate) fn drive<'a>(
 
         let stop = ctrl.cancel.check();
         if stop.is_some() || ctrl.checkpoint_due(round as u64) {
-            let mut body = vec![
+            let mut fields = vec![
+                ("phase", Value::Str(rounds.phase().to_owned())),
+                ("config", config.clone()),
                 (
                     "replicas",
                     Value::Array(reps.iter().map(resume::replica_value).collect()),
                 ),
-                ("failed", resume::failures_value(failures)),
+                ("failed", failures.encode()),
             ];
-            body.extend(rounds.state());
-            let payload = resume::phase_payload(rounds.phase(), config.clone(), body);
-            ctrl.write_checkpoint(&payload, rec)?;
+            fields.extend(rounds.state());
+            ctrl.write_checkpoint(&codec::object(fields), rec)?;
         }
         if stop.is_some() {
             return Ok(stop);

@@ -57,7 +57,7 @@ use twmc_obs::{Event, Recorder, RunScope, Swap};
 use twmc_place::{
     CoolingRun, MoveSet, PlaceParams, PlacementSnapshot, PlacementState, Stage1Context,
 };
-use twmc_resume::codec::{array_field, field, u64x4_field, usize_field};
+use twmc_resume::codec::{field, get, Codec};
 use twmc_resume::CheckpointError;
 
 use crate::multistart::{self, Cooling, Replica, Rounds};
@@ -133,12 +133,12 @@ struct Ladder<'c, 'a> {
 impl Ladder<'_, '_> {
     /// Reloads the adaptive ladder state [`Rounds::state`] saved.
     fn restore(&mut self, payload: &Value) -> Result<(), CheckpointError> {
-        self.round = usize_field(payload, "round")?;
-        self.sweep = usize_field(payload, "sweep")?;
-        self.orch_rng = StdRng::from_state(u64x4_field(payload, "orch_rng")?);
-        self.temps = resume::f64s_from(field(payload, "temps")?, "temps")?;
-        self.gaps = resume::f64s_from(field(payload, "gaps")?, "gaps")?;
-        self.swaps = resume::swaps_from(field(payload, "swaps")?)?;
+        self.round = field(payload, "round")?;
+        self.sweep = field(payload, "sweep")?;
+        self.orch_rng = StdRng::from_state(field(payload, "orch_rng")?);
+        self.temps = field(payload, "temps")?;
+        self.gaps = field(payload, "gaps")?;
+        self.swaps = field(payload, "swaps")?;
         if self.temps.len() != self.intra.len() + 1 || self.gaps.len() != self.intra.len() {
             return Err(CheckpointError::Corrupt(
                 "checkpoint rung count differs".into(),
@@ -264,12 +264,12 @@ impl<'a> Rounds<'a> for Ladder<'_, 'a> {
 
     fn state(&self) -> Vec<(&'static str, Value)> {
         vec![
-            ("round", Value::UInt(self.round as u64)),
-            ("sweep", Value::UInt(self.sweep as u64)),
-            ("orch_rng", twmc_resume::codec::u64x4(self.orch_rng.state())),
-            ("temps", resume::ladder_temps_value(&self.temps)),
-            ("gaps", resume::ladder_temps_value(&self.gaps)),
-            ("swaps", resume::swaps_value(&self.swaps)),
+            ("round", self.round.encode()),
+            ("sweep", self.sweep.encode()),
+            ("orch_rng", self.orch_rng.state().encode()),
+            ("temps", self.temps.encode()),
+            ("gaps", self.gaps.encode()),
+            ("swaps", self.swaps.encode()),
         ]
     }
 }
@@ -333,7 +333,7 @@ pub(crate) fn run_controlled<'a>(
     // Resuming a quench skips the ladder: drop straight back into the
     // rungs' cooling runs.
     if let Some(payload) = resume_payload {
-        if resume::payload_phase(payload)? == "quench" {
+        if field::<String>(payload, "phase")? == "quench" {
             let ladder = LadderOutcome::decode(payload, nl, replicas)?;
             return quench_all(
                 &ctx, place, schedule, params, rec, ctrl, &config, reps, ladder, failures,
@@ -448,25 +448,19 @@ struct LadderOutcome {
 impl LadderOutcome {
     fn encode(&self) -> Vec<(&'static str, Value)> {
         vec![
-            (
-                "reports",
-                Value::Array(self.reports.iter().map(resume::report_value).collect()),
-            ),
-            ("swaps", resume::swaps_value(&self.swaps)),
+            ("reports", self.reports.encode()),
+            ("swaps", self.swaps.encode()),
             ("elites", resume::elites_value(&self.elites)),
-            ("ladder_rounds", Value::UInt(self.rounds as u64)),
+            ("ladder_rounds", self.rounds.encode()),
         ]
     }
 
     fn decode(payload: &Value, nl: &Netlist, replicas: usize) -> Result<Self, CheckpointError> {
         let ladder = LadderOutcome {
-            reports: array_field(payload, "reports")?
-                .iter()
-                .map(resume::report_from)
-                .collect::<Result<_, _>>()?,
-            swaps: resume::swaps_from(field(payload, "swaps")?)?,
-            elites: resume::elites_from(field(payload, "elites")?, nl)?,
-            rounds: usize_field(payload, "ladder_rounds")?,
+            reports: field(payload, "reports")?,
+            swaps: field(payload, "swaps")?,
+            elites: resume::elites_from(get(payload, "elites")?, nl)?,
+            rounds: field(payload, "ladder_rounds")?,
         };
         if ladder.elites.len() != replicas {
             return Err(CheckpointError::Corrupt(

@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 
-use twmc_parallel::{ladder_temps_from, ladder_temps_value};
+use twmc_resume::codec::Codec;
 use twmc_resume::{decode, encode, CheckpointError};
 
 /// Temperatures as raw bit patterns: covers subnormals, infinities,
@@ -35,7 +35,7 @@ proptest! {
 
     #[test]
     fn ladder_temperatures_roundtrip_bit_exactly(temps in arb_temps()) {
-        let back = ladder_temps_from(&ladder_temps_value(&temps)).expect("own encoding decodes");
+        let back = Vec::<f64>::decode(&temps.encode()).expect("own encoding decodes");
         prop_assert_eq!(bits(&back), bits(&temps));
     }
 
@@ -44,8 +44,8 @@ proptest! {
         // The same path a tempering checkpoint takes: ladder arrays in
         // a payload object, through the checksummed envelope, back out.
         let payload = serde::Value::Object(vec![
-            ("temps".to_owned(), ladder_temps_value(&temps)),
-            ("gaps".to_owned(), ladder_temps_value(&gaps)),
+            ("temps".to_owned(), temps.encode()),
+            ("gaps".to_owned(), gaps.encode()),
         ]);
         let decoded = decode(&encode(&payload)).expect("own envelope decodes");
         let serde::Value::Object(entries) = decoded else {
@@ -55,7 +55,7 @@ proptest! {
             entries
                 .iter()
                 .find(|(k, _)| k == name)
-                .map(|(_, v)| ladder_temps_from(v).expect("array decodes"))
+                .map(|(_, v)| Vec::<f64>::decode(v).expect("array decodes"))
                 .expect("field present")
         };
         prop_assert_eq!(bits(&get("temps")), bits(&temps));
@@ -67,21 +67,21 @@ proptest! {
         // Replace one bit-pattern with a non-numeric token: the decoder
         // must reject rather than improvise a temperature.
         prop_assume!(!temps.is_empty());
-        let mut items = match ladder_temps_value(&temps) {
+        let mut items = match temps.encode() {
             serde::Value::Array(items) => items,
             v => panic!("not an array: {v:?}"),
         };
         let slot = junk.len() % items.len();
         items[slot] = serde::Value::Str(junk);
         prop_assert!(matches!(
-            ladder_temps_from(&serde::Value::Array(items)),
+            Vec::<f64>::decode(&serde::Value::Array(items)),
             Err(CheckpointError::Corrupt(_))
         ));
     }
 
     #[test]
     fn a_flipped_byte_never_yields_a_different_ladder(temps in arb_temps(), pos in any::<u64>(), delta in 1u8..=255) {
-        let payload = serde::Value::Object(vec![("temps".to_owned(), ladder_temps_value(&temps))]);
+        let payload = serde::Value::Object(vec![("temps".to_owned(), temps.encode())]);
         let text = encode(&payload);
         let mut bytes = text.clone().into_bytes();
         let at = pos as usize % bytes.len();
@@ -96,7 +96,7 @@ proptest! {
             let round = entries
                 .iter()
                 .find(|(k, _)| k == "temps")
-                .and_then(|(_, v)| ladder_temps_from(v).ok())
+                .and_then(|(_, v)| Vec::<f64>::decode(v).ok())
                 .expect("verified payload keeps its shape");
             prop_assert_eq!(bits(&round), bits(&temps), "flip at byte {} altered the ladder", at);
         }

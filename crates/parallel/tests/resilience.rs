@@ -192,7 +192,7 @@ fn assert_resume_bit_identical(
         let path = temp_path(&format!("{tag}-t{threads}"));
         let prefix = interrupted_run(&nl, &params, &path, budget, RunCtrl::default());
         let payload = twmc_resume::read_checkpoint(&path).expect("checkpoint reads back");
-        let cut = twmc_resume::codec::str_field(&payload, "phase").expect("phase tag");
+        let cut: String = twmc_resume::codec::field(&payload, "phase").expect("phase tag");
         assert_eq!(cut, phase, "threads={threads}");
         let resumed = resumed_run(&nl, &params, &path, RunCtrl::default());
         assert_stitched(&full, &prefix, &resumed, threads);
@@ -360,7 +360,7 @@ fn snapshot_that_does_not_fit_the_netlist_is_a_typed_error() {
     };
     let spe = nl.cell(nl.pins()[sited].cell).sites_per_edge;
     let site = |slot: u32| Value::Array(vec![Value::UInt(0), Value::UInt(slot as u64)]);
-    let aspect = |x: f64| twmc_resume::codec::f64_bits(x);
+    let aspect = |x: f64| twmc_resume::codec::Codec::encode(&x);
 
     type Damage = Box<dyn Fn(&mut Value)>;
     let cases: Vec<(&str, String, Damage)> = vec![

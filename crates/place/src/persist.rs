@@ -1,189 +1,56 @@
 //! Checkpoint codecs for the placement state.
 //!
-//! Encodes the mutable placement data — [`PlacementSnapshot`],
-//! [`CoolingRun`] loop position, [`MoveStats`] counters — into the
-//! [`serde::Value`] payload trees `twmc-resume` writes to disk, and
-//! decodes them back with typed [`CheckpointError`]s. Floats travel as
-//! IEEE-754 bit patterns ([`codec::f64_bits`]) so a decoded state is
-//! *bit-identical* to the captured one; that, plus capturing the RNG
-//! stream position separately, is what makes `--resume` continue a run
-//! exactly as if it had never stopped.
+//! Implements [`Codec`] for the mutable placement data — the per-cell
+//! decisions, the [`CoolingRun`] loop position with its [`TempRecord`]
+//! history and [`MoveStats`] counters, a completed [`Stage1Result`] —
+//! and encodes a [`PlacementSnapshot`] into the [`serde::Value`]
+//! payload trees `twmc-resume` writes to disk. Floats travel as
+//! IEEE-754 bit patterns so a decoded state is *bit-identical* to the
+//! captured one; that, plus capturing the RNG stream position
+//! separately, is what makes `--resume` continue a run exactly as if
+//! it had never stopped.
+//!
+//! A snapshot has no `Codec` impl: its one decoder, [`snapshot_from`],
+//! checks every decision against the netlist, so no caller can restore
+//! a snapshot that was not checked.
 
 use serde::Value;
-use twmc_geom::{Orientation, Point, Rect, Side};
 use twmc_netlist::{CellGeometry, Netlist, PinPlacement};
-use twmc_resume::codec::{
-    self, array_field, bool_field, f64_field, field, i64_field, items, usize_field,
-};
-use twmc_resume::CheckpointError;
+use twmc_resume::codec::{self, corrupt, field, Codec};
+use twmc_resume::{codec_struct, CheckpointError};
 
 use crate::state::CellDecision;
 use crate::{CoolingRun, MoveStats, PlacementSnapshot, SiteRef, Stage1Result, TempRecord};
 
-fn corrupt(msg: &str) -> CheckpointError {
-    CheckpointError::Corrupt(msg.to_owned())
-}
+/// `[side, slot]`.
+impl Codec for SiteRef {
+    fn encode(&self) -> Value {
+        (self.side, self.slot).encode()
+    }
 
-// --- geometry primitives -------------------------------------------------
-
-fn point_value(p: Point) -> Value {
-    Value::Array(vec![Value::Int(p.x), Value::Int(p.y)])
-}
-
-fn point_from(v: &Value) -> Result<Point, CheckpointError> {
-    let a = items(v, "point")?;
-    match a {
-        [x, y] => Ok(Point::new(
-            codec::as_i64(x).ok_or_else(|| corrupt("point x is not an integer"))?,
-            codec::as_i64(y).ok_or_else(|| corrupt("point y is not an integer"))?,
-        )),
-        _ => Err(corrupt("point is not a 2-element array")),
+    fn decode(v: &Value) -> Result<Self, CheckpointError> {
+        let (side, slot) = Codec::decode(v)?;
+        Ok(SiteRef { side, slot })
     }
 }
 
-fn rect_value(r: Rect) -> Value {
-    Value::Array(vec![
-        Value::Int(r.lo().x),
-        Value::Int(r.lo().y),
-        Value::Int(r.hi().x),
-        Value::Int(r.hi().y),
-    ])
-}
-
-fn rect_from(v: &Value) -> Result<Rect, CheckpointError> {
-    let a = items(v, "rect")?;
-    if a.len() != 4 {
-        return Err(corrupt("rect is not a 4-element array"));
-    }
-    let mut c = [0i64; 4];
-    for (slot, item) in c.iter_mut().zip(a) {
-        *slot = codec::as_i64(item).ok_or_else(|| corrupt("rect coordinate is not an integer"))?;
-    }
-    Ok(Rect::new(Point::new(c[0], c[1]), Point::new(c[2], c[3])))
-}
-
-fn orientation_value(o: Orientation) -> Value {
-    let idx = Orientation::ALL
-        .iter()
-        .position(|&x| x == o)
-        .expect("ALL covers every orientation");
-    Value::UInt(idx as u64)
-}
-
-fn orientation_from(v: &Value) -> Result<Orientation, CheckpointError> {
-    let idx = codec::as_u64(v).ok_or_else(|| corrupt("orientation is not an index"))? as usize;
-    Orientation::ALL
-        .get(idx)
-        .copied()
-        .ok_or_else(|| corrupt("orientation index out of range"))
-}
-
-fn side_value(s: Side) -> Value {
-    let idx = Side::ALL
-        .iter()
-        .position(|&x| x == s)
-        .expect("ALL covers every side");
-    Value::UInt(idx as u64)
-}
-
-fn side_from(v: &Value) -> Result<Side, CheckpointError> {
-    let idx = codec::as_u64(v).ok_or_else(|| corrupt("side is not an index"))? as usize;
-    Side::ALL
-        .get(idx)
-        .copied()
-        .ok_or_else(|| corrupt("side index out of range"))
-}
-
-fn expansions_value(e: (i64, i64, i64, i64)) -> Value {
-    Value::Array(vec![
-        Value::Int(e.0),
-        Value::Int(e.1),
-        Value::Int(e.2),
-        Value::Int(e.3),
-    ])
-}
-
-fn expansions_from(v: &Value) -> Result<(i64, i64, i64, i64), CheckpointError> {
-    let a = items(v, "expansions")?;
-    if a.len() != 4 {
-        return Err(corrupt("expansions is not a 4-element array"));
-    }
-    let mut c = [0i64; 4];
-    for (slot, item) in c.iter_mut().zip(a) {
-        *slot = codec::as_i64(item).ok_or_else(|| corrupt("expansion is not an integer"))?;
-    }
-    Ok((c[0], c[1], c[2], c[3]))
-}
-
-// --- pin sites -----------------------------------------------------------
-
-fn site_ref_value(s: SiteRef) -> Value {
-    Value::Array(vec![side_value(s.side), Value::UInt(s.slot as u64)])
-}
-
-fn site_ref_from(v: &Value) -> Result<SiteRef, CheckpointError> {
-    let a = items(v, "site")?;
-    match a {
-        [side, slot] => Ok(SiteRef {
-            side: side_from(side)?,
-            slot: codec::as_u64(slot)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| corrupt("site slot is not a u32"))?,
-        }),
-        _ => Err(corrupt("site is not a 2-element array")),
-    }
-}
-
-// --- cell placements and snapshots ---------------------------------------
-
-fn cell_value(c: &CellDecision) -> Value {
-    codec::object(vec![
-        ("pos", point_value(c.pos)),
-        ("o", orientation_value(c.orientation)),
-        ("inst", Value::UInt(c.instance as u64)),
-        ("aspect", codec::f64_bits(c.aspect)),
-    ])
-}
-
-fn cell_from(v: &Value) -> Result<CellDecision, CheckpointError> {
-    Ok(CellDecision {
-        pos: point_from(field(v, "pos")?)?,
-        orientation: orientation_from(field(v, "o")?)?,
-        instance: usize_field(v, "inst")?,
-        aspect: f64_field(v, "aspect")?,
-    })
-}
+codec_struct!(CellDecision {
+    pos: "pos",
+    orientation: "o",
+    instance: "inst",
+    aspect: "aspect",
+});
 
 /// Encodes a [`PlacementSnapshot`] as a checkpoint payload fragment.
 pub fn snapshot_value(s: &PlacementSnapshot) -> Value {
     codec::object(vec![
-        (
-            "cells",
-            Value::Array(s.cells.iter().map(cell_value).collect()),
-        ),
-        (
-            "pin_site",
-            Value::Array(
-                s.pin_site
-                    .iter()
-                    .map(|site| match site {
-                        None => Value::Null,
-                        Some(r) => site_ref_value(*r),
-                    })
-                    .collect(),
-            ),
-        ),
-        ("c1", codec::f64_bits(s.total_c1)),
-        ("overlap", Value::Int(s.total_overlap)),
-        ("c3", codec::f64_bits(s.total_c3)),
-        ("p2", codec::f64_bits(s.p2)),
-        (
-            "static_exp",
-            match &s.static_expansions {
-                None => Value::Null,
-                Some(es) => Value::Array(es.iter().map(|&e| expansions_value(e)).collect()),
-            },
-        ),
+        ("cells", s.cells.encode()),
+        ("pin_site", s.pin_site.encode()),
+        ("c1", s.total_c1.encode()),
+        ("overlap", s.total_overlap.encode()),
+        ("c3", s.total_c3.encode()),
+        ("p2", s.p2.encode()),
+        ("static_exp", s.static_expansions.encode()),
     ])
 }
 
@@ -196,12 +63,9 @@ pub fn snapshot_value(s: &PlacementSnapshot) -> Value {
 /// a checkpoint that does not fit is a typed error naming the cell or
 /// pin, not a panic.
 pub fn snapshot_from(v: &Value, nl: &Netlist) -> Result<PlacementSnapshot, CheckpointError> {
-    let cells = array_field(v, "cells")?
-        .iter()
-        .map(cell_from)
-        .collect::<Result<Vec<_>, _>>()?;
+    let cells: Vec<CellDecision> = field(v, "cells")?;
     if cells.len() != nl.cells().len() {
-        return Err(CheckpointError::Corrupt(format!(
+        return Err(corrupt(format!(
             "snapshot holds {} cells, the netlist {}",
             cells.len(),
             nl.cells().len()
@@ -210,7 +74,7 @@ pub fn snapshot_from(v: &Value, nl: &Netlist) -> Result<PlacementSnapshot, Check
     for (cell, d) in nl.cells().iter().zip(&cells) {
         match &cell.geometry {
             CellGeometry::Fixed { instances } if d.instance >= instances.len() => {
-                return Err(CheckpointError::Corrupt(format!(
+                return Err(corrupt(format!(
                     "cell `{}` selects instance {} of {}",
                     cell.name,
                     d.instance,
@@ -218,7 +82,7 @@ pub fn snapshot_from(v: &Value, nl: &Netlist) -> Result<PlacementSnapshot, Check
                 )));
             }
             CellGeometry::Flexible { .. } if !(d.aspect.is_finite() && d.aspect > 0.0) => {
-                return Err(CheckpointError::Corrupt(format!(
+                return Err(corrupt(format!(
                     "custom cell `{}` has aspect {}",
                     cell.name, d.aspect
                 )));
@@ -226,15 +90,9 @@ pub fn snapshot_from(v: &Value, nl: &Netlist) -> Result<PlacementSnapshot, Check
             _ => {}
         }
     }
-    let pin_site = array_field(v, "pin_site")?
-        .iter()
-        .map(|item| match item {
-            Value::Null => Ok(None),
-            other => site_ref_from(other).map(Some),
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    let pin_site: Vec<Option<SiteRef>> = field(v, "pin_site")?;
     if pin_site.len() != nl.pins().len() {
-        return Err(CheckpointError::Corrupt(format!(
+        return Err(corrupt(format!(
             "snapshot holds {} pins, the netlist {}",
             pin_site.len(),
             nl.pins().len()
@@ -249,23 +107,15 @@ pub fn snapshot_from(v: &Value, nl: &Netlist) -> Result<PlacementSnapshot, Check
             Some(s) if s.slot >= cell.sites_per_edge => "sits on a slot its cell lacks",
             _ => continue,
         };
-        return Err(CheckpointError::Corrupt(format!(
+        return Err(corrupt(format!(
             "pin `{}.{}` {defect}",
             cell.name, pin.name
         )));
     }
-    let static_expansions = match field(v, "static_exp")? {
-        Value::Null => None,
-        other => Some(
-            items(other, "static_exp")?
-                .iter()
-                .map(expansions_from)
-                .collect::<Result<Vec<_>, _>>()?,
-        ),
-    };
+    let static_expansions: Option<Vec<(i64, i64, i64, i64)>> = field(v, "static_exp")?;
     if let Some(es) = &static_expansions {
         if es.len() != cells.len() {
-            return Err(CheckpointError::Corrupt(format!(
+            return Err(corrupt(format!(
                 "snapshot holds {} static expansions for {} cells",
                 es.len(),
                 cells.len()
@@ -275,161 +125,68 @@ pub fn snapshot_from(v: &Value, nl: &Netlist) -> Result<PlacementSnapshot, Check
     Ok(PlacementSnapshot {
         cells,
         pin_site,
-        total_c1: f64_field(v, "c1")?,
-        total_overlap: i64_field(v, "overlap")?,
-        total_c3: f64_field(v, "c3")?,
-        p2: f64_field(v, "p2")?,
+        total_c1: field(v, "c1")?,
+        total_overlap: field(v, "overlap")?,
+        total_c3: field(v, "c3")?,
+        p2: field(v, "p2")?,
         static_expansions,
     })
 }
 
-// --- annealing loop position ---------------------------------------------
+codec_struct!(TempRecord {
+    temperature: "t",
+    attempts: "att",
+    accepts: "acc",
+    cost: "cost",
+    teil: "teil",
+    overlap: "ov",
+    window_x: "wx",
+});
 
-fn temp_record_value(r: &TempRecord) -> Value {
-    codec::object(vec![
-        ("t", codec::f64_bits(r.temperature)),
-        ("att", Value::UInt(r.attempts as u64)),
-        ("acc", Value::UInt(r.accepts as u64)),
-        ("cost", codec::f64_bits(r.cost)),
-        ("teil", codec::f64_bits(r.teil)),
-        ("ov", Value::Int(r.overlap)),
-        ("wx", codec::f64_bits(r.window_x)),
-    ])
-}
-
-fn temp_record_from(v: &Value) -> Result<TempRecord, CheckpointError> {
-    Ok(TempRecord {
-        temperature: f64_field(v, "t")?,
-        attempts: usize_field(v, "att")?,
-        accepts: usize_field(v, "acc")?,
-        cost: f64_field(v, "cost")?,
-        teil: f64_field(v, "teil")?,
-        overlap: i64_field(v, "ov")?,
-        window_x: f64_field(v, "wx")?,
-    })
-}
-
-/// Encodes [`MoveStats`] (16 counters, class order fixed).
-pub fn move_stats_value(m: &MoveStats) -> Value {
-    let MoveStats {
-        displacements,
-        inverted_displacements,
-        orientations,
-        interchanges,
-        inverted_interchanges,
-        pin_moves,
-        aspect_moves,
-        instance_moves,
-    } = m;
-    let pairs = [
-        displacements,
-        inverted_displacements,
-        orientations,
-        interchanges,
-        inverted_interchanges,
-        pin_moves,
-        aspect_moves,
-        instance_moves,
-    ];
-    Value::Array(
-        pairs
-            .iter()
-            .flat_map(|p| [Value::UInt(p.0 as u64), Value::UInt(p.1 as u64)])
-            .collect(),
-    )
-}
-
-/// Decodes a [`move_stats_value`].
-pub fn move_stats_from(v: &Value) -> Result<MoveStats, CheckpointError> {
-    let a = items(v, "moves")?;
-    if a.len() != 16 {
-        return Err(corrupt("move stats is not a 16-element array"));
+/// One flat array of the 16 counters, in [`MoveStats::classes`] order.
+impl Codec for MoveStats {
+    fn encode(&self) -> Value {
+        let counts = self.classes().map(|(_, (att, acc))| [att, acc]);
+        counts.as_flattened().to_vec().encode()
     }
-    let mut c = [0usize; 16];
-    for (slot, item) in c.iter_mut().zip(a) {
-        *slot = codec::as_u64(item)
-            .and_then(|n| usize::try_from(n).ok())
-            .ok_or_else(|| corrupt("move stat is not a counter"))?;
+
+    fn decode(v: &Value) -> Result<Self, CheckpointError> {
+        let c = <[usize; 16]>::decode(v)?;
+        Ok(MoveStats {
+            displacements: (c[0], c[1]),
+            inverted_displacements: (c[2], c[3]),
+            orientations: (c[4], c[5]),
+            interchanges: (c[6], c[7]),
+            inverted_interchanges: (c[8], c[9]),
+            pin_moves: (c[10], c[11]),
+            aspect_moves: (c[12], c[13]),
+            instance_moves: (c[14], c[15]),
+        })
     }
-    Ok(MoveStats {
-        displacements: (c[0], c[1]),
-        inverted_displacements: (c[2], c[3]),
-        orientations: (c[4], c[5]),
-        interchanges: (c[6], c[7]),
-        inverted_interchanges: (c[8], c[9]),
-        pin_moves: (c[10], c[11]),
-        aspect_moves: (c[12], c[13]),
-        instance_moves: (c[14], c[15]),
-    })
 }
 
-/// Encodes a [`CoolingRun`] loop position.
-pub fn cooling_run_value(run: &CoolingRun) -> Value {
-    codec::object(vec![
-        ("t", codec::f64_bits(run.t)),
-        (
-            "history",
-            Value::Array(run.history.iter().map(temp_record_value).collect()),
-        ),
-        ("moves", move_stats_value(&run.moves)),
-        ("stall", Value::UInt(run.stall as u64)),
-        ("last_cost", codec::f64_bits(run.last_cost)),
-        ("done", Value::Bool(run.done)),
-    ])
-}
+codec_struct!(CoolingRun {
+    t: "t",
+    history: "history",
+    moves: "moves",
+    stall: "stall",
+    last_cost: "last_cost",
+    done: "done",
+});
 
-/// Decodes a [`cooling_run_value`].
-pub fn cooling_run_from(v: &Value) -> Result<CoolingRun, CheckpointError> {
-    Ok(CoolingRun {
-        t: f64_field(v, "t")?,
-        history: array_field(v, "history")?
-            .iter()
-            .map(temp_record_from)
-            .collect::<Result<Vec<_>, _>>()?,
-        moves: move_stats_from(field(v, "moves")?)?,
-        stall: usize_field(v, "stall")?,
-        last_cost: f64_field(v, "last_cost")?,
-        done: bool_field(v, "done")?,
-    })
-}
-
-/// Encodes a completed [`Stage1Result`] — the pipeline's stage-2
-/// checkpoint stores it next to the winning snapshot so a resumed run
-/// can skip stage 1 entirely.
-pub fn stage1_result_value(r: &Stage1Result) -> Value {
-    codec::object(vec![
-        ("teil", codec::f64_bits(r.teil)),
-        ("c1", codec::f64_bits(r.c1)),
-        ("overlap", Value::Int(r.residual_overlap)),
-        ("c3", codec::f64_bits(r.c3)),
-        ("chip", rect_value(r.chip)),
-        ("t_inf", codec::f64_bits(r.t_infinity)),
-        ("s_t", codec::f64_bits(r.s_t)),
-        (
-            "history",
-            Value::Array(r.history.iter().map(temp_record_value).collect()),
-        ),
-        ("moves", move_stats_value(&r.moves)),
-    ])
-}
-
-/// Decodes a [`stage1_result_value`].
-pub fn stage1_result_from(v: &Value) -> Result<Stage1Result, CheckpointError> {
-    Ok(Stage1Result {
-        teil: f64_field(v, "teil")?,
-        c1: f64_field(v, "c1")?,
-        residual_overlap: i64_field(v, "overlap")?,
-        c3: f64_field(v, "c3")?,
-        chip: rect_from(field(v, "chip")?)?,
-        t_infinity: f64_field(v, "t_inf")?,
-        s_t: f64_field(v, "s_t")?,
-        history: array_field(v, "history")?
-            .iter()
-            .map(temp_record_from)
-            .collect::<Result<Vec<_>, _>>()?,
-        moves: move_stats_from(field(v, "moves")?)?,
-    })
-}
+// A completed stage 1: the pipeline's stage-2 checkpoint stores it next
+// to the winning snapshot so a resumed run can skip stage 1 entirely.
+codec_struct!(Stage1Result {
+    teil: "teil",
+    c1: "c1",
+    residual_overlap: "overlap",
+    c3: "c3",
+    chip: "chip",
+    t_infinity: "t_inf",
+    s_t: "s_t",
+    history: "history",
+    moves: "moves",
+});
 
 #[cfg(test)]
 mod tests {
@@ -440,6 +197,8 @@ mod tests {
     use twmc_estimator::EstimatorParams;
     use twmc_netlist::{synthesize, SynthParams};
     use twmc_obs::{NullRecorder, RunScope};
+
+    use twmc_geom::{Orientation, Side};
 
     use crate::{MoveSet, PlaceParams, Stage1Context};
 
@@ -626,11 +385,11 @@ mod tests {
                 "main",
             );
         }
-        let decoded = cooling_run_from(&envelope_roundtrip(&cooling_run_value(&run))).unwrap();
+        let decoded = CoolingRun::decode(&envelope_roundtrip(&run.encode())).unwrap();
         assert_eq!(decoded, run);
         // NaN last_cost (fresh run) survives the trip too.
         let fresh = CoolingRun::new(1.0);
-        let back = cooling_run_from(&envelope_roundtrip(&cooling_run_value(&fresh))).unwrap();
+        let back = CoolingRun::decode(&envelope_roundtrip(&fresh.encode())).unwrap();
         assert!(back.last_cost.is_nan());
         assert_eq!(back.t.to_bits(), fresh.t.to_bits());
     }
@@ -638,9 +397,9 @@ mod tests {
     #[test]
     fn decoders_reject_malformed_fragments() {
         assert!(snapshot_from(&Value::Null, &circuit()).is_err());
-        assert!(move_stats_from(&Value::Array(vec![Value::UInt(1)])).is_err());
-        assert!(cooling_run_from(&codec::object(vec![("t", Value::UInt(0))])).is_err());
+        assert!(MoveStats::decode(&Value::Array(vec![Value::UInt(1)])).is_err());
+        assert!(CoolingRun::decode(&codec::object(vec![("t", Value::UInt(0))])).is_err());
         let bad_orient = codec::object(vec![("o", Value::UInt(99))]);
-        assert!(cell_from(&bad_orient).is_err());
+        assert!(CellDecision::decode(&bad_orient).is_err());
     }
 }

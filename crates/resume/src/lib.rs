@@ -17,9 +17,11 @@
 //! * Reads are **paranoid**: magic, version, and an FNV-1a checksum
 //!   over the serialized payload are all verified, and every failure is
 //!   a typed [`CheckpointError`] ([`read_checkpoint`]).
-//! * Payloads are [`serde::Value`] trees built by the pipeline crates
-//!   through the [`codec`] helpers. Floats are stored as their IEEE-754
-//!   bit patterns (`u64`), which keeps the parse→re-serialize text
+//! * Payloads are [`serde::Value`] trees. Each checkpointed type of the
+//!   pipeline crates declares its layout once through the
+//!   [`codec::Codec`] trait, most as one key list given to
+//!   [`codec_struct!`]. Floats are stored as their IEEE-754 bit
+//!   patterns (`u64`), which keeps the parse→re-serialize text
 //!   roundtrip exact — the property the checksum verification and the
 //!   bit-identical-resume contract both rest on.
 //!
@@ -37,6 +39,8 @@ use std::sync::Arc;
 use serde::Value;
 use twmc_fault::{atomic_write_durable, RealVfs, Vfs};
 use twmc_obs::validate::parse_json;
+
+use crate::codec::Codec;
 
 pub mod codec;
 
@@ -154,35 +158,25 @@ pub fn encode(payload: &Value) -> String {
 /// Parses and verifies a checkpoint document, returning the payload.
 pub fn decode(text: &str) -> Result<Value, CheckpointError> {
     let doc = parse_json(text).map_err(CheckpointError::Corrupt)?;
-    let Value::Object(entries) = doc else {
+    if !matches!(doc, Value::Object(_)) {
         return Err(CheckpointError::Corrupt(
             "top level is not a JSON object".to_owned(),
         ));
-    };
-    let find = |name: &str| entries.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-    let magic = match find("magic") {
-        Some(Value::Str(s)) => s.clone(),
-        Some(_) => return Err(CheckpointError::Corrupt("`magic` is not a string".into())),
-        None => return Err(CheckpointError::BadMagic("<missing>".to_owned())),
+    }
+    let magic = match codec::get(&doc, "magic") {
+        Ok(v) => String::decode(v)
+            .map_err(|_| CheckpointError::Corrupt("`magic` is not a string".into()))?,
+        Err(_) => return Err(CheckpointError::BadMagic("<missing>".to_owned())),
     };
     if magic != MAGIC {
         return Err(CheckpointError::BadMagic(magic));
     }
-    let version = match find("version") {
-        Some(v) => codec::as_u64(v)
-            .ok_or_else(|| CheckpointError::Corrupt("`version` is not an integer".into()))?,
-        None => return Err(CheckpointError::Corrupt("missing `version`".into())),
-    };
+    let version = codec::field(&doc, "version")?;
     if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
-    let expected = match find("checksum") {
-        Some(v) => codec::as_u64(v)
-            .ok_or_else(|| CheckpointError::Corrupt("`checksum` is not an integer".into()))?,
-        None => return Err(CheckpointError::Corrupt("missing `checksum`".into())),
-    };
-    let payload =
-        find("payload").ok_or_else(|| CheckpointError::Corrupt("missing `payload`".into()))?;
+    let expected = codec::field(&doc, "checksum")?;
+    let payload = codec::get(&doc, "payload")?;
     // Floats are stored as u64 bit patterns, so the payload contains
     // only ints/strings/bools/containers and the parse→serialize text
     // roundtrip is exact — hashing the re-serialized text verifies the
@@ -294,12 +288,11 @@ impl CheckpointWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::f64_bits;
 
     fn sample_payload() -> Value {
         Value::Object(vec![
             ("step".to_owned(), Value::UInt(17)),
-            ("t".to_owned(), f64_bits(1234.5678)),
+            ("t".to_owned(), 1234.5678f64.encode()),
             ("phase".to_owned(), Value::Str("stage1".to_owned())),
             (
                 "rng".to_owned(),

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use serde::Value;
-use twmc_resume::codec::f64_bits;
+use twmc_resume::codec::Codec;
 use twmc_resume::{decode, encode, read_checkpoint, write_checkpoint, CheckpointError, VERSION};
 
 /// Lowercase identifier-like strings (the shape real payload keys and
@@ -19,7 +19,7 @@ fn arb_scalar() -> impl Strategy<Value = Value> {
     prop_oneof![
         any::<u64>().prop_map(Value::UInt),
         any::<i64>().prop_map(Value::Int),
-        any::<f64>().prop_map(f64_bits),
+        any::<f64>().prop_map(|x| x.encode()),
         arb_word().prop_map(Value::Str),
         any::<bool>().prop_map(Value::Bool),
     ]

@@ -527,28 +527,6 @@ impl Daemon {
         Some(matches!(job.trace, JobTrace::Live(_)))
     }
 
-    /// The `/stats` payload. The lifetime counters are the hub's, the
-    /// ones `/metrics` renders, read under the state lock that every
-    /// increment holds.
-    pub fn stats_value(&self) -> Value {
-        let inner = self.state.lock().unwrap();
-        let hub = &self.hub;
-        obj(vec![
-            ("queue_depth", Value::UInt(inner.backlog() as u64)),
-            ("workers", Value::UInt(self.opts.workers.max(1) as u64)),
-            ("workers_busy", Value::UInt(inner.running.len() as u64)),
-            ("accepting", Value::Bool(inner.accepting)),
-            ("draining", Value::Bool(inner.shutdown)),
-            ("submitted", Value::UInt(hub.jobs_submitted_total.value())),
-            ("completed", Value::UInt(hub.jobs_completed_total.value())),
-            ("failed", Value::UInt(hub.jobs_failed_total.value())),
-            ("cancelled", Value::UInt(hub.jobs_cancelled_total.value())),
-            ("preemptions", Value::UInt(hub.preemptions_total.value())),
-            ("resumes", Value::UInt(hub.resumes_total.value())),
-            ("rejected", Value::UInt(hub.rejected_total.value())),
-        ])
-    }
-
     /// Whether submissions are currently accepted.
     pub fn accepting(&self) -> bool {
         self.state.lock().unwrap().accepting

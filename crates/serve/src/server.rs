@@ -13,7 +13,6 @@
 //! | `GET /jobs/<id>/trace`     | span-trace capture (live or sealed)      |
 //! | `DELETE /jobs/<id>`        | cancel                                   |
 //! | `GET /healthz`             | liveness, version, uptime, load gauges   |
-//! | `GET /stats`               | queue depth, busy workers, counters      |
 //! | `GET /metrics`             | Prometheus text exposition               |
 //!
 //! Connections are persistent (HTTP/1.1 keep-alive, bounded at
@@ -263,7 +262,6 @@ pub fn handle_request(daemon: &Daemon, req: &Request) -> Response {
                 ])),
             )
         }
-        ("GET", ["stats"]) => Response::json(200, json::to_text(&daemon.stats_value())),
         ("GET", ["metrics"]) => Response::text(daemon.hub().render()),
         ("POST", ["jobs"]) => match JobSpec::from_request(req) {
             Ok(spec) => match daemon.submit(spec) {
@@ -328,7 +326,7 @@ pub fn handle_request(daemon: &Daemon, req: &Request) -> Response {
             ),
             None => error_response(404, &format!("no job `{id}`")),
         },
-        (_, ["jobs", ..]) | (_, ["healthz"]) | (_, ["stats"]) | (_, ["metrics"]) => {
+        (_, ["jobs", ..]) | (_, ["healthz"]) | (_, ["metrics"]) => {
             error_response(405, &format!("{} not allowed here", req.method))
         }
         _ => error_response(404, &format!("no route for `{}`", req.path)),

@@ -9,7 +9,7 @@ use std::time::Duration;
 use common::*;
 use twmc_metrics::expo;
 use twmc_serve::client;
-use twmc_serve::json::{get_bool, get_str, get_u64};
+use twmc_serve::json::{get_bool, get_str};
 use twmc_serve::{JobState, ServeOptions};
 
 #[test]
@@ -77,14 +77,16 @@ fn submit_poll_events_result_placement() {
     assert_eq!(placement.status, 200);
     assert_eq!(placement.body.lines().count(), 4);
 
-    // Stats reflect the work done.
-    let stats = client::get(&addr, "/stats").unwrap().json().unwrap();
-    assert_eq!(get_u64(&stats, "submitted"), Some(2));
-    assert_eq!(get_u64(&stats, "completed"), Some(2));
+    // The lifetime counters reflect the work done.
+    let metrics = client::get(&addr, "/metrics").unwrap();
+    let snap = expo::parse(&metrics.body).expect("exposition parses");
+    assert_eq!(snap.scalar("twmc_jobs_submitted_total"), Some(2.0));
+    assert_eq!(snap.scalar("twmc_jobs_completed_total"), Some(2.0));
 
     // Error paths: unknown job, bad route, wrong method, bad body.
     assert_eq!(client::get(&addr, "/jobs/j999").unwrap().status, 404);
     assert_eq!(client::get(&addr, "/nope").unwrap().status, 404);
+    assert_eq!(client::get(&addr, "/stats").unwrap().status, 404);
     assert_eq!(
         client::request(&addr, "PUT", "/jobs", None, b"")
             .unwrap()
@@ -151,39 +153,47 @@ fn cancel_and_backpressure() {
     assert_eq!(hub.jobs_cancelled_total.value(), 2);
     assert_eq!(hub.rejected_total.value(), 1);
 
-    // Once every job is terminal, each `/stats` key equals the
-    // `/metrics` family it reads: both read the hub.
+    // Once every job is terminal, the `/metrics` scrape renders each
+    // lifecycle family at the hub's value.
     let id_accepted = get_str(&accepted.json().unwrap(), "id").unwrap().to_owned();
     assert_eq!(
         daemon.wait_terminal(&id_accepted, Duration::from_secs(60)),
         Some(JobState::Done)
     );
-    let stats = client::get(&addr, "/stats").unwrap().json().unwrap();
     let metrics = client::get(&addr, "/metrics").unwrap();
     let snap = expo::parse(&metrics.body).expect("exposition parses");
-    let serde::Value::Object(entries) = &stats else {
-        panic!("/stats is not an object: {stats:?}");
-    };
-    let keys: Vec<&str> = entries.iter().map(|(k, _)| k.as_str()).collect();
     let families = [
-        ("queue_depth", "twmc_queue_depth"),
-        ("workers", "twmc_workers"),
-        ("workers_busy", "twmc_workers_busy"),
-        ("submitted", "twmc_jobs_submitted_total"),
-        ("completed", "twmc_jobs_completed_total"),
-        ("failed", "twmc_jobs_failed_total"),
-        ("cancelled", "twmc_jobs_cancelled_total"),
-        ("preemptions", "twmc_preemptions_total"),
-        ("resumes", "twmc_resumes_total"),
-        ("rejected", "twmc_rejected_total"),
+        ("twmc_queue_depth", hub.queue_depth.value() as f64),
+        ("twmc_workers", hub.workers.value() as f64),
+        ("twmc_workers_busy", hub.workers_busy.value() as f64),
+        (
+            "twmc_jobs_submitted_total",
+            hub.jobs_submitted_total.value() as f64,
+        ),
+        (
+            "twmc_jobs_completed_total",
+            hub.jobs_completed_total.value() as f64,
+        ),
+        (
+            "twmc_jobs_failed_total",
+            hub.jobs_failed_total.value() as f64,
+        ),
+        (
+            "twmc_jobs_cancelled_total",
+            hub.jobs_cancelled_total.value() as f64,
+        ),
+        (
+            "twmc_preemptions_total",
+            hub.preemptions_total.value() as f64,
+        ),
+        ("twmc_resumes_total", hub.resumes_total.value() as f64),
+        ("twmc_rejected_total", hub.rejected_total.value() as f64),
     ];
-    assert_eq!(keys.len(), families.len() + 2, "{keys:?}");
-    assert_eq!(get_bool(&stats, "accepting"), Some(true));
-    assert_eq!(get_bool(&stats, "draining"), Some(false));
-    for (key, family) in families {
-        let stat = get_u64(&stats, key).map(|v| v as f64);
-        assert_eq!(stat, snap.scalar(family), "/stats `{key}` vs `{family}`");
+    for (family, value) in families {
+        assert_eq!(snap.scalar(family), Some(value), "`{family}`");
     }
+    let health = client::get(&addr, "/healthz").unwrap().json().unwrap();
+    assert_eq!(get_bool(&health, "accepting"), Some(true));
 
     stop.store(true, Ordering::Relaxed);
     handle.join().unwrap().unwrap();

@@ -203,7 +203,10 @@ fn keep_alive_serves_many_requests_then_enforces_the_budget() {
     }
     // ...then the server closes it, and a fresh connection works.
     assert!(conn.get("/healthz").is_err(), "budget exhaustion closes");
-    let resp = client::Conn::connect(&addr).unwrap().get("/stats").unwrap();
+    let resp = client::Conn::connect(&addr)
+        .unwrap()
+        .get("/healthz")
+        .unwrap();
     assert_eq!(resp.status, 200);
 
     // Every request on the shared connection was counted once.

@@ -62,7 +62,7 @@ fn usage() -> ExitCode {
          --resume FILE continues a checkpointed run bit-identically; Ctrl-C / SIGTERM,\n\
          --max-wall-secs, and --max-moves stop gracefully (exit 3, checkpoint flushed)\n\
          serve runs the placement daemon: POST /jobs, GET /jobs/ID[/events|/result|\n\
-         /placement|/trace], DELETE /jobs/ID, GET /healthz, GET /stats, GET /metrics\n\
+         /placement|/trace], DELETE /jobs/ID, GET /healthz, GET /metrics\n\
          (Prometheus text); GET /jobs/ID/events?follow=1 streams a live chunked\n\
          JSONL tail until the job ends; higher-priority jobs\n\
          preempt running ones at round boundaries (checkpoint + bit-identical resume);\n\

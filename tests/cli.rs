@@ -524,17 +524,30 @@ fn sigterm_stops_the_run_with_a_resumable_checkpoint() {
         .expect("run twmc synth");
     assert!(out.status.success());
 
-    // A run sized to take far longer than the signal delay.
-    let child = twmc()
+    let _ = std::fs::remove_file(&ckpt);
+    // A run far longer than any build needs to write its first
+    // periodic checkpoint: the signal lands once that checkpoint
+    // exists, and cuts the run there.
+    let mut child = twmc()
         .arg("place")
         .arg(&netlist)
-        .args(["--ac", "60", "--seed", "5", "--checkpoint"])
+        .args(["--ac", "600", "--seed", "5", "--checkpoint"])
         .arg(&ckpt)
         .args(["--checkpoint-every", "2"])
         .stderr(std::process::Stdio::piped())
         .spawn()
         .expect("spawn twmc place");
-    std::thread::sleep(std::time::Duration::from_millis(400));
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(120);
+    while !ckpt.exists() {
+        if let Some(status) = child.try_wait().expect("poll twmc place") {
+            panic!("the run ended ({status}) before its first checkpoint");
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no periodic checkpoint within 120 s"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     let kill = Command::new("kill")
         .args(["-TERM", &child.id().to_string()])
         .status()
@@ -549,7 +562,7 @@ fn sigterm_stops_the_run_with_a_resumable_checkpoint() {
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("interrupted (signal)"), "{stderr}");
-    assert!(ckpt.exists(), "no checkpoint flushed on SIGTERM");
+    twmc_resume::read_checkpoint(&ckpt).expect("the flushed checkpoint reads back");
 
     std::fs::remove_dir_all(&dir).ok();
 }
